@@ -88,4 +88,4 @@ from .words import (
     surface_group,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -2,8 +2,8 @@
 
 The grid is a fixed icosahedral refinement: 20 spherical triangles, each
 split into n^2 congruent-ish cells by its gnomonic lattice.  Cell IDs are
-lexicographic tuples, so counts are reproducible across runs and thread
-counts.  The box-counting slope is an upper-bound proxy for Hausdorff
+lexicographic tuples, so counts are reproducible across runs.  The
+box-counting slope is an upper-bound proxy for Hausdorff
 dimension; all verdicts in this package are phrased against it.
 """
 
@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import FlaglabError, InputError
 from .mobius import sphere_xyz, uniform_sphere, xyz_to_hom
+from .sphere import cap_hits
 from .subspaces import transversality_gap
 from .words import word_to_str
 
@@ -207,13 +208,7 @@ def eps_area(
     xyz = _as_xyz(points)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sample = sphere_xyz(uniform_sphere(rng, mc_count))
-    cos_eps = math.cos(eps)
-    hits = 0
-    chunk = max(1, 2_000_000 // max(1, len(xyz)))
-    for start in range(0, mc_count, chunk):
-        block = sample[start : start + chunk]
-        hits += int(np.count_nonzero(np.any(block @ xyz.T >= cos_eps, axis=1)))
-    p = hits / mc_count
+    p = cap_hits(sample, xyz, eps) / mc_count
     sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / mc_count)
     return AreaEstimate(
         area=4.0 * math.pi * p,
@@ -256,7 +251,7 @@ def grassmann_dimension(
                 continue
             try:
                 fp = tangent_project(anchor, f, k)
-            except Exception:
+            except FlaglabError:
                 continue
             members.append(fp.coords)
             covered[i] = True

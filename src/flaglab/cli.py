@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .fibers import (
     TripleSpec,
     check_Hk,
     check_hyperconvex,
+    fiber_ks,
     foliated_limit_sample,
     required_anosov_indices,
     tangent_project,
@@ -324,27 +324,21 @@ def cmd_foliate(args) -> int:
     return EXIT_OK
 
 
-def _fiber_cloud(rep, k, count, length, seed, threads):
+def _fiber_cloud(rep, k, count, length, seed):
     """Tangent-project a limit-set sample into the fiber of one extra base."""
     from .cache import cached_limit_set_sample
 
     flags = cached_limit_set_sample(
-        rep, rep_digest(rep), _fiber_ks(rep.dim, k), count=count + 1, length=length, seed=seed
+        rep, rep_digest(rep), fiber_ks(rep.dim, k), count=count + 1, length=length, seed=seed
     )
-    base, rest = flags[0], flags[1:]
-    def project(f):
+    base = flags[0]
+    pts = []
+    for f in flags[1:]:
         try:
-            return tangent_project(base, f, k).coords
+            pts.append(tangent_project(base, f, k).coords)
         except FlaglabError:
-            return None
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        coords = list(pool.map(project, rest))
-    pts = [c for c in coords if c is not None]
+            continue
     return np.stack(pts)
-
-
-def _fiber_ks(d: int, k: int) -> list[int]:
-    return sorted({j for j in (k - 1, k, k + 1, d - k) if 0 < j < d})
 
 
 def cmd_dimension(args) -> int:
@@ -371,10 +365,10 @@ def cmd_dimension(args) -> int:
         rep, descriptor = resolve_rep(args.rep)
         inputs["rep"] = descriptor
         if args.mode == "fiber":
-            pts = _fiber_cloud(rep, args.k, args.points, args.word_length, args.seed, args.threads)
+            pts = _fiber_cloud(rep, args.k, args.points, args.word_length, args.seed)
             est = boxdim.box_dimension_sphere(pts, scales=scales)
         else:
-            ks = sorted(set(_fiber_ks(rep.dim, args.k)) | {rep.dim - args.k})
+            ks = sorted(set(fiber_ks(rep.dim, args.k)) | {rep.dim - args.k})
             from .cache import cached_limit_set_sample
 
             n_anchors = args.anchors
@@ -438,7 +432,7 @@ def cmd_visualmass(args) -> int:
     else:
         rep, descriptor = resolve_rep(args.rep)
         inputs["rep"] = descriptor
-        cloud = _fiber_cloud(rep, args.k, args.points, args.word_length, args.seed, args.threads)
+        cloud = _fiber_cloud(rep, args.k, args.points, args.word_length, args.seed)
         eps = args.eps
     base = [float(x) for x in args.basepoint.split(",")]
     nu = VisualMeasure(complex(base[0], base[1]), base[2])
@@ -499,7 +493,6 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default=".", help="output directory (default .)")
         if seeded:
             p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--threads", type=int, default=min(8, os.cpu_count() or 1))
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="machine-readable output format")
 

@@ -18,16 +18,25 @@ import numpy as np
 
 from . import words as W
 from .certify import FlagSample, boundary_sample, limit_set_sample, transport_flag
-from .errors import InputError, PrecisionError, TransversalityError
-from .mobius import chart, det_normalize as mob_normalize, three_point_map
+from .errors import FlaglabError, InputError, PrecisionError, TransversalityError
+from .mobius import chart, three_point_map
 from .reps import Representation
-from .subspaces import Subspace, hausdorff_subspace_dist, orth, principal_sines
+from .subspaces import Subspace, det_normalize, hausdorff_subspace_dist, orth, principal_sines
 from .words import Word
 
 TAU_PASS = 1e-3
 TAU_FAIL = 1e-7
 LINE_SOFT_TOL = 1e-6
 LINE_UNIQUE_TOL = 1e-12  # at this level the line is below the frame noise floor
+ADVERSARIAL_FRACTION = 0.3  # share of triples drawn from adversarial near-pairs
+ADVERSARIAL_SUFFIX = 2  # length of the two tails that split a pair off its stem
+MIN_BASE_SEPARATION = 0.01  # least distance from the projection base to x and y
+
+
+def fiber_ks(d: int, k: int) -> list[int]:
+    """Flag indices a fiber at index k needs: k-1 and k+1 for the line,
+    k for the diagonal projection and d-k for the projected directions."""
+    return sorted({j for j in (k - 1, k, k + 1, d - k) if 0 < j < d})
 
 
 def _line_intersection(a: Subspace, b: Subspace) -> np.ndarray:
@@ -113,11 +122,7 @@ class TripleSpec:
     seed: int = 1
     word_length: int = 8
     pool_size: int = 64
-    adversarial_fraction: float = 0.3
-    adversarial_suffix: int = 2
     tau: float = TAU_PASS
-    fail_threshold: float = TAU_FAIL
-    min_base_separation: float = 0.01
 
 
 @dataclass(frozen=True)
@@ -150,7 +155,7 @@ def _flag_pool(rep: Representation, ks, spec: TripleSpec):
         rep, ks, count=spec.pool_size, length=spec.word_length, seed=spec.seed
     )
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 0xADF)))
-    n_pairs = max(1, int(spec.count * spec.adversarial_fraction) // 8)
+    n_pairs = max(1, int(spec.count * ADVERSARIAL_FRACTION) // 8)
     pairs = []
     attempts = 0
     # pairs closer than ~1e-5 can no longer be resolved in floats (the
@@ -162,7 +167,7 @@ def _flag_pool(rep: Representation, ks, spec: TripleSpec):
         stem_len = int(rng.integers(2, spec.word_length + 1))
         stem = W._random_word(rep.presentation, stem_len, rng)
         tails = [
-            W._random_word(rep.presentation, spec.adversarial_suffix, rng)
+            W._random_word(rep.presentation, ADVERSARIAL_SUFFIX, rng)
             for _ in range(2)
         ]
         wx = W.cyclic_reduce(W.reduce(stem + tails[0], rep.presentation))
@@ -172,7 +177,7 @@ def _flag_pool(rep: Representation, ks, spec: TripleSpec):
         try:
             fx = boundary_sample(rep, wx, ks)
             fy = boundary_sample(rep, wy, ks)
-        except Exception:
+        except FlaglabError:
             continue
         if not floor <= point_dist(fx, fy) <= ceiling:
             continue
@@ -189,7 +194,7 @@ def _transversality_sweep(rep, k, spec, ks, score_fn, mode) -> HyperconvexityRep
     tested = 0
     skipped = 0
     for i in range(spec.count):
-        adversarial_turn = adversarial and rng.random() < spec.adversarial_fraction
+        adversarial_turn = adversarial and rng.random() < ADVERSARIAL_FRACTION
         if adversarial_turn:
             x, y = adversarial[int(rng.integers(len(adversarial)))]
             z = pool[int(rng.integers(n_pool))]
@@ -202,8 +207,8 @@ def _transversality_sweep(rep, k, spec, ks, score_fn, mode) -> HyperconvexityRep
         # the projection base must stay away from both directions; the x-y
         # closeness is exactly what the normalized score probes
         if (
-            point_dist(x, z) < spec.min_base_separation
-            or point_dist(y, z) < spec.min_base_separation
+            point_dist(x, z) < MIN_BASE_SEPARATION
+            or point_dist(y, z) < MIN_BASE_SEPARATION
         ):
             skipped += 1
             continue
@@ -222,7 +227,7 @@ def _transversality_sweep(rep, k, spec, ks, score_fn, mode) -> HyperconvexityRep
         raise InputError("no valid triples were tested")
     if best >= spec.tau:
         verdict = "passes"
-    elif best < spec.fail_threshold:
+    elif best < TAU_FAIL:
         verdict = "fails"
     else:
         verdict = "inconclusive"
@@ -256,7 +261,7 @@ def check_hyperconvex(
     if not 1 <= k <= d - 1:
         raise InputError(f"k={k} out of range 1..{d - 1}")
     _check_prereqs(rep, k, "eq1", certificates, assume_anosov)
-    ks = sorted({j for j in (k - 1, k, k + 1, d - k) if 0 < j < d})
+    ks = fiber_ks(d, k)
 
     def score(x, y, z):
         lx = tangent_project(z, x, k)
@@ -333,7 +338,7 @@ def mobius_cocycle(
     gt = transport_flag(rep, gamma, t)
     m = rep.evaluate(gamma)
     b = gt.fiber_frame(k).conj().T @ m @ t.fiber_frame(k)
-    return mob_normalize(b), gt
+    return det_normalize(b), gt
 
 
 class Trivialization:
@@ -380,7 +385,7 @@ class Trivialization:
         float error whenever the flag objects are shared."""
         b, gt = mobius_cocycle(self.rep, gamma, t, self.k)
         m = self.fiber_map(gt) @ b @ np.linalg.inv(self.fiber_map(t))
-        return mob_normalize(m), gt
+        return det_normalize(m), gt
 
 
 @dataclass
@@ -412,15 +417,12 @@ def foliated_limit_sample(
     """Trivialized fiber limit sets over sampled bases: for each base t the
     projections of fiber_count boundary directions, in Riemann-sphere
     coordinates with the three trivialization sections pinned at 0, 1, inf."""
-    d = rep.dim
-    ks = sorted({j for j in (k - 1, k, k + 1, d - k) if 0 < j < d})
+    ks = fiber_ks(rep.dim, k)
     need = base_count + fiber_count + (0 if trivialization else 8)
     flags, _ = limit_set_sample(rep, ks, count=need, length=word_length, seed=seed)
     if trivialization is None:
         # default basepoints: the best-quality flags, tie-broken toward a
         # well-spread triple so the fiber normalizations stay conditioned
-        from itertools import combinations
-
         candidates = sorted(flags[:8], key=lambda f: f.quality)
         best = max(
             combinations(candidates, 3),

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .errors import InputError
+from .subspaces import det_normalize
 
 INF = complex(math.inf, 0.0)
 
@@ -40,10 +41,6 @@ def chart(v: np.ndarray, tol: float = 1e-14) -> complex:
     if abs(b) <= tol * abs(a):
         return INF
     return a / b
-
-
-def is_infinity(v: np.ndarray, tol: float = 1e-14) -> bool:
-    return abs(v[1]) <= tol * abs(v[0])
 
 
 def proj_dist(u: np.ndarray, v: np.ndarray) -> float:
@@ -87,14 +84,6 @@ def xyz_to_hom(p: np.ndarray) -> np.ndarray:
 def apply_mobius(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply a 2x2 matrix to homogeneous points of shape (..., 2)."""
     return normalize(np.asarray(v, dtype=complex) @ np.asarray(m, dtype=complex).T)
-
-
-def det_normalize(m: np.ndarray) -> np.ndarray:
-    """Scale a 2x2 matrix to determinant 1 (principal square root)."""
-    d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if d == 0:
-        raise InputError("matrix is singular")
-    return m / cmath.sqrt(d)
 
 
 def three_point_map(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -118,13 +118,3 @@ class ProductSVD:
         if normalized:
             return self.logs - self.logs.mean()
         return self.logs.copy()
-
-
-def product_log_singular_values(factors: list[np.ndarray]) -> np.ndarray:
-    """Normalized log singular values of a product of square factors."""
-    if not factors:
-        raise ValueError("need at least one factor")
-    acc = ProductSVD(factors[0].shape[0])
-    for f in factors:
-        acc.absorb(f)
-    return acc.log_sigma()

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
-from collections import OrderedDict
 from itertools import combinations
 from math import comb
 
@@ -23,7 +21,6 @@ from .subspaces import det_normalize
 from .words import GroupPresentation, Word, free_group, reduce, surface_group
 
 MAX_WEDGE_DIM = 1024
-CACHE_ENTRIES = 2**20
 
 INVERSE_TOL = 1e-10
 RELATOR_TOL = 1e-8
@@ -31,16 +28,9 @@ RELATOR_TOL = 1e-8
 
 class Representation:
     """A homomorphism to PSL(d, C) given by one normalized matrix per
-    generator.  Immutable; the word-evaluation cache is internally locked
-    and safe for concurrent use."""
+    generator.  Immutable."""
 
-    def __init__(
-        self,
-        presentation: GroupPresentation,
-        generator_matrices,
-        label: str = "",
-        cache_entries: int = CACHE_ENTRIES,
-    ):
+    def __init__(self, presentation: GroupPresentation, generator_matrices, label: str = ""):
         mats = [det_normalize(np.asarray(m, dtype=complex)) for m in generator_matrices]
         if len(mats) != presentation.generator_count:
             raise InputError("one matrix per generator required")
@@ -53,9 +43,6 @@ class Representation:
         self.generators = mats
         self.inverses = [np.linalg.inv(m) for m in mats]
         self.label = label
-        self._cache: OrderedDict[Word, np.ndarray] = OrderedDict()
-        self._cache_entries = cache_entries
-        self._lock = threading.Lock()
         self._validate()
 
     def _validate(self):
@@ -64,7 +51,8 @@ class Representation:
             if resid > INVERSE_TOL:
                 raise ConditioningError(f"generator {i + 1} inverse residual {resid:.2e}")
         for rel in self.presentation.relations:
-            m = self._product(rel)
+            # relator products sit near +-I, which a Frobenius rescale keeps
+            m = self.evaluate(rel)
             dist = min(
                 np.max(np.abs(m - np.eye(self.dim))),
                 np.max(np.abs(m + np.eye(self.dim))),
@@ -79,51 +67,22 @@ class Representation:
             return self.generators[letter - 1]
         return self.inverses[-letter - 1]
 
-    def _product(self, word: Word) -> np.ndarray:
-        m = np.eye(self.dim, dtype=complex)
-        for pos, letter in enumerate(word):
-            m = m @ self.matrix(letter)
-            if not np.all(np.isfinite(m)):
-                raise ConditioningError(f"over/underflow after prefix of length {pos + 1}")
-            m = det_normalize(m)
-        return m
-
     def evaluate(self, word) -> np.ndarray:
         """Product of generator matrices along the freely reduced word,
-        rescaled to Frobenius norm sqrt(d) after each step; cached by
-        reduced word (bounded LRU).
+        rescaled to Frobenius norm sqrt(d) after each step.
 
         The scaling makes length-10^4 products representable where a
         unit-determinant lift would overflow; all consumers (gaps,
         attractors, cocycles) are projective, so only the class matters.
         """
         w = reduce(word, self.presentation)
-        with self._lock:
-            hit = self._cache.get(w)
-            if hit is not None:
-                self._cache.move_to_end(w)
-                return hit
         m = np.eye(self.dim, dtype=complex)
-        run_from = 0
-        # longest cached prefix seeds the product
-        with self._lock:
-            for cut in range(len(w) - 1, 0, -1):
-                pre = self._cache.get(w[:cut])
-                if pre is not None:
-                    m = pre
-                    run_from = cut
-                    break
         scale = math.sqrt(self.dim)
-        for pos in range(run_from, len(w)):
-            m = m @ self.matrix(w[pos])
+        for pos, letter in enumerate(w):
+            m = m @ self.matrix(letter)
             if not np.all(np.isfinite(m)):
                 raise ConditioningError(f"over/underflow after prefix of length {pos + 1}")
             m = m * (scale / np.linalg.norm(m))
-            prefix = w[: pos + 1]
-            with self._lock:
-                self._cache[prefix] = m
-                while len(self._cache) > self._cache_entries:
-                    self._cache.popitem(last=False)
         return m
 
     def __repr__(self):

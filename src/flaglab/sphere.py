@@ -220,6 +220,18 @@ class VisualMeasure:
         return apply_mobius(self.matrix, uniform_sphere(rng, count))
 
 
+def cap_hits(sample_xyz: np.ndarray, cloud_xyz: np.ndarray, eps: float) -> int:
+    """Number of sample unit vectors within geodesic distance eps of some
+    cloud vector.  Works in chunks of about 2e6 dot products."""
+    cos_eps = math.cos(eps)
+    hits = 0
+    chunk = max(1, 2_000_000 // max(1, len(cloud_xyz)))
+    for start in range(0, len(sample_xyz), chunk):
+        block = sample_xyz[start : start + chunk]
+        hits += int(np.count_nonzero(np.any(block @ cloud_xyz.T >= cos_eps, axis=1)))
+    return hits
+
+
 @dataclass(frozen=True)
 class MassEstimate:
     estimate: float
@@ -257,13 +269,6 @@ def visual_mass(
     pts = nu.sample(rng, mc_count)
     if pre_map is not None:
         pts = apply_mobius(np.asarray(pre_map, dtype=complex), pts)
-    xyz = sphere_xyz(pts)
-    cos_eps = math.cos(eps)
-    hits = 0
-    chunk = max(1, 2_000_000 // max(1, len(cloud_xyz)))
-    for start in range(0, mc_count, chunk):
-        block = xyz[start : start + chunk]
-        hits += int(np.count_nonzero(np.any(block @ cloud_xyz.T >= cos_eps, axis=1)))
-    p = hits / mc_count
+    p = cap_hits(sphere_xyz(pts), cloud_xyz, eps) / mc_count
     sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / mc_count)
     return MassEstimate(estimate=p, sigma=sigma, seed=seed, mc_count=mc_count)

@@ -313,7 +313,7 @@ def test_criterion_8c_uniform_sphere(tmp_path):
 def test_criterion_9_area_decay(sym3):
     from flaglab.cli import _fiber_cloud
 
-    pts = _fiber_cloud(sym3, 1, 1500, 10, 7, 4)
+    pts = _fiber_cloud(sym3, 1, 1500, 10, 7)
     epses = [0.2, 0.1, 0.05, 0.025]
     areas = [fl.eps_area(pts, e, mc_count=200_000, seed=3).area for e in epses]
     total_decay = areas[0] / areas[-1]

@@ -187,6 +187,19 @@ def test_grassmann_redundant_anchor_stable(octagon_sym3, veronese_circle_flags):
     assert more.slope <= base.slope + base.ci_halfwidth + 0.02
 
 
+def test_grassmann_propagates_programming_errors(veronese_circle_flags, monkeypatch):
+    import flaglab.fibers as fibers
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug in a projection")
+
+    # only a failed projection (a FlaglabError) may leave a flag out of a chart
+    monkeypatch.setattr(fibers, "tangent_project", broken)
+    flags = veronese_circle_flags
+    with pytest.raises(TypeError, match="bug in a projection"):
+        fl.grassmann_dimension(flags[1:300], 1, [flags[0]], min_points=100)
+
+
 def test_grassmann_uncovered_flags_error(octagon_sym3, veronese_circle_flags):
     flags = veronese_circle_flags
     with pytest.raises(InputError, match="add anchors"):

@@ -102,6 +102,18 @@ def test_directsum_fails_upstream(directsum):
         fl.check_hyperconvex(directsum, 2, TripleSpec(count=20, seed=1), assume_anosov=True)
 
 
+def test_flag_pool_propagates_programming_errors(schottky, monkeypatch):
+    import flaglab.fibers as fibers
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug in a sampler")
+
+    # only a rejected sample (a FlaglabError) may be skipped
+    monkeypatch.setattr(fibers, "boundary_sample", broken)
+    with pytest.raises(TypeError, match="bug in a sampler"):
+        fl.check_hyperconvex(schottky, 1, TripleSpec(count=80, seed=1, pool_size=8), assume_anosov=True)
+
+
 def test_hk_vacuous_d2(schottky):
     rpt = fl.check_Hk(schottky, 1, TripleSpec(count=200, seed=5), assume_anosov=True)
     assert rpt.verdict == "passes"

@@ -1,5 +1,5 @@
 import math
-from concurrent.futures import ThreadPoolExecutor
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,12 +35,23 @@ def test_evaluate_homomorphism(schottky):
         assert proj_matrix_dist(lhs, rhs) < 1e-8
 
 
-def test_evaluate_cache_threadsafe(sym3):
-    words = [W.random_geodesic_word(sym3.presentation, 6, seed) for seed in range(40)]
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(sym3.evaluate, words))
-    for w, m in zip(words, results):
-        assert np.allclose(m, sym3.evaluate(w))
+def test_evaluate_long_word_memory_and_halves(sym3):
+    p = sym3.presentation
+    w1 = W.random_geodesic_word(p, 3000, 1)
+    w2 = next(
+        w for w in (W.random_geodesic_word(p, 3000, s) for s in range(2, 20)) if w[0] != -w1[-1]
+    )
+    word = W.concat(p, w1, w2)
+    assert len(word) == 6000
+    tracemalloc.start()
+    try:
+        m = sym3.evaluate(word)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a product keeps O(1) matrices alive, not one per prefix
+    assert peak < 5 * 2**20
+    assert proj_matrix_dist(m, sym3.evaluate(w1) @ sym3.evaluate(w2)) < 1e-8
 
 
 def test_generator_inverse_invariant(sym4):
