@@ -14,16 +14,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import words as W
-from .errors import InputError, NotAnosovError, PrecisionError
+from .errors import CapacityError, FlaglabError, InputError, NotAnosovError, PrecisionError
 from .prodsvd import ProductSVD
 from .reps import Representation
-from .subspaces import Subspace, batched_gaps, hausdorff_subspace_dist, orth
+from .subspaces import Subspace, hausdorff_subspace_dist, orth
 from .words import Word
 
+SWEEP_BUDGET = 1 << 29  # bytes of stacked (u, logs, vh) state one sweep level may hold
 SLOPE_THRESHOLD = 0.01
 R2_THRESHOLD = 0.95
 TARGET_GAP = 18.0
 NESTING_TOL = 1e-6
+
+
+def _spread_error(where: str) -> PrecisionError:
+    """The graded product SVD's limit: past a log-singular spread of about
+    745 nats the smallest singular values underflow and gaps stop being finite."""
+    return PrecisionError(f"non-finite gap {where}: log-singular spread past about 745 nats")
 
 
 @dataclass(frozen=True)
@@ -39,90 +46,66 @@ class GapSweep:
         return self.minima[:, k - 1]
 
 
-def gap_sweep(rep: Representation, radius: int, accurate: bool | None = None) -> GapSweep:
+def gap_sweep(rep: Representation, radius: int) -> GapSweep:
     """Sweep all freely reduced words of length 1..radius and record the
-    minimum gap vector per length.  accurate=True routes every word through
-    the graded product SVD, keeping tiny gaps honest to ~1e-12."""
+    minimum gap vector per length.
+
+    One level per length, through the graded product SVD, so tiny gaps
+    stay honest to ~1e-12: each letter is absorbed into the sub-stack of
+    the parents it may follow.  Words are parent-index arrays, spelled out
+    for the argmins only (the first minimal words in lexicographic order).
+    Raises CapacityError before any work when the longest level would pass
+    SWEEP_BUDGET bytes of state, and PrecisionError on a non-finite gap.
+    """
     if radius < 1:
         raise InputError("radius must be >= 1")
-    if accurate is None:
-        # the graded path is needed once middle singular values matter, and
-        # affordable while the ball is small
-        rank = rep.presentation.generator_count
-        accurate = rep.dim >= 3 and W.ball_size(rank, radius) <= 40000
-    if accurate:
-        return _accurate_sweep(rep, radius)
     d = rep.dim
-    letters = sorted(rep.presentation.letters(), key=W.letter_key)
-    level_words: list[Word] = [()]
-    level_mats = np.eye(d, dtype=complex)[None, :, :]
-    level_last = np.zeros(1, dtype=int)
-    minima = np.full((radius, d - 1), np.inf)
-    argmin: list[list[Word]] = [[()] * (d - 1) for _ in range(radius)]
+    rank = rep.presentation.generator_count
+    widest = W.ball_size(rank, radius) - W.ball_size(rank, radius - 1)
+    need = widest * (2 * d * d * 16 + 8 * d)
+    if need > SWEEP_BUDGET:
+        raise CapacityError(
+            f"radius {radius} needs {need / 2**20:.0f} MiB of sweep state for its "
+            f"{widest} longest words; the budget is {SWEEP_BUDGET / 2**20:.0f} MiB"
+        )
+    letters = np.array(rep.presentation.letters())  # lexicographic order
+    state = ProductSVD(d, (1,))
+    last = np.zeros(1, dtype=int)
+    minima = np.empty((radius, d - 1))
+    levels = []  # per length: (parent index, last letter, argmin per gap index)
     for n in range(1, radius + 1):
-        blocks = []
-        block_words: list[Word] = []
-        block_last = []
-        for letter in letters:
-            sel = level_last != -letter
-            if not np.any(sel):
-                continue
-            prod = level_mats[sel] @ rep.matrix(letter)
-            blocks.append(prod)
-            block_last.append(np.full(prod.shape[0], letter))
-            block_words.extend(w + (letter,) for w, keep in zip(level_words, sel) if keep)
-        level_mats = np.concatenate(blocks, axis=0)
-        dets = np.linalg.det(level_mats)
-        if not np.all(np.isfinite(dets)) or np.any(dets == 0):
-            bad = int(np.argmin(np.abs(dets)))
-            raise NotAnosovError(
-                f"conditioning failure at length {n}, word {W.word_to_str(block_words[bad])}"
-            )
-        scale = np.exp(np.log(dets.astype(complex)) / d)
-        level_mats = level_mats / scale[:, None, None]
-        level_last = np.concatenate(block_last)
-        level_words = block_words
-        gaps = batched_gaps(level_mats)
+        # children in (parent, letter) order, i.e. lexicographic
+        parent, pick = np.nonzero(last[:, None] != -letters)
+        gaps = np.empty((parent.size, d - 1))
+        # nothing extends the longest words, so their states are not kept
+        child = ProductSVD(d, parent.shape) if n < radius else None
+        for j, letter in enumerate(letters):
+            rows = np.nonzero(pick == j)[0]
+            sub = state[parent[rows]].absorb(rep.matrix(int(letter)))
+            gaps[rows] = sub.gaps()
+            if child is not None:
+                child[rows] = sub
+        state, last = child, letters[pick]
+        if not np.all(np.isfinite(gaps)):
+            raise _spread_error(f"at length {n}")
         idx = np.argmin(gaps, axis=0)
         minima[n - 1] = gaps[idx, np.arange(d - 1)]
-        argmin[n - 1] = [level_words[i] for i in idx]
+        levels.append((parent, last, idx))
+
+    def spell(n: int, i: int) -> Word:
+        out = []
+        for parent, last, _ in reversed(levels[:n]):
+            out.append(int(last[i]))
+            i = parent[i]
+        return tuple(reversed(out))
+
     return GapSweep(
         radius=radius,
         lengths=tuple(range(1, radius + 1)),
         minima=minima,
-        argmin_words=tuple(tuple(row) for row in argmin),
-    )
-
-
-def _accurate_sweep(rep: Representation, radius: int) -> GapSweep:
-    d = rep.dim
-    letters = sorted(rep.presentation.letters(), key=W.letter_key)
-    minima = np.full((radius, d - 1), np.inf)
-    argmin: list[list[Word]] = [[()] * (d - 1) for _ in range(radius)]
-
-    def descend(state: ProductSVD, word: Word):
-        depth = len(word)
-        for letter in letters:
-            if word and letter == -word[-1]:
-                continue
-            child = state.copy().absorb(rep.matrix(letter))
-            cw = word + (letter,)
-            gaps = child.gaps()
-            row = minima[depth]
-            better = gaps < row
-            if np.any(better):
-                row[better] = gaps[better]
-                for k0 in np.nonzero(better)[0]:
-                    argmin[depth][k0] = cw
-            if depth + 1 < radius:
-                descend(child, cw)
-
-    descend(ProductSVD(d), ())
-    return GapSweep(
-        radius=radius,
-        lengths=tuple(range(1, radius + 1)),
-        minima=minima,
-        argmin_words=tuple(tuple(row) for row in argmin),
+        argmin_words=tuple(
+            tuple(spell(n, i) for i in levels[n - 1][2]) for n in range(1, radius + 1)
+        ),
     )
 
 
@@ -165,7 +148,8 @@ def _doubling_ratio(rep: Representation, word: Word, k: int) -> tuple[float, flo
     gaps at the last two power doublings).  Affine growth gives ratio -> 2,
     logarithmic growth (e.g. unipotents) gives ratio -> 1.  Powers are
     accumulated letter by letter in the graded product SVD, so arbitrarily
-    large gaps stay measurable."""
+    large gaps stay measurable, up to a log-singular spread of about 745
+    nats; past it the gap is not finite and PrecisionError is raised."""
     state = ProductSVD(rep.dim)
     factors = [rep.matrix(letter) for letter in word]
     gaps: list[float] = []
@@ -176,6 +160,8 @@ def _doubling_ratio(rep: Representation, word: Word, k: int) -> tuple[float, flo
                 state.absorb(f)
             absorbed += 1
         g = float(state.gaps()[k - 1])
+        if not math.isfinite(g):
+            raise _spread_error(f"along {W.word_to_str(word)}^{n}")
         gaps.append(g)
         if g > 40.0 and len(gaps) >= 2:
             break
@@ -192,7 +178,6 @@ def certify_anosov(
     slope_threshold: float = SLOPE_THRESHOLD,
     r2_threshold: float = R2_THRESHOLD,
     sweep: GapSweep | None = None,
-    accurate: bool | None = None,
 ) -> AnosovCertificate:
     """Certify affine growth of the k-th gap over the radius ball.
 
@@ -217,7 +202,7 @@ def certify_anosov(
         if sweep is not None and sweep.radius > radius:
             sweep = None
     if sweep is None:
-        sweep = gap_sweep(rep, radius, accurate=accurate)
+        sweep = gap_sweep(rep, radius)
     lengths = np.asarray(sweep.lengths, dtype=float)
     minima = sweep.minima_for(k).astype(float)
     slope, _, r2, resid = _affine_fit(lengths, minima)
@@ -360,6 +345,73 @@ def cartan_attractor(m: np.ndarray, k: int, min_gap: float = 0.1, return_residua
     return sub
 
 
+def boundary_samples(
+    rep: Representation,
+    words,
+    ks,
+    target_gap: float = TARGET_GAP,
+    max_letters: int = 20000,
+) -> list:
+    """Nested attractors of rho(w^n) for many words in one stacked power
+    loop; entry i is the FlagSample of words[i], or the NotAnosovError or
+    PrecisionError that rejected it.
+
+    Each step absorbs the next letter of every unfinished word.  A word is
+    judged whenever it completes a power: done once every requested gap
+    clears target_gap, rejected when its gap stalls over four powers, when
+    max_letters run out or when a gap is not finite.  Every product of the
+    stack is treated alone, so a flag does not depend on its batch.
+    """
+    ks = sorted(set(int(k) for k in ks))
+    for k in ks:
+        if not 1 <= k <= rep.dim - 1:
+            raise InputError(f"flag index {k} out of range 1..{rep.dim - 1}")
+    words = [W.reduce(w, rep.presentation) for w in words]
+    if not all(words):
+        raise InputError("boundary_sample needs a nontrivial word")
+    letters = rep.presentation.letters()
+    mats = np.stack([rep.matrix(letter) for letter in letters])
+    codes = [[letters.index(letter) for letter in w] for w in words]
+    lens = np.array([len(w) for w in words], dtype=int)
+    out: list = [None] * len(words)
+    history: list[list[float]] = [[] for _ in words]
+    live = np.arange(len(words))
+    state = ProductSVD(rep.dim, live.shape)
+    used = 0
+    while live.size:
+        state.absorb(mats[[codes[i][used % lens[i]] for i in live]])
+        used += 1
+        gaps = state.gaps()[:, np.array(ks) - 1]
+        keep = used % lens[live] != 0  # mid-power words go on
+        for j in np.nonzero(~keep)[0]:
+            i, w, worst = live[j], words[live[j]], float(gaps[j].min())
+            if not np.all(np.isfinite(gaps[j])):
+                out[i] = _spread_error(f"along {W.word_to_str(w)}")
+            elif worst >= target_gap:
+                u = state.u[j].copy()
+                try:
+                    spaces = {k: Subspace(u[:, :k], check=False) for k in ks}
+                    out[i] = FlagSample(source=w, spaces=spaces, quality=math.exp(-2.0 * worst))
+                except PrecisionError as exc:
+                    out[i] = exc
+            else:
+                history[i].append(worst)
+                if len(history[i]) >= 4 and history[i][-1] - history[i][-4] < 1e-3:
+                    out[i] = NotAnosovError(
+                        f"gap stalled at {worst:.4f} along {W.word_to_str(w)}; "
+                        "not Anosov along this word"
+                    )
+                elif used >= max_letters:
+                    out[i] = NotAnosovError(
+                        f"gap reached only {worst:.3f} of {target_gap} along {W.word_to_str(w)}"
+                    )
+                else:
+                    keep[j] = True
+        if not keep.all():
+            state, live = state[keep], live[keep]
+    return out
+
+
 def boundary_sample(
     rep: Representation,
     word,
@@ -371,44 +423,16 @@ def boundary_sample(
     clears target_gap.  The flag stands for the attracting endpoint of the
     word's axis.
 
-    Powers are accumulated in the graded product SVD, which keeps every
-    singular subspace (not just the top one) accurate and has no overflow
-    ceiling, so middle flags of high-dimensional representations are as
-    reliable as the extremes.
+    This is the one-word case of boundary_samples.  Powers are accumulated
+    in the graded product SVD, which keeps every singular subspace (not just
+    the top one) accurate up to a log-singular spread of about 745 nats, so
+    middle flags of high-dimensional representations are as reliable as the
+    extremes; past that spread PrecisionError is raised.
     """
-    w = W.reduce(word, rep.presentation)
-    if not w:
-        raise InputError("boundary_sample needs a nontrivial word")
-    ks = sorted(set(int(k) for k in ks))
-    d = rep.dim
-    for k in ks:
-        if not 1 <= k <= d - 1:
-            raise InputError(f"flag index {k} out of range 1..{d - 1}")
-    factors = [rep.matrix(letter) for letter in w]
-    state = ProductSVD(d)
-    history: list[float] = []
-    letters_used = 0
-    worst = -math.inf
-    while letters_used < max_letters:
-        for f in factors:
-            state.absorb(f)
-        letters_used += len(factors)
-        gaps = state.gaps()
-        worst = min(float(gaps[k - 1]) for k in ks)
-        if worst >= target_gap:
-            break
-        history.append(worst)
-        if len(history) >= 4 and history[-1] - history[-4] < 1e-3:
-            raise NotAnosovError(
-                f"gap stalled at {worst:.4f} along {W.word_to_str(w)}; "
-                "not Anosov along this word"
-            )
-    else:
-        raise NotAnosovError(
-            f"gap reached only {worst:.3f} of {target_gap} along {W.word_to_str(w)}"
-        )
-    spaces = {k: Subspace(state.u[:, :k], check=False) for k in ks}
-    return FlagSample(source=w, spaces=spaces, quality=math.exp(-2.0 * worst))
+    (flag,) = boundary_samples(rep, [word], ks, target_gap=target_gap, max_letters=max_letters)
+    if isinstance(flag, FlaglabError):
+        raise flag
+    return flag
 
 
 def transport_flag(rep: Representation, gamma, flag: FlagSample) -> FlagSample:
@@ -447,7 +471,8 @@ def limit_set_sample(
     target_gap: float = TARGET_GAP,
 ) -> tuple[list[FlagSample], list[tuple[Word, str]]]:
     """count flags from distinct random cyclically reduced words; failed
-    words are skipped and reported alongside the samples."""
+    words are skipped and reported alongside the samples.  Each batch of
+    candidates runs through boundary_samples at once."""
     if count < 1:
         raise InputError("count must be >= 1")
     failures: list[tuple[Word, str]] = []
@@ -457,16 +482,14 @@ def limit_set_sample(
         need = count - len(samples) + 4 * batch
         cand = W.random_cyclic_words(rep.presentation, need, length, seed + batch)
         taken = {f.source for f in samples}
-        for w in cand:
+        fresh = [w for w in cand if w not in taken]
+        for w, flag in zip(fresh, boundary_samples(rep, fresh, ks, target_gap=target_gap)):
             if len(samples) >= count:
                 break
-            if w in taken:
-                continue
-            try:
-                samples.append(boundary_sample(rep, w, ks, target_gap=target_gap))
-                taken.add(w)
-            except (NotAnosovError, PrecisionError) as exc:
-                failures.append((w, str(exc)))
+            if isinstance(flag, FlagSample):
+                samples.append(flag)
+            else:
+                failures.append((w, str(flag)))
         batch += 1
     if len(samples) < count:
         raise NotAnosovError(

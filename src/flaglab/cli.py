@@ -4,8 +4,9 @@ crossratio, visualmass, replay.
 Every run writes a CSV next to a RunManifest JSON; re-running a manifest
 (replay) reproduces the CSV byte for byte, stochastic steps included,
 because every sampler is seeded and every float is formatted with a fixed
-rule.  Exit codes: 0 pass/certified, 2 refuted/fails, 3 inconclusive,
-5 unmet Anosov prerequisites, 64 usage or malformed input.
+rule.  Exit codes: 0 pass/certified, 2 refuted/fails, 3 inconclusive
+(numerical precision or size limits included), 5 unmet Anosov
+prerequisites, 64 usage or malformed input.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__, boxdim, words as W
 from .certify import certify_anosov, gap_sweep
-from .errors import FlaglabError, InputError
+from .errors import CapacityError, FlaglabError, InputError, PrecisionError
 from .fibers import (
     TripleSpec,
     check_Hk,
@@ -572,6 +573,10 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (PrecisionError, CapacityError) as exc:
+        # a numerical or size limit says nothing about the representation
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except FlaglabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

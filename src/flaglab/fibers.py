@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from . import words as W
-from .certify import FlagSample, boundary_sample, limit_set_sample, transport_flag
+from .certify import FlagSample, boundary_samples, limit_set_sample, transport_flag
 from .errors import FlaglabError, InputError, PrecisionError, TransversalityError
 from .mobius import chart, three_point_map
 from .reps import Representation
@@ -150,38 +150,46 @@ def required_anosov_indices(rep: Representation, k: int, mode: str = "eq1") -> l
 
 
 def _flag_pool(rep: Representation, ks, spec: TripleSpec):
-    """Base pool plus adversarial near-pairs, all as FlagSamples."""
+    """Base pool plus adversarial near-pairs, all as FlagSamples.
+
+    Adversarial attempts are drawn in chunks, in the order a one-by-one
+    loop would draw them; each chunk's words are sampled in one batch and
+    its pairs are accepted in draw order."""
     samples, _ = limit_set_sample(
         rep, ks, count=spec.pool_size, length=spec.word_length, seed=spec.seed
     )
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 0xADF)))
     n_pairs = max(1, int(spec.count * ADVERSARIAL_FRACTION) // 8)
+    max_attempts = 60 * n_pairs
     pairs = []
     attempts = 0
     # pairs closer than ~1e-5 can no longer be resolved in floats (the
     # normalized score converges as the pair degenerates, so nothing is
     # learned below the resolvability floor anyway)
     floor, ceiling = 3e-6, 2e-2
-    while len(pairs) < n_pairs and attempts < 60 * n_pairs:
-        attempts += 1
-        stem_len = int(rng.integers(2, spec.word_length + 1))
-        stem = W._random_word(rep.presentation, stem_len, rng)
-        tails = [
-            W._random_word(rep.presentation, ADVERSARIAL_SUFFIX, rng)
-            for _ in range(2)
-        ]
-        wx = W.cyclic_reduce(W.reduce(stem + tails[0], rep.presentation))
-        wy = W.cyclic_reduce(W.reduce(stem + tails[1], rep.presentation))
-        if not wx or not wy or wx == wy:
-            continue
-        try:
-            fx = boundary_sample(rep, wx, ks)
-            fy = boundary_sample(rep, wy, ks)
-        except FlaglabError:
-            continue
-        if not floor <= point_dist(fx, fy) <= ceiling:
-            continue
-        pairs.append((fx, fy))
+    while len(pairs) < n_pairs and attempts < max_attempts:
+        size = min(max_attempts - attempts, 2 * (n_pairs - len(pairs)) + 8)
+        attempts += size
+        chunk = []
+        for _ in range(size):
+            stem_len = int(rng.integers(2, spec.word_length + 1))
+            stem = W._random_word(rep.presentation, stem_len, rng)
+            tails = [
+                W._random_word(rep.presentation, ADVERSARIAL_SUFFIX, rng)
+                for _ in range(2)
+            ]
+            wx = W.cyclic_reduce(W.reduce(stem + tails[0], rep.presentation))
+            wy = W.cyclic_reduce(W.reduce(stem + tails[1], rep.presentation))
+            if wx and wy and wx != wy:
+                chunk.append((wx, wy))
+        flags = iter(boundary_samples(rep, [w for pair in chunk for w in pair], ks))
+        for fx, fy in zip(flags, flags):
+            if isinstance(fx, FlaglabError) or isinstance(fy, FlaglabError):
+                continue
+            if floor <= point_dist(fx, fy) <= ceiling:
+                pairs.append((fx, fy))
+                if len(pairs) == n_pairs:
+                    break
     return samples, pairs
 
 

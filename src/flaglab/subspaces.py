@@ -245,10 +245,3 @@ def singular_gaps(m: np.ndarray, word_length: int = 0) -> GapProfile:
     gaps = (logs[:-1] - logs[1:]) / 2.0
     return GapProfile(word_length=word_length, gaps=np.maximum(gaps, 0.0))
 
-
-def batched_gaps(ms: np.ndarray) -> np.ndarray:
-    """Gap vectors for a stack of matrices (n, d, d) -> (n, d-1)."""
-    s = np.linalg.svd(ms, compute_uv=False)
-    s = np.maximum(s, 1e-300)
-    logs = np.log(s)
-    return np.maximum((logs[..., :-1] - logs[..., 1:]) / 2.0, 0.0)

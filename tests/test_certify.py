@@ -5,9 +5,11 @@ import pytest
 
 import flaglab as fl
 import flaglab.words as W
-from flaglab.certify import transport_flag
-from flaglab.errors import InputError, NotAnosovError, PrecisionError
+from flaglab.certify import _doubling_ratio, transport_flag
+from flaglab.errors import CapacityError, InputError, NotAnosovError, PrecisionError
 from flaglab.fibers import plucker
+from flaglab.prodsvd import ProductSVD
+from flaglab.reps import Representation
 from flaglab.subspaces import Subspace, fubini_study, hausdorff_subspace_dist
 
 
@@ -77,6 +79,66 @@ def test_duality_minima_and_verdicts(name, radius):
         ck = fl.certify_anosov(rep, k, radius, sweep=sweep)
         cdk = fl.certify_anosov(rep, d - k, radius, sweep=sweep)
         assert ck.verdict == cdk.verdict
+
+
+def _mp_gaps(rep, word, digits=40):
+    """Gap vector of rho(word) from a high-precision product and SVD."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        m = mpmath.eye(rep.dim)
+        for letter in word:
+            g = rep.matrix(letter)
+            m = m * mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in g])
+        s = sorted((mpmath.mpf(x) for x in mpmath.svd_c(m, compute_uv=False)), reverse=True)
+        return [float((mpmath.log(a) - mpmath.log(b)) / 2) for a, b in zip(s, s[1:])]
+
+
+@pytest.mark.parametrize("name,radius", [("sym4", 5), ("schottky", 6)])
+def test_sweep_witnesses_and_brute_force_minima(name, radius):
+    # the oracle is a 40-digit SVD: LAPACK's singular_gaps is itself off by
+    # up to 7e-4 on these sym4 words (length 5, k=3)
+    rep = fl.preset(name)
+    sweep = fl.gap_sweep(rep, radius)
+    d = rep.dim
+    ball = list(W.enumerate_ball(rep.presentation, radius))
+    for n in range(1, radius + 1):
+        # every word of length n on its own, letter by letter: no shared prefixes
+        words = [w for w in ball if len(w) == n]
+        state = ProductSVD(d, (len(words),))
+        for pos in range(n):
+            state.absorb(np.stack([rep.matrix(w[pos]) for w in words]))
+        assert np.max(np.abs(sweep.minima[n - 1] - state.gaps().min(axis=0))) < 1e-9
+    for n in range(1, radius + 1):
+        for k in range(1, d):
+            w = sweep.argmin_words[n - 1][k - 1]
+            assert len(w) == n and W.is_reduced(w)
+            assert abs(_mp_gaps(rep, w)[k - 1] - sweep.minima[n - 1, k - 1]) < 1e-9
+
+
+def test_sweep_budget_fails_fast(sym4):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="budget"):
+            fl.gap_sweep(sym4, 14)  # 6.4M words of length 14, about 3.5 GB of state
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _spread_rep():
+    # the outer singular values run apart by 13.8 nats per power while the
+    # middle gap grows by 0.01 nats: the spread passes 745 nats long before
+    # the middle gap reaches 40
+    m = np.diag([1000.0, 1.01, 1 / 1.01, 1 / 1000.0]).astype(complex)
+    return Representation(W.free_group(1), [m], label="spread")
+
+
+def test_doubling_ratio_never_returns_nan():
+    with pytest.raises(PrecisionError, match="745"):
+        _doubling_ratio(_spread_rep(), (1,), 2)
 
 
 # --- attractors ---------------------------------------------------------------
@@ -157,6 +219,15 @@ def test_limit_set_sample_contract(schottky):
     assert len(flags) == 1 and not failures
     again, _ = fl.limit_set_sample(schottky, [1], count=1, length=6, seed=2)
     assert flags[0].source == again[0].source
+
+
+def test_limit_set_flags_do_not_depend_on_batch(sym4):
+    flags, _ = fl.limit_set_sample(sym4, [1, 2, 3], count=12, length=7, seed=4)
+    for f in flags:
+        alone = fl.boundary_sample(sym4, f.source, [1, 2, 3])
+        assert alone.quality == f.quality
+        for k in f.ks:
+            assert np.array_equal(alone.space(k).frame, f.space(k).frame)
 
 
 def test_limit_set_pairwise_transversality(sym4_flags, sym4):

@@ -20,6 +20,34 @@ def test_certify_exit_codes(tmp_path):
     assert run(["certify", "builtin:unipotent", "--k", 1, "--out", tmp_path]) == 2
 
 
+@pytest.mark.parametrize("rep,k", [("sym4", 2), ("sym3", 1)])
+def test_certify_radius_10(tmp_path, rep, k):
+    # a ball of 118,097 words: numerical trouble in a large sweep must never
+    # read as a refutation
+    assert run(["certify", f"builtin:{rep}", "--k", k, "--radius", 10, "--out", tmp_path]) == 0
+    rows = (tmp_path / "certify.csv").read_text().splitlines()[2:]
+    assert len(rows) == 10
+    assert all(row.endswith(",certified") for row in rows)
+
+
+def test_numerical_failures_exit_3(tmp_path, capsys):
+    # the middle gap of k=2 needs more powers than the 745-nat spread allows
+    m = np.diag([1000.0, 1.01, 1 / 1.01, 1 / 1000.0])
+    doc = {
+        "format": 1,
+        "dim": 4,
+        "presentation": {"kind": "free", "rank": 1},
+        "generators": [[[[m[i, j], 0.0] for j in range(4)] for i in range(4)]],
+        "label": "spread",
+    }
+    path = tmp_path / "spread.json"
+    path.write_text(json.dumps(doc))
+    assert run(["certify", str(path), "--k", 2, "--radius", 6, "--out", tmp_path]) == 3
+    assert "745" in capsys.readouterr().err
+    assert run(["certify", "builtin:sym4", "--k", 2, "--radius", 14, "--out", tmp_path]) == 3
+    assert "budget" in capsys.readouterr().err
+
+
 def test_missing_k_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["certify", "builtin:schottky", "--out", tmp_path])

@@ -109,7 +109,7 @@ def test_flag_pool_propagates_programming_errors(schottky, monkeypatch):
         raise TypeError("bug in a sampler")
 
     # only a rejected sample (a FlaglabError) may be skipped
-    monkeypatch.setattr(fibers, "boundary_sample", broken)
+    monkeypatch.setattr(fibers, "boundary_samples", broken)
     with pytest.raises(TypeError, match="bug in a sampler"):
         fl.check_hyperconvex(schottky, 1, TripleSpec(count=80, seed=1, pool_size=8), assume_anosov=True)
 

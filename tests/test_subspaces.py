@@ -231,6 +231,65 @@ def test_jacobi_svd_matches_lapack():
         assert np.allclose(s, np.linalg.svd(a, compute_uv=False), rtol=1e-12)
 
 
+def _one_matrix_jacobi(x):
+    """Textbook one-sided Jacobi on one matrix, pair by pair in Python."""
+    a = np.array(x, dtype=complex)
+    n, m = a.shape
+    v = np.eye(m, dtype=complex)
+    for _ in range(40):
+        off = 0.0
+        for p in range(m - 1):
+            for q in range(p + 1, m):
+                app = np.vdot(a[:, p], a[:, p]).real
+                aqq = np.vdot(a[:, q], a[:, q]).real
+                apq = np.vdot(a[:, p], a[:, q])
+                scale = math.sqrt(app) * math.sqrt(aqq)
+                if scale == 0.0 or abs(apq) <= 1e-15 * scale:
+                    continue
+                off = max(off, abs(apq) / scale)
+                phase = apq / abs(apq)
+                zeta = (aqq - app) / (2.0 * abs(apq))
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
+                cs = 1.0 / math.sqrt(1.0 + t * t)
+                sn = cs * t
+                for w in (a, v):
+                    cp, cq = w[:, p].copy(), w[:, q].copy()
+                    w[:, p] = cs * cp - sn * np.conj(phase) * cq
+                    w[:, q] = sn * phase * cp + cs * cq
+        if off == 0.0:
+            break
+    s = np.linalg.norm(a, axis=0)
+    order = np.argsort(s)[::-1]
+    return a[:, order] / s[order], s[order], v[:, order].conj().T
+
+
+def test_jacobi_svd_reproduces_one_matrix_jacobi_bitwise():
+    # the stacked engine performs each matrix's operations exactly as the
+    # one-matrix loop does, so flags and gaps keep every bit
+    rng = np.random.default_rng(13)
+    for d in (2, 3, 4, 6):
+        stack = rng.standard_normal((40, d, d)) + 1j * rng.standard_normal((40, d, d))
+        stack *= np.exp(rng.uniform(-30.0, 0.0, (40, d, 1)))  # graded rows, as in absorb
+        u, s, vh = jacobi_svd(stack)
+        for i, a in enumerate(stack):
+            uo, so, vho = _one_matrix_jacobi(a)
+            assert np.array_equal(uo, u[i]) and np.array_equal(so, s[i]) and np.array_equal(vho, vh[i])
+
+
+def test_jacobi_svd_stack_equals_one_by_one():
+    rng = np.random.default_rng(12)
+    stack = rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4))
+    stack[2] = np.diag([3.0, 1.0, 2.0, 0.5])  # needs no rotation at all
+    stack[4][:, 1] = 0.0  # a zero column
+    u, s, vh = jacobi_svd(stack)
+    for i, a in enumerate(stack):
+        ui, si, vhi = jacobi_svd(a)
+        assert np.array_equal(ui, u[i]) and np.array_equal(si, s[i]) and np.array_equal(vhi, vh[i])
+        assert np.allclose(ui @ np.diag(si) @ vhi, a, atol=1e-12)
+    assert np.array_equal(s[2], [3.0, 2.0, 1.0, 0.5])
+    assert s[4][-1] == 0.0
+
+
 def test_product_svd_matches_direct_product():
     rng = np.random.default_rng(10)
     factors = [random_sl(rng, 4) for _ in range(6)]
