@@ -10,7 +10,7 @@ dimension; all verdicts in this package are phrased against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -278,15 +278,7 @@ def grassmann_dimension(
             best = est
     if best is None:
         raise InputError("no chart had enough points to estimate a slope")
-    return DimensionEstimate(
-        scales=best.scales,
-        counts=best.counts,
-        slope=best.slope,
-        ci_halfwidth=best.ci_halfwidth,
-        n_points=best.n_points,
-        chart_breakdown=breakdown,
-        warnings=tuple(warnings) + best.warnings,
-    )
+    return replace(best, chart_breakdown=breakdown, warnings=tuple(warnings) + best.warnings)
 
 
 # --- synthetic clouds -------------------------------------------------------

@@ -24,6 +24,7 @@ SWEEP_BUDGET = 1 << 29  # bytes of stacked (u, logs, vh) state one sweep level m
 SLOPE_THRESHOLD = 0.01
 R2_THRESHOLD = 0.95
 TARGET_GAP = 18.0
+MAX_LETTERS = 20000  # letters a boundary sample may absorb before giving up
 NESTING_TOL = 1e-6
 
 
@@ -345,13 +346,7 @@ def cartan_attractor(m: np.ndarray, k: int, min_gap: float = 0.1, return_residua
     return sub
 
 
-def boundary_samples(
-    rep: Representation,
-    words,
-    ks,
-    target_gap: float = TARGET_GAP,
-    max_letters: int = 20000,
-) -> list:
+def boundary_samples(rep: Representation, words, ks, target_gap: float = TARGET_GAP) -> list:
     """Nested attractors of rho(w^n) for many words in one stacked power
     loop; entry i is the FlagSample of words[i], or the NotAnosovError or
     PrecisionError that rejected it.
@@ -359,7 +354,7 @@ def boundary_samples(
     Each step absorbs the next letter of every unfinished word.  A word is
     judged whenever it completes a power: done once every requested gap
     clears target_gap, rejected when its gap stalls over four powers, when
-    max_letters run out or when a gap is not finite.  Every product of the
+    MAX_LETTERS run out or when a gap is not finite.  Every product of the
     stack is treated alone, so a flag does not depend on its batch.
     """
     ks = sorted(set(int(k) for k in ks))
@@ -401,7 +396,7 @@ def boundary_samples(
                         f"gap stalled at {worst:.4f} along {W.word_to_str(w)}; "
                         "not Anosov along this word"
                     )
-                elif used >= max_letters:
+                elif used >= MAX_LETTERS:
                     out[i] = NotAnosovError(
                         f"gap reached only {worst:.3f} of {target_gap} along {W.word_to_str(w)}"
                     )
@@ -412,13 +407,7 @@ def boundary_samples(
     return out
 
 
-def boundary_sample(
-    rep: Representation,
-    word,
-    ks,
-    target_gap: float = TARGET_GAP,
-    max_letters: int = 20000,
-) -> FlagSample:
+def boundary_sample(rep: Representation, word, ks, target_gap: float = TARGET_GAP) -> FlagSample:
     """Nested attractors of rho(word^n), n raised until every requested gap
     clears target_gap.  The flag stands for the attracting endpoint of the
     word's axis.
@@ -429,7 +418,7 @@ def boundary_sample(
     middle flags of high-dimensional representations are as reliable as the
     extremes; past that spread PrecisionError is raised.
     """
-    (flag,) = boundary_samples(rep, [word], ks, target_gap=target_gap, max_letters=max_letters)
+    (flag,) = boundary_samples(rep, [word], ks, target_gap=target_gap)
     if isinstance(flag, FlaglabError):
         raise flag
     return flag

@@ -10,7 +10,6 @@ project into that line by intersecting their (d-k)-space with the
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -20,7 +19,7 @@ from . import words as W
 from .certify import FlagSample, boundary_samples, limit_set_sample, transport_flag
 from .errors import FlaglabError, InputError, PrecisionError, TransversalityError
 from .mobius import chart, three_point_map
-from .reps import Representation
+from .reps import Representation, wedge_coords
 from .subspaces import Subspace, det_normalize, hausdorff_subspace_dist, orth, principal_sines
 from .words import Word
 
@@ -137,16 +136,10 @@ class HyperconvexityReport:
     tau: float = TAU_PASS
 
 
-def _required_anosov(d: int, k: int, mode: str) -> list[int]:
-    if mode == "eq1":
-        wanted = {k - 1, k + 1, d - k}
-    else:
-        wanted = {d - k + 1, d - k - 1, k}
-    return sorted(j for j in wanted if 0 < j < d)
-
-
 def required_anosov_indices(rep: Representation, k: int, mode: str = "eq1") -> list[int]:
-    return _required_anosov(rep.dim, k, mode)
+    d = rep.dim
+    wanted = {k - 1, k + 1, d - k} if mode == "eq1" else {d - k + 1, d - k - 1, k}
+    return sorted(j for j in wanted if 0 < j < d)
 
 
 def _flag_pool(rep: Representation, ks, spec: TripleSpec):
@@ -266,8 +259,6 @@ def check_hyperconvex(
     the normalized collapse stayed above tau on every tested triple.
     """
     d = rep.dim
-    if not 1 <= k <= d - 1:
-        raise InputError(f"k={k} out of range 1..{d - 1}")
     _check_prereqs(rep, k, "eq1", certificates, assume_anosov)
     ks = fiber_ks(d, k)
 
@@ -295,8 +286,6 @@ def check_Hk(
     scored as the smallest singular value of the concatenated frames,
     normalized like check_hyperconvex."""
     d = rep.dim
-    if not 1 <= k <= d - 1:
-        raise InputError(f"k={k} out of range 1..{d - 1}")
     _check_prereqs(rep, k, "Hk", certificates, assume_anosov)
     ks = sorted({j for j in (k, d - k + 1, d - k - 1) if 0 < j < d})
 
@@ -318,9 +307,11 @@ def check_Hk(
 
 
 def _check_prereqs(rep, k, mode, certificates, assume_anosov):
+    if not 1 <= k <= rep.dim - 1:
+        raise InputError(f"k={k} out of range 1..{rep.dim - 1}")
     if assume_anosov:
         return
-    needed = _required_anosov(rep.dim, k, mode)
+    needed = required_anosov_indices(rep, k, mode)
     certificates = certificates or {}
     missing = [
         j
@@ -365,19 +356,16 @@ class Trivialization:
         # keyed by flag object: the map is expressed in that object's cached
         # fiber frame, so sharing it across objects would mix frame gauges
         self._cache: dict[int, tuple[FlagSample, np.ndarray]] = {}
-        self._lock = threading.Lock()
 
     def fiber_map(self, t: FlagSample) -> np.ndarray:
         """Mobius matrix of the normalization in the fiber over t, in the
         fiber frame of this particular flag object."""
-        with self._lock:
-            hit = self._cache.get(id(t))
+        hit = self._cache.get(id(t))
         if hit is not None:
             return hit[1]
         p = [tangent_project(t, b, self.k).coords for b in self.basepoints]
         m = three_point_map(*p)
-        with self._lock:
-            self._cache[id(t)] = (t, m)
+        self._cache[id(t)] = (t, m)
         return m
 
     def project(self, t: FlagSample, x: FlagSample) -> FiberPoint:
@@ -484,17 +472,6 @@ def foliated_limit_sample(
 
 
 # --- wedge-power transfer maps ---------------------------------------------
-
-
-def wedge_coords(cols: np.ndarray) -> np.ndarray:
-    """Coordinates of the wedge of the columns in the sorted multi-index
-    basis: all k x k minors by rows."""
-    d, k = cols.shape
-    idx = list(combinations(range(d), k))
-    out = np.empty(len(idx), dtype=complex)
-    for row, i_set in enumerate(idx):
-        out[row] = np.linalg.det(cols[i_set, :])
-    return out
 
 
 def plucker(sub: Subspace) -> Subspace:

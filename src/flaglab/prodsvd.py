@@ -71,7 +71,7 @@ def jacobi_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             if not rotated:
                 break
     s = np.sqrt(sum(np.moveaxis((av[:, :n].conj() * av[:, :n]).real, -2, 0)))  # as for one matrix
-    order = np.argsort(-s, axis=-1, kind="stable")
+    order = np.argsort(s, axis=-1)[:, ::-1]  # ties in the one-matrix order
     s = np.take_along_axis(s, order, axis=-1)
     av = np.take_along_axis(av, order[:, None, :], axis=-1)
     u = av[:, :n] / np.where(s > 0, s, 1.0)[:, None, :]

@@ -302,23 +302,23 @@ def perturb(rep: Representation, eps: float, seed: int) -> Representation:
     return Representation(rep.presentation, mats, label=f"perturb({rep.label}, eps={eps})")
 
 
-def wedge_index(d: int, k: int) -> list[tuple[int, ...]]:
-    """Sorted multi-index basis of the k-th exterior power of C^d."""
-    return list(combinations(range(d), k))
-
-
-def wedge_matrix(m: np.ndarray, k: int, index=None) -> np.ndarray:
-    """k-th exterior power in the sorted multi-index basis: entries are
-    k x k minors, so the induced Hermitian product is the standard one."""
-    d = m.shape[0]
-    idx = index if index is not None else wedge_index(d, k)
-    n = len(idx)
-    out = np.empty((n, n), dtype=complex)
-    for col, j_set in enumerate(idx):
-        sub = m[:, j_set]
-        for row, i_set in enumerate(idx):
-            out[row, col] = np.linalg.det(sub[i_set, :])
+def wedge_coords(cols: np.ndarray) -> np.ndarray:
+    """Coordinates of the wedge of the columns in the sorted multi-index
+    basis: all k x k minors by rows."""
+    d, k = cols.shape
+    idx = list(combinations(range(d), k))
+    out = np.empty(len(idx), dtype=complex)
+    for row, i_set in enumerate(idx):
+        out[row] = np.linalg.det(cols[i_set, :])
     return out
+
+
+def wedge_matrix(m: np.ndarray, k: int) -> np.ndarray:
+    """k-th exterior power in the sorted multi-index basis: column J holds
+    the wedge coordinates of the columns J of m, so the induced Hermitian
+    product is the standard one."""
+    cols = combinations(range(m.shape[1]), k)
+    return np.stack([wedge_coords(m[:, j_set]) for j_set in cols], axis=1)
 
 
 def wedge_rep(rep: Representation, k: int, max_dim: int = MAX_WEDGE_DIM) -> Representation:
@@ -329,8 +329,7 @@ def wedge_rep(rep: Representation, k: int, max_dim: int = MAX_WEDGE_DIM) -> Repr
     n = comb(rep.dim, k)
     if n > max_dim:
         raise CapacityError(f"wedge dimension {n} exceeds budget {max_dim}")
-    idx = wedge_index(rep.dim, k)
-    mats = [wedge_matrix(g, k, idx) for g in rep.generators]
+    mats = [wedge_matrix(g, k) for g in rep.generators]
     return Representation(rep.presentation, mats, label=f"wedge^{k}({rep.label})")
 
 

@@ -166,19 +166,10 @@ def ahlfors_bound(
                 local.append(block)
         quads = np.concatenate(local, axis=0)
         extra = rng.integers(0, n, size=(samples, 4))
-        quads = np.concatenate([quads, np.sort(extra, axis=1)], axis=0)
-        order_ok = (
-            (quads[:, 0] < quads[:, 1])
-            & (quads[:, 1] < quads[:, 2])
-            & (quads[:, 2] < quads[:, 3])
-        )
-        # wrap-around windows are still cyclically ordered; re-sort indices
-        quads = np.where(order_ok[:, None], quads, np.sort(quads, axis=1))
-        quads = quads[
-            (quads[:, 0] < quads[:, 1])
-            & (quads[:, 1] < quads[:, 2])
-            & (quads[:, 2] < quads[:, 3])
-        ]
+        # wrap-around windows are still cyclically ordered: sort the indices,
+        # then drop quadruples that repeat one
+        quads = np.sort(np.concatenate([quads, extra], axis=0), axis=1)
+        quads = quads[np.all(np.diff(quads, axis=1) > 0, axis=1)]
     # positively ordered (a, b, c, d) on the curve, evaluated as B(a, c, b, d)
     swapped = quads[:, [0, 2, 1, 3]]
     vals = cross_ratio_many(pts, swapped)

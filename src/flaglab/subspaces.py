@@ -54,8 +54,8 @@ class Subspace:
         self.frame = frame
 
     @classmethod
-    def from_vectors(cls, vectors: np.ndarray, rank_tol: float = RANK_TOL) -> "Subspace":
-        return cls(orth(np.asarray(vectors, dtype=complex)), check=False)
+    def from_vectors(cls, vectors: np.ndarray) -> "Subspace":
+        return cls(orth(vectors), check=False)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":

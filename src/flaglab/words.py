@@ -78,10 +78,6 @@ class GroupPresentation:
         if self.length_mode not in ("reduced-word", "letter-count"):
             raise InputError(f"unknown length_mode {self.length_mode!r}")
 
-    @property
-    def rank(self) -> int:
-        return self.generator_count
-
     def letters(self) -> list[int]:
         """All 2r letters in the canonical enumeration order."""
         out = []

@@ -260,16 +260,24 @@ def _one_matrix_jacobi(x):
             break
     s = np.linalg.norm(a, axis=0)
     order = np.argsort(s)[::-1]
-    return a[:, order] / s[order], s[order], v[:, order].conj().T
+    s, a = s[order], a[:, order]
+    u = a / np.where(s > 0, s, 1.0)
+    for j in np.nonzero(s == 0)[0]:  # a zero column gets a unit vector
+        u[:, j] = 0.0
+        u[min(j, n - 1), j] = 1.0
+    return u, s, v[:, order].conj().T
 
 
 def test_jacobi_svd_reproduces_one_matrix_jacobi_bitwise():
     # the stacked engine performs each matrix's operations exactly as the
-    # one-matrix loop does, so flags and gaps keep every bit
+    # one-matrix loop does, so flags and gaps keep every bit, ties included
     rng = np.random.default_rng(13)
     for d in (2, 3, 4, 6):
         stack = rng.standard_normal((40, d, d)) + 1j * rng.standard_normal((40, d, d))
         stack *= np.exp(rng.uniform(-30.0, 0.0, (40, d, 1)))  # graded rows, as in absorb
+        stack[0] = np.diag(np.resize([2.0, 1.0], d))  # equal values, no rotation
+        stack[1][:, ::2] = 0.0  # zero columns, e.g. underflowed past 745 nats
+        stack[2] = 1j * np.eye(d)[rng.permutation(d)]  # a unitary: all values equal
         u, s, vh = jacobi_svd(stack)
         for i, a in enumerate(stack):
             uo, so, vho = _one_matrix_jacobi(a)
