@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import __version__, boxdim, words as W
-from .certify import certify_anosov, gap_sweep
+from .certify import certify_anosov, gap_sweep, limit_set_sample
 from .errors import CapacityError, FlaglabError, InputError, PrecisionError
 from .fibers import (
     TripleSpec,
@@ -327,11 +327,7 @@ def cmd_foliate(args) -> int:
 
 def _fiber_cloud(rep, k, count, length, seed):
     """Tangent-project a limit-set sample into the fiber of one extra base."""
-    from .cache import cached_limit_set_sample
-
-    flags = cached_limit_set_sample(
-        rep, rep_digest(rep), fiber_ks(rep.dim, k), count=count + 1, length=length, seed=seed
-    )
+    flags, _ = limit_set_sample(rep, fiber_ks(rep.dim, k), count=count + 1, length=length, seed=seed)
     base = flags[0]
     pts = []
     for f in flags[1:]:
@@ -370,27 +366,22 @@ def cmd_dimension(args) -> int:
             est = boxdim.box_dimension_sphere(pts, scales=scales)
         else:
             ks = sorted(set(fiber_ks(rep.dim, args.k)) | {rep.dim - args.k})
-            from .cache import cached_limit_set_sample
-
-            n_anchors = args.anchors
-            flags = cached_limit_set_sample(
-                rep, rep_digest(rep), ks, count=args.points + n_anchors,
-                length=args.word_length, seed=args.seed,
+            flags, _ = limit_set_sample(
+                rep, ks, count=args.points + args.anchors, length=args.word_length, seed=args.seed
             )
+            anchors, cloud = flags[: args.anchors], flags[args.anchors :]
             while True:
-                anchors, cloud = flags[:n_anchors], flags[n_anchors:]
                 try:
                     est = boxdim.grassmann_dimension(cloud, args.k, anchors, scales=scales)
                     break
                 except InputError as exc:
-                    if "add anchors" not in str(exc) or n_anchors >= 4 * args.anchors:
+                    if "add anchors" not in str(exc) or len(anchors) >= 4 * args.anchors:
                         raise
-                    n_anchors *= 2
-                    extra = cached_limit_set_sample(
-                        rep, rep_digest(rep), ks, count=n_anchors,
-                        length=args.word_length, seed=args.seed + 1000,
+                    # one fresh anchor sample per pass; the cloud never changes
+                    anchors, _ = limit_set_sample(
+                        rep, ks, count=2 * len(anchors), length=args.word_length,
+                        seed=args.seed + 1000,
                     )
-                    flags = extra[: n_anchors] + flags[args.anchors :]
             chart_id = "grassmann"
     rows = [[fmt(s), str(c), chart_id] for s, c in zip(est.scales, est.counts)]
     verdict = "below_2" if est.verdict_below(2.0) else "not_below_2"

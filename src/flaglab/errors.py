@@ -14,11 +14,12 @@ class CapacityError(FlaglabError):
 
 
 class ConditioningError(FlaglabError):
-    """A matrix is numerically singular or an evaluation over/underflowed."""
+    """A matrix is numerically singular."""
 
 
 class PrecisionError(FlaglabError):
-    """A result cannot be produced within the requested tolerance."""
+    """A result cannot be produced within the requested tolerance, or a
+    word product over/underflowed."""
 
 
 class TransversalityError(FlaglabError):

@@ -15,7 +15,7 @@ from math import comb
 import numpy as np
 
 from . import words as W
-from .errors import CapacityError, ConditioningError, InputError
+from .errors import CapacityError, ConditioningError, InputError, PrecisionError
 from .mobius import INF
 from .subspaces import det_normalize
 from .words import GroupPresentation, Word, free_group, reduce, surface_group
@@ -80,9 +80,12 @@ class Representation:
         scale = math.sqrt(self.dim)
         for pos, letter in enumerate(w):
             m = m @ self.matrix(letter)
-            if not np.all(np.isfinite(m)):
-                raise ConditioningError(f"over/underflow after prefix of length {pos + 1}")
-            m = m * (scale / np.linalg.norm(m))
+            # a non-finite product, or a norm that overflows to inf or
+            # underflows to 0, leaves no finite nonzero rescale factor
+            factor = scale / np.linalg.norm(m)
+            if not 0.0 < factor < math.inf:
+                raise PrecisionError(f"over/underflow after prefix of length {pos + 1}")
+            m = m * factor
         return m
 
     def __repr__(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import flaglab as fl
+from flaglab import boxdim
 from flaglab.cli import main
 
 
@@ -30,22 +31,37 @@ def test_certify_radius_10(tmp_path, rep, k):
     assert all(row.endswith(",certified") for row in rows)
 
 
+def _one_generator_rep_file(tmp_path, m, presentation):
+    d = m.shape[0]
+    doc = {
+        "format": 1,
+        "dim": d,
+        "presentation": presentation,
+        "generators": [[[[m[i, j], 0.0] for j in range(d)] for i in range(d)]],
+    }
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def test_numerical_failures_exit_3(tmp_path, capsys):
     # the middle gap of k=2 needs more powers than the 745-nat spread allows
     m = np.diag([1000.0, 1.01, 1 / 1.01, 1 / 1000.0])
-    doc = {
-        "format": 1,
-        "dim": 4,
-        "presentation": {"kind": "free", "rank": 1},
-        "generators": [[[[m[i, j], 0.0] for j in range(4)] for i in range(4)]],
-        "label": "spread",
-    }
-    path = tmp_path / "spread.json"
-    path.write_text(json.dumps(doc))
+    path = _one_generator_rep_file(tmp_path, m, {"kind": "free", "rank": 1})
     assert run(["certify", str(path), "--k", 2, "--radius", 6, "--out", tmp_path]) == 3
     assert "745" in capsys.readouterr().err
     assert run(["certify", "builtin:sym4", "--k", 2, "--radius", 14, "--out", tmp_path]) == 3
     assert "budget" in capsys.readouterr().err
+
+
+def test_relator_overflow_exits_3(tmp_path, capsys):
+    # the relator product has finite entries but an overflowing norm
+    m = np.diag([1e308, 1e-308])
+    path = _one_generator_rep_file(
+        tmp_path, m, {"kind": "custom", "rank": 1, "relations": [[1, 1]]}
+    )
+    assert run(["certify", str(path), "--k", 1, "--out", tmp_path]) == 3
+    assert "over/underflow" in capsys.readouterr().err
 
 
 def test_missing_k_is_usage_error(tmp_path, capsys):
@@ -192,6 +208,29 @@ def test_dimension_grassmann_mode(tmp_path):
     assert any(row.split(",")[2].startswith("grassmann") for row in rows[2:-1])
     slope = float(rows[-1].split(",")[1])
     assert abs(slope - 1.0) <= 0.2
+
+
+def test_dimension_grassmann_anchor_doubling(tmp_path, monkeypatch):
+    # one anchor covers too little, so the anchors double twice; the cloud
+    # must stay the same 700 flags and never take in an anchor
+    passes = []
+    original = boxdim.grassmann_dimension
+
+    def recording(cloud, k, anchors, **kwargs):
+        passes.append(([f.source for f in cloud], [a.source for a in anchors]))
+        return original(cloud, k, anchors, **kwargs)
+
+    monkeypatch.setattr(boxdim, "grassmann_dimension", recording)
+    code = run([
+        "dimension", "builtin:octagon-sym3", "--k", 1, "--mode", "grassmann",
+        "--points", 700, "--anchors", 1, "--word-length", 12, "--seed", 3,
+        "--out", tmp_path,
+    ])
+    assert code == 0
+    assert [len(a) for _, a in passes] == [1, 2, 4]
+    for cloud, anchors in passes:
+        assert cloud == passes[0][0] and len(set(cloud)) == 700
+        assert not set(cloud) & set(anchors)
 
 
 def test_dimension_requires_input(tmp_path):

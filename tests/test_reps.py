@@ -6,7 +6,7 @@ import pytest
 
 import flaglab as fl
 import flaglab.words as W
-from flaglab.errors import CapacityError, InputError
+from flaglab.errors import CapacityError, InputError, PrecisionError
 from flaglab.mobius import INF
 from flaglab.prodsvd import ProductSVD
 from flaglab.reps import OCTAGON_RELATOR, wedge_matrix
@@ -52,6 +52,29 @@ def test_evaluate_long_word_memory_and_halves(sym3):
     # a product keeps O(1) matrices alive, not one per prefix
     assert peak < 5 * 2**20
     assert proj_matrix_dist(m, sym3.evaluate(w1) @ sym3.evaluate(w2)) < 1e-8
+
+
+def test_evaluate_over_underflow_is_precision_error():
+    # finite entries whose Frobenius norm overflows: the rescale would zero
+    # the product and the next step would divide by zero
+    g = np.diag([1e308, 1e-308])
+    with pytest.raises(PrecisionError, match="over/underflow"):
+        fl.Representation(W.free_group(1), [g]).evaluate((1, 1))
+    pres = W.GroupPresentation(generator_count=1, kind="custom", relations=((1, 1),))
+    with pytest.raises(PrecisionError, match="over/underflow"):
+        fl.Representation(pres, [g])
+    with pytest.raises(InputError, match="relator"):
+        fl.Representation(pres, [np.diag([3.0, 1 / 3.0])])
+
+
+def test_evaluate_finite_products_unchanged(sym4):
+    # the over/underflow check leaves the rescaled product bit for bit
+    word = W.random_geodesic_word(sym4.presentation, 200, 7)
+    m = np.eye(4, dtype=complex)
+    for letter in word:
+        m = m @ sym4.matrix(letter)
+        m = m * (2.0 / np.linalg.norm(m))
+    assert np.array_equal(sym4.evaluate(word), m)
 
 
 def test_generator_inverse_invariant(sym4):
