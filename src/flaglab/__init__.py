@@ -16,7 +16,6 @@ from .certify import (
     FlagSample,
     GapSweep,
     boundary_sample,
-    cartan_attractor,
     certify_anosov,
     flag_dist,
     gap_sweep,
@@ -88,4 +87,4 @@ from .words import (
     surface_group,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

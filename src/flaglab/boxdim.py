@@ -25,6 +25,8 @@ BEND_THRESHOLD = 0.15
 SATURATION_FRACTION = 0.35
 MIN_SCALES = 5
 SPAN_DECADES = 1.5
+MIN_CHART_POINTS = 100
+DEFAULT_SCALES = tuple(EDGE_ARC / 2.0 / math.sqrt(2.0) ** i for i in range(7))
 
 
 def _icosahedron():
@@ -84,10 +86,6 @@ def refinement_for_scale(eps: float) -> int:
     return max(1, int(math.ceil(EDGE_ARC / eps)))
 
 
-def default_scales(count: int = 7, coarsest: float = EDGE_ARC / 2.0, ratio: float = math.sqrt(2.0)):
-    return [coarsest / ratio**i for i in range(count)]
-
-
 @dataclass(frozen=True)
 class DimensionEstimate:
     """Log-log slope of occupied-cell counts against inverse scale."""
@@ -128,7 +126,6 @@ def box_dimension_sphere(
     points: np.ndarray,
     scales=None,
     min_points: int = 1000,
-    bend_threshold: float = BEND_THRESHOLD,
 ) -> DimensionEstimate:
     """Box-counting estimate for a sphere cloud.
 
@@ -136,12 +133,12 @@ def box_dimension_sphere(
     closest icosahedral refinement and the regression runs against the
     effective sizes.  Saturated scales (occupied cells comparable to the
     point count) are dropped with a warning; so are the extreme scales
-    once, when the log-log plot bends more than bend_threshold.
+    once, when the log-log plot bends more than BEND_THRESHOLD.
     """
     xyz = _as_xyz(points)
     if len(xyz) < min_points:
         raise InputError(f"need at least {min_points} points, got {len(xyz)}")
-    scales = list(default_scales() if scales is None else scales)
+    scales = list(DEFAULT_SCALES if scales is None else scales)
     if any(not (1e-4 < s < 1.0) for s in scales):
         raise InputError("scales must lie in (1e-4, 1) radians")
     ns = sorted({refinement_for_scale(s) for s in scales})
@@ -165,8 +162,8 @@ def box_dimension_sphere(
     if len(xs) >= 4:
         quad = np.polyfit(xs, ys, 2)
         bend = abs(quad[0]) * ((xs.max() - xs.min()) / 2.0) ** 2
-        if bend > bend_threshold:
-            warnings.append(f"log-log bend {bend:.3f} exceeded {bend_threshold}; extreme scales dropped")
+        if bend > BEND_THRESHOLD:
+            warnings.append(f"log-log bend {bend:.3f} exceeded {BEND_THRESHOLD}; extreme scales dropped")
             xs, ys = xs[1:-1], ys[1:-1]
             eff, counts = eff[1:-1], counts[1:-1]
     slope, ci = _slope_fit(xs, ys)
@@ -225,7 +222,6 @@ def grassmann_dimension(
     chart_anchors,
     scales=None,
     transversality_floor: float = 0.1,
-    min_chart_points: int = 100,
     min_points: int = 1000,
 ) -> DimensionEstimate:
     """Dimension of a Grassmannian limit-set sample through tangent-projection
@@ -233,7 +229,7 @@ def grassmann_dimension(
     line at z, where box counting applies; the estimate is the max slope.
 
     Flags covered by no anchor are an error (add anchors); charts with fewer
-    than min_chart_points points are excluded with a warning.
+    than MIN_CHART_POINTS points are excluded with a warning.
     """
     from .fibers import tangent_project  # local import to avoid a cycle
 
@@ -267,7 +263,7 @@ def grassmann_dimension(
     breakdown: dict[str, float] = {}
     best: DimensionEstimate | None = None
     for name, coords in chart_points.items():
-        if len(coords) < min_chart_points:
+        if len(coords) < MIN_CHART_POINTS:
             warnings.append(f"chart {name} excluded: only {len(coords)} points")
             continue
         est = box_dimension_sphere(

@@ -25,7 +25,6 @@ SLOPE_THRESHOLD = 0.01
 R2_THRESHOLD = 0.95
 TARGET_GAP = 18.0
 MAX_LETTERS = 20000  # letters a boundary sample may absorb before giving up
-NESTING_TOL = 1e-6
 
 
 def _spread_error(where: str) -> PrecisionError:
@@ -254,47 +253,36 @@ def certify_anosov(
 
 
 class FlagSample:
-    """Nested attractor subspaces of one boundary direction.
+    """The flag of one boundary direction, held as one unitary frame.
 
-    spaces maps each requested dimension k to a k-dimensional Subspace;
-    indices 0 and d are synthesized.  quality records the worst attractor /
-    nesting residual met while producing the sample.
+    frame is a (d, m) matrix with orthonormal columns; for each index k in
+    ks, space(k) is the span of its first k columns, so the spaces nest by
+    construction.  Indices 0 and d are synthesized.  quality is the
+    attractor residual exp(-2 gap) of the worst requested gap; a
+    transported flag keeps its source's.
     """
 
-    __slots__ = ("source", "spaces", "quality", "_fiber_frames")
+    __slots__ = ("source", "frame", "ks", "quality", "_spaces", "_fiber_frames")
 
-    def __init__(self, source: Word, spaces: dict[int, Subspace], quality: float = 0.0):
-        if not spaces:
-            raise InputError("a flag needs at least one subspace")
-        dims = {k: s.dim for k, s in spaces.items()}
-        for k, dim in dims.items():
-            if k != dim:
-                raise InputError(f"space at index {k} has dimension {dim}")
-        ks = sorted(spaces)
-        for k1, k2 in zip(ks, ks[1:]):
-            if not spaces[k2].contains(spaces[k1], tol=NESTING_TOL):
-                raise PrecisionError(f"nesting residual too large between {k1} and {k2}")
+    def __init__(self, source: Word, frame: np.ndarray, ks, quality: float = 0.0):
+        frame = np.asarray(frame, dtype=complex)
+        d = frame.shape[0]
         self.source = source
-        self.spaces = spaces
+        self.frame = frame
+        self.ks = sorted(ks)
         self.quality = quality
+        self._spaces = {k: Subspace(frame[:, :k], check=False) for k in self.ks}
+        self._spaces[0] = Subspace.zero(d)
+        self._spaces[d] = Subspace.full(d)
         self._fiber_frames: dict[int, np.ndarray] = {}
 
     @property
     def ambient_dim(self) -> int:
-        return next(iter(self.spaces.values())).ambient_dim
-
-    @property
-    def ks(self) -> list[int]:
-        return sorted(self.spaces)
+        return self.frame.shape[0]
 
     def space(self, k: int) -> Subspace:
-        d = self.ambient_dim
-        if k == 0:
-            return Subspace.zero(d)
-        if k == d:
-            return Subspace.full(d)
         try:
-            return self.spaces[k]
+            return self._spaces[k]
         except KeyError:
             raise InputError(f"flag sample carries {self.ks}, not {k}")
 
@@ -319,31 +307,10 @@ class FlagSample:
 
 def flag_dist(a: FlagSample, b: FlagSample) -> float:
     """Largest Hausdorff subspace distance over the common indices."""
-    common = sorted(set(a.spaces) & set(b.spaces))
+    common = sorted(set(a.ks) & set(b.ks))
     if not common:
         raise InputError("flags share no indices")
     return max(hausdorff_subspace_dist(a.space(k), b.space(k)) for k in common)
-
-
-def cartan_attractor(m: np.ndarray, k: int, min_gap: float = 0.1, return_residual: bool = False):
-    """Span of the k leading left singular vectors.  Requires the k-th gap
-    to clear min_gap; the reported residual exp(-2 gap) bounds how far the
-    attractor can move under right multiplication by a unitary."""
-    m = np.asarray(m, dtype=complex)
-    d = m.shape[0]
-    if not 1 <= k <= d - 1:
-        raise InputError(f"k={k} out of range 1..{d - 1}")
-    u, s, _ = np.linalg.svd(m)
-    s = np.maximum(s, 1e-300)
-    gap = (math.log(s[k - 1]) - math.log(s[k])) / 2.0
-    if gap <= min_gap:
-        raise PrecisionError(
-            f"gap {gap:.3f} at k={k} below {min_gap}; lengthen the word before projecting"
-        )
-    sub = Subspace(u[:, :k], check=False)
-    if return_residual:
-        return sub, math.exp(-2.0 * gap)
-    return sub
 
 
 def boundary_samples(rep: Representation, words, ks, target_gap: float = TARGET_GAP) -> list:
@@ -358,6 +325,8 @@ def boundary_samples(rep: Representation, words, ks, target_gap: float = TARGET_
     stack is treated alone, so a flag does not depend on its batch.
     """
     ks = sorted(set(int(k) for k in ks))
+    if not ks:
+        raise InputError("a flag needs at least one index")
     for k in ks:
         if not 1 <= k <= rep.dim - 1:
             raise InputError(f"flag index {k} out of range 1..{rep.dim - 1}")
@@ -383,12 +352,7 @@ def boundary_samples(rep: Representation, words, ks, target_gap: float = TARGET_
             if not np.all(np.isfinite(gaps[j])):
                 out[i] = _spread_error(f"along {W.word_to_str(w)}")
             elif worst >= target_gap:
-                u = state.u[j].copy()
-                try:
-                    spaces = {k: Subspace(u[:, :k], check=False) for k in ks}
-                    out[i] = FlagSample(source=w, spaces=spaces, quality=math.exp(-2.0 * worst))
-                except PrecisionError as exc:
-                    out[i] = exc
+                out[i] = FlagSample(w, state.u[j].copy(), ks, math.exp(-2.0 * worst))
             else:
                 history[i].append(worst)
                 if len(history[i]) >= 4 and history[i][-1] - history[i][-4] < 1e-3:
@@ -425,30 +389,20 @@ def boundary_sample(rep: Representation, word, ks, target_gap: float = TARGET_GA
 
 
 def transport_flag(rep: Representation, gamma, flag: FlagSample) -> FlagSample:
-    """Image flag under rho(gamma); nesting is re-enforced by projecting
-    each space into the next one up."""
+    """Image flag under rho(gamma): one QR of the moved frame, so the image
+    spaces nest by construction.  Raises PrecisionError when rho(gamma)
+    collapses the top requested space (a lower one is a column subset of
+    it and never collapses first)."""
     g = W.reduce(gamma, rep.presentation)
     if not g:
         return flag  # identity transport: share the object, gauge included
-    m = rep.evaluate(g)
-    moved: dict[int, Subspace] = {}
-    prev_upper: Subspace | None = None
-    residual = 0.0
-    for k in sorted(flag.spaces, reverse=True):
-        frame = orth(m @ flag.spaces[k].frame)
-        if frame.shape[1] != k:
-            raise PrecisionError(f"transport collapsed the {k}-space")
-        if prev_upper is not None:
-            proj = prev_upper.projector() @ frame
-            resid = float(np.linalg.norm(frame - proj, ord=2))
-            if resid > NESTING_TOL:
-                raise PrecisionError(f"transported flag lost nesting at {k}: {resid:.2e}")
-            residual = max(residual, resid)
-            frame = orth(proj)
-        moved[k] = Subspace(frame, check=False)
-        prev_upper = moved[k]
+    moved = rep.evaluate(g) @ flag.frame
+    top = flag.ks[-1]
+    if orth(moved[:, :top]).shape[1] != top:
+        raise PrecisionError(f"transport collapsed the {top}-space")
+    q, _ = np.linalg.qr(moved)
     src = W.concat(rep.presentation, g, flag.source, W.invert(g))
-    return FlagSample(source=src, spaces=moved, quality=max(flag.quality, residual))
+    return FlagSample(src, q, flag.ks, flag.quality)
 
 
 def limit_set_sample(

@@ -95,7 +95,7 @@ def point_dist(a: FlagSample, b: FlagSample) -> float:
     distance at the smallest common flag index.  Separation here is what
     controls the conditioning of tangent projections (osculation makes
     second principal angles shrink like a power of this distance)."""
-    common = sorted(set(a.spaces) & set(b.spaces))
+    common = sorted(set(a.ks) & set(b.ks))
     if not common:
         raise InputError("flags share no indices")
     return hausdorff_subspace_dist(a.space(common[0]), b.space(common[0]))
@@ -406,7 +406,6 @@ def foliated_limit_sample(
     k: int,
     base_count: int,
     fiber_count: int,
-    trivialization: Trivialization | None = None,
     seed: int = 1,
     word_length: int = 8,
 ) -> FoliatedSample:
@@ -414,23 +413,22 @@ def foliated_limit_sample(
     projections of fiber_count boundary directions, in Riemann-sphere
     coordinates with the three trivialization sections pinned at 0, 1, inf."""
     ks = fiber_ks(rep.dim, k)
-    need = base_count + fiber_count + (0 if trivialization else 8)
-    flags, _ = limit_set_sample(rep, ks, count=need, length=word_length, seed=seed)
-    if trivialization is None:
-        # default basepoints: the best-quality flags, tie-broken toward a
-        # well-spread triple so the fiber normalizations stay conditioned
-        candidates = sorted(flags[:8], key=lambda f: f.quality)
-        best = max(
-            combinations(candidates, 3),
-            key=lambda triple: min(
-                point_dist(a, b) for a, b in combinations(triple, 2)
-            ),
-        )
-        trivialization = Trivialization(rep, k, best)
-        taken3 = {b.source for b in best}
-        flags = [f for f in flags if f.source not in taken3]
-    taken = {b.source for b in trivialization.basepoints}
-    bases = [f for f in flags if f.source not in taken][:base_count]
+    flags, _ = limit_set_sample(
+        rep, ks, count=base_count + fiber_count + 8, length=word_length, seed=seed
+    )
+    # basepoints: the best-quality of the first eight flags, tie-broken
+    # toward a well-spread triple so the fiber normalizations stay conditioned
+    candidates = sorted(flags[:8], key=lambda f: f.quality)
+    best = max(
+        combinations(candidates, 3),
+        key=lambda triple: min(
+            point_dist(a, b) for a, b in combinations(triple, 2)
+        ),
+    )
+    trivialization = Trivialization(rep, k, best)
+    taken = {b.source for b in best}
+    flags = [f for f in flags if f.source not in taken]
+    bases = flags[:base_count]
     fibers = [f for f in flags if f.source not in {b.source for b in bases}][:fiber_count]
     rows: list[FiberRow] = []
     status: dict[Word, str] = {}

@@ -17,6 +17,7 @@ from .errors import InputError
 from .subspaces import det_normalize
 
 INF = complex(math.inf, 0.0)
+CHART_TOL = 1e-14  # |b| / |a| at or below which the chart reads infinity
 
 
 def hom(z: complex | float) -> np.ndarray:
@@ -35,10 +36,10 @@ def normalize(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def chart(v: np.ndarray, tol: float = 1e-14) -> complex:
+def chart(v: np.ndarray) -> complex:
     """Chart value a/b of a homogeneous pair; INF near the pole."""
     a, b = complex(v[..., 0]), complex(v[..., 1])
-    if abs(b) <= tol * abs(a):
+    if abs(b) <= CHART_TOL * abs(a):
         return INF
     return a / b
 

@@ -79,10 +79,11 @@ class Representation:
         m = np.eye(self.dim, dtype=complex)
         scale = math.sqrt(self.dim)
         for pos, letter in enumerate(w):
-            m = m @ self.matrix(letter)
+            with np.errstate(all="ignore"):
+                m = m @ self.matrix(letter)
+                factor = scale / np.linalg.norm(m)
             # a non-finite product, or a norm that overflows to inf or
             # underflows to 0, leaves no finite nonzero rescale factor
-            factor = scale / np.linalg.norm(m)
             if not 0.0 < factor < math.inf:
                 raise PrecisionError(f"over/underflow after prefix of length {pos + 1}")
             m = m * factor
@@ -324,14 +325,14 @@ def wedge_matrix(m: np.ndarray, k: int) -> np.ndarray:
     return np.stack([wedge_coords(m[:, j_set]) for j_set in cols], axis=1)
 
 
-def wedge_rep(rep: Representation, k: int, max_dim: int = MAX_WEDGE_DIM) -> Representation:
+def wedge_rep(rep: Representation, k: int) -> Representation:
     """Generator-wise k-th exterior power; the singular values of the image
     of a word are the k-fold products of the original ones."""
     if not 1 <= k <= rep.dim - 1:
         raise InputError(f"wedge index k={k} out of range 1..{rep.dim - 1}")
     n = comb(rep.dim, k)
-    if n > max_dim:
-        raise CapacityError(f"wedge dimension {n} exceeds budget {max_dim}")
+    if n > MAX_WEDGE_DIM:
+        raise CapacityError(f"wedge dimension {n} exceeds budget {MAX_WEDGE_DIM}")
     mats = [wedge_matrix(g, k) for g in rep.generators]
     return Representation(rep.presentation, mats, label=f"wedge^{k}({rep.label})")
 

@@ -26,6 +26,10 @@ from .mobius import (
 )
 
 DEGENERATE_TOL = 1e-13
+QUADRUPLES = 400  # seeded triples tried by quasimobius_constant
+NORM_TOL = 0.05  # how far |B| of a kept quadruple may sit from 1
+MAX_EXHAUSTIVE = 40  # ahlfors_bound tries every quadruple up to this many points
+AHLFORS_SAMPLES = 20000  # random quadruples ahlfors_bound adds past it
 
 
 def as_point(p) -> np.ndarray:
@@ -79,15 +83,13 @@ def cross_ratio_many(points: np.ndarray, quads: np.ndarray) -> np.ndarray:
 def quasimobius_constant(
     source: np.ndarray,
     image: np.ndarray,
-    n_quadruples: int = 400,
     seed: int = 0,
-    norm_tol: float = 0.05,
 ) -> float:
     """Distortion estimate K >= 1 of a sampled correspondence.
 
     For seeded triples (a, b, d) the fourth point is chosen from the
     source set itself, minimizing | |B| - 1 | (quadruples further than
-    norm_tol from the |B| = 1 locus are discarded), and the reported
+    NORM_TOL from the |B| = 1 locus are discarded), and the reported
     distortion is the two-sided ratio max(|B'|/|B|, |B|/|B'|), which is
     exactly 1 for any Mobius-restricted correspondence.
     """
@@ -102,7 +104,7 @@ def quasimobius_constant(
     best = 1.0
     kept = 0
     candidates = np.arange(n)
-    for _ in range(n_quadruples):
+    for _ in range(QUADRUPLES):
         i, j, l = rng.choice(n, size=3, replace=False)
         quads = np.stack(
             [
@@ -118,7 +120,7 @@ def quasimobius_constant(
         with np.errstate(invalid="ignore"):
             off = np.abs(np.log(np.where(np.isfinite(vals) & (vals > 0), vals, np.inf)))
         m = int(np.argmin(off))
-        if not math.isfinite(off[m]) or abs(vals[m] - 1.0) > norm_tol:
+        if not math.isfinite(off[m]) or abs(vals[m] - 1.0) > NORM_TOL:
             continue
         b_src = vals[m]
         b_img = cross_ratio_many(image, quads[m][None, :])[0]
@@ -129,7 +131,7 @@ def quasimobius_constant(
         best = max(best, float(ratio))
     if kept == 0:
         raise InputError(
-            "no quadruple came within norm_tol of |B| = 1; enlarge the sample"
+            "no quadruple came within NORM_TOL of |B| = 1; enlarge the sample"
         )
     return best
 
@@ -139,8 +141,6 @@ def quasimobius_constant(
 
 def ahlfors_bound(
     curve_points: np.ndarray,
-    max_exhaustive: int = 40,
-    samples: int = 20000,
     seed: int = 0,
 ) -> float:
     """sup of |B(a, c, b, d)| over cyclically ordered quadruples of a Jordan
@@ -150,7 +150,7 @@ def ahlfors_bound(
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 4:
         raise InputError("need >= 4 cyclically ordered sphere points")
     n = len(pts)
-    if n <= max_exhaustive:
+    if n <= MAX_EXHAUSTIVE:
         quads = np.array(list(combinations(range(n), 4)), dtype=int)
     else:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -165,7 +165,7 @@ def ahlfors_bound(
                 block = np.stack([i, j, k, far], axis=1)
                 local.append(block)
         quads = np.concatenate(local, axis=0)
-        extra = rng.integers(0, n, size=(samples, 4))
+        extra = rng.integers(0, n, size=(AHLFORS_SAMPLES, 4))
         # wrap-around windows are still cyclically ordered: sort the indices,
         # then drop quadruples that repeat one
         quads = np.sort(np.concatenate([quads, extra], axis=0), axis=1)

@@ -1,9 +1,8 @@
 """Complex subspace geometry: frames, intersections, principal angles.
 
 A Subspace is stored as a matrix with orthonormal columns.  Dimension
-decisions (e.g. of an intersection) use a relative threshold on
-principal-angle cosines; the default 1e-8 can be overridden per call
-because transversality sweeps probe nearly degenerate configurations.
+decisions (ranks, and the dimension of an intersection or sum) use the
+one relative threshold RANK_TOL = 1e-8.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ RANK_TOL = 1e-8
 COND_LIMIT = 1e15
 
 
-def orth(vectors: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of the column span, rank decided by rank_tol
+def orth(vectors: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span, rank decided by RANK_TOL
     relative to the top singular value."""
     a = np.asarray(vectors, dtype=complex)
     if a.ndim != 2:
@@ -32,7 +31,7 @@ def orth(vectors: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((a.shape[0], 0), dtype=complex)
-    rank = int(np.sum(s > rank_tol * s[0]))
+    rank = int(np.sum(s > RANK_TOL * s[0]))
     return u[:, :rank]
 
 
@@ -134,20 +133,20 @@ def principal_sines(a: Subspace, b: Subspace) -> np.ndarray:
     return np.sort(np.clip(s, 0.0, 1.0))
 
 
-def intersect(a: Subspace, b: Subspace, tol: float = RANK_TOL) -> Subspace:
+def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Orthonormal frame for the intersection, via principal vectors with
-    cosine >= 1 - tol.  Transverse pairs return the zero subspace."""
+    cosine >= 1 - RANK_TOL.  Transverse pairs return the zero subspace."""
     _check_same_ambient(a, b)
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient_dim)
     u, s, _ = np.linalg.svd(a.frame.conj().T @ b.frame)
-    m = int(np.sum(s >= 1.0 - tol))
+    m = int(np.sum(s >= 1.0 - RANK_TOL))
     if m == 0:
         return Subspace.zero(a.ambient_dim)
     return Subspace(orth(a.frame @ u[:, :m]), check=False)
 
 
-def subspace_sum(a: Subspace, b: Subspace, tol: float = RANK_TOL) -> Subspace:
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     """Orthonormal frame for a + b; rank decided by singular-value threshold
     on the stacked frames (consistent with intersect on generic input)."""
     _check_same_ambient(a, b)
@@ -157,7 +156,7 @@ def subspace_sum(a: Subspace, b: Subspace, tol: float = RANK_TOL) -> Subspace:
         return Subspace(a.frame.copy(), check=False)
     stacked = np.concatenate([a.frame, b.frame], axis=1)
     u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    rank = int(np.sum(s > math.sqrt(tol)))
+    rank = int(np.sum(s > math.sqrt(RANK_TOL)))
     return Subspace(u[:, :rank], check=False)
 
 
@@ -209,7 +208,6 @@ def hausdorff_subspace_dist(a: Subspace, b: Subspace) -> float:
 class GapProfile:
     """Log singular-value gaps of one matrix, indexed k = 1..d-1 (gaps[k-1])."""
 
-    word_length: int
     gaps: np.ndarray
 
     def gap(self, k: int) -> float:
@@ -230,7 +228,7 @@ def det_normalize(m: np.ndarray) -> np.ndarray:
     return m / cmath.exp(cmath.log(det) / d)
 
 
-def singular_gaps(m: np.ndarray, word_length: int = 0) -> GapProfile:
+def singular_gaps(m: np.ndarray) -> GapProfile:
     """Gap profile of the determinant-normalized lift of m: entry k-1 holds
     (log sigma_k - log sigma_{k+1}) / 2.  Invariant under nonzero scaling.
 
@@ -249,5 +247,5 @@ def singular_gaps(m: np.ndarray, word_length: int = 0) -> GapProfile:
         )
     logs = np.log(s)
     gaps = (logs[:-1] - logs[1:]) / 2.0
-    return GapProfile(word_length=word_length, gaps=np.maximum(gaps, 0.0))
+    return GapProfile(gaps=np.maximum(gaps, 0.0))
 

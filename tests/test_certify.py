@@ -5,7 +5,7 @@ import pytest
 
 import flaglab as fl
 import flaglab.words as W
-from flaglab.certify import _doubling_ratio, transport_flag
+from flaglab.certify import _doubling_ratio, boundary_samples, transport_flag
 from flaglab.errors import CapacityError, InputError, NotAnosovError, PrecisionError
 from flaglab.fibers import plucker
 from flaglab.prodsvd import ProductSVD
@@ -144,28 +144,6 @@ def test_doubling_ratio_never_returns_nan():
 # --- attractors ---------------------------------------------------------------
 
 
-def test_cartan_attractor_diagonal():
-    m = np.diag([4.0, 2.0, 1.0])
-    a1 = fl.cartan_attractor(m, 1)
-    a2 = fl.cartan_attractor(m, 2)
-    assert fubini_study(a1, Subspace.coordinate(3, [0])) < 1e-12
-    assert hausdorff_subspace_dist(a2, Subspace.coordinate(3, [0, 1])) < 1e-12
-
-
-def test_cartan_attractor_gap_precondition():
-    with pytest.raises(PrecisionError, match="lengthen"):
-        fl.cartan_attractor(np.eye(3), 1)
-
-
-def test_cartan_attractor_residual_and_equivariance(schottky):
-    m = schottky.evaluate((1, 2, 1, 1, 2))
-    sub, resid = fl.cartan_attractor(m, 1, return_residual=True)
-    g = schottky.evaluate((2, 1))
-    moved = fl.cartan_attractor(g @ m, 1)
-    direct = Subspace.from_vectors(g @ sub.frame)
-    assert fubini_study(moved, direct) <= 50 * resid + 1e-12
-
-
 def test_boundary_sample_eigenline_oracle(schottky):
     flag = fl.boundary_sample(schottky, (1,), [1])
     vals, vecs = np.linalg.eig(schottky.evaluate((1,)))
@@ -194,6 +172,39 @@ def test_boundary_sample_equivariance(sym4):
     assert fl.flag_dist(lhs, rhs) < 1e-6
 
 
+def test_transport_flag_matches_moved_frames(sym4):
+    # rho(gamma) has condition number about 7.9e8
+    gamma = (2, 1, -2)
+    flag = fl.boundary_sample(sym4, (1, 2, -1, 2, 1), [1, 2, 3])
+    m = sym4.evaluate(gamma)
+    moved = transport_flag(sym4, gamma, flag)
+    for k in flag.ks:
+        direct = Subspace.from_vectors(m @ flag.space(k).frame)
+        assert hausdorff_subspace_dist(moved.space(k), direct) < 1e-10
+    assert moved.quality == flag.quality
+
+
+def test_transport_flag_round_trip(sym4):
+    gamma = (1, 2)
+    flag = fl.boundary_sample(sym4, (1, 2, -1, 2, 1), [1, 2, 3])
+    back = transport_flag(sym4, W.invert(gamma), transport_flag(sym4, gamma, flag))
+    assert fl.flag_dist(back, flag) < 1e-10
+
+
+def test_transport_flag_collapse_is_precision_error():
+    rep = Representation(W.free_group(1), [np.diag([1e9, 1.0, 1e-9])])
+    flag = fl.FlagSample((1,), np.eye(3)[:, [1, 2, 0]], [1, 2])
+    with pytest.raises(PrecisionError, match="collapsed"):
+        transport_flag(rep, (1,), flag)
+
+
+def test_flag_space_outside_ks_is_input_error(sym4):
+    flag = fl.boundary_sample(sym4, (1, 2, -1, 2, 1), [1, 3])
+    assert flag.space(0).dim == 0 and flag.space(4).dim == 4
+    with pytest.raises(InputError, match="carries"):
+        flag.space(2)
+
+
 def test_boundary_sample_stability_under_more_power(sym4):
     w = (1, 2, 2, -1, 2)
     f1 = fl.boundary_sample(sym4, w, [1, 2, 3], target_gap=14.0)
@@ -212,6 +223,15 @@ def test_boundary_sample_rejects_trivial_word(schottky):
         fl.boundary_sample(schottky, (1, -1), [1])
     with pytest.raises(NotAnosovError):
         fl.boundary_sample(fl.preset("trivial"), (1,), [1])
+
+
+def test_empty_flag_indices_are_input_errors(sym4):
+    with pytest.raises(InputError, match="at least one index"):
+        boundary_samples(sym4, [(1, 2)], [])
+    with pytest.raises(InputError, match="at least one index"):
+        fl.boundary_sample(sym4, (1, 2), [])
+    with pytest.raises(InputError, match="at least one index"):
+        fl.limit_set_sample(sym4, [], count=2, length=5, seed=1)
 
 
 def test_limit_set_sample_contract(schottky):
