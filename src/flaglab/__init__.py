@@ -67,24 +67,14 @@ from .sphere import (
     quasimobius_constant,
     visual_mass,
 )
-from .subspaces import (
-    GapProfile,
-    Subspace,
-    fubini_study,
-    hausdorff_subspace_dist,
-    intersect,
-    singular_gaps,
-    subspace_sum,
-    transversality_gap,
-)
+from .subspaces import Subspace, hausdorff_subspace_dist, transversality_gap
 from .words import (
     GroupPresentation,
     Word,
     enumerate_ball,
     free_group,
-    random_geodesic_word,
     reduce,
     surface_group,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -127,12 +127,6 @@ class AnosovCertificate:
     r2_threshold: float = R2_THRESHOLD
     notes: tuple[str, ...] = ()
 
-    def supports(self, slack: float = 1e-9) -> bool:
-        return all(
-            g >= self.c1 * n - self.c2 - slack
-            for n, g in zip(self.lengths, self.min_gaps)
-        )
-
 
 def _affine_fit(lengths: np.ndarray, values: np.ndarray) -> tuple[float, float, float, float]:
     slope, intercept = np.polyfit(lengths, values, 1)

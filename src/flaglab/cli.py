@@ -49,6 +49,20 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _floats(text: str, option: str, count: int | None = None) -> list[float]:
+    """Parse a comma-separated option value; the option itself stays a
+    string, so the manifest can replay it."""
+    try:
+        values = [float(x) for x in text.split(",")]
+    except ValueError:
+        raise InputError(f"{option} takes comma-separated numbers, got {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise InputError(f"{option} takes finite numbers, got {text!r}")
+    if count is not None and len(values) != count:
+        raise InputError(f"{option} takes {count} comma-separated numbers, got {text!r}")
+    return values
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -67,16 +81,20 @@ def rep_digest(rep: Representation) -> str:
     return h.hexdigest()[:16]
 
 
-def load_rep_file(path: str) -> Representation:
+def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}")
-    if doc.get("format") != 1:
-        raise InputError(f"{path}: expected \"format\": 1")
+
+
+def load_rep_file(path: str) -> Representation:
+    doc = _read_json(path)
+    if not isinstance(doc, dict) or doc.get("format") != 1:
+        raise InputError(f"{path}: expected an object with \"format\": 1")
     try:
         d = int(doc["dim"])
         pres_doc = doc["presentation"]
@@ -85,17 +103,16 @@ def load_rep_file(path: str) -> Representation:
             pres = free_group(int(pres_doc["rank"]))
         elif kind == "surface":
             rels = [tuple(int(x) for x in r) for r in pres_doc["relations"]]
+            if len(rels) != 1:
+                raise InputError(f"{path}: a surface presentation takes one relation, got {len(rels)}")
             pres = surface_group(int(pres_doc["genus"]), rels[0])
         else:
             rels = tuple(tuple(int(x) for x in r) for r in pres_doc.get("relations", []))
-            pres = GroupPresentation(
-                generator_count=int(pres_doc["rank"]),
-                kind="custom",
-                relations=rels,
-                length_mode="letter-count",
-            )
+            pres = GroupPresentation(generator_count=int(pres_doc["rank"]), kind="custom", relations=rels)
         mats = []
         for gen in doc["generators"]:
+            if any(len(e) != 2 for row in gen for e in row):
+                raise InputError(f"{path}: a matrix entry is not a [re, im] pair")
             rows = [[complex(e[0], e[1]) for e in row] for row in gen]
             m = np.array(rows, dtype=complex)
             if m.shape != (d, d):
@@ -342,7 +359,7 @@ def cmd_dimension(args) -> int:
     t0 = time.time()
     inputs = {}
     seeds = [args.seed]
-    scales = [float(s) for s in args.scales.split(",")] if args.scales else None
+    scales = _floats(args.scales, "--scales") if args.scales else None
     chart_id = "fiber"
     if args.synthetic:
         if args.synthetic == "circle":
@@ -401,7 +418,10 @@ def cmd_dimension(args) -> int:
 def _parse_point(text: str) -> complex:
     if text.strip().lower() in ("inf", "infinity", "oo"):
         return INF
-    return complex(text.replace(" ", ""))
+    try:
+        return complex(text.replace(" ", ""))
+    except ValueError:
+        raise InputError(f"not a complex number or inf: {text!r}")
 
 
 def cmd_crossratio(args) -> int:
@@ -422,11 +442,13 @@ def cmd_visualmass(args) -> int:
         cloud = np.array([[1.0 + 0j, 0.0 + 0j]])  # cap of radius pi/2 around the pole
         eps = math.pi / 2.0
     else:
+        if not args.rep:
+            raise InputError("visualmass needs a representation or --synthetic")
         rep, descriptor = resolve_rep(args.rep)
         inputs["rep"] = descriptor
         cloud = _fiber_cloud(rep, args.k, args.points, args.word_length, args.seed)
         eps = args.eps
-    base = [float(x) for x in args.basepoint.split(",")]
+    base = _floats(args.basepoint, "--basepoint", 3)
     nu = VisualMeasure(complex(base[0], base[1]), base[2])
     est = visual_mass(nu, cloud, eps, mc_count=args.mc, seed=args.seed)
     out = emit(
@@ -448,8 +470,10 @@ def cmd_presets(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    with open(args.manifest, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = _read_json(args.manifest)
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("params"), dict)
+            and isinstance(manifest.get("command"), str)):
+        raise InputError(f"{args.manifest}: not a flaglab run manifest")
     params = dict(manifest["params"])
     argv = [manifest["command"]]
     if "rep" in params and params["rep"]:

@@ -265,12 +265,7 @@ def check_hyperconvex(
     def score(x, y, z):
         lx = tangent_project(z, x, k)
         ly = tangent_project(z, y, k)
-        num = fiber_angle(lx, ly)
-        sines = principal_sines(x.space(d - k), y.space(d - k))
-        ref = float(sines[-1]) if sines.size else 0.0
-        if ref < 1e-12:
-            raise PrecisionError("reference separation vanished")
-        return min(1.0, num / ref)
+        return _normalized_score(fiber_angle(lx, ly), x.space(d - k), y.space(d - k))
 
     return _transversality_sweep(rep, k, spec, ks, score, "eq1")
 
@@ -297,13 +292,23 @@ def check_Hk(
         cols = [vx[:, None], vy[:, None]] + ([lower.frame] if lower.dim else [])
         stacked = np.concatenate(cols, axis=1)
         smin = float(np.linalg.svd(stacked, compute_uv=False)[-1])
-        sines = principal_sines(x.space(k), y.space(k))
-        ref = float(sines[-1]) if sines.size else 0.0
-        if ref < 1e-12:
-            raise PrecisionError("reference separation vanished")
-        return min(1.0, smin / ref)
+        return _normalized_score(smin, x.space(k), y.space(k))
 
     return _transversality_sweep(rep, k, spec, ks, score, "Hk")
+
+
+def _normalized_score(num: float, a: Subspace, b: Subspace) -> float:
+    """A triple score: num over the largest principal sine between the
+    upstream spaces a and b, capped at 1.  A non-finite part or a vanished
+    reference raises PrecisionError, so the triple is skipped instead of
+    read as transverse (min(1.0, nan) is 1.0)."""
+    sines = principal_sines(a, b)
+    ref = float(sines[-1]) if sines.size else 0.0
+    if not (np.isfinite(num) and np.isfinite(ref)):
+        raise PrecisionError("non-finite triple score")
+    if ref < 1e-12:
+        raise PrecisionError("reference separation vanished")
+    return min(1.0, num / ref)
 
 
 def _check_prereqs(rep, k, mode, certificates, assume_anosov):

@@ -44,17 +44,6 @@ def chart(v: np.ndarray) -> complex:
     return a / b
 
 
-def proj_dist(u: np.ndarray, v: np.ndarray) -> float:
-    """Fubini-Study angle between projective classes, in [0, pi/2].
-    Computed through the orthogonal component, so tiny angles keep full
-    precision (arccos of the overlap has a sqrt(eps) floor)."""
-    u = normalize(np.asarray(u, dtype=complex))
-    v = normalize(np.asarray(v, dtype=complex))
-    inner = np.vdot(u, v)
-    rest = v - u * inner
-    return math.atan2(float(np.linalg.norm(rest)), min(1.0, abs(inner)))
-
-
 def sphere_xyz(v: np.ndarray) -> np.ndarray:
     """Embed CP^1 points as unit vectors of S^2 in R^3.
 
@@ -100,30 +89,6 @@ def three_point_map(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         raise InputError("three_point_map needs pairwise distinct points")
     m = np.array([[s * a[1], -s * a[0]], [u * c[1], -u * c[0]]], dtype=complex)
     return det_normalize(m)
-
-
-def mobius_matrix_dist(m1: np.ndarray, m2: np.ndarray) -> float:
-    """Projective distance between 2x2 maps: Frobenius distance after
-    optimal unit-scalar alignment, both inputs normalized."""
-    a = np.asarray(m1, dtype=complex)
-    b = np.asarray(m2, dtype=complex)
-    a = a / np.linalg.norm(a)
-    b = b / np.linalg.norm(b)
-    inner = np.vdot(a, b)
-    phase = np.conj(inner) / abs(inner) if abs(inner) > 0 else 1.0
-    # direct difference after phase alignment: no sqrt(eps) cancellation floor
-    return float(np.linalg.norm(a - phase * b))
-
-
-def fixed_points(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed points of a 2x2 map as homogeneous pairs (attracting last
-    for a loxodromic)."""
-    m = det_normalize(np.asarray(m, dtype=complex))
-    vals, vecs = np.linalg.eig(m)
-    order = np.argsort(np.abs(vals))
-    rep = normalize(vecs[:, order[0]])
-    att = normalize(vecs[:, order[1]])
-    return rep, att
 
 
 def uniform_sphere(rng: np.random.Generator, count: int) -> np.ndarray:

@@ -1,15 +1,13 @@
-"""Complex subspace geometry: frames, intersections, principal angles.
+"""Complex subspace geometry: frames, principal angles, subspace distances.
 
-A Subspace is stored as a matrix with orthonormal columns.  Dimension
-decisions (ranks, and the dimension of an intersection or sum) use the
-one relative threshold RANK_TOL = 1e-8.
+A Subspace is stored as a matrix with orthonormal columns.  Rank
+decisions use the one relative threshold RANK_TOL = 1e-8.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +15,6 @@ from .errors import ConditioningError, InputError
 
 FRAME_TOL = 1e-12
 RANK_TOL = 1e-8
-COND_LIMIT = 1e15
 
 
 def orth(vectors: np.ndarray) -> np.ndarray:
@@ -53,10 +50,6 @@ class Subspace:
         self.frame = frame
 
     @classmethod
-    def from_vectors(cls, vectors: np.ndarray) -> "Subspace":
-        return cls(orth(vectors), check=False)
-
-    @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(np.zeros((ambient_dim, 0), dtype=complex), check=False)
 
@@ -85,22 +78,12 @@ class Subspace:
     def dim(self) -> int:
         return self.frame.shape[1]
 
-    def projector(self) -> np.ndarray:
-        return self.frame @ self.frame.conj().T
-
     def orthocomplement(self) -> "Subspace":
         d, k = self.frame.shape
         if k == 0:
             return Subspace.full(d)
         u, _, _ = np.linalg.svd(self.frame, full_matrices=True)
         return Subspace(u[:, k:], check=False)
-
-    def contains(self, other: "Subspace", tol: float = 1e-6) -> bool:
-        """Whether `other` sits inside self up to containment residual tol."""
-        if other.dim == 0:
-            return True
-        resid = other.frame - self.projector() @ other.frame
-        return float(np.linalg.norm(resid, ord=2)) <= tol
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -133,33 +116,6 @@ def principal_sines(a: Subspace, b: Subspace) -> np.ndarray:
     return np.sort(np.clip(s, 0.0, 1.0))
 
 
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Orthonormal frame for the intersection, via principal vectors with
-    cosine >= 1 - RANK_TOL.  Transverse pairs return the zero subspace."""
-    _check_same_ambient(a, b)
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient_dim)
-    u, s, _ = np.linalg.svd(a.frame.conj().T @ b.frame)
-    m = int(np.sum(s >= 1.0 - RANK_TOL))
-    if m == 0:
-        return Subspace.zero(a.ambient_dim)
-    return Subspace(orth(a.frame @ u[:, :m]), check=False)
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    """Orthonormal frame for a + b; rank decided by singular-value threshold
-    on the stacked frames (consistent with intersect on generic input)."""
-    _check_same_ambient(a, b)
-    if a.dim == 0:
-        return Subspace(b.frame.copy(), check=False)
-    if b.dim == 0:
-        return Subspace(a.frame.copy(), check=False)
-    stacked = np.concatenate([a.frame, b.frame], axis=1)
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    rank = int(np.sum(s > math.sqrt(RANK_TOL)))
-    return Subspace(u[:, :rank], check=False)
-
-
 def transversality_gap(a: Subspace, b: Subspace) -> float:
     """Smallest principal sine between a and b, in [0, 1].
 
@@ -173,20 +129,6 @@ def transversality_gap(a: Subspace, b: Subspace) -> float:
         return 1.0
     s = principal_sines(a, b)
     return float(s[0])
-
-
-def fubini_study(p: Subspace, q: Subspace) -> float:
-    """Fubini-Study distance between two lines, in [0, pi/2]."""
-    _check_same_ambient(p, q)
-    if p.dim != 1 or q.dim != 1:
-        raise InputError("fubini_study takes 1-dimensional subspaces")
-    u = p.frame[:, 0]
-    v = q.frame[:, 0]
-    c = np.vdot(u, v)
-    cos = abs(c)
-    rest = v - u * c
-    sin = float(np.linalg.norm(rest))
-    return math.atan2(sin, min(1.0, cos))
 
 
 def hausdorff_subspace_dist(a: Subspace, b: Subspace) -> float:
@@ -204,18 +146,6 @@ def hausdorff_subspace_dist(a: Subspace, b: Subspace) -> float:
     return math.atan2(sin_max, cos_min)
 
 
-@dataclass(frozen=True)
-class GapProfile:
-    """Log singular-value gaps of one matrix, indexed k = 1..d-1 (gaps[k-1])."""
-
-    gaps: np.ndarray
-
-    def gap(self, k: int) -> float:
-        if not 1 <= k <= len(self.gaps):
-            raise InputError(f"gap index {k} out of range 1..{len(self.gaps)}")
-        return float(self.gaps[k - 1])
-
-
 def det_normalize(m: np.ndarray) -> np.ndarray:
     """Rescale a square matrix to |det| = 1 via the principal d-th root."""
     m = np.asarray(m, dtype=complex)
@@ -226,26 +156,3 @@ def det_normalize(m: np.ndarray) -> np.ndarray:
     if abs(det - 1.0) <= 1e-13:
         return m  # already normalized: keep bit-identity, avoid drift
     return m / cmath.exp(cmath.log(det) / d)
-
-
-def singular_gaps(m: np.ndarray) -> GapProfile:
-    """Gap profile of the determinant-normalized lift of m: entry k-1 holds
-    (log sigma_k - log sigma_{k+1}) / 2.  Invariant under nonzero scaling.
-
-    This is a LAPACK SVD of an already formed matrix, so each singular
-    value is accurate only to about eps * cond(m) relative to sigma_1: on
-    the sym4 word (-2, 1, 2, -1, -2) the k = 3 gap is 6.9e-4 nats off a
-    40-digit SVD.  For word products use certify.gap_sweep or
-    prodsvd.ProductSVD, which keep the small singular values accurate."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError("singular_gaps expects a square matrix")
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] == 0 or s[0] / s[-1] > COND_LIMIT:
-        raise ConditioningError(
-            f"condition number {s[0] / max(s[-1], 1e-300):.2e} exceeds {COND_LIMIT:.0e}"
-        )
-    logs = np.log(s)
-    gaps = (logs[:-1] - logs[1:]) / 2.0
-    return GapProfile(gaps=np.maximum(gaps, 0.0))
-

@@ -40,19 +40,6 @@ def word_to_str(w: Word) -> str:
     return "".join(out)
 
 
-def str_to_word(text: str) -> Word:
-    """Inverse of word_to_str for the a/A alphabet."""
-    if text in ("", "e"):
-        return ()
-    letters = []
-    for ch in text:
-        if not ch.isalpha():
-            raise InputError(f"bad word character {ch!r}")
-        idx = ord(ch.lower()) - ord("a") + 1
-        letters.append(idx if ch.islower() else -idx)
-    return tuple(letters)
-
-
 @dataclass(frozen=True)
 class GroupPresentation:
     """A marked group: symmetric generating set plus optional relations.
@@ -66,7 +53,6 @@ class GroupPresentation:
     generator_count: int
     kind: str = "free"
     relations: tuple[Word, ...] = field(default_factory=tuple)
-    length_mode: str = "reduced-word"
 
     def __post_init__(self):
         if self.generator_count < 1:
@@ -75,8 +61,6 @@ class GroupPresentation:
             raise InputError(f"unknown presentation kind {self.kind!r}")
         if self.kind == "free" and self.relations:
             raise InputError("free presentations carry no relations")
-        if self.length_mode not in ("reduced-word", "letter-count"):
-            raise InputError(f"unknown length_mode {self.length_mode!r}")
 
     def letters(self) -> list[int]:
         """All 2r letters in the canonical enumeration order."""
@@ -96,12 +80,7 @@ def free_group(rank: int) -> GroupPresentation:
 
 
 def surface_group(genus: int, relation: Word) -> GroupPresentation:
-    return GroupPresentation(
-        generator_count=2 * genus,
-        kind="surface",
-        relations=(relation,),
-        length_mode="letter-count",
-    )
+    return GroupPresentation(generator_count=2 * genus, kind="surface", relations=(relation,))
 
 
 def reduce(w: Sequence[int], presentation: GroupPresentation) -> Word:
@@ -133,10 +112,6 @@ def cyclic_reduce(w: Word) -> Word:
         lo += 1
         hi -= 1
     return w[lo:hi]
-
-
-def is_reduced(w: Word) -> bool:
-    return all(w[i] != -w[i + 1] for i in range(len(w) - 1))
 
 
 def ball_size(rank: int, radius: int) -> int:
@@ -171,24 +146,6 @@ def enumerate_ball(presentation: GroupPresentation, radius: int) -> Iterator[Wor
                 nxt.append(nw)
                 yield nw
         level = nxt
-
-
-def sphere_words(presentation: GroupPresentation, length: int) -> Iterator[Word]:
-    """Reduced words of exactly the given length, lexicographic order."""
-    for w in enumerate_ball(presentation, max(length, 1)):
-        if len(w) == length:
-            yield w
-
-
-def random_geodesic_word(
-    presentation: GroupPresentation, length: int, seed: int
-) -> Word:
-    """Uniform non-backtracking walk of exactly `length` letters,
-    reproducible from the seed."""
-    if length < 0:
-        raise InputError("length must be >= 0")
-    rng = np.random.default_rng(seed)
-    return _random_word(presentation, length, rng)
 
 
 def _random_word(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import flaglab as fl
+from flaglab.prodsvd import ProductSVD
 
 
 @pytest.fixture(scope="session")
@@ -54,7 +55,7 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
 
 def random_subspace(rng: np.random.Generator, d: int, k: int) -> "fl.Subspace":
     a = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
-    return fl.Subspace.from_vectors(a)
+    return fl.Subspace(a)  # a frame that is not orthonormal is re-factored
 
 
 def random_sl(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
@@ -71,3 +72,17 @@ def proj_matrix_dist(a: np.ndarray, b: np.ndarray) -> float:
     inner = np.vdot(a, b)
     phase = np.conj(inner) / abs(inner) if abs(inner) > 0 else 1.0
     return float(np.linalg.norm(a - phase * b))
+
+
+def word_gaps(rep: "fl.Representation", w) -> np.ndarray:
+    """Gap profile of rho(w) from the graded engine, absorbed letter by letter."""
+    acc = ProductSVD(rep.dim)
+    for letter in w:
+        acc.absorb(rep.matrix(letter))
+    return acc.gaps()
+
+
+def matrix_gaps(m: np.ndarray) -> np.ndarray:
+    """Gap profiles of one matrix or a stack of matrices, in one stacked absorb."""
+    m = np.asarray(m, dtype=complex)
+    return ProductSVD(m.shape[-1], m.shape[:-2]).absorb(m).gaps()

@@ -22,12 +22,11 @@ from flaglab.fibers import (
     wedge_hyperplane,
     wedge_pencil,
 )
-from flaglab.mobius import mobius_matrix_dist
 from flaglab.prodsvd import ProductSVD
 from flaglab.sphere import VisualMeasure, cross_ratio, visual_mass
-from flaglab.subspaces import fubini_study, principal_cosines
+from flaglab.subspaces import hausdorff_subspace_dist, principal_cosines
 
-from conftest import random_sl
+from conftest import proj_matrix_dist, random_sl
 
 
 def run_cli(argv):
@@ -165,7 +164,7 @@ def test_criterion_4_bundle_diagram(sym4):
                 continue
             fp = tangent_project(z, y, 2)
             worst = max(
-                worst, fubini_study(fiber_wedge_line(fp), wedge_fiber_point(z, y, 2))
+                worst, hausdorff_subspace_dist(fiber_wedge_line(fp), wedge_fiber_point(z, y, 2))
             )
             checked += 1
     assert checked >= 1000
@@ -213,7 +212,7 @@ def test_criterion_5_cocycle_identity(name):
             continue  # matrix entries not representable to the tolerance
         rb, bt2 = triv.cocycle(beta, t)
         ra, _ = triv.cocycle(alpha, bt2)
-        worst = max(worst, mobius_matrix_dist(lhs, ra @ rb))
+        worst = max(worst, proj_matrix_dist(lhs, ra @ rb))
         checked += 1
     assert worst <= 1e-8
     report("5", f"{name}: cocycle identity holds to {worst:.2e} (<= 1e-8) on 1000 (alpha, beta, t)")

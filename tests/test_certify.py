@@ -10,7 +10,7 @@ from flaglab.errors import CapacityError, InputError, NotAnosovError, PrecisionE
 from flaglab.fibers import plucker
 from flaglab.prodsvd import ProductSVD
 from flaglab.reps import Representation
-from flaglab.subspaces import Subspace, fubini_study, hausdorff_subspace_dist
+from flaglab.subspaces import Subspace, hausdorff_subspace_dist
 
 
 # --- certificates -----------------------------------------------------------
@@ -21,7 +21,6 @@ def test_schottky_certified(schottky):
     assert cert.verdict == "certified"
     assert cert.c1 >= 0.5
     assert cert.r_squared >= 0.95
-    assert cert.supports()
 
 
 def test_trivial_refuted():
@@ -95,8 +94,8 @@ def _mp_gaps(rep, word, digits=40):
 
 @pytest.mark.parametrize("name,radius", [("sym4", 5), ("schottky", 6)])
 def test_sweep_witnesses_and_brute_force_minima(name, radius):
-    # the oracle is a 40-digit SVD: LAPACK's singular_gaps is itself off by
-    # up to 7e-4 on these sym4 words (length 5, k=3)
+    # the oracle is a 40-digit SVD: a LAPACK SVD of the formed product is
+    # itself off by up to 7e-4 on these sym4 words (length 5, k=3)
     rep = fl.preset(name)
     sweep = fl.gap_sweep(rep, radius)
     d = rep.dim
@@ -111,7 +110,7 @@ def test_sweep_witnesses_and_brute_force_minima(name, radius):
     for n in range(1, radius + 1):
         for k in range(1, d):
             w = sweep.argmin_words[n - 1][k - 1]
-            assert len(w) == n and W.is_reduced(w)
+            assert len(w) == n and W.reduce(w, rep.presentation) == w
             assert abs(_mp_gaps(rep, w)[k - 1] - sweep.minima[n - 1, k - 1]) < 1e-9
 
 
@@ -148,7 +147,7 @@ def test_boundary_sample_eigenline_oracle(schottky):
     flag = fl.boundary_sample(schottky, (1,), [1])
     vals, vecs = np.linalg.eig(schottky.evaluate((1,)))
     top = Subspace.line(vecs[:, int(np.argmax(np.abs(vals)))])
-    assert fubini_study(flag.space(1), top) < 1e-8
+    assert hausdorff_subspace_dist(flag.space(1), top) < 1e-8
 
 
 def test_boundary_sample_sym_weight_oracle(sym3):
@@ -157,8 +156,8 @@ def test_boundary_sample_sym_weight_oracle(sym3):
     flag = fl.boundary_sample(sym3, w, [1, 2])
     vals, vecs = np.linalg.eig(sym3.evaluate(w))
     order = np.argsort(np.abs(vals))[::-1]
-    assert fubini_study(flag.space(1), Subspace.line(vecs[:, order[0]])) < 1e-8
-    top2 = Subspace.from_vectors(vecs[:, order[:2]])
+    assert hausdorff_subspace_dist(flag.space(1), Subspace.line(vecs[:, order[0]])) < 1e-8
+    top2 = Subspace(vecs[:, order[:2]])
     assert hausdorff_subspace_dist(flag.space(2), top2) < 1e-8
 
 
@@ -179,7 +178,7 @@ def test_transport_flag_matches_moved_frames(sym4):
     m = sym4.evaluate(gamma)
     moved = transport_flag(sym4, gamma, flag)
     for k in flag.ks:
-        direct = Subspace.from_vectors(m @ flag.space(k).frame)
+        direct = Subspace(m @ flag.space(k).frame)
         assert hausdorff_subspace_dist(moved.space(k), direct) < 1e-10
     assert moved.quality == flag.quality
 
@@ -215,7 +214,7 @@ def test_boundary_sample_stability_under_more_power(sym4):
 def test_boundary_sample_nesting_postcondition(sym4_flags):
     for flag in sym4_flags[:10]:
         for k1, k2 in zip(flag.ks, flag.ks[1:]):
-            assert flag.space(k2).contains(flag.space(k1), tol=1e-6)
+            assert np.array_equal(flag.space(k1).frame, flag.space(k2).frame[:, :k1])
 
 
 def test_boundary_sample_rejects_trivial_word(schottky):
@@ -280,4 +279,4 @@ def test_wedge_consistency_of_flags(sym4):
     for word in [(1, 2, 1), (2, -1, 2, 1), (1, 1, 2)]:
         f = fl.boundary_sample(sym4, word, [2])
         fw = fl.boundary_sample(wrep, word, [1])
-        assert fubini_study(plucker(f.space(2)), fw.space(1)) < 1e-6
+        assert hausdorff_subspace_dist(plucker(f.space(2)), fw.space(1)) < 1e-6

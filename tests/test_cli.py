@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +237,43 @@ def test_dimension_grassmann_anchor_doubling(tmp_path, monkeypatch):
 
 def test_dimension_requires_input(tmp_path):
     assert run(["dimension", "--out", tmp_path]) == 64
+
+
+_IDENTITY = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+_SURFACE = {
+    "format": 1, "dim": 2, "presentation": {"kind": "surface", "genus": 1},
+    "generators": [_IDENTITY, _IDENTITY],
+}
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["visualmass"], None),
+    (["visualmass", "--synthetic", "hemisphere", "--basepoint", "0,0"], None),
+    (["visualmass", "--synthetic", "hemisphere", "--basepoint", "a,b,c"], None),
+    (["visualmass", "--synthetic", "hemisphere", "--basepoint", "0,0,nan"], None),
+    (["dimension", "--synthetic", "circle", "--scales", "a,b"], None),
+    (["crossratio", "0", "1", "abc", "inf"], None),
+    (["replay", "{dir}/missing.manifest.json"], None),
+    (["certify", "{rep}", "--k", 1],
+     {**_SURFACE, "presentation": {**_SURFACE["presentation"], "relations": []}}),
+    (["certify", "{rep}", "--k", 1],
+     {**_SURFACE, "presentation": {**_SURFACE["presentation"], "relations": [[1, 2, -1, -2]] * 2}}),
+    (["certify", "{rep}", "--k", 1],
+     {"format": 1, "dim": 1, "presentation": {"kind": "free", "rank": 1}, "generators": [[[[1]]]]}),
+    (["certify", "{rep}", "--k", 1], [1, 2]),
+])
+def test_malformed_input_exits_64(tmp_path, capsys, monkeypatch, argv, doc):
+    monkeypatch.chdir(tmp_path)  # the default --out
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(doc))
+    assert run([str(a).format(rep=path, dir=tmp_path) for a in argv]) == 64
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(("input error: ", "error: "))
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1) == fl.__version__
 
 
 def test_crossratio_cli(capsys):

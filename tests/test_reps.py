@@ -11,7 +11,7 @@ from flaglab.mobius import INF
 from flaglab.prodsvd import ProductSVD
 from flaglab.reps import OCTAGON_RELATOR, wedge_matrix
 
-from conftest import proj_matrix_dist, random_sl, random_unitary
+from conftest import matrix_gaps, proj_matrix_dist, random_sl, random_unitary, word_gaps
 
 
 # --- evaluation -------------------------------------------------------------
@@ -37,9 +37,11 @@ def test_evaluate_homomorphism(schottky):
 
 def test_evaluate_long_word_memory_and_halves(sym3):
     p = sym3.presentation
-    w1 = W.random_geodesic_word(p, 3000, 1)
+    w1 = W._random_word(p, 3000, np.random.default_rng(1))
     w2 = next(
-        w for w in (W.random_geodesic_word(p, 3000, s) for s in range(2, 20)) if w[0] != -w1[-1]
+        w
+        for w in (W._random_word(p, 3000, np.random.default_rng(s)) for s in range(2, 20))
+        if w[0] != -w1[-1]
     )
     word = W.concat(p, w1, w2)
     assert len(word) == 6000
@@ -69,7 +71,7 @@ def test_evaluate_over_underflow_is_precision_error():
 
 def test_evaluate_finite_products_unchanged(sym4):
     # the over/underflow check leaves the rescaled product bit for bit
-    word = W.random_geodesic_word(sym4.presentation, 200, 7)
+    word = W._random_word(sym4.presentation, 200, np.random.default_rng(7))
     m = np.eye(4, dtype=complex)
     for letter in word:
         m = m @ sym4.matrix(letter)
@@ -181,7 +183,7 @@ def test_direct_sum_outer_gaps_vanish(schottky, directsum):
     rng = np.random.default_rng(3)
     for _ in range(50):
         w = W._random_word(schottky.presentation, int(rng.integers(1, 7)), rng)
-        gaps = fl.singular_gaps(directsum.evaluate(w)).gaps
+        gaps = word_gaps(directsum, w)
         assert gaps[0] < 1e-9 and gaps[2] < 1e-9
 
 
@@ -209,9 +211,7 @@ def test_contragredient(sym3):
     assert proj_matrix_dist(fl.contragredient(urep).generators[0], np.conj(u)) < 1e-10
     for _ in range(30):
         w = W._random_word(sym3.presentation, int(rng.integers(1, 6)), rng)
-        g = fl.singular_gaps(sym3.evaluate(w)).gaps
-        gc = fl.singular_gaps(c.evaluate(w)).gaps
-        assert np.allclose(g, gc[::-1], atol=1e-9)
+        assert np.allclose(word_gaps(sym3, w), word_gaps(c, w)[::-1], atol=1e-9, rtol=0)
 
 
 def test_perturb_determinism(sym3):
@@ -269,11 +269,10 @@ def test_wedge_functorial():
 
 def test_wedge_gap_identity_random_matrices():
     rng = np.random.default_rng(6)
-    for _ in range(1000):
-        m = random_sl(rng, 4)
-        g = fl.singular_gaps(m).gaps
-        gw = fl.singular_gaps(wedge_matrix(m, 2)).gaps
-        assert abs(gw[0] - g[1]) < 1e-9
+    ms = [random_sl(rng, 4) for _ in range(1000)]
+    g = matrix_gaps(np.stack(ms))
+    gw = matrix_gaps(np.stack([wedge_matrix(m, 2) for m in ms]))
+    assert np.max(np.abs(gw[:, 0] - g[:, 1])) < 1e-9
 
 
 def test_wedge_gap_transfer_over_ball(sym4):
