@@ -2,12 +2,10 @@
 diagnostics and limit-set geometry of matrix representations."""
 
 from .boxdim import (
-    AreaEstimate,
     DimensionEstimate,
     box_dimension_sphere,
     cantor_cloud,
     circle_cloud,
-    eps_area,
     grassmann_dimension,
     uniform_cloud,
 )
@@ -38,9 +36,11 @@ from .fibers import (
     TripleSpec,
     Trivialization,
     check_Hk,
+    chart_points,
     check_hyperconvex,
     fiber_wedge_line,
     foliated_limit_sample,
+    grassmann_charts,
     mobius_cocycle,
     plucker,
     tangent_project,
@@ -77,4 +77,4 @@ from .words import (
     surface_group,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -1,4 +1,4 @@
-"""Box-counting dimension and eps-neighborhood area on the sphere.
+"""Box-counting dimension on the sphere.
 
 The grid is a fixed icosahedral refinement: 20 spherical triangles, each
 split into n^2 congruent-ish cells by its gnomonic lattice.  Cell IDs are
@@ -14,11 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import FlaglabError, InputError
+from .errors import InputError
 from .mobius import sphere_xyz, uniform_sphere, xyz_to_hom
-from .sphere import cap_hits
-from .subspaces import transversality_gap
-from .words import word_to_str
 
 EDGE_ARC = 1.1071487177940904  # icosahedron edge, radians
 BEND_THRESHOLD = 0.15
@@ -183,92 +180,20 @@ def box_dimension_sphere(
     )
 
 
-@dataclass(frozen=True)
-class AreaEstimate:
-    area: float
-    sigma: float
-    eps: float
-    seed: int
-    mc_count: int
-
-
-def eps_area(
-    points: np.ndarray,
-    eps: float,
-    mc_count: int = 200_000,
-    seed: int = 0,
-) -> AreaEstimate:
-    """Monte-Carlo spherical area of the union of geodesic eps-caps around
-    the cloud (unit sphere, total area 4 pi)."""
-    if not 1e-4 < eps < 1.0:
-        raise InputError("eps must lie in (1e-4, 1) radians")
-    xyz = _as_xyz(points)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    sample = sphere_xyz(uniform_sphere(rng, mc_count))
-    p = cap_hits(sample, xyz, eps) / mc_count
-    sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / mc_count)
-    return AreaEstimate(
-        area=4.0 * math.pi * p,
-        sigma=4.0 * math.pi * sigma,
-        eps=eps,
-        seed=seed,
-        mc_count=mc_count,
-    )
-
-
-def grassmann_dimension(
-    flags,
-    k: int,
-    chart_anchors,
-    scales=None,
-    transversality_floor: float = 0.1,
-    min_points: int = 1000,
-) -> DimensionEstimate:
-    """Dimension of a Grassmannian limit-set sample through tangent-projection
-    charts: every anchor z projects its transverse flags into the projective
-    line at z, where box counting applies; the estimate is the max slope.
-
-    Flags covered by no anchor are an error (add anchors); charts with fewer
-    than MIN_CHART_POINTS points are excluded with a warning.
+def grassmann_dimension(charts, scales=None, min_points: int = 1000) -> DimensionEstimate:
+    """Dimension of a Grassmannian limit-set sample from its chart clouds,
+    {anchor name: (m, 2) points} as fibers.grassmann_charts builds them:
+    each chart is box-counted and the estimate is the max slope.  Charts
+    with fewer than MIN_CHART_POINTS points are excluded with a warning.
     """
-    from .fibers import tangent_project  # local import to avoid a cycle
-
-    if not chart_anchors:
-        raise InputError("need at least one chart anchor")
-    d = flags[0].ambient_dim
-    covered = [False] * len(flags)
-    chart_points: dict[str, list[np.ndarray]] = {}
-    for anchor in chart_anchors:
-        members: list[np.ndarray] = []
-        for i, f in enumerate(flags):
-            if f.source == anchor.source:
-                continue
-            if transversality_gap(f.space(d - k), anchor.space(k)) < transversality_floor:
-                continue
-            try:
-                fp = tangent_project(anchor, f, k)
-            except FlaglabError:
-                continue
-            members.append(fp.coords)
-            covered[i] = True
-        chart_points[word_to_str(anchor.source)] = members
-    uncovered = [flags[i].source for i, c in enumerate(covered) if not c]
-    if uncovered:
-        names = ", ".join(word_to_str(w) for w in uncovered[:8])
-        raise InputError(
-            f"{len(uncovered)} flags covered by no chart (add anchors): {names}"
-        )
-
     warnings: list[str] = []
     breakdown: dict[str, float] = {}
     best: DimensionEstimate | None = None
-    for name, coords in chart_points.items():
+    for name, coords in charts.items():
         if len(coords) < MIN_CHART_POINTS:
             warnings.append(f"chart {name} excluded: only {len(coords)} points")
             continue
-        est = box_dimension_sphere(
-            np.stack(coords), scales=scales, min_points=min(min_points, len(coords))
-        )
+        est = box_dimension_sphere(coords, scales=scales, min_points=min(min_points, len(coords)))
         breakdown[name] = est.slope
         if best is None or est.slope > best.slope:
             best = est

@@ -28,10 +28,11 @@ from .fibers import (
     TripleSpec,
     check_Hk,
     check_hyperconvex,
+    chart_points,
     fiber_ks,
     foliated_limit_sample,
+    grassmann_charts,
     required_anosov_indices,
-    tangent_project,
 )
 from .mobius import INF
 from .reps import Representation, preset, preset_names
@@ -251,6 +252,13 @@ def cmd_hyperconvex(args) -> int:
     t0 = time.time()
     rep, descriptor = resolve_rep(args.rep)
     checker = check_hyperconvex if args.mode == "eq1" else check_Hk
+    spec = TripleSpec(
+        count=args.triples,
+        seed=args.seed,
+        word_length=args.word_length,
+        pool_size=args.pool,
+        tau=args.tau,
+    )
     certificates = {}
     if not args.assume_anosov:
         needed = required_anosov_indices(rep, args.k, args.mode)
@@ -264,13 +272,6 @@ def cmd_hyperconvex(args) -> int:
         if missing:
             print(f"uncertified prerequisite Anosov indices: {', '.join(missing)}")
             return EXIT_PREREQ
-    spec = TripleSpec(
-        count=args.triples,
-        seed=args.seed,
-        word_length=args.word_length,
-        pool_size=args.pool,
-        tau=args.tau,
-    )
     report = checker(rep, args.k, spec, certificates=certificates, assume_anosov=args.assume_anosov)
     out = emit(
         args,
@@ -344,15 +345,14 @@ def cmd_foliate(args) -> int:
 
 def _fiber_cloud(rep, k, count, length, seed):
     """Tangent-project a limit-set sample into the fiber of one extra base."""
-    flags, _ = limit_set_sample(rep, fiber_ks(rep.dim, k), count=count + 1, length=length, seed=seed)
-    base = flags[0]
-    pts = []
-    for f in flags[1:]:
-        try:
-            pts.append(tangent_project(base, f, k).coords)
-        except FlaglabError:
-            continue
-    return np.stack(pts)
+    ks = fiber_ks(rep.dim, k)
+    if count < 1:
+        raise InputError(f"--points must be >= 1, got {count}")
+    flags, _ = limit_set_sample(rep, ks, count=count + 1, length=length, seed=seed)
+    pts, _ = chart_points(flags[0], flags[1:], k)
+    if len(pts) == 0:
+        raise PrecisionError(f"none of {count} flags projected into the fiber")
+    return pts
 
 
 def cmd_dimension(args) -> int:
@@ -382,23 +382,25 @@ def cmd_dimension(args) -> int:
             pts = _fiber_cloud(rep, args.k, args.points, args.word_length, args.seed)
             est = boxdim.box_dimension_sphere(pts, scales=scales)
         else:
-            ks = sorted(set(fiber_ks(rep.dim, args.k)) | {rep.dim - args.k})
+            ks = fiber_ks(rep.dim, args.k)
             flags, _ = limit_set_sample(
                 rep, ks, count=args.points + args.anchors, length=args.word_length, seed=args.seed
             )
             anchors, cloud = flags[: args.anchors], flags[args.anchors :]
-            while True:
-                try:
-                    est = boxdim.grassmann_dimension(cloud, args.k, anchors, scales=scales)
-                    break
-                except InputError as exc:
-                    if "add anchors" not in str(exc) or len(anchors) >= 4 * args.anchors:
-                        raise
-                    # one fresh anchor sample per pass; the cloud never changes
-                    anchors, _ = limit_set_sample(
-                        rep, ks, count=2 * len(anchors), length=args.word_length,
-                        seed=args.seed + 1000,
-                    )
+            charts, uncovered = grassmann_charts(cloud, args.k, anchors)
+            while uncovered and len(anchors) < 4 * args.anchors:
+                # one fresh anchor sample per pass; the cloud never changes
+                anchors, _ = limit_set_sample(
+                    rep, ks, count=2 * len(anchors), length=args.word_length,
+                    seed=args.seed + 1000,
+                )
+                charts, uncovered = grassmann_charts(cloud, args.k, anchors)
+            if uncovered:
+                names = ", ".join(W.word_to_str(cloud[i].source) for i in uncovered[:8])
+                raise InputError(
+                    f"{len(uncovered)} flags covered by none of {len(anchors)} charts: {names}"
+                )
+            est = boxdim.grassmann_dimension(charts, scales=scales)
             chart_id = "grassmann"
     rows = [[fmt(s), str(c), chart_id] for s, c in zip(est.scales, est.counts)]
     verdict = "below_2" if est.verdict_below(2.0) else "not_below_2"

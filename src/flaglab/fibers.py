@@ -20,7 +20,14 @@ from .certify import FlagSample, boundary_samples, limit_set_sample, transport_f
 from .errors import FlaglabError, InputError, PrecisionError, TransversalityError
 from .mobius import chart, three_point_map
 from .reps import Representation, wedge_coords
-from .subspaces import Subspace, det_normalize, hausdorff_subspace_dist, orth, principal_sines
+from .subspaces import (
+    Subspace,
+    det_normalize,
+    hausdorff_subspace_dist,
+    orth,
+    principal_sines,
+    transversality_gap,
+)
 from .words import Word
 
 TAU_PASS = 1e-3
@@ -30,11 +37,14 @@ LINE_UNIQUE_TOL = 1e-12  # at this level the line is below the frame noise floor
 ADVERSARIAL_FRACTION = 0.3  # share of triples drawn from adversarial near-pairs
 ADVERSARIAL_SUFFIX = 2  # length of the two tails that split a pair off its stem
 MIN_BASE_SEPARATION = 0.01  # least distance from the projection base to x and y
+CHART_FLOOR = 0.1  # least transversality_gap between a charted flag and the anchor
 
 
 def fiber_ks(d: int, k: int) -> list[int]:
     """Flag indices a fiber at index k needs: k-1 and k+1 for the line,
     k for the diagonal projection and d-k for the projected directions."""
+    if not 1 <= k <= d - 1:
+        raise InputError(f"k={k} out of range 1..{d - 1}")
     return sorted({j for j in (k - 1, k, k + 1, d - k) if 0 < j < d})
 
 
@@ -90,6 +100,51 @@ def tangent_project(z: FlagSample, x: FlagSample, k: int) -> FiberPoint:
     return FiberPoint(base=z, k=k, coords=coords, source=x.source)
 
 
+def chart_points(base: FlagSample, flags, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tangent-project flags into the projective line of base.
+
+    Returns the (m, 2) fiber coordinates and the indices into flags of the
+    m flags they came from.  base's own source is skipped; a flag whose
+    projection raises TransversalityError or PrecisionError is dropped,
+    and every other exception propagates.
+    """
+    coords, kept = [], []
+    for i, f in enumerate(flags):
+        if f.source == base.source:
+            continue
+        try:
+            coords.append(tangent_project(base, f, k).coords)
+        except (TransversalityError, PrecisionError):
+            continue
+        kept.append(i)
+    points = np.stack(coords) if coords else np.empty((0, 2), dtype=complex)
+    return points, np.array(kept, dtype=int)
+
+
+def grassmann_charts(flags, k: int, anchors) -> tuple[dict[str, np.ndarray], list[int]]:
+    """Tangent-projection charts of a Grassmannian flag sample.
+
+    Each anchor z charts the flags whose (d-k)-space stays CHART_FLOOR
+    transverse to z's k-space, projected into the projective line at z.
+    Returns ({anchor word: (m, 2) coordinates}, indices of the flags that
+    no chart covers).
+    """
+    if not anchors:
+        raise InputError("need at least one chart anchor")
+    d = anchors[0].ambient_dim
+    covered = np.zeros(len(flags), dtype=bool)
+    charts: dict[str, np.ndarray] = {}
+    for anchor in anchors:
+        near = [
+            i for i, f in enumerate(flags)
+            if transversality_gap(f.space(d - k), anchor.space(k)) >= CHART_FLOOR
+        ]
+        coords, kept = chart_points(anchor, [flags[i] for i in near], k)
+        covered[np.array(near, dtype=int)[kept]] = True
+        charts[W.word_to_str(anchor.source)] = coords
+    return charts, np.flatnonzero(~covered).tolist()
+
+
 def point_dist(a: FlagSample, b: FlagSample) -> float:
     """Distance between the underlying boundary points: the subspace
     distance at the smallest common flag index.  Separation here is what
@@ -122,6 +177,10 @@ class TripleSpec:
     word_length: int = 8
     pool_size: int = 64
     tau: float = TAU_PASS
+
+    def __post_init__(self):
+        if self.pool_size < 3:
+            raise InputError(f"pool_size must be >= 3 to draw a triple, got {self.pool_size}")
 
 
 @dataclass(frozen=True)
@@ -417,6 +476,8 @@ def foliated_limit_sample(
     """Trivialized fiber limit sets over sampled bases: for each base t the
     projections of fiber_count boundary directions, in Riemann-sphere
     coordinates with the three trivialization sections pinned at 0, 1, inf."""
+    if base_count < 1 or fiber_count < 1:
+        raise InputError(f"need at least one base and one fiber, got {base_count} and {fiber_count}")
     ks = fiber_ks(rep.dim, k)
     flags, _ = limit_set_sample(
         rep, ks, count=base_count + fiber_count + 8, length=word_length, seed=seed

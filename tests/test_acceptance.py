@@ -314,7 +314,9 @@ def test_criterion_9_area_decay(sym3):
 
     pts = _fiber_cloud(sym3, 1, 1500, 10, 7)
     epses = [0.2, 0.1, 0.05, 0.025]
-    areas = [fl.eps_area(pts, e, mc_count=200_000, seed=3).area for e in epses]
+    nu = VisualMeasure.ball_origin()
+    areas = [4.0 * math.pi * visual_mass(nu, pts, e, mc_count=200_000, seed=3).estimate
+             for e in epses]
     total_decay = areas[0] / areas[-1]
     slope = float(np.polyfit(np.log(epses), np.log(areas), 1)[0])
     assert total_decay >= 3.0

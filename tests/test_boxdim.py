@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import flaglab as fl
+import flaglab.fibers as fibers
 from flaglab.boxdim import (
     EDGE_ARC,
     cell_ids,
@@ -13,6 +14,7 @@ from flaglab.boxdim import (
 )
 from flaglab.errors import InputError
 from flaglab.mobius import apply_mobius, sphere_xyz
+from flaglab.words import word_to_str
 
 from conftest import random_sl
 
@@ -41,26 +43,33 @@ def test_refinement_for_scale():
     assert refinement_for_scale(EDGE_ARC / 4) == 4
 
 
-# --- eps_area ----------------------------------------------------------------
+# --- eps-neighbourhood area (visual mass at the ball origin) -------------------------
+
+
+def eps_area(cloud, eps, mc_count, seed):
+    """Area of the eps-neighbourhood of a cloud on the unit sphere (total
+    4 pi) and its Monte Carlo sigma."""
+    est = fl.visual_mass(fl.VisualMeasure.ball_origin(), cloud, eps, mc_count=mc_count, seed=seed)
+    return 4.0 * math.pi * est.estimate, 4.0 * math.pi * est.sigma
 
 
 def test_single_cap_area():
     pt = np.array([[1.0 + 0j, 0.0 + 0j]])
     for eps in (0.2, 0.5):
-        est = fl.eps_area(pt, eps, mc_count=200_000, seed=3)
+        area, sigma = eps_area(pt, eps, mc_count=200_000, seed=3)
         exact = 2.0 * math.pi * (1.0 - math.cos(eps))
-        assert abs(est.area - exact) <= 3.0 * est.sigma + 1e-9
+        assert abs(area - exact) <= 3.0 * sigma + 1e-9
 
 
 def test_whole_sphere_area():
     cloud = fl.uniform_cloud(300, seed=4)
-    est = fl.eps_area(cloud, 0.5, mc_count=50_000, seed=5)
-    assert est.area == pytest.approx(4.0 * math.pi, rel=1e-6)
+    area, _ = eps_area(cloud, 0.5, mc_count=50_000, seed=5)
+    assert area == pytest.approx(4.0 * math.pi, rel=1e-6)
 
 
 def test_eps_area_monotone():
     cloud = circle_cloud(2000)
-    areas = [fl.eps_area(cloud, e, mc_count=100_000, seed=6).area for e in (0.05, 0.1, 0.2)]
+    areas = [eps_area(cloud, e, mc_count=100_000, seed=6)[0] for e in (0.05, 0.1, 0.2)]
     assert areas[0] < areas[1] < areas[2]
 
 
@@ -68,14 +77,9 @@ def test_circle_tube_slope():
     # smooth curve: area of the eps-tube scales like eps^(2-1)
     cloud = circle_cloud(20_000)
     epses = [0.16, 0.08, 0.04, 0.02]
-    areas = [fl.eps_area(cloud, e, mc_count=400_000, seed=7).area for e in epses]
+    areas = [eps_area(cloud, e, mc_count=400_000, seed=7)[0] for e in epses]
     slope = np.polyfit(np.log(epses), np.log(areas), 1)[0]
     assert abs(slope - 1.0) <= 0.1
-
-
-def test_eps_area_validation():
-    with pytest.raises(InputError):
-        fl.eps_area(circle_cloud(10), 2.0)
 
 
 # --- box dimension ---------------------------------------------------------------
@@ -123,7 +127,7 @@ def test_area_count_consistency():
         for n in (8, 16, 32):
             eps = EDGE_ARC / n
             count = occupied_cells(sphere_xyz(cloud), n)
-            area = fl.eps_area(cloud, eps, mc_count=150_000, seed=10).area
+            area, _ = eps_area(cloud, eps, mc_count=150_000, seed=10)
             cell_area = 4.0 * math.pi / (20.0 * n * n)
             assert area <= count * cell_area * 16.0
 
@@ -155,19 +159,18 @@ def veronese_circle_flags(octagon_sym3):
 
 
 def test_grassmann_single_chart_equals_fiber(octagon_sym3, veronese_circle_flags):
-    from flaglab.fibers import tangent_project
-
-    flags = veronese_circle_flags
-    anchor = flags[0]
+    anchor, flags = veronese_circle_flags[0], veronese_circle_flags[1:]
+    charts, uncovered = fibers.grassmann_charts(flags, 1, [anchor])
     # a single chart can only be asked about the flags it covers
-    cloud, coords = [], []
-    for f in flags[1:]:
-        if fl.transversality_gap(f.space(2), anchor.space(1)) < 0.1:
-            continue
-        coords.append(tangent_project(anchor, f, 1).coords)
-        cloud.append(f)
-    est = fl.grassmann_dimension(cloud, 1, [anchor], min_points=200)
-    direct = fl.box_dimension_sphere(np.stack(coords), min_points=200)
+    assert uncovered == [
+        i for i, f in enumerate(flags) if fl.transversality_gap(f.space(2), anchor.space(1)) < 0.1
+    ]
+    cloud = [f for i, f in enumerate(flags) if i not in uncovered]
+    coords, kept = fibers.chart_points(anchor, cloud, 1)
+    assert kept.tolist() == list(range(len(cloud)))
+    assert np.array_equal(charts[word_to_str(anchor.source)], coords)
+    est = fl.grassmann_dimension(charts, min_points=200)
+    direct = fl.box_dimension_sphere(coords, min_points=200)
     assert est.slope == direct.slope
     assert est.counts == direct.counts
 
@@ -175,35 +178,65 @@ def test_grassmann_single_chart_equals_fiber(octagon_sym3, veronese_circle_flags
 def test_grassmann_veronese_circle_slope(octagon_sym3, veronese_circle_flags):
     flags = veronese_circle_flags
     anchors = [flags[0], flags[1], flags[2]]
-    est = fl.grassmann_dimension(flags[3:], 1, anchors, min_points=400)
+    charts, uncovered = fibers.grassmann_charts(flags[3:], 1, anchors)
+    assert not uncovered
+    est = fl.grassmann_dimension(charts, min_points=400)
     assert abs(est.slope - 1.0) <= 0.1
     assert est.chart_breakdown
 
 
 def test_grassmann_redundant_anchor_stable(octagon_sym3, veronese_circle_flags):
     flags = veronese_circle_flags
-    base = fl.grassmann_dimension(flags[3:], 1, flags[:2], min_points=400)
-    more = fl.grassmann_dimension(flags[3:], 1, flags[:3], min_points=400)
+    estimates = []
+    for anchors in (flags[:2], flags[:3]):
+        charts, uncovered = fibers.grassmann_charts(flags[3:], 1, anchors)
+        assert not uncovered
+        estimates.append(fl.grassmann_dimension(charts, min_points=400))
+    base, more = estimates
     assert more.slope <= base.slope + base.ci_halfwidth + 0.02
 
 
 def test_grassmann_propagates_programming_errors(veronese_circle_flags, monkeypatch):
-    import flaglab.fibers as fibers
-
     def broken(*args, **kwargs):
         raise TypeError("bug in a projection")
 
-    # only a failed projection (a FlaglabError) may leave a flag out of a chart
+    # only a failed projection may leave a flag out of a chart
     monkeypatch.setattr(fibers, "tangent_project", broken)
     flags = veronese_circle_flags
     with pytest.raises(TypeError, match="bug in a projection"):
-        fl.grassmann_dimension(flags[1:300], 1, [flags[0]], min_points=100)
+        fibers.grassmann_charts(flags[1:300], 1, [flags[0]])
 
 
-def test_grassmann_uncovered_flags_error(octagon_sym3, veronese_circle_flags):
+@pytest.mark.parametrize("error,dropped", [
+    (fl.TransversalityError, True),
+    (fl.PrecisionError, True),
+    (fl.ConditioningError, False),
+    (fl.InputError, False),
+])
+def test_chart_points_drops_only_projection_failures(veronese_circle_flags, monkeypatch, error, dropped):
+    flags = veronese_circle_flags[:40]
+    coords, kept = fibers.chart_points(flags[0], flags, 1)
+    assert kept.tolist() == list(range(1, 40))  # the base's own source is skipped
+    assert coords.shape == (39, 2)
+
+    def broken(base, x, k):
+        if x is flags[7]:
+            raise error("projection failed")
+        return fibers.FiberPoint(base=base, k=k, coords=np.array([1.0 + 0j, 0j]), source=x.source)
+
+    monkeypatch.setattr(fibers, "tangent_project", broken)
+    if dropped:
+        coords, kept = fibers.chart_points(flags[0], flags, 1)
+        assert 7 not in kept and len(kept) == len(coords) == 38
+    else:
+        with pytest.raises(error, match="projection failed"):
+            fibers.chart_points(flags[0], flags, 1)
+
+
+def test_grassmann_uncovered_flags_error(octagon_sym3, veronese_circle_flags, monkeypatch):
     flags = veronese_circle_flags
-    with pytest.raises(InputError, match="add anchors"):
-        # a single anchor cannot cover its own transversality hole
-        fl.grassmann_dimension(
-            flags[1:300], 1, [flags[0]], transversality_floor=0.9, min_points=100
-        )
+    monkeypatch.setattr(fibers, "CHART_FLOOR", 0.9)
+    # a single anchor cannot cover its own transversality hole
+    charts, uncovered = fibers.grassmann_charts(flags[1:300], 1, [flags[0]])
+    assert uncovered
+    assert len(charts[word_to_str(flags[0].source)]) == 299 - len(uncovered)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import flaglab as fl
-from flaglab import boxdim
+from flaglab import cli, fibers
 from flaglab.cli import main
 
 
@@ -216,13 +216,13 @@ def test_dimension_grassmann_anchor_doubling(tmp_path, monkeypatch):
     # one anchor covers too little, so the anchors double twice; the cloud
     # must stay the same 700 flags and never take in an anchor
     passes = []
-    original = boxdim.grassmann_dimension
+    original = cli.grassmann_charts
 
-    def recording(cloud, k, anchors, **kwargs):
+    def recording(cloud, k, anchors):
         passes.append(([f.source for f in cloud], [a.source for a in anchors]))
-        return original(cloud, k, anchors, **kwargs)
+        return original(cloud, k, anchors)
 
-    monkeypatch.setattr(boxdim, "grassmann_dimension", recording)
+    monkeypatch.setattr(cli, "grassmann_charts", recording)
     code = run([
         "dimension", "builtin:octagon-sym3", "--k", 1, "--mode", "grassmann",
         "--points", 700, "--anchors", 1, "--word-length", 12, "--seed", 3,
@@ -233,6 +233,19 @@ def test_dimension_grassmann_anchor_doubling(tmp_path, monkeypatch):
     for cloud, anchors in passes:
         assert cloud == passes[0][0] and len(set(cloud)) == 700
         assert not set(cloud) & set(anchors)
+
+
+def test_dimension_grassmann_uncovered_is_input_error(tmp_path, capsys, monkeypatch):
+    # a chart floor no anchor can meet for every flag: doubling stops at 4x
+    monkeypatch.setattr(fibers, "CHART_FLOOR", 0.9)
+    code = run([
+        "dimension", "builtin:octagon-sym3", "--k", 1, "--mode", "grassmann",
+        "--points", 300, "--anchors", 1, "--word-length", 12, "--seed", 3,
+        "--out", tmp_path,
+    ])
+    assert code == 64
+    err = capsys.readouterr().err
+    assert "flags covered by none of 4 charts" in err
 
 
 def test_dimension_requires_input(tmp_path):
@@ -261,6 +274,15 @@ _SURFACE = {
     (["certify", "{rep}", "--k", 1],
      {"format": 1, "dim": 1, "presentation": {"kind": "free", "rank": 1}, "generators": [[[[1]]]]}),
     (["certify", "{rep}", "--k", 1], [1, 2]),
+    (["dimension", "builtin:sym3", "--k", 0], None),
+    (["dimension", "builtin:sym3", "--k", 3], None),
+    (["visualmass", "builtin:sym3", "--k", 0], None),
+    (["visualmass", "builtin:sym3", "--k", 3], None),
+    (["dimension", "builtin:sym3", "--points", 0], None),
+    (["visualmass", "builtin:sym3", "--points", 0], None),
+    (["foliate", "builtin:sym3", "--k", 1, "--fibers", 0], None),
+    (["foliate", "builtin:sym3", "--k", 1, "--bases", 0], None),
+    (["hyperconvex", "builtin:sym4", "--k", 2, "--pool", 2, "--assume-anosov"], None),
 ])
 def test_malformed_input_exits_64(tmp_path, capsys, monkeypatch, argv, doc):
     monkeypatch.chdir(tmp_path)  # the default --out
@@ -269,6 +291,11 @@ def test_malformed_input_exits_64(tmp_path, capsys, monkeypatch, argv, doc):
     assert run([str(a).format(rep=path, dir=tmp_path) for a in argv]) == 64
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(("input error: ", "error: "))
+
+
+def test_foliate_k_out_of_range_message(tmp_path, capsys):
+    assert run(["foliate", "builtin:sym3", "--k", 0, "--out", tmp_path]) == 64
+    assert capsys.readouterr().err == "input error: k=0 out of range 1..2\n"
 
 
 def test_version_matches_pyproject():
