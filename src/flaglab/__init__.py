@@ -22,7 +22,6 @@ from .certify import (
 )
 from .errors import (
     CapacityError,
-    ConditioningError,
     FlaglabError,
     InputError,
     NotAnosovError,
@@ -77,4 +76,4 @@ from .words import (
     surface_group,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -23,7 +23,7 @@ from .words import Word
 SWEEP_BUDGET = 1 << 29  # bytes of stacked (u, logs, vh) state one sweep level may hold
 SLOPE_THRESHOLD = 0.01
 R2_THRESHOLD = 0.95
-TARGET_GAP = 18.0
+TARGET_GAP = 18.0  # log gap every requested index of a boundary flag must clear
 MAX_LETTERS = 20000  # letters a boundary sample may absorb before giving up
 
 
@@ -307,14 +307,14 @@ def flag_dist(a: FlagSample, b: FlagSample) -> float:
     return max(hausdorff_subspace_dist(a.space(k), b.space(k)) for k in common)
 
 
-def boundary_samples(rep: Representation, words, ks, target_gap: float = TARGET_GAP) -> list:
+def boundary_samples(rep: Representation, words, ks) -> list:
     """Nested attractors of rho(w^n) for many words in one stacked power
     loop; entry i is the FlagSample of words[i], or the NotAnosovError or
     PrecisionError that rejected it.
 
     Each step absorbs the next letter of every unfinished word.  A word is
     judged whenever it completes a power: done once every requested gap
-    clears target_gap, rejected when its gap stalls over four powers, when
+    clears TARGET_GAP, rejected when its gap stalls over four powers, when
     MAX_LETTERS run out or when a gap is not finite.  Every product of the
     stack is treated alone, so a flag does not depend on its batch.
     """
@@ -345,7 +345,7 @@ def boundary_samples(rep: Representation, words, ks, target_gap: float = TARGET_
             i, w, worst = live[j], words[live[j]], float(gaps[j].min())
             if not np.all(np.isfinite(gaps[j])):
                 out[i] = _spread_error(f"along {W.word_to_str(w)}")
-            elif worst >= target_gap:
+            elif worst >= TARGET_GAP:
                 out[i] = FlagSample(w, state.u[j].copy(), ks, math.exp(-2.0 * worst))
             else:
                 history[i].append(worst)
@@ -356,7 +356,7 @@ def boundary_samples(rep: Representation, words, ks, target_gap: float = TARGET_
                     )
                 elif used >= MAX_LETTERS:
                     out[i] = NotAnosovError(
-                        f"gap reached only {worst:.3f} of {target_gap} along {W.word_to_str(w)}"
+                        f"gap reached only {worst:.3f} of {TARGET_GAP} along {W.word_to_str(w)}"
                     )
                 else:
                     keep[j] = True
@@ -365,9 +365,9 @@ def boundary_samples(rep: Representation, words, ks, target_gap: float = TARGET_
     return out
 
 
-def boundary_sample(rep: Representation, word, ks, target_gap: float = TARGET_GAP) -> FlagSample:
+def boundary_sample(rep: Representation, word, ks) -> FlagSample:
     """Nested attractors of rho(word^n), n raised until every requested gap
-    clears target_gap.  The flag stands for the attracting endpoint of the
+    clears TARGET_GAP.  The flag stands for the attracting endpoint of the
     word's axis.
 
     This is the one-word case of boundary_samples.  Powers are accumulated
@@ -376,7 +376,7 @@ def boundary_sample(rep: Representation, word, ks, target_gap: float = TARGET_GA
     middle flags of high-dimensional representations are as reliable as the
     extremes; past that spread PrecisionError is raised.
     """
-    (flag,) = boundary_samples(rep, [word], ks, target_gap=target_gap)
+    (flag,) = boundary_samples(rep, [word], ks)
     if isinstance(flag, FlaglabError):
         raise flag
     return flag
@@ -400,12 +400,7 @@ def transport_flag(rep: Representation, gamma, flag: FlagSample) -> FlagSample:
 
 
 def limit_set_sample(
-    rep: Representation,
-    ks,
-    count: int,
-    length: int,
-    seed: int,
-    target_gap: float = TARGET_GAP,
+    rep: Representation, ks, count: int, length: int, seed: int
 ) -> tuple[list[FlagSample], list[tuple[Word, str]]]:
     """count flags from distinct random cyclically reduced words; failed
     words are skipped and reported alongside the samples.  Each batch of
@@ -420,7 +415,7 @@ def limit_set_sample(
         cand = W.random_cyclic_words(rep.presentation, need, length, seed + batch)
         taken = {f.source for f in samples}
         fresh = [w for w in cand if w not in taken]
-        for w, flag in zip(fresh, boundary_samples(rep, fresh, ks, target_gap=target_gap)):
+        for w, flag in zip(fresh, boundary_samples(rep, fresh, ks)):
             if len(samples) >= count:
                 break
             if isinstance(flag, FlagSample):

@@ -4,9 +4,10 @@ crossratio, visualmass, replay.
 Every run writes a CSV next to a RunManifest JSON; re-running a manifest
 (replay) reproduces the CSV byte for byte, stochastic steps included,
 because every sampler is seeded and every float is formatted with a fixed
-rule.  Exit codes: 0 pass/certified, 2 refuted/fails, 3 inconclusive
-(numerical precision or size limits included), 5 unmet Anosov
-prerequisites, 64 usage or malformed input.
+rule.  Exit codes: 0 pass/certified, 2 refuted/fails, 3 inconclusive.
+An error's class alone picks its code (main): 64 InputError (usage or
+malformed input), 5 NotAnosovError (unmet Anosov prerequisites), 3 every
+other FlaglabError (a numerical or size limit).  Only a verdict exits 2.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import time
 import numpy as np
 
 from . import __version__, boxdim, words as W
-from .certify import certify_anosov, gap_sweep, limit_set_sample
-from .errors import CapacityError, FlaglabError, InputError, PrecisionError
+from .certify import certify_anosov, limit_set_sample
+from .errors import FlaglabError, InputError, NotAnosovError, PrecisionError
 from .fibers import (
     TripleSpec,
     check_Hk,
@@ -32,7 +33,6 @@ from .fibers import (
     fiber_ks,
     foliated_limit_sample,
     grassmann_charts,
-    required_anosov_indices,
 )
 from .mobius import INF
 from .reps import Representation, preset, preset_names
@@ -64,10 +64,18 @@ def _floats(text: str, option: str, count: int | None = None) -> list[float]:
     return values
 
 
+def _finite(text: str) -> float:
+    """argparse type of a one-number option, read by the rule of _floats."""
+    try:
+        return _floats(text, "the option", 1)[0]
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
+        # one line, like every other error; --help prints the usage
+        sys.stderr.write(f"input error: {message} (see {self.prog} --help)\n")
         raise SystemExit(EXIT_USAGE)
 
 
@@ -259,20 +267,7 @@ def cmd_hyperconvex(args) -> int:
         pool_size=args.pool,
         tau=args.tau,
     )
-    certificates = {}
-    if not args.assume_anosov:
-        needed = required_anosov_indices(rep, args.k, args.mode)
-        sweep = gap_sweep(rep, args.radius)
-        missing = []
-        for j in needed:
-            cert = certify_anosov(rep, j, args.radius, sweep=sweep)
-            certificates[j] = cert
-            if cert.verdict != "certified":
-                missing.append(f"{j}:{cert.verdict}")
-        if missing:
-            print(f"uncertified prerequisite Anosov indices: {', '.join(missing)}")
-            return EXIT_PREREQ
-    report = checker(rep, args.k, spec, certificates=certificates, assume_anosov=args.assume_anosov)
+    report = checker(rep, args.k, spec, None if args.assume_anosov else args.radius)
     out = emit(
         args,
         "hyperconvex",
@@ -383,6 +378,8 @@ def cmd_dimension(args) -> int:
             est = boxdim.box_dimension_sphere(pts, scales=scales)
         else:
             ks = fiber_ks(rep.dim, args.k)
+            if args.anchors < 1:
+                raise InputError(f"--anchors must be >= 1, got {args.anchors}")
             flags, _ = limit_set_sample(
                 rep, ks, count=args.points + args.anchors, length=args.word_length, seed=args.seed
             )
@@ -518,8 +515,8 @@ def build_parser() -> _Parser:
     common(p, seeded=False)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--radius", type=int, default=6)
-    p.add_argument("--slope-threshold", type=float, default=0.01)
-    p.add_argument("--r2-threshold", type=float, default=0.95)
+    p.add_argument("--slope-threshold", type=_finite, default=0.01)
+    p.add_argument("--r2-threshold", type=_finite, default=0.95)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("hyperconvex", help="triple transversality sweep")
@@ -530,7 +527,7 @@ def build_parser() -> _Parser:
     p.add_argument("--radius", type=int, default=5, help="radius for prerequisite certificates")
     p.add_argument("--word-length", type=int, default=8)
     p.add_argument("--pool", type=int, default=64)
-    p.add_argument("--tau", type=float, default=1e-3)
+    p.add_argument("--tau", type=_finite, default=1e-3)
     p.add_argument("--assume-anosov", action="store_true")
     p.set_defaults(func=cmd_hyperconvex)
 
@@ -566,7 +563,7 @@ def build_parser() -> _Parser:
     p.add_argument("--synthetic", choices=("hemisphere",), default=None)
     p.add_argument("--points", type=int, default=500)
     p.add_argument("--word-length", type=int, default=8)
-    p.add_argument("--eps", type=float, default=0.05)
+    p.add_argument("--eps", type=_finite, default=0.05)
     p.add_argument("--mc", type=int, default=100000)
     p.add_argument("--basepoint", default="0,0,1", help="upper-half-space x,y,t")
     p.set_defaults(func=cmd_visualmass)
@@ -590,13 +587,11 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PrecisionError, CapacityError) as exc:
-        # a numerical or size limit says nothing about the representation
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
     except FlaglabError as exc:
+        # unmet Anosov prerequisites, or else a numerical or size limit that
+        # says nothing about the representation: exit 2 is left to verdicts
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        return EXIT_PREREQ if isinstance(exc, NotAnosovError) else EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

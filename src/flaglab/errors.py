@@ -1,30 +1,35 @@
-"""Exception hierarchy shared by all flaglab modules."""
+"""Exception hierarchy shared by all flaglab modules.
+
+An error's class alone picks the command-line exit code (cli.main); exit 2
+is left to the `refuted` and `fails` verdicts, so no error can read as one.
+"""
 
 
 class FlaglabError(Exception):
-    """Base class for all errors raised by flaglab."""
+    """Base class for all errors raised by flaglab.  Exit 3 unless a
+    subclass names another code."""
 
 
 class InputError(FlaglabError):
-    """Malformed or out-of-contract input (bad index, wrong dimension, ...)."""
+    """Malformed or out-of-contract input (bad index, wrong dimension, a
+    singular or ill-conditioned generator, ...).  Exit 64."""
 
 
 class CapacityError(FlaglabError):
-    """Requested computation exceeds a configured size budget."""
-
-
-class ConditioningError(FlaglabError):
-    """A matrix is numerically singular."""
+    """Requested computation exceeds a configured size budget.  Exit 3."""
 
 
 class PrecisionError(FlaglabError):
-    """A result cannot be produced within the requested tolerance, or a
-    word product over/underflowed."""
+    """A result cannot be produced within the requested tolerance from
+    computed data, or a word product over/underflowed.  Exit 3."""
 
 
-class TransversalityError(FlaglabError):
-    """An intersection did not have the dimension the Anosov hypotheses predict."""
+class TransversalityError(PrecisionError):
+    """An intersection did not have the dimension the Anosov hypotheses
+    predict.  A PrecisionError, kept apart so failures can be counted by
+    reason.  Exit 3."""
 
 
 class NotAnosovError(FlaglabError):
-    """Gap growth along a word failed, contradicting the Anosov assumption."""
+    """Gap growth along a word failed, or a prerequisite Anosov index could
+    not be certified: unmet Anosov prerequisites.  Exit 5."""

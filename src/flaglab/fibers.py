@@ -16,8 +16,15 @@ from itertools import combinations
 import numpy as np
 
 from . import words as W
-from .certify import FlagSample, boundary_samples, limit_set_sample, transport_flag
-from .errors import FlaglabError, InputError, PrecisionError, TransversalityError
+from .certify import (
+    FlagSample,
+    boundary_samples,
+    certify_anosov,
+    gap_sweep,
+    limit_set_sample,
+    transport_flag,
+)
+from .errors import FlaglabError, InputError, NotAnosovError, PrecisionError, TransversalityError
 from .mobius import chart, three_point_map
 from .reps import Representation, wedge_coords
 from .subspaces import (
@@ -105,8 +112,8 @@ def chart_points(base: FlagSample, flags, k: int) -> tuple[np.ndarray, np.ndarra
 
     Returns the (m, 2) fiber coordinates and the indices into flags of the
     m flags they came from.  base's own source is skipped; a flag whose
-    projection raises TransversalityError or PrecisionError is dropped,
-    and every other exception propagates.
+    projection raises PrecisionError (TransversalityError included) is
+    dropped, and every other exception propagates.
     """
     coords, kept = [], []
     for i, f in enumerate(flags):
@@ -114,7 +121,7 @@ def chart_points(base: FlagSample, flags, k: int) -> tuple[np.ndarray, np.ndarra
             continue
         try:
             coords.append(tangent_project(base, f, k).coords)
-        except (TransversalityError, PrecisionError):
+        except PrecisionError:
             continue
         kept.append(i)
     points = np.stack(coords) if coords else np.empty((0, 2), dtype=complex)
@@ -179,8 +186,12 @@ class TripleSpec:
     tau: float = TAU_PASS
 
     def __post_init__(self):
+        if self.count < 1:
+            raise InputError(f"count must be >= 1, got {self.count}")
         if self.pool_size < 3:
             raise InputError(f"pool_size must be >= 3 to draw a triple, got {self.pool_size}")
+        if not TAU_FAIL <= self.tau <= 1.0:
+            raise InputError(f"tau must lie in [{TAU_FAIL:g}, 1], got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -274,7 +285,7 @@ def _transversality_sweep(rep, k, spec, ks, score_fn, mode) -> HyperconvexityRep
             continue
         try:
             score = score_fn(x, y, z)
-        except (TransversalityError, PrecisionError):
+        except PrecisionError:
             # flags indistinguishable at the noise floor: a degenerate triple,
             # not evidence (true failures surface as tiny scores, not errors)
             skipped += 1
@@ -284,7 +295,7 @@ def _transversality_sweep(rep, k, spec, ks, score_fn, mode) -> HyperconvexityRep
             best = score
             worst = (x.source, y.source, z.source)
     if tested == 0:
-        raise InputError("no valid triples were tested")
+        raise PrecisionError(f"all {skipped} drawn triples were skipped; no valid triple was tested")
     if best >= spec.tau:
         verdict = "passes"
     elif best < TAU_FAIL:
@@ -304,11 +315,7 @@ def _transversality_sweep(rep, k, spec, ks, score_fn, mode) -> HyperconvexityRep
 
 
 def check_hyperconvex(
-    rep: Representation,
-    k: int,
-    spec: TripleSpec,
-    certificates=None,
-    assume_anosov: bool = False,
+    rep: Representation, k: int, spec: TripleSpec, radius: int | None
 ) -> HyperconvexityReport:
     """Score the two projected k-planes of each sampled triple.
 
@@ -316,9 +323,11 @@ def check_hyperconvex(
     at z, normalized by the separation of x and y upstream, so that the
     unavoidable degeneration along the diagonal cancels out; a pass says
     the normalized collapse stayed above tau on every tested triple.
+    The Anosov prerequisites are certified over the word ball of the given
+    radius first (see _check_prereqs); radius None assumes them.
     """
     d = rep.dim
-    _check_prereqs(rep, k, "eq1", certificates, assume_anosov)
+    _check_prereqs(rep, k, "eq1", radius)
     ks = fiber_ks(d, k)
 
     def score(x, y, z):
@@ -330,17 +339,13 @@ def check_hyperconvex(
 
 
 def check_Hk(
-    rep: Representation,
-    k: int,
-    spec: TripleSpec,
-    certificates=None,
-    assume_anosov: bool = False,
+    rep: Representation, k: int, spec: TripleSpec, radius: int | None
 ) -> HyperconvexityReport:
     """Directness of (x^k cap z^{d-k+1}) + (y^k cap z^{d-k+1}) + z^{d-k-1},
     scored as the smallest singular value of the concatenated frames,
-    normalized like check_hyperconvex."""
+    normalized and prerequisite-checked like check_hyperconvex."""
     d = rep.dim
-    _check_prereqs(rep, k, "Hk", certificates, assume_anosov)
+    _check_prereqs(rep, k, "Hk", radius)
     ks = sorted({j for j in (k, d - k + 1, d - k - 1) if 0 < j < d})
 
     def score(x, y, z):
@@ -370,23 +375,20 @@ def _normalized_score(num: float, a: Subspace, b: Subspace) -> float:
     return min(1.0, num / ref)
 
 
-def _check_prereqs(rep, k, mode, certificates, assume_anosov):
+def _check_prereqs(rep, k, mode, radius):
+    """Certify every index of required_anosov_indices over one gap sweep of
+    the given radius; raise NotAnosovError naming those left uncertified.
+    A radius of None assumes the Anosov property."""
     if not 1 <= k <= rep.dim - 1:
         raise InputError(f"k={k} out of range 1..{rep.dim - 1}")
-    if assume_anosov:
+    if radius is None:
         return
-    needed = required_anosov_indices(rep, k, mode)
-    certificates = certificates or {}
-    missing = [
-        j
-        for j in needed
-        if j not in certificates or certificates[j].verdict != "certified"
-    ]
+    sweep = gap_sweep(rep, radius)
+    verdicts = {j: certify_anosov(rep, j, radius, sweep=sweep).verdict
+                for j in required_anosov_indices(rep, k, mode)}
+    missing = [f"{j}:{v}" for j, v in verdicts.items() if v != "certified"]
     if missing:
-        raise InputError(
-            f"hyperconvexity check at k={k} needs certified indices {missing}; "
-            "pass certificates or assume_anosov=True"
-        )
+        raise NotAnosovError(f"uncertified prerequisite Anosov indices: {', '.join(missing)}")
 
 
 # --- Mobius cocycle and trivialization ------------------------------------
@@ -503,7 +505,7 @@ def foliated_limit_sample(
         failed = 0
         try:
             trivialization.fiber_map(t)
-        except (TransversalityError, PrecisionError) as exc:
+        except PrecisionError as exc:
             status[t.source] = f"base failed: {exc}"
             continue
         for x in fibers:
@@ -511,7 +513,7 @@ def foliated_limit_sample(
                 continue
             try:
                 fp = trivialization.project(t, x)
-            except (TransversalityError, PrecisionError):
+            except PrecisionError:
                 failed += 1
                 continue
             v = fp.sphere

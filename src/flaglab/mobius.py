@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, PrecisionError
 from .subspaces import det_normalize
 
 INF = complex(math.inf, 0.0)
@@ -86,7 +86,7 @@ def three_point_map(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     s = det2(b, c)
     u = det2(b, a)
     if abs(s) < 1e-15 or abs(u) < 1e-15 or abs(det2(a, c)) < 1e-15:
-        raise InputError("three_point_map needs pairwise distinct points")
+        raise PrecisionError("three_point_map needs pairwise distinct points")
     m = np.array([[s * a[1], -s * a[0]], [u * c[1], -u * c[0]]], dtype=complex)
     return det_normalize(m)
 

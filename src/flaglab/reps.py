@@ -15,7 +15,7 @@ from math import comb
 import numpy as np
 
 from . import words as W
-from .errors import CapacityError, ConditioningError, InputError, PrecisionError
+from .errors import CapacityError, InputError, PrecisionError
 from .mobius import INF
 from .subspaces import det_normalize
 from .words import GroupPresentation, Word, free_group, reduce, surface_group
@@ -31,7 +31,10 @@ class Representation:
     generator.  Immutable."""
 
     def __init__(self, presentation: GroupPresentation, generator_matrices, label: str = ""):
-        mats = [det_normalize(np.asarray(m, dtype=complex)) for m in generator_matrices]
+        try:
+            mats = [det_normalize(np.asarray(m, dtype=complex)) for m in generator_matrices]
+        except PrecisionError as exc:
+            raise InputError(f"generator {exc}") from None  # "generator matrix is ..."
         if len(mats) != presentation.generator_count:
             raise InputError("one matrix per generator required")
         d = mats[0].shape[0]
@@ -49,7 +52,7 @@ class Representation:
         for i, (g, gi) in enumerate(zip(self.generators, self.inverses)):
             resid = np.max(np.abs(gi @ g - np.eye(self.dim)))
             if resid > INVERSE_TOL:
-                raise ConditioningError(f"generator {i + 1} inverse residual {resid:.2e}")
+                raise InputError(f"generator {i + 1} inverse residual {resid:.2e}")
         for rel in self.presentation.relations:
             # relator products sit near +-I, which a Frobenius rescale keeps
             m = self.evaluate(rel)

@@ -250,8 +250,8 @@ def visual_mass(
     samples before the membership test: visual_mass(nu_gx, A, pre_map=g^-1)
     estimates the pulled-back integrand of the measure-equivariance law.
     """
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise InputError(f"eps must be positive and finite, got {eps}")
     if mc_count < 1000:
         raise InputError("mc_count must be >= 1000")
     cloud = np.asarray(cloud)

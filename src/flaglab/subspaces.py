@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import ConditioningError, InputError
+from .errors import InputError, PrecisionError
 
 FRAME_TOL = 1e-12
 RANK_TOL = 1e-8
@@ -147,12 +147,13 @@ def hausdorff_subspace_dist(a: Subspace, b: Subspace) -> float:
 
 
 def det_normalize(m: np.ndarray) -> np.ndarray:
-    """Rescale a square matrix to |det| = 1 via the principal d-th root."""
+    """Rescale a square matrix to |det| = 1 via the principal d-th root.
+    Raises PrecisionError when the determinant is zero or not finite."""
     m = np.asarray(m, dtype=complex)
     d = m.shape[0]
     det = complex(np.linalg.det(m))
     if det == 0 or not np.isfinite(det):
-        raise ConditioningError("matrix is numerically singular")
+        raise PrecisionError("matrix is numerically singular")
     if abs(det - 1.0) <= 1e-13:
         return m  # already normalized: keep bit-identity, avoid drift
     return m / cmath.exp(cmath.log(det) / d)

@@ -140,8 +140,8 @@ def _ball_identity_error(rep, wrep, k, radius):
 def test_criterion_3_wedge_hyperconvexity_transfer(name, k):
     rep = fl.preset(name)
     spec = TripleSpec(count=10_000, seed=505)
-    base = fl.check_hyperconvex(rep, k, spec, assume_anosov=True)
-    lifted = fl.check_hyperconvex(fl.wedge_rep(rep, k), 1, spec, assume_anosov=True)
+    base = fl.check_hyperconvex(rep, k, spec, radius=None)
+    lifted = fl.check_hyperconvex(fl.wedge_rep(rep, k), 1, spec, radius=None)
     assert base.verdict == "passes"
     assert lifted.verdict == "passes"
     report("3", f"{name} k={k}: hyperconvexity passes (min={base.min_transversality:.4f}) and "

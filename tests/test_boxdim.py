@@ -210,7 +210,7 @@ def test_grassmann_propagates_programming_errors(veronese_circle_flags, monkeypa
 @pytest.mark.parametrize("error,dropped", [
     (fl.TransversalityError, True),
     (fl.PrecisionError, True),
-    (fl.ConditioningError, False),
+    (fl.CapacityError, False),
     (fl.InputError, False),
 ])
 def test_chart_points_drops_only_projection_failures(veronese_circle_flags, monkeypatch, error, dropped):

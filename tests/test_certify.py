@@ -204,10 +204,14 @@ def test_flag_space_outside_ks_is_input_error(sym4):
         flag.space(2)
 
 
-def test_boundary_sample_stability_under_more_power(sym4):
+def test_boundary_sample_stability_under_more_power(sym4, monkeypatch):
+    import flaglab.certify as certify
+
     w = (1, 2, 2, -1, 2)
-    f1 = fl.boundary_sample(sym4, w, [1, 2, 3], target_gap=14.0)
-    f2 = fl.boundary_sample(sym4, w, [1, 2, 3], target_gap=28.0)
+    monkeypatch.setattr(certify, "TARGET_GAP", 14.0)
+    f1 = fl.boundary_sample(sym4, w, [1, 2, 3])
+    monkeypatch.setattr(certify, "TARGET_GAP", 28.0)
+    f2 = fl.boundary_sample(sym4, w, [1, 2, 3])
     assert fl.flag_dist(f1, f2) < 1e-6
 
 

@@ -66,6 +66,56 @@ def test_relator_overflow_exits_3(tmp_path, capsys):
     assert "over/underflow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,matrix,code", [
+    (["certify", "{rep}", "--k", 1], [[1, 1], [1, 1]], 64),  # singular generator
+    (["certify", "{rep}", "--k", 1], [[1, 1], [1, 1 + 1e-13]], 64),  # inverse residual 3e-4
+    (["dimension", "builtin:directsum", "--k", 2, "--points", 50], None, 5),
+    (["hyperconvex", "builtin:directsum", "--k", 2, "--assume-anosov", "--triples", 20], None, 5),
+    (["visualmass", "builtin:trivial", "--k", 1, "--points", 10], None, 5),
+])
+def test_error_class_picks_exit_code(tmp_path, argv, matrix, code):
+    # none of these computes a verdict, so none may exit 2
+    if matrix is not None:
+        path = _one_generator_rep_file(tmp_path, np.array(matrix, dtype=float), {"kind": "free", "rank": 1})
+        argv = [str(a).format(rep=path) for a in argv]
+    assert run(argv + ["--out", tmp_path]) == code
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize("error", [fl.FlaglabError, *_subclasses(fl.FlaglabError)],
+                         ids=lambda error: error.__name__)
+def test_only_a_verdict_exits_2(monkeypatch, capsys, error):
+    def broken():
+        raise error("raised inside a command")
+
+    monkeypatch.setattr(cli, "preset_names", broken)
+    code = run(["presets"])
+    assert code != 2
+    if issubclass(error, fl.InputError):
+        assert code == 64
+    elif issubclass(error, fl.NotAnosovError):
+        assert code == 5
+    else:
+        assert code == 3
+    assert capsys.readouterr().err.endswith("error: raised inside a command\n")
+
+
+def test_all_triples_skipped_exits_3(tmp_path, capsys, monkeypatch):
+    # no projection base stays this far from both other points of a triple
+    monkeypatch.setattr(fibers, "MIN_BASE_SEPARATION", 10.0)
+    code = run([
+        "hyperconvex", "builtin:sym3", "--k", 1, "--triples", 50, "--assume-anosov",
+        "--out", tmp_path,
+    ])
+    assert code == 3
+    assert "all 50 drawn triples were skipped" in capsys.readouterr().err
+
+
 def test_missing_k_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["certify", "builtin:schottky", "--out", tmp_path])
@@ -283,12 +333,24 @@ _SURFACE = {
     (["foliate", "builtin:sym3", "--k", 1, "--fibers", 0], None),
     (["foliate", "builtin:sym3", "--k", 1, "--bases", 0], None),
     (["hyperconvex", "builtin:sym4", "--k", 2, "--pool", 2, "--assume-anosov"], None),
+    (["visualmass", "builtin:sym3", "--k", 1, "--eps", "inf"], None),
+    (["visualmass", "builtin:sym3", "--k", 1, "--eps", "nan"], None),
+    (["hyperconvex", "builtin:sym3", "--k", 1, "--tau", "nan"], None),
+    (["hyperconvex", "builtin:sym3", "--k", 1, "--tau", -1], None),
+    (["certify", "builtin:sym3", "--k", 1, "--slope-threshold", "nan"], None),
+    (["certify", "builtin:sym3", "--k", 1, "--r2-threshold", "nan"], None),
+    (["hyperconvex", "builtin:sym3", "--k", 1, "--triples", 0, "--assume-anosov"], None),
+    (["dimension", "builtin:octagon-sym3", "--mode", "grassmann", "--anchors", 0], None),
 ])
 def test_malformed_input_exits_64(tmp_path, capsys, monkeypatch, argv, doc):
     monkeypatch.chdir(tmp_path)  # the default --out
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(doc))
-    assert run([str(a).format(rep=path, dir=tmp_path) for a in argv]) == 64
+    try:
+        code = run([str(a).format(rep=path, dir=tmp_path) for a in argv])
+    except SystemExit as exc:  # rejected by the argument parser
+        code = exc.code
+    assert code == 64
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(("input error: ", "error: "))
 

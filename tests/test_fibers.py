@@ -80,29 +80,49 @@ def test_injectivity_probe(sym4, sym4_flags):
 
 
 def test_d2_vacuous_pass(schottky):
-    rpt = fl.check_hyperconvex(schottky, 1, TripleSpec(count=300, seed=5), assume_anosov=True)
+    rpt = fl.check_hyperconvex(schottky, 1, TripleSpec(count=300, seed=5), radius=None)
     assert rpt.verdict == "passes"
     assert rpt.min_transversality >= 1.0 - 1e-6
 
 
 def test_sym4_k2_passes(sym4):
-    rpt = fl.check_hyperconvex(sym4, 2, TripleSpec(count=2000, seed=5), assume_anosov=True)
+    rpt = fl.check_hyperconvex(sym4, 2, TripleSpec(count=2000, seed=5), radius=None)
     assert rpt.verdict == "passes"
     assert rpt.min_transversality >= 1e-2
 
 
-def test_prerequisite_certificates_required(sym4):
-    with pytest.raises(InputError, match="certified"):
-        fl.check_hyperconvex(sym4, 2, TripleSpec(count=10, seed=1))
-    certs = {j: fl.certify_anosov(sym4, j, 4) for j in (1, 2, 3)}
-    rpt = fl.check_hyperconvex(sym4, 2, TripleSpec(count=50, seed=1), certificates=certs)
-    assert rpt.verdict == "passes"
+def test_prerequisite_certificates_required(sym4, directsum, monkeypatch):
+    import flaglab.fibers as fibers
+
+    sweeps = []
+    original = fibers.gap_sweep
+
+    def counting(rep, radius):
+        sweeps.append(radius)
+        return original(rep, radius)
+
+    # one sweep certifies every required index, or the check names those left
+    monkeypatch.setattr(fibers, "gap_sweep", counting)
+    rpt = fl.check_hyperconvex(sym4, 2, TripleSpec(count=50, seed=1), radius=4)
+    assert rpt.verdict == "passes" and sweeps == [4]
+    for check in (fl.check_hyperconvex, fl.check_Hk):
+        with pytest.raises(NotAnosovError, match="indices: 1:refuted, 3:refuted$"):
+            check(directsum, 2, TripleSpec(count=50, seed=1), radius=4)
+    assert sweeps == [4, 4, 4]
 
 
 def test_directsum_fails_upstream(directsum):
     # the designed failure family cannot even produce boundary flags at k=1
     with pytest.raises(NotAnosovError):
-        fl.check_hyperconvex(directsum, 2, TripleSpec(count=20, seed=1), assume_anosov=True)
+        fl.check_hyperconvex(directsum, 2, TripleSpec(count=20, seed=1), radius=None)
+
+
+@pytest.mark.parametrize("field", [
+    {"count": 0}, {"tau": -1.0}, {"tau": 1e-8}, {"tau": 1.5}, {"tau": float("nan")},
+])
+def test_triple_spec_rejects_out_of_contract_fields(field):
+    with pytest.raises(InputError):
+        TripleSpec(**field)
 
 
 def test_flag_pool_propagates_programming_errors(schottky, monkeypatch):
@@ -114,14 +134,14 @@ def test_flag_pool_propagates_programming_errors(schottky, monkeypatch):
     # only a rejected sample (a FlaglabError) may be skipped
     monkeypatch.setattr(fibers, "boundary_samples", broken)
     with pytest.raises(TypeError, match="bug in a sampler"):
-        fl.check_hyperconvex(schottky, 1, TripleSpec(count=80, seed=1, pool_size=8), assume_anosov=True)
+        fl.check_hyperconvex(schottky, 1, TripleSpec(count=80, seed=1, pool_size=8), radius=None)
 
 
 def test_nan_triple_score_is_skipped(sym4, monkeypatch):
     import flaglab.fibers as fibers
 
     spec = TripleSpec(count=300, seed=5, pool_size=24)
-    base = fl.check_hyperconvex(sym4, 2, spec, assume_anosov=True)
+    base = fl.check_hyperconvex(sym4, 2, spec, radius=None)
     calls = []
 
     def nan_every_other(p, q):
@@ -131,7 +151,7 @@ def test_nan_triple_score_is_skipped(sym4, monkeypatch):
     # the triples drawn do not depend on the scores, so exactly the NaN
     # scores move from tested to skipped (min(1.0, nan) would read as 1.0)
     monkeypatch.setattr(fibers, "fiber_angle", nan_every_other)
-    rpt = fl.check_hyperconvex(sym4, 2, spec, assume_anosov=True)
+    rpt = fl.check_hyperconvex(sym4, 2, spec, radius=None)
     nans = len(calls) // 2
     assert nans > 0
     assert rpt.triples_tested == base.triples_tested - nans
@@ -139,20 +159,20 @@ def test_nan_triple_score_is_skipped(sym4, monkeypatch):
 
 
 def test_hk_vacuous_d2(schottky):
-    rpt = fl.check_Hk(schottky, 1, TripleSpec(count=200, seed=5), assume_anosov=True)
+    rpt = fl.check_Hk(schottky, 1, TripleSpec(count=200, seed=5), radius=None)
     assert rpt.verdict == "passes"
 
 
 def test_hk_duality_with_contragredient(sym4, schottky):
     spec = TripleSpec(count=800, seed=5)
     for rep, k in ((sym4, 2), (schottky, 1)):
-        eq1 = fl.check_hyperconvex(rep, k, spec, assume_anosov=True)
-        hk = fl.check_Hk(fl.contragredient(rep), k, spec, assume_anosov=True)
+        eq1 = fl.check_hyperconvex(rep, k, spec, radius=None)
+        hk = fl.check_Hk(fl.contragredient(rep), k, spec, radius=None)
         assert eq1.verdict == hk.verdict == "passes"
 
 
 def test_sym_family_passes_hk(sym4):
-    rpt = fl.check_Hk(sym4, 2, TripleSpec(count=800, seed=6), assume_anosov=True)
+    rpt = fl.check_Hk(sym4, 2, TripleSpec(count=800, seed=6), radius=None)
     assert rpt.verdict == "passes"
     assert rpt.min_transversality >= 1e-3
 
@@ -275,6 +295,20 @@ def test_foliated_sample_contract(octagon_sym3):
     ]
 
 
+def test_three_point_coincidence_fails_only_the_base(octagon_sym3, monkeypatch):
+    import flaglab.fibers as fibers
+
+    original = fibers.three_point_map
+    # coincident projections are computed data, so each base is recorded as
+    # failed instead of the whole sample being rejected as bad input
+    monkeypatch.setattr(fibers, "three_point_map", lambda a, b, c: original(a, a, c))
+    sample = fl.foliated_limit_sample(octagon_sym3, 1, base_count=2, fiber_count=20, seed=5)
+    assert sample.rows == []
+    assert list(sample.base_status.values()) == [
+        "base failed: three_point_map needs pairwise distinct points"
+    ] * 2
+
+
 def test_foliated_continuity_probe(sym3):
     """Nearby bases produce nearby trivialized fiber sets (finite-resolution
     continuity).  A perturbed representation is used so the fiber sets
@@ -365,9 +399,9 @@ def _resolvable(z, y, floor: float = 1e-6) -> bool:
 
 
 def test_wedge_transfer_hyperconvexity(sym4):
-    base = fl.check_hyperconvex(sym4, 2, TripleSpec(count=800, seed=5), assume_anosov=True)
+    base = fl.check_hyperconvex(sym4, 2, TripleSpec(count=800, seed=5), radius=None)
     lifted = fl.check_hyperconvex(
-        fl.wedge_rep(sym4, 2), 1, TripleSpec(count=800, seed=5), assume_anosov=True
+        fl.wedge_rep(sym4, 2), 1, TripleSpec(count=800, seed=5), radius=None
     )
     assert base.verdict == "passes"
     assert lifted.verdict == "passes"

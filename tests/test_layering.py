@@ -42,3 +42,33 @@ def test_lower_layers_skip_upper(module):
 
 def test_boxdim_imports_only_errors_and_mobius():
     assert _imports("boxdim") == {"errors", "mobius"}
+
+
+BROAD = {"Exception", "BaseException", "FlaglabError"}
+
+
+def _broad_handlers(tree) -> set[int]:
+    """Lines of the bare excepts and of the handlers that catch Exception,
+    BaseException or FlaglabError, alone or in a tuple."""
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        names = {getattr(c, "id", None) or getattr(c, "attr", None) for c in caught}
+        if node.type is None or names & BROAD:
+            found.add(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_broad_except_only_in_cli_main(module):
+    # an error's class picks the exit code in one place; anywhere else a
+    # broad handler would turn a failure into a silent skip or a verdict
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    allowed = set()
+    if module == "cli":
+        main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+        allowed = _broad_handlers(main)
+        assert allowed, "cli.main maps every FlaglabError to an exit code"
+    assert _broad_handlers(tree) - allowed == set()
