@@ -1,9 +1,11 @@
 """Box-counting dimension on the sphere.
 
 The grid is a fixed icosahedral refinement: 20 spherical triangles, each
-split into n^2 congruent-ish cells by its gnomonic lattice.  Cell IDs are
-lexicographic tuples, so counts are reproducible across runs.  The
-box-counting slope is an upper-bound proxy for Hausdorff
+split into n^2 congruent-ish cells by its gnomonic lattice.  A point's
+face and barycentrics are found once per cloud (locate); a cell at
+refinement n is then one int64 key ((face*n + i)*n + j)*2 + up, so counts
+are reproducible across runs and one 1-D sort counts the occupied cells.
+The box-counting slope is an upper-bound proxy for Hausdorff
 dimension; all verdicts in this package are phrased against it.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,23 +62,39 @@ _FACE_CENTERS = np.stack([_VERTS[list(f)].mean(axis=0) for f in _FACES])
 _FACE_CENTERS /= np.linalg.norm(_FACE_CENTERS, axis=1, keepdims=True)
 
 
-def cell_ids(xyz: np.ndarray, n: int) -> np.ndarray:
-    """Deterministic cell labels at refinement n for unit vectors (m, 3).
-    Returns an (m, 4) int array (face, i, j, up)."""
-    m = xyz.shape[0]
+class Located(NamedTuple):
+    """Where unit vectors fall on the icosahedron, at every refinement."""
+
+    face: np.ndarray  # (m,) face whose center is nearest
+    bary: np.ndarray  # (m, 3) barycentrics in that face, clipped to >= 0, summing to 1
+
+
+def locate(xyz: np.ndarray) -> Located:
+    """Face and barycentrics of unit vectors (m, 3), which every
+    refinement's cell keys are read from."""
     face = np.argmax(xyz @ _FACE_CENTERS.T, axis=1)
     bary = np.einsum("mij,mj->mi", _FACE_INV[face], xyz)
     bary = np.maximum(bary, 0.0)
     bary /= bary.sum(axis=1, keepdims=True)
-    s = bary * (n * (1.0 - 1e-12))
-    ijk = np.floor(s).astype(int)
-    up = (ijk.sum(axis=1) == n - 1).astype(int)
-    return np.column_stack([face, ijk[:, 0], ijk[:, 1], up])
+    return Located(face, bary)
 
 
-def occupied_cells(xyz: np.ndarray, n: int) -> int:
-    ids = cell_ids(xyz, n)
-    return len(np.unique(ids, axis=0))
+def cell_ids(xyz: np.ndarray | Located, n: int) -> np.ndarray:
+    """Deterministic cell keys at refinement n, one int64 per point, for
+    unit vectors (m, 3) or their locate() result.  The key of cell
+    (face, i, j, up) is ((face*n + i)*n + j)*2 + up; i, j < n, so distinct
+    cells get distinct keys, and at n = 11072 (scale 1e-4) they stay
+    below 4.9e9."""
+    face, bary = xyz if isinstance(xyz, Located) else locate(xyz)
+    ijk = np.floor(bary * (n * (1.0 - 1e-12))).astype(np.int64)
+    up = ijk.sum(axis=1) == n - 1
+    return ((face * n + ijk[:, 0]) * n + ijk[:, 1]) * 2 + up
+
+
+def occupied_cells(xyz: np.ndarray | Located, n: int) -> int:
+    """Number of distinct cells at refinement n, for unit vectors (m, 3)
+    or their locate() result."""
+    return len(np.unique(cell_ids(xyz, n)))
 
 
 def refinement_for_scale(eps: float) -> int:
@@ -141,9 +160,10 @@ def box_dimension_sphere(
     ns = sorted({refinement_for_scale(s) for s in scales})
     warnings: list[str] = []
 
+    located = locate(xyz)
     eff, counts = [], []
     for n in ns:
-        c = occupied_cells(xyz, n)
+        c = occupied_cells(located, n)
         if c > SATURATION_FRACTION * len(xyz):
             warnings.append(
                 f"scale {EDGE_ARC / n:.4g} dropped: {c} cells for {len(xyz)} points (saturated)"

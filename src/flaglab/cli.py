@@ -579,8 +579,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a rejected argument (64) or --help (0)
+        return exc.code
     try:
         os.makedirs(getattr(args, "out", "."), exist_ok=True)
         return args.func(args)

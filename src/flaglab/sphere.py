@@ -211,15 +211,61 @@ class VisualMeasure:
         return apply_mobius(self.matrix, uniform_sphere(rng, count))
 
 
+# A pair that passes dot >= cos(eps) lies at most sqrt(2 - 2 cos(eps)) apart
+# in R^3, give or take CHORD_SLACK (squared distance) for the rounding of the
+# dot product and of the unit norms.  CUBE_MARGIN covers the rounding of
+# x / side in the cube index, and MIN_CUBE_SIDE keeps the cube keys of
+# points in [-1, 1]^3 inside int64.
+CHORD_SLACK = 1e-14
+CUBE_MARGIN = 1e-9
+MIN_CUBE_SIDE = 2.0**-19
+DOTS_PER_CHUNK = 2_000_000
+
+
 def cap_hits(sample_xyz: np.ndarray, cloud_xyz: np.ndarray, eps: float) -> int:
     """Number of sample unit vectors within geodesic distance eps of some
-    cloud vector.  Works in chunks of about 2e6 dot products."""
+    cloud vector, by the test dot >= cos(eps).
+
+    Both sets are binned into cubes whose side is at least the chord of
+    eps, so a cloud point within eps of a sample lies in one of the 27
+    cubes around the sample's.  Samples with no cloud point there are
+    misses; the others are tested cube by cube against the cloud points
+    of their 27 neighbours, in chunks of about DOTS_PER_CHUNK dot
+    products."""
+    if len(sample_xyz) == 0 or len(cloud_xyz) == 0:
+        return 0
     cos_eps = math.cos(eps)
+    side = max(math.sqrt(2.0 - 2.0 * cos_eps + CHORD_SLACK) * (1.0 + CUBE_MARGIN), MIN_CUBE_SIDE)
+    sample_cube = np.floor(sample_xyz / side).astype(np.int64)
+    cloud_cube = np.floor(cloud_xyz / side).astype(np.int64)
+    # keys leave a free index on each side of every occupied cube, so the
+    # neighbours of a cube are its key + (dx*base + dy)*base + dz
+    low = min(sample_cube.min(), cloud_cube.min()) - 1
+    base = max(sample_cube.max(), cloud_cube.max()) - low + 2
+    weights = np.array([base * base, base, 1])
+    cloud_key = (cloud_cube - low) @ weights
+    order = np.argsort(cloud_key)
+    cloud_key, cloud_xyz = cloud_key[order], cloud_xyz[order]
+    sample_key = (sample_cube - low) @ weights
+    by_cube = np.argsort(sample_key)
+    sample_key = sample_key[by_cube]
+    bounds = np.flatnonzero(np.diff(sample_key, prepend=-1, append=-1))
+    cubes = sample_key[bounds[:-1]]
+    # the cubes dz = -1, 0, 1 of one (dx, dy) column are one run of the sorted cloud
+    columns = np.array([dx * base * base + dy * base for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
+    starts = np.searchsorted(cloud_key, cubes[:, None] + columns - 1, side="left")
+    stops = np.searchsorted(cloud_key, cubes[:, None] + columns + 1, side="right")
+    near = np.flatnonzero((stops > starts).any(axis=1))
     hits = 0
-    chunk = max(1, 2_000_000 // max(1, len(cloud_xyz)))
-    for start in range(0, len(sample_xyz), chunk):
-        block = sample_xyz[start : start + chunk]
-        hits += int(np.count_nonzero(np.any(block @ cloud_xyz.T >= cos_eps, axis=1)))
+    for first, last, run_starts, run_stops in zip(
+        bounds[near].tolist(), bounds[near + 1].tolist(), starts[near].tolist(), stops[near].tolist()
+    ):
+        cand = np.concatenate([cloud_xyz[a:b] for a, b in zip(run_starts, run_stops)])
+        samples = sample_xyz[by_cube[first:last]]
+        chunk = max(1, DOTS_PER_CHUNK // len(cand))
+        for start in range(0, len(samples), chunk):
+            block = samples[start : start + chunk]
+            hits += int(np.count_nonzero(np.any(block @ cand.T >= cos_eps, axis=1)))
     return hits
 
 
@@ -245,17 +291,21 @@ def visual_mass(
 ) -> MassEstimate:
     """Monte-Carlo mass of the eps-neighborhood of a point cloud.
 
-    eps is a geodesic radius on the unit 2-sphere (a cap of radius pi/2 is
-    a hemisphere).  pre_map, when given, is a Mobius matrix applied to the
-    samples before the membership test: visual_mass(nu_gx, A, pre_map=g^-1)
-    estimates the pulled-back integrand of the measure-equivariance law.
+    eps is a geodesic radius on the unit 2-sphere, in (0, pi]: a cap of
+    radius pi/2 is a hemisphere, one of radius pi the whole sphere, and a
+    larger radius would wrap around.  pre_map, when given, is a Mobius
+    matrix applied to the samples before the membership test:
+    visual_mass(nu_gx, A, pre_map=g^-1) estimates the pulled-back integrand
+    of the measure-equivariance law.
     """
-    if not 0 < eps < math.inf:
-        raise InputError(f"eps must be positive and finite, got {eps}")
+    if not 0 < eps <= math.pi:
+        raise InputError(f"eps must lie in (0, pi], got {eps}")
     if mc_count < 1000:
         raise InputError("mc_count must be >= 1000")
     cloud = np.asarray(cloud)
     cloud_xyz = cloud if cloud.shape[-1] == 3 else sphere_xyz(cloud.astype(complex))
+    if not np.isfinite(cloud_xyz).all():
+        raise InputError("cloud points must be finite")  # cap_hits bins them into cubes
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     pts = nu.sample(rng, mc_count)
     if pre_map is not None:

@@ -6,6 +6,8 @@ import pytest
 import flaglab as fl
 import flaglab.fibers as fibers
 from flaglab.boxdim import (
+    _FACE_CENTERS,
+    _FACE_INV,
     EDGE_ARC,
     cell_ids,
     circle_cloud,
@@ -25,10 +27,36 @@ from conftest import random_sl
 def test_cell_ids_deterministic_and_order_free():
     pts = sphere_xyz(fl.uniform_cloud(500, seed=1))
     ids1 = cell_ids(pts, 8)
+    assert ids1.shape == (500,) and ids1.dtype == np.int64
     perm = np.random.default_rng(0).permutation(500)
     ids2 = cell_ids(pts[perm], 8)
     assert np.array_equal(ids1[perm], ids2)
     assert occupied_cells(pts, 8) == occupied_cells(pts[perm], 8)
+
+
+def tuple_cell_ids(xyz, n):
+    """Reference cell labels: one (face, i, j, up) row per point."""
+    face = np.argmax(xyz @ _FACE_CENTERS.T, axis=1)
+    bary = np.einsum("mij,mj->mi", _FACE_INV[face], xyz)
+    bary = np.maximum(bary, 0.0)
+    bary /= bary.sum(axis=1, keepdims=True)
+    ijk = np.floor(bary * (n * (1.0 - 1e-12))).astype(int)
+    up = (ijk.sum(axis=1) == n - 1).astype(int)
+    return np.column_stack([face, ijk[:, 0], ijk[:, 1], up])
+
+
+@pytest.mark.parametrize("name,cloud", [
+    ("cantor", fl.cantor_cloud(14)),
+    ("circle", circle_cloud(10_000)),
+    ("uniform", fl.uniform_cloud(10_000, seed=3)),
+])
+def test_scalar_keys_match_tuple_cells(name, cloud):
+    xyz = sphere_xyz(cloud)
+    for n in (1, 2, 17, 4096, 11072):
+        rows = tuple_cell_ids(xyz, n)
+        face, i, j, up = rows.T
+        assert np.array_equal(cell_ids(xyz, n), ((face * n + i) * n + j) * 2 + up)
+        assert occupied_cells(xyz, n) == len(np.unique(rows, axis=0))
 
 
 def test_counts_monotone_under_refinement():

@@ -6,7 +6,10 @@ import pytest
 import flaglab as fl
 from flaglab.errors import InputError
 from flaglab.mobius import apply_mobius, h3_apply, h3_normalizer, hom
-from flaglab.sphere import VisualMeasure, as_point, cross_ratio
+from flaglab import sphere
+from flaglab.boxdim import circle_cloud
+from flaglab.mobius import sphere_xyz, uniform_sphere
+from flaglab.sphere import VisualMeasure, as_point, cap_hits, cross_ratio
 from flaglab.subspaces import Subspace, hausdorff_subspace_dist
 
 from conftest import random_sl
@@ -156,6 +159,8 @@ def test_visual_mass_whole_sphere():
     cloud = fl.uniform_cloud(60, seed=9)
     m = fl.visual_mass(nu, cloud, 0.99, mc_count=2000, seed=1)
     assert m.estimate == 1.0
+    pole = np.array([[1.0 + 0j, 0.0 + 0j]])
+    assert fl.visual_mass(nu, pole, math.pi, mc_count=2000, seed=1).estimate == 1.0
 
 
 def test_visual_mass_hemisphere():
@@ -196,10 +201,93 @@ def test_visual_mass_equivariance():
 def test_visual_mass_validation():
     nu = VisualMeasure.ball_origin()
     cloud = fl.uniform_cloud(10, seed=1)
-    with pytest.raises(InputError):
-        fl.visual_mass(nu, cloud, -1.0)
+    # a geodesic radius past pi would wrap around the sphere
+    for eps in (-1.0, 0.0, 4.0, 6.0, math.inf, math.nan):
+        with pytest.raises(InputError):
+            fl.visual_mass(nu, cloud, eps)
     with pytest.raises(InputError):
         fl.visual_mass(nu, cloud, 0.1, mc_count=10)
+    with pytest.raises(InputError):
+        fl.visual_mass(nu, np.array([[0.0, 0.0, 1.0], [np.nan, 0.0, 0.0]]), 0.1)
+
+
+def brute_cap_hits(sample_xyz, cloud_xyz, eps):
+    """Reference count: every (sample, cloud) pair, in sample chunks."""
+    hits = 0
+    for start in range(0, len(sample_xyz), 1000):
+        block = sample_xyz[start : start + 1000]
+        hits += int(np.count_nonzero(np.any(block @ cloud_xyz.T >= math.cos(eps), axis=1)))
+    return hits
+
+
+def uniform_xyz(count, seed):
+    return sphere_xyz(uniform_sphere(np.random.default_rng(seed), count))
+
+
+def on_cube_faces(step):
+    """Unit vectors with two coordinates on multiples of step, in all three
+    axis orders, plus the six axis points."""
+    ticks = step * np.arange(-int(1.0 / step), int(1.0 / step) + 1)
+    x, y = (a.ravel() for a in np.meshgrid(ticks, ticks))
+    keep = x * x + y * y <= 1.0
+    x, y = x[keep], y[keep]
+    z = np.sqrt(1.0 - x * x - y * y)
+    pts = np.concatenate([np.stack([x, y, z], 1), np.stack([x, y, -z], 1)])
+    return np.concatenate([pts, pts[:, [2, 0, 1]], pts[:, [1, 2, 0]], np.eye(3), -np.eye(3)])
+
+
+def test_cap_hits_empty_and_one_point():
+    samples = uniform_xyz(20_000, seed=21)
+    assert cap_hits(samples, np.empty((0, 3)), 0.5) == 0
+    pole = np.array([[0.0, 0.0, 1.0]])
+    for eps in (math.pi / 2, math.pi - 1e-9, math.pi):
+        assert cap_hits(samples, pole, eps) == brute_cap_hits(samples, pole, eps)
+    assert cap_hits(samples, pole, math.pi) == len(samples)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 5e-7])
+def test_cap_hits_tiny_eps(eps):
+    # the chord of eps is below the smallest cube side, 2^-19; at 5e-7, cubes
+    # of the chord's side would overflow the int64 keys
+    rng = np.random.default_rng(22)
+    cloud = uniform_xyz(200, seed=23)
+    near = np.repeat(cloud, 10, axis=0) + rng.uniform(-2 * eps, 2 * eps, size=(2_000, 3))
+    near /= np.linalg.norm(near, axis=1, keepdims=True)
+    # keep the samples whose dot product with their cloud point is far (in
+    # ulps) from cos(eps), so that no rounding of the dot decides the test
+    gap = np.sum((near - np.repeat(cloud, 10, axis=0)) ** 2, axis=1) / (2.0 - 2.0 * math.cos(eps))
+    samples = near[np.abs(gap - 1.0) > 0.01]
+    hits = cap_hits(samples, cloud, eps)
+    assert hits == brute_cap_hits(samples, cloud, eps)
+    assert 0 < hits < len(samples)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.3, 1.0])
+def test_cap_hits_points_on_cube_faces(eps):
+    side = max(
+        math.sqrt(2.0 - 2.0 * math.cos(eps) + sphere.CHORD_SLACK) * (1.0 + sphere.CUBE_MARGIN),
+        sphere.MIN_CUBE_SIDE,
+    )
+    cloud = on_cube_faces(side)[::3]
+    samples = np.concatenate([on_cube_faces(side / 2.0), uniform_xyz(5_000, seed=24)])
+    hits = cap_hits(samples, cloud, eps)
+    assert hits == brute_cap_hits(samples, cloud, eps)
+    assert 0 < hits < len(samples)
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.04, 0.08, 0.16])
+def test_cap_hits_circle_cloud(eps):
+    cloud = sphere_xyz(circle_cloud(20_000))  # on the cube faces z = 0
+    samples = uniform_xyz(10_000, seed=25)
+    assert cap_hits(samples, cloud, eps) == brute_cap_hits(samples, cloud, eps)
+
+
+@pytest.mark.parametrize("eps", [1.0, math.pi])
+def test_cap_hits_large_caps_in_chunks(eps):
+    # some of the 27-cube neighbourhoods hold more than one chunk of dot products
+    cloud = uniform_xyz(5_000, seed=26)
+    samples = uniform_xyz(20_000, seed=27)
+    assert cap_hits(samples, cloud, eps) == brute_cap_hits(samples, cloud, eps)
 
 
 def test_h3_action_consistency():
