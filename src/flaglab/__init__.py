@@ -76,4 +76,4 @@ from .words import (
     surface_group,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

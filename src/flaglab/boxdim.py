@@ -1,12 +1,13 @@
 """Box-counting dimension on the sphere.
 
-The grid is a fixed icosahedral refinement: 20 spherical triangles, each
-split into n^2 congruent-ish cells by its gnomonic lattice.  A point's
-face and barycentrics are found once per cloud (locate); a cell at
-refinement n is then one int64 key ((face*n + i)*n + j)*2 + up, so counts
-are reproducible across runs and one 1-D sort counts the occupied cells.
-The box-counting slope is an upper-bound proxy for Hausdorff
-dimension; all verdicts in this package are phrased against it.
+Clouds are (n, 3) arrays of unit vectors.  The grid is a fixed
+icosahedral refinement: 20 spherical triangles, each split into n^2
+congruent-ish cells by its gnomonic lattice.  A point's face and
+barycentrics are found once per cloud (locate); a cell at refinement n
+is then one int64 key ((face*n + i)*n + j)*2 + up, so counts are
+reproducible across runs and one 1-D sort counts the occupied cells.
+The box-counting slope is an upper-bound proxy for Hausdorff dimension;
+all verdicts in this package are phrased against it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .mobius import sphere_xyz, uniform_sphere, xyz_to_hom
+from .mobius import uniform_sphere
 
 EDGE_ARC = 1.1071487177940904  # icosahedron edge, radians
 BEND_THRESHOLD = 0.15
@@ -131,19 +132,12 @@ def _slope_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     return float(slope), 1.96 * se
 
 
-def _as_xyz(points: np.ndarray) -> np.ndarray:
-    pts = np.asarray(points)
-    if pts.ndim != 2 or pts.shape[1] not in (2, 3):
-        raise InputError("points must be (n, 2) homogeneous or (n, 3) unit vectors")
-    return pts.astype(float) if pts.shape[1] == 3 else sphere_xyz(pts.astype(complex))
-
-
 def box_dimension_sphere(
     points: np.ndarray,
     scales=None,
     min_points: int = 1000,
 ) -> DimensionEstimate:
-    """Box-counting estimate for a sphere cloud.
+    """Box-counting estimate for a cloud of unit vectors (n, 3).
 
     scales are geodesic cell sizes in (1e-4, 1) radians; each maps to the
     closest icosahedral refinement and the regression runs against the
@@ -151,7 +145,9 @@ def box_dimension_sphere(
     point count) are dropped with a warning; so are the extreme scales
     once, when the log-log plot bends more than BEND_THRESHOLD.
     """
-    xyz = _as_xyz(points)
+    xyz = np.asarray(points, dtype=float)
+    if xyz.ndim != 2 or xyz.shape[1] != 3:
+        raise InputError("points must be an (n, 3) array of unit vectors")
     if len(xyz) < min_points:
         raise InputError(f"need at least {min_points} points, got {len(xyz)}")
     scales = list(DEFAULT_SCALES if scales is None else scales)
@@ -202,18 +198,18 @@ def box_dimension_sphere(
 
 def grassmann_dimension(charts, scales=None, min_points: int = 1000) -> DimensionEstimate:
     """Dimension of a Grassmannian limit-set sample from its chart clouds,
-    {anchor name: (m, 2) points} as fibers.grassmann_charts builds them:
+    {anchor name: (m, 3) cloud} as fibers.grassmann_charts builds them:
     each chart is box-counted and the estimate is the max slope.  Charts
     with fewer than MIN_CHART_POINTS points are excluded with a warning.
     """
     warnings: list[str] = []
     breakdown: dict[str, float] = {}
     best: DimensionEstimate | None = None
-    for name, coords in charts.items():
-        if len(coords) < MIN_CHART_POINTS:
-            warnings.append(f"chart {name} excluded: only {len(coords)} points")
+    for name, xyz in charts.items():
+        if len(xyz) < MIN_CHART_POINTS:
+            warnings.append(f"chart {name} excluded: only {len(xyz)} points")
             continue
-        est = box_dimension_sphere(coords, scales=scales, min_points=min(min_points, len(coords)))
+        est = box_dimension_sphere(xyz, scales=scales, min_points=min(min_points, len(xyz)))
         breakdown[name] = est.slope
         if best is None or est.slope > best.slope:
             best = est
@@ -226,10 +222,9 @@ def grassmann_dimension(charts, scales=None, min_points: int = 1000) -> Dimensio
 
 
 def circle_cloud(count: int) -> np.ndarray:
-    """count equispaced points on a great circle, as homogeneous pairs."""
+    """count equispaced points on a great circle, as unit vectors."""
     theta = 2.0 * math.pi * np.arange(count) / count
-    xyz = np.stack([np.cos(theta), np.sin(theta), np.zeros(count)], axis=1)
-    return xyz_to_hom(xyz)
+    return np.stack([np.cos(theta), np.sin(theta), np.zeros(count)], axis=1)
 
 
 def cantor_cloud(levels: int, arc: float = 1.0) -> np.ndarray:
@@ -241,8 +236,7 @@ def cantor_cloud(levels: int, arc: float = 1.0) -> np.ndarray:
         bit = (np.arange(n) >> j) & 1
         t += 2.0 * bit / 3.0 ** (j + 1)
     theta = t * arc
-    xyz = np.stack([np.cos(theta), np.sin(theta), np.zeros(n)], axis=1)
-    return xyz_to_hom(xyz)
+    return np.stack([np.cos(theta), np.sin(theta), np.zeros(n)], axis=1)
 
 
 def uniform_cloud(count: int, seed: int = 0) -> np.ndarray:

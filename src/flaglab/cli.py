@@ -361,10 +361,8 @@ def cmd_dimension(args) -> int:
             pts = boxdim.circle_cloud(args.points)
         elif args.synthetic == "cantor":
             pts = boxdim.cantor_cloud(max(2, int(math.ceil(math.log2(args.points)))))
-        elif args.synthetic == "uniform":
-            pts = boxdim.uniform_cloud(args.points, seed=args.seed)
         else:
-            raise InputError(f"unknown synthetic cloud {args.synthetic}")
+            pts = boxdim.uniform_cloud(args.points, seed=args.seed)
         inputs["synthetic"] = args.synthetic
         est = boxdim.box_dimension_sphere(pts, scales=scales)
         chart_id = args.synthetic
@@ -438,7 +436,7 @@ def cmd_visualmass(args) -> int:
     t0 = time.time()
     inputs = {}
     if args.synthetic == "hemisphere":
-        cloud = np.array([[1.0 + 0j, 0.0 + 0j]])  # cap of radius pi/2 around the pole
+        cloud = np.array([[0.0, 0.0, 1.0]])  # cap of radius pi/2 around the pole
         eps = math.pi / 2.0
     else:
         if not args.rep:

@@ -25,7 +25,7 @@ from .certify import (
     transport_flag,
 )
 from .errors import FlaglabError, InputError, NotAnosovError, PrecisionError, TransversalityError
-from .mobius import chart, three_point_map
+from .mobius import chart, sphere_xyz, three_point_map
 from .reps import Representation, wedge_coords
 from .subspaces import (
     Subspace,
@@ -110,10 +110,11 @@ def tangent_project(z: FlagSample, x: FlagSample, k: int) -> FiberPoint:
 def chart_points(base: FlagSample, flags, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Tangent-project flags into the projective line of base.
 
-    Returns the (m, 2) fiber coordinates and the indices into flags of the
-    m flags they came from.  base's own source is skipped; a flag whose
-    projection raises PrecisionError (TransversalityError included) is
-    dropped, and every other exception propagates.
+    Returns the fiber coordinates as m unit vectors (m, 3), by sphere_xyz,
+    and the indices into flags of the m flags they came from.  base's own
+    source is skipped; a flag whose projection raises PrecisionError
+    (TransversalityError included) is dropped, and every other exception
+    propagates.
     """
     coords, kept = [], []
     for i, f in enumerate(flags):
@@ -124,7 +125,7 @@ def chart_points(base: FlagSample, flags, k: int) -> tuple[np.ndarray, np.ndarra
         except PrecisionError:
             continue
         kept.append(i)
-    points = np.stack(coords) if coords else np.empty((0, 2), dtype=complex)
+    points = sphere_xyz(np.stack(coords)) if coords else np.empty((0, 3))
     return points, np.array(kept, dtype=int)
 
 
@@ -133,8 +134,8 @@ def grassmann_charts(flags, k: int, anchors) -> tuple[dict[str, np.ndarray], lis
 
     Each anchor z charts the flags whose (d-k)-space stays CHART_FLOOR
     transverse to z's k-space, projected into the projective line at z.
-    Returns ({anchor word: (m, 2) coordinates}, indices of the flags that
-    no chart covers).
+    Returns ({anchor word: (m, 3) cloud}, indices of the flags that no
+    chart covers).
     """
     if not anchors:
         raise InputError("need at least one chart anchor")

@@ -1,8 +1,9 @@
 """Cross-ratio engine, quasi-Mobius diagnostics and visual measures.
 
-All sphere arithmetic is homogeneous (see mobius.py); charts appear only
-at I/O boundaries, so infinity needs no special cases.  Point clouds are
-arrays of shape (n, 2) of unit homogeneous pairs.
+A single cross-ratio is evaluated on homogeneous pairs (see mobius.py),
+so infinity needs no special cases.  Point clouds are arrays of shape
+(n, 3) of unit vectors in R^3, the one format every function here takes
+and returns.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .mobius import (
     h3_normalizer,
     hom,
     normalize,
-    sphere_xyz,
     uniform_sphere,
 )
 
@@ -62,15 +62,23 @@ def cross_ratio(z1, z2, z3, z4) -> complex:
     return complex(num / den)
 
 
+def _unit_vectors(points, message: str) -> np.ndarray:
+    """points as an (n, 3) array, or InputError(message) unless each squared
+    norm is within CHORD_SLACK of 1, which |B| by chords and cap_hits need."""
+    pts = np.asarray(points, dtype=float)
+    ok = pts.ndim == 2 and pts.shape[1] == 3
+    if not (ok and (np.abs((pts * pts).sum(axis=1) - 1.0) <= CHORD_SLACK).all()):
+        raise InputError(message)
+    return pts
+
+
 def cross_ratio_many(points: np.ndarray, quads: np.ndarray) -> np.ndarray:
-    """|B| for many index quadruples at once; inf where the denominator
-    vanishes.  points: (n, 2); quads: (m, 4) ints."""
-    a = points[quads[:, 0]]
-    b = points[quads[:, 1]]
-    c = points[quads[:, 2]]
-    d = points[quads[:, 3]]
-    num = np.abs(_det(c, a) * _det(d, b))
-    den = np.abs(_det(b, a) * _det(d, c))
+    """|B| = |c-a| |d-b| / (|b-a| |d-c|) in R^3 chords (twice the |det| of
+    the unit pairs, so this is |cross_ratio|) for many index quadruples at
+    once; inf where the denominator vanishes.  points: (n, 3); quads: (m, 4)."""
+    a, b, c, d = (points[quads[:, i]] for i in range(4))
+    num = np.linalg.norm(c - a, axis=1) * np.linalg.norm(d - b, axis=1)
+    den = np.linalg.norm(b - a, axis=1) * np.linalg.norm(d - c, axis=1)
     out = np.full(len(quads), np.inf)
     ok = den > 0
     out[ok] = num[ok] / den[ok]
@@ -93,10 +101,10 @@ def quasimobius_constant(
     distortion is the two-sided ratio max(|B'|/|B|, |B|/|B'|), which is
     exactly 1 for any Mobius-restricted correspondence.
     """
-    source = np.asarray(source, dtype=complex)
-    image = np.asarray(image, dtype=complex)
-    if source.shape != image.shape or source.ndim != 2 or source.shape[1] != 2:
-        raise InputError("source and image must be matching (n, 2) point arrays")
+    source = _unit_vectors(source, "source must be an (n, 3) array of unit vectors")
+    image = _unit_vectors(image, "image must be an (n, 3) array of unit vectors")
+    if source.shape != image.shape:
+        raise InputError("source and image must be matching arrays")
     n = len(source)
     if n < 4:
         raise InputError("need at least 4 correspondence pairs")
@@ -106,15 +114,7 @@ def quasimobius_constant(
     candidates = np.arange(n)
     for _ in range(QUADRUPLES):
         i, j, l = rng.choice(n, size=3, replace=False)
-        quads = np.stack(
-            [
-                np.full(n, i),
-                np.full(n, j),
-                candidates,
-                np.full(n, l),
-            ],
-            axis=1,
-        )
+        quads = np.column_stack([np.full(n, i), np.full(n, j), candidates, np.full(n, l)])
         vals = cross_ratio_many(source, quads)
         vals[[i, j, l]] = np.inf
         with np.errstate(invalid="ignore"):
@@ -146,9 +146,9 @@ def ahlfors_bound(
     """sup of |B(a, c, b, d)| over cyclically ordered quadruples of a Jordan
     curve sample (input order is the declared cyclic order).  Bounded for
     quasicircles; blows up on cusps and spikes."""
-    pts = np.asarray(curve_points, dtype=complex)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 4:
-        raise InputError("need >= 4 cyclically ordered sphere points")
+    pts = _unit_vectors(curve_points, "curve_points must be an (n, 3) array of unit vectors")
+    if len(pts) < 4:
+        raise InputError("need >= 4 cyclically ordered points")
     n = len(pts)
     if n <= MAX_EXHAUSTIVE:
         quads = np.array(list(combinations(range(n), 4)), dtype=int)
@@ -207,7 +207,7 @@ class VisualMeasure:
         return VisualMeasure(z2, t2)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """count boundary points distributed by this measure, as (n, 2)."""
+        """count points distributed by this measure, as unit vectors (count, 3)."""
         return apply_mobius(self.matrix, uniform_sphere(rng, count))
 
 
@@ -293,23 +293,20 @@ def visual_mass(
 
     eps is a geodesic radius on the unit 2-sphere, in (0, pi]: a cap of
     radius pi/2 is a hemisphere, one of radius pi the whole sphere, and a
-    larger radius would wrap around.  pre_map, when given, is a Mobius
-    matrix applied to the samples before the membership test:
-    visual_mass(nu_gx, A, pre_map=g^-1) estimates the pulled-back integrand
-    of the measure-equivariance law.
+    larger radius would wrap around.  cloud is an (n, 3) array of unit
+    vectors.  pre_map, when given, is a Mobius matrix applied to the
+    samples before the membership test: visual_mass(nu_gx, A, pre_map=g^-1)
+    estimates the pulled-back integrand of the measure-equivariance law.
     """
     if not 0 < eps <= math.pi:
         raise InputError(f"eps must lie in (0, pi], got {eps}")
     if mc_count < 1000:
         raise InputError("mc_count must be >= 1000")
-    cloud = np.asarray(cloud)
-    cloud_xyz = cloud if cloud.shape[-1] == 3 else sphere_xyz(cloud.astype(complex))
-    if not np.isfinite(cloud_xyz).all():
-        raise InputError("cloud points must be finite")  # cap_hits bins them into cubes
+    cloud = _unit_vectors(cloud, "cloud must be an (n, 3) array of finite unit vectors")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     pts = nu.sample(rng, mc_count)
     if pre_map is not None:
-        pts = apply_mobius(np.asarray(pre_map, dtype=complex), pts)
-    p = cap_hits(sphere_xyz(pts), cloud_xyz, eps) / mc_count
+        pts = apply_mobius(pre_map, pts)
+    p = cap_hits(pts, cloud, eps) / mc_count
     sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / mc_count)
     return MassEstimate(estimate=p, sigma=sigma, seed=seed, mc_count=mc_count)

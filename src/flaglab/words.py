@@ -63,7 +63,8 @@ class GroupPresentation:
             raise InputError("free presentations carry no relations")
 
     def letters(self) -> list[int]:
-        """All 2r letters in the canonical enumeration order."""
+        """All 2r letters in the canonical enumeration order 1, -1, 2, -2,
+        ..., which is the letter_key order."""
         out = []
         for i in range(1, self.generator_count + 1):
             out.extend((i, -i))
@@ -132,7 +133,7 @@ def enumerate_ball(presentation: GroupPresentation, radius: int) -> Iterator[Wor
         raise InputError("radius must be >= 1")
     if ball_size(presentation.generator_count, radius) > _MAX_BALL:
         raise CapacityError(f"ball of radius {radius} overflows a 64-bit counter")
-    letters = sorted(presentation.letters(), key=letter_key)
+    letters = presentation.letters()
     level: list[Word] = [()]
     yield ()
     for _ in range(radius):
@@ -151,7 +152,7 @@ def enumerate_ball(presentation: GroupPresentation, radius: int) -> Iterator[Wor
 def _random_word(
     presentation: GroupPresentation, length: int, rng: np.random.Generator
 ) -> Word:
-    letters = sorted(presentation.letters(), key=letter_key)
+    letters = presentation.letters()
     w: list[int] = []
     for _ in range(length):
         if w:

@@ -238,7 +238,7 @@ def test_criterion_6_cross_ratio():
 
 def test_criterion_7_visual_equivariance():
     nu0 = VisualMeasure.ball_origin()
-    pole = np.array([[1.0 + 0j, 0.0 + 0j]])
+    pole = np.array([[0.0, 0.0, 1.0]])
     hemi = visual_mass(nu0, pole, math.pi / 2, mc_count=100_000, seed=42)
     assert abs(hemi.estimate - 0.5) <= 3.0 * hemi.sigma_bound
 

@@ -15,7 +15,7 @@ from flaglab.boxdim import (
     refinement_for_scale,
 )
 from flaglab.errors import InputError
-from flaglab.mobius import apply_mobius, sphere_xyz
+from flaglab.mobius import apply_mobius
 from flaglab.words import word_to_str
 
 from conftest import random_sl
@@ -25,7 +25,7 @@ from conftest import random_sl
 
 
 def test_cell_ids_deterministic_and_order_free():
-    pts = sphere_xyz(fl.uniform_cloud(500, seed=1))
+    pts = fl.uniform_cloud(500, seed=1)
     ids1 = cell_ids(pts, 8)
     assert ids1.shape == (500,) and ids1.dtype == np.int64
     perm = np.random.default_rng(0).permutation(500)
@@ -51,17 +51,15 @@ def tuple_cell_ids(xyz, n):
     ("uniform", fl.uniform_cloud(10_000, seed=3)),
 ])
 def test_scalar_keys_match_tuple_cells(name, cloud):
-    xyz = sphere_xyz(cloud)
     for n in (1, 2, 17, 4096, 11072):
-        rows = tuple_cell_ids(xyz, n)
+        rows = tuple_cell_ids(cloud, n)
         face, i, j, up = rows.T
-        assert np.array_equal(cell_ids(xyz, n), ((face * n + i) * n + j) * 2 + up)
-        assert occupied_cells(xyz, n) == len(np.unique(rows, axis=0))
+        assert np.array_equal(cell_ids(cloud, n), ((face * n + i) * n + j) * 2 + up)
+        assert occupied_cells(cloud, n) == len(np.unique(rows, axis=0))
 
 
 def test_counts_monotone_under_refinement():
-    for cloud in (circle_cloud(3000), fl.cantor_cloud(12), fl.uniform_cloud(3000, seed=2)):
-        xyz = sphere_xyz(cloud)
+    for xyz in (circle_cloud(3000), fl.cantor_cloud(12), fl.uniform_cloud(3000, seed=2)):
         counts = [occupied_cells(xyz, n) for n in (2, 3, 4, 6, 8, 12, 16)]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
@@ -82,7 +80,7 @@ def eps_area(cloud, eps, mc_count, seed):
 
 
 def test_single_cap_area():
-    pt = np.array([[1.0 + 0j, 0.0 + 0j]])
+    pt = np.array([[0.0, 0.0, 1.0]])
     for eps in (0.2, 0.5):
         area, sigma = eps_area(pt, eps, mc_count=200_000, seed=3)
         exact = 2.0 * math.pi * (1.0 - math.cos(eps))
@@ -141,7 +139,7 @@ def test_dimension_mobius_invariance():
 
 
 def test_dimension_subsample_monotone():
-    cloud = sphere_xyz(circle_cloud(10_000))
+    cloud = circle_cloud(10_000)
     full = fl.box_dimension_sphere(cloud)
     half = fl.box_dimension_sphere(cloud[::2])
     assert half.slope <= full.slope + full.ci_halfwidth + 0.05
@@ -154,7 +152,7 @@ def test_area_count_consistency():
     for cloud in (circle_cloud(4_000), fl.cantor_cloud(12)):
         for n in (8, 16, 32):
             eps = EDGE_ARC / n
-            count = occupied_cells(sphere_xyz(cloud), n)
+            count = occupied_cells(cloud, n)
             area, _ = eps_area(cloud, eps, mc_count=150_000, seed=10)
             cell_area = 4.0 * math.pi / (20.0 * n * n)
             assert area <= count * cell_area * 16.0
@@ -245,7 +243,7 @@ def test_chart_points_drops_only_projection_failures(veronese_circle_flags, monk
     flags = veronese_circle_flags[:40]
     coords, kept = fibers.chart_points(flags[0], flags, 1)
     assert kept.tolist() == list(range(1, 40))  # the base's own source is skipped
-    assert coords.shape == (39, 2)
+    assert coords.shape == (39, 3)
 
     def broken(base, x, k):
         if x is flags[7]:

@@ -397,6 +397,24 @@ def test_replay_reproduces_bytes(tmp_path):
     assert (first / "foliate.csv").read_bytes() == (second / "foliate.csv").read_bytes()
 
 
+def test_json_format_matches_csv_and_replays(tmp_path):
+    argv = ["certify", "builtin:schottky", "--k", 1, "--radius", 4]
+    assert run(argv + ["--out", tmp_path / "csv"]) == 0
+    assert run(argv + ["--format", "json", "--out", tmp_path / "json"]) == 0
+    lines = (tmp_path / "csv" / "certify.csv").read_text().splitlines()
+    assert lines[0].startswith("# ")
+    columns = lines[1].split(",")
+    csv_rows = [dict(zip(columns, line.split(","))) for line in lines[2:]]
+    doc = json.loads((tmp_path / "json" / "certify.json").read_text())
+    assert doc["schema"] == lines[0][2:]
+    assert doc["rows"] == csv_rows and len(csv_rows) == 4
+    manifest = tmp_path / "json" / "certify.manifest.json"
+    assert run(["replay", manifest, "--out", tmp_path / "replay"]) == 0
+    assert (tmp_path / "replay" / "certify.json").read_bytes() == (
+        tmp_path / "json" / "certify.json"
+    ).read_bytes()
+
+
 def test_manifest_contents(tmp_path):
     run(["certify", "builtin:schottky", "--k", 1, "--radius", 5, "--out", tmp_path])
     manifest = json.loads((tmp_path / "certify.manifest.json").read_text())

@@ -8,7 +8,7 @@ from flaglab.errors import InputError
 from flaglab.mobius import apply_mobius, h3_apply, h3_normalizer, hom
 from flaglab import sphere
 from flaglab.boxdim import circle_cloud
-from flaglab.mobius import sphere_xyz, uniform_sphere
+from flaglab.mobius import lorentz, sphere_xyz, uniform_sphere
 from flaglab.sphere import VisualMeasure, as_point, cap_hits, cross_ratio
 from flaglab.subspaces import Subspace, hausdorff_subspace_dist
 
@@ -46,7 +46,7 @@ def test_cross_ratio_mobius_invariance():
     for _ in range(1000):
         pts = [as_point(rng.standard_normal() + 1j * rng.standard_normal()) for _ in range(4)]
         g = random_sl(rng, 2)
-        moved = [apply_mobius(g, p) for p in pts]
+        moved = [g @ p for p in pts]
         b0 = cross_ratio(*pts)
         b1 = cross_ratio(*moved)
         assert abs(b0 - b1) < 1e-10 * max(1.0, abs(b0))
@@ -99,8 +99,8 @@ def test_quasimobius_fiber_transition_stable(sym3, sym3_flags):
         except fl.FlaglabError:
             continue
         if np.isfinite(px.sphere.real) and np.isfinite(py.sphere.real):
-            src.append(hom(px.sphere))
-            img.append(hom(py.sphere))
+            src.append(sphere_xyz(hom(px.sphere)))
+            img.append(sphere_xyz(hom(py.sphere)))
     src, img = np.stack(src), np.stack(img)
     k_half = fl.quasimobius_constant(src[: len(src) // 2], img[: len(src) // 2], seed=2)
     k_full = fl.quasimobius_constant(src, img, seed=2)
@@ -112,6 +112,12 @@ def test_quasimobius_input_validation():
     pts = fl.uniform_cloud(3, seed=1)
     with pytest.raises(InputError):
         fl.quasimobius_constant(pts, pts)
+    # the chord form of |B| needs unit norms: a rescaled image is no input
+    pts = fl.uniform_cloud(40, seed=1)
+    scaled = pts * np.linspace(0.5, 2.0, 40)[:, None]
+    for src, img in ((pts, scaled), (scaled, pts), (pts, pts[:, :2])):
+        with pytest.raises(InputError):
+            fl.quasimobius_constant(src, img)
 
 
 # --- Ahlfors bound --------------------------------------------------------------
@@ -133,7 +139,7 @@ def _segment_with_spike(height: float, n: int = 60) -> np.ndarray:
     xs = np.linspace(0.0, 1.0, n)
     zs = [complex(x, 0.0) for x in xs]
     zs.insert(n // 2, complex(0.5 + 1e-9, height))
-    return np.stack([as_point(z) for z in zs])
+    return np.stack([sphere_xyz(as_point(z)) for z in zs])
 
 
 def test_ahlfors_spike_grows_without_bound():
@@ -149,6 +155,9 @@ def test_ahlfors_spike_grows_without_bound():
 def test_ahlfors_needs_four_points():
     with pytest.raises(InputError):
         fl.ahlfors_bound(fl.circle_cloud(3))
+    for bad in (2.0 * fl.circle_cloud(10), fl.circle_cloud(10)[:, :2]):
+        with pytest.raises(InputError):
+            fl.ahlfors_bound(bad)
 
 
 # --- visual measures --------------------------------------------------------------
@@ -159,13 +168,13 @@ def test_visual_mass_whole_sphere():
     cloud = fl.uniform_cloud(60, seed=9)
     m = fl.visual_mass(nu, cloud, 0.99, mc_count=2000, seed=1)
     assert m.estimate == 1.0
-    pole = np.array([[1.0 + 0j, 0.0 + 0j]])
+    pole = np.array([[0.0, 0.0, 1.0]])
     assert fl.visual_mass(nu, pole, math.pi, mc_count=2000, seed=1).estimate == 1.0
 
 
 def test_visual_mass_hemisphere():
     nu = VisualMeasure.ball_origin()
-    pole = np.array([[1.0 + 0j, 0.0 + 0j]])
+    pole = np.array([[0.0, 0.0, 1.0]])
     m = fl.visual_mass(nu, pole, math.pi / 2, mc_count=100_000, seed=42)
     assert abs(m.estimate - 0.5) <= 3.0 * m.sigma_bound
     assert m.sigma <= m.sigma_bound + 1e-12
@@ -209,6 +218,42 @@ def test_visual_mass_validation():
         fl.visual_mass(nu, cloud, 0.1, mc_count=10)
     with pytest.raises(InputError):
         fl.visual_mass(nu, np.array([[0.0, 0.0, 1.0], [np.nan, 0.0, 0.0]]), 0.1)
+    # cap_hits bins by cube, which puts a point off the sphere in the wrong one
+    for bad in ([[0.0, 0.0, 2.0]], [[0.0, 0.0, 1.0 + 1e-12]], [[0.0, 1.0]]):
+        with pytest.raises(InputError):
+            fl.visual_mass(nu, bad, 0.1)
+    # a pre_map or basepoint that is no Mobius map
+    for bad in ([[1, 1], [1, 1]], np.zeros((2, 2)), [[1, np.nan], [0, 1]], [[np.inf, 0], [0, 1]]):
+        with pytest.raises(InputError):
+            fl.visual_mass(nu, cloud, 0.1, mc_count=1000, pre_map=bad)
+    for z, t in ((np.nan, 1.0), (complex(np.inf, 0), 1.0), (0j, np.inf), (0j, np.nan)):
+        with pytest.raises(InputError):
+            fl.visual_mass(VisualMeasure(z, t), cloud, 0.1, mc_count=1000)
+
+
+def hom_path_mobius(m, xyz):
+    """Oracle for apply_mobius: the homogeneous action, through the better
+    conditioned of the two pole charts of each point and back."""
+    x, y, z = np.asarray(xyz).T
+    w = x + 1j * y
+    north = np.stack([1.0 + z + 0j, np.conj(w)], axis=-1)
+    south = np.stack([w, 1.0 - z + 0j], axis=-1)
+    v = np.where((z >= 0)[:, None], north, south)
+    return sphere_xyz(v @ np.asarray(m, dtype=complex).T)
+
+
+def test_lorentz_action_matches_homogeneous_path():
+    rng = np.random.default_rng(15)
+    pts = uniform_sphere(rng, 2000)
+    assert np.array_equal(lorentz(np.eye(2)), np.eye(4))
+    maps = [random_sl(rng, 2) for _ in range(100)]
+    bases = [VisualMeasure(z, t) for z in (0j, 10.0, 5 + 5j, -7j, 3 - 9j) for t in (1e-3, 1e3)]
+    for ms, tol in ((maps, 1e-12), ([nu.matrix for nu in bases], 1e-9)):
+        for m in ms:
+            moved = apply_mobius(m, pts)
+            assert np.abs(moved - hom_path_mobius(m, pts)).max() <= tol
+            # unit to a few ulps, far inside the slack cap_hits allows
+            assert np.abs(np.sum(moved**2, axis=1) - 1.0).max() <= 4 * np.finfo(float).eps
 
 
 def brute_cap_hits(sample_xyz, cloud_xyz, eps):
@@ -221,7 +266,7 @@ def brute_cap_hits(sample_xyz, cloud_xyz, eps):
 
 
 def uniform_xyz(count, seed):
-    return sphere_xyz(uniform_sphere(np.random.default_rng(seed), count))
+    return uniform_sphere(np.random.default_rng(seed), count)
 
 
 def on_cube_faces(step):
@@ -277,7 +322,7 @@ def test_cap_hits_points_on_cube_faces(eps):
 
 @pytest.mark.parametrize("eps", [0.02, 0.04, 0.08, 0.16])
 def test_cap_hits_circle_cloud(eps):
-    cloud = sphere_xyz(circle_cloud(20_000))  # on the cube faces z = 0
+    cloud = circle_cloud(20_000)  # on the cube faces z = 0
     samples = uniform_xyz(10_000, seed=25)
     assert cap_hits(samples, cloud, eps) == brute_cap_hits(samples, cloud, eps)
 
@@ -316,7 +361,7 @@ def test_foliated_mass_invariance(sym3, sym3_flags):
         except fl.FlaglabError:
             continue
         if np.isfinite(fp.sphere.real):
-            cloud.append(hom(fp.sphere))
+            cloud.append(sphere_xyz(hom(fp.sphere)))
     cloud = np.stack(cloud)
     gmat, gt = triv.cocycle((1, -2), base)
     nu = VisualMeasure(0.1 + 0.1j, 1.3)
@@ -339,7 +384,7 @@ def test_foliated_mass_invariance(sym3, sym3_flags):
         except fl.FlaglabError:
             continue
         if np.isfinite(before.sphere.real) and np.isfinite(after.sphere.real):
-            moved_before = Subspace.line(apply_mobius(gmat, hom(before.sphere)))
+            moved_before = Subspace.line(gmat @ hom(before.sphere))
             assert hausdorff_subspace_dist(Subspace.line(hom(after.sphere)), moved_before) < 1e-6
             checked += 1
     assert checked >= 5

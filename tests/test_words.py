@@ -56,6 +56,13 @@ def test_ball_order_deterministic_and_sorted():
         assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("rank", range(1, 5))
+def test_letters_in_letter_key_order(rank):
+    # enumerate_ball and the random word sampler read the letters unsorted
+    letters = W.free_group(rank).letters()
+    assert letters == sorted(letters, key=W.letter_key)
+
+
 def test_ball_capacity_error():
     with pytest.raises(CapacityError):
         list(W.enumerate_ball(F2, 64))
