@@ -15,7 +15,6 @@ from .certify import (
     GapSweep,
     boundary_sample,
     certify_anosov,
-    flag_dist,
     gap_sweep,
     limit_set_sample,
     transport_flag,
@@ -70,10 +69,9 @@ from .subspaces import Subspace, hausdorff_subspace_dist, transversality_gap
 from .words import (
     GroupPresentation,
     Word,
-    enumerate_ball,
     free_group,
     reduce,
     surface_group,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

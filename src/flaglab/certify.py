@@ -17,7 +17,7 @@ from . import words as W
 from .errors import CapacityError, FlaglabError, InputError, NotAnosovError, PrecisionError
 from .prodsvd import ProductSVD
 from .reps import Representation
-from .subspaces import Subspace, hausdorff_subspace_dist, orth
+from .subspaces import Subspace, orth
 from .words import Word
 
 SWEEP_BUDGET = 1 << 29  # bytes of stacked (u, logs, vh) state one sweep level may hold
@@ -50,10 +50,11 @@ def gap_sweep(rep: Representation, radius: int) -> GapSweep:
     """Sweep all freely reduced words of length 1..radius and record the
     minimum gap vector per length.
 
-    One level per length, through the graded product SVD, so tiny gaps
-    stay honest to ~1e-12: each letter is absorbed into the sub-stack of
-    the parents it may follow.  Words are parent-index arrays, spelled out
-    for the argmins only (the first minimal words in lexicographic order).
+    One level of words.levels per length, through the graded product SVD,
+    so tiny gaps stay honest to ~1e-12: each letter is absorbed into the
+    sub-stack of the parents it may follow.  Words stay parent-index
+    arrays, spelled out for the argmins only (the first minimal words in
+    lexicographic order).
     Raises CapacityError before any work when the longest level would pass
     SWEEP_BUDGET bytes of state, and PrecisionError on a non-finite gap.
     """
@@ -68,44 +69,31 @@ def gap_sweep(rep: Representation, radius: int) -> GapSweep:
             f"radius {radius} needs {need / 2**20:.0f} MiB of sweep state for its "
             f"{widest} longest words; the budget is {SWEEP_BUDGET / 2**20:.0f} MiB"
         )
-    letters = np.array(rep.presentation.letters())  # lexicographic order
     state = ProductSVD(d, (1,))
-    last = np.zeros(1, dtype=int)
     minima = np.empty((radius, d - 1))
-    levels = []  # per length: (parent index, last letter, argmin per gap index)
-    for n in range(1, radius + 1):
-        # children in (parent, letter) order, i.e. lexicographic
-        parent, pick = np.nonzero(last[:, None] != -letters)
+    walk, argmin_words = [], []
+    for n, (parent, last) in enumerate(W.levels(rep.presentation, radius), 1):
         gaps = np.empty((parent.size, d - 1))
         # nothing extends the longest words, so their states are not kept
         child = ProductSVD(d, parent.shape) if n < radius else None
-        for j, letter in enumerate(letters):
-            rows = np.nonzero(pick == j)[0]
-            sub = state[parent[rows]].absorb(rep.matrix(int(letter)))
+        for letter in rep.presentation.letters():
+            rows = np.nonzero(last == letter)[0]
+            sub = state[parent[rows]].absorb(rep.matrix(letter))
             gaps[rows] = sub.gaps()
             if child is not None:
                 child[rows] = sub
-        state, last = child, letters[pick]
+        state = child
         if not np.all(np.isfinite(gaps)):
             raise _spread_error(f"at length {n}")
         idx = np.argmin(gaps, axis=0)
         minima[n - 1] = gaps[idx, np.arange(d - 1)]
-        levels.append((parent, last, idx))
-
-    def spell(n: int, i: int) -> Word:
-        out = []
-        for parent, last, _ in reversed(levels[:n]):
-            out.append(int(last[i]))
-            i = parent[i]
-        return tuple(reversed(out))
-
+        walk.append((parent, last))
+        argmin_words.append(tuple(W.spell(walk, i) for i in idx))
     return GapSweep(
         radius=radius,
         lengths=tuple(range(1, radius + 1)),
         minima=minima,
-        argmin_words=tuple(
-            tuple(spell(n, i) for i in levels[n - 1][2]) for n in range(1, radius + 1)
-        ),
+        argmin_words=tuple(argmin_words),
     )
 
 
@@ -297,14 +285,6 @@ class FlagSample:
 
     def __repr__(self):
         return f"FlagSample({W.word_to_str(self.source)}, ks={self.ks})"
-
-
-def flag_dist(a: FlagSample, b: FlagSample) -> float:
-    """Largest Hausdorff subspace distance over the common indices."""
-    common = sorted(set(a.ks) & set(b.ks))
-    if not common:
-        raise InputError("flags share no indices")
-    return max(hausdorff_subspace_dist(a.space(k), b.space(k)) for k in common)
 
 
 def boundary_samples(rep: Representation, words, ks) -> list:

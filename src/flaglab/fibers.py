@@ -189,6 +189,8 @@ class TripleSpec:
     def __post_init__(self):
         if self.count < 1:
             raise InputError(f"count must be >= 1, got {self.count}")
+        if self.word_length < 2:
+            raise InputError(f"word_length must be >= 2 to draw near pairs, got {self.word_length}")
         if self.pool_size < 3:
             raise InputError(f"pool_size must be >= 3 to draw a triple, got {self.pool_size}")
         if not TAU_FAIL <= self.tau <= 1.0:

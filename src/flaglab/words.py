@@ -17,13 +17,6 @@ from .errors import CapacityError, InputError
 
 Word = tuple[int, ...]
 
-_MAX_BALL = 2**63 - 1
-
-
-def letter_key(letter: int) -> int:
-    """Total order on letters: g1 < g1^-1 < g2 < g2^-1 < ..."""
-    return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
-
 
 def word_to_str(w: Word) -> str:
     """Compact text form, a/A for generator 1 and its inverse, b/B, ..."""
@@ -63,8 +56,8 @@ class GroupPresentation:
             raise InputError("free presentations carry no relations")
 
     def letters(self) -> list[int]:
-        """All 2r letters in the canonical enumeration order 1, -1, 2, -2,
-        ..., which is the letter_key order."""
+        """All 2r letters in the order 1, -1, 2, -2, ..., which orders
+        every word walk and sampler."""
         out = []
         for i in range(1, self.generator_count + 1):
             out.extend((i, -i))
@@ -125,28 +118,32 @@ def ball_size(rank: int, radius: int) -> int:
     return total
 
 
-def enumerate_ball(presentation: GroupPresentation, radius: int) -> Iterator[Word]:
-    """Stream the freely reduced words of length <= radius, ordered by
-    (length, lexicographic).  For free groups every group element of the
-    ball appears exactly once."""
-    if radius < 1:
-        raise InputError("radius must be >= 1")
-    if ball_size(presentation.generator_count, radius) > _MAX_BALL:
-        raise CapacityError(f"ball of radius {radius} overflows a 64-bit counter")
-    letters = presentation.letters()
-    level: list[Word] = [()]
-    yield ()
+def levels(presentation: GroupPresentation, radius: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Walk the freely reduced words of length 1..radius one length at a time.
+
+    Yields per length the int arrays (parent, letter): word i of this
+    length is word parent[i] of the previous length followed by letter[i].
+    Children come in (parent, letter) order, so each length is
+    lexicographic in the order of letters().  For free groups every group
+    element of the ball appears exactly once."""
+    letters = np.array(presentation.letters())
+    last = np.zeros(1, dtype=int)
     for _ in range(radius):
-        nxt: list[Word] = []
-        for w in level:
-            last = w[-1] if w else 0
-            for letter in letters:
-                if letter == -last:
-                    continue
-                nw = w + (letter,)
-                nxt.append(nw)
-                yield nw
-        level = nxt
+        child = last[:, None] != -letters  # no letter cancels its parent's last one
+        # not np.nonzero: its two index arrays share one buffer, twice the
+        # size of the parent array a caller keeps per length
+        parent = np.repeat(np.arange(last.size), child.sum(axis=1))
+        last = np.broadcast_to(letters, child.shape)[child]
+        yield parent, last
+
+
+def spell(walk: Sequence[tuple[np.ndarray, np.ndarray]], i: int) -> Word:
+    """Word i of the last length of walk, the levels() output from length 1."""
+    out = []
+    for parent, letter in reversed(walk):
+        out.append(int(letter[i]))
+        i = parent[i]
+    return tuple(reversed(out))
 
 
 def _random_word(
@@ -173,6 +170,8 @@ def random_cyclic_words(
     """
     if count < 1:
         raise InputError("count must be >= 1")
+    if length < 1:
+        raise InputError(f"word length must be >= 1, got {length}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     seen: set[Word] = set()
     out: list[Word] = []

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import flaglab as fl
 from flaglab.prodsvd import ProductSVD
+from flaglab.subspaces import hausdorff_subspace_dist
 
 
 @pytest.fixture(scope="session")
@@ -86,3 +89,23 @@ def matrix_gaps(m: np.ndarray) -> np.ndarray:
     """Gap profiles of one matrix or a stack of matrices, in one stacked absorb."""
     m = np.asarray(m, dtype=complex)
     return ProductSVD(m.shape[-1], m.shape[:-2]).absorb(m).gaps()
+
+
+def flag_dist(a: "fl.FlagSample", b: "fl.FlagSample") -> float:
+    """Largest Hausdorff subspace distance over the indices two flags share."""
+    common = sorted(set(a.ks) & set(b.ks))
+    assert common, "flags share no indices"
+    return max(hausdorff_subspace_dist(a.space(k), b.space(k)) for k in common)
+
+
+def brute_ball(presentation: "fl.GroupPresentation", radius: int) -> list:
+    """The freely reduced words of length 1..radius by length, then
+    lexicographic in the order of letters(): every letter string, minus
+    those with an adjacent inverse pair.  Independent of words.levels."""
+    letters = presentation.letters()
+    return [
+        w
+        for n in range(1, radius + 1)
+        for w in itertools.product(letters, repeat=n)
+        if all(a != -b for a, b in zip(w, w[1:]))
+    ]

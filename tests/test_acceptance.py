@@ -110,7 +110,7 @@ def test_criterion_3_wedge_gap_identities(name):
 
 
 def _ball_identity_error(rep, wrep, k, radius):
-    letters = sorted(rep.presentation.letters(), key=W.letter_key)
+    letters = rep.presentation.letters()
     worst = 0.0
 
     def descend(sa, sb, word, depth):

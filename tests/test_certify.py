@@ -12,6 +12,8 @@ from flaglab.prodsvd import ProductSVD
 from flaglab.reps import Representation
 from flaglab.subspaces import Subspace, hausdorff_subspace_dist
 
+from conftest import brute_ball, flag_dist
+
 
 # --- certificates -----------------------------------------------------------
 
@@ -99,7 +101,7 @@ def test_sweep_witnesses_and_brute_force_minima(name, radius):
     rep = fl.preset(name)
     sweep = fl.gap_sweep(rep, radius)
     d = rep.dim
-    ball = list(W.enumerate_ball(rep.presentation, radius))
+    ball = brute_ball(rep.presentation, radius)
     for n in range(1, radius + 1):
         # every word of length n on its own, letter by letter: no shared prefixes
         words = [w for w in ball if len(w) == n]
@@ -168,7 +170,7 @@ def test_boundary_sample_equivariance(sym4):
     lhs = transport_flag(sym4, gamma, flag)
     conj = W.concat(sym4.presentation, gamma, w, W.invert(gamma))
     rhs = fl.boundary_sample(sym4, conj, [1, 2, 3])
-    assert fl.flag_dist(lhs, rhs) < 1e-6
+    assert flag_dist(lhs, rhs) < 1e-6
 
 
 def test_transport_flag_matches_moved_frames(sym4):
@@ -187,7 +189,7 @@ def test_transport_flag_round_trip(sym4):
     gamma = (1, 2)
     flag = fl.boundary_sample(sym4, (1, 2, -1, 2, 1), [1, 2, 3])
     back = transport_flag(sym4, W.invert(gamma), transport_flag(sym4, gamma, flag))
-    assert fl.flag_dist(back, flag) < 1e-10
+    assert flag_dist(back, flag) < 1e-10
 
 
 def test_transport_flag_collapse_is_precision_error():
@@ -212,7 +214,7 @@ def test_boundary_sample_stability_under_more_power(sym4, monkeypatch):
     f1 = fl.boundary_sample(sym4, w, [1, 2, 3])
     monkeypatch.setattr(certify, "TARGET_GAP", 28.0)
     f2 = fl.boundary_sample(sym4, w, [1, 2, 3])
-    assert fl.flag_dist(f1, f2) < 1e-6
+    assert flag_dist(f1, f2) < 1e-6
 
 
 def test_boundary_sample_nesting_postcondition(sym4_flags):
@@ -273,7 +275,7 @@ def test_limit_set_invariance_under_translation(sym3):
         fresh = fl.boundary_sample(
             sym3, W.concat(sym3.presentation, gamma, f.source, W.invert(gamma)), [1, 2]
         )
-        assert fl.flag_dist(moved, fresh) < 1e-4
+        assert flag_dist(moved, fresh) < 1e-4
 
 
 def test_wedge_consistency_of_flags(sym4):

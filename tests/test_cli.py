@@ -341,6 +341,11 @@ _SURFACE = {
     (["certify", "builtin:sym3", "--k", 1, "--r2-threshold", "nan"], None),
     (["hyperconvex", "builtin:sym3", "--k", 1, "--triples", 0, "--assume-anosov"], None),
     (["dimension", "builtin:octagon-sym3", "--mode", "grassmann", "--anchors", 0], None),
+    (["dimension", "builtin:sym3", "--word-length", 0, "--points", 1000], None),
+    (["hyperconvex", "builtin:sym4", "--k", 2, "--word-length", 0, "--assume-anosov"], None),
+    (["hyperconvex", "builtin:sym4", "--k", 2, "--word-length", 1, "--pool", 3,
+      "--assume-anosov", "--triples", 10], None),
+    (["foliate", "builtin:sym3", "--k", 1, "--word-length", -3], None),
 ])
 def test_malformed_input_exits_64(tmp_path, capsys, monkeypatch, argv, doc):
     monkeypatch.chdir(tmp_path)  # the default --out

@@ -16,7 +16,7 @@ from flaglab.mobius import hom, sphere_xyz
 from flaglab.sphere import cross_ratio
 from flaglab.subspaces import hausdorff_subspace_dist, principal_cosines
 
-from conftest import proj_matrix_dist
+from conftest import flag_dist, proj_matrix_dist
 
 
 # --- tangent projection --------------------------------------------------------
@@ -119,6 +119,7 @@ def test_directsum_fails_upstream(directsum):
 
 @pytest.mark.parametrize("field", [
     {"count": 0}, {"tau": -1.0}, {"tau": 1e-8}, {"tau": 1.5}, {"tau": float("nan")},
+    {"word_length": 1}, {"word_length": 0},
 ])
 def test_triple_spec_rejects_out_of_contract_fields(field):
     with pytest.raises(InputError):
@@ -321,7 +322,7 @@ def test_foliated_continuity_probe(sym3):
     w2 = W.cyclic_reduce(W.reduce(w1[:4] + (1,) + w1[5:], p))
     f1 = fl.boundary_sample(rep, w1, [1, 2])
     f2 = fl.boundary_sample(rep, w2, [1, 2])
-    assert fl.flag_dist(f1, f2) < 1e-2
+    assert flag_dist(f1, f2) < 1e-2
 
     def cloud(base):
         out = []

@@ -279,7 +279,7 @@ def test_wedge_gap_transfer_over_ball(sym4):
     """First wedge gap equals the k-th gap; second equals the min of the
     neighbors, over the radius-3 ball (graded product path)."""
     wrep = fl.wedge_rep(sym4, 2)
-    letters = sorted(sym4.presentation.letters(), key=W.letter_key)
+    letters = sym4.presentation.letters()
 
     def descend(sa, sb, word, depth):
         for letter in letters:

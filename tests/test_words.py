@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import flaglab.words as W
-from flaglab.errors import CapacityError, InputError
+from flaglab.errors import InputError
+
+from conftest import brute_ball
 
 
 F2 = W.free_group(2)
@@ -31,41 +33,55 @@ def test_reduce_rejects_bad_letters():
         W.reduce((0,), F2)
 
 
+def walk_ball(presentation, radius):
+    """Every word of levels(presentation, radius), spelled back in walk order."""
+    walk, out = [], []
+    for parent, letter in W.levels(presentation, radius):
+        walk.append((parent, letter))
+        out.extend(W.spell(walk, i) for i in range(parent.size))
+    return out
+
+
+@pytest.mark.parametrize("radius", range(1, 7))
+@pytest.mark.parametrize("rank", range(1, 4))
+def test_levels_spell_brute_force_ball(rank, radius):
+    pres = W.free_group(rank)
+    assert walk_ball(pres, radius) == brute_ball(pres, radius)
+    for n, (parent, letter) in enumerate(W.levels(pres, radius), 1):
+        assert parent.size == letter.size == W.ball_size(rank, n) - W.ball_size(rank, n - 1)
+
+
 def test_ball_counts():
-    assert len(list(W.enumerate_ball(F2, 1))) == 5
-    assert len(list(W.enumerate_ball(F2, 2))) == 17
-    assert len(list(W.enumerate_ball(F1, 3))) == 7
+    assert len(walk_ball(F2, 1)) == 5 - 1  # the walk leaves out the empty word
+    assert len(walk_ball(F2, 2)) == 17 - 1
+    assert len(walk_ball(F1, 3)) == 7 - 1
 
 
 @pytest.mark.parametrize("radius", range(1, 9))
 def test_ball_matches_closed_form(radius):
-    count = sum(1 for _ in W.enumerate_ball(F2, radius))
-    assert count == W.ball_size(2, radius)
+    assert 1 + len(walk_ball(F2, radius)) == W.ball_size(2, radius)
 
 
 def test_ball_order_deterministic_and_sorted():
-    ws = list(W.enumerate_ball(F2, 3))
-    assert ws == list(W.enumerate_ball(F2, 3))
+    ws = walk_ball(F2, 3)
+    assert ws == walk_ball(F2, 3)
     lengths = [len(w) for w in ws]
     assert lengths == sorted(lengths)
     # within a length, lexicographic in the letter order a < A < b < B
+    rank_of = {letter: i for i, letter in enumerate(F2.letters())}
     by_len = {}
     for w in ws:
-        by_len.setdefault(len(w), []).append(tuple(W.letter_key(x) for x in w))
+        by_len.setdefault(len(w), []).append(tuple(rank_of[x] for x in w))
     for keys in by_len.values():
         assert keys == sorted(keys)
 
 
 @pytest.mark.parametrize("rank", range(1, 5))
 def test_letters_in_letter_key_order(rank):
-    # enumerate_ball and the random word sampler read the letters unsorted
-    letters = W.free_group(rank).letters()
-    assert letters == sorted(letters, key=W.letter_key)
-
-
-def test_ball_capacity_error():
-    with pytest.raises(CapacityError):
-        list(W.enumerate_ball(F2, 64))
+    # the letter order g1 < g1^-1 < g2 < g2^-1 < ... that the level walk and
+    # the random word sampler read
+    expected = [s * i for i in range(1, rank + 1) for s in (1, -1)]
+    assert W.free_group(rank).letters() == expected
 
 
 def test_random_geodesic_word():
