@@ -13,7 +13,7 @@ from .certify import (
     AnosovCertificate,
     FlagSample,
     GapSweep,
-    boundary_sample,
+    boundary_samples,
     certify_anosov,
     gap_sweep,
     limit_set_sample,
@@ -28,7 +28,6 @@ from .errors import (
     TransversalityError,
 )
 from .fibers import (
-    FiberPoint,
     FoliatedSample,
     HyperconvexityReport,
     TripleSpec,
@@ -74,4 +73,4 @@ from .words import (
     surface_group,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

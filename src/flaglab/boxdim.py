@@ -196,7 +196,7 @@ def box_dimension_sphere(
     )
 
 
-def grassmann_dimension(charts, scales=None, min_points: int = 1000) -> DimensionEstimate:
+def grassmann_dimension(charts, scales=None) -> DimensionEstimate:
     """Dimension of a Grassmannian limit-set sample from its chart clouds,
     {anchor name: (m, 3) cloud} as fibers.grassmann_charts builds them:
     each chart is box-counted and the estimate is the max slope.  Charts
@@ -209,7 +209,7 @@ def grassmann_dimension(charts, scales=None, min_points: int = 1000) -> Dimensio
         if len(xyz) < MIN_CHART_POINTS:
             warnings.append(f"chart {name} excluded: only {len(xyz)} points")
             continue
-        est = box_dimension_sphere(xyz, scales=scales, min_points=min(min_points, len(xyz)))
+        est = box_dimension_sphere(xyz, scales=scales, min_points=MIN_CHART_POINTS)
         breakdown[name] = est.slope
         if best is None or est.slope > best.slope:
             best = est

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import words as W
-from .errors import CapacityError, FlaglabError, InputError, NotAnosovError, PrecisionError
+from .errors import CapacityError, InputError, NotAnosovError, PrecisionError
 from .prodsvd import ProductSVD
 from .reps import Representation
 from .subspaces import Subspace, orth
@@ -289,14 +289,16 @@ class FlagSample:
 
 def boundary_samples(rep: Representation, words, ks) -> list:
     """Nested attractors of rho(w^n) for many words in one stacked power
-    loop; entry i is the FlagSample of words[i], or the NotAnosovError or
-    PrecisionError that rejected it.
+    loop; entry i is the FlagSample of words[i], the attracting endpoint of
+    its axis, or the NotAnosovError or PrecisionError that rejected it.
 
-    Each step absorbs the next letter of every unfinished word.  A word is
-    judged whenever it completes a power: done once every requested gap
-    clears TARGET_GAP, rejected when its gap stalls over four powers, when
-    MAX_LETTERS run out or when a gap is not finite.  Every product of the
-    stack is treated alone, so a flag does not depend on its batch.
+    Each step absorbs the next letter of every unfinished word into the
+    graded product SVD, which keeps every singular subspace accurate up to
+    a log-singular spread of about 745 nats.  A word is judged whenever it
+    completes a power: done once every requested gap clears TARGET_GAP,
+    rejected when its gap stalls over four powers, when MAX_LETTERS run
+    out or when a gap is not finite.  Every product of the stack is
+    treated alone, so a flag does not depend on its batch.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks:
@@ -306,7 +308,7 @@ def boundary_samples(rep: Representation, words, ks) -> list:
             raise InputError(f"flag index {k} out of range 1..{rep.dim - 1}")
     words = [W.reduce(w, rep.presentation) for w in words]
     if not all(words):
-        raise InputError("boundary_sample needs a nontrivial word")
+        raise InputError("boundary_samples needs a nontrivial word")
     letters = rep.presentation.letters()
     mats = np.stack([rep.matrix(letter) for letter in letters])
     codes = [[letters.index(letter) for letter in w] for w in words]
@@ -343,23 +345,6 @@ def boundary_samples(rep: Representation, words, ks) -> list:
         if not keep.all():
             state, live = state[keep], live[keep]
     return out
-
-
-def boundary_sample(rep: Representation, word, ks) -> FlagSample:
-    """Nested attractors of rho(word^n), n raised until every requested gap
-    clears TARGET_GAP.  The flag stands for the attracting endpoint of the
-    word's axis.
-
-    This is the one-word case of boundary_samples.  Powers are accumulated
-    in the graded product SVD, which keeps every singular subspace (not just
-    the top one) accurate up to a log-singular spread of about 745 nats, so
-    middle flags of high-dimensional representations are as reliable as the
-    extremes; past that spread PrecisionError is raised.
-    """
-    (flag,) = boundary_samples(rep, [word], ks)
-    if isinstance(flag, FlaglabError):
-        raise flag
-    return flag
 
 
 def transport_flag(rep: Representation, gamma, flag: FlagSample) -> FlagSample:

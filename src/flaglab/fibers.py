@@ -5,7 +5,8 @@ Every flag z with spaces k-1 and k+1 carries a projective line: the
 quotient of its (k+1)-space by its (k-1)-space, worked with through the
 orthonormal 2-frame FlagSample.fiber_frame(k).  Other boundary points x
 project into that line by intersecting their (d-k)-space with the
-(k+1)-space of z.
+(k+1)-space of z; a projected point is its pair of coordinates in that
+frame, a vector in C^2.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .certify import (
     transport_flag,
 )
 from .errors import FlaglabError, InputError, NotAnosovError, PrecisionError, TransversalityError
-from .mobius import chart, sphere_xyz, three_point_map
+from .mobius import chart, det2, sphere_xyz, three_point_map
 from .reps import Representation, wedge_coords
 from .subspaces import (
     Subspace,
@@ -69,20 +70,9 @@ def _line_intersection(a: Subspace, b: Subspace) -> np.ndarray:
     return a.frame @ u[:, 0]
 
 
-@dataclass
-class FiberPoint:
-    """A point of the projective line at `base`, as a unit 2-vector in the
-    base's fiber frame; `sphere` is filled once a trivialization is applied."""
-
-    base: FlagSample
-    k: int
-    coords: np.ndarray
-    source: Word
-    sphere: complex | None = None
-
-
-def tangent_project(z: FlagSample, x: FlagSample, k: int) -> FiberPoint:
-    """Project the boundary direction x into the projective line of z.
+def tangent_project(z: FlagSample, x: FlagSample, k: int) -> np.ndarray:
+    """Project the boundary direction x into the projective line of z, as
+    a unit 2-vector (a homogeneous pair) in z's fiber frame.
 
     For x distinct from z this is the class of x^{d-k} intersected with
     z^{k+1}; for x = z (same source word) it is the class of z^k.
@@ -104,7 +94,7 @@ def tangent_project(z: FlagSample, x: FlagSample, k: int) -> FiberPoint:
                 "projected line collapsed into the (k-1)-space"
             )
         coords = coords / norm
-    return FiberPoint(base=z, k=k, coords=coords, source=x.source)
+    return coords
 
 
 def chart_points(base: FlagSample, flags, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +111,7 @@ def chart_points(base: FlagSample, flags, k: int) -> tuple[np.ndarray, np.ndarra
         if f.source == base.source:
             continue
         try:
-            coords.append(tangent_project(base, f, k).coords)
+            coords.append(tangent_project(base, f, k))
         except PrecisionError:
             continue
         kept.append(i)
@@ -164,11 +154,10 @@ def point_dist(a: FlagSample, b: FlagSample) -> float:
     return hausdorff_subspace_dist(a.space(common[0]), b.space(common[0]))
 
 
-def fiber_angle(p: FiberPoint, q: FiberPoint) -> float:
-    """Sine of the angle between two fiber points over the same base; exact
-    for tiny angles (it is a 2x2 determinant of unit columns)."""
-    det = p.coords[0] * q.coords[1] - p.coords[1] * q.coords[0]
-    return float(abs(det))
+def fiber_angle(p: np.ndarray, q: np.ndarray) -> float:
+    """Sine of the angle between two unit fiber pairs over the same base;
+    exact for tiny angles (it is a 2x2 determinant of unit columns)."""
+    return float(abs(det2(p, q)))
 
 
 # --- hyperconvexity -------------------------------------------------------
@@ -432,17 +421,15 @@ class Trivialization:
         hit = self._cache.get(id(t))
         if hit is not None:
             return hit[1]
-        p = [tangent_project(t, b, self.k).coords for b in self.basepoints]
+        p = [tangent_project(t, b, self.k) for b in self.basepoints]
         m = three_point_map(*p)
         self._cache[id(t)] = (t, m)
         return m
 
-    def project(self, t: FlagSample, x: FlagSample) -> FiberPoint:
-        """Tangent-project x at t and fill in the sphere coordinate."""
-        fp = tangent_project(t, x, self.k)
-        w = self.fiber_map(t) @ fp.coords
-        fp.sphere = chart(w)
-        return fp
+    def project(self, t: FlagSample, x: FlagSample) -> np.ndarray:
+        """Tangent-project x at t and normalize: a pair with the three
+        basepoints at the classes of 0, 1 and infinity."""
+        return self.fiber_map(t) @ tangent_project(t, x, self.k)
 
     def cocycle(self, gamma, t: FlagSample) -> tuple[np.ndarray, FlagSample]:
         """Trivialized cocycle: the fiber action read through the 0,1,inf
@@ -515,12 +502,11 @@ def foliated_limit_sample(
             if x.source == t.source:
                 continue
             try:
-                fp = trivialization.project(t, x)
+                v = chart(trivialization.project(t, x))
             except PrecisionError:
                 failed += 1
                 continue
-            v = fp.sphere
-            inf_flag = v is not None and not np.isfinite(v.real)
+            inf_flag = not np.isfinite(v.real)
             rows.append(
                 FiberRow(
                     base_word=t.source,
@@ -572,12 +558,11 @@ def wedge_hyperplane(y: FlagSample, k: int) -> Subspace:
     return Subspace.line(np.conj(coeff)).orthocomplement()
 
 
-def fiber_wedge_line(p: FiberPoint) -> Subspace:
-    """Image of a fiber point under the bundle map into the exterior power:
-    wedge the (k-1)-frame of the base with the point's representative."""
-    z = p.base
-    v = z.fiber_frame(p.k) @ p.coords
-    cols = np.concatenate([z.space(p.k - 1).frame, v[:, None]], axis=1)
+def fiber_wedge_line(z: FlagSample, k: int, coords: np.ndarray) -> Subspace:
+    """Image of the fiber point coords over z under the bundle map into the
+    exterior power: wedge the (k-1)-frame of z with its representative."""
+    v = z.fiber_frame(k) @ coords
+    cols = np.concatenate([z.space(k - 1).frame, v[:, None]], axis=1)
     return Subspace.line(wedge_coords(cols))
 
 

@@ -85,13 +85,14 @@ def apply_mobius(m: np.ndarray, xyz: np.ndarray) -> np.ndarray:
     return normalize(moved)
 
 
+def det2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Determinant of the 2x2 matrices with columns u and v (..., 2)."""
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
 def three_point_map(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """The Mobius matrix sending the projective classes (a, b, c) to
     (0, 1, infinity).  Built from 2x2 determinants, no chart needed."""
-
-    def det2(u, v):
-        return u[0] * v[1] - u[1] * v[0]
-
     s = det2(b, c)
     u = det2(b, a)
     if abs(s) < 1e-15 or abs(u) < 1e-15 or abs(det2(a, c)) < 1e-15:

@@ -18,6 +18,7 @@ from .errors import InputError
 from .mobius import (
     INF,
     apply_mobius,
+    det2,
     h3_apply,
     h3_normalizer,
     hom,
@@ -39,10 +40,6 @@ def as_point(p) -> np.ndarray:
     return hom(p)
 
 
-def _det(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
-
 def cross_ratio(z1, z2, z3, z4) -> complex:
     """Projective cross-ratio normalized so that B(0, 1, z, inf) = z.
 
@@ -51,12 +48,12 @@ def cross_ratio(z1, z2, z3, z4) -> complex:
     Returns INF when the denominator vanishes.
     """
     a, b, c, d = (as_point(p) for p in (z1, z2, z3, z4))
-    if abs(_det(a, b)) < DEGENERATE_TOL:
+    if abs(det2(a, b)) < DEGENERATE_TOL:
         raise InputError("cross_ratio: first pair (z1, z2) is degenerate")
-    if abs(_det(c, d)) < DEGENERATE_TOL:
+    if abs(det2(c, d)) < DEGENERATE_TOL:
         raise InputError("cross_ratio: second pair (z3, z4) is degenerate")
-    num = _det(c, a) * _det(d, b)
-    den = _det(b, a) * _det(d, c)
+    num = det2(c, a) * det2(d, b)
+    den = det2(b, a) * det2(d, c)
     if abs(den) <= DEGENERATE_TOL * abs(num):
         return INF
     return complex(num / den)

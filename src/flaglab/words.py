@@ -118,6 +118,12 @@ def ball_size(rank: int, radius: int) -> int:
     return total
 
 
+def cyclic_word_count(rank: int, length: int) -> int:
+    """Closed-form count of cyclically reduced words of the given length
+    in a free group of the given rank."""
+    return (2 * rank - 1) ** length + 1 + (rank - 1) * (1 + (-1) ** length)
+
+
 def levels(presentation: GroupPresentation, radius: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Walk the freely reduced words of length 1..radius one length at a time.
 
@@ -175,10 +181,13 @@ def random_cyclic_words(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     seen: set[Word] = set()
     out: list[Word] = []
+    budget = 200 * count + 1000
+    if count > cyclic_word_count(presentation.generator_count, length):
+        budget = 0  # no draw can succeed: refuse before the first
     attempts = 0
     while len(out) < count:
         attempts += 1
-        if attempts > 200 * count + 1000:
+        if attempts > budget:
             raise CapacityError(
                 f"could not find {count} distinct cyclically reduced words of length {length}"
             )

@@ -162,10 +162,8 @@ def test_criterion_4_bundle_diagram(sym4):
             z, y = flags[i], flags[j]
             if not _resolvable_pair(z, y):
                 continue
-            fp = tangent_project(z, y, 2)
-            worst = max(
-                worst, hausdorff_subspace_dist(fiber_wedge_line(fp), wedge_fiber_point(z, y, 2))
-            )
+            line = fiber_wedge_line(z, 2, tangent_project(z, y, 2))
+            worst = max(worst, hausdorff_subspace_dist(line, wedge_fiber_point(z, y, 2)))
             checked += 1
     assert checked >= 1000
     assert worst <= 1e-8
@@ -187,7 +185,7 @@ def _resolvable_pair(z, y, floor=1e-6):
 def test_criterion_5_cocycle_identity(name):
     rep = fl.preset(name)
     ks = [1, 2] if rep.dim == 3 else [1]
-    basepoints = [fl.boundary_sample(rep, w, ks) for w in [(1,), (2,), (-1,)]]
+    basepoints = fl.boundary_samples(rep, [(1,), (2,), (-1,)], ks)
     triv = fl.Trivialization(rep, 1, basepoints)
     pool, _ = fl.limit_set_sample(rep, ks, count=30, length=8, seed=3)
     from flaglab.certify import transport_flag

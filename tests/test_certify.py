@@ -146,7 +146,7 @@ def test_doubling_ratio_never_returns_nan():
 
 
 def test_boundary_sample_eigenline_oracle(schottky):
-    flag = fl.boundary_sample(schottky, (1,), [1])
+    [flag] = boundary_samples(schottky, [(1,)], [1])
     vals, vecs = np.linalg.eig(schottky.evaluate((1,)))
     top = Subspace.line(vecs[:, int(np.argmax(np.abs(vals)))])
     assert hausdorff_subspace_dist(flag.space(1), top) < 1e-8
@@ -155,7 +155,7 @@ def test_boundary_sample_eigenline_oracle(schottky):
 def test_boundary_sample_sym_weight_oracle(sym3):
     # for a diagonalizable word, the flag is spanned by the top weight vectors
     w = (1, 2, 1)
-    flag = fl.boundary_sample(sym3, w, [1, 2])
+    [flag] = boundary_samples(sym3, [w], [1, 2])
     vals, vecs = np.linalg.eig(sym3.evaluate(w))
     order = np.argsort(np.abs(vals))[::-1]
     assert hausdorff_subspace_dist(flag.space(1), Subspace.line(vecs[:, order[0]])) < 1e-8
@@ -166,17 +166,16 @@ def test_boundary_sample_sym_weight_oracle(sym3):
 def test_boundary_sample_equivariance(sym4):
     w = (1, 2, -1, 2, 1)
     gamma = (2, 1, -2)
-    flag = fl.boundary_sample(sym4, w, [1, 2, 3])
-    lhs = transport_flag(sym4, gamma, flag)
     conj = W.concat(sym4.presentation, gamma, w, W.invert(gamma))
-    rhs = fl.boundary_sample(sym4, conj, [1, 2, 3])
+    flag, rhs = boundary_samples(sym4, [w, conj], [1, 2, 3])
+    lhs = transport_flag(sym4, gamma, flag)
     assert flag_dist(lhs, rhs) < 1e-6
 
 
 def test_transport_flag_matches_moved_frames(sym4):
     # rho(gamma) has condition number about 7.9e8
     gamma = (2, 1, -2)
-    flag = fl.boundary_sample(sym4, (1, 2, -1, 2, 1), [1, 2, 3])
+    [flag] = boundary_samples(sym4, [(1, 2, -1, 2, 1)], [1, 2, 3])
     m = sym4.evaluate(gamma)
     moved = transport_flag(sym4, gamma, flag)
     for k in flag.ks:
@@ -187,7 +186,7 @@ def test_transport_flag_matches_moved_frames(sym4):
 
 def test_transport_flag_round_trip(sym4):
     gamma = (1, 2)
-    flag = fl.boundary_sample(sym4, (1, 2, -1, 2, 1), [1, 2, 3])
+    [flag] = boundary_samples(sym4, [(1, 2, -1, 2, 1)], [1, 2, 3])
     back = transport_flag(sym4, W.invert(gamma), transport_flag(sym4, gamma, flag))
     assert flag_dist(back, flag) < 1e-10
 
@@ -200,7 +199,7 @@ def test_transport_flag_collapse_is_precision_error():
 
 
 def test_flag_space_outside_ks_is_input_error(sym4):
-    flag = fl.boundary_sample(sym4, (1, 2, -1, 2, 1), [1, 3])
+    [flag] = boundary_samples(sym4, [(1, 2, -1, 2, 1)], [1, 3])
     assert flag.space(0).dim == 0 and flag.space(4).dim == 4
     with pytest.raises(InputError, match="carries"):
         flag.space(2)
@@ -211,9 +210,9 @@ def test_boundary_sample_stability_under_more_power(sym4, monkeypatch):
 
     w = (1, 2, 2, -1, 2)
     monkeypatch.setattr(certify, "TARGET_GAP", 14.0)
-    f1 = fl.boundary_sample(sym4, w, [1, 2, 3])
+    [f1] = boundary_samples(sym4, [w], [1, 2, 3])
     monkeypatch.setattr(certify, "TARGET_GAP", 28.0)
-    f2 = fl.boundary_sample(sym4, w, [1, 2, 3])
+    [f2] = boundary_samples(sym4, [w], [1, 2, 3])
     assert flag_dist(f1, f2) < 1e-6
 
 
@@ -224,17 +223,15 @@ def test_boundary_sample_nesting_postcondition(sym4_flags):
 
 
 def test_boundary_sample_rejects_trivial_word(schottky):
-    with pytest.raises(InputError):
-        fl.boundary_sample(schottky, (1, -1), [1])
-    with pytest.raises(NotAnosovError):
-        fl.boundary_sample(fl.preset("trivial"), (1,), [1])
+    with pytest.raises(InputError, match="boundary_samples needs a nontrivial word"):
+        boundary_samples(schottky, [(1, -1)], [1])
+    [rejected] = boundary_samples(fl.preset("trivial"), [(1,)], [1])
+    assert isinstance(rejected, NotAnosovError)
 
 
 def test_empty_flag_indices_are_input_errors(sym4):
     with pytest.raises(InputError, match="at least one index"):
         boundary_samples(sym4, [(1, 2)], [])
-    with pytest.raises(InputError, match="at least one index"):
-        fl.boundary_sample(sym4, (1, 2), [])
     with pytest.raises(InputError, match="at least one index"):
         fl.limit_set_sample(sym4, [], count=2, length=5, seed=1)
 
@@ -249,7 +246,7 @@ def test_limit_set_sample_contract(schottky):
 def test_limit_set_flags_do_not_depend_on_batch(sym4):
     flags, _ = fl.limit_set_sample(sym4, [1, 2, 3], count=12, length=7, seed=4)
     for f in flags:
-        alone = fl.boundary_sample(sym4, f.source, [1, 2, 3])
+        [alone] = boundary_samples(sym4, [f.source], [1, 2, 3])
         assert alone.quality == f.quality
         for k in f.ks:
             assert np.array_equal(alone.space(k).frame, f.space(k).frame)
@@ -272,8 +269,8 @@ def test_limit_set_invariance_under_translation(sym3):
     gamma = (1,)
     for f in flags:
         moved = transport_flag(sym3, gamma, f)
-        fresh = fl.boundary_sample(
-            sym3, W.concat(sym3.presentation, gamma, f.source, W.invert(gamma)), [1, 2]
+        [fresh] = boundary_samples(
+            sym3, [W.concat(sym3.presentation, gamma, f.source, W.invert(gamma))], [1, 2]
         )
         assert flag_dist(moved, fresh) < 1e-4
 
@@ -283,6 +280,6 @@ def test_wedge_consistency_of_flags(sym4):
     the Plucker embedding."""
     wrep = fl.wedge_rep(sym4, 2)
     for word in [(1, 2, 1), (2, -1, 2, 1), (1, 1, 2)]:
-        f = fl.boundary_sample(sym4, word, [2])
-        fw = fl.boundary_sample(wrep, word, [1])
+        [f] = boundary_samples(sym4, [word], [2])
+        [fw] = boundary_samples(wrep, [word], [1])
         assert hausdorff_subspace_dist(plucker(f.space(2)), fw.space(1)) < 1e-6

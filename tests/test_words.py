@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import flaglab.words as W
-from flaglab.errors import InputError
+from flaglab.errors import CapacityError, InputError
 
 from conftest import brute_ball
 
@@ -99,6 +99,31 @@ def test_random_cyclic_words_distinct_and_seeded():
     assert len(set(ws)) == 25
     assert all(len(w) == 8 and w[0] != -w[-1] for w in ws)
     assert ws == W.random_cyclic_words(F2, 25, 8, 5)
+
+
+@pytest.mark.parametrize("rank,max_length", [(1, 6), (2, 6), (3, 6), (4, 4)])
+def test_cyclic_word_count_matches_brute_force(rank, max_length):
+    ball = brute_ball(W.free_group(rank), max_length)
+    for n in range(1, max_length + 1):
+        brute = sum(1 for w in ball if len(w) == n and W.cyclic_reduce(w) == w)
+        assert W.cyclic_word_count(rank, n) == brute
+
+
+def test_random_cyclic_words_refuses_impossible_count_without_drawing(monkeypatch):
+    draws = []
+    original = W._random_word
+
+    def counting(*args):
+        draws.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(W, "_random_word", counting)
+    total = W.cyclic_word_count(2, 2)
+    with pytest.raises(CapacityError, match=f"could not find {total + 1} distinct cyclically"):
+        W.random_cyclic_words(F2, total + 1, 2, 5)
+    assert draws == []
+    # the closed form itself is reachable
+    assert len(set(W.random_cyclic_words(F2, total, 2, 5))) == total
 
 
 def test_cyclic_reduce_and_invert():
