@@ -144,7 +144,10 @@ def resolve_rep(spec: str) -> tuple[Representation, str]:
 # --- manifests ---------------------------------------------------------------
 
 
-def write_manifest(out_dir: str, command: str, params: dict, seeds, inputs, outputs, t0: float):
+def write_manifest(out_dir: str, command: str, params: dict, seeds, inputs, outputs, t0: float,
+                   results: dict | None = None):
+    """Write {command}.manifest.json; results, when given, holds counts the
+    run reports beside its CSV (replay reads only command and params)."""
     manifest = {
         "command": command,
         "params": params,
@@ -154,6 +157,8 @@ def write_manifest(out_dir: str, command: str, params: dict, seeds, inputs, outp
         "outputs": outputs,
         "wall_time_s": round(time.time() - t0, 3),
     }
+    if results is not None:
+        manifest["results"] = results
     path = os.path.join(out_dir, f"{command}.manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -285,7 +290,8 @@ def cmd_hyperconvex(args) -> int:
             report.verdict,
         ]],
     )
-    write_manifest(args.out, "hyperconvex", _params(args), [args.seed], {"rep": descriptor}, [out], t0)
+    write_manifest(args.out, "hyperconvex", _params(args), [args.seed], {"rep": descriptor}, [out], t0,
+                   results={"skip_reasons": dict(report.skip_reasons)})
     print(f"hyperconvex {args.rep} k={args.k} mode={args.mode}: {report.verdict} "
           f"(min={report.min_transversality:.6f} over {report.triples_tested} triples)")
     return {"passes": EXIT_OK, "fails": EXIT_FAIL}.get(report.verdict, EXIT_INCONCLUSIVE)

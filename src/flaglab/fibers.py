@@ -12,6 +12,7 @@ frame, a vector in C^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -31,9 +32,10 @@ from .reps import Representation, wedge_coords
 from .subspaces import (
     Subspace,
     det_normalize,
-    hausdorff_subspace_dist,
+    frame_complements,
+    frame_dists,
+    frame_sines,
     orth,
-    principal_sines,
     transversality_gap,
 )
 from .words import Word
@@ -46,6 +48,25 @@ ADVERSARIAL_FRACTION = 0.3  # share of triples drawn from adversarial near-pairs
 ADVERSARIAL_SUFFIX = 2  # length of the two tails that split a pair off its stem
 MIN_BASE_SEPARATION = 0.01  # least distance from the projection base to x and y
 CHART_FLOOR = 0.1  # least transversality_gap between a charted flag and the anchor
+BLOCK = 512  # triples scored per stacked block: bounds the sweep's memory for any count
+
+# Why a drawn triple was skipped, in the order the report counts them; the
+# stacked kernels return one of these codes per row, or SCORED.
+SKIP_REASONS = (
+    "duplicate_source",  # two of x, y, z come from one source word
+    "near_base",  # z within MIN_BASE_SEPARATION of x or y
+    "soft_intersection",  # top principal cosine of a line intersection below tolerance
+    "ambiguous_line",  # second principal cosine too close to 1 for a unique line
+    "collapsed_projection",  # projected line inside the (k-1)-space (or no fiber frame)
+    "degenerate_score",  # non-finite score or vanished reference separation
+)
+DUPLICATE, NEAR, SOFT, AMBIGUOUS, COLLAPSED, DEGENERATE = range(len(SKIP_REASONS))
+SCORED = -1
+_FAULT_MESSAGES = {
+    SOFT: "intersection cosine below tolerance",
+    AMBIGUOUS: "intersection not 1-dimensional",
+    COLLAPSED: "projected line collapsed into the (k-1)-space",
+}
 
 
 def fiber_ks(d: int, k: int) -> list[int]:
@@ -56,18 +77,40 @@ def fiber_ks(d: int, k: int) -> list[int]:
     return sorted({j for j in (k - 1, k, k + 1, d - k) if 0 < j < d})
 
 
+def line_intersections(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit vectors (..., d) spanning the 1-dimensional intersections of
+    the frames of two stacks (..., d, p) and (..., d, q), row by row, and a
+    fault code per row: SOFT when the top principal cosine is below
+    1 - LINE_SOFT_TOL, AMBIGUOUS when the second one is within
+    LINE_UNIQUE_TOL of 1, SCORED otherwise."""
+    u, s, _ = np.linalg.svd(a.conj().swapaxes(-1, -2) @ b)
+    fault = np.where(s[..., 0] < 1.0 - LINE_SOFT_TOL, SOFT, SCORED)
+    if s.shape[-1] > 1:
+        fault = np.where((fault == SCORED) & (s[..., 1] >= 1.0 - LINE_UNIQUE_TOL), AMBIGUOUS, fault)
+    return (a @ u[..., :1])[..., 0], fault
+
+
 def _line_intersection(a: Subspace, b: Subspace) -> np.ndarray:
-    """Unit vector spanning a 1-dimensional intersection of a and b.
-    Raises TransversalityError when the top principal cosine is soft or
-    the second one makes the line ambiguous."""
-    u, s, _ = np.linalg.svd(a.frame.conj().T @ b.frame)
-    if s[0] < 1.0 - LINE_SOFT_TOL:
-        raise TransversalityError(f"intersection cosine {s[0]:.10f} below tolerance")
-    if s.size > 1 and s[1] >= 1.0 - LINE_UNIQUE_TOL:
-        raise TransversalityError(
-            f"intersection not 1-dimensional (second cosine {s[1]:.10f})"
-        )
-    return a.frame @ u[:, 0]
+    """One-row line_intersections; raises TransversalityError on a fault."""
+    v, fault = line_intersections(a.frame, b.frame)
+    if fault != SCORED:
+        raise TransversalityError(_FAULT_MESSAGES[int(fault)])
+    return v
+
+
+def fiber_coords(frame, upper, lines) -> tuple[np.ndarray, np.ndarray]:
+    """Tangent projections, row by row: the lines where the (d-k)-spaces
+    lines (..., d, d-k) meet the (k+1)-spaces upper (..., d, k+1), as unit
+    2-vectors in the fiber frames frame (..., d, 2).  Returns them with the
+    fault codes of line_intersections, or COLLAPSED where the line falls
+    into the (k-1)-space; a faulted row holds no usable pair."""
+    v, fault = line_intersections(lines, upper)
+    coords = (frame.conj().swapaxes(-1, -2) @ v[..., None])[..., 0]
+    # the bits of np.linalg.norm on one pair (a row-wise norm rounds differently)
+    norm = np.sqrt(np.vecdot(coords.real, coords.real) + np.vecdot(coords.imag, coords.imag))
+    fault = np.where((fault == SCORED) & (norm < 1e-8), COLLAPSED, fault)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return coords / norm[..., None], fault
 
 
 def tangent_project(z: FlagSample, x: FlagSample, k: int) -> np.ndarray:
@@ -75,48 +118,44 @@ def tangent_project(z: FlagSample, x: FlagSample, k: int) -> np.ndarray:
     a unit 2-vector (a homogeneous pair) in z's fiber frame.
 
     For x distinct from z this is the class of x^{d-k} intersected with
-    z^{k+1}; for x = z (same source word) it is the class of z^k.
+    z^{k+1} (one row of fiber_coords; a fault raises TransversalityError);
+    for x = z (same source word) it is the class of z^k.
     """
     d = z.ambient_dim
     frame = z.fiber_frame(k)
     if x.source == z.source:
-        qk = z.space(k).frame
-        coords_mat = orth(frame.conj().T @ qk)
+        coords_mat = orth(frame.conj().T @ z.space(k).frame)
         if coords_mat.shape[1] != 1:
             raise PrecisionError("diagonal projection is not a line")
-        coords = coords_mat[:, 0]
-    else:
-        v = _line_intersection(x.space(d - k), z.space(k + 1))
-        coords = frame.conj().T @ v
-        norm = np.linalg.norm(coords)
-        if norm < 1e-8:
-            raise TransversalityError(
-                "projected line collapsed into the (k-1)-space"
-            )
-        coords = coords / norm
+        return coords_mat[:, 0]
+    coords, fault = fiber_coords(frame, z.space(k + 1).frame, x.space(d - k).frame)
+    if fault != SCORED:
+        raise TransversalityError(_FAULT_MESSAGES[int(fault)])
     return coords
 
 
 def chart_points(base: FlagSample, flags, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tangent-project flags into the projective line of base.
+    """Tangent-project flags into the projective line of base, all in one
+    fiber_coords call.
 
     Returns the fiber coordinates as m unit vectors (m, 3), by sphere_xyz,
     and the indices into flags of the m flags they came from.  base's own
-    source is skipped; a flag whose projection raises PrecisionError
-    (TransversalityError included) is dropped, and every other exception
-    propagates.
+    source is skipped and a flag whose projection faults is dropped; if
+    base has no fiber frame (PrecisionError) every flag is dropped.  Every
+    other exception propagates.
     """
-    coords, kept = [], []
-    for i, f in enumerate(flags):
-        if f.source == base.source:
-            continue
-        try:
-            coords.append(tangent_project(base, f, k))
-        except PrecisionError:
-            continue
-        kept.append(i)
-    points = sphere_xyz(np.stack(coords)) if coords else np.empty((0, 3))
-    return points, np.array(kept, dtype=int)
+    d = base.ambient_dim
+    rows = [i for i, f in enumerate(flags) if f.source != base.source]
+    try:
+        frame = base.fiber_frame(k)
+    except PrecisionError:
+        rows = []
+    if not rows:
+        return np.empty((0, 3)), np.empty(0, dtype=int)
+    lines = np.stack([flags[i].space(d - k).frame for i in rows])
+    coords, fault = fiber_coords(frame, base.space(k + 1).frame, lines)
+    keep = fault == SCORED
+    return sphere_xyz(coords[keep]), np.array(rows)[keep]
 
 
 def grassmann_charts(flags, k: int, anchors) -> tuple[dict[str, np.ndarray], list[int]]:
@@ -143,21 +182,73 @@ def grassmann_charts(flags, k: int, anchors) -> tuple[dict[str, np.ndarray], lis
     return charts, np.flatnonzero(~covered).tolist()
 
 
-def point_dist(a: FlagSample, b: FlagSample) -> float:
-    """Distance between the underlying boundary points: the subspace
-    distance at the smallest common flag index.  Separation here is what
-    controls the conditioning of tangent projections (osculation makes
-    second principal angles shrink like a power of this distance)."""
-    common = sorted(set(a.ks) & set(b.ks))
-    if not common:
+class FlagStack:
+    """A list of flags as stacked frame arrays, each built once on first
+    use: space(j) is the (n, d, j) stack of their j-spaces and
+    complement(j) that of the complements of those spaces.  ks are the
+    indices that every flag carries."""
+
+    def __init__(self, flags):
+        self.flags = list(flags)
+        if not self.flags:
+            raise InputError("a flag stack needs at least one flag")
+        self.ks = sorted(set.intersection(*(set(f.ks) for f in self.flags)))
+        self.ambient_dim = self.flags[0].ambient_dim
+        self._arrays: dict[tuple[str, int], np.ndarray] = {}
+
+    def _array(self, key: tuple[str, int], build) -> np.ndarray:
+        if key not in self._arrays:
+            self._arrays[key] = build()
+        return self._arrays[key]
+
+    def space(self, j: int) -> np.ndarray:
+        return self._array(("space", j), lambda: np.stack([f.space(j).frame for f in self.flags]))
+
+    def complement(self, j: int) -> np.ndarray:
+        return self._array(("complement", j), lambda: frame_complements(self.space(j)))
+
+    def fiber_frames(self, k: int, rows: np.ndarray) -> np.ndarray:
+        """The fiber frames (m, d, 2) of the flags at rows, each the flag's
+        own cached frame; a flag without one (PrecisionError) gets a zero
+        frame, which collapses every projection into it."""
+        unique, back = np.unique(rows, return_inverse=True)
+        frames = np.zeros((len(unique), self.ambient_dim, 2), dtype=complex)
+        for n, i in enumerate(unique):
+            try:
+                frames[n] = self.flags[i].fiber_frame(k)
+            except PrecisionError:
+                pass
+        return frames[back]
+
+
+def point_dists(flags: FlagStack, a, b) -> np.ndarray:
+    """Distances between the underlying boundary points of the flags a[i]
+    and b[i] of the stack: the subspace distance at the smallest index
+    they all carry.  Separation here is what controls the conditioning of
+    tangent projections (osculation makes second principal angles shrink
+    like a power of this distance)."""
+    if not flags.ks:
         raise InputError("flags share no indices")
-    return hausdorff_subspace_dist(a.space(common[0]), b.space(common[0]))
+    j = flags.ks[0]
+    return frame_dists(flags.space(j)[a], flags.space(j)[b], flags.complement(j)[b])
+
+
+def point_dist(a: FlagSample, b: FlagSample) -> float:
+    """One-row point_dists."""
+    return float(point_dists(FlagStack([a, b]), 0, 1))
+
+
+def fiber_angles(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Sines of the angles between unit fiber pairs (..., 2) over the same
+    base, row by row; exact for tiny angles (a 2x2 determinant of unit
+    columns).  np.hypot keeps the bits of the scalar abs."""
+    det = det2(p, q)
+    return np.hypot(det.real, det.imag)
 
 
 def fiber_angle(p: np.ndarray, q: np.ndarray) -> float:
-    """Sine of the angle between two unit fiber pairs over the same base;
-    exact for tiny angles (it is a 2x2 determinant of unit columns)."""
-    return float(abs(det2(p, q)))
+    """One-row fiber_angles."""
+    return float(fiber_angles(p, q))
 
 
 # --- hyperconvexity -------------------------------------------------------
@@ -196,6 +287,8 @@ class HyperconvexityReport:
     worst_triple: tuple[Word, Word, Word]
     verdict: str  # passes | fails | inconclusive
     tau: float = TAU_PASS
+    # (reason, count) in SKIP_REASONS order; the counts sum to skipped
+    skip_reasons: tuple[tuple[str, int], ...] = ()
 
 
 def required_anosov_indices(rep: Representation, k: int, mode: str = "eq1") -> list[int]:
@@ -208,8 +301,9 @@ def _flag_pool(rep: Representation, ks, spec: TripleSpec):
     """Base pool plus adversarial near-pairs, all as FlagSamples.
 
     Adversarial attempts are drawn in chunks, in the order a one-by-one
-    loop would draw them; each chunk's words are sampled in one batch and
-    its pairs are accepted in draw order."""
+    loop would draw them; each chunk's words are sampled in one batch, its
+    pair distances are taken in one point_dists call and its pairs are
+    accepted in draw order."""
     samples, _ = limit_set_sample(
         rep, ks, count=spec.pool_size, length=spec.word_length, seed=spec.seed
     )
@@ -238,54 +332,77 @@ def _flag_pool(rep: Representation, ks, spec: TripleSpec):
             if wx and wy and wx != wy:
                 chunk.append((wx, wy))
         flags = iter(boundary_samples(rep, [w for pair in chunk for w in pair], ks))
-        for fx, fy in zip(flags, flags):
-            if isinstance(fx, FlaglabError) or isinstance(fy, FlaglabError):
-                continue
-            if floor <= point_dist(fx, fy) <= ceiling:
-                pairs.append((fx, fy))
+        sampled = [
+            (fx, fy) for fx, fy in zip(flags, flags)
+            if not (isinstance(fx, FlaglabError) or isinstance(fy, FlaglabError))
+        ]
+        if not sampled:
+            continue
+        stack = FlagStack([f for pair in sampled for f in pair])
+        dists = point_dists(stack, slice(0, None, 2), slice(1, None, 2))
+        for pair, dist in zip(sampled, dists.tolist()):
+            if floor <= dist <= ceiling:
+                pairs.append(pair)
                 if len(pairs) == n_pairs:
                     break
     return samples, pairs
 
 
+def _draw_triple(rng, n_pool: int, n_pairs: int) -> tuple[int, int, int]:
+    """Indices of one triple into the sweep's stack: the pool, then the
+    adversarial pairs two by two.  z always comes from the pool."""
+    if n_pairs and rng.random() < ADVERSARIAL_FRACTION:
+        pair = int(rng.integers(n_pairs))
+        return n_pool + 2 * pair, n_pool + 2 * pair + 1, int(rng.integers(n_pool))
+    ii = rng.choice(n_pool, size=3, replace=False)
+    return int(ii[0]), int(ii[1]), int(ii[2])
+
+
 def _transversality_sweep(rep, k, spec, ks, score_fn, mode) -> HyperconvexityReport:
+    """Draw spec.count triples and score them BLOCK at a time.
+
+    score_fn(flags, ix, iy, iz) scores the triples (flags[ix], flags[iy],
+    flags[iz]) of a FlagStack and returns (scores, fault codes).  The
+    triples, their skips and the first strict minimum in draw order do not
+    depend on BLOCK."""
     pool, adversarial = _flag_pool(rep, ks, spec)
+    flags = FlagStack(pool + [f for pair in adversarial for f in pair])
+    ids: dict[Word, int] = {}
+    source = np.array([ids.setdefault(f.source, len(ids)) for f in flags.flags])
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 0x7A1)))
-    n_pool = len(pool)
     best = np.inf
     worst = (pool[0].source,) * 3
     tested = 0
-    skipped = 0
-    for i in range(spec.count):
-        adversarial_turn = adversarial and rng.random() < ADVERSARIAL_FRACTION
-        if adversarial_turn:
-            x, y = adversarial[int(rng.integers(len(adversarial)))]
-            z = pool[int(rng.integers(n_pool))]
-        else:
-            ii = rng.choice(n_pool, size=3, replace=False)
-            x, y, z = pool[ii[0]], pool[ii[1]], pool[ii[2]]
-        if len({x.source, y.source, z.source}) < 3:
-            skipped += 1
-            continue
+    skips = np.zeros(len(SKIP_REASONS), dtype=int)
+    for start in range(0, spec.count, BLOCK):
+        drawn = np.array([
+            _draw_triple(rng, len(pool), len(adversarial))
+            for _ in range(min(BLOCK, spec.count - start))
+        ])
+        ix, iy, iz = drawn.T
+        sx, sy, sz = source[drawn.T]
+        fault = np.where((sx == sy) | (sx == sz) | (sy == sz), DUPLICATE, SCORED)
         # the projection base must stay away from both directions; the x-y
         # closeness is exactly what the normalized score probes
-        if (
-            point_dist(x, z) < MIN_BASE_SEPARATION
-            or point_dist(y, z) < MIN_BASE_SEPARATION
-        ):
-            skipped += 1
-            continue
-        try:
-            score = score_fn(x, y, z)
-        except PrecisionError:
-            # flags indistinguishable at the noise floor: a degenerate triple,
-            # not evidence (true failures surface as tiny scores, not errors)
-            skipped += 1
-            continue
-        tested += 1
-        if score < best:
-            best = score
-            worst = (x.source, y.source, z.source)
+        live = np.flatnonzero(fault == SCORED)
+        near = (
+            (point_dists(flags, ix[live], iz[live]) < MIN_BASE_SEPARATION)
+            | (point_dists(flags, iy[live], iz[live]) < MIN_BASE_SEPARATION)
+        )
+        fault[live[near]] = NEAR
+        live = live[~near]
+        # a faulted triple has flags indistinguishable at the noise floor: it
+        # is degenerate, not evidence (true failures surface as tiny scores)
+        scores, fault[live] = score_fn(flags, ix[live], iy[live], iz[live])
+        scored = fault[live] == SCORED
+        tested += int(np.count_nonzero(scored))
+        skips += np.bincount(fault[fault != SCORED], minlength=len(SKIP_REASONS))
+        if scored.any():
+            i = int(np.argmin(np.where(scored, scores, np.inf)))
+            if scores[i] < best:
+                best = scores[i]
+                worst = tuple(flags.flags[j].source for j in drawn[live[i]])
+    skipped = int(skips.sum())
     if tested == 0:
         raise PrecisionError(f"all {skipped} drawn triples were skipped; no valid triple was tested")
     if best >= spec.tau:
@@ -303,6 +420,7 @@ def _transversality_sweep(rep, k, spec, ks, score_fn, mode) -> HyperconvexityRep
         worst_triple=worst,
         verdict=verdict,
         tau=spec.tau,
+        skip_reasons=tuple(zip(SKIP_REASONS, skips.tolist())),
     )
 
 
@@ -318,16 +436,8 @@ def check_hyperconvex(
     The Anosov prerequisites are certified over the word ball of the given
     radius first (see _check_prereqs); radius None assumes them.
     """
-    d = rep.dim
     _check_prereqs(rep, k, "eq1", radius)
-    ks = fiber_ks(d, k)
-
-    def score(x, y, z):
-        lx = tangent_project(z, x, k)
-        ly = tangent_project(z, y, k)
-        return _normalized_score(fiber_angle(lx, ly), x.space(d - k), y.space(d - k))
-
-    return _transversality_sweep(rep, k, spec, ks, score, "eq1")
+    return _transversality_sweep(rep, k, spec, fiber_ks(rep.dim, k), partial(_eq1_scores, k), "eq1")
 
 
 def check_Hk(
@@ -339,32 +449,69 @@ def check_Hk(
     d = rep.dim
     _check_prereqs(rep, k, "Hk", radius)
     ks = sorted({j for j in (k, d - k + 1, d - k - 1) if 0 < j < d})
+    return _transversality_sweep(rep, k, spec, ks, partial(_hk_scores, k), "Hk")
 
-    def score(x, y, z):
-        upper = z.space(d - k + 1)
-        vx = _line_intersection(x.space(k), upper)
-        vy = _line_intersection(y.space(k), upper)
-        lower = z.space(d - k - 1)
-        cols = [vx[:, None], vy[:, None]] + ([lower.frame] if lower.dim else [])
-        stacked = np.concatenate(cols, axis=1)
-        smin = float(np.linalg.svd(stacked, compute_uv=False)[-1])
-        return _normalized_score(smin, x.space(k), y.space(k))
 
-    return _transversality_sweep(rep, k, spec, ks, score, "Hk")
+def _eq1_scores(k: int, flags: FlagStack, ix, iy, iz) -> tuple[np.ndarray, np.ndarray]:
+    """Block scorer of check_hyperconvex: the fiber angle between x and y
+    projected at z, normalized by the separation of their (d-k)-spaces.
+    Returns the scores and fault codes of the triples (flags[ix],
+    flags[iy], flags[iz]); a faulted row's score is NaN."""
+    d = flags.ambient_dim
+    frame = flags.fiber_frames(k, iz)
+    upper = flags.space(k + 1)[iz]
+    lx, fault = fiber_coords(frame, upper, flags.space(d - k)[ix])
+    ly, fault_y = fiber_coords(frame, upper, flags.space(d - k)[iy])
+    fault = np.where(fault == SCORED, fault_y, fault)
+    ok = fault == SCORED
+    return _normalized_rows(fiber_angles(lx[ok], ly[ok]), fault, flags, d - k, ix, iy)
+
+
+def _hk_scores(k: int, flags: FlagStack, ix, iy, iz) -> tuple[np.ndarray, np.ndarray]:
+    """Block scorer of check_Hk: the smallest singular value of the lines
+    x^k cap z^{d-k+1} and y^k cap z^{d-k+1} beside z^{d-k-1}, normalized by
+    the separation of the k-spaces of x and y; returns like _eq1_scores."""
+    d = flags.ambient_dim
+    upper = flags.space(d - k + 1)[iz]
+    vx, fault = line_intersections(flags.space(k)[ix], upper)
+    vy, fault_y = line_intersections(flags.space(k)[iy], upper)
+    fault = np.where(fault == SCORED, fault_y, fault)
+    ok = fault == SCORED
+    cols = np.concatenate([vx[ok, :, None], vy[ok, :, None], flags.space(d - k - 1)[iz[ok]]], axis=-1)
+    smin = np.linalg.svd(cols, compute_uv=False)[:, -1]
+    return _normalized_rows(smin, fault, flags, k, ix, iy)
+
+
+def _normalized_rows(num, fault, flags: FlagStack, j: int, ix, iy) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of the rows with fault SCORED, num holding their numerators
+    in order, normalized by the separation of the j-spaces of x and y;
+    NaN and the fault elsewhere."""
+    ok = np.flatnonzero(fault == SCORED)
+    scores = np.full(fault.shape, np.nan)
+    scores[ok], fault[ok] = normalized_scores(num, flags.space(j)[ix[ok]], flags.complement(j)[iy[ok]])
+    return scores, fault
+
+
+def normalized_scores(num: np.ndarray, a: np.ndarray, perp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Triple scores, row by row: num over the largest principal sine
+    between the frames a and those with complements perp, capped at 1.
+    A non-finite part or a vanished reference (below 1e-12) gives the fault
+    DEGENERATE and the score NaN, so the triple is skipped instead of read
+    as transverse (min(1.0, nan) is 1.0); the other rows get SCORED."""
+    sines = frame_sines(a, perp)
+    ref = sines[..., -1] if sines.shape[-1] else np.zeros(np.shape(num))
+    bad = ~(np.isfinite(num) & np.isfinite(ref)) | (ref < 1e-12)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.where(bad, np.nan, np.minimum(1.0, num / ref))
+    return scores, np.where(bad, DEGENERATE, SCORED)
 
 
 def _normalized_score(num: float, a: Subspace, b: Subspace) -> float:
-    """A triple score: num over the largest principal sine between the
-    upstream spaces a and b, capped at 1.  A non-finite part or a vanished
-    reference raises PrecisionError, so the triple is skipped instead of
-    read as transverse (min(1.0, nan) is 1.0)."""
-    sines = principal_sines(a, b)
-    ref = float(sines[-1]) if sines.size else 0.0
-    if not (np.isfinite(num) and np.isfinite(ref)):
-        raise PrecisionError("non-finite triple score")
-    if ref < 1e-12:
-        raise PrecisionError("reference separation vanished")
-    return min(1.0, num / ref)
+    """One-row normalized_scores; raises PrecisionError on a fault."""
+    score, fault = normalized_scores(np.float64(num), a.frame, b.orthocomplement().frame)
+    if fault != SCORED:
+        raise PrecisionError("non-finite triple score or vanished reference separation")
+    return float(score)
 
 
 def _check_prereqs(rep, k, mode, radius):
@@ -477,12 +624,13 @@ def foliated_limit_sample(
     # basepoints: the best-quality of the first eight flags, tie-broken
     # toward a well-spread triple so the fiber normalizations stay conditioned
     candidates = sorted(flags[:8], key=lambda f: f.quality)
-    best = max(
-        combinations(candidates, 3),
-        key=lambda triple: min(
-            point_dist(a, b) for a, b in combinations(triple, 2)
-        ),
-    )
+    pairs = list(combinations(range(len(candidates)), 2))
+    a, b = np.array(pairs).T
+    dist = dict(zip(pairs, point_dists(FlagStack(candidates), a, b).tolist()))
+    best = [candidates[i] for i in max(
+        combinations(range(len(candidates)), 3),
+        key=lambda triple: min(dist[pair] for pair in combinations(triple, 2)),
+    )]
     trivialization = Trivialization(rep, k, best)
     taken = {b.source for b in best}
     flags = [f for f in flags if f.source not in taken]

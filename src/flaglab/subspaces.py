@@ -82,8 +82,7 @@ class Subspace:
         d, k = self.frame.shape
         if k == 0:
             return Subspace.full(d)
-        u, _, _ = np.linalg.svd(self.frame, full_matrices=True)
-        return Subspace(u[:, k:], check=False)
+        return Subspace(frame_complements(self.frame), check=False)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -94,13 +93,46 @@ def _check_same_ambient(a: Subspace, b: Subspace) -> None:
         raise InputError("subspaces live in different ambient dimensions")
 
 
+def frame_complements(frames: np.ndarray) -> np.ndarray:
+    """Orthonormal complements (..., d, d-k) of a stack of frames
+    (..., d, k) with k >= 1."""
+    k = frames.shape[-1]
+    u, _, _ = np.linalg.svd(frames, full_matrices=True)
+    return u[..., k:]
+
+
+def frame_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Principal cosines, descending, between the frames of two stacks
+    (..., d, p) and (..., d, q), row by row."""
+    return np.clip(np.linalg.svd(a.conj().swapaxes(-1, -2) @ b, compute_uv=False), 0.0, 1.0)
+
+
+def frame_sines(a: np.ndarray, perp: np.ndarray) -> np.ndarray:
+    """Principal sines, ascending, between the frames of the stack a and
+    those whose complements are the stack perp, row by row; computed
+    through the complement so tiny angles keep full precision."""
+    s = np.linalg.svd(perp.conj().swapaxes(-1, -2) @ a, compute_uv=False)
+    return np.sort(np.clip(s, 0.0, 1.0), axis=-1)
+
+
+def frame_dists(a: np.ndarray, b: np.ndarray, perp: np.ndarray) -> np.ndarray:
+    """Largest principal angle between the equal-dimensional frames of the
+    stacks a and b, in radians, row by row; perp holds the complements of
+    b.  Rows are combined with math.atan2, one at a time, so every row has
+    the bits of the one-row call."""
+    cos_min = frame_cosines(a, b)[..., -1]
+    sines = frame_sines(a, perp)
+    sin_max = sines[..., -1] if sines.shape[-1] else np.zeros_like(cos_min)
+    angles = map(math.atan2, sin_max.ravel().tolist(), cos_min.ravel().tolist())
+    return np.fromiter(angles, float, count=cos_min.size).reshape(cos_min.shape)
+
+
 def principal_cosines(a: Subspace, b: Subspace) -> np.ndarray:
     """Cosines of the principal angles, descending."""
     _check_same_ambient(a, b)
     if a.dim == 0 or b.dim == 0:
         return np.zeros(0)
-    s = np.linalg.svd(a.frame.conj().T @ b.frame, compute_uv=False)
-    return np.clip(s, 0.0, 1.0)
+    return frame_cosines(a.frame, b.frame)
 
 
 def principal_sines(a: Subspace, b: Subspace) -> np.ndarray:
@@ -109,11 +141,7 @@ def principal_sines(a: Subspace, b: Subspace) -> np.ndarray:
     _check_same_ambient(a, b)
     if a.dim == 0 or b.dim == 0:
         return np.zeros(0)
-    perp = b.orthocomplement()
-    if perp.dim == 0:
-        return np.zeros(min(a.dim, 0))
-    s = np.linalg.svd(perp.frame.conj().T @ a.frame, compute_uv=False)
-    return np.sort(np.clip(s, 0.0, 1.0))
+    return frame_sines(a.frame, b.orthocomplement().frame)
 
 
 def transversality_gap(a: Subspace, b: Subspace) -> float:
@@ -139,11 +167,7 @@ def hausdorff_subspace_dist(a: Subspace, b: Subspace) -> float:
         raise InputError("hausdorff_subspace_dist needs equal dimensions")
     if a.dim == 0:
         return 0.0
-    cos = principal_cosines(a, b)
-    sines = principal_sines(a, b)
-    sin_max = float(sines[-1]) if sines.size else 0.0
-    cos_min = float(cos[-1])
-    return math.atan2(sin_max, cos_min)
+    return float(frame_dists(a.frame, b.frame, b.orthocomplement().frame))
 
 
 def det_normalize(m: np.ndarray) -> np.ndarray:

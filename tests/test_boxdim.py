@@ -227,7 +227,7 @@ def test_grassmann_propagates_programming_errors(veronese_circle_flags, monkeypa
         raise TypeError("bug in a projection")
 
     # only a failed projection may leave a flag out of a chart
-    monkeypatch.setattr(fibers, "tangent_project", broken)
+    monkeypatch.setattr(fibers, "fiber_coords", broken)
     flags = veronese_circle_flags
     with pytest.raises(TypeError, match="bug in a projection"):
         fibers.grassmann_charts(flags[1:300], 1, [flags[0]])
@@ -245,12 +245,18 @@ def test_chart_points_drops_only_projection_failures(veronese_circle_flags, monk
     assert kept.tolist() == list(range(1, 40))  # the base's own source is skipped
     assert coords.shape == (39, 3)
 
-    def broken(base, x, k):
-        if x is flags[7]:
-            raise error("projection failed")
-        return np.array([1.0 + 0j, 0j])
+    real = fibers.fiber_coords
 
-    monkeypatch.setattr(fibers, "tangent_project", broken)
+    def broken(frame, upper, lines):
+        # a projection failure is a fault code in the row of flags[7] (row 6:
+        # the base is not projected); any other error is raised
+        if not issubclass(error, fl.PrecisionError):
+            raise error("projection failed")
+        coords, fault = real(frame, upper, lines)
+        fault[6] = fibers.SOFT if error is fl.TransversalityError else fibers.COLLAPSED
+        return coords, fault
+
+    monkeypatch.setattr(fibers, "fiber_coords", broken)
     if dropped:
         coords, kept = fibers.chart_points(flags[0], flags, 1)
         assert 7 not in kept and len(kept) == len(coords) == 38

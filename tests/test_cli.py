@@ -428,3 +428,19 @@ def test_manifest_contents(tmp_path):
     assert manifest["inputs"]["rep"] == "builtin:schottky"
     assert "wall_time_s" in manifest
     assert manifest["version"] == fl.__version__
+
+
+def test_hyperconvex_manifest_counts_skips_by_reason(tmp_path):
+    argv = ["hyperconvex", "builtin:sym3", "--k", 1, "--triples", 300, "--assume-anosov"]
+    assert run(argv + ["--out", tmp_path / "a"]) == 0
+    lines = (tmp_path / "a" / "hyperconvex.csv").read_text().splitlines()
+    row = dict(zip(lines[1].split(","), lines[2].split(",")))
+    manifest = json.loads((tmp_path / "a" / "hyperconvex.manifest.json").read_text())
+    reasons = manifest["results"]["skip_reasons"]
+    assert set(reasons) == set(fibers.SKIP_REASONS)
+    assert sum(reasons.values()) == int(row["skipped"]) > 0
+    # the counts live in the manifest only: the CSV keeps its columns and replays
+    assert run(["replay", tmp_path / "a" / "hyperconvex.manifest.json", "--out", tmp_path / "b"]) == 0
+    assert (tmp_path / "b" / "hyperconvex.csv").read_bytes() == (
+        tmp_path / "a" / "hyperconvex.csv"
+    ).read_bytes()

@@ -1,14 +1,31 @@
+import math
+
 import numpy as np
 import pytest
 
 import flaglab as fl
 import flaglab.words as W
-from flaglab.errors import InputError, NotAnosovError
+from flaglab.errors import InputError, NotAnosovError, PrecisionError
 from flaglab.fibers import (
+    AMBIGUOUS,
+    COLLAPSED,
+    DEGENERATE,
+    LINE_SOFT_TOL,
+    LINE_UNIQUE_TOL,
+    SCORED,
+    FlagStack,
     TripleSpec,
+    _eq1_scores,
+    _flag_pool,
+    _hk_scores,
+    _line_intersection,
+    _normalized_score,
     fiber_angle,
+    fiber_ks,
     fiber_wedge_line,
     point_dist,
+    point_dists,
+    tangent_project,
     wedge_fiber_point,
     wedge_pencil,
 )
@@ -141,20 +158,174 @@ def test_nan_triple_score_is_skipped(sym4, monkeypatch):
 
     spec = TripleSpec(count=300, seed=5, pool_size=24)
     base = fl.check_hyperconvex(sym4, 2, spec, radius=None)
+    real = fibers.fiber_angles
     calls = []
 
     def nan_every_other(p, q):
-        calls.append(None)
-        return float("nan") if len(calls) % 2 == 0 else fiber_angle(p, q)
+        # every other row of each block: the angles are only taken for the
+        # triples whose projections did not fault
+        out = real(p, q)
+        out[1::2] = np.nan
+        calls.append(out[1::2].size)
+        return out
 
     # the triples drawn do not depend on the scores, so exactly the NaN
     # scores move from tested to skipped (min(1.0, nan) would read as 1.0)
-    monkeypatch.setattr(fibers, "fiber_angle", nan_every_other)
+    monkeypatch.setattr(fibers, "fiber_angles", nan_every_other)
     rpt = fl.check_hyperconvex(sym4, 2, spec, radius=None)
-    nans = len(calls) // 2
+    nans = sum(calls)
     assert nans > 0
     assert rpt.triples_tested == base.triples_tested - nans
     assert rpt.skipped == base.skipped + nans
+    degenerate = [dict(r.skip_reasons)["degenerate_score"] for r in (base, rpt)]
+    assert degenerate[1] == degenerate[0] + nans
+
+
+def _crafted_stack(rep, k, ks, spec, rng):
+    """The sweep's flags (pool, then adversarial pairs) plus flags made to
+    fault, and triples that use them: a twin t of pool[0] (its frame under
+    another source) vanishes the reference of (pool[0], t, .) and makes an
+    ambiguous line of (t, ., pool[0]); for k >= 2 a flag c whose
+    (d-k)-space holds the (k-1)-space of pool[1] collapses (c, ., pool[1])."""
+    pool, pairs = _flag_pool(rep, ks, spec)
+    assert pairs
+    d = rep.dim
+    flags = pool + [f for pair in pairs for f in pair]
+    t = len(flags)
+    flags.append(fl.FlagSample((9, 9, 9), pool[0].frame, ks))
+    crafted = [(0, t, 2), (t, 3, 0)]
+    if k >= 2:
+        cols = [pool[1].frame[:, : k - 1], rng.standard_normal((d, d - k + 1)) + 0j]
+        q, _ = np.linalg.qr(np.concatenate(cols, axis=1))
+        flags.append(fl.FlagSample((9, 9, 8), q[:, : max(ks)], ks))
+        crafted.append((t + 1, 4, 1))
+    return FlagStack(flags), len(pool), crafted
+
+
+def _scalar_eq1(x, y, z, k):
+    d = z.ambient_dim
+    lx = tangent_project(z, x, k)
+    ly = tangent_project(z, y, k)
+    return _normalized_score(fiber_angle(lx, ly), x.space(d - k), y.space(d - k))
+
+
+def _scalar_hk(x, y, z, k):
+    d = z.ambient_dim
+    upper = z.space(d - k + 1)
+    vx = _line_intersection(x.space(k), upper)
+    vy = _line_intersection(y.space(k), upper)
+    cols = np.concatenate([vx[:, None], vy[:, None], z.space(d - k - 1).frame], axis=1)
+    smin = float(np.linalg.svd(cols, compute_uv=False)[-1])
+    return _normalized_score(smin, x.space(k), y.space(k))
+
+
+# The per-triple loop's arithmetic, written out once as the reference of the
+# stacked kernels: one LAPACK call per matrix, NumPy's scalar norm and abs.
+
+
+def _loop_line(a, b):
+    u, s, _ = np.linalg.svd(a.conj().T @ b)
+    if s[0] < 1.0 - LINE_SOFT_TOL or (s.size > 1 and s[1] >= 1.0 - LINE_UNIQUE_TOL):
+        raise PrecisionError("no unique line")
+    return a @ u[:, 0]
+
+
+def _loop_sines(a, b):
+    perp = np.linalg.svd(b, full_matrices=True)[0][:, b.shape[1]:]
+    return np.sort(np.clip(np.linalg.svd(perp.conj().T @ a, compute_uv=False), 0.0, 1.0))
+
+
+def _loop_dist(a, b):
+    cos = np.clip(np.linalg.svd(a.conj().T @ b, compute_uv=False), 0.0, 1.0)
+    return math.atan2(float(_loop_sines(a, b)[-1]), float(cos[-1]))
+
+
+def _loop_normalized(num, a, b):
+    ref = float(_loop_sines(a, b)[-1])
+    if not (np.isfinite(num) and np.isfinite(ref)) or ref < 1e-12:
+        raise PrecisionError("degenerate score")
+    return min(1.0, num / ref)
+
+
+def _loop_eq1(x, y, z, k):
+    d = z.ambient_dim
+    frame = z.fiber_frame(k)
+    pts = []
+    for w in (x, y):
+        coords = frame.conj().T @ _loop_line(w.space(d - k).frame, z.space(k + 1).frame)
+        norm = np.linalg.norm(coords)
+        if norm < 1e-8:
+            raise PrecisionError("collapsed")
+        pts.append(coords / norm)
+    num = float(abs(det2(*pts)))
+    return _loop_normalized(num, x.space(d - k).frame, y.space(d - k).frame)
+
+
+def _loop_hk(x, y, z, k):
+    d = z.ambient_dim
+    upper = z.space(d - k + 1).frame
+    vx = _loop_line(x.space(k).frame, upper)
+    vy = _loop_line(y.space(k).frame, upper)
+    cols = np.concatenate([vx[:, None], vy[:, None], z.space(d - k - 1).frame], axis=1)
+    smin = float(np.linalg.svd(cols, compute_uv=False)[-1])
+    return _loop_normalized(smin, x.space(k).frame, y.space(k).frame)
+
+
+@pytest.mark.parametrize("name,k", [("sym4", 2), ("sym3", 1)])
+def test_block_scores_equal_one_row_scores_bitwise(name, k):
+    """Every decision and score of the block scorers equals, with ==, that
+    of the one-row composition and of the per-triple loop's arithmetic, on
+    pools with adversarial pairs and on triples made to fault; so does
+    every stacked point distance."""
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except PrecisionError:
+            return None
+
+    rep = fl.preset(name)
+    rng = np.random.default_rng(3)
+    spec = TripleSpec(count=400, seed=5, pool_size=24)
+    hk_ks = sorted({k, rep.dim - k + 1, rep.dim - k - 1} - {0, rep.dim})
+    seen = set()
+    for block, scalar, loop, ks in (
+        (_eq1_scores, _scalar_eq1, _loop_eq1, fiber_ks(rep.dim, k)),
+        (_hk_scores, _scalar_hk, _loop_hk, hk_ks),
+    ):
+        flags, n_pool, crafted = _crafted_stack(rep, k, ks, spec, rng)
+        n = len(flags.flags)
+        drawn = [rng.choice(n, size=3, replace=False) for _ in range(300)]
+        # z from the pool, as in the sweep
+        drawn = [t for t in drawn if t[2] < n_pool] + crafted
+        ix, iy, iz = np.array(drawn).T
+        scores, fault = block(k, flags, ix, iy, iz)
+        j = flags.ks[0]
+        dists = point_dists(flags, ix, iz)
+        for row, (a, b, c) in enumerate(drawn):
+            x, y, z = (flags.flags[i] for i in (a, b, c))
+            assert dists[row] == _loop_dist(x.space(j).frame, z.space(j).frame)
+            expected = outcome(scalar, x, y, z, k)
+            assert outcome(loop, x, y, z, k) == expected, (block, row)
+            if expected is None:
+                assert fault[row] != SCORED and np.isnan(scores[row]), (block, row)
+            else:
+                assert fault[row] == SCORED and scores[row] == expected, (block, row)
+        seen |= set(fault.tolist())
+    assert seen >= {SCORED, DEGENERATE, AMBIGUOUS} | ({COLLAPSED} if k >= 2 else set())
+
+
+@pytest.mark.parametrize("check", [fl.check_hyperconvex, fl.check_Hk])
+def test_sweep_report_does_not_depend_on_block(sym4, monkeypatch, check):
+    import flaglab.fibers as fibers
+
+    spec = TripleSpec(count=300, seed=5, pool_size=24)
+    base = check(sym4, 2, spec, radius=None)
+    assert [reason for reason, _ in base.skip_reasons] == list(fibers.SKIP_REASONS)
+    assert sum(n for _, n in base.skip_reasons) == base.skipped
+    for block in (1, 7):
+        monkeypatch.setattr(fibers, "BLOCK", block)
+        assert check(sym4, 2, spec, radius=None) == base
 
 
 def test_hk_vacuous_d2(schottky):
