@@ -29,15 +29,7 @@ from .certify import (
 from .errors import FlaglabError, InputError, NotAnosovError, PrecisionError, TransversalityError
 from .mobius import chart, det2, sphere_xyz, three_point_map
 from .reps import Representation, wedge_coords
-from .subspaces import (
-    Subspace,
-    det_normalize,
-    frame_complements,
-    frame_dists,
-    frame_sines,
-    orth,
-    transversality_gap,
-)
+from .subspaces import Subspace, det_normalize, frame_complements, frame_dists, frame_sines, orth
 from .words import Word
 
 TAU_PASS = 1e-3
@@ -47,7 +39,7 @@ LINE_UNIQUE_TOL = 1e-12  # at this level the line is below the frame noise floor
 ADVERSARIAL_FRACTION = 0.3  # share of triples drawn from adversarial near-pairs
 ADVERSARIAL_SUFFIX = 2  # length of the two tails that split a pair off its stem
 MIN_BASE_SEPARATION = 0.01  # least distance from the projection base to x and y
-CHART_FLOOR = 0.1  # least transversality_gap between a charted flag and the anchor
+CHART_FLOOR = 0.1  # least transversality (smallest principal sine) of a charted flag to the anchor
 BLOCK = 512  # triples scored per stacked block: bounds the sweep's memory for any count
 
 # Why a drawn triple was skipped, in the order the report counts them; the
@@ -71,7 +63,8 @@ _FAULT_MESSAGES = {
 
 def fiber_ks(d: int, k: int) -> list[int]:
     """Flag indices a fiber at index k needs: k-1 and k+1 for the line,
-    k for the diagonal projection and d-k for the projected directions."""
+    k for a Grassmannian chart anchor and d-k for the projected
+    directions."""
     if not 1 <= k <= d - 1:
         raise InputError(f"k={k} out of range 1..{d - 1}")
     return sorted({j for j in (k - 1, k, k + 1, d - k) if 0 < j < d})
@@ -90,14 +83,6 @@ def line_intersections(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     return (a @ u[..., :1])[..., 0], fault
 
 
-def _line_intersection(a: Subspace, b: Subspace) -> np.ndarray:
-    """One-row line_intersections; raises TransversalityError on a fault."""
-    v, fault = line_intersections(a.frame, b.frame)
-    if fault != SCORED:
-        raise TransversalityError(_FAULT_MESSAGES[int(fault)])
-    return v
-
-
 def fiber_coords(frame, upper, lines) -> tuple[np.ndarray, np.ndarray]:
     """Tangent projections, row by row: the lines where the (d-k)-spaces
     lines (..., d, d-k) meet the (k+1)-spaces upper (..., d, k+1), as unit
@@ -113,71 +98,58 @@ def fiber_coords(frame, upper, lines) -> tuple[np.ndarray, np.ndarray]:
         return coords / norm[..., None], fault
 
 
-def tangent_project(z: FlagSample, x: FlagSample, k: int) -> np.ndarray:
-    """Project the boundary direction x into the projective line of z, as
-    a unit 2-vector (a homogeneous pair) in z's fiber frame.
+def tangent_project(base: FlagSample, flags, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Project the boundary directions of flags into the projective line of
+    base, all in one fiber_coords call.
 
-    For x distinct from z this is the class of x^{d-k} intersected with
-    z^{k+1} (one row of fiber_coords; a fault raises TransversalityError);
-    for x = z (same source word) it is the class of z^k.
+    Returns the unit 2-vectors (homogeneous pairs) (m, 2) in base's fiber
+    frame and the indices into flags of the m flags they came from.  base's
+    own source is skipped and a flag whose projection faults is dropped; a
+    base with no fiber frame raises PrecisionError.
     """
-    d = z.ambient_dim
-    frame = z.fiber_frame(k)
-    if x.source == z.source:
-        coords_mat = orth(frame.conj().T @ z.space(k).frame)
-        if coords_mat.shape[1] != 1:
-            raise PrecisionError("diagonal projection is not a line")
-        return coords_mat[:, 0]
-    coords, fault = fiber_coords(frame, z.space(k + 1).frame, x.space(d - k).frame)
-    if fault != SCORED:
-        raise TransversalityError(_FAULT_MESSAGES[int(fault)])
-    return coords
+    d = base.ambient_dim
+    frame = base.fiber_frame(k)
+    rows = [i for i, f in enumerate(flags) if f.source != base.source]
+    if not rows:
+        return np.empty((0, 2), dtype=complex), np.empty(0, dtype=int)
+    lines = np.stack([flags[i].space(d - k).frame for i in rows])
+    pairs, fault = fiber_coords(frame, base.space(k + 1).frame, lines)
+    keep = fault == SCORED
+    return pairs[keep], np.array(rows)[keep]
 
 
 def chart_points(base: FlagSample, flags, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tangent-project flags into the projective line of base, all in one
-    fiber_coords call.
-
-    Returns the fiber coordinates as m unit vectors (m, 3), by sphere_xyz,
-    and the indices into flags of the m flags they came from.  base's own
-    source is skipped and a flag whose projection faults is dropped; if
-    base has no fiber frame (PrecisionError) every flag is dropped.  Every
-    other exception propagates.
-    """
-    d = base.ambient_dim
-    rows = [i for i, f in enumerate(flags) if f.source != base.source]
+    """tangent_project as unit vectors (m, 3), by sphere_xyz, with the
+    indices of the flags they came from; if base has no fiber frame
+    (PrecisionError) every flag is dropped.  Every other exception
+    propagates."""
     try:
-        frame = base.fiber_frame(k)
+        pairs, rows = tangent_project(base, flags, k)
     except PrecisionError:
-        rows = []
-    if not rows:
         return np.empty((0, 3)), np.empty(0, dtype=int)
-    lines = np.stack([flags[i].space(d - k).frame for i in rows])
-    coords, fault = fiber_coords(frame, base.space(k + 1).frame, lines)
-    keep = fault == SCORED
-    return sphere_xyz(coords[keep]), np.array(rows)[keep]
+    return sphere_xyz(pairs), rows
 
 
 def grassmann_charts(flags, k: int, anchors) -> tuple[dict[str, np.ndarray], list[int]]:
     """Tangent-projection charts of a Grassmannian flag sample.
 
     Each anchor z charts the flags whose (d-k)-space stays CHART_FLOOR
-    transverse to z's k-space, projected into the projective line at z.
-    Returns ({anchor word: (m, 3) cloud}, indices of the flags that no
-    chart covers).
+    transverse to z's k-space (smallest principal sine, one frame_sines
+    call per anchor), projected into the projective line at z.  Returns
+    ({anchor word: (m, 3) cloud}, indices of the flags that no chart
+    covers).
     """
     if not anchors:
         raise InputError("need at least one chart anchor")
     d = anchors[0].ambient_dim
+    lines = FlagStack(flags).space(d - k) if flags else np.empty((0, d, d - k), dtype=complex)
     covered = np.zeros(len(flags), dtype=bool)
     charts: dict[str, np.ndarray] = {}
     for anchor in anchors:
-        near = [
-            i for i, f in enumerate(flags)
-            if transversality_gap(f.space(d - k), anchor.space(k)) >= CHART_FLOOR
-        ]
+        gaps = frame_sines(lines, frame_complements(anchor.space(k).frame))[:, 0]
+        near = np.flatnonzero(gaps >= CHART_FLOOR)
         coords, kept = chart_points(anchor, [flags[i] for i in near], k)
-        covered[np.array(near, dtype=int)[kept]] = True
+        covered[near[kept]] = True
         charts[W.word_to_str(anchor.source)] = coords
     return charts, np.flatnonzero(~covered).tolist()
 
@@ -233,22 +205,12 @@ def point_dists(flags: FlagStack, a, b) -> np.ndarray:
     return frame_dists(flags.space(j)[a], flags.space(j)[b], flags.complement(j)[b])
 
 
-def point_dist(a: FlagSample, b: FlagSample) -> float:
-    """One-row point_dists."""
-    return float(point_dists(FlagStack([a, b]), 0, 1))
-
-
 def fiber_angles(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Sines of the angles between unit fiber pairs (..., 2) over the same
     base, row by row; exact for tiny angles (a 2x2 determinant of unit
     columns).  np.hypot keeps the bits of the scalar abs."""
     det = det2(p, q)
     return np.hypot(det.real, det.imag)
-
-
-def fiber_angle(p: np.ndarray, q: np.ndarray) -> float:
-    """One-row fiber_angles."""
-    return float(fiber_angles(p, q))
 
 
 # --- hyperconvexity -------------------------------------------------------
@@ -506,14 +468,6 @@ def normalized_scores(num: np.ndarray, a: np.ndarray, perp: np.ndarray) -> tuple
     return scores, np.where(bad, DEGENERATE, SCORED)
 
 
-def _normalized_score(num: float, a: Subspace, b: Subspace) -> float:
-    """One-row normalized_scores; raises PrecisionError on a fault."""
-    score, fault = normalized_scores(np.float64(num), a.frame, b.orthocomplement().frame)
-    if fault != SCORED:
-        raise PrecisionError("non-finite triple score or vanished reference separation")
-    return float(score)
-
-
 def _check_prereqs(rep, k, mode, radius):
     """Certify every index of required_anosov_indices over one gap sweep of
     the given radius; raise NotAnosovError naming those left uncertified.
@@ -568,15 +522,23 @@ class Trivialization:
         hit = self._cache.get(id(t))
         if hit is not None:
             return hit[1]
-        p = [tangent_project(t, b, self.k) for b in self.basepoints]
-        m = three_point_map(*p)
+        d = t.ambient_dim
+        lines = np.stack([b.space(d - self.k).frame for b in self.basepoints])
+        pairs, fault = fiber_coords(t.fiber_frame(self.k), t.space(self.k + 1).frame, lines)
+        if (fault != SCORED).any():
+            raise TransversalityError(_FAULT_MESSAGES[int(fault[fault != SCORED][0])])
+        m = three_point_map(*pairs)
         self._cache[id(t)] = (t, m)
         return m
 
-    def project(self, t: FlagSample, x: FlagSample) -> np.ndarray:
-        """Tangent-project x at t and normalize: a pair with the three
-        basepoints at the classes of 0, 1 and infinity."""
-        return self.fiber_map(t) @ tangent_project(t, x, self.k)
+    def project(self, t: FlagSample, flags) -> tuple[np.ndarray, np.ndarray]:
+        """tangent_project flags at t and normalize: pairs (m, 2) with the
+        three basepoints at the classes of 0, 1 and infinity, and the
+        indices of the flags they came from."""
+        m = self.fiber_map(t)
+        pairs, rows = tangent_project(t, flags, self.k)
+        # m @ pair row by row: the bits of the one-pair product
+        return (m @ pairs[..., None])[..., 0], rows
 
     def cocycle(self, gamma, t: FlagSample) -> tuple[np.ndarray, FlagSample]:
         """Trivialized cocycle: the fiber action read through the 0,1,inf
@@ -639,32 +601,24 @@ def foliated_limit_sample(
     rows: list[FiberRow] = []
     status: dict[Word, str] = {}
     for t in bases:
-        ok = 0
-        failed = 0
         try:
-            trivialization.fiber_map(t)
+            pairs, kept = trivialization.project(t, fibers)
         except PrecisionError as exc:
             status[t.source] = f"base failed: {exc}"
             continue
-        for x in fibers:
-            if x.source == t.source:
-                continue
-            try:
-                v = chart(trivialization.project(t, x))
-            except PrecisionError:
-                failed += 1
-                continue
+        for pair, i in zip(pairs, kept.tolist()):
+            v = chart(pair)
             inf_flag = not np.isfinite(v.real)
             rows.append(
                 FiberRow(
                     base_word=t.source,
-                    fiber_word=x.source,
+                    fiber_word=fibers[i].source,
                     value=0j if inf_flag else complex(v),
                     at_infinity=bool(inf_flag),
                 )
             )
-            ok += 1
-        status[t.source] = f"ok={ok} failed={failed}"
+        # no fiber shares a base's source, so every missing row faulted
+        status[t.source] = f"ok={len(kept)} failed={len(fibers) - len(kept)}"
     return FoliatedSample(
         k=k,
         rows=rows,
@@ -721,5 +675,7 @@ def wedge_fiber_point(z: FlagSample, y: FlagSample, k: int) -> Subspace:
     pencil = wedge_pencil(z, k)
     hyper = wedge_hyperplane(y, k)
     # 1-dim intersection of a 2-plane with a hyperplane in C^N
-    v = _line_intersection(pencil, hyper)
+    v, fault = line_intersections(pencil.frame, hyper.frame)
+    if fault != SCORED:
+        raise TransversalityError(_FAULT_MESSAGES[int(fault)])
     return Subspace.line(v)

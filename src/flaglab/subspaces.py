@@ -1,7 +1,9 @@
 """Complex subspace geometry: frames, principal angles, subspace distances.
 
 A Subspace is stored as a matrix with orthonormal columns.  Rank
-decisions use the one relative threshold RANK_TOL = 1e-8.
+decisions use the one relative threshold RANK_TOL = 1e-8.  Principal
+angles are taken row by row over stacks of frames (the frame_* kernels);
+hausdorff_subspace_dist is their one Subspace-level form.
 """
 
 from __future__ import annotations
@@ -118,45 +120,13 @@ def frame_sines(a: np.ndarray, perp: np.ndarray) -> np.ndarray:
 def frame_dists(a: np.ndarray, b: np.ndarray, perp: np.ndarray) -> np.ndarray:
     """Largest principal angle between the equal-dimensional frames of the
     stacks a and b, in radians, row by row; perp holds the complements of
-    b.  Rows are combined with math.atan2, one at a time, so every row has
-    the bits of the one-row call."""
+    b.  Rows are combined with math.atan2, one at a time, so a row's bits
+    do not depend on the stack it sits in."""
     cos_min = frame_cosines(a, b)[..., -1]
     sines = frame_sines(a, perp)
     sin_max = sines[..., -1] if sines.shape[-1] else np.zeros_like(cos_min)
     angles = map(math.atan2, sin_max.ravel().tolist(), cos_min.ravel().tolist())
     return np.fromiter(angles, float, count=cos_min.size).reshape(cos_min.shape)
-
-
-def principal_cosines(a: Subspace, b: Subspace) -> np.ndarray:
-    """Cosines of the principal angles, descending."""
-    _check_same_ambient(a, b)
-    if a.dim == 0 or b.dim == 0:
-        return np.zeros(0)
-    return frame_cosines(a.frame, b.frame)
-
-
-def principal_sines(a: Subspace, b: Subspace) -> np.ndarray:
-    """Sines of the nonzero-capable principal angles, ascending; computed
-    through the orthocomplement so tiny angles keep full precision."""
-    _check_same_ambient(a, b)
-    if a.dim == 0 or b.dim == 0:
-        return np.zeros(0)
-    return frame_sines(a.frame, b.orthocomplement().frame)
-
-
-def transversality_gap(a: Subspace, b: Subspace) -> float:
-    """Smallest principal sine between a and b, in [0, 1].
-
-    Zero exactly when the intersection is nontrivial; for two lines it is
-    the sine of the angle between them.  Requires dim a + dim b <= d.
-    """
-    _check_same_ambient(a, b)
-    if a.dim + b.dim > a.ambient_dim:
-        raise InputError("dim a + dim b exceeds the ambient dimension")
-    if a.dim == 0 or b.dim == 0:
-        return 1.0
-    s = principal_sines(a, b)
-    return float(s[0])
 
 
 def hausdorff_subspace_dist(a: Subspace, b: Subspace) -> float:

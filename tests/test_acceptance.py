@@ -14,9 +14,10 @@ import flaglab as fl
 import flaglab.words as W
 from flaglab.cli import main as cli_main
 from flaglab.fibers import (
+    FlagStack,
     TripleSpec,
     fiber_wedge_line,
-    point_dist,
+    point_dists,
     tangent_project,
     wedge_fiber_point,
     wedge_hyperplane,
@@ -24,7 +25,7 @@ from flaglab.fibers import (
 )
 from flaglab.prodsvd import ProductSVD
 from flaglab.sphere import VisualMeasure, cross_ratio, visual_mass
-from flaglab.subspaces import hausdorff_subspace_dist, principal_cosines
+from flaglab.subspaces import frame_cosines, hausdorff_subspace_dist
 
 from conftest import proj_matrix_dist, random_sl
 
@@ -162,7 +163,8 @@ def test_criterion_4_bundle_diagram(sym4):
             z, y = flags[i], flags[j]
             if not _resolvable_pair(z, y):
                 continue
-            line = fiber_wedge_line(z, 2, tangent_project(z, y, 2))
+            [pair], _ = tangent_project(z, [y], 2)
+            line = fiber_wedge_line(z, 2, pair)
             worst = max(worst, hausdorff_subspace_dist(line, wedge_fiber_point(z, y, 2)))
             checked += 1
     assert checked >= 1000
@@ -171,10 +173,10 @@ def test_criterion_4_bundle_diagram(sym4):
 
 
 def _resolvable_pair(z, y, floor=1e-6):
-    cos_a = principal_cosines(y.space(2), z.space(3))
+    cos_a = frame_cosines(y.space(2).frame, z.space(3).frame)
     if len(cos_a) > 1 and 1.0 - cos_a[1] < floor:
         return False
-    cos_b = principal_cosines(wedge_pencil(z, 2), wedge_hyperplane(y, 2))
+    cos_b = frame_cosines(wedge_pencil(z, 2).frame, wedge_hyperplane(y, 2).frame)
     return not (len(cos_b) > 1 and 1.0 - cos_b[1] < floor)
 
 
@@ -203,7 +205,10 @@ def test_criterion_5_cocycle_identity(name):
             abt = transport_flag(rep, W.concat(p, alpha, beta), t)
         except fl.PrecisionError:
             continue  # contractual: too ill-conditioned a transport to certify
-        if any(point_dist(f, b) < 0.1 for f in (t, bt, abt) for b in basepoints):
+        # the nine distances from t, bt, abt (rows 0-2) to the basepoints
+        near = point_dists(FlagStack([t, bt, abt] + basepoints), np.repeat(np.arange(3), 3),
+                           np.tile(np.arange(3, 6), 3))
+        if (near < 0.1).any():
             continue
         lhs, _ = triv.cocycle(W.concat(p, alpha, beta), t)
         if np.linalg.norm(lhs, 2) ** 2 > 1e5:

@@ -16,6 +16,7 @@ from flaglab.boxdim import (
 )
 from flaglab.errors import InputError
 from flaglab.mobius import apply_mobius
+from flaglab.subspaces import frame_complements, frame_sines
 from flaglab.words import word_to_str
 
 from conftest import random_sl
@@ -188,9 +189,8 @@ def test_grassmann_single_chart_equals_fiber(octagon_sym3, veronese_circle_flags
     anchor, flags = veronese_circle_flags[0], veronese_circle_flags[1:]
     charts, uncovered = fibers.grassmann_charts(flags, 1, [anchor])
     # a single chart can only be asked about the flags it covers
-    assert uncovered == [
-        i for i, f in enumerate(flags) if fl.transversality_gap(f.space(2), anchor.space(1)) < 0.1
-    ]
+    sines = frame_sines(fibers.FlagStack(flags).space(2), frame_complements(anchor.space(1).frame))
+    assert uncovered == np.flatnonzero(sines[:, 0] < 0.1).tolist()
     cloud = [f for i, f in enumerate(flags) if i not in uncovered]
     coords, kept = fibers.chart_points(anchor, cloud, 1)
     assert kept.tolist() == list(range(len(cloud)))

@@ -7,10 +7,10 @@ import flaglab as fl
 import flaglab.words as W
 from flaglab.certify import _doubling_ratio, boundary_samples, transport_flag
 from flaglab.errors import CapacityError, InputError, NotAnosovError, PrecisionError
-from flaglab.fibers import plucker
+from flaglab.fibers import FlagStack, plucker
 from flaglab.prodsvd import ProductSVD
 from flaglab.reps import Representation
-from flaglab.subspaces import Subspace, hausdorff_subspace_dist
+from flaglab.subspaces import Subspace, frame_sines, hausdorff_subspace_dist
 
 from conftest import brute_ball, flag_dist
 
@@ -254,14 +254,11 @@ def test_limit_set_flags_do_not_depend_on_batch(sym4):
 
 def test_limit_set_pairwise_transversality(sym4_flags, sym4):
     d = sym4.dim
-    worst = 1.0
-    for i in range(0, 30):
-        for j in range(30):
-            if i == j:
-                continue
-            x, y = sym4_flags[i], sym4_flags[j]
-            worst = min(worst, fl.transversality_gap(x.space(1), y.space(d - 1)))
-    assert worst > 0.0
+    flags = FlagStack(sym4_flags[:30])
+    i, j = np.nonzero(~np.eye(30, dtype=bool))
+    # smallest principal sine between x^1 and y^{d-1}, for every x != y
+    sines = frame_sines(flags.space(1)[i], flags.complement(d - 1)[j])[:, 0]
+    assert sines.min() > 0.0
 
 
 def test_limit_set_invariance_under_translation(sym3):

@@ -8,6 +8,7 @@ import flaglab.words as W
 from flaglab.errors import InputError, NotAnosovError, PrecisionError
 from flaglab.fibers import (
     AMBIGUOUS,
+    CHART_FLOOR,
     COLLAPSED,
     DEGENERATE,
     LINE_SOFT_TOL,
@@ -18,20 +19,18 @@ from flaglab.fibers import (
     _eq1_scores,
     _flag_pool,
     _hk_scores,
-    _line_intersection,
-    _normalized_score,
-    fiber_angle,
+    chart_points,
+    fiber_angles,
     fiber_ks,
     fiber_wedge_line,
-    point_dist,
+    grassmann_charts,
     point_dists,
-    tangent_project,
     wedge_fiber_point,
     wedge_pencil,
 )
-from flaglab.mobius import INF, chart, det2, sphere_xyz
+from flaglab.mobius import INF, chart, det2, sphere_xyz, three_point_map
 from flaglab.sphere import cross_ratio
-from flaglab.subspaces import hausdorff_subspace_dist, principal_cosines
+from flaglab.subspaces import frame_cosines, hausdorff_subspace_dist
 
 from conftest import flag_dist, proj_matrix_dist
 
@@ -39,16 +38,9 @@ from conftest import flag_dist, proj_matrix_dist
 # --- tangent projection --------------------------------------------------------
 
 
-def test_diagonal_branch_is_middle_space(sym4_flags):
-    z = sym4_flags[0]
-    v = z.fiber_frame(2) @ fl.tangent_project(z, z, 2)
-    frame = z.space(2).frame
-    assert np.linalg.norm(v - frame @ (frame.conj().T @ v)) < 1e-10
-
-
 def test_projection_lands_in_fiber(sym4_flags):
     z, x = sym4_flags[0], sym4_flags[1]
-    coords = fl.tangent_project(z, x, 2)
+    [coords], _ = fl.tangent_project(z, [x], 2)
     assert abs(np.linalg.norm(coords) - 1.0) < 1e-10
     v = z.fiber_frame(2) @ coords
     # representative sits inside z^3, orthogonal to z^1
@@ -64,7 +56,8 @@ def test_veronese_identification_preserves_cross_ratios(sym3, schottky):
     words = [(1, 2), (2, 1), (1, -2), (2, 2, 1), (1, 1, 2), (-2, 1, 1)]
     flags3 = fl.boundary_samples(sym3, words, [1, 2])
     [base] = fl.boundary_samples(sym3, [(2, -1, 2, 1)], [1, 2])
-    fiber_pts = [fl.tangent_project(base, f, 1) for f in flags3]
+    fiber_pts, rows = fl.tangent_project(base, flags3, 1)
+    assert rows.tolist() == list(range(len(flags3)))
     plane_pts = [
         hom_from_line(f.space(1).frame[:, 0]) for f in fl.boundary_samples(schottky, words, [1])
     ]
@@ -79,16 +72,34 @@ def hom_from_line(v):
 
 
 def test_injectivity_probe(sym4, sym4_flags):
-    base = sym4_flags[0]
-    pts = []
-    for f in sym4_flags[1:41]:
-        if point_dist(base, f) < 0.01:
-            continue
-        pts.append(fl.tangent_project(base, f, 2))
-    smallest = min(
-        fiber_angle(pts[i], pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts))
-    )
-    assert smallest > 0.0
+    base, flags = sym4_flags[0], sym4_flags[1:41]
+    dists = point_dists(FlagStack([base] + flags), 0, np.arange(1, 41))
+    far = [f for f, dist in zip(flags, dists) if dist >= 0.01]
+    pts, rows = fl.tangent_project(base, far, 2)
+    assert len(rows) == len(far)
+    i, j = np.triu_indices(len(pts), 1)
+    assert fiber_angles(pts[i], pts[j]).min() > 0.0
+
+
+def test_grassmann_charts_equal_loop_bitwise(octagon_sym3):
+    """Each anchor covers and charts exactly the flags that a per-flag
+    _loop_sines floor test picks, and an empty sample gives empty charts."""
+    flags, _ = fl.limit_set_sample(octagon_sym3, fiber_ks(3, 1), count=303, length=10, seed=1)
+    anchors, cloud = flags[:3], flags[3:]
+    charts, uncovered = grassmann_charts(cloud, 1, anchors)
+    covered = set()
+    for anchor in anchors:
+        near = [
+            i for i, f in enumerate(cloud)
+            if _loop_sines(f.space(2).frame, anchor.space(1).frame)[0] >= CHART_FLOOR
+        ]
+        assert len(near) < len(cloud)  # the floor excludes flags near every anchor
+        coords, kept = chart_points(anchor, [cloud[i] for i in near], 1)
+        assert np.array_equal(charts[W.word_to_str(anchor.source)], coords)
+        covered |= {near[i] for i in kept}
+    assert uncovered == sorted(set(range(len(cloud))) - covered)
+    charts, uncovered = grassmann_charts([], 1, anchors)
+    assert uncovered == [] and [c.shape for c in charts.values()] == [(0, 3)] * 3
 
 
 # --- hyperconvexity -------------------------------------------------------------
@@ -202,23 +213,6 @@ def _crafted_stack(rep, k, ks, spec, rng):
     return FlagStack(flags), len(pool), crafted
 
 
-def _scalar_eq1(x, y, z, k):
-    d = z.ambient_dim
-    lx = tangent_project(z, x, k)
-    ly = tangent_project(z, y, k)
-    return _normalized_score(fiber_angle(lx, ly), x.space(d - k), y.space(d - k))
-
-
-def _scalar_hk(x, y, z, k):
-    d = z.ambient_dim
-    upper = z.space(d - k + 1)
-    vx = _line_intersection(x.space(k), upper)
-    vy = _line_intersection(y.space(k), upper)
-    cols = np.concatenate([vx[:, None], vy[:, None], z.space(d - k - 1).frame], axis=1)
-    smin = float(np.linalg.svd(cols, compute_uv=False)[-1])
-    return _normalized_score(smin, x.space(k), y.space(k))
-
-
 # The per-triple loop's arithmetic, written out once as the reference of the
 # stacked kernels: one LAPACK call per matrix, NumPy's scalar norm and abs.
 
@@ -247,17 +241,18 @@ def _loop_normalized(num, a, b):
     return min(1.0, num / ref)
 
 
+def _loop_pair(z, x, k):
+    d = z.ambient_dim
+    coords = z.fiber_frame(k).conj().T @ _loop_line(x.space(d - k).frame, z.space(k + 1).frame)
+    norm = np.linalg.norm(coords)
+    if norm < 1e-8:
+        raise PrecisionError("collapsed")
+    return coords / norm
+
+
 def _loop_eq1(x, y, z, k):
     d = z.ambient_dim
-    frame = z.fiber_frame(k)
-    pts = []
-    for w in (x, y):
-        coords = frame.conj().T @ _loop_line(w.space(d - k).frame, z.space(k + 1).frame)
-        norm = np.linalg.norm(coords)
-        if norm < 1e-8:
-            raise PrecisionError("collapsed")
-        pts.append(coords / norm)
-    num = float(abs(det2(*pts)))
+    num = float(abs(det2(_loop_pair(z, x, k), _loop_pair(z, y, k))))
     return _loop_normalized(num, x.space(d - k).frame, y.space(d - k).frame)
 
 
@@ -274,13 +269,13 @@ def _loop_hk(x, y, z, k):
 @pytest.mark.parametrize("name,k", [("sym4", 2), ("sym3", 1)])
 def test_block_scores_equal_one_row_scores_bitwise(name, k):
     """Every decision and score of the block scorers equals, with ==, that
-    of the one-row composition and of the per-triple loop's arithmetic, on
-    pools with adversarial pairs and on triples made to fault; so does
-    every stacked point distance."""
+    of the per-triple loop's arithmetic, one triple at a time, on pools with
+    adversarial pairs and on triples made to fault; so does every stacked
+    point distance."""
 
-    def outcome(fn, *args):
+    def outcome(loop, *args):
         try:
-            return fn(*args)
+            return loop(*args)
         except PrecisionError:
             return None
 
@@ -289,9 +284,9 @@ def test_block_scores_equal_one_row_scores_bitwise(name, k):
     spec = TripleSpec(count=400, seed=5, pool_size=24)
     hk_ks = sorted({k, rep.dim - k + 1, rep.dim - k - 1} - {0, rep.dim})
     seen = set()
-    for block, scalar, loop, ks in (
-        (_eq1_scores, _scalar_eq1, _loop_eq1, fiber_ks(rep.dim, k)),
-        (_hk_scores, _scalar_hk, _loop_hk, hk_ks),
+    for block, loop, ks in (
+        (_eq1_scores, _loop_eq1, fiber_ks(rep.dim, k)),
+        (_hk_scores, _loop_hk, hk_ks),
     ):
         flags, n_pool, crafted = _crafted_stack(rep, k, ks, spec, rng)
         n = len(flags.flags)
@@ -305,8 +300,7 @@ def test_block_scores_equal_one_row_scores_bitwise(name, k):
         for row, (a, b, c) in enumerate(drawn):
             x, y, z = (flags.flags[i] for i in (a, b, c))
             assert dists[row] == _loop_dist(x.space(j).frame, z.space(j).frame)
-            expected = outcome(scalar, x, y, z, k)
-            assert outcome(loop, x, y, z, k) == expected, (block, row)
+            expected = outcome(loop, x, y, z, k)
             if expected is None:
                 assert fault[row] != SCORED and np.isnan(scores[row]), (block, row)
             else:
@@ -348,18 +342,11 @@ def test_sym_family_passes_hk(sym4):
 
 
 def test_eq1_score_symmetric_in_xy(sym4, sym4_flags):
-    from flaglab.fibers import tangent_project
-    from flaglab.subspaces import principal_sines
-
-    x, y, z = sym4_flags[3], sym4_flags[11], sym4_flags[20]
-
-    def score(a, b):
-        la = tangent_project(z, a, 2)
-        lb = tangent_project(z, b, 2)
-        ref = principal_sines(a.space(2), b.space(2))[-1]
-        return fiber_angle(la, lb) / ref
-
-    assert score(x, y) == pytest.approx(score(y, x), rel=1e-10)
+    flags = FlagStack([sym4_flags[3], sym4_flags[11], sym4_flags[20]])
+    # (x, y, z) and (y, x, z)
+    scores, fault = _eq1_scores(2, flags, np.array([0, 1]), np.array([1, 0]), np.array([2, 2]))
+    assert (fault == SCORED).all() and scores[0] < 1.0
+    assert scores[0] == pytest.approx(scores[1], rel=1e-10)
 
 
 # --- Mobius cocycle ---------------------------------------------------------------
@@ -394,11 +381,10 @@ def test_cocycle_identity_two_presets(schottky, sym3):
                 abt = transport_flag(rep, W.concat(p, alpha, beta), t)
             except fl.PrecisionError:
                 continue  # contractual: transport too ill-conditioned to certify
-            if any(
-                point_dist(f, b) < 0.1
-                for f in (t, bt, abt)
-                for b in basepoints
-            ):
+            # the nine distances from t, bt, abt (rows 0-2) to the basepoints
+            near = point_dists(FlagStack([t, bt, abt] + basepoints), np.repeat(np.arange(3), 3),
+                               np.tile(np.arange(3, 6), 3))
+            if (near < 0.1).any():
                 continue
             lhs, _ = triv.cocycle(W.concat(p, alpha, beta), t)
             if np.linalg.norm(lhs, 2) ** 2 > 1e5:
@@ -420,10 +406,11 @@ def test_cocycle_naturality(sym3, sym3_flags):
     t, x = sym3_flags[4], sym3_flags[6]
     gamma = (1, 2)
     b, gt = fl.mobius_cocycle(sym3, gamma, t, 1)
-    moved = b @ fl.tangent_project(t, x, 1)
+    [pair], _ = fl.tangent_project(t, [x], 1)
+    moved = b @ pair
     moved /= np.linalg.norm(moved)
-    gx = transport_flag(sym3, gamma, x)
-    assert fiber_angle(moved, fl.tangent_project(gt, gx, 1)) < 1e-8
+    [image], _ = fl.tangent_project(gt, [transport_flag(sym3, gamma, x)], 1)
+    assert fiber_angles(moved, image) < 1e-8
 
 
 # --- trivializations ----------------------------------------------------------------
@@ -432,7 +419,9 @@ def test_cocycle_naturality(sym3, sym3_flags):
 def test_basepoints_pinned(sym3, sym3_flags):
     triv = fl.Trivialization(sym3, 1, sym3_flags[:3])
     for t in sym3_flags[3:8]:
-        values = [chart(triv.project(t, b)) for b in triv.basepoints]
+        pairs, rows = triv.project(t, triv.basepoints)
+        assert rows.tolist() == [0, 1, 2]
+        values = [chart(p) for p in pairs]
         assert abs(values[0]) < 1e-8
         assert abs(values[1] - 1.0) < 1e-8
         assert values[2] == INF
@@ -444,8 +433,9 @@ def test_two_trivializations_differ_by_global_mobius(sym3, sym3_flags):
     t1 = fl.Trivialization(sym3, 1, sym3_flags[:3])
     t2 = fl.Trivialization(sym3, 1, sym3_flags[3:6])
     base = sym3_flags[7]
-    vals1 = [t1.project(base, x) for x in sym3_flags[8:16]]
-    vals2 = [t2.project(base, x) for x in sym3_flags[8:16]]
+    vals1, rows1 = t1.project(base, sym3_flags[8:16])
+    vals2, rows2 = t2.project(base, sym3_flags[8:16])
+    assert rows1.tolist() == rows2.tolist() == list(range(8))
     for quad in [(0, 1, 2, 3), (2, 3, 4, 5), (1, 3, 5, 7)]:
         b1 = cross_ratio(*[vals1[i] for i in quad])
         b2 = cross_ratio(*[vals2[i] for i in quad])
@@ -460,6 +450,47 @@ def test_foliated_sample_contract(octagon_sym3):
     assert [(r.base_word, r.fiber_word, r.value) for r in sample.rows] == [
         (r.base_word, r.fiber_word, r.value) for r in again.rows
     ]
+
+
+@pytest.mark.parametrize(
+    "name,k,seed,faults", [("sym4", 2, 3, True), ("octagon-sym3", 1, 5, False)]
+)
+def test_foliated_sample_equals_loop_bitwise(name, k, seed, faults):
+    """Rows and ok=/failed= counts equal a per-fiber reference built from
+    _loop_line and fiber_map(t) @ pair.  The sym4 sample has a failed base
+    and bases that drop fibers; on octagon-sym3 an einsum or pairs @ m.T in
+    place of the per-pair product changes the bits."""
+    rep = fl.preset(name)
+    d = rep.dim
+    sample = fl.foliated_limit_sample(rep, k, base_count=4, fiber_count=150, seed=seed)
+    flags, _ = fl.limit_set_sample(rep, fiber_ks(d, k), count=4 + 150 + 8, length=8, seed=seed)
+    by_source = {f.source: f for f in flags}
+    triv = fl.Trivialization(rep, k, [by_source[w] for w in sample.basepoint_words])
+    skip = set(sample.basepoint_words) | set(sample.base_status)
+    fibers = [f for f in flags if f.source not in skip][:150]
+    rows, status = [], {}
+    for t in (by_source[w] for w in sample.base_status):
+        try:
+            m = triv.fiber_map(t)
+        except PrecisionError as exc:
+            with pytest.raises(PrecisionError):
+                [_loop_pair(t, b, k) for b in triv.basepoints]
+            status[t.source] = f"base failed: {exc}"
+            continue
+        assert np.array_equal(m, three_point_map(*[_loop_pair(t, b, k) for b in triv.basepoints]))
+        failed = 0
+        for x in fibers:
+            try:
+                v = chart(m @ _loop_pair(t, x, k))
+            except PrecisionError:
+                failed += 1
+                continue
+            inf_flag = not np.isfinite(v.real)
+            rows.append((t.source, x.source, 0j if inf_flag else v, inf_flag))
+        status[t.source] = f"ok={len(fibers) - failed} failed={failed}"
+    assert [(r.base_word, r.fiber_word, r.value, r.at_infinity) for r in sample.rows] == rows
+    assert sample.base_status == status
+    assert any(not v.endswith(" failed=0") for v in status.values()) == faults
 
 
 def test_three_point_coincidence_fails_only_the_base(octagon_sym3, monkeypatch):
@@ -490,13 +521,8 @@ def test_foliated_continuity_probe(sym3):
     assert flag_dist(f1, f2) < 1e-2
 
     def cloud(base):
-        out = []
-        for f in flags[3:]:
-            try:
-                out.append(sphere_xyz(triv.project(base, f)))
-            except fl.FlaglabError:
-                continue
-        return np.stack(out)
+        pairs, _ = triv.project(base, flags[3:])
+        return sphere_xyz(pairs)
 
     c1, c2 = cloud(f1), cloud(f2)
     dots = np.clip(c1 @ c2.T, -1.0, 1.0)
@@ -512,13 +538,7 @@ def test_bundle_injectivity_scan(sym3, sym3_flags):
     bases = sym3_flags[3:13]
     fibers = sym3_flags[13:]
     for t in bases:
-        seen = []
-        for x in fibers:
-            try:
-                seen.append(triv.project(t, x))
-            except fl.FlaglabError:
-                continue
-        arr = np.array(seen)
+        arr, _ = triv.project(t, fibers)
         dets = np.abs(det2(arr[:, None], arr[None, :])) + np.eye(len(arr))
         assert dets.min() > 0.0
 
@@ -530,20 +550,19 @@ def test_pencil_contains_wedge_of_middle_space(sym4_flags):
     z = sym4_flags[0]
     pencil = wedge_pencil(z, 2)
     line = fl.plucker(z.space(2))
-    assert principal_cosines(line, pencil)[0] > 1.0 - 1e-10
+    assert frame_cosines(line.frame, pencil.frame)[0] > 1.0 - 1e-10
 
 
 def test_bundle_diagram_commutes(sym4, sym4_flags):
     checked = 0
     worst = 0.0
     for i in range(40):
-        for j in range(40):
-            if i == j:
-                continue
-            z, y = sym4_flags[i], sym4_flags[j]
-            if _resolvable(z, y) is False:
-                continue
-            line = fiber_wedge_line(z, 2, fl.tangent_project(z, y, 2))
+        z = sym4_flags[i]
+        ys = [y for j, y in enumerate(sym4_flags[:40]) if j != i and _resolvable(z, y)]
+        pairs, rows = fl.tangent_project(z, ys, 2)
+        assert len(rows) == len(ys)
+        for pair, y in zip(pairs, ys):
+            line = fiber_wedge_line(z, 2, pair)
             worst = max(worst, hausdorff_subspace_dist(line, wedge_fiber_point(z, y, 2)))
             checked += 1
     assert checked > 300
@@ -551,10 +570,10 @@ def test_bundle_diagram_commutes(sym4, sym4_flags):
 
 
 def _resolvable(z, y, floor: float = 1e-6) -> bool:
-    cosA = principal_cosines(y.space(2), z.space(3))
+    cosA = frame_cosines(y.space(2).frame, z.space(3).frame)
     if len(cosA) > 1 and 1.0 - cosA[1] < floor:
         return False
-    cosB = principal_cosines(wedge_pencil(z, 2), fl.wedge_hyperplane(y, 2))
+    cosB = frame_cosines(wedge_pencil(z, 2).frame, fl.wedge_hyperplane(y, 2).frame)
     return not (len(cosB) > 1 and 1.0 - cosB[1] < floor)
 
 

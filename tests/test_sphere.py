@@ -92,15 +92,10 @@ def test_quasimobius_fiber_transition_stable(sym3, sym3_flags):
     powers the transition is in fact Mobius, so K is 1)."""
     triv = fl.Trivialization(sym3, 1, sym3_flags[:3])
     bx, by = sym3_flags[3], sym3_flags[4]
-    src, img = [], []
-    for f in sym3_flags[5:]:
-        try:
-            px, py = triv.project(bx, f), triv.project(by, f)
-        except fl.FlaglabError:
-            continue
-        src.append(sphere_xyz(px))
-        img.append(sphere_xyz(py))
-    src, img = np.stack(src), np.stack(img)
+    px, rx = triv.project(bx, sym3_flags[5:])
+    py, ry = triv.project(by, sym3_flags[5:])
+    # the flags that project at both bases, in one order
+    src, img = sphere_xyz(px[np.isin(rx, ry)]), sphere_xyz(py[np.isin(ry, rx)])
     k_half = fl.quasimobius_constant(src[: len(src) // 2], img[: len(src) // 2], seed=2)
     k_full = fl.quasimobius_constant(src, img, seed=2)
     assert np.isfinite(k_full)
@@ -353,13 +348,8 @@ def test_foliated_mass_invariance(sym3, sym3_flags):
     error (paired seeds)."""
     triv = fl.Trivialization(sym3, 1, sym3_flags[:3])
     base = sym3_flags[6]
-    cloud = []
-    for f in sym3_flags[7:]:
-        try:
-            cloud.append(sphere_xyz(triv.project(base, f)))
-        except fl.FlaglabError:
-            continue
-    cloud = np.stack(cloud)
+    pairs, _ = triv.project(base, sym3_flags[7:])
+    cloud = sphere_xyz(pairs)
     gmat, gt = triv.cocycle((1, -2), base)
     nu = VisualMeasure(0.1 + 0.1j, 1.3)
     m1 = fl.visual_mass(nu, cloud, 0.25, mc_count=100_000, seed=5)
@@ -373,15 +363,12 @@ def test_foliated_mass_invariance(sym3, sym3_flags):
     from flaglab.certify import transport_flag
 
     moved = apply_mobius(gmat, cloud)
+    flags = sym3_flags[7:17]
+    before, rb = triv.project(base, flags)
+    after, ra = triv.project(gt, [transport_flag(sym3, (1, -2), f) for f in flags])
     checked = 0
-    for f in sym3_flags[7:17]:
-        try:
-            before = triv.project(base, f)
-            after = triv.project(gt, transport_flag(sym3, (1, -2), f))
-        except fl.FlaglabError:
-            continue
-        moved_before = Subspace.line(gmat @ before)
-        assert hausdorff_subspace_dist(Subspace.line(after), moved_before) < 1e-6
+    for b, a in zip(before[np.isin(rb, ra)], after[np.isin(ra, rb)]):
+        assert hausdorff_subspace_dist(Subspace.line(a), Subspace.line(gmat @ b)) < 1e-6
         checked += 1
     assert checked >= 5
     assert len(moved) == len(cloud)

@@ -6,7 +6,7 @@ import pytest
 import flaglab as fl
 from flaglab.errors import InputError
 from flaglab.prodsvd import ProductSVD, jacobi_svd
-from flaglab.subspaces import Subspace
+from flaglab.subspaces import Subspace, frame_complements, frame_sines
 
 from conftest import matrix_gaps, random_sl, random_subspace, random_unitary
 
@@ -43,33 +43,38 @@ def test_gaps_adjoint_and_reversal():
 # --- transversality -----------------------------------------------------------
 
 
+def _smallest_sines(a, b):
+    """Smallest principal sines between the frame stacks a and b."""
+    return frame_sines(a, frame_complements(b))[..., 0]
+
+
 def test_transversality_examples():
-    e1 = Subspace.coordinate(3, [0])
-    e2 = Subspace.coordinate(3, [1])
-    assert fl.transversality_gap(e1, e2) == pytest.approx(1.0, abs=1e-12)
-    assert fl.transversality_gap(e1, e1) == pytest.approx(0.0, abs=1e-7)
+    e1 = Subspace.coordinate(3, [0]).frame
+    e2 = Subspace.coordinate(3, [1]).frame
+    assert _smallest_sines(e1, e2) == pytest.approx(1.0, abs=1e-12)
+    assert _smallest_sines(e1, e1) == pytest.approx(0.0, abs=1e-7)
     theta = 0.3
-    v = Subspace.line(np.array([math.cos(theta), math.sin(theta), 0.0]))
-    assert fl.transversality_gap(e1, v) == pytest.approx(math.sin(theta), abs=1e-12)
+    v = Subspace.line(np.array([math.cos(theta), math.sin(theta), 0.0])).frame
+    assert _smallest_sines(e1, v) == pytest.approx(math.sin(theta), abs=1e-12)
 
 
-def test_transversality_dim_error():
-    a = Subspace.coordinate(3, [0, 1])
-    b = Subspace.coordinate(3, [1, 2])
-    with pytest.raises(InputError):
-        fl.transversality_gap(a, b)
+def test_transversality_needs_dims_at_most_d():
+    # two planes in C^3 always meet, but the complement of b is one line, so
+    # frame_sines returns d - dim b = 1 sine, fewer than dim a, and no zero:
+    # a smallest sine means transversality only when dim a + dim b <= d
+    a = Subspace.coordinate(3, [0, 1]).frame
+    b = Subspace.coordinate(3, [1, 2]).frame
+    assert frame_sines(a, frame_complements(b)).tolist() == [1.0]
 
 
 def test_transversality_zero_iff_intersecting():
     rng = np.random.default_rng(5)
-    for _ in range(30):
-        a = random_subspace(rng, 6, 2)
-        b = random_subspace(rng, 6, 3)
-        gap = fl.transversality_gap(a, b)
-        assert gap > 1e-3  # generic position
+    pairs = [(random_subspace(rng, 6, 2).frame, random_subspace(rng, 6, 3).frame) for _ in range(30)]
+    a, b = map(np.stack, zip(*pairs))
+    assert (_smallest_sines(a, b) > 1e-3).all()  # generic position
     shared = random_subspace(rng, 6, 1)
     ext = Subspace(np.concatenate([shared.frame, random_subspace(rng, 6, 1).frame], axis=1))
-    assert fl.transversality_gap(shared, ext) < 1e-10
+    assert _smallest_sines(shared.frame, ext.frame) < 1e-10
 
 
 # --- metrics -------------------------------------------------------------------
@@ -134,8 +139,8 @@ def test_unitary_invariance_of_everything():
         b = random_subspace(rng, d, 2)
         ua = Subspace(u @ a.frame)
         ub = Subspace(u @ b.frame)
-        assert fl.transversality_gap(a, b) == pytest.approx(
-            fl.transversality_gap(ua, ub), abs=1e-10
+        assert _smallest_sines(a.frame, b.frame) == pytest.approx(
+            _smallest_sines(ua.frame, ub.frame), abs=1e-10
         )
         assert fl.hausdorff_subspace_dist(a, b) == pytest.approx(
             fl.hausdorff_subspace_dist(ua, ub), abs=1e-10
