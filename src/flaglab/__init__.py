@@ -64,7 +64,7 @@ from .sphere import (
     quasimobius_constant,
     visual_mass,
 )
-from .subspaces import Subspace, hausdorff_subspace_dist
+from .subspaces import hausdorff_subspace_dist
 from .words import (
     GroupPresentation,
     Word,
@@ -73,4 +73,4 @@ from .words import (
     surface_group,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

@@ -17,7 +17,7 @@ from . import words as W
 from .errors import CapacityError, InputError, NotAnosovError, PrecisionError
 from .prodsvd import ProductSVD
 from .reps import Representation
-from .subspaces import Subspace, orth
+from .subspaces import orth
 from .words import Word
 
 SWEEP_BUDGET = 1 << 29  # bytes of stacked (u, logs, vh) state one sweep level may hold
@@ -153,6 +153,16 @@ def _doubling_ratio(rep: Representation, word: Word, k: int) -> tuple[float, flo
     return g_last, g_last / max(g_prev, 1e-12)
 
 
+def sweep_radius(rep: Representation, radius: int) -> int:
+    """The radius a certificate sweeps: radius itself for a free group, at
+    most the shortest relator length minus one otherwise.  Beyond the
+    relator length letter-count words start representing short group
+    elements and the minima are no longer meaningful."""
+    if rep.presentation.relations:
+        return min(radius, min(len(r) for r in rep.presentation.relations) - 1)
+    return radius
+
+
 def certify_anosov(
     rep: Representation,
     k: int,
@@ -168,23 +178,22 @@ def certify_anosov(
                word of the sweep, or a generator) shows sublinear growth
                under power doubling (ratio < 1.5 instead of -> 2).
     Anything else is inconclusive; sampled verdicts are evidence, not proof.
+    The ball's radius is capped by sweep_radius; a sweep given must have
+    the capped radius (InputError otherwise).
     """
     if not 1 <= k <= rep.dim - 1:
         raise InputError(f"k={k} out of range 1..{rep.dim - 1}")
     if radius < 3:
         raise InputError("radius must be >= 3 to fit a slope")
     notes: list[str] = []
-    if rep.presentation.relations:
-        girth = min(len(r) for r in rep.presentation.relations)
-        if radius >= girth:
-            # beyond the relator length letter-count words start representing
-            # short group elements and the minima are no longer meaningful
-            radius = girth - 1
-            notes.append(f"radius capped at {radius} (shortest relator has length {girth})")
-        if sweep is not None and sweep.radius > radius:
-            sweep = None
+    capped = sweep_radius(rep, radius)
+    if capped < radius:
+        radius = capped
+        notes.append(f"radius capped at {radius} (shortest relator has length {radius + 1})")
     if sweep is None:
         sweep = gap_sweep(rep, radius)
+    elif sweep.radius != radius:
+        raise InputError(f"a certificate of radius {radius} was given a sweep of radius {sweep.radius}")
     lengths = np.asarray(sweep.lengths, dtype=float)
     minima = sweep.minima_for(k).astype(float)
     slope, _, r2, resid = _affine_fit(lengths, minima)
@@ -238,35 +247,36 @@ class FlagSample:
     """The flag of one boundary direction, held as one unitary frame.
 
     frame is a (d, m) matrix with orthonormal columns; for each index k in
-    ks, space(k) is the span of its first k columns, so the spaces nest by
-    construction.  Indices 0 and d are synthesized.  quality is the
-    attractor residual exp(-2 gap) of the worst requested gap; a
-    transported flag keeps its source's.
+    ks, space(k) is its first k columns, the orthonormal (d, k) frame of
+    the k-space, so the spaces nest by construction.  space(0) is the
+    (d, 0) frame and space(d) the identity.  quality is the attractor
+    residual exp(-2 gap) of the worst requested gap; a transported flag
+    keeps its source's.
     """
 
-    __slots__ = ("source", "frame", "ks", "quality", "_spaces", "_fiber_frames")
+    __slots__ = ("source", "frame", "ks", "quality", "_fiber_frames")
 
     def __init__(self, source: Word, frame: np.ndarray, ks, quality: float = 0.0):
-        frame = np.asarray(frame, dtype=complex)
-        d = frame.shape[0]
         self.source = source
-        self.frame = frame
+        self.frame = np.asarray(frame, dtype=complex)
         self.ks = sorted(ks)
         self.quality = quality
-        self._spaces = {k: Subspace(frame[:, :k], check=False) for k in self.ks}
-        self._spaces[0] = Subspace.zero(d)
-        self._spaces[d] = Subspace.full(d)
         self._fiber_frames: dict[int, np.ndarray] = {}
 
     @property
     def ambient_dim(self) -> int:
         return self.frame.shape[0]
 
-    def space(self, k: int) -> Subspace:
-        try:
-            return self._spaces[k]
-        except KeyError:
+    def space(self, k: int) -> np.ndarray:
+        """The (d, k) frame of the k-space.  Only the requested gaps cleared
+        TARGET_GAP, so an index other than 0, d and those in ks raises
+        InputError."""
+        d = self.ambient_dim
+        if k == d:
+            return np.eye(d, dtype=complex)
+        if k != 0 and k not in self.ks:
             raise InputError(f"flag sample carries {self.ks}, not {k}")
+        return self.frame[:, :k]
 
     def fiber_frame(self, k: int) -> np.ndarray:
         """Orthonormal (d, 2) basis of the complement of space(k-1) inside
@@ -274,9 +284,9 @@ class FlagSample:
         that repeated use of one flag object is gauge-consistent."""
         frame = self._fiber_frames.get(k)
         if frame is None:
-            upper = self.space(k + 1).frame
+            upper = self.space(k + 1)
             lower = self.space(k - 1)
-            rest = upper - lower.frame @ (lower.frame.conj().T @ upper) if lower.dim else upper
+            rest = upper - lower @ (lower.conj().T @ upper) if lower.shape[1] else upper
             frame = orth(rest)
             if frame.shape[1] != 2:
                 raise PrecisionError(f"fiber frame at k={k} is not 2-dimensional")

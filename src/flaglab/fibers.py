@@ -24,12 +24,13 @@ from .certify import (
     certify_anosov,
     gap_sweep,
     limit_set_sample,
+    sweep_radius,
     transport_flag,
 )
 from .errors import FlaglabError, InputError, NotAnosovError, PrecisionError, TransversalityError
 from .mobius import chart, det2, sphere_xyz, three_point_map
 from .reps import Representation, wedge_coords
-from .subspaces import Subspace, det_normalize, frame_complements, frame_dists, frame_sines, orth
+from .subspaces import det_normalize, frame_complements, frame_dists, frame_sines, orth
 from .words import Word
 
 TAU_PASS = 1e-3
@@ -112,8 +113,8 @@ def tangent_project(base: FlagSample, flags, k: int) -> tuple[np.ndarray, np.nda
     rows = [i for i, f in enumerate(flags) if f.source != base.source]
     if not rows:
         return np.empty((0, 2), dtype=complex), np.empty(0, dtype=int)
-    lines = np.stack([flags[i].space(d - k).frame for i in rows])
-    pairs, fault = fiber_coords(frame, base.space(k + 1).frame, lines)
+    lines = np.stack([flags[i].space(d - k) for i in rows])
+    pairs, fault = fiber_coords(frame, base.space(k + 1), lines)
     keep = fault == SCORED
     return pairs[keep], np.array(rows)[keep]
 
@@ -146,7 +147,7 @@ def grassmann_charts(flags, k: int, anchors) -> tuple[dict[str, np.ndarray], lis
     covered = np.zeros(len(flags), dtype=bool)
     charts: dict[str, np.ndarray] = {}
     for anchor in anchors:
-        gaps = frame_sines(lines, frame_complements(anchor.space(k).frame))[:, 0]
+        gaps = frame_sines(lines, frame_complements(anchor.space(k)))[:, 0]
         near = np.flatnonzero(gaps >= CHART_FLOOR)
         coords, kept = chart_points(anchor, [flags[i] for i in near], k)
         covered[near[kept]] = True
@@ -174,7 +175,7 @@ class FlagStack:
         return self._arrays[key]
 
     def space(self, j: int) -> np.ndarray:
-        return self._array(("space", j), lambda: np.stack([f.space(j).frame for f in self.flags]))
+        return self._array(("space", j), lambda: np.stack([f.space(j) for f in self.flags]))
 
     def complement(self, j: int) -> np.ndarray:
         return self._array(("complement", j), lambda: frame_complements(self.space(j)))
@@ -408,9 +409,8 @@ def check_Hk(
     """Directness of (x^k cap z^{d-k+1}) + (y^k cap z^{d-k+1}) + z^{d-k-1},
     scored as the smallest singular value of the concatenated frames,
     normalized and prerequisite-checked like check_hyperconvex."""
-    d = rep.dim
     _check_prereqs(rep, k, "Hk", radius)
-    ks = sorted({j for j in (k, d - k + 1, d - k - 1) if 0 < j < d})
+    ks = required_anosov_indices(rep, k, "Hk")
     return _transversality_sweep(rep, k, spec, ks, partial(_hk_scores, k), "Hk")
 
 
@@ -470,13 +470,13 @@ def normalized_scores(num: np.ndarray, a: np.ndarray, perp: np.ndarray) -> tuple
 
 def _check_prereqs(rep, k, mode, radius):
     """Certify every index of required_anosov_indices over one gap sweep of
-    the given radius; raise NotAnosovError naming those left uncertified.
-    A radius of None assumes the Anosov property."""
+    the given radius, capped by sweep_radius; raise NotAnosovError naming
+    those left uncertified.  A radius of None assumes the Anosov property."""
     if not 1 <= k <= rep.dim - 1:
         raise InputError(f"k={k} out of range 1..{rep.dim - 1}")
     if radius is None:
         return
-    sweep = gap_sweep(rep, radius)
+    sweep = gap_sweep(rep, sweep_radius(rep, radius))
     verdicts = {j: certify_anosov(rep, j, radius, sweep=sweep).verdict
                 for j in required_anosov_indices(rep, k, mode)}
     missing = [f"{j}:{v}" for j, v in verdicts.items() if v != "certified"]
@@ -523,8 +523,8 @@ class Trivialization:
         if hit is not None:
             return hit[1]
         d = t.ambient_dim
-        lines = np.stack([b.space(d - self.k).frame for b in self.basepoints])
-        pairs, fault = fiber_coords(t.fiber_frame(self.k), t.space(self.k + 1).frame, lines)
+        lines = np.stack([b.space(d - self.k) for b in self.basepoints])
+        pairs, fault = fiber_coords(t.fiber_frame(self.k), t.space(self.k + 1), lines)
         if (fault != SCORED).any():
             raise TransversalityError(_FAULT_MESSAGES[int(fault[fault != SCORED][0])])
         m = three_point_map(*pairs)
@@ -631,51 +631,62 @@ def foliated_limit_sample(
 # --- wedge-power transfer maps ---------------------------------------------
 
 
-def plucker(sub: Subspace) -> Subspace:
-    """Line of the k-th exterior power corresponding to a k-subspace."""
-    if sub.dim == 0:
+def _unit_column(v: np.ndarray) -> np.ndarray:
+    """The (N, 1) frame of the line spanned by the vector v."""
+    v = np.asarray(v, dtype=complex).reshape(-1, 1)
+    n = np.linalg.norm(v)
+    if n == 0:
+        raise InputError("zero vector spans no line")
+    return v / n
+
+
+def plucker(frame: np.ndarray) -> np.ndarray:
+    """Frame (N, 1) of the line of the k-th exterior power corresponding to
+    the k-subspace of frame (d, k)."""
+    if frame.shape[1] == 0:
         raise InputError("plucker embedding needs a positive-dimensional subspace")
-    return Subspace.line(wedge_coords(sub.frame))
+    return _unit_column(wedge_coords(frame))
 
 
-def wedge_pencil(z: FlagSample, k: int) -> Subspace:
-    """The 2-plane of wedges (k-1 fixed directions of z, one free direction
-    of its (k+1)-space): the image of the fiber of z in the exterior power."""
-    lower = z.space(k - 1).frame
+def wedge_pencil(z: FlagSample, k: int) -> np.ndarray:
+    """Frame (N, 2) of the 2-plane of wedges (k-1 fixed directions of z, one
+    free direction of its (k+1)-space): the image of the fiber of z in the
+    exterior power."""
+    lower = z.space(k - 1)
     cols = [wedge_coords(np.concatenate([lower, f[:, None]], axis=1)) for f in z.fiber_frame(k).T]
-    return Subspace(orth(np.stack(cols, axis=1)))
+    return orth(np.stack(cols, axis=1))
 
 
-def wedge_hyperplane(y: FlagSample, k: int) -> Subspace:
-    """Kernel of pairing with the wedge of the (d-k)-space of y: the
-    hyperplane of the exterior power that absorbs the limit set away from y."""
+def wedge_hyperplane(y: FlagSample, k: int) -> np.ndarray:
+    """Frame (N, N-1) of the kernel of pairing with the wedge of the
+    (d-k)-space of y: the hyperplane of the exterior power that absorbs the
+    limit set away from y."""
     d = y.ambient_dim
-    yframe = y.space(d - k).frame
+    yframe = y.space(d - k)
     idx = list(combinations(range(d), k))
     coeff = np.empty(len(idx), dtype=complex)
     for row, i_set in enumerate(idx):
         comp = [j for j in range(d) if j not in i_set]
         sign = (-1) ** (sum(i_set) - (len(i_set) * (len(i_set) - 1)) // 2)
         coeff[row] = sign * np.linalg.det(yframe[comp, :])
-    return Subspace.line(np.conj(coeff)).orthocomplement()
+    return frame_complements(_unit_column(np.conj(coeff)))
 
 
-def fiber_wedge_line(z: FlagSample, k: int, coords: np.ndarray) -> Subspace:
-    """Image of the fiber point coords over z under the bundle map into the
-    exterior power: wedge the (k-1)-frame of z with its representative."""
+def fiber_wedge_line(z: FlagSample, k: int, coords: np.ndarray) -> np.ndarray:
+    """Frame (N, 1) of the image of the fiber point coords over z under the
+    bundle map into the exterior power: wedge the (k-1)-frame of z with its
+    representative."""
     v = z.fiber_frame(k) @ coords
-    cols = np.concatenate([z.space(k - 1).frame, v[:, None]], axis=1)
-    return Subspace.line(wedge_coords(cols))
+    cols = np.concatenate([z.space(k - 1), v[:, None]], axis=1)
+    return _unit_column(wedge_coords(cols))
 
 
-def wedge_fiber_point(z: FlagSample, y: FlagSample, k: int) -> Subspace:
-    """The fiber point of the k-th wedge representation over z in the
-    direction y, computed purely downstairs: hyperplane of y met with the
-    pencil of z."""
-    pencil = wedge_pencil(z, k)
-    hyper = wedge_hyperplane(y, k)
+def wedge_fiber_point(z: FlagSample, y: FlagSample, k: int) -> np.ndarray:
+    """Frame (N, 1) of the fiber point of the k-th wedge representation over
+    z in the direction y, computed purely downstairs: hyperplane of y met
+    with the pencil of z."""
     # 1-dim intersection of a 2-plane with a hyperplane in C^N
-    v, fault = line_intersections(pencil.frame, hyper.frame)
+    v, fault = line_intersections(wedge_pencil(z, k), wedge_hyperplane(y, k))
     if fault != SCORED:
         raise TransversalityError(_FAULT_MESSAGES[int(fault)])
-    return Subspace.line(v)
+    return _unit_column(v)

@@ -1,9 +1,10 @@
 """Complex subspace geometry: frames, principal angles, subspace distances.
 
-A Subspace is stored as a matrix with orthonormal columns.  Rank
-decisions use the one relative threshold RANK_TOL = 1e-8.  Principal
-angles are taken row by row over stacks of frames (the frame_* kernels);
-hausdorff_subspace_dist is their one Subspace-level form.
+A k-dimensional subspace of C^d is its orthonormal frame, a (d, k) array;
+a stack of subspaces is a (..., d, k) array.  Rank decisions use the one
+relative threshold RANK_TOL = 1e-8.  Principal angles are taken row by
+row over stacks of frames (the frame_* kernels); hausdorff_subspace_dist
+is their one-pair form.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from .errors import InputError, PrecisionError
 
-FRAME_TOL = 1e-12
 RANK_TOL = 1e-8
 
 
@@ -32,67 +32,6 @@ def orth(vectors: np.ndarray) -> np.ndarray:
         return np.zeros((a.shape[0], 0), dtype=complex)
     rank = int(np.sum(s > RANK_TOL * s[0]))
     return u[:, :rank]
-
-
-class Subspace:
-    """A k-dimensional subspace of C^d as an orthonormal frame (d, k)."""
-
-    __slots__ = ("frame",)
-
-    def __init__(self, frame: np.ndarray, *, check: bool = True):
-        frame = np.asarray(frame, dtype=complex)
-        if frame.ndim != 2:
-            raise InputError("frame must be a 2-d array")
-        if check and frame.shape[1] > 0:
-            gram = frame.conj().T @ frame
-            drift = np.max(np.abs(gram - np.eye(frame.shape[1])))
-            if drift > FRAME_TOL:
-                # re-factor rather than reject: drift accumulates in long pipelines
-                frame = orth(frame)
-        self.frame = frame
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(np.zeros((ambient_dim, 0), dtype=complex), check=False)
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(np.eye(ambient_dim, dtype=complex), check=False)
-
-    @classmethod
-    def coordinate(cls, ambient_dim: int, indices) -> "Subspace":
-        e = np.eye(ambient_dim, dtype=complex)
-        return cls(e[:, list(indices)], check=False)
-
-    @classmethod
-    def line(cls, vector: np.ndarray) -> "Subspace":
-        v = np.asarray(vector, dtype=complex).reshape(-1, 1)
-        n = np.linalg.norm(v)
-        if n == 0:
-            raise InputError("zero vector spans no line")
-        return cls(v / n, check=False)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.frame.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.frame.shape[1]
-
-    def orthocomplement(self) -> "Subspace":
-        d, k = self.frame.shape
-        if k == 0:
-            return Subspace.full(d)
-        return Subspace(frame_complements(self.frame), check=False)
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def _check_same_ambient(a: Subspace, b: Subspace) -> None:
-    if a.ambient_dim != b.ambient_dim:
-        raise InputError("subspaces live in different ambient dimensions")
 
 
 def frame_complements(frames: np.ndarray) -> np.ndarray:
@@ -129,15 +68,15 @@ def frame_dists(a: np.ndarray, b: np.ndarray, perp: np.ndarray) -> np.ndarray:
     return np.fromiter(angles, float, count=cos_min.size).reshape(cos_min.shape)
 
 
-def hausdorff_subspace_dist(a: Subspace, b: Subspace) -> float:
-    """Largest principal angle between equal-dimensional subspaces: the
-    Hausdorff distance between their projectivizations, in radians."""
-    _check_same_ambient(a, b)
-    if a.dim != b.dim:
-        raise InputError("hausdorff_subspace_dist needs equal dimensions")
-    if a.dim == 0:
+def hausdorff_subspace_dist(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest principal angle between the subspaces of two frames of one
+    shape (d, k): the Hausdorff distance between their projectivizations,
+    in radians."""
+    if a.ndim != 2 or a.shape != b.shape:
+        raise InputError(f"need two (d, k) frames of one shape, got {a.shape} and {b.shape}")
+    if a.shape[1] == 0:
         return 0.0
-    return float(frame_dists(a.frame, b.frame, b.orthocomplement().frame))
+    return float(frame_dists(a, b, frame_complements(b)))
 
 
 def det_normalize(m: np.ndarray) -> np.ndarray:

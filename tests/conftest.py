@@ -5,7 +5,7 @@ import pytest
 
 import flaglab as fl
 from flaglab.prodsvd import ProductSVD
-from flaglab.subspaces import hausdorff_subspace_dist
+from flaglab.subspaces import hausdorff_subspace_dist, orth
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +39,14 @@ def directsum():
 
 
 @pytest.fixture(scope="session")
+def torus():
+    """A genus-1 surface group by two commuting diagonal matrices: its one
+    relator has length 4, so certificates sweep at radius 3."""
+    generators = [np.diag([2.0, 1.0, 0.5]), np.diag([0.5, 1.0, 2.0])]
+    return fl.Representation(fl.surface_group(1, (1, 2, -1, -2)), generators, label="torus")
+
+
+@pytest.fixture(scope="session")
 def sym4_flags(sym4):
     flags, _ = fl.limit_set_sample(sym4, [1, 2, 3], count=60, length=7, seed=11)
     return flags
@@ -56,9 +64,10 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_subspace(rng: np.random.Generator, d: int, k: int) -> "fl.Subspace":
+def random_subspace(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
+    """Orthonormal (d, k) frame of a random k-subspace of C^d."""
     a = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
-    return fl.Subspace(a)  # a frame that is not orthonormal is re-factored
+    return orth(a)
 
 
 def random_sl(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:

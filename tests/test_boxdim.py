@@ -189,7 +189,7 @@ def test_grassmann_single_chart_equals_fiber(octagon_sym3, veronese_circle_flags
     anchor, flags = veronese_circle_flags[0], veronese_circle_flags[1:]
     charts, uncovered = fibers.grassmann_charts(flags, 1, [anchor])
     # a single chart can only be asked about the flags it covers
-    sines = frame_sines(fibers.FlagStack(flags).space(2), frame_complements(anchor.space(1).frame))
+    sines = frame_sines(fibers.FlagStack(flags).space(2), frame_complements(anchor.space(1)))
     assert uncovered == np.flatnonzero(sines[:, 0] < 0.1).tolist()
     cloud = [f for i, f in enumerate(flags) if i not in uncovered]
     coords, kept = fibers.chart_points(anchor, cloud, 1)

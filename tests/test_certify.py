@@ -10,7 +10,7 @@ from flaglab.errors import CapacityError, InputError, NotAnosovError, PrecisionE
 from flaglab.fibers import FlagStack, plucker
 from flaglab.prodsvd import ProductSVD
 from flaglab.reps import Representation
-from flaglab.subspaces import Subspace, frame_sines, hausdorff_subspace_dist
+from flaglab.subspaces import frame_sines, hausdorff_subspace_dist, orth
 
 from conftest import brute_ball, flag_dist
 
@@ -68,6 +68,16 @@ def test_certify_input_validation(schottky):
         fl.certify_anosov(schottky, 2, 6)
     with pytest.raises(InputError):
         fl.certify_anosov(schottky, 1, 2)
+
+
+def test_certify_rejects_sweep_of_other_radius(schottky, torus):
+    # a sweep must have the radius the certificate reports, after capping
+    with pytest.raises(InputError, match="sweep of radius 4"):
+        fl.certify_anosov(schottky, 1, 5, sweep=fl.gap_sweep(schottky, 4))
+    with pytest.raises(InputError, match="sweep of radius 4"):
+        fl.certify_anosov(torus, 1, 9, sweep=fl.gap_sweep(torus, 4))
+    cert = fl.certify_anosov(torus, 1, 9, sweep=fl.gap_sweep(torus, 3))
+    assert cert.radius == 3 and cert.lengths == (1, 2, 3)
 
 
 @pytest.mark.parametrize("name,radius", [("sym3", 5), ("sym4", 5), ("directsum", 4), ("schottky", 6)])
@@ -148,7 +158,7 @@ def test_doubling_ratio_never_returns_nan():
 def test_boundary_sample_eigenline_oracle(schottky):
     [flag] = boundary_samples(schottky, [(1,)], [1])
     vals, vecs = np.linalg.eig(schottky.evaluate((1,)))
-    top = Subspace.line(vecs[:, int(np.argmax(np.abs(vals)))])
+    top = orth(vecs[:, [int(np.argmax(np.abs(vals)))]])
     assert hausdorff_subspace_dist(flag.space(1), top) < 1e-8
 
 
@@ -158,9 +168,8 @@ def test_boundary_sample_sym_weight_oracle(sym3):
     [flag] = boundary_samples(sym3, [w], [1, 2])
     vals, vecs = np.linalg.eig(sym3.evaluate(w))
     order = np.argsort(np.abs(vals))[::-1]
-    assert hausdorff_subspace_dist(flag.space(1), Subspace.line(vecs[:, order[0]])) < 1e-8
-    top2 = Subspace(vecs[:, order[:2]])
-    assert hausdorff_subspace_dist(flag.space(2), top2) < 1e-8
+    assert hausdorff_subspace_dist(flag.space(1), orth(vecs[:, order[:1]])) < 1e-8
+    assert hausdorff_subspace_dist(flag.space(2), orth(vecs[:, order[:2]])) < 1e-8
 
 
 def test_boundary_sample_equivariance(sym4):
@@ -179,7 +188,7 @@ def test_transport_flag_matches_moved_frames(sym4):
     m = sym4.evaluate(gamma)
     moved = transport_flag(sym4, gamma, flag)
     for k in flag.ks:
-        direct = Subspace(m @ flag.space(k).frame)
+        direct = orth(m @ flag.space(k))
         assert hausdorff_subspace_dist(moved.space(k), direct) < 1e-10
     assert moved.quality == flag.quality
 
@@ -200,9 +209,15 @@ def test_transport_flag_collapse_is_precision_error():
 
 def test_flag_space_outside_ks_is_input_error(sym4):
     [flag] = boundary_samples(sym4, [(1, 2, -1, 2, 1)], [1, 3])
-    assert flag.space(0).dim == 0 and flag.space(4).dim == 4
-    with pytest.raises(InputError, match="carries"):
-        flag.space(2)
+    assert flag.space(0).shape == (4, 0)
+    for k in flag.ks:
+        assert flag.space(k).shape == (4, k)
+        assert np.array_equal(flag.space(k), flag.frame[:, :k])
+    full = flag.space(4)
+    assert full.dtype == complex and np.array_equal(full, np.eye(4))
+    for k in (2, 5, -1):
+        with pytest.raises(InputError, match="carries"):
+            flag.space(k)
 
 
 def test_boundary_sample_stability_under_more_power(sym4, monkeypatch):
@@ -219,7 +234,7 @@ def test_boundary_sample_stability_under_more_power(sym4, monkeypatch):
 def test_boundary_sample_nesting_postcondition(sym4_flags):
     for flag in sym4_flags[:10]:
         for k1, k2 in zip(flag.ks, flag.ks[1:]):
-            assert np.array_equal(flag.space(k1).frame, flag.space(k2).frame[:, :k1])
+            assert np.array_equal(flag.space(k1), flag.space(k2)[:, :k1])
 
 
 def test_boundary_sample_rejects_trivial_word(schottky):
@@ -249,7 +264,7 @@ def test_limit_set_flags_do_not_depend_on_batch(sym4):
         [alone] = boundary_samples(sym4, [f.source], [1, 2, 3])
         assert alone.quality == f.quality
         for k in f.ks:
-            assert np.array_equal(alone.space(k).frame, f.space(k).frame)
+            assert np.array_equal(alone.space(k), f.space(k))
 
 
 def test_limit_set_pairwise_transversality(sym4_flags, sym4):

@@ -44,9 +44,9 @@ def test_projection_lands_in_fiber(sym4_flags):
     assert abs(np.linalg.norm(coords) - 1.0) < 1e-10
     v = z.fiber_frame(2) @ coords
     # representative sits inside z^3, orthogonal to z^1
-    frame = z.space(3).frame
+    frame = z.space(3)
     assert np.linalg.norm(v - frame @ (frame.conj().T @ v)) < 1e-8
-    assert np.linalg.norm(z.space(1).frame.conj().T @ v) < 1e-10
+    assert np.linalg.norm(z.space(1).conj().T @ v) < 1e-10
 
 
 def test_veronese_identification_preserves_cross_ratios(sym3, schottky):
@@ -59,7 +59,7 @@ def test_veronese_identification_preserves_cross_ratios(sym3, schottky):
     fiber_pts, rows = fl.tangent_project(base, flags3, 1)
     assert rows.tolist() == list(range(len(flags3)))
     plane_pts = [
-        hom_from_line(f.space(1).frame[:, 0]) for f in fl.boundary_samples(schottky, words, [1])
+        hom_from_line(f.space(1)[:, 0]) for f in fl.boundary_samples(schottky, words, [1])
     ]
     for quad in [(0, 1, 2, 3), (1, 2, 3, 4), (0, 2, 4, 5)]:
         bf = cross_ratio(*[fiber_pts[i] for i in quad])
@@ -91,7 +91,7 @@ def test_grassmann_charts_equal_loop_bitwise(octagon_sym3):
     for anchor in anchors:
         near = [
             i for i, f in enumerate(cloud)
-            if _loop_sines(f.space(2).frame, anchor.space(1).frame)[0] >= CHART_FLOOR
+            if _loop_sines(f.space(2), anchor.space(1))[0] >= CHART_FLOOR
         ]
         assert len(near) < len(cloud)  # the floor excludes flags near every anchor
         coords, kept = chart_points(anchor, [cloud[i] for i in near], 1)
@@ -135,6 +135,27 @@ def test_prerequisite_certificates_required(sym4, directsum, monkeypatch):
         with pytest.raises(NotAnosovError, match="indices: 1:refuted, 3:refuted$"):
             check(directsum, 2, TripleSpec(count=50, seed=1), radius=4)
     assert sweeps == [4, 4, 4]
+
+
+def test_prerequisite_sweep_capped_by_relator(torus, monkeypatch):
+    import flaglab.certify as certify
+    import flaglab.fibers as fibers
+
+    sweeps = []
+    original = certify.gap_sweep
+
+    def counting(rep, radius):
+        sweeps.append(radius)
+        return original(rep, radius)
+
+    # radius 40 uncapped would need far past SWEEP_BUDGET: one sweep runs,
+    # at the relator length minus one, and every certificate reuses it
+    monkeypatch.setattr(fibers, "gap_sweep", counting)
+    monkeypatch.setattr(certify, "gap_sweep", counting)
+    for check, index in ((fl.check_hyperconvex, 2), (fl.check_Hk, 1)):
+        with pytest.raises(NotAnosovError, match=f"indices: {index}:inconclusive$"):
+            check(torus, 1, TripleSpec(count=50, seed=1), radius=40)
+    assert sweeps == [3, 3]
 
 
 def test_directsum_fails_upstream(directsum):
@@ -243,7 +264,7 @@ def _loop_normalized(num, a, b):
 
 def _loop_pair(z, x, k):
     d = z.ambient_dim
-    coords = z.fiber_frame(k).conj().T @ _loop_line(x.space(d - k).frame, z.space(k + 1).frame)
+    coords = z.fiber_frame(k).conj().T @ _loop_line(x.space(d - k), z.space(k + 1))
     norm = np.linalg.norm(coords)
     if norm < 1e-8:
         raise PrecisionError("collapsed")
@@ -253,17 +274,17 @@ def _loop_pair(z, x, k):
 def _loop_eq1(x, y, z, k):
     d = z.ambient_dim
     num = float(abs(det2(_loop_pair(z, x, k), _loop_pair(z, y, k))))
-    return _loop_normalized(num, x.space(d - k).frame, y.space(d - k).frame)
+    return _loop_normalized(num, x.space(d - k), y.space(d - k))
 
 
 def _loop_hk(x, y, z, k):
     d = z.ambient_dim
-    upper = z.space(d - k + 1).frame
-    vx = _loop_line(x.space(k).frame, upper)
-    vy = _loop_line(y.space(k).frame, upper)
-    cols = np.concatenate([vx[:, None], vy[:, None], z.space(d - k - 1).frame], axis=1)
+    upper = z.space(d - k + 1)
+    vx = _loop_line(x.space(k), upper)
+    vy = _loop_line(y.space(k), upper)
+    cols = np.concatenate([vx[:, None], vy[:, None], z.space(d - k - 1)], axis=1)
     smin = float(np.linalg.svd(cols, compute_uv=False)[-1])
-    return _loop_normalized(smin, x.space(k).frame, y.space(k).frame)
+    return _loop_normalized(smin, x.space(k), y.space(k))
 
 
 @pytest.mark.parametrize("name,k", [("sym4", 2), ("sym3", 1)])
@@ -299,7 +320,7 @@ def test_block_scores_equal_one_row_scores_bitwise(name, k):
         dists = point_dists(flags, ix, iz)
         for row, (a, b, c) in enumerate(drawn):
             x, y, z = (flags.flags[i] for i in (a, b, c))
-            assert dists[row] == _loop_dist(x.space(j).frame, z.space(j).frame)
+            assert dists[row] == _loop_dist(x.space(j), z.space(j))
             expected = outcome(loop, x, y, z, k)
             if expected is None:
                 assert fault[row] != SCORED and np.isnan(scores[row]), (block, row)
@@ -367,23 +388,31 @@ def test_cocycle_identity_two_presets(schottky, sym3):
         basepoints = fl.boundary_samples(rep, [(1,), (2,), (-1,)], ks)
         triv = fl.Trivialization(rep, 1, basepoints)
         pool, _ = fl.limit_set_sample(rep, ks, count=30, length=8, seed=3)
+        # which pool flags lie at least 0.1 from every basepoint: a point_dists
+        # row does not depend on its stack, so one call serves every draw
+        n = len(pool)
+        t_far = (point_dists(FlagStack(pool + basepoints), np.repeat(np.arange(n), 3),
+                             np.tile(np.arange(n, n + 3), n)) >= 0.1).reshape(n, 3).all(axis=1)
         p = rep.presentation
         worst = 0.0
         checked = 0
         from flaglab.certify import transport_flag
 
         while checked < 150:
-            t = pool[int(rng.integers(len(pool)))]
+            i = int(rng.integers(n))
+            t = pool[i]
             alpha = W._random_word(p, int(rng.integers(1, 4)), rng)
             beta = W._random_word(p, int(rng.integers(1, 4)), rng)
+            if not t_far[i]:
+                continue  # t near a basepoint: rejected before transporting
             try:
                 bt = transport_flag(rep, beta, t)
                 abt = transport_flag(rep, W.concat(p, alpha, beta), t)
             except fl.PrecisionError:
                 continue  # contractual: transport too ill-conditioned to certify
-            # the nine distances from t, bt, abt (rows 0-2) to the basepoints
-            near = point_dists(FlagStack([t, bt, abt] + basepoints), np.repeat(np.arange(3), 3),
-                               np.tile(np.arange(3, 6), 3))
+            # the six distances from bt, abt (rows 0-1) to the basepoints
+            near = point_dists(FlagStack([bt, abt] + basepoints), np.repeat(np.arange(2), 3),
+                               np.tile(np.arange(2, 5), 2))
             if (near < 0.1).any():
                 continue
             lhs, _ = triv.cocycle(W.concat(p, alpha, beta), t)
@@ -550,7 +579,7 @@ def test_pencil_contains_wedge_of_middle_space(sym4_flags):
     z = sym4_flags[0]
     pencil = wedge_pencil(z, 2)
     line = fl.plucker(z.space(2))
-    assert frame_cosines(line.frame, pencil.frame)[0] > 1.0 - 1e-10
+    assert frame_cosines(line, pencil)[0] > 1.0 - 1e-10
 
 
 def test_bundle_diagram_commutes(sym4, sym4_flags):
@@ -570,10 +599,10 @@ def test_bundle_diagram_commutes(sym4, sym4_flags):
 
 
 def _resolvable(z, y, floor: float = 1e-6) -> bool:
-    cosA = frame_cosines(y.space(2).frame, z.space(3).frame)
+    cosA = frame_cosines(y.space(2), z.space(3))
     if len(cosA) > 1 and 1.0 - cosA[1] < floor:
         return False
-    cosB = frame_cosines(wedge_pencil(z, 2).frame, fl.wedge_hyperplane(y, 2).frame)
+    cosB = frame_cosines(wedge_pencil(z, 2), fl.wedge_hyperplane(y, 2))
     return not (len(cosB) > 1 and 1.0 - cosB[1] < floor)
 
 

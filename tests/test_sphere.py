@@ -10,7 +10,7 @@ from flaglab import sphere
 from flaglab.boxdim import circle_cloud
 from flaglab.mobius import lorentz, sphere_xyz, uniform_sphere
 from flaglab.sphere import VisualMeasure, as_point, cap_hits, cross_ratio
-from flaglab.subspaces import Subspace, hausdorff_subspace_dist
+from flaglab.subspaces import hausdorff_subspace_dist, orth
 
 from conftest import random_sl
 
@@ -368,7 +368,7 @@ def test_foliated_mass_invariance(sym3, sym3_flags):
     after, ra = triv.project(gt, [transport_flag(sym3, (1, -2), f) for f in flags])
     checked = 0
     for b, a in zip(before[np.isin(rb, ra)], after[np.isin(ra, rb)]):
-        assert hausdorff_subspace_dist(Subspace.line(a), Subspace.line(gmat @ b)) < 1e-6
+        assert hausdorff_subspace_dist(orth(a[:, None]), orth((gmat @ b)[:, None])) < 1e-6
         checked += 1
     assert checked >= 5
     assert len(moved) == len(cloud)

@@ -6,7 +6,7 @@ import pytest
 import flaglab as fl
 from flaglab.errors import InputError
 from flaglab.prodsvd import ProductSVD, jacobi_svd
-from flaglab.subspaces import Subspace, frame_complements, frame_sines
+from flaglab.subspaces import frame_complements, frame_sines, orth
 
 from conftest import matrix_gaps, random_sl, random_subspace, random_unitary
 
@@ -48,13 +48,18 @@ def _smallest_sines(a, b):
     return frame_sines(a, frame_complements(b))[..., 0]
 
 
+def _coordinate(d, indices):
+    """Frame (d, k) of the span of the given standard basis vectors."""
+    return np.eye(d, dtype=complex)[:, indices]
+
+
 def test_transversality_examples():
-    e1 = Subspace.coordinate(3, [0]).frame
-    e2 = Subspace.coordinate(3, [1]).frame
+    e1 = _coordinate(3, [0])
+    e2 = _coordinate(3, [1])
     assert _smallest_sines(e1, e2) == pytest.approx(1.0, abs=1e-12)
     assert _smallest_sines(e1, e1) == pytest.approx(0.0, abs=1e-7)
     theta = 0.3
-    v = Subspace.line(np.array([math.cos(theta), math.sin(theta), 0.0])).frame
+    v = np.array([[math.cos(theta)], [math.sin(theta)], [0.0]], dtype=complex)
     assert _smallest_sines(e1, v) == pytest.approx(math.sin(theta), abs=1e-12)
 
 
@@ -62,19 +67,19 @@ def test_transversality_needs_dims_at_most_d():
     # two planes in C^3 always meet, but the complement of b is one line, so
     # frame_sines returns d - dim b = 1 sine, fewer than dim a, and no zero:
     # a smallest sine means transversality only when dim a + dim b <= d
-    a = Subspace.coordinate(3, [0, 1]).frame
-    b = Subspace.coordinate(3, [1, 2]).frame
+    a = _coordinate(3, [0, 1])
+    b = _coordinate(3, [1, 2])
     assert frame_sines(a, frame_complements(b)).tolist() == [1.0]
 
 
 def test_transversality_zero_iff_intersecting():
     rng = np.random.default_rng(5)
-    pairs = [(random_subspace(rng, 6, 2).frame, random_subspace(rng, 6, 3).frame) for _ in range(30)]
+    pairs = [(random_subspace(rng, 6, 2), random_subspace(rng, 6, 3)) for _ in range(30)]
     a, b = map(np.stack, zip(*pairs))
     assert (_smallest_sines(a, b) > 1e-3).all()  # generic position
     shared = random_subspace(rng, 6, 1)
-    ext = Subspace(np.concatenate([shared.frame, random_subspace(rng, 6, 1).frame], axis=1))
-    assert _smallest_sines(shared.frame, ext.frame) < 1e-10
+    ext = orth(np.concatenate([shared, random_subspace(rng, 6, 1)], axis=1))
+    assert _smallest_sines(shared, ext) < 1e-10
 
 
 # --- metrics -------------------------------------------------------------------
@@ -94,25 +99,24 @@ def test_fubini_study_metric_axioms():
 
 
 def test_hausdorff_examples():
-    a = Subspace.coordinate(3, [0, 1])
-    b = Subspace.coordinate(3, [0, 2])
+    a = _coordinate(3, [0, 1])
+    b = _coordinate(3, [0, 2])
     assert fl.hausdorff_subspace_dist(a, a) == pytest.approx(0.0, abs=1e-12)
     assert fl.hausdorff_subspace_dist(a, b) == pytest.approx(math.pi / 2, abs=1e-12)
-    with pytest.raises(InputError):
-        fl.hausdorff_subspace_dist(a, Subspace.coordinate(3, [0]))
+    assert fl.hausdorff_subspace_dist(a[:, :0], b[:, :0]) == 0.0
+    with pytest.raises(InputError, match="one shape"):
+        fl.hausdorff_subspace_dist(a, _coordinate(3, [0]))  # dimensions differ
+    with pytest.raises(InputError, match="one shape"):
+        fl.hausdorff_subspace_dist(a, _coordinate(4, [0, 1]))  # ambient dimensions differ
 
 
-def _nullspace_intersection(a: Subspace, b: Subspace) -> Subspace:
+def _nullspace_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Independent oracle: stack the orthogonal-complement constraints and
     solve for the common nullspace."""
-    rows = np.concatenate(
-        [a.orthocomplement().frame.conj().T, b.orthocomplement().frame.conj().T], axis=0
-    )
+    rows = np.concatenate([frame_complements(a).conj().T, frame_complements(b).conj().T], axis=0)
     _, s, vh = np.linalg.svd(rows)
     null_count = int(np.sum(np.concatenate([s, np.zeros(rows.shape[1] - len(s))]) < 1e-8))
-    if null_count == 0:
-        return Subspace.zero(a.ambient_dim)
-    return Subspace(vh[len(vh) - null_count :].conj().T)
+    return vh[len(vh) - null_count :].conj().T
 
 
 def test_hausdorff_two_sided_identity():
@@ -123,8 +127,8 @@ def test_hausdorff_two_sided_identity():
         x = random_subspace(rng, 4, 3)
         y = random_subspace(rng, 4, 3)
         meet = _nullspace_intersection(x, y)
-        assert meet.dim == 2
-        z = meet.orthocomplement()
+        assert meet.shape == (4, 2)
+        z = frame_complements(meet)
         lhs = fl.hausdorff_subspace_dist(x, y)
         rhs = fl.hausdorff_subspace_dist(_nullspace_intersection(x, z), _nullspace_intersection(y, z))
         assert lhs == pytest.approx(rhs, abs=1e-8)
@@ -137,24 +141,14 @@ def test_unitary_invariance_of_everything():
         u = random_unitary(rng, d)
         a = random_subspace(rng, d, 2)
         b = random_subspace(rng, d, 2)
-        ua = Subspace(u @ a.frame)
-        ub = Subspace(u @ b.frame)
-        assert _smallest_sines(a.frame, b.frame) == pytest.approx(
-            _smallest_sines(ua.frame, ub.frame), abs=1e-10
-        )
+        ua = u @ a
+        ub = u @ b
+        assert _smallest_sines(a, b) == pytest.approx(_smallest_sines(ua, ub), abs=1e-10)
         assert fl.hausdorff_subspace_dist(a, b) == pytest.approx(
             fl.hausdorff_subspace_dist(ua, ub), abs=1e-10
         )
         m = random_sl(rng, d)
         assert np.allclose(matrix_gaps(m), matrix_gaps(u @ m @ u.conj().T), atol=1e-10, rtol=0)
-
-
-def test_frame_drift_triggers_refactorization():
-    q = np.eye(3, dtype=complex)[:, :2]
-    q[0, 0] += 1e-6  # beyond FRAME_TOL
-    s = Subspace(q)
-    gram = s.frame.conj().T @ s.frame
-    assert np.max(np.abs(gram - np.eye(2))) < 1e-12
 
 
 # --- product SVD ----------------------------------------------------------------
