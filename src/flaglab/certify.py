@@ -125,39 +125,40 @@ def _affine_fit(lengths: np.ndarray, values: np.ndarray) -> tuple[float, float, 
     return float(slope), float(intercept), r2, math.sqrt(ss_res / len(values))
 
 
-def _doubling_ratio(rep: Representation, word: Word, k: int) -> tuple[float, float]:
-    """Gap growth along powers of a word: returns (last gap, ratio of the
-    gaps at the last two power doublings).  Affine growth gives ratio -> 2,
-    logarithmic growth (e.g. unipotents) gives ratio -> 1.  Powers are
-    accumulated letter by letter in the graded product SVD, so arbitrarily
-    large gaps stay measurable, up to a log-singular spread of about 745
-    nats; past it the gap is not finite and PrecisionError is raised."""
-    state = ProductSVD(rep.dim)
-    factors = [rep.matrix(letter) for letter in word]
-    gaps: list[float] = []
-    absorbed = 0
-    for n in (1, 2, 4, 8, 16, 32, 64, 128, 256):
-        while absorbed < n:
-            for f in factors:
-                state.absorb(f)
-            absorbed += 1
-        g = float(state.gaps()[k - 1])
-        if not math.isfinite(g):
-            raise _spread_error(f"along {W.word_to_str(word)}^{n}")
-        gaps.append(g)
-        if g > 40.0 and len(gaps) >= 2:
-            break
-    g_prev, g_last = gaps[-2], gaps[-1]
-    if g_last < 1e-9:
-        return g_last, 0.0
-    return g_last, g_last / max(g_prev, 1e-12)
+def _doubling_ratios(rep: Representation, requests) -> dict:
+    """Gap growth along powers of words over one power walk: maps each
+    (word, k) request to (last gap, ratio of the gaps at the last two power
+    doublings), or to the PrecisionError that ended it alone.  Affine growth
+    gives ratio -> 2, logarithmic growth (e.g. unipotents) ratio -> 1.  The
+    k-th gap is read at powers 1, 2, 4, ..., 256 until it passes 40 with two
+    readings; past a spread of about 745 nats it is not finite."""
+    words = list(dict.fromkeys(w for w, _ in requests))
+    readings: dict = {r: [] for r in requests}
+    out: dict = {}
+
+    def judge(i, n, gaps, u):
+        todo = [(w, k) for w, k in readings if w == words[i] and (w, k) not in out]
+        if n & (n - 1) == 0:
+            for w, k in todo:
+                g = float(gaps[k - 1])
+                readings[w, k].append(g)
+                if not math.isfinite(g):
+                    out[w, k] = _spread_error(f"along {W.word_to_str(w)}^{n}")
+                elif g > 40.0 and len(readings[w, k]) >= 2 or n == 256:
+                    out[w, k] = (g, 0.0 if g < 1e-9 else g / max(readings[w, k][-2], 1e-12))
+        return any(r not in out for r in todo)
+
+    _power_walk(rep, words, judge)
+    return out
 
 
 def sweep_radius(rep: Representation, radius: int) -> int:
     """The radius a certificate sweeps: radius itself for a free group, at
-    most the shortest relator length minus one otherwise.  Beyond the
-    relator length letter-count words start representing short group
-    elements and the minima are no longer meaningful."""
+    most the shortest relator length minus one otherwise.  The cap is
+    necessary but not sufficient: a word shorter than a relator can still
+    be the complement of a relator subword and so stand for a shorter
+    element, which makes the per-length minima of a surface group
+    symmetric rather than growing (ROADMAP item 5)."""
     if rep.presentation.relations:
         return min(radius, min(len(r) for r in rep.presentation.relations) - 1)
     return radius
@@ -181,8 +182,20 @@ def certify_anosov(
     The ball's radius is capped by sweep_radius; a sweep given must have
     the capped radius (InputError otherwise).
     """
-    if not 1 <= k <= rep.dim - 1:
-        raise InputError(f"k={k} out of range 1..{rep.dim - 1}")
+    return _certificates(rep, [k], radius, slope_threshold, r2_threshold, sweep)[0]
+
+
+def _certificates(
+    rep: Representation, ks, radius: int, slope_threshold: float = SLOPE_THRESHOLD,
+    r2_threshold: float = R2_THRESHOLD, sweep: GapSweep | None = None,
+) -> list[AnosovCertificate]:
+    """certify_anosov for each index of ks over one sweep and one witness
+    walk.  Witnesses are read index by index, as one certificate after the
+    other would: the first refuting one decides, and a witness's
+    PrecisionError is raised only when it is reached."""
+    for k in ks:
+        if not 1 <= k <= rep.dim - 1:
+            raise InputError(f"k={k} out of range 1..{rep.dim - 1}")
     if radius < 3:
         raise InputError("radius must be >= 3 to fit a slope")
     notes: list[str] = []
@@ -195,49 +208,36 @@ def certify_anosov(
     elif sweep.radius != radius:
         raise InputError(f"a certificate of radius {radius} was given a sweep of radius {sweep.radius}")
     lengths = np.asarray(sweep.lengths, dtype=float)
-    minima = sweep.minima_for(k).astype(float)
-    slope, _, r2, resid = _affine_fit(lengths, minima)
-    c1 = slope
-    c2 = max(0.0, float(np.max(c1 * lengths - minima)))
-
-    verdict = None
-    if float(np.max(minima)) < 1e-9:
-        verdict = "refuted"
-        notes.append("gap vanishes on the whole ball")
-    else:
-        witnesses: list[Word] = [sweep.argmin_words[-1][k - 1]]
-        witnesses += [(g,) for g in range(1, rep.presentation.generator_count + 1)]
-        for w in witnesses:
-            if not w:
-                continue
-            g_last, ratio = _doubling_ratio(rep, w, k)
+    vanished = {k for k in ks if float(np.max(sweep.minima_for(k))) < 1e-9}
+    generators = [(g,) for g in range(1, rep.presentation.generator_count + 1)]
+    witnesses = {k: [sweep.argmin_words[-1][k - 1], *generators] for k in ks if k not in vanished}
+    ratios = _doubling_ratios(rep, [(w, k) for k, ws in witnesses.items() for w in ws])
+    certs = []
+    for k in ks:
+        minima = sweep.minima_for(k).astype(float)
+        slope, _, r2, resid = _affine_fit(lengths, minima)
+        c2 = max(0.0, float(np.max(slope * lengths - minima)))
+        verdict, why = ("refuted", ["gap vanishes on the whole ball"]) if k in vanished else (None, [])
+        for w in witnesses.get(k, ()):
+            if isinstance(ratios[w, k], PrecisionError):
+                raise ratios[w, k]
+            g_last, ratio = ratios[w, k]
             if ratio < 1.5:
                 verdict = "refuted"
-                notes.append(
+                why.append(
                     f"sublinear gap growth along {W.word_to_str(w)} "
                     f"(doubling ratio {ratio:.3f}, gap {g_last:.3f})"
                 )
                 break
-    if verdict is None:
-        if slope >= slope_threshold and r2 >= r2_threshold:
-            verdict = "certified"
-        else:
-            verdict = "inconclusive"
-    return AnosovCertificate(
-        label=rep.label,
-        k=k,
-        radius=radius,
-        lengths=sweep.lengths,
-        min_gaps=tuple(float(x) for x in minima),
-        c1=c1,
-        c2=c2,
-        r_squared=r2,
-        residual=resid,
-        verdict=verdict,
-        slope_threshold=slope_threshold,
-        r2_threshold=r2_threshold,
-        notes=tuple(notes),
-    )
+        if verdict is None:
+            verdict = "certified" if slope >= slope_threshold and r2 >= r2_threshold else "inconclusive"
+        certs.append(AnosovCertificate(
+            label=rep.label, k=k, radius=radius, lengths=sweep.lengths,
+            min_gaps=tuple(float(x) for x in minima), c1=slope, c2=c2, r_squared=r2, residual=resid,
+            verdict=verdict, slope_threshold=slope_threshold, r2_threshold=r2_threshold,
+            notes=tuple(notes + why),
+        ))
+    return certs
 
 
 # --- boundary flags -------------------------------------------------------
@@ -297,18 +297,41 @@ class FlagSample:
         return f"FlagSample({W.word_to_str(self.source)}, ks={self.ks})"
 
 
-def boundary_samples(rep: Representation, words, ks) -> list:
-    """Nested attractors of rho(w^n) for many words in one stacked power
-    loop; entry i is the FlagSample of words[i], the attracting endpoint of
-    its axis, or the NotAnosovError or PrecisionError that rejected it.
+def _power_walk(rep: Representation, words, judge) -> None:
+    """Absorb the next letter of every live word into one stacked graded
+    product SVD until no word is left.  Whenever words[i] completes its
+    n-th power, judge(i, n, gaps, u) sees the gaps and left factor of
+    rho(words[i]^n), and the word leaves the stack if it returns False.
+    Every product of the stack is treated alone, so nothing depends on the
+    batch."""
+    letters = rep.presentation.letters()
+    mats = np.stack([rep.matrix(letter) for letter in letters])
+    codes = [[letters.index(letter) for letter in w] for w in words]
+    lens = np.array([len(w) for w in words], dtype=int)
+    live = np.arange(len(words))
+    state = ProductSVD(rep.dim, live.shape)
+    used = 0
+    while live.size:
+        state.absorb(mats[[codes[i][used % lens[i]] for i in live]])
+        used += 1
+        keep = used % lens[live] != 0  # mid-power words go on
+        gaps = state.gaps()
+        for j in np.nonzero(~keep)[0]:
+            keep[j] = judge(live[j], used // lens[live[j]], gaps[j], state.u[j])
+        if not keep.all():
+            state, live = state[keep], live[keep]
 
-    Each step absorbs the next letter of every unfinished word into the
-    graded product SVD, which keeps every singular subspace accurate up to
-    a log-singular spread of about 745 nats.  A word is judged whenever it
+
+def boundary_samples(rep: Representation, words, ks) -> list:
+    """Nested attractors of rho(w^n) for many words in one power walk;
+    entry i is the FlagSample of words[i], the attracting endpoint of its
+    axis, or the NotAnosovError or PrecisionError that rejected it.
+
+    The graded product SVD keeps every singular subspace accurate up to a
+    log-singular spread of about 745 nats.  A word is judged whenever it
     completes a power: done once every requested gap clears TARGET_GAP,
     rejected when its gap stalls over four powers, when MAX_LETTERS run
-    out or when a gap is not finite.  Every product of the stack is
-    treated alone, so a flag does not depend on its batch.
+    out or when a gap is not finite.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks:
@@ -319,41 +342,31 @@ def boundary_samples(rep: Representation, words, ks) -> list:
     words = [W.reduce(w, rep.presentation) for w in words]
     if not all(words):
         raise InputError("boundary_samples needs a nontrivial word")
-    letters = rep.presentation.letters()
-    mats = np.stack([rep.matrix(letter) for letter in letters])
-    codes = [[letters.index(letter) for letter in w] for w in words]
-    lens = np.array([len(w) for w in words], dtype=int)
+    cols = np.array(ks) - 1
     out: list = [None] * len(words)
     history: list[list[float]] = [[] for _ in words]
-    live = np.arange(len(words))
-    state = ProductSVD(rep.dim, live.shape)
-    used = 0
-    while live.size:
-        state.absorb(mats[[codes[i][used % lens[i]] for i in live]])
-        used += 1
-        gaps = state.gaps()[:, np.array(ks) - 1]
-        keep = used % lens[live] != 0  # mid-power words go on
-        for j in np.nonzero(~keep)[0]:
-            i, w, worst = live[j], words[live[j]], float(gaps[j].min())
-            if not np.all(np.isfinite(gaps[j])):
-                out[i] = _spread_error(f"along {W.word_to_str(w)}")
-            elif worst >= TARGET_GAP:
-                out[i] = FlagSample(w, state.u[j].copy(), ks, math.exp(-2.0 * worst))
-            else:
-                history[i].append(worst)
-                if len(history[i]) >= 4 and history[i][-1] - history[i][-4] < 1e-3:
-                    out[i] = NotAnosovError(
-                        f"gap stalled at {worst:.4f} along {W.word_to_str(w)}; "
-                        "not Anosov along this word"
-                    )
-                elif used >= MAX_LETTERS:
-                    out[i] = NotAnosovError(
-                        f"gap reached only {worst:.3f} of {TARGET_GAP} along {W.word_to_str(w)}"
-                    )
-                else:
-                    keep[j] = True
-        if not keep.all():
-            state, live = state[keep], live[keep]
+
+    def judge(i, n, gaps, u):
+        w, g = words[i], gaps[cols]
+        worst = float(g.min())
+        if not np.all(np.isfinite(g)):
+            out[i] = _spread_error(f"along {W.word_to_str(w)}")
+        elif worst >= TARGET_GAP:
+            out[i] = FlagSample(w, u.copy(), ks, math.exp(-2.0 * worst))
+        else:
+            history[i].append(worst)
+            if len(history[i]) >= 4 and history[i][-1] - history[i][-4] < 1e-3:
+                out[i] = NotAnosovError(
+                    f"gap stalled at {worst:.4f} along {W.word_to_str(w)}; "
+                    "not Anosov along this word"
+                )
+            elif n * len(w) >= MAX_LETTERS:
+                out[i] = NotAnosovError(
+                    f"gap reached only {worst:.3f} of {TARGET_GAP} along {W.word_to_str(w)}"
+                )
+        return out[i] is None
+
+    _power_walk(rep, words, judge)
     return out
 
 

@@ -18,15 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from . import words as W
-from .certify import (
-    FlagSample,
-    boundary_samples,
-    certify_anosov,
-    gap_sweep,
-    limit_set_sample,
-    sweep_radius,
-    transport_flag,
-)
+from .certify import FlagSample, _certificates, boundary_samples, limit_set_sample, transport_flag
 from .errors import FlaglabError, InputError, NotAnosovError, PrecisionError, TransversalityError
 from .mobius import chart, det2, sphere_xyz, three_point_map
 from .reps import Representation, wedge_coords
@@ -469,17 +461,15 @@ def normalized_scores(num: np.ndarray, a: np.ndarray, perp: np.ndarray) -> tuple
 
 
 def _check_prereqs(rep, k, mode, radius):
-    """Certify every index of required_anosov_indices over one gap sweep of
-    the given radius, capped by sweep_radius; raise NotAnosovError naming
-    those left uncertified.  A radius of None assumes the Anosov property."""
+    """Certify every index of required_anosov_indices over one gap sweep and
+    one witness walk of the radius (capped by sweep_radius); raise
+    NotAnosovError naming those left uncertified.  A radius of None assumes them."""
     if not 1 <= k <= rep.dim - 1:
         raise InputError(f"k={k} out of range 1..{rep.dim - 1}")
     if radius is None:
         return
-    sweep = gap_sweep(rep, sweep_radius(rep, radius))
-    verdicts = {j: certify_anosov(rep, j, radius, sweep=sweep).verdict
-                for j in required_anosov_indices(rep, k, mode)}
-    missing = [f"{j}:{v}" for j, v in verdicts.items() if v != "certified"]
+    certs = _certificates(rep, required_anosov_indices(rep, k, mode), radius)
+    missing = [f"{c.k}:{c.verdict}" for c in certs if c.verdict != "certified"]
     if missing:
         raise NotAnosovError(f"uncertified prerequisite Anosov indices: {', '.join(missing)}")
 

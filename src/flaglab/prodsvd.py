@@ -133,7 +133,3 @@ class ProductSVD:
         stop being finite; callers check."""
         with np.errstate(invalid="ignore"):
             return np.maximum(0.0, (self.logs[..., :-1] - self.logs[..., 1:]) / 2.0)
-
-    def log_sigma(self) -> np.ndarray:
-        """Log singular values of the product rescaled to unit |det|."""
-        return self.logs - self.logs.mean(axis=-1, keepdims=True)

@@ -100,6 +100,11 @@ def matrix_gaps(m: np.ndarray) -> np.ndarray:
     return ProductSVD(m.shape[-1], m.shape[:-2]).absorb(m).gaps()
 
 
+def log_sigma(state: ProductSVD) -> np.ndarray:
+    """Log singular values of a product rescaled to unit |det|."""
+    return state.logs - state.logs.mean(axis=-1, keepdims=True)
+
+
 def flag_dist(a: "fl.FlagSample", b: "fl.FlagSample") -> float:
     """Largest Hausdorff subspace distance over the indices two flags share."""
     common = sorted(set(a.ks) & set(b.ks))

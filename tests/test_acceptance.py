@@ -27,7 +27,7 @@ from flaglab.prodsvd import ProductSVD
 from flaglab.sphere import VisualMeasure, cross_ratio, visual_mass
 from flaglab.subspaces import frame_cosines, hausdorff_subspace_dist
 
-from conftest import proj_matrix_dist, random_sl
+from conftest import log_sigma, proj_matrix_dist, random_sl
 
 
 def run_cli(argv):
@@ -121,7 +121,7 @@ def _ball_identity_error(rep, wrep, k, radius):
                 continue
             a = sa.copy().absorb(rep.matrix(letter))
             b = sb.copy().absorb(wrep.matrix(letter))
-            ls, lw = a.log_sigma(), b.log_sigma()
+            ls, lw = log_sigma(a), log_sigma(b)
             worst = max(worst, abs(lw[0] - ls[:k].sum()))
             if k >= 2:
                 worst = max(worst, abs(lw[1] - (ls[: k - 1].sum() + ls[k])))

@@ -5,7 +5,8 @@ import pytest
 
 import flaglab as fl
 import flaglab.words as W
-from flaglab.certify import _doubling_ratio, boundary_samples, transport_flag
+import flaglab.certify as certify
+from flaglab.certify import _doubling_ratios, boundary_samples, transport_flag
 from flaglab.errors import CapacityError, InputError, NotAnosovError, PrecisionError
 from flaglab.fibers import FlagStack, plucker
 from flaglab.prodsvd import ProductSVD
@@ -147,9 +148,97 @@ def _spread_rep():
     return Representation(W.free_group(1), [m], label="spread")
 
 
+def _doubling_ratio_oracle(rep, word, k):
+    # reference for the power walk: one product per (word, k), read at
+    # powers 1, 2, 4, ..., 256
+    state = ProductSVD(rep.dim)
+    factors = [rep.matrix(letter) for letter in word]
+    gaps = []
+    absorbed = 0
+    for n in (1, 2, 4, 8, 16, 32, 64, 128, 256):
+        while absorbed < n:
+            for f in factors:
+                state.absorb(f)
+            absorbed += 1
+        g = float(state.gaps()[k - 1])
+        if not math.isfinite(g):
+            raise PrecisionError(f"non-finite gap along {W.word_to_str(word)}^{n}")
+        gaps.append(g)
+        if g > 40.0 and len(gaps) >= 2:
+            break
+    g_prev, g_last = gaps[-2], gaps[-1]
+    if g_last < 1e-9:
+        return g_last, 0.0
+    return g_last, g_last / max(g_prev, 1e-12)
+
+
+def _witness_requests(rep, ks, radius):
+    # what a certificate of each index walks: the sweep's worst word of the
+    # last length, then every generator
+    sweep = fl.gap_sweep(rep, radius)
+    gens = [(g,) for g in range(1, rep.presentation.generator_count + 1)]
+    return [(w, k) for k in ks for w in [sweep.argmin_words[-1][k - 1], *gens]]
+
+
+@pytest.mark.parametrize("name, ks, radius, words", [
+    ("sym4", (1, 2, 3), 5, 4),
+    ("sym3", (1, 2), 5, None),
+    ("schottky", (1,), 6, None),
+    ("unipotent", (1,), 6, None),
+    ("trivial", (1,), 4, None),
+])
+def test_power_walk_matches_per_word_oracle(name, ks, radius, words):
+    rep = fl.preset(name)
+    requests = _witness_requests(rep, ks, radius)
+    if words is not None:
+        assert len({w for w, _ in requests}) == words
+    got = _doubling_ratios(rep, requests)
+    assert set(got) == set(requests)
+    for w, k in requests:
+        assert got[w, k] == _doubling_ratio_oracle(rep, w, k), (w, k)
+    if name == "unipotent":
+        assert all(ratio < 1.5 for _, ratio in got.values())
+    if name == "trivial":  # the vanished-gap branch
+        assert all(g < 1e-9 and ratio == 0.0 for g, ratio in got.values())
+
+
 def test_doubling_ratio_never_returns_nan():
+    [err] = _doubling_ratios(_spread_rep(), [((1,), 2)]).values()
+    assert isinstance(err, PrecisionError)
     with pytest.raises(PrecisionError, match="745"):
-        _doubling_ratio(_spread_rep(), (1,), 2)
+        fl.certify_anosov(_spread_rep(), 2, 3)
+
+
+def test_power_walk_stops_each_request_alone():
+    # one word, two indices: index 1 passes 40 at power 8 and ends with the
+    # per-word reading, while index 2 walks on until the spread passes 745
+    got = _doubling_ratios(_spread_rep(), [((1,), 1), ((1,), 2)])
+    assert got[(1,), 1] == _doubling_ratio_oracle(_spread_rep(), (1,), 1)
+    assert got[(1,), 1][0] > 40.0
+    assert isinstance(got[(1,), 2], PrecisionError)
+    assert "along a^64" in str(got[(1,), 2])
+
+
+def test_refuting_witness_wins_over_a_later_raising_one(schottky, sym3, monkeypatch):
+    # witnesses are read index by index, each in the order worst word,
+    # generator 1, generator 2: a refutation ends its index's reading before
+    # a later witness's PrecisionError, but the next index is still read
+    err = PrecisionError("past 745 nats")
+
+    def walk(result):
+        monkeypatch.setattr(certify, "_doubling_ratios",
+                            lambda rep, requests: {r: result(n, r) for n, r in enumerate(requests)})
+
+    walk(lambda n, r: (0.5, 1.0) if n == 0 else err)
+    cert = fl.certify_anosov(schottky, 1, 4)
+    assert cert.verdict == "refuted"
+    assert "doubling ratio 1.000" in cert.notes[-1]
+    walk(lambda n, r: (60.0, 2.0) if n == 0 else err)
+    with pytest.raises(PrecisionError, match="745"):
+        fl.certify_anosov(schottky, 1, 4)
+    walk(lambda n, r: (0.5, 1.0) if r[1] == 1 else err)
+    with pytest.raises(PrecisionError, match="745"):
+        certify._certificates(sym3, [1, 2], 4)
 
 
 # --- attractors ---------------------------------------------------------------

@@ -118,28 +118,35 @@ def test_sym4_k2_passes(sym4):
 
 
 def test_prerequisite_certificates_required(sym4, directsum, monkeypatch):
-    import flaglab.fibers as fibers
+    import flaglab.certify as certify
 
-    sweeps = []
-    original = fibers.gap_sweep
+    sweeps, walks = [], []
+    original, original_walk = certify.gap_sweep, certify._doubling_ratios
 
     def counting(rep, radius):
         sweeps.append(radius)
         return original(rep, radius)
 
-    # one sweep certifies every required index, or the check names those left
-    monkeypatch.setattr(fibers, "gap_sweep", counting)
+    def counting_walk(rep, requests):
+        walks.append(sorted({k for _, k in requests}))
+        return original_walk(rep, requests)
+
+    # one sweep and one witness walk certify every required index, or the
+    # check names those left
+    monkeypatch.setattr(certify, "gap_sweep", counting)
+    monkeypatch.setattr(certify, "_doubling_ratios", counting_walk)
     rpt = fl.check_hyperconvex(sym4, 2, TripleSpec(count=50, seed=1), radius=4)
     assert rpt.verdict == "passes" and sweeps == [4]
+    assert walks == [[1, 2, 3]]
     for check in (fl.check_hyperconvex, fl.check_Hk):
         with pytest.raises(NotAnosovError, match="indices: 1:refuted, 3:refuted$"):
             check(directsum, 2, TripleSpec(count=50, seed=1), radius=4)
     assert sweeps == [4, 4, 4]
+    assert len(walks) == 3
 
 
 def test_prerequisite_sweep_capped_by_relator(torus, monkeypatch):
     import flaglab.certify as certify
-    import flaglab.fibers as fibers
 
     sweeps = []
     original = certify.gap_sweep
@@ -150,7 +157,6 @@ def test_prerequisite_sweep_capped_by_relator(torus, monkeypatch):
 
     # radius 40 uncapped would need far past SWEEP_BUDGET: one sweep runs,
     # at the relator length minus one, and every certificate reuses it
-    monkeypatch.setattr(fibers, "gap_sweep", counting)
     monkeypatch.setattr(certify, "gap_sweep", counting)
     for check, index in ((fl.check_hyperconvex, 2), (fl.check_Hk, 1)):
         with pytest.raises(NotAnosovError, match=f"indices: {index}:inconclusive$"):

@@ -8,7 +8,7 @@ from flaglab.errors import InputError
 from flaglab.prodsvd import ProductSVD, jacobi_svd
 from flaglab.subspaces import frame_complements, frame_sines, orth
 
-from conftest import matrix_gaps, random_sl, random_subspace, random_unitary
+from conftest import log_sigma, matrix_gaps, random_sl, random_subspace, random_unitary
 
 
 # --- gap profiles -----------------------------------------------------------
@@ -256,4 +256,4 @@ def test_product_svd_reciprocal_symmetry():
     bwd = ProductSVD(3)
     for f in reversed(factors):
         bwd.absorb(np.linalg.inv(f))
-    assert np.allclose(fwd.log_sigma(), -bwd.log_sigma()[::-1], atol=1e-10, rtol=0)
+    assert np.allclose(log_sigma(fwd), -log_sigma(bwd)[::-1], atol=1e-10, rtol=0)
