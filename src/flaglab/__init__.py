@@ -73,4 +73,4 @@ from .words import (
     surface_group,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"

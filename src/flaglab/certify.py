@@ -46,6 +46,17 @@ class GapSweep:
         return self.minima[:, k - 1]
 
 
+def _letter_matrices(rep: Representation) -> np.ndarray:
+    """rho of every letter, stacked in presentation.letters() order, for
+    the graded engine: float64 when every imaginary part is exactly zero,
+    complex128 otherwise.  Dropping a zero imaginary part is exact, and
+    below dimension 16 the engine gives real factors the bits of their
+    complex casts, so a real representation runs in real arithmetic with
+    unchanged results."""
+    mats = np.stack([rep.matrix(letter) for letter in rep.presentation.letters()])
+    return mats if mats.imag.any() else np.ascontiguousarray(mats.real)
+
+
 def gap_sweep(rep: Representation, radius: int) -> GapSweep:
     """Sweep all freely reduced words of length 1..radius and record the
     minimum gap vector per length.
@@ -62,23 +73,24 @@ def gap_sweep(rep: Representation, radius: int) -> GapSweep:
         raise InputError("radius must be >= 1")
     d = rep.dim
     rank = rep.presentation.generator_count
+    mats = _letter_matrices(rep)
     widest = W.ball_size(rank, radius) - W.ball_size(rank, radius - 1)
-    need = widest * (2 * d * d * 16 + 8 * d)
+    need = widest * (2 * d * d * mats.itemsize + 8 * d)
     if need > SWEEP_BUDGET:
         raise CapacityError(
             f"radius {radius} needs {need / 2**20:.0f} MiB of sweep state for its "
             f"{widest} longest words; the budget is {SWEEP_BUDGET / 2**20:.0f} MiB"
         )
-    state = ProductSVD(d, (1,))
+    state = ProductSVD(d, (1,), mats.dtype)
     minima = np.empty((radius, d - 1))
     walk, argmin_words = [], []
     for n, (parent, last) in enumerate(W.levels(rep.presentation, radius), 1):
         gaps = np.empty((parent.size, d - 1))
         # nothing extends the longest words, so their states are not kept
-        child = ProductSVD(d, parent.shape) if n < radius else None
-        for letter in rep.presentation.letters():
+        child = ProductSVD(d, parent.shape, mats.dtype) if n < radius else None
+        for letter, mat in zip(rep.presentation.letters(), mats):
             rows = np.nonzero(last == letter)[0]
-            sub = state[parent[rows]].absorb(rep.matrix(letter))
+            sub = state[parent[rows]].absorb(mat)
             gaps[rows] = sub.gaps()
             if child is not None:
                 child[rows] = sub
@@ -305,11 +317,11 @@ def _power_walk(rep: Representation, words, judge) -> None:
     Every product of the stack is treated alone, so nothing depends on the
     batch."""
     letters = rep.presentation.letters()
-    mats = np.stack([rep.matrix(letter) for letter in letters])
+    mats = _letter_matrices(rep)
     codes = [[letters.index(letter) for letter in w] for w in words]
     lens = np.array([len(w) for w in words], dtype=int)
     live = np.arange(len(words))
-    state = ProductSVD(rep.dim, live.shape)
+    state = ProductSVD(rep.dim, live.shape, mats.dtype)
     used = 0
     while live.size:
         state.absorb(mats[[codes[i][used % lens[i]] for i in live]])

@@ -11,6 +11,12 @@ Everything here takes any leading batch shape: (d, d) is one product and
 (n, d, d) is n products.  Each pair rotation is applied to the whole
 stack at once, and a matrix that needs no rotation at a pair is left
 exactly as it is, so every product comes out as if it ran alone.
+
+The engine works in the dtype of its input: float64 for real matrices,
+complex128 otherwise.  One-sided Jacobi keeps its relative accuracy in
+real arithmetic (Demmel & Veselic 1992), and below 16 rows a real input
+gives the bits of its complex cast (see jacobi_svd), so a real
+representation runs in float64 without moving a gap or a flag.
 """
 
 from __future__ import annotations
@@ -29,19 +35,40 @@ def _h(x: np.ndarray) -> np.ndarray:
 
 
 def jacobi_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-sided Jacobi SVD of a complex matrix or stack of matrices,
-    accurate in the relative sense for column-scaled inputs.  Returns
-    (u, s, vh) with x = u @ diag(s) @ vh, s descending."""
-    a = np.array(x, dtype=complex)
+    """One-sided Jacobi SVD of a matrix or stack of matrices, accurate in
+    the relative sense for column-scaled inputs.  Returns (u, s, vh) with
+    x = u @ diag(s) @ vh, s descending; u and vh are float64 for real
+    input and complex128 otherwise.
+
+    A real input gives the bits of the same input cast to complex, which
+    takes two choices.  Every division by a real array is written as a
+    product with its reciprocal, as NumPy divides a complex array by a
+    real one.  And every column dot must add its terms one after another,
+    which is a property of the BLAS kernel that np.vecdot calls, not of
+    NumPy.  So each column is held as a row: contiguous for float64,
+    because OpenBLAS's contiguous ddot adds term by term below length 16
+    while its strided ddot sums in two interleaved accumulators; in every
+    other slot for complex128, because its strided zdotc adds term by
+    term at any length while its contiguous one sums in blocks of 8.  A
+    real matrix of 16 or more rows may therefore differ from its complex
+    cast in the last place.
+    """
+    a = np.asarray(x)
+    a = a.astype(np.result_type(a, np.float64), copy=False)
     batch, (n, m) = a.shape[:-2], a.shape[-2:]
     a = a.reshape((-1, n, m))
-    # a on top of v, so that one rotation of columns p, q turns both
-    av = np.concatenate([a, np.broadcast_to(np.eye(m, dtype=complex), (len(a), m, m))], axis=1)
+    # av[j, b] holds column j of a[b], then of v: one rotation of the rows
+    # av[p], av[q] turns both, over the whole stack in one flat loop.  A
+    # complex row takes every other slot (see above)
+    step = 2 if np.iscomplexobj(a) else 1
+    av = np.zeros((m, len(a), step * (n + m)), a.dtype)[:, :, ::step]
+    av[:, :, :n] = np.moveaxis(a, -1, 0)
+    av[:, :, n:] = np.eye(m)[:, None, :]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_SWEEPS):
             rotated = False
             for p, q in combinations(range(m), 2):
-                ap, aq = av[:, :n, p], av[:, :n, q]
+                ap, aq = av[p, :, :n], av[q, :, :n]
                 app, aqq = np.vecdot(ap, ap).real, np.vecdot(aq, aq).real
                 apq = np.vecdot(ap, aq)
                 scale = np.sqrt(app) * np.sqrt(aqq)  # sqrt first: no underflow
@@ -52,7 +79,7 @@ def jacobi_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 rotated = True
                 # rotation diagonalizing [[app, apq], [conj(apq), aqq]]; the
                 # matrices with rot False keep their columns exactly
-                phase = apq / mag
+                phase = apq * (1.0 / mag)
                 zeta = (aqq - app) / (2.0 * mag)
                 t = np.where(
                     np.abs(zeta) > 1e150,
@@ -63,37 +90,41 @@ def jacobi_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 sn = cs * t
                 cs, rot = cs[:, None], rot[:, None]
                 fp, fq = (sn * np.conj(phase))[:, None], (sn * phase)[:, None]
-                cp, cq = av[:, :, p], av[:, :, q]
-                av[:, :, p], av[:, :, q] = (
+                cp, cq = av[p], av[q]
+                av[p], av[q] = (
                     np.where(rot, cs * cp - fp * cq, cp),
                     np.where(rot, fq * cp + cs * cq, cq),
                 )
             if not rotated:
                 break
-    s = np.sqrt(sum(np.moveaxis((av[:, :n].conj() * av[:, :n]).real, -2, 0)))  # as for one matrix
-    order = np.argsort(s, axis=-1)[:, ::-1]  # ties in the one-matrix order
-    s = np.take_along_axis(s, order, axis=-1)
-    av = np.take_along_axis(av, order[:, None, :], axis=-1)
-    u = av[:, :n] / np.where(s > 0, s, 1.0)[:, None, :]
+        s = np.sqrt(sum(np.moveaxis((av[..., :n].conj() * av[..., :n]).real, -1, 0))).T  # as for one matrix
+        order = np.argsort(s, axis=-1)[:, ::-1]  # ties in the one-matrix order
+        s = np.take_along_axis(s, order, axis=-1)
+        av = np.take_along_axis(np.moveaxis(av, 0, 1), order[:, :, None], axis=1)
+        ut = av[:, :, :n] * (1.0 / np.where(s > 0, s, 1.0))[:, :, None]
     zi, zj = np.nonzero(s == 0)
-    u[zi, :, zj] = 0.0
-    u[zi, np.minimum(zj, n - 1), zj] = 1.0
-    return u.reshape(batch + (n, m)), s.reshape(batch + (m,)), _h(av[:, n:]).reshape(batch + (m, m))
+    ut[zi, zj] = 0.0
+    ut[zi, zj, np.minimum(zj, n - 1)] = 1.0
+    u = np.swapaxes(ut, -1, -2)
+    return u.reshape(batch + (n, m)), s.reshape(batch + (m,)), np.conj(av[:, :, n:]).reshape(batch + (m, m))
 
 
 class ProductSVD:
     """Running SVDs of products M = A_1 A_2 ... A_m, absorbed factor by factor.
 
     State is (u, logs, vh) with M = u @ diag(exp(logs)) @ vh and logs
-    descending, for one product (batch ()) or a stack (batch (n,)).
+    descending, for one product (batch ()) or a stack (batch (n,)).  u and
+    vh start as identities of the given dtype and take the factors' dtype:
+    real factors keep a float64 state real, a complex one makes it complex.
     Indexing a stack gathers a sub-stack and assigning to an index
-    scatters one back; copy() is cheap.
+    scatters one back (TypeError for a complex one into a real state);
+    copy() is cheap.
     """
 
     __slots__ = ("u", "logs", "vh")
 
-    def __init__(self, dim: int, batch: tuple[int, ...] = ()):
-        self.u = np.broadcast_to(np.eye(dim, dtype=complex), tuple(batch) + (dim, dim)).copy()
+    def __init__(self, dim: int, batch: tuple[int, ...] = (), dtype=complex):
+        self.u = np.broadcast_to(np.eye(dim, dtype=dtype), tuple(batch) + (dim, dim)).copy()
         self.logs = np.zeros(tuple(batch) + (dim,))
         self.vh = self.u.copy()
 
@@ -110,18 +141,22 @@ class ProductSVD:
         return self._of(self.u[idx], self.logs[idx], self.vh[idx])
 
     def __setitem__(self, idx, other: "ProductSVD"):
+        if not np.can_cast(other.u.dtype, self.u.dtype):
+            raise TypeError(f"cannot scatter a {other.u.dtype} stack into a {self.u.dtype} one")
         self.u[idx], self.logs[idx], self.vh[idx] = other.u, other.logs, other.vh
 
     def absorb(self, factor: np.ndarray) -> "ProductSVD":
         """Right-multiply the represented products by `factor` (in place):
-        one matrix for all of them, or one per product."""
-        b = self.vh @ factor
-        top = self.logs[..., :1]
-        w = np.exp(self.logs - top)[..., :, None] * b
-        # svd of the graded matrix via its column-scaled adjoint
-        uw, s, vwh = jacobi_svd(_h(w))
-        self.u = self.u @ _h(vwh)
-        with np.errstate(divide="ignore"):
+        one matrix for all of them, or one per product.  Past the spread
+        limit (see gaps) the state turns non-finite without a warning, in
+        real arithmetic as in complex."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            b = self.vh @ factor
+            top = self.logs[..., :1]
+            w = np.exp(self.logs - top)[..., :, None] * b
+            # svd of the graded matrix via its column-scaled adjoint
+            uw, s, vwh = jacobi_svd(_h(w))
+            self.u = self.u @ _h(vwh)
             self.logs = np.log(s) + top
         self.vh = _h(uw)
         return self

@@ -133,11 +133,32 @@ def test_sweep_budget_fails_fast(sym4):
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="budget"):
-            fl.gap_sweep(sym4, 14)  # 6.4M words of length 14, about 3.5 GB of state
+            fl.gap_sweep(sym4, 14)  # 6.4M words of length 14, about 1.8 GB of float64 state
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _complex_twin(rep):
+    """rep conjugated by a diagonal unitary: the same gaps from complex
+    generators of the same dimension and rank."""
+    phases = np.exp(1j * np.arange(rep.dim))
+    return Representation(rep.presentation, [phases[:, None] * g / phases for g in rep.generators])
+
+
+def test_sweep_budget_counts_the_bytes_of_the_state_dtype(sym4, monkeypatch):
+    # a real representation sweeps in float64, half the bytes of complex128
+    # state: a budget between the two needs admits it and refuses its twin
+    d, radius = sym4.dim, 6
+    widest = W.ball_size(2, radius) - W.ball_size(2, radius - 1)
+    real_need, complex_need = (widest * (2 * d * d * size + 8 * d) for size in (8, 16))
+    monkeypatch.setattr(certify, "SWEEP_BUDGET", (real_need + complex_need) // 2)
+    twin = _complex_twin(sym4)
+    assert certify._letter_matrices(twin).dtype == np.complex128
+    assert fl.gap_sweep(sym4, radius).radius == radius
+    with pytest.raises(CapacityError, match="budget"):
+        fl.gap_sweep(twin, radius)
 
 
 def _spread_rep():
@@ -239,6 +260,36 @@ def test_refuting_witness_wins_over_a_later_raising_one(schottky, sym3, monkeypa
     walk(lambda n, r: (0.5, 1.0) if r[1] == 1 else err)
     with pytest.raises(PrecisionError, match="745"):
         certify._certificates(sym3, [1, 2], 4)
+
+
+@pytest.mark.parametrize("name, ks", [("sym4", (1, 2, 3)), ("schottky", (1,))])
+def test_real_letter_matrices_change_no_bit(name, ks, monkeypatch):
+    # real generators run the engine in float64; driven with complex128
+    # letter matrices instead, the sweep, the doubling witnesses and the
+    # boundary flags come out the same, bit for bit
+    rep = fl.preset(name)
+    assert certify._letter_matrices(rep).dtype == np.float64
+    words = W.random_cyclic_words(rep.presentation, 30, 7, seed=5)
+    requests = _witness_requests(rep, ks, 6) + [(w, k) for w in words[:4] for k in ks]
+
+    def run():
+        sweep = fl.gap_sweep(rep, 6)
+        return sweep, _doubling_ratios(rep, requests), boundary_samples(rep, words, ks)
+
+    real = run()
+    monkeypatch.setattr(certify, "_letter_matrices",
+                        lambda rep: np.stack([rep.matrix(x) for x in rep.presentation.letters()]))
+    cplx = run()
+    assert np.array_equal(real[0].minima, cplx[0].minima)
+    assert real[0].argmin_words == cplx[0].argmin_words
+
+    def outcomes(ratios):  # an error compares by its class and message
+        return {key: r if isinstance(r, tuple) else (type(r), str(r)) for key, r in ratios.items()}
+
+    assert outcomes(real[1]) == outcomes(cplx[1])
+    assert all(isinstance(f, certify.FlagSample) for f in real[2] + cplx[2])
+    for a, b in zip(real[2], cplx[2]):
+        assert np.array_equal(a.frame, b.frame) and a.quality == b.quality
 
 
 # --- attractors ---------------------------------------------------------------

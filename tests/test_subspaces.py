@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,56 +165,85 @@ def test_jacobi_svd_matches_lapack():
 
 
 def _one_matrix_jacobi(x):
-    """Textbook one-sided Jacobi on one matrix, pair by pair in Python."""
-    a = np.array(x, dtype=complex)
-    n, m = a.shape
-    v = np.eye(m, dtype=complex)
+    """Textbook one-sided Jacobi on one matrix, pair by pair in Python, in
+    the input's dtype.  It holds each column of (a; v) as a row, laid out
+    as the engine lays it out (contiguous when real, every other slot when
+    complex), so that its dots call the same BLAS kernel and add their
+    terms in the same order; and it divides by a real number as NumPy
+    divides a complex array by a real one, through the reciprocal."""
+    x = np.asarray(x)
+    n, m = x.shape
+    step = 2 if np.iscomplexobj(x) else 1
+    rows = np.zeros((m, step * (n + m)), x.dtype)[:, ::step]
+    rows[:, :n], rows[:, n:] = x.T, np.eye(m)
     for _ in range(40):
         off = 0.0
         for p in range(m - 1):
             for q in range(p + 1, m):
-                app = np.vdot(a[:, p], a[:, p]).real
-                aqq = np.vdot(a[:, q], a[:, q]).real
-                apq = np.vdot(a[:, p], a[:, q])
+                ap, aq = rows[p, :n], rows[q, :n]
+                app = np.vdot(ap, ap).real
+                aqq = np.vdot(aq, aq).real
+                apq = np.vdot(ap, aq)
                 scale = math.sqrt(app) * math.sqrt(aqq)
                 if scale == 0.0 or abs(apq) <= 1e-15 * scale:
                     continue
                 off = max(off, abs(apq) / scale)
-                phase = apq / abs(apq)
+                phase = apq * (1.0 / abs(apq))
                 zeta = (aqq - app) / (2.0 * abs(apq))
                 t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
                 cs = 1.0 / math.sqrt(1.0 + t * t)
                 sn = cs * t
-                for w in (a, v):
-                    cp, cq = w[:, p].copy(), w[:, q].copy()
-                    w[:, p] = cs * cp - sn * np.conj(phase) * cq
-                    w[:, q] = sn * phase * cp + cs * cq
+                cp, cq = rows[p].copy(), rows[q].copy()
+                rows[p] = cs * cp - sn * np.conj(phase) * cq
+                rows[q] = sn * phase * cp + cs * cq
         if off == 0.0:
             break
-    s = np.linalg.norm(a, axis=0)
+    s = np.sqrt(sum((c.conj() * c).real for c in rows[:, :n].T))  # term after term
     order = np.argsort(s)[::-1]
-    s, a = s[order], a[:, order]
-    u = a / np.where(s > 0, s, 1.0)
+    s, rows = s[order], rows[order]
+    u = (rows[:, :n] * (1.0 / np.where(s > 0, s, 1.0))[:, None]).T
     for j in np.nonzero(s == 0)[0]:  # a zero column gets a unit vector
         u[:, j] = 0.0
         u[min(j, n - 1), j] = 1.0
-    return u, s, v[:, order].conj().T
+    return u, s, rows[:, n:].conj()
+
+
+def _hard_stack(rng, d, real):
+    """40 matrices the way absorb hands them over, plus the corner cases."""
+    stack = rng.standard_normal((40, d, d))
+    if not real:
+        stack = stack + 1j * rng.standard_normal((40, d, d))
+    stack *= np.exp(rng.uniform(-30.0, 0.0, (40, d, 1)))  # graded rows, as in absorb
+    stack[0] = np.diag(np.resize([2.0, 1.0], d))  # equal values, no rotation
+    stack[1][:, ::2] = 0.0  # zero columns, e.g. underflowed past 745 nats
+    stack[2] = np.eye(d)[rng.permutation(d)] * (1.0 if real else 1j)  # all values equal
+    return stack
 
 
 def test_jacobi_svd_reproduces_one_matrix_jacobi_bitwise():
     # the stacked engine performs each matrix's operations exactly as the
     # one-matrix loop does, so flags and gaps keep every bit, ties included
     rng = np.random.default_rng(13)
-    for d in (2, 3, 4, 6):
-        stack = rng.standard_normal((40, d, d)) + 1j * rng.standard_normal((40, d, d))
-        stack *= np.exp(rng.uniform(-30.0, 0.0, (40, d, 1)))  # graded rows, as in absorb
-        stack[0] = np.diag(np.resize([2.0, 1.0], d))  # equal values, no rotation
-        stack[1][:, ::2] = 0.0  # zero columns, e.g. underflowed past 745 nats
-        stack[2] = 1j * np.eye(d)[rng.permutation(d)]  # a unitary: all values equal
+    for d in (2, 3, 4, 6, 8):
+        for real in (False, True):
+            stack = _hard_stack(rng, d, real)
+            u, s, vh = jacobi_svd(stack)
+            for i, a in enumerate(stack):
+                uo, so, vho = _one_matrix_jacobi(a)
+                assert uo.dtype == u.dtype == vh.dtype == stack.dtype
+                assert np.array_equal(uo, u[i]) and np.array_equal(so, s[i]) and np.array_equal(vho, vh[i])
+
+
+def test_jacobi_svd_real_stack_equals_its_complex_cast():
+    # real arithmetic changes no bit: the float64 result equals, value for
+    # value, the complex128 result of the same matrices cast to complex
+    rng = np.random.default_rng(16)
+    for d in (2, 3, 4, 6, 7, 8):
+        stack = _hard_stack(rng, d, real=True)
         u, s, vh = jacobi_svd(stack)
-        for i, a in enumerate(stack):
-            uo, so, vho = _one_matrix_jacobi(a)
-            assert np.array_equal(uo, u[i]) and np.array_equal(so, s[i]) and np.array_equal(vho, vh[i])
+        uc, sc, vhc = jacobi_svd(stack.astype(complex))
+        assert u.dtype == vh.dtype == np.float64 and uc.dtype == vhc.dtype == np.complex128
+        assert np.array_equal(u, uc) and np.array_equal(s, sc) and np.array_equal(vh, vhc)
 
 
 def test_jacobi_svd_stack_equals_one_by_one():
@@ -257,3 +287,49 @@ def test_product_svd_reciprocal_symmetry():
     for f in reversed(factors):
         bwd.absorb(np.linalg.inv(f))
     assert np.allclose(log_sigma(fwd), -log_sigma(bwd)[::-1], atol=1e-10, rtol=0)
+
+
+def test_product_svd_real_factors_equal_complex_casts():
+    # a float64 state fed real factors holds, after every absorb, the values
+    # a complex128 state holds when fed the same factors cast to complex:
+    # one factor per product, then one factor shared by the stack
+    rng = np.random.default_rng(17)
+    for d, batch in ((2, ()), (3, (6,)), (4, (5,)), (6, (3,))):
+        real, cplx = ProductSVD(d, batch, float), ProductSVD(d, batch)
+        for step in range(10):
+            f = rng.standard_normal(batch + (d, d) if step % 2 else (d, d))
+            f *= np.exp(rng.uniform(-3.0, 3.0, f.shape[:-2] + (1, d)))
+            real.absorb(f)
+            cplx.absorb(f.astype(complex))
+            assert real.u.dtype == real.vh.dtype == np.float64
+            assert np.array_equal(real.logs, cplx.logs)
+            assert np.array_equal(real.u, cplx.u) and np.array_equal(real.vh, cplx.vh)
+
+
+def test_product_svd_refuses_complex_scatter_into_real_state():
+    # assigning would drop the imaginary parts with only a ComplexWarning
+    real = ProductSVD(3, (4,), float)
+    sub = ProductSVD(3, (2,)).absorb(random_sl(np.random.default_rng(18), 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError, match="complex128"):
+            real[[0, 2]] = sub
+    assert np.array_equal(real.u, np.broadcast_to(np.eye(3), (4, 3, 3)))
+    assert np.array_equal(real.logs, np.zeros((4, 3)))
+    real[[0, 2]] = ProductSVD(3, (2,), float)  # real into real
+    cplx = ProductSVD(3, (4,))
+    cplx[[1, 3]] = real[[0, 2]]  # real into complex is exact
+    assert cplx.u.dtype == np.complex128
+
+
+def test_engine_past_underflow_is_silent_in_both_dtypes():
+    # a column pair whose dot is below the normal range: the reciprocal of
+    # its magnitude overflows, so the rotation fills two columns with inf
+    # (real) or nan (complex).  Neither dtype warns, and the same values
+    # are non-finite, so callers see the same non-finite gaps
+    x = np.array([[1e-154, 1e-160], [0.0, 1e-160]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        real, cplx = (ProductSVD(2, (), dt).absorb(x.astype(dt)).absorb(np.eye(2, dtype=dt)) for dt in (float, complex))
+    assert np.array_equal(np.isfinite(real.logs), np.isfinite(cplx.logs))
+    assert np.array_equal(np.isfinite(real.gaps()), np.isfinite(cplx.gaps()))
