@@ -17,7 +17,7 @@ from . import words as W
 from .errors import CapacityError, InputError, NotAnosovError, PrecisionError
 from .prodsvd import ProductSVD
 from .reps import Representation
-from .subspaces import orth
+from .subspaces import frame_quotients, orth
 from .words import Word
 
 SWEEP_BUDGET = 1 << 29  # bytes of stacked (u, logs, vh) state one sweep level may hold
@@ -28,9 +28,11 @@ MAX_LETTERS = 20000  # letters a boundary sample may absorb before giving up
 
 
 def _spread_error(where: str) -> PrecisionError:
-    """The graded product SVD's limit: past a log-singular spread of about
-    745 nats the smallest singular values underflow and gaps stop being finite."""
-    return PrecisionError(f"non-finite gap {where}: log-singular spread past about 745 nats")
+    """The graded product SVD's limit: jacobi_svd squares column norms, so
+    past a log-singular spread of about 354 nats the smallest singular
+    values go subnormal, past about 372 they flush to zero and gaps stop
+    being finite."""
+    return PrecisionError(f"non-finite gap {where}: log-singular spread past about 372 nats")
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,7 @@ def _doubling_ratios(rep: Representation, requests) -> dict:
     doublings), or to the PrecisionError that ended it alone.  Affine growth
     gives ratio -> 2, logarithmic growth (e.g. unipotents) ratio -> 1.  The
     k-th gap is read at powers 1, 2, 4, ..., 256 until it passes 40 with two
-    readings; past a spread of about 745 nats it is not finite."""
+    readings; past a spread of about 372 nats it is not finite."""
     words = list(dict.fromkeys(w for w, _ in requests))
     readings: dict = {r: [] for r in requests}
     out: dict = {}
@@ -266,14 +268,13 @@ class FlagSample:
     keeps its source's.
     """
 
-    __slots__ = ("source", "frame", "ks", "quality", "_fiber_frames")
+    __slots__ = ("source", "frame", "ks", "quality")
 
     def __init__(self, source: Word, frame: np.ndarray, ks, quality: float = 0.0):
         self.source = source
         self.frame = np.asarray(frame, dtype=complex)
         self.ks = sorted(ks)
         self.quality = quality
-        self._fiber_frames: dict[int, np.ndarray] = {}
 
     @property
     def ambient_dim(self) -> int:
@@ -292,17 +293,11 @@ class FlagSample:
 
     def fiber_frame(self, k: int) -> np.ndarray:
         """Orthonormal (d, 2) basis of the complement of space(k-1) inside
-        space(k+1): the working frame of the fiber at this flag.  Cached so
-        that repeated use of one flag object is gauge-consistent."""
-        frame = self._fiber_frames.get(k)
-        if frame is None:
-            upper = self.space(k + 1)
-            lower = self.space(k - 1)
-            rest = upper - lower @ (lower.conj().T @ upper) if lower.shape[1] else upper
-            frame = orth(rest)
-            if frame.shape[1] != 2:
-                raise PrecisionError(f"fiber frame at k={k} is not 2-dimensional")
-            self._fiber_frames[k] = frame
+        space(k+1), by frame_quotients: the working frame of the fiber at
+        this flag, a function of the bits of frame alone."""
+        frame, ok = frame_quotients(self.space(k + 1), self.space(k - 1))
+        if not ok:
+            raise PrecisionError(f"fiber frame at k={k} is not 2-dimensional")
         return frame
 
     def __repr__(self):
@@ -340,10 +335,10 @@ def boundary_samples(rep: Representation, words, ks) -> list:
     axis, or the NotAnosovError or PrecisionError that rejected it.
 
     The graded product SVD keeps every singular subspace accurate up to a
-    log-singular spread of about 745 nats.  A word is judged whenever it
-    completes a power: done once every requested gap clears TARGET_GAP,
-    rejected when its gap stalls over four powers, when MAX_LETTERS run
-    out or when a gap is not finite.
+    log-singular spread of about 354 nats (see _spread_error).  A word is
+    judged whenever it completes a power: done once every requested gap
+    clears TARGET_GAP, rejected when its gap stalls over four powers, when
+    MAX_LETTERS run out or when a gap is not finite.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks:
@@ -389,7 +384,7 @@ def transport_flag(rep: Representation, gamma, flag: FlagSample) -> FlagSample:
     it and never collapses first)."""
     g = W.reduce(gamma, rep.presentation)
     if not g:
-        return flag  # identity transport: share the object, gauge included
+        return flag  # identity transport: the same frame, so the same fiber gauge
     moved = rep.evaluate(g) @ flag.frame
     top = flag.ks[-1]
     if orth(moved[:, :top]).shape[1] != top:

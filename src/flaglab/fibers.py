@@ -3,10 +3,11 @@ Mobius machinery of the projective-line bundle over the boundary.
 
 Every flag z with spaces k-1 and k+1 carries a projective line: the
 quotient of its (k+1)-space by its (k-1)-space, worked with through the
-orthonormal 2-frame FlagSample.fiber_frame(k).  Other boundary points x
-project into that line by intersecting their (d-k)-space with the
-(k+1)-space of z; a projected point is its pair of coordinates in that
-frame, a vector in C^2.
+orthonormal 2-frame FlagSample.fiber_frame(k).  subspaces.frame_quotients
+computes it from the bits of z's frame alone, so flags with equal frames
+share their fiber gauge.  Other boundary points x project into that line
+by intersecting their (d-k)-space with the (k+1)-space of z; a projected
+point is its pair of coordinates in that frame, a vector in C^2.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .certify import FlagSample, _certificates, boundary_samples, limit_set_samp
 from .errors import FlaglabError, InputError, NotAnosovError, PrecisionError, TransversalityError
 from .mobius import chart, det2, sphere_xyz, three_point_map
 from .reps import Representation, wedge_coords
-from .subspaces import det_normalize, frame_complements, frame_dists, frame_sines, orth
+from .subspaces import det_normalize, frame_complements, frame_dists, frame_quotients, frame_sines, orth
 from .words import Word
 
 TAU_PASS = 1e-3
@@ -148,10 +149,11 @@ def grassmann_charts(flags, k: int, anchors) -> tuple[dict[str, np.ndarray], lis
 
 
 class FlagStack:
-    """A list of flags as stacked frame arrays, each built once on first
-    use: space(j) is the (n, d, j) stack of their j-spaces and
-    complement(j) that of the complements of those spaces.  ks are the
-    indices that every flag carries."""
+    """A list of flags as one (n, d, max ks) array of their frames.  ks are
+    the indices that every flag carries; space(j) is the (n, d, j) stack of
+    their j-spaces, by FlagSample.space's rule.  complement(j) and
+    fiber_frames(k) are each computed once, over the whole stack, and kept:
+    a triple sweep reads them in every block."""
 
     def __init__(self, flags):
         self.flags = list(flags)
@@ -159,31 +161,31 @@ class FlagStack:
             raise InputError("a flag stack needs at least one flag")
         self.ks = sorted(set.intersection(*(set(f.ks) for f in self.flags)))
         self.ambient_dim = self.flags[0].ambient_dim
-        self._arrays: dict[tuple[str, int], np.ndarray] = {}
-
-    def _array(self, key: tuple[str, int], build) -> np.ndarray:
-        if key not in self._arrays:
-            self._arrays[key] = build()
-        return self._arrays[key]
+        top = self.ks[-1] if self.ks else 0
+        self.frames = np.stack([f.frame[:, :top] for f in self.flags])
+        self._complements: dict[int, np.ndarray] = {}
+        self._quotients: dict[int, np.ndarray] = {}
 
     def space(self, j: int) -> np.ndarray:
-        return self._array(("space", j), lambda: np.stack([f.space(j) for f in self.flags]))
+        d = self.ambient_dim
+        if j == d:
+            return np.broadcast_to(np.eye(d, dtype=complex), (len(self.flags), d, d))
+        if j != 0 and j not in self.ks:
+            raise InputError(f"flag stack carries {self.ks}, not {j}")
+        return self.frames[..., :j]
 
     def complement(self, j: int) -> np.ndarray:
-        return self._array(("complement", j), lambda: frame_complements(self.space(j)))
+        if j not in self._complements:
+            self._complements[j] = frame_complements(self.space(j))
+        return self._complements[j]
 
-    def fiber_frames(self, k: int, rows: np.ndarray) -> np.ndarray:
-        """The fiber frames (m, d, 2) of the flags at rows, each the flag's
-        own cached frame; a flag without one (PrecisionError) gets a zero
+    def fiber_frames(self, k: int) -> np.ndarray:
+        """The fiber frames (n, d, 2) of the flags, each with the bits of
+        its FlagSample.fiber_frame(k); a flag without one gets a zero
         frame, which collapses every projection into it."""
-        unique, back = np.unique(rows, return_inverse=True)
-        frames = np.zeros((len(unique), self.ambient_dim, 2), dtype=complex)
-        for n, i in enumerate(unique):
-            try:
-                frames[n] = self.flags[i].fiber_frame(k)
-            except PrecisionError:
-                pass
-        return frames[back]
+        if k not in self._quotients:
+            self._quotients[k] = frame_quotients(self.space(k + 1), self.space(k - 1))[0]
+        return self._quotients[k]
 
 
 def point_dists(flags: FlagStack, a, b) -> np.ndarray:
@@ -412,7 +414,7 @@ def _eq1_scores(k: int, flags: FlagStack, ix, iy, iz) -> tuple[np.ndarray, np.nd
     Returns the scores and fault codes of the triples (flags[ix],
     flags[iy], flags[iz]); a faulted row's score is NaN."""
     d = flags.ambient_dim
-    frame = flags.fiber_frames(k, iz)
+    frame = flags.fiber_frames(k)[iz]
     upper = flags.space(k + 1)[iz]
     lx, fault = fiber_coords(frame, upper, flags.space(d - k)[ix])
     ly, fault_y = fiber_coords(frame, upper, flags.space(d - k)[iy])
@@ -438,26 +440,20 @@ def _hk_scores(k: int, flags: FlagStack, ix, iy, iz) -> tuple[np.ndarray, np.nda
 
 def _normalized_rows(num, fault, flags: FlagStack, j: int, ix, iy) -> tuple[np.ndarray, np.ndarray]:
     """Scores of the rows with fault SCORED, num holding their numerators
-    in order, normalized by the separation of the j-spaces of x and y;
-    NaN and the fault elsewhere."""
+    in order: num over the largest principal sine between the j-spaces of
+    x and y, capped at 1.  A non-finite part or a vanished reference (below
+    1e-12) gives the fault DEGENERATE and the score NaN, so the triple is
+    skipped instead of read as transverse (min(1.0, nan) is 1.0); NaN and
+    the fault stay on the rows already faulted."""
     ok = np.flatnonzero(fault == SCORED)
     scores = np.full(fault.shape, np.nan)
-    scores[ok], fault[ok] = normalized_scores(num, flags.space(j)[ix[ok]], flags.complement(j)[iy[ok]])
-    return scores, fault
-
-
-def normalized_scores(num: np.ndarray, a: np.ndarray, perp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Triple scores, row by row: num over the largest principal sine
-    between the frames a and those with complements perp, capped at 1.
-    A non-finite part or a vanished reference (below 1e-12) gives the fault
-    DEGENERATE and the score NaN, so the triple is skipped instead of read
-    as transverse (min(1.0, nan) is 1.0); the other rows get SCORED."""
-    sines = frame_sines(a, perp)
+    sines = frame_sines(flags.space(j)[ix[ok]], flags.complement(j)[iy[ok]])
     ref = sines[..., -1] if sines.shape[-1] else np.zeros(np.shape(num))
     bad = ~(np.isfinite(num) & np.isfinite(ref)) | (ref < 1e-12)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scores = np.where(bad, np.nan, np.minimum(1.0, num / ref))
-    return scores, np.where(bad, DEGENERATE, SCORED)
+        scores[ok] = np.where(bad, np.nan, np.minimum(1.0, num / ref))
+    fault[ok] = np.where(bad, DEGENERATE, SCORED)
+    return scores, fault
 
 
 def _check_prereqs(rep, k, mode, radius):
@@ -481,7 +477,7 @@ def mobius_cocycle(
     rep: Representation, gamma, t: FlagSample, k: int
 ) -> tuple[np.ndarray, FlagSample]:
     """The induced projective map from the fiber at t to the fiber at
-    gamma.t, as a det-1 2x2 matrix in the two cached fiber frames.
+    gamma.t, as a det-1 2x2 matrix in the fiber frames of t and gamma.t.
     Returns (matrix, transported flag)."""
     gt = transport_flag(rep, gamma, t)
     m = rep.evaluate(gamma)
@@ -502,24 +498,16 @@ class Trivialization:
         self.rep = rep
         self.k = k
         self.basepoints = tuple(basepoints)
-        # keyed by flag object: the map is expressed in that object's cached
-        # fiber frame, so sharing it across objects would mix frame gauges
-        self._cache: dict[int, tuple[FlagSample, np.ndarray]] = {}
 
     def fiber_map(self, t: FlagSample) -> np.ndarray:
-        """Mobius matrix of the normalization in the fiber over t, in the
-        fiber frame of this particular flag object."""
-        hit = self._cache.get(id(t))
-        if hit is not None:
-            return hit[1]
+        """Mobius matrix of the normalization in the fiber over t, in t's
+        fiber frame (a function of the bits of t's frame)."""
         d = t.ambient_dim
         lines = np.stack([b.space(d - self.k) for b in self.basepoints])
         pairs, fault = fiber_coords(t.fiber_frame(self.k), t.space(self.k + 1), lines)
         if (fault != SCORED).any():
             raise TransversalityError(_FAULT_MESSAGES[int(fault[fault != SCORED][0])])
-        m = three_point_map(*pairs)
-        self._cache[id(t)] = (t, m)
-        return m
+        return three_point_map(*pairs)
 
     def project(self, t: FlagSample, flags) -> tuple[np.ndarray, np.ndarray]:
         """tangent_project flags at t and normalize: pairs (m, 2) with the
@@ -533,7 +521,8 @@ class Trivialization:
     def cocycle(self, gamma, t: FlagSample) -> tuple[np.ndarray, FlagSample]:
         """Trivialized cocycle: the fiber action read through the 0,1,inf
         normalizations at both ends.  Satisfies the cocycle identity up to
-        float error whenever the flag objects are shared."""
+        float error wherever the flags' frames agree bit for bit, as every
+        fiber frame is a function of those bits."""
         b, gt = mobius_cocycle(self.rep, gamma, t, self.k)
         m = self.fiber_map(gt) @ b @ np.linalg.inv(self.fiber_map(t))
         return det_normalize(m), gt

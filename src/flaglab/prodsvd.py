@@ -163,8 +163,9 @@ class ProductSVD:
 
     def gaps(self) -> np.ndarray:
         """Half log-ratios of consecutive singular values, after projecting
-        out the overall scale (gaps are scale invariant).  Past a spread of
-        about 745 nats the smallest values underflow to -inf and the gaps
-        stop being finite; callers check."""
+        out the overall scale (gaps are scale invariant).  jacobi_svd squares
+        column norms, so past a spread of about 372 nats the smallest values
+        flush to zero, their logs to -inf, and the gaps stop being finite;
+        callers check."""
         with np.errstate(invalid="ignore"):
             return np.maximum(0.0, (self.logs[..., :-1] - self.logs[..., 1:]) / 2.0)

@@ -2,9 +2,9 @@
 
 A k-dimensional subspace of C^d is its orthonormal frame, a (d, k) array;
 a stack of subspaces is a (..., d, k) array.  Rank decisions use the one
-relative threshold RANK_TOL = 1e-8.  Principal angles are taken row by
-row over stacks of frames (the frame_* kernels); hausdorff_subspace_dist
-is their one-pair form.
+relative threshold RANK_TOL = 1e-8.  Principal angles and fiber
+quotients are taken row by row over stacks of frames (the frame_*
+kernels); hausdorff_subspace_dist is the angles' one-pair form.
 """
 
 from __future__ import annotations
@@ -40,6 +40,17 @@ def frame_complements(frames: np.ndarray) -> np.ndarray:
     k = frames.shape[-1]
     u, _, _ = np.linalg.svd(frames, full_matrices=True)
     return u[..., k:]
+
+
+def frame_quotients(upper: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal 2-frames (..., d, 2) of the complements of the frames
+    lower (..., d, k-1) inside the frames upper (..., d, k+1), row by row,
+    with their ranks decided by orth's rule.  A row whose complement is not
+    2-dimensional gets a zero frame and False in the returned ok mask."""
+    rest = upper - lower @ (lower.conj().swapaxes(-1, -2) @ upper) if lower.shape[-1] else upper
+    u, s, _ = np.linalg.svd(rest, full_matrices=False)
+    ok = np.sum(s > RANK_TOL * s[..., :1], axis=-1) == 2
+    return np.where(ok[..., None, None], u[..., :2], 0.0), ok
 
 
 def frame_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:

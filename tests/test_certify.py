@@ -163,8 +163,8 @@ def test_sweep_budget_counts_the_bytes_of_the_state_dtype(sym4, monkeypatch):
 
 def _spread_rep():
     # the outer singular values run apart by 13.8 nats per power while the
-    # middle gap grows by 0.01 nats: the spread passes 745 nats long before
-    # the middle gap reaches 40
+    # middle gap grows by 0.01 nats: the spread passes 372 nats (power 28)
+    # long before the middle gap reaches 40
     m = np.diag([1000.0, 1.01, 1 / 1.01, 1 / 1000.0]).astype(complex)
     return Representation(W.free_group(1), [m], label="spread")
 
@@ -226,13 +226,35 @@ def test_power_walk_matches_per_word_oracle(name, ks, radius, words):
 def test_doubling_ratio_never_returns_nan():
     [err] = _doubling_ratios(_spread_rep(), [((1,), 2)]).values()
     assert isinstance(err, PrecisionError)
-    with pytest.raises(PrecisionError, match="745"):
+    with pytest.raises(PrecisionError, match="372 nats"):
         fl.certify_anosov(_spread_rep(), 2, 3)
+
+
+def test_spread_limit_is_about_372_nats(sym4):
+    # AbbAABA^7 spreads its log-singular values over 352 nats and AbbAABA^8
+    # over 402 (+-201.03, +-67.01): past about 372 nats the smallest value
+    # flushes to zero, while the top two gaps pass 40 with finite readings
+    w = (-1, 2, 2, -1, -1, -2, -1)
+    state = ProductSVD(sym4.dim)
+    for power in range(1, 9):
+        for letter in w:
+            state.absorb(sym4.matrix(letter))
+        if power == 7:
+            assert np.all(np.isfinite(state.logs)) and state.logs[0] - state.logs[-1] > 350.0
+    assert np.allclose(state.logs[:3], [201.03, 67.01, -67.01], atol=0.01)
+    assert state.logs[3] == -np.inf
+    got = _doubling_ratios(sym4, [(w, 1), (w, 2), (w, 3)])
+    for k in (1, 2):
+        gap, ratio = got[w, k]
+        assert gap == pytest.approx(67.01, abs=0.01) and ratio == pytest.approx(2.0, abs=1e-3)
+    assert isinstance(got[w, 3], PrecisionError)
+    assert "AbbAABA^8" in str(got[w, 3]) and "about 372 nats" in str(got[w, 3])
 
 
 def test_power_walk_stops_each_request_alone():
     # one word, two indices: index 1 passes 40 at power 8 and ends with the
-    # per-word reading, while index 2 walks on until the spread passes 745
+    # per-word reading, while index 2 walks on until the middle values fall
+    # more than 372 nats below the top one (power 55, read at 64)
     got = _doubling_ratios(_spread_rep(), [((1,), 1), ((1,), 2)])
     assert got[(1,), 1] == _doubling_ratio_oracle(_spread_rep(), (1,), 1)
     assert got[(1,), 1][0] > 40.0
@@ -244,7 +266,7 @@ def test_refuting_witness_wins_over_a_later_raising_one(schottky, sym3, monkeypa
     # witnesses are read index by index, each in the order worst word,
     # generator 1, generator 2: a refutation ends its index's reading before
     # a later witness's PrecisionError, but the next index is still read
-    err = PrecisionError("past 745 nats")
+    err = PrecisionError("past 372 nats")
 
     def walk(result):
         monkeypatch.setattr(certify, "_doubling_ratios",
@@ -255,10 +277,10 @@ def test_refuting_witness_wins_over_a_later_raising_one(schottky, sym3, monkeypa
     assert cert.verdict == "refuted"
     assert "doubling ratio 1.000" in cert.notes[-1]
     walk(lambda n, r: (60.0, 2.0) if n == 0 else err)
-    with pytest.raises(PrecisionError, match="745"):
+    with pytest.raises(PrecisionError, match="372 nats"):
         fl.certify_anosov(schottky, 1, 4)
     walk(lambda n, r: (0.5, 1.0) if r[1] == 1 else err)
-    with pytest.raises(PrecisionError, match="745"):
+    with pytest.raises(PrecisionError, match="372 nats"):
         certify._certificates(sym3, [1, 2], 4)
 
 

@@ -47,11 +47,11 @@ def _one_generator_rep_file(tmp_path, m, presentation):
 
 
 def test_numerical_failures_exit_3(tmp_path, capsys):
-    # the middle gap of k=2 needs more powers than the 745-nat spread allows
+    # the middle gap of k=2 needs more powers than the 372-nat spread allows
     m = np.diag([1000.0, 1.01, 1 / 1.01, 1 / 1000.0])
     path = _one_generator_rep_file(tmp_path, m, {"kind": "free", "rank": 1})
     assert run(["certify", str(path), "--k", 2, "--radius", 6, "--out", tmp_path]) == 3
-    assert "745" in capsys.readouterr().err
+    assert "372 nats" in capsys.readouterr().err
     assert run(["certify", "builtin:sym4", "--k", 2, "--radius", 14, "--out", tmp_path]) == 3
     assert "budget" in capsys.readouterr().err
 

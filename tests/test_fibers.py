@@ -24,6 +24,7 @@ from flaglab.fibers import (
     fiber_ks,
     fiber_wedge_line,
     grassmann_charts,
+    line_intersections,
     point_dists,
     wedge_fiber_point,
     wedge_pencil,
@@ -374,6 +375,60 @@ def test_eq1_score_symmetric_in_xy(sym4, sym4_flags):
     scores, fault = _eq1_scores(2, flags, np.array([0, 1]), np.array([1, 0]), np.array([2, 2]))
     assert (fault == SCORED).all() and scores[0] < 1.0
     assert scores[0] == pytest.approx(scores[1], rel=1e-10)
+
+
+# --- fiber frames -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,k", [("sym4", 2), ("octagon-sym3", 1)])
+def test_fiber_gauge_is_the_frame_bits(name, k):
+    """A fiber frame is a function of the bits of its flag's frame: a copy
+    of a flag gets the same frame, every row of a stack's fiber frames is
+    its flag's own, and a trivialization reads the same map and cocycle on
+    a copy as on the flag."""
+    rep = fl.preset(name)
+    flags, _ = fl.limit_set_sample(rep, fiber_ks(rep.dim, k), count=24, length=8, seed=2)
+    copies = [fl.FlagSample(f.source, f.frame.copy(), f.ks) for f in flags]
+    for f, c, row in zip(flags, copies, FlagStack(flags).fiber_frames(k)):
+        assert np.array_equal(c.fiber_frame(k), f.fiber_frame(k))
+        assert np.array_equal(row, f.fiber_frame(k))
+    triv = fl.Trivialization(rep, k, flags[:3])
+    for f, c in zip(flags[3:9], copies[3:9]):
+        assert np.array_equal(triv.fiber_map(c), triv.fiber_map(f))
+        (mc, gc), (mf, gf) = triv.cocycle((1, 2), c), triv.cocycle((1, 2), f)
+        assert np.array_equal(mc, mf) and np.array_equal(gc.frame, gf.frame)
+
+
+def test_missing_fiber_frame_collapses_and_stack_spaces(sym3_flags, sym4_flags):
+    """A flag whose columns k and k+1 coincide has no fiber frame: alone it
+    raises, as a chart base it charts nothing, and as the z of a triple in
+    a stack it gets a zero frame that collapses the triple.  FlagStack.space
+    follows FlagSample.space's rule on the indices the flags share."""
+    k = 1
+    x, y = sym3_flags[0], sym3_flags[1]
+    # the line where the 2-spaces of x and y meet, doubled: both project
+    # onto it cleanly, into a fiber that is only 1-dimensional
+    v, fault = line_intersections(x.space(2), y.space(2))
+    assert fault == SCORED
+    rest = np.linalg.qr(np.stack([v, x.frame[:, 0], x.frame[:, 1]], axis=1))[0][:, 2]
+    bad = fl.FlagSample((9, 9, 9), np.stack([v, v, rest], axis=1), [1, 2])
+    with pytest.raises(PrecisionError, match="not 2-dimensional"):
+        bad.fiber_frame(k)
+    cloud, rows = chart_points(bad, sym3_flags[:6], k)
+    assert cloud.shape == (0, 3) and rows.size == 0
+    flags = FlagStack([x, y, bad])
+    assert not flags.fiber_frames(k)[2].any()
+    scores, fault = _eq1_scores(k, flags, np.array([0]), np.array([1]), np.array([2]))
+    assert fault.tolist() == [COLLAPSED] and np.isnan(scores).all()
+
+    mixed = sym4_flags[:5] + [fl.FlagSample(sym4_flags[5].source, sym4_flags[5].frame, [1, 3])]
+    stack = FlagStack(mixed)
+    assert stack.ks == [1, 3]
+    with pytest.raises(InputError, match="not 2"):
+        stack.space(2)
+    assert np.array_equal(stack.space(4), np.broadcast_to(np.eye(4), (6, 4, 4)))
+    for j in (0, 1, 3, 4):
+        assert np.array_equal(stack.space(j), np.stack([f.space(j) for f in mixed]))
 
 
 # --- Mobius cocycle ---------------------------------------------------------------

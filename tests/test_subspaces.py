@@ -215,7 +215,7 @@ def _hard_stack(rng, d, real):
         stack = stack + 1j * rng.standard_normal((40, d, d))
     stack *= np.exp(rng.uniform(-30.0, 0.0, (40, d, 1)))  # graded rows, as in absorb
     stack[0] = np.diag(np.resize([2.0, 1.0], d))  # equal values, no rotation
-    stack[1][:, ::2] = 0.0  # zero columns, e.g. underflowed past 745 nats
+    stack[1][:, ::2] = 0.0  # zero columns, e.g. values flushed past the 372-nat spread
     stack[2] = np.eye(d)[rng.permutation(d)] * (1.0 if real else 1j)  # all values equal
     return stack
 
