@@ -150,17 +150,20 @@ def _doubling_ratios(rep: Representation, requests) -> dict:
     readings: dict = {r: [] for r in requests}
     out: dict = {}
 
-    def judge(i, n, gaps, u):
-        todo = [(w, k) for w, k in readings if w == words[i] and (w, k) not in out]
-        if n & (n - 1) == 0:
-            for w, k in todo:
-                g = float(gaps[k - 1])
-                readings[w, k].append(g)
-                if not math.isfinite(g):
-                    out[w, k] = _spread_error(f"along {W.word_to_str(w)}^{n}")
-                elif g > 40.0 and len(readings[w, k]) >= 2 or n == 256:
-                    out[w, k] = (g, 0.0 if g < 1e-9 else g / max(readings[w, k][-2], 1e-12))
-        return any(r not in out for r in todo)
+    def judge(idx, powers, gaps, u):
+        keep = []
+        for i, n, row in zip(idx, powers, gaps):
+            todo = [(w, k) for w, k in readings if w == words[i] and (w, k) not in out]
+            if n & (n - 1) == 0:
+                for w, k in todo:
+                    g = float(row[k - 1])
+                    readings[w, k].append(g)
+                    if not math.isfinite(g):
+                        out[w, k] = _spread_error(f"along {W.word_to_str(w)}^{n}")
+                    elif g > 40.0 and len(readings[w, k]) >= 2 or n == 256:
+                        out[w, k] = (g, 0.0 if g < 1e-9 else g / max(readings[w, k][-2], 1e-12))
+            keep.append(any(r not in out for r in todo))
+        return keep
 
     _power_walk(rep, words, judge)
     return out
@@ -306,27 +309,30 @@ class FlagSample:
 
 def _power_walk(rep: Representation, words, judge) -> None:
     """Absorb the next letter of every live word into one stacked graded
-    product SVD until no word is left.  Whenever words[i] completes its
-    n-th power, judge(i, n, gaps, u) sees the gaps and left factor of
-    rho(words[i]^n), and the word leaves the stack if it returns False.
-    Every product of the stack is treated alone, so nothing depends on the
-    batch."""
-    letters = rep.presentation.letters()
+    product SVD until no word is left.  After each letter, the words that
+    just completed a power go to one judge(idx, n, gaps, u) call: row j
+    holds words[idx[j]], its power n[j] and the gaps and left factor of
+    rho(words[idx[j]]^n[j]).  It returns one bool per row, and a word
+    leaves the stack where that is False.  Every product of the stack is
+    treated alone, so nothing depends on the batch."""
+    index = {letter: i for i, letter in enumerate(rep.presentation.letters())}
     mats = _letter_matrices(rep)
-    codes = [[letters.index(letter) for letter in w] for w in words]
     lens = np.array([len(w) for w in words], dtype=int)
+    codes = np.zeros((len(words), lens.max(initial=0)), dtype=int)
+    for i, w in enumerate(words):
+        codes[i, :len(w)] = [index[letter] for letter in w]
     live = np.arange(len(words))
     state = ProductSVD(rep.dim, live.shape, mats.dtype)
     used = 0
     while live.size:
-        state.absorb(mats[[codes[i][used % lens[i]] for i in live]])
+        state.absorb(mats[codes[live, used % lens[live]]])
         used += 1
-        keep = used % lens[live] != 0  # mid-power words go on
-        gaps = state.gaps()
-        for j in np.nonzero(~keep)[0]:
-            keep[j] = judge(live[j], used // lens[live[j]], gaps[j], state.u[j])
-        if not keep.all():
-            state, live = state[keep], live[keep]
+        ends = np.nonzero(used % lens[live] == 0)[0]  # mid-power words go on
+        if ends.size:
+            keep = np.ones(live.size, dtype=bool)
+            keep[ends] = judge(live[ends], used // lens[live[ends]], state.gaps()[ends], state.u[ends])
+            if not keep.all():
+                state, live = state[keep], live[keep]
 
 
 def boundary_samples(rep: Representation, words, ks) -> list:
@@ -350,28 +356,38 @@ def boundary_samples(rep: Representation, words, ks) -> list:
     if not all(words):
         raise InputError("boundary_samples needs a nontrivial word")
     cols = np.array(ks) - 1
+    lens = np.array([len(w) for w in words], dtype=int)
     out: list = [None] * len(words)
-    history: list[list[float]] = [[] for _ in words]
+    recent = np.zeros((len(words), 4))  # each word's last four worst gaps, oldest first
+    readings = np.zeros(len(words), dtype=int)
 
-    def judge(i, n, gaps, u):
-        w, g = words[i], gaps[cols]
-        worst = float(g.min())
-        if not np.all(np.isfinite(g)):
-            out[i] = _spread_error(f"along {W.word_to_str(w)}")
-        elif worst >= TARGET_GAP:
-            out[i] = FlagSample(w, u.copy(), ks, math.exp(-2.0 * worst))
-        else:
-            history[i].append(worst)
-            if len(history[i]) >= 4 and history[i][-1] - history[i][-4] < 1e-3:
+    def judge(idx, n, gaps, u):
+        g = gaps[:, cols]
+        worst = g.min(axis=1)
+        finite = np.isfinite(g).all(axis=1)
+        go = finite & (worst < TARGET_GAP)
+        at = idx[go]
+        recent[at] = np.column_stack([recent[at, 1:], worst[go]])
+        readings[at] += 1
+        stalled = (readings[idx] >= 4) & (recent[idx, 3] - recent[idx, 0] < 1e-3)
+        keep = go & ~stalled & (n * lens[idx] < MAX_LETTERS)
+        for j in np.nonzero(~keep)[0]:
+            i, x = idx[j], float(worst[j])
+            w = words[i]
+            if not finite[j]:
+                out[i] = _spread_error(f"along {W.word_to_str(w)}")
+            elif not go[j]:
+                out[i] = FlagSample(w, u[j].copy(), ks, math.exp(-2.0 * x))
+            elif stalled[j]:
                 out[i] = NotAnosovError(
-                    f"gap stalled at {worst:.4f} along {W.word_to_str(w)}; "
+                    f"gap stalled at {x:.4f} along {W.word_to_str(w)}; "
                     "not Anosov along this word"
                 )
-            elif n * len(w) >= MAX_LETTERS:
+            else:
                 out[i] = NotAnosovError(
-                    f"gap reached only {worst:.3f} of {TARGET_GAP} along {W.word_to_str(w)}"
+                    f"gap reached only {x:.3f} of {TARGET_GAP} along {W.word_to_str(w)}"
                 )
-        return out[i] is None
+        return keep
 
     _power_walk(rep, words, judge)
     return out

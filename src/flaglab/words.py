@@ -173,27 +173,50 @@ def random_cyclic_words(
 
     Used as the boundary-direction sampler: each word stands for the
     attracting endpoint of its axis.
+
+    Stream contract: the words are those of drawing one _random_word after
+    another from default_rng(SeedSequence(seed)) and keeping, in draw
+    order, each cyclically reduced one not kept before, until count are
+    kept.  A letter is one bounded integer below its number of choices,
+    and NumPy draws every bounded integer below 2**32 with the same
+    generator calls whether it is drawn alone or broadcast over an array
+    of bounds, so here a block of words is one rng.integers call.  Draws
+    past the last kept word are thrown away.  Raises CapacityError once
+    200 * count + 1000 words are drawn, or before the first draw when
+    fewer than count such words exist.
     """
     if count < 1:
         raise InputError("count must be >= 1")
     if length < 1:
         raise InputError(f"word length must be >= 1, got {length}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    letters = np.array(presentation.letters())
+    high = np.full(length, letters.size - 1)  # no letter may cancel its predecessor
+    high[0] = letters.size
     seen: set[Word] = set()
     out: list[Word] = []
     budget = 200 * count + 1000
     if count > cyclic_word_count(presentation.generator_count, length):
         budget = 0  # no draw can succeed: refuse before the first
-    attempts = 0
+    drawn = 0
     while len(out) < count:
-        attempts += 1
-        if attempts > budget:
+        block = min(count - len(out), budget - drawn)
+        if block == 0:
             raise CapacityError(
                 f"could not find {count} distinct cyclically reduced words of length {length}"
             )
-        w = cyclic_reduce(_random_word(presentation, length, rng))
-        if len(w) != length or w in seen:
-            continue
-        seen.add(w)
-        out.append(w)
+        idx = rng.integers(0, np.broadcast_to(high, (block, length)))
+        drawn += block
+        for j in range(1, length):
+            # letters() puts g and its inverse at 2i and 2i+1: skip the
+            # inverse of the previous letter
+            idx[:, j] += idx[:, j] >= (idx[:, j - 1] ^ 1)
+        w = letters[idx]
+        # a freely reduced word is cyclically reduced unless its ends cancel
+        for word in map(tuple, w[w[:, 0] != -w[:, -1]].tolist()):
+            if word not in seen:
+                seen.add(word)
+                out.append(word)
+                if len(out) == count:
+                    break
     return out

@@ -406,6 +406,65 @@ def test_boundary_sample_rejects_trivial_word(schottky):
     assert isinstance(rejected, NotAnosovError)
 
 
+def _boundary_sample_oracle(rep, word, ks):
+    # reference for the batched judge: one product for one word, judged
+    # power by power with Python floats
+    mats = certify._letter_matrices(rep)
+    letters = rep.presentation.letters()
+    state = ProductSVD(rep.dim, (), mats.dtype)
+    name = W.word_to_str(word)
+    history = []
+    n = 0
+    while True:
+        for letter in word:
+            state.absorb(mats[letters.index(letter)])
+        n += 1
+        g = state.gaps()[np.array(ks) - 1]
+        worst = float(g.min())
+        if not np.all(np.isfinite(g)):
+            return PrecisionError(f"non-finite gap along {name}: log-singular spread past about 372 nats")
+        if worst >= certify.TARGET_GAP:
+            return certify.FlagSample(word, state.u.copy(), ks, math.exp(-2.0 * worst))
+        history.append(worst)
+        if len(history) >= 4 and history[-1] - history[-4] < 1e-3:
+            return NotAnosovError(f"gap stalled at {worst:.4f} along {name}; not Anosov along this word")
+        if n * len(word) >= certify.MAX_LETTERS:
+            return NotAnosovError(f"gap reached only {worst:.3f} of {certify.TARGET_GAP} along {name}")
+
+
+def test_batched_judge_matches_per_word_oracle(monkeypatch):
+    # one stack that ends every way at once: a (the spread matrix) passes
+    # 372 nats, b and the words built on it clear the target, c (two
+    # unipotent Jordan blocks) stalls at gap 0 and d grows too slowly for
+    # MAX_LETTERS; the words' lengths spread their powers over many absorbs
+    monkeypatch.setattr(certify, "MAX_LETTERS", 40)
+    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))
+    gens = [
+        _spread_rep().generators[0],
+        q @ np.diag(np.exp([6.0, 2.0, -2.0, -6.0])) @ q.T,
+        np.array([[1.0, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]),
+        np.diag([1.1, 1.05, 1 / 1.05, 1 / 1.1]),
+    ]
+    rep = Representation(W.free_group(4), gens, label="mixed")
+    ks = [1, 2, 3]
+    words = [(1,), (2,), (3,), (4,), (2, 2, 4), (4, 2, 2, 2), (2, -3, 2), (1, 2),
+             (4, 4, -3), (-2, 1, -2, -2, 4), (3, 4), (1, 4)]
+    got = boundary_samples(rep, words, ks)
+    kinds = set()
+    for w, flag in zip(words, got):
+        want = _boundary_sample_oracle(rep, w, ks)
+        assert type(flag) is type(want), w
+        if isinstance(want, certify.FlagSample):
+            assert flag.source == want.source and flag.ks == want.ks
+            assert np.array_equal(flag.frame, want.frame) and flag.quality == want.quality, w
+            kinds.add("done")
+        else:
+            assert str(flag) == str(want), w
+            kinds.add(" ".join(str(want).split()[:2]))
+    assert kinds == {"done", "non-finite gap", "gap stalled", "gap reached"}
+    assert boundary_samples(rep, [], ks) == []
+
+
 def test_empty_flag_indices_are_input_errors(sym4):
     with pytest.raises(InputError, match="at least one index"):
         boundary_samples(sym4, [(1, 2)], [])

@@ -110,20 +110,84 @@ def test_cyclic_word_count_matches_brute_force(rank, max_length):
 
 
 def test_random_cyclic_words_refuses_impossible_count_without_drawing(monkeypatch):
-    draws = []
-    original = W._random_word
+    # every use of the sampler's generator is recorded, so an empty record
+    # means nothing was drawn
+    uses = []
+    default_rng = np.random.default_rng
 
-    def counting(*args):
-        draws.append(args)
-        return original(*args)
+    class Spy:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
 
-    monkeypatch.setattr(W, "_random_word", counting)
+        def __getattr__(self, name):
+            uses.append(name)
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", Spy)
     total = W.cyclic_word_count(2, 2)
     with pytest.raises(CapacityError, match=f"could not find {total + 1} distinct cyclically"):
         W.random_cyclic_words(F2, total + 1, 2, 5)
-    assert draws == []
-    # the closed form itself is reachable
+    assert uses == []
+    # the closed form itself is reachable, and reaching it draws
     assert len(set(W.random_cyclic_words(F2, total, 2, 5))) == total
+    assert "integers" in uses
+
+
+def _random_cyclic_words_oracle(presentation, count, length, seed):
+    # the sampler as one loop: one _random_word per attempt, one
+    # rng.integers call per letter
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    seen, out = set(), []
+    budget = 200 * count + 1000
+    if count > W.cyclic_word_count(presentation.generator_count, length):
+        budget = 0
+    attempts = 0
+    while len(out) < count:
+        attempts += 1
+        if attempts > budget:
+            raise CapacityError(
+                f"could not find {count} distinct cyclically reduced words of length {length}"
+            )
+        w = W.cyclic_reduce(W._random_word(presentation, length, rng))
+        if len(w) != length or w in seen:
+            continue
+        seen.add(w)
+        out.append(w)
+    return out
+
+
+def _outcome(sample, *args):
+    try:
+        return sample(*args)
+    except CapacityError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("presentation", [
+    F1, F2, W.free_group(3), W.surface_group(2, (1, 2, -1, -2, 3, 4, -3, -4)),
+])
+def test_random_cyclic_words_match_the_one_word_loop(presentation):
+    # the blocked draw consumes the generator stream as the loop does; small
+    # counts at short lengths run into repeats and non-cyclic draws, and F1
+    # draws its later letters from a single choice
+    for length in range(1, 11):
+        for seed in (0, 1, 7):
+            for count in (1, 5, 40):
+                args = (presentation, count, length, seed)
+                want = _outcome(_random_cyclic_words_oracle, *args)
+                assert _outcome(W.random_cyclic_words, *args) == want, args
+
+
+def test_random_cyclic_words_budget_matches_the_one_word_loop(monkeypatch):
+    # with the closed-form refusal defeated, asking F2 for more words than
+    # exist (12 of length 2, 4 of length 1) uses up the whole budget of
+    # drawn words in both samplers
+    monkeypatch.setattr(W, "cyclic_word_count", lambda rank, length: 10**9)
+    for count, length, refused in [(13, 2, True), (5, 1, True), (12, 2, False)]:
+        args = (F2, count, length, 4)
+        want = _outcome(_random_cyclic_words_oracle, *args)
+        assert _outcome(W.random_cyclic_words, *args) == want
+        assert isinstance(want, str) == refused
 
 
 def test_cyclic_reduce_and_invert():
