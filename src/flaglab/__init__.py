@@ -17,7 +17,6 @@ from .certify import (
     certify_anosov,
     gap_sweep,
     limit_set_sample,
-    transport_flag,
 )
 from .errors import (
     CapacityError,
@@ -35,36 +34,24 @@ from .fibers import (
     check_Hk,
     chart_points,
     check_hyperconvex,
-    fiber_wedge_line,
     foliated_limit_sample,
     grassmann_charts,
-    mobius_cocycle,
-    plucker,
     tangent_project,
-    wedge_fiber_point,
-    wedge_hyperplane,
-    wedge_pencil,
 )
 from .reps import (
     Representation,
-    contragredient,
     direct_sum,
-    perturb,
     preset,
     preset_names,
     schottky2,
     sym_power,
-    wedge_rep,
 )
 from .sphere import (
     MassEstimate,
     VisualMeasure,
-    ahlfors_bound,
     cross_ratio,
-    quasimobius_constant,
     visual_mass,
 )
-from .subspaces import hausdorff_subspace_dist
 from .words import (
     GroupPresentation,
     Word,
@@ -73,4 +60,4 @@ from .words import (
     surface_group,
 )
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"

@@ -17,7 +17,7 @@ from . import words as W
 from .errors import CapacityError, InputError, NotAnosovError, PrecisionError
 from .prodsvd import ProductSVD
 from .reps import Representation
-from .subspaces import frame_quotients, orth
+from .subspaces import frame_quotients
 from .words import Word
 
 SWEEP_BUDGET = 1 << 29  # bytes of stacked (u, logs, vh) state one sweep level may hold
@@ -187,7 +187,6 @@ def certify_anosov(
     radius: int,
     slope_threshold: float = SLOPE_THRESHOLD,
     r2_threshold: float = R2_THRESHOLD,
-    sweep: GapSweep | None = None,
 ) -> AnosovCertificate:
     """Certify affine growth of the k-th gap over the radius ball.
 
@@ -196,15 +195,14 @@ def certify_anosov(
                word of the sweep, or a generator) shows sublinear growth
                under power doubling (ratio < 1.5 instead of -> 2).
     Anything else is inconclusive; sampled verdicts are evidence, not proof.
-    The ball's radius is capped by sweep_radius; a sweep given must have
-    the capped radius (InputError otherwise).
+    The ball's radius is capped by sweep_radius.
     """
-    return _certificates(rep, [k], radius, slope_threshold, r2_threshold, sweep)[0]
+    return _certificates(rep, [k], radius, slope_threshold, r2_threshold)[0]
 
 
 def _certificates(
     rep: Representation, ks, radius: int, slope_threshold: float = SLOPE_THRESHOLD,
-    r2_threshold: float = R2_THRESHOLD, sweep: GapSweep | None = None,
+    r2_threshold: float = R2_THRESHOLD,
 ) -> list[AnosovCertificate]:
     """certify_anosov for each index of ks over one sweep and one witness
     walk.  Witnesses are read index by index, as one certificate after the
@@ -220,10 +218,7 @@ def _certificates(
     if capped < radius:
         radius = capped
         notes.append(f"radius capped at {radius} (shortest relator has length {radius + 1})")
-    if sweep is None:
-        sweep = gap_sweep(rep, radius)
-    elif sweep.radius != radius:
-        raise InputError(f"a certificate of radius {radius} was given a sweep of radius {sweep.radius}")
+    sweep = gap_sweep(rep, radius)
     lengths = np.asarray(sweep.lengths, dtype=float)
     vanished = {k for k in ks if float(np.max(sweep.minima_for(k))) < 1e-9}
     generators = [(g,) for g in range(1, rep.presentation.generator_count + 1)]
@@ -267,8 +262,7 @@ class FlagSample:
     ks, space(k) is its first k columns, the orthonormal (d, k) frame of
     the k-space, so the spaces nest by construction.  space(0) is the
     (d, 0) frame and space(d) the identity.  quality is the attractor
-    residual exp(-2 gap) of the worst requested gap; a transported flag
-    keeps its source's.
+    residual exp(-2 gap) of the worst requested gap.
     """
 
     __slots__ = ("source", "frame", "ks", "quality")
@@ -391,23 +385,6 @@ def boundary_samples(rep: Representation, words, ks) -> list:
 
     _power_walk(rep, words, judge)
     return out
-
-
-def transport_flag(rep: Representation, gamma, flag: FlagSample) -> FlagSample:
-    """Image flag under rho(gamma): one QR of the moved frame, so the image
-    spaces nest by construction.  Raises PrecisionError when rho(gamma)
-    collapses the top requested space (a lower one is a column subset of
-    it and never collapses first)."""
-    g = W.reduce(gamma, rep.presentation)
-    if not g:
-        return flag  # identity transport: the same frame, so the same fiber gauge
-    moved = rep.evaluate(g) @ flag.frame
-    top = flag.ks[-1]
-    if orth(moved[:, :top]).shape[1] != top:
-        raise PrecisionError(f"transport collapsed the {top}-space")
-    q, _ = np.linalg.qr(moved)
-    src = W.concat(rep.presentation, g, flag.source, W.invert(g))
-    return FlagSample(src, q, flag.ks, flag.quality)
 
 
 def limit_set_sample(

@@ -72,6 +72,21 @@ def _finite(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _at_least(low: int):
+    """argparse type of an integer option that must be >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # one line, like every other error; --help prints the usage
@@ -345,10 +360,9 @@ def cmd_foliate(args) -> int:
 
 
 def _fiber_cloud(rep, k, count, length, seed):
-    """Tangent-project a limit-set sample into the fiber of one extra base."""
+    """Tangent-project a limit-set sample of count >= 1 flags into the fiber
+    of one extra base."""
     ks = fiber_ks(rep.dim, k)
-    if count < 1:
-        raise InputError(f"--points must be >= 1, got {count}")
     flags, _ = limit_set_sample(rep, ks, count=count + 1, length=length, seed=seed)
     pts, _ = chart_points(flags[0], flags[1:], k)
     if len(pts) == 0:
@@ -489,7 +503,7 @@ def cmd_replay(args) -> int:
             if value:
                 argv.append(flag)
         elif value is not None:
-            argv.extend([flag, str(value)])
+            argv.append(f"{flag}={value}")  # a value may start with "-"
     argv.extend(["--out", args.out])
     return main(argv)
 
@@ -511,7 +525,8 @@ def build_parser() -> _Parser:
             p.add_argument("rep", help="builtin:NAME or path to a representation JSON file")
         p.add_argument("--out", default=".", help="output directory (default .)")
         if seeded:
-            p.add_argument("--seed", type=int, default=1)
+            # NumPy's SeedSequence takes no negative seed
+            p.add_argument("--seed", type=_at_least(0), default=1)
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="machine-readable output format")
 
@@ -550,7 +565,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--mode", choices=("fiber", "grassmann"), default="fiber")
     p.add_argument("--synthetic", choices=("circle", "cantor", "uniform"), default=None)
-    p.add_argument("--points", type=int, default=2000)
+    p.add_argument("--points", type=_at_least(1), default=2000)
     p.add_argument("--anchors", type=int, default=3)
     p.add_argument("--word-length", type=int, default=10)
     p.add_argument("--scales", default=None, help="comma-separated cell sizes in radians")
@@ -565,7 +580,7 @@ def build_parser() -> _Parser:
     p.add_argument("rep", nargs="?", default=None)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--synthetic", choices=("hemisphere",), default=None)
-    p.add_argument("--points", type=int, default=500)
+    p.add_argument("--points", type=_at_least(1), default=500)
     p.add_argument("--word-length", type=int, default=8)
     p.add_argument("--eps", type=_finite, default=0.05)
     p.add_argument("--mc", type=int, default=100000)

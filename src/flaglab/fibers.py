@@ -1,5 +1,5 @@
-"""Tangent projections, hyperconvexity scores and the fiberwise
-Mobius machinery of the projective-line bundle over the boundary.
+"""Tangent projections, hyperconvexity scores and the trivialized fibers
+of the projective-line bundle over the boundary.
 
 Every flag z with spaces k-1 and k+1 carries a projective line: the
 quotient of its (k+1)-space by its (k-1)-space, worked with through the
@@ -19,11 +19,11 @@ from itertools import combinations
 import numpy as np
 
 from . import words as W
-from .certify import FlagSample, _certificates, boundary_samples, limit_set_sample, transport_flag
+from .certify import FlagSample, _certificates, boundary_samples, limit_set_sample
 from .errors import FlaglabError, InputError, NotAnosovError, PrecisionError, TransversalityError
 from .mobius import chart, det2, sphere_xyz, three_point_map
-from .reps import Representation, wedge_coords
-from .subspaces import det_normalize, frame_complements, frame_dists, frame_quotients, frame_sines, orth
+from .reps import Representation
+from .subspaces import frame_complements, frame_dists, frame_quotients, frame_sines
 from .words import Word
 
 TAU_PASS = 1e-3
@@ -470,32 +470,19 @@ def _check_prereqs(rep, k, mode, radius):
         raise NotAnosovError(f"uncertified prerequisite Anosov indices: {', '.join(missing)}")
 
 
-# --- Mobius cocycle and trivialization ------------------------------------
-
-
-def mobius_cocycle(
-    rep: Representation, gamma, t: FlagSample, k: int
-) -> tuple[np.ndarray, FlagSample]:
-    """The induced projective map from the fiber at t to the fiber at
-    gamma.t, as a det-1 2x2 matrix in the fiber frames of t and gamma.t.
-    Returns (matrix, transported flag)."""
-    gt = transport_flag(rep, gamma, t)
-    m = rep.evaluate(gamma)
-    b = gt.fiber_frame(k).conj().T @ m @ t.fiber_frame(k)
-    return det_normalize(b), gt
+# --- trivialization -------------------------------------------------------
 
 
 class Trivialization:
     """Fiberwise Mobius normalization sending the projections of three
     fixed boundary directions to 0, 1, infinity in every fiber."""
 
-    def __init__(self, rep: Representation, k: int, basepoints):
+    def __init__(self, k: int, basepoints):
         if len(basepoints) != 3:
             raise InputError("a trivialization needs three basepoint flags")
         srcs = {b.source for b in basepoints}
         if len(srcs) != 3:
             raise InputError("trivialization basepoints must be pairwise distinct")
-        self.rep = rep
         self.k = k
         self.basepoints = tuple(basepoints)
 
@@ -517,15 +504,6 @@ class Trivialization:
         pairs, rows = tangent_project(t, flags, self.k)
         # m @ pair row by row: the bits of the one-pair product
         return (m @ pairs[..., None])[..., 0], rows
-
-    def cocycle(self, gamma, t: FlagSample) -> tuple[np.ndarray, FlagSample]:
-        """Trivialized cocycle: the fiber action read through the 0,1,inf
-        normalizations at both ends.  Satisfies the cocycle identity up to
-        float error wherever the flags' frames agree bit for bit, as every
-        fiber frame is a function of those bits."""
-        b, gt = mobius_cocycle(self.rep, gamma, t, self.k)
-        m = self.fiber_map(gt) @ b @ np.linalg.inv(self.fiber_map(t))
-        return det_normalize(m), gt
 
 
 @dataclass
@@ -572,7 +550,7 @@ def foliated_limit_sample(
         combinations(range(len(candidates)), 3),
         key=lambda triple: min(dist[pair] for pair in combinations(triple, 2)),
     )]
-    trivialization = Trivialization(rep, k, best)
+    trivialization = Trivialization(k, best)
     taken = {b.source for b in best}
     flags = [f for f in flags if f.source not in taken]
     bases = flags[:base_count]
@@ -606,66 +584,3 @@ def foliated_limit_sample(
         seed=seed,
     )
 
-
-# --- wedge-power transfer maps ---------------------------------------------
-
-
-def _unit_column(v: np.ndarray) -> np.ndarray:
-    """The (N, 1) frame of the line spanned by the vector v."""
-    v = np.asarray(v, dtype=complex).reshape(-1, 1)
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise InputError("zero vector spans no line")
-    return v / n
-
-
-def plucker(frame: np.ndarray) -> np.ndarray:
-    """Frame (N, 1) of the line of the k-th exterior power corresponding to
-    the k-subspace of frame (d, k)."""
-    if frame.shape[1] == 0:
-        raise InputError("plucker embedding needs a positive-dimensional subspace")
-    return _unit_column(wedge_coords(frame))
-
-
-def wedge_pencil(z: FlagSample, k: int) -> np.ndarray:
-    """Frame (N, 2) of the 2-plane of wedges (k-1 fixed directions of z, one
-    free direction of its (k+1)-space): the image of the fiber of z in the
-    exterior power."""
-    lower = z.space(k - 1)
-    cols = [wedge_coords(np.concatenate([lower, f[:, None]], axis=1)) for f in z.fiber_frame(k).T]
-    return orth(np.stack(cols, axis=1))
-
-
-def wedge_hyperplane(y: FlagSample, k: int) -> np.ndarray:
-    """Frame (N, N-1) of the kernel of pairing with the wedge of the
-    (d-k)-space of y: the hyperplane of the exterior power that absorbs the
-    limit set away from y."""
-    d = y.ambient_dim
-    yframe = y.space(d - k)
-    idx = list(combinations(range(d), k))
-    coeff = np.empty(len(idx), dtype=complex)
-    for row, i_set in enumerate(idx):
-        comp = [j for j in range(d) if j not in i_set]
-        sign = (-1) ** (sum(i_set) - (len(i_set) * (len(i_set) - 1)) // 2)
-        coeff[row] = sign * np.linalg.det(yframe[comp, :])
-    return frame_complements(_unit_column(np.conj(coeff)))
-
-
-def fiber_wedge_line(z: FlagSample, k: int, coords: np.ndarray) -> np.ndarray:
-    """Frame (N, 1) of the image of the fiber point coords over z under the
-    bundle map into the exterior power: wedge the (k-1)-frame of z with its
-    representative."""
-    v = z.fiber_frame(k) @ coords
-    cols = np.concatenate([z.space(k - 1), v[:, None]], axis=1)
-    return _unit_column(wedge_coords(cols))
-
-
-def wedge_fiber_point(z: FlagSample, y: FlagSample, k: int) -> np.ndarray:
-    """Frame (N, 1) of the fiber point of the k-th wedge representation over
-    z in the direction y, computed purely downstairs: hyperplane of y met
-    with the pencil of z."""
-    # 1-dim intersection of a 2-plane with a hyperplane in C^N
-    v, fault = line_intersections(wedge_pencil(z, k), wedge_hyperplane(y, k))
-    if fault != SCORED:
-        raise TransversalityError(_FAULT_MESSAGES[int(fault)])
-    return _unit_column(v)

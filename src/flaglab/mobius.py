@@ -115,18 +115,6 @@ def uniform_sphere(rng: np.random.Generator, count: int) -> np.ndarray:
 # The ball-model origin corresponds to (0, 1).
 
 
-def h3_apply(m: np.ndarray, z: complex, t: float) -> tuple[complex, float]:
-    """Action of a det-1 2x2 complex matrix on upper half space."""
-    a, b = m[0, 0], m[0, 1]
-    c, d = m[1, 0], m[1, 1]
-    cz_d = c * z + d
-    denom = abs(cz_d) ** 2 + (abs(c) * t) ** 2
-    if denom == 0:
-        raise InputError("matrix sends the point to the ideal boundary")
-    z_new = ((a * z + b) * np.conj(cz_d) + a * np.conj(c) * t * t) / denom
-    return complex(z_new), float(t / denom)
-
-
 def h3_normalizer(z: complex, t: float) -> np.ndarray:
     """A det-1 upper-triangular matrix sending (0, 1) to (z, t)."""
     if t <= 0:

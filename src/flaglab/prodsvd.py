@@ -117,8 +117,7 @@ class ProductSVD:
     vh start as identities of the given dtype and take the factors' dtype:
     real factors keep a float64 state real, a complex one makes it complex.
     Indexing a stack gathers a sub-stack and assigning to an index
-    scatters one back (TypeError for a complex one into a real state);
-    copy() is cheap.
+    scatters one back (TypeError for a complex one into a real state).
     """
 
     __slots__ = ("u", "logs", "vh")
@@ -133,9 +132,6 @@ class ProductSVD:
         out = cls.__new__(cls)
         out.u, out.logs, out.vh = u, logs, vh
         return out
-
-    def copy(self) -> "ProductSVD":
-        return self._of(self.u.copy(), self.logs.copy(), self.vh.copy())
 
     def __getitem__(self, idx) -> "ProductSVD":
         return self._of(self.u[idx], self.logs[idx], self.vh[idx])

@@ -9,18 +9,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from . import words as W
-from .errors import CapacityError, InputError, PrecisionError
+from .errors import InputError, PrecisionError
 from .mobius import INF
 from .subspaces import det_normalize
 from .words import GroupPresentation, Word, free_group, reduce, surface_group
-
-MAX_WEDGE_DIM = 1024
 
 INVERSE_TOL = 1e-10
 RELATOR_TOL = 1e-8
@@ -76,7 +73,7 @@ class Representation:
 
         The scaling makes length-10^4 products representable where a
         unit-determinant lift would overflow; all consumers (gaps,
-        attractors, cocycles) are projective, so only the class matters.
+        attractors, relator checks) are projective, so only the class matters.
         """
         w = reduce(word, self.presentation)
         m = np.eye(self.dim, dtype=complex)
@@ -264,80 +261,6 @@ def direct_sum(rep_a: Representation, rep_b: Representation) -> Representation:
     return Representation(
         rep_a.presentation, mats, label=f"({rep_a.label}) (+) ({rep_b.label})"
     )
-
-
-def contragredient(rep: Representation) -> Representation:
-    """Generator-wise inverse transpose; an involution on representations."""
-    mats = [np.linalg.inv(g).T for g in rep.generators]
-    return Representation(rep.presentation, mats, label=f"contragredient({rep.label})")
-
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring Taylor exponential for small matrices."""
-    norm = np.linalg.norm(a, ord=np.inf)
-    squarings = max(0, int(math.ceil(math.log2(max(norm, 1e-16)))) + 1) if norm > 0.5 else 0
-    x = a / (2**squarings)
-    out = np.eye(a.shape[0], dtype=complex)
-    term = np.eye(a.shape[0], dtype=complex)
-    for k in range(1, 30):
-        term = term @ x / k
-        out = out + term
-        if np.max(np.abs(term)) < 1e-18:
-            break
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
-def perturb(rep: Representation, eps: float, seed: int) -> Representation:
-    """Multiply each generator by exp(eps * K) for a seeded random traceless
-    K of unit Frobenius norm.  eps = 0 reproduces the generators exactly."""
-    if not 0.0 <= eps < 1.0:
-        raise InputError("eps must lie in [0, 1)")
-    if eps == 0.0:
-        return Representation(
-            rep.presentation, [g.copy() for g in rep.generators], label=rep.label
-        )
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    d = rep.dim
-    mats = []
-    for g in rep.generators:
-        k = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        k -= np.trace(k) / d * np.eye(d)
-        k /= np.linalg.norm(k)
-        mats.append(g @ _expm(eps * k))
-    return Representation(rep.presentation, mats, label=f"perturb({rep.label}, eps={eps})")
-
-
-def wedge_coords(cols: np.ndarray) -> np.ndarray:
-    """Coordinates of the wedge of the columns in the sorted multi-index
-    basis: all k x k minors by rows."""
-    d, k = cols.shape
-    idx = list(combinations(range(d), k))
-    out = np.empty(len(idx), dtype=complex)
-    for row, i_set in enumerate(idx):
-        out[row] = np.linalg.det(cols[i_set, :])
-    return out
-
-
-def wedge_matrix(m: np.ndarray, k: int) -> np.ndarray:
-    """k-th exterior power in the sorted multi-index basis: column J holds
-    the wedge coordinates of the columns J of m, so the induced Hermitian
-    product is the standard one."""
-    cols = combinations(range(m.shape[1]), k)
-    return np.stack([wedge_coords(m[:, j_set]) for j_set in cols], axis=1)
-
-
-def wedge_rep(rep: Representation, k: int) -> Representation:
-    """Generator-wise k-th exterior power; the singular values of the image
-    of a word are the k-fold products of the original ones."""
-    if not 1 <= k <= rep.dim - 1:
-        raise InputError(f"wedge index k={k} out of range 1..{rep.dim - 1}")
-    n = comb(rep.dim, k)
-    if n > MAX_WEDGE_DIM:
-        raise CapacityError(f"wedge dimension {n} exceeds budget {MAX_WEDGE_DIM}")
-    mats = [wedge_matrix(g, k) for g in rep.generators]
-    return Representation(rep.presentation, mats, label=f"wedge^{k}({rep.label})")
 
 
 # --- built-in presets -----------------------------------------------------

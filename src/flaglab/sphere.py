@@ -1,4 +1,4 @@
-"""Cross-ratio engine, quasi-Mobius diagnostics and visual measures.
+"""Cross-ratios, visual measures and cap counting.
 
 A single cross-ratio is evaluated on homogeneous pairs (see mobius.py),
 so infinity needs no special cases.  Point clouds are arrays of shape
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .mobius import (
     INF,
     apply_mobius,
     det2,
-    h3_apply,
     h3_normalizer,
     hom,
     normalize,
@@ -27,10 +25,6 @@ from .mobius import (
 )
 
 DEGENERATE_TOL = 1e-13
-QUADRUPLES = 400  # seeded triples tried by quasimobius_constant
-NORM_TOL = 0.05  # how far |B| of a kept quadruple may sit from 1
-MAX_EXHAUSTIVE = 40  # ahlfors_bound tries every quadruple up to this many points
-AHLFORS_SAMPLES = 20000  # random quadruples ahlfors_bound adds past it
 
 
 def as_point(p) -> np.ndarray:
@@ -61,119 +55,12 @@ def cross_ratio(z1, z2, z3, z4) -> complex:
 
 def _unit_vectors(points, message: str) -> np.ndarray:
     """points as an (n, 3) array, or InputError(message) unless each squared
-    norm is within CHORD_SLACK of 1, which |B| by chords and cap_hits need."""
+    norm is within CHORD_SLACK of 1, which cap_hits' cube binning needs."""
     pts = np.asarray(points, dtype=float)
     ok = pts.ndim == 2 and pts.shape[1] == 3
     if not (ok and (np.abs((pts * pts).sum(axis=1) - 1.0) <= CHORD_SLACK).all()):
         raise InputError(message)
     return pts
-
-
-def cross_ratio_many(points: np.ndarray, quads: np.ndarray) -> np.ndarray:
-    """|B| = |c-a| |d-b| / (|b-a| |d-c|) in R^3 chords (twice the |det| of
-    the unit pairs, so this is |cross_ratio|) for many index quadruples at
-    once; inf where the denominator vanishes.  points: (n, 3); quads: (m, 4)."""
-    a, b, c, d = (points[quads[:, i]] for i in range(4))
-    num = np.linalg.norm(c - a, axis=1) * np.linalg.norm(d - b, axis=1)
-    den = np.linalg.norm(b - a, axis=1) * np.linalg.norm(d - c, axis=1)
-    out = np.full(len(quads), np.inf)
-    ok = den > 0
-    out[ok] = num[ok] / den[ok]
-    return out
-
-
-# --- quasi-Mobius constant --------------------------------------------------
-
-
-def quasimobius_constant(
-    source: np.ndarray,
-    image: np.ndarray,
-    seed: int = 0,
-) -> float:
-    """Distortion estimate K >= 1 of a sampled correspondence.
-
-    For seeded triples (a, b, d) the fourth point is chosen from the
-    source set itself, minimizing | |B| - 1 | (quadruples further than
-    NORM_TOL from the |B| = 1 locus are discarded), and the reported
-    distortion is the two-sided ratio max(|B'|/|B|, |B|/|B'|), which is
-    exactly 1 for any Mobius-restricted correspondence.
-    """
-    source = _unit_vectors(source, "source must be an (n, 3) array of unit vectors")
-    image = _unit_vectors(image, "image must be an (n, 3) array of unit vectors")
-    if source.shape != image.shape:
-        raise InputError("source and image must be matching arrays")
-    n = len(source)
-    if n < 4:
-        raise InputError("need at least 4 correspondence pairs")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    best = 1.0
-    kept = 0
-    candidates = np.arange(n)
-    for _ in range(QUADRUPLES):
-        i, j, l = rng.choice(n, size=3, replace=False)
-        quads = np.column_stack([np.full(n, i), np.full(n, j), candidates, np.full(n, l)])
-        vals = cross_ratio_many(source, quads)
-        vals[[i, j, l]] = np.inf
-        with np.errstate(invalid="ignore"):
-            off = np.abs(np.log(np.where(np.isfinite(vals) & (vals > 0), vals, np.inf)))
-        m = int(np.argmin(off))
-        if not math.isfinite(off[m]) or abs(vals[m] - 1.0) > NORM_TOL:
-            continue
-        b_src = vals[m]
-        b_img = cross_ratio_many(image, quads[m][None, :])[0]
-        if not math.isfinite(b_img) or b_img <= 0:
-            return math.inf
-        kept += 1
-        ratio = max(b_img / b_src, b_src / b_img)
-        best = max(best, float(ratio))
-    if kept == 0:
-        raise InputError(
-            "no quadruple came within NORM_TOL of |B| = 1; enlarge the sample"
-        )
-    return best
-
-
-# --- Ahlfors quasicircle bound ----------------------------------------------
-
-
-def ahlfors_bound(
-    curve_points: np.ndarray,
-    seed: int = 0,
-) -> float:
-    """sup of |B(a, c, b, d)| over cyclically ordered quadruples of a Jordan
-    curve sample (input order is the declared cyclic order).  Bounded for
-    quasicircles; blows up on cusps and spikes."""
-    pts = _unit_vectors(curve_points, "curve_points must be an (n, 3) array of unit vectors")
-    if len(pts) < 4:
-        raise InputError("need >= 4 cyclically ordered points")
-    n = len(pts)
-    if n <= MAX_EXHAUSTIVE:
-        quads = np.array(list(combinations(range(n), 4)), dtype=int)
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        local = []
-        # adjacent windows catch the near-degenerate triples that drive the sup
-        for shift in range(1, 4):
-            i = np.arange(n)
-            j = (i + shift) % n
-            k = (i + 2 * shift) % n
-            for step in range(1, 8):
-                far = (i + 2 * shift + step * max(1, n // 9)) % n
-                block = np.stack([i, j, k, far], axis=1)
-                local.append(block)
-        quads = np.concatenate(local, axis=0)
-        extra = rng.integers(0, n, size=(AHLFORS_SAMPLES, 4))
-        # wrap-around windows are still cyclically ordered: sort the indices,
-        # then drop quadruples that repeat one
-        quads = np.sort(np.concatenate([quads, extra], axis=0), axis=1)
-        quads = quads[np.all(np.diff(quads, axis=1) > 0, axis=1)]
-    # positively ordered (a, b, c, d) on the curve, evaluated as B(a, c, b, d)
-    swapped = quads[:, [0, 2, 1, 3]]
-    vals = cross_ratio_many(pts, swapped)
-    vals = vals[np.isfinite(vals)]
-    if len(vals) == 0:
-        raise InputError("all tested quadruples were degenerate")
-    return float(np.max(vals))
 
 
 # --- visual measures ---------------------------------------------------------
@@ -190,18 +77,9 @@ class VisualMeasure:
     z: complex
     t: float
 
-    @classmethod
-    def ball_origin(cls) -> "VisualMeasure":
-        return cls(0j, 1.0)
-
     @property
     def matrix(self) -> np.ndarray:
         return h3_normalizer(self.z, self.t)
-
-    def transported(self, m: np.ndarray) -> "VisualMeasure":
-        """Visual measure at the image of the basepoint under m."""
-        z2, t2 = h3_apply(np.asarray(m, dtype=complex), self.z, self.t)
-        return VisualMeasure(z2, t2)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """count points distributed by this measure, as unit vectors (count, 3)."""
@@ -273,10 +151,6 @@ class MassEstimate:
     seed: int
     mc_count: int
 
-    @property
-    def sigma_bound(self) -> float:
-        return 0.5 / math.sqrt(self.mc_count)
-
 
 def visual_mass(
     nu: VisualMeasure,
@@ -284,16 +158,13 @@ def visual_mass(
     eps: float,
     mc_count: int = 100_000,
     seed: int = 0,
-    pre_map: np.ndarray | None = None,
 ) -> MassEstimate:
     """Monte-Carlo mass of the eps-neighborhood of a point cloud.
 
     eps is a geodesic radius on the unit 2-sphere, in (0, pi]: a cap of
     radius pi/2 is a hemisphere, one of radius pi the whole sphere, and a
     larger radius would wrap around.  cloud is an (n, 3) array of unit
-    vectors.  pre_map, when given, is a Mobius matrix applied to the
-    samples before the membership test: visual_mass(nu_gx, A, pre_map=g^-1)
-    estimates the pulled-back integrand of the measure-equivariance law.
+    vectors.
     """
     if not 0 < eps <= math.pi:
         raise InputError(f"eps must lie in (0, pi], got {eps}")
@@ -302,8 +173,6 @@ def visual_mass(
     cloud = _unit_vectors(cloud, "cloud must be an (n, 3) array of finite unit vectors")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     pts = nu.sample(rng, mc_count)
-    if pre_map is not None:
-        pts = apply_mobius(pre_map, pts)
     p = cap_hits(pts, cloud, eps) / mc_count
     sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / mc_count)
     return MassEstimate(estimate=p, sigma=sigma, seed=seed, mc_count=mc_count)

@@ -4,7 +4,7 @@ A k-dimensional subspace of C^d is its orthonormal frame, a (d, k) array;
 a stack of subspaces is a (..., d, k) array.  Rank decisions use the one
 relative threshold RANK_TOL = 1e-8.  Principal angles and fiber
 quotients are taken row by row over stacks of frames (the frame_*
-kernels); hausdorff_subspace_dist is the angles' one-pair form.
+kernels).
 """
 
 from __future__ import annotations
@@ -14,24 +14,9 @@ import math
 
 import numpy as np
 
-from .errors import InputError, PrecisionError
+from .errors import PrecisionError
 
 RANK_TOL = 1e-8
-
-
-def orth(vectors: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column span, rank decided by RANK_TOL
-    relative to the top singular value."""
-    a = np.asarray(vectors, dtype=complex)
-    if a.ndim != 2:
-        raise InputError("expected a matrix of column vectors")
-    if a.shape[1] == 0:
-        return a.copy()
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
-    rank = int(np.sum(s > RANK_TOL * s[0]))
-    return u[:, :rank]
 
 
 def frame_complements(frames: np.ndarray) -> np.ndarray:
@@ -44,9 +29,10 @@ def frame_complements(frames: np.ndarray) -> np.ndarray:
 
 def frame_quotients(upper: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal 2-frames (..., d, 2) of the complements of the frames
-    lower (..., d, k-1) inside the frames upper (..., d, k+1), row by row,
-    with their ranks decided by orth's rule.  A row whose complement is not
-    2-dimensional gets a zero frame and False in the returned ok mask."""
+    lower (..., d, k-1) inside the frames upper (..., d, k+1), row by row.
+    A complement's rank counts its singular values above RANK_TOL times
+    its largest; a row whose complement is not 2-dimensional gets a zero
+    frame and False in the returned ok mask."""
     rest = upper - lower @ (lower.conj().swapaxes(-1, -2) @ upper) if lower.shape[-1] else upper
     u, s, _ = np.linalg.svd(rest, full_matrices=False)
     ok = np.sum(s > RANK_TOL * s[..., :1], axis=-1) == 2
@@ -77,17 +63,6 @@ def frame_dists(a: np.ndarray, b: np.ndarray, perp: np.ndarray) -> np.ndarray:
     sin_max = sines[..., -1] if sines.shape[-1] else np.zeros_like(cos_min)
     angles = map(math.atan2, sin_max.ravel().tolist(), cos_min.ravel().tolist())
     return np.fromiter(angles, float, count=cos_min.size).reshape(cos_min.shape)
-
-
-def hausdorff_subspace_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest principal angle between the subspaces of two frames of one
-    shape (d, k): the Hausdorff distance between their projectivizations,
-    in radians."""
-    if a.ndim != 2 or a.shape != b.shape:
-        raise InputError(f"need two (d, k) frames of one shape, got {a.shape} and {b.shape}")
-    if a.shape[1] == 0:
-        return 0.0
-    return float(frame_dists(a, b, frame_complements(b)))
 
 
 def det_normalize(m: np.ndarray) -> np.ndarray:

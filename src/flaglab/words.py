@@ -90,15 +90,6 @@ def reduce(w: Sequence[int], presentation: GroupPresentation) -> Word:
     return tuple(stack)
 
 
-def invert(w: Word) -> Word:
-    return tuple(-letter for letter in reversed(w))
-
-
-def concat(presentation: GroupPresentation, *parts: Word) -> Word:
-    out: Sequence[int] = [letter for part in parts for letter in part]
-    return reduce(out, presentation)
-
-
 def cyclic_reduce(w: Word) -> Word:
     """Strip matching prefix/suffix inverse pairs: a conjugacy normal form."""
     lo, hi = 0, len(w)

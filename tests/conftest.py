@@ -5,7 +5,8 @@ import pytest
 
 import flaglab as fl
 from flaglab.prodsvd import ProductSVD
-from flaglab.subspaces import hausdorff_subspace_dist, orth
+
+from oracles import hausdorff_subspace_dist, orth
 
 
 @pytest.fixture(scope="session")

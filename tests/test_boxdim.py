@@ -76,7 +76,7 @@ def test_refinement_for_scale():
 def eps_area(cloud, eps, mc_count, seed):
     """Area of the eps-neighbourhood of a cloud on the unit sphere (total
     4 pi) and its Monte Carlo sigma."""
-    est = fl.visual_mass(fl.VisualMeasure.ball_origin(), cloud, eps, mc_count=mc_count, seed=seed)
+    est = fl.visual_mass(fl.VisualMeasure(0j, 1.0), cloud, eps, mc_count=mc_count, seed=seed)
     return 4.0 * math.pi * est.estimate, 4.0 * math.pi * est.sigma
 
 

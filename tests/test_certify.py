@@ -6,14 +6,15 @@ import pytest
 import flaglab as fl
 import flaglab.words as W
 import flaglab.certify as certify
-from flaglab.certify import _doubling_ratios, boundary_samples, transport_flag
+from flaglab.certify import _doubling_ratios, boundary_samples
 from flaglab.errors import CapacityError, InputError, NotAnosovError, PrecisionError
-from flaglab.fibers import FlagStack, plucker
+from flaglab.fibers import FlagStack
 from flaglab.prodsvd import ProductSVD
 from flaglab.reps import Representation
-from flaglab.subspaces import frame_sines, hausdorff_subspace_dist, orth
+from flaglab.subspaces import frame_sines
 
 from conftest import brute_ball, flag_dist
+from oracles import concat, hausdorff_subspace_dist, invert, orth, plucker, transport_flag, wedge_rep
 
 
 # --- certificates -----------------------------------------------------------
@@ -42,7 +43,7 @@ def test_unipotent_refuted_with_jordan_oracle():
     sweep = fl.gap_sweep(rep, 6)
     for n in range(1, 7):
         assert sweep.minima[n - 1, 0] == pytest.approx(_jordan_gap(n), abs=1e-9)
-    cert = fl.certify_anosov(rep, 1, 6, sweep=sweep)
+    cert = fl.certify_anosov(rep, 1, 6)
     assert cert.verdict == "refuted"
     assert any("sublinear" in note for note in cert.notes)
 
@@ -71,13 +72,9 @@ def test_certify_input_validation(schottky):
         fl.certify_anosov(schottky, 1, 2)
 
 
-def test_certify_rejects_sweep_of_other_radius(schottky, torus):
-    # a sweep must have the radius the certificate reports, after capping
-    with pytest.raises(InputError, match="sweep of radius 4"):
-        fl.certify_anosov(schottky, 1, 5, sweep=fl.gap_sweep(schottky, 4))
-    with pytest.raises(InputError, match="sweep of radius 4"):
-        fl.certify_anosov(torus, 1, 9, sweep=fl.gap_sweep(torus, 4))
-    cert = fl.certify_anosov(torus, 1, 9, sweep=fl.gap_sweep(torus, 3))
+def test_certify_sweeps_the_capped_radius(torus):
+    # the certificate reports the radius of its sweep, after capping
+    cert = fl.certify_anosov(torus, 1, 9)
     assert cert.radius == 3 and cert.lengths == (1, 2, 3)
 
 
@@ -86,11 +83,10 @@ def test_duality_minima_and_verdicts(name, radius):
     rep = fl.preset(name)
     sweep = fl.gap_sweep(rep, radius)
     d = rep.dim
+    certs = {c.k: c for c in certify._certificates(rep, range(1, d), radius)}
     for k in range(1, d):
         assert np.max(np.abs(sweep.minima[:, k - 1] - sweep.minima[:, d - k - 1])) < 1e-9
-        ck = fl.certify_anosov(rep, k, radius, sweep=sweep)
-        cdk = fl.certify_anosov(rep, d - k, radius, sweep=sweep)
-        assert ck.verdict == cdk.verdict
+        assert certs[k].verdict == certs[d - k].verdict
 
 
 def _mp_gaps(rep, word, digits=40):
@@ -337,7 +333,7 @@ def test_boundary_sample_sym_weight_oracle(sym3):
 def test_boundary_sample_equivariance(sym4):
     w = (1, 2, -1, 2, 1)
     gamma = (2, 1, -2)
-    conj = W.concat(sym4.presentation, gamma, w, W.invert(gamma))
+    conj = concat(sym4.presentation, gamma, w, invert(gamma))
     flag, rhs = boundary_samples(sym4, [w, conj], [1, 2, 3])
     lhs = transport_flag(sym4, gamma, flag)
     assert flag_dist(lhs, rhs) < 1e-6
@@ -358,7 +354,7 @@ def test_transport_flag_matches_moved_frames(sym4):
 def test_transport_flag_round_trip(sym4):
     gamma = (1, 2)
     [flag] = boundary_samples(sym4, [(1, 2, -1, 2, 1)], [1, 2, 3])
-    back = transport_flag(sym4, W.invert(gamma), transport_flag(sym4, gamma, flag))
+    back = transport_flag(sym4, invert(gamma), transport_flag(sym4, gamma, flag))
     assert flag_dist(back, flag) < 1e-10
 
 
@@ -503,7 +499,7 @@ def test_limit_set_invariance_under_translation(sym3):
     for f in flags:
         moved = transport_flag(sym3, gamma, f)
         [fresh] = boundary_samples(
-            sym3, [W.concat(sym3.presentation, gamma, f.source, W.invert(gamma))], [1, 2]
+            sym3, [concat(sym3.presentation, gamma, f.source, invert(gamma))], [1, 2]
         )
         assert flag_dist(moved, fresh) < 1e-4
 
@@ -511,7 +507,7 @@ def test_limit_set_invariance_under_translation(sym3):
 def test_wedge_consistency_of_flags(sym4):
     """The k-space of a flag maps to the line of the wedge rep's flag under
     the Plucker embedding."""
-    wrep = fl.wedge_rep(sym4, 2)
+    wrep = wedge_rep(sym4, 2)
     for word in [(1, 2, 1), (2, -1, 2, 1), (1, 1, 2)]:
         [f] = boundary_samples(sym4, [word], [2])
         [fw] = boundary_samples(wrep, [word], [1])

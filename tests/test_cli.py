@@ -9,6 +9,8 @@ import flaglab as fl
 from flaglab import cli, fibers
 from flaglab.cli import main
 
+from oracles import contragredient
+
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -184,7 +186,7 @@ def test_hk_mode_matches_duality(tmp_path):
         "--radius", 5, "--seed", 4, "--out", tmp_path / "a",
     ])
     # property H_k of the contragredient preset is equivalent; exercised via file
-    contra = fl.contragredient(fl.preset("sym3"))
+    contra = contragredient(fl.preset("sym3"))
     doc = {
         "format": 1,
         "dim": 3,
@@ -356,6 +358,29 @@ def test_malformed_input_exits_64(tmp_path, capsys, monkeypatch, argv, doc):
     assert len(err) == 1 and err[0].startswith(("input error: ", "error: "))
 
 
+@pytest.mark.parametrize("argv", [
+    ["hyperconvex", "builtin:sym4", "--k", 2],
+    ["foliate", "builtin:sym3", "--k", 1],
+    ["dimension", "--synthetic", "uniform"],
+    ["visualmass", "--synthetic", "hemisphere"],
+])
+def test_negative_seed_exits_64(tmp_path, capsys, argv):
+    # NumPy's SeedSequence rejects a negative seed: the parser does first
+    assert run(argv + ["--seed", -1, "--out", tmp_path]) == 64
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error: argument --seed: must be >= 0, got -1")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("kind", ["circle", "cantor", "uniform"])
+@pytest.mark.parametrize("points", [0, -3])
+def test_synthetic_points_below_one_exit_64(tmp_path, capsys, kind, points):
+    assert run(["dimension", "--synthetic", kind, "--points", points, "--out", tmp_path]) == 64
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"input error: argument --points: must be >= 1, got {points}")
+
+
 def test_foliate_k_out_of_range_message(tmp_path, capsys):
     assert run(["foliate", "builtin:sym3", "--k", 0, "--out", tmp_path]) == 64
     assert capsys.readouterr().err == "input error: k=0 out of range 1..2\n"
@@ -400,6 +425,17 @@ def test_replay_reproduces_bytes(tmp_path):
     code = run(["replay", str(first / "foliate.manifest.json"), "--out", second])
     assert code == 0
     assert (first / "foliate.csv").read_bytes() == (second / "foliate.csv").read_bytes()
+
+
+def test_replay_passes_values_that_start_with_a_dash(tmp_path):
+    # "--basepoint -0.5,0,2" would read the value as an option
+    argv = ["visualmass", "--synthetic", "hemisphere", "--mc", 1000, "--basepoint=-0.5,0,2"]
+    assert run(argv + ["--out", tmp_path / "first"]) == 0
+    manifest = tmp_path / "first" / "visualmass.manifest.json"
+    assert run(["replay", manifest, "--out", tmp_path / "second"]) == 0
+    assert (tmp_path / "first" / "visualmass.csv").read_bytes() == (
+        tmp_path / "second" / "visualmass.csv"
+    ).read_bytes()
 
 
 def test_json_format_matches_csv_and_replays(tmp_path):

@@ -22,18 +22,30 @@ from flaglab.fibers import (
     chart_points,
     fiber_angles,
     fiber_ks,
-    fiber_wedge_line,
     grassmann_charts,
     line_intersections,
     point_dists,
-    wedge_fiber_point,
-    wedge_pencil,
 )
 from flaglab.mobius import INF, chart, det2, sphere_xyz, three_point_map
 from flaglab.sphere import cross_ratio
-from flaglab.subspaces import frame_cosines, hausdorff_subspace_dist
+from flaglab.subspaces import frame_cosines
 
 from conftest import flag_dist, proj_matrix_dist
+from oracles import (
+    cocycle,
+    concat,
+    contragredient,
+    fiber_wedge_line,
+    hausdorff_subspace_dist,
+    mobius_cocycle,
+    perturb,
+    plucker,
+    transport_flag,
+    wedge_fiber_point,
+    wedge_hyperplane,
+    wedge_pencil,
+    wedge_rep,
+)
 
 
 # --- tangent projection --------------------------------------------------------
@@ -359,7 +371,7 @@ def test_hk_duality_with_contragredient(sym4, schottky):
     spec = TripleSpec(count=800, seed=5)
     for rep, k in ((sym4, 2), (schottky, 1)):
         eq1 = fl.check_hyperconvex(rep, k, spec, radius=None)
-        hk = fl.check_Hk(fl.contragredient(rep), k, spec, radius=None)
+        hk = fl.check_Hk(contragredient(rep), k, spec, radius=None)
         assert eq1.verdict == hk.verdict == "passes"
 
 
@@ -392,10 +404,10 @@ def test_fiber_gauge_is_the_frame_bits(name, k):
     for f, c, row in zip(flags, copies, FlagStack(flags).fiber_frames(k)):
         assert np.array_equal(c.fiber_frame(k), f.fiber_frame(k))
         assert np.array_equal(row, f.fiber_frame(k))
-    triv = fl.Trivialization(rep, k, flags[:3])
+    triv = fl.Trivialization(k, flags[:3])
     for f, c in zip(flags[3:9], copies[3:9]):
         assert np.array_equal(triv.fiber_map(c), triv.fiber_map(f))
-        (mc, gc), (mf, gf) = triv.cocycle((1, 2), c), triv.cocycle((1, 2), f)
+        (mc, gc), (mf, gf) = cocycle(rep, triv, (1, 2), c), cocycle(rep, triv, (1, 2), f)
         assert np.array_equal(mc, mf) and np.array_equal(gc.frame, gf.frame)
 
 
@@ -435,7 +447,7 @@ def test_missing_fiber_frame_collapses_and_stack_spaces(sym3_flags, sym4_flags):
 
 
 def test_cocycle_identity_word(sym3, sym3_flags):
-    b, _ = fl.mobius_cocycle(sym3, (), sym3_flags[4], 1)
+    b, _ = mobius_cocycle(sym3, (), sym3_flags[4], 1)
     assert proj_matrix_dist(b, np.eye(2)) < 1e-10
 
 
@@ -447,7 +459,7 @@ def test_cocycle_identity_two_presets(schottky, sym3):
     for rep in (sym3, schottky):
         ks = [1, 2] if rep.dim == 3 else [1]
         basepoints = fl.boundary_samples(rep, [(1,), (2,), (-1,)], ks)
-        triv = fl.Trivialization(rep, 1, basepoints)
+        triv = fl.Trivialization(1, basepoints)
         pool, _ = fl.limit_set_sample(rep, ks, count=30, length=8, seed=3)
         # which pool flags lie at least 0.1 from every basepoint: a point_dists
         # row does not depend on its stack, so one call serves every draw
@@ -457,8 +469,6 @@ def test_cocycle_identity_two_presets(schottky, sym3):
         p = rep.presentation
         worst = 0.0
         checked = 0
-        from flaglab.certify import transport_flag
-
         while checked < 150:
             i = int(rng.integers(n))
             t = pool[i]
@@ -468,7 +478,7 @@ def test_cocycle_identity_two_presets(schottky, sym3):
                 continue  # t near a basepoint: rejected before transporting
             try:
                 bt = transport_flag(rep, beta, t)
-                abt = transport_flag(rep, W.concat(p, alpha, beta), t)
+                abt = transport_flag(rep, concat(p, alpha, beta), t)
             except fl.PrecisionError:
                 continue  # contractual: transport too ill-conditioned to certify
             # the six distances from bt, abt (rows 0-1) to the basepoints
@@ -476,13 +486,13 @@ def test_cocycle_identity_two_presets(schottky, sym3):
                                np.tile(np.arange(2, 5), 2))
             if (near < 0.1).any():
                 continue
-            lhs, _ = triv.cocycle(W.concat(p, alpha, beta), t)
+            lhs, _ = cocycle(rep, triv, concat(p, alpha, beta), t)
             if np.linalg.norm(lhs, 2) ** 2 > 1e5:
                 # entries of so loxodromic a Mobius matrix are not even
                 # representable to the tolerance being asserted
                 continue
-            rb, bt2 = triv.cocycle(beta, t)
-            ra, _ = triv.cocycle(alpha, bt2)
+            rb, bt2 = cocycle(rep, triv, beta, t)
+            ra, _ = cocycle(rep, triv, alpha, bt2)
             worst = max(worst, proj_matrix_dist(lhs, ra @ rb))
             checked += 1
         assert worst < 1e-8, worst
@@ -491,11 +501,9 @@ def test_cocycle_identity_two_presets(schottky, sym3):
 def test_cocycle_naturality(sym3, sym3_flags):
     """Transporting a fiber point with the cocycle matches projecting the
     transported flags."""
-    from flaglab.certify import transport_flag
-
     t, x = sym3_flags[4], sym3_flags[6]
     gamma = (1, 2)
-    b, gt = fl.mobius_cocycle(sym3, gamma, t, 1)
+    b, gt = mobius_cocycle(sym3, gamma, t, 1)
     [pair], _ = fl.tangent_project(t, [x], 1)
     moved = b @ pair
     moved /= np.linalg.norm(moved)
@@ -507,7 +515,7 @@ def test_cocycle_naturality(sym3, sym3_flags):
 
 
 def test_basepoints_pinned(sym3, sym3_flags):
-    triv = fl.Trivialization(sym3, 1, sym3_flags[:3])
+    triv = fl.Trivialization(1, sym3_flags[:3])
     for t in sym3_flags[3:8]:
         pairs, rows = triv.project(t, triv.basepoints)
         assert rows.tolist() == [0, 1, 2]
@@ -520,8 +528,8 @@ def test_basepoints_pinned(sym3, sym3_flags):
 def test_two_trivializations_differ_by_global_mobius(sym3, sym3_flags):
     """Cross-ratios of corresponding trivialized fiber points agree exactly
     between two different trivializations."""
-    t1 = fl.Trivialization(sym3, 1, sym3_flags[:3])
-    t2 = fl.Trivialization(sym3, 1, sym3_flags[3:6])
+    t1 = fl.Trivialization(1, sym3_flags[:3])
+    t2 = fl.Trivialization(1, sym3_flags[3:6])
     base = sym3_flags[7]
     vals1, rows1 = t1.project(base, sym3_flags[8:16])
     vals2, rows2 = t2.project(base, sym3_flags[8:16])
@@ -555,7 +563,7 @@ def test_foliated_sample_equals_loop_bitwise(name, k, seed, faults):
     sample = fl.foliated_limit_sample(rep, k, base_count=4, fiber_count=150, seed=seed)
     flags, _ = fl.limit_set_sample(rep, fiber_ks(d, k), count=4 + 150 + 8, length=8, seed=seed)
     by_source = {f.source: f for f in flags}
-    triv = fl.Trivialization(rep, k, [by_source[w] for w in sample.basepoint_words])
+    triv = fl.Trivialization(k, [by_source[w] for w in sample.basepoint_words])
     skip = set(sample.basepoint_words) | set(sample.base_status)
     fibers = [f for f in flags if f.source not in skip][:150]
     rows, status = [], {}
@@ -601,9 +609,9 @@ def test_foliated_continuity_probe(sym3):
     """Nearby bases produce nearby trivialized fiber sets (finite-resolution
     continuity).  A perturbed representation is used so the fiber sets
     genuinely vary with the base."""
-    rep = fl.perturb(sym3, 0.02, 2)
+    rep = perturb(sym3, 0.02, 2)
     flags, _ = fl.limit_set_sample(rep, [1, 2], count=40, length=8, seed=3)
-    triv = fl.Trivialization(rep, 1, flags[:3])
+    triv = fl.Trivialization(1, flags[:3])
     p = rep.presentation
     w1 = (1, 2, 1, 2, -1, 2, 1, 1)
     w2 = W.cyclic_reduce(W.reduce(w1[:4] + (1,) + w1[5:], p))
@@ -624,7 +632,7 @@ def test_foliated_continuity_probe(sym3):
 
 
 def test_bundle_injectivity_scan(sym3, sym3_flags):
-    triv = fl.Trivialization(sym3, 1, sym3_flags[:3])
+    triv = fl.Trivialization(1, sym3_flags[:3])
     bases = sym3_flags[3:13]
     fibers = sym3_flags[13:]
     for t in bases:
@@ -639,7 +647,7 @@ def test_bundle_injectivity_scan(sym3, sym3_flags):
 def test_pencil_contains_wedge_of_middle_space(sym4_flags):
     z = sym4_flags[0]
     pencil = wedge_pencil(z, 2)
-    line = fl.plucker(z.space(2))
+    line = plucker(z.space(2))
     assert frame_cosines(line, pencil)[0] > 1.0 - 1e-10
 
 
@@ -663,22 +671,22 @@ def _resolvable(z, y, floor: float = 1e-6) -> bool:
     cosA = frame_cosines(y.space(2), z.space(3))
     if len(cosA) > 1 and 1.0 - cosA[1] < floor:
         return False
-    cosB = frame_cosines(wedge_pencil(z, 2), fl.wedge_hyperplane(y, 2))
+    cosB = frame_cosines(wedge_pencil(z, 2), wedge_hyperplane(y, 2))
     return not (len(cosB) > 1 and 1.0 - cosB[1] < floor)
 
 
 def test_wedge_transfer_hyperconvexity(sym4):
     base = fl.check_hyperconvex(sym4, 2, TripleSpec(count=800, seed=5), radius=None)
     lifted = fl.check_hyperconvex(
-        fl.wedge_rep(sym4, 2), 1, TripleSpec(count=800, seed=5), radius=None
+        wedge_rep(sym4, 2), 1, TripleSpec(count=800, seed=5), radius=None
     )
     assert base.verdict == "passes"
     assert lifted.verdict == "passes"
 
 
 def test_wedge_limit_set_is_plucker_image(sym4):
-    wrep = fl.wedge_rep(sym4, 2)
+    wrep = wedge_rep(sym4, 2)
     for word in [(1, 2), (2, -1, 1, 1), (1, 2, -1, 2)]:
         [down] = fl.boundary_samples(sym4, [word], [2])
         [up] = fl.boundary_samples(wrep, [word], [1])
-        assert hausdorff_subspace_dist(fl.plucker(down.space(2)), up.space(1)) < 1e-6
+        assert hausdorff_subspace_dist(plucker(down.space(2)), up.space(1)) < 1e-6

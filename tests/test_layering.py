@@ -1,8 +1,11 @@
-"""The lower layers of flaglab never import the layers built on them."""
+"""The structure of src/flaglab: the lower layers never import the layers
+built on them, one handler maps errors to exit codes, and every definition
+is on a path from the command line."""
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "flaglab"
@@ -72,3 +75,95 @@ def test_broad_except_only_in_cli_main(module):
         allowed = _broad_handlers(main)
         assert allowed, "cli.main maps every FlaglabError to an exit code"
     assert _broad_handlers(tree) - allowed == set()
+
+
+# --- reachability from the command line -----------------------------------------
+
+ROOTS = {("cli", None, "main"), ("cli", None, "build_parser"), ("cli", "_Parser", "error")}
+# x.copy() is nearly always an array's copy: an attribute named like a method
+# of ndarray or of a builtin container reaches no flaglab method
+BUILTIN_ATTRS = set().union(*(dir(t) for t in (np.ndarray, list, dict, set, str, tuple)))
+
+
+def _references(node) -> set[tuple[str, bool]]:
+    """(name, is_attribute) of every Name and Attribute under node;
+    docstrings and comments hold none."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add((sub.id, False))
+        elif isinstance(sub, ast.Attribute):
+            found.add((sub.attr, True))
+    return found
+
+
+def _definitions():
+    """{(module, class or None, name): nodes to scan once it is reached}
+    for every module-level function, class and constant of src/flaglab and
+    every method, plus the module-level statements that define nothing."""
+    defs, always = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                defs[module, None, node.name] = [node]
+            elif isinstance(node, ast.ClassDef):
+                # a reached class runs its decorators, bases, fields and dunders
+                own = [*node.decorator_list, *node.bases, *node.keywords]
+                for item in node.body:
+                    method = isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")
+                    )
+                    if method:
+                        defs[module, node.name, item.name] = [item]
+                    else:
+                        own.append(item)
+                defs[module, None, node.name] = own
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            defs[module, None, name.id] = [node]
+            elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+                continue  # the module docstring
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                always.append(node)  # e.g. the __main__ guard
+    return defs, always
+
+
+def _unreachable() -> list[str]:
+    """Definitions that no chain of references from the command line
+    reaches.  A name reaches every module-level definition of that name;
+    an attribute reaches those and every method of that name."""
+    defs, always = _definitions()
+    named: dict[str, list] = {}
+    for key in defs:
+        named.setdefault(key[2], []).append(key)
+    reached = set(ROOTS)
+    todo = [n for key in ROOTS for n in defs[key]] + always
+    while todo:
+        for name, is_attr in _references(todo.pop()):
+            for key in named.get(name, ()):
+                method = key[1] is not None
+                if key in reached or method and (not is_attr or name in BUILTIN_ATTRS):
+                    continue
+                reached.add(key)
+                todo.extend(defs[key])
+    return sorted(".".join(p for p in key if p) for key in defs if key not in reached)
+
+
+def test_src_is_what_the_commands_run():
+    # every function, class, constant and method of src/flaglab is on a path
+    # from cli.main; code that only tests use lives in tests/oracles.py
+    assert _unreachable() == []
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_src_imports_no_test_code(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    names = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    names += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
+    assert not {name.split(".")[0] for name in names} & {"tests", "oracles", "conftest"}

