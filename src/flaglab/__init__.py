@@ -60,4 +60,4 @@ from .words import (
     surface_group,
 )
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"

@@ -20,7 +20,7 @@ from .reps import Representation
 from .subspaces import frame_quotients
 from .words import Word
 
-SWEEP_BUDGET = 1 << 29  # bytes of stacked (u, logs, vh) state one sweep level may hold
+SWEEP_BUDGET = 1 << 29  # bytes of stacked (logs, vh) state one sweep level may hold
 SLOPE_THRESHOLD = 0.01
 R2_THRESHOLD = 0.95
 TARGET_GAP = 18.0  # log gap every requested index of a boundary flag must clear
@@ -67,7 +67,8 @@ def gap_sweep(rep: Representation, radius: int) -> GapSweep:
     so tiny gaps stay honest to ~1e-12: each letter is absorbed into the
     sub-stack of the parents it may follow.  Words stay parent-index
     arrays, spelled out for the argmins only (the first minimal words in
-    lexicographic order).
+    lexicographic order).  Nothing reads a left factor, so the states are
+    gap-only (logs, vh).
     Raises CapacityError before any work when the longest level would pass
     SWEEP_BUDGET bytes of state, and PrecisionError on a non-finite gap.
     """
@@ -77,19 +78,19 @@ def gap_sweep(rep: Representation, radius: int) -> GapSweep:
     rank = rep.presentation.generator_count
     mats = _letter_matrices(rep)
     widest = W.ball_size(rank, radius) - W.ball_size(rank, radius - 1)
-    need = widest * (2 * d * d * mats.itemsize + 8 * d)
+    need = widest * (d * d * mats.itemsize + 8 * d)
     if need > SWEEP_BUDGET:
         raise CapacityError(
             f"radius {radius} needs {need / 2**20:.0f} MiB of sweep state for its "
             f"{widest} longest words; the budget is {SWEEP_BUDGET / 2**20:.0f} MiB"
         )
-    state = ProductSVD(d, (1,), mats.dtype)
+    state = ProductSVD(d, (1,), mats.dtype, left=False)
     minima = np.empty((radius, d - 1))
     walk, argmin_words = [], []
     for n, (parent, last) in enumerate(W.levels(rep.presentation, radius), 1):
         gaps = np.empty((parent.size, d - 1))
         # nothing extends the longest words, so their states are not kept
-        child = ProductSVD(d, parent.shape, mats.dtype) if n < radius else None
+        child = ProductSVD(d, parent.shape, mats.dtype, left=False) if n < radius else None
         for letter, mat in zip(rep.presentation.letters(), mats):
             rows = np.nonzero(last == letter)[0]
             sub = state[parent[rows]].absorb(mat)
@@ -165,7 +166,7 @@ def _doubling_ratios(rep: Representation, requests) -> dict:
             keep.append(any(r not in out for r in todo))
         return keep
 
-    _power_walk(rep, words, judge)
+    _power_walk(rep, words, judge, left=False)
     return out
 
 
@@ -301,12 +302,13 @@ class FlagSample:
         return f"FlagSample({W.word_to_str(self.source)}, ks={self.ks})"
 
 
-def _power_walk(rep: Representation, words, judge) -> None:
+def _power_walk(rep: Representation, words, judge, left: bool) -> None:
     """Absorb the next letter of every live word into one stacked graded
     product SVD until no word is left.  After each letter, the words that
     just completed a power go to one judge(idx, n, gaps, u) call: row j
     holds words[idx[j]], its power n[j] and the gaps and left factor of
-    rho(words[idx[j]]^n[j]).  It returns one bool per row, and a word
+    rho(words[idx[j]]^n[j]).  A gap walk (left False) keeps gap-only
+    states and passes u=None.  judge returns one bool per row, and a word
     leaves the stack where that is False.  Every product of the stack is
     treated alone, so nothing depends on the batch."""
     index = {letter: i for i, letter in enumerate(rep.presentation.letters())}
@@ -316,7 +318,7 @@ def _power_walk(rep: Representation, words, judge) -> None:
     for i, w in enumerate(words):
         codes[i, :len(w)] = [index[letter] for letter in w]
     live = np.arange(len(words))
-    state = ProductSVD(rep.dim, live.shape, mats.dtype)
+    state = ProductSVD(rep.dim, live.shape, mats.dtype, left=left)
     used = 0
     while live.size:
         state.absorb(mats[codes[live, used % lens[live]]])
@@ -324,7 +326,8 @@ def _power_walk(rep: Representation, words, judge) -> None:
         ends = np.nonzero(used % lens[live] == 0)[0]  # mid-power words go on
         if ends.size:
             keep = np.ones(live.size, dtype=bool)
-            keep[ends] = judge(live[ends], used // lens[live[ends]], state.gaps()[ends], state.u[ends])
+            u = None if state.u is None else state.u[ends]
+            keep[ends] = judge(live[ends], used // lens[live[ends]], state.gaps()[ends], u)
             if not keep.all():
                 state, live = state[keep], live[keep]
 
@@ -383,7 +386,7 @@ def boundary_samples(rep: Representation, words, ks) -> list:
                 )
         return keep
 
-    _power_walk(rep, words, judge)
+    _power_walk(rep, words, judge, left=True)
     return out
 
 

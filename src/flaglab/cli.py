@@ -487,6 +487,9 @@ def cmd_presets(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    """Re-run a manifest's command into --out.  Every output goes there: a
+    recorded --svg directory is taken by its last name under --out, so a
+    replay never writes over the run it replays."""
     manifest = _read_json(args.manifest)
     if not (isinstance(manifest, dict) and isinstance(manifest.get("params"), dict)
             and isinstance(manifest.get("command"), str)):
@@ -495,6 +498,8 @@ def cmd_replay(args) -> int:
     argv = [manifest["command"]]
     if "rep" in params and params["rep"]:
         argv.append(params.pop("rep"))
+    if params.get("svg"):
+        params["svg"] = os.path.join(args.out, os.path.basename(os.path.abspath(params["svg"])))
     for key, value in sorted(params.items()):
         if key in ("out",):
             continue

@@ -129,7 +129,7 @@ def test_sweep_budget_fails_fast(sym4):
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="budget"):
-            fl.gap_sweep(sym4, 14)  # 6.4M words of length 14, about 1.8 GB of float64 state
+            fl.gap_sweep(sym4, 14)  # 6.4M words of length 14, about 1.0 GB of float64 state
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -145,10 +145,11 @@ def _complex_twin(rep):
 
 def test_sweep_budget_counts_the_bytes_of_the_state_dtype(sym4, monkeypatch):
     # a real representation sweeps in float64, half the bytes of complex128
-    # state: a budget between the two needs admits it and refuses its twin
+    # state: a budget between the two needs of the (logs, vh) state admits
+    # it and refuses its twin
     d, radius = sym4.dim, 6
     widest = W.ball_size(2, radius) - W.ball_size(2, radius - 1)
-    real_need, complex_need = (widest * (2 * d * d * size + 8 * d) for size in (8, 16))
+    real_need, complex_need = (widest * (d * d * size + 8 * d) for size in (8, 16))
     monkeypatch.setattr(certify, "SWEEP_BUDGET", (real_need + complex_need) // 2)
     twin = _complex_twin(sym4)
     assert certify._letter_matrices(twin).dtype == np.complex128

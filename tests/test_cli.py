@@ -427,6 +427,25 @@ def test_replay_reproduces_bytes(tmp_path):
     assert (first / "foliate.csv").read_bytes() == (second / "foliate.csv").read_bytes()
 
 
+def test_replay_writes_svgs_under_its_own_out(tmp_path):
+    # the recorded --svg directory is taken by name under replay's --out:
+    # the replayed run's SVGs stay as they were, to the modification time
+    svg = tmp_path / "svg"
+    argv = ["foliate", "builtin:sym3", "--k", 1, "--bases", 3, "--fibers", 300, "--seed", 4]
+    assert run(argv + ["--svg", svg, "--out", tmp_path / "first"]) == 0
+    before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in svg.glob("*.svg")}
+    assert len(before) == 3
+    code = run(["replay", tmp_path / "first" / "foliate.manifest.json", "--out", tmp_path / "second"])
+    assert code == 0
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in svg.glob("*.svg")} == before
+    replayed = tmp_path / "second" / "svg"
+    assert {p.name: p.read_bytes() for p in replayed.glob("*.svg")} == {
+        name: body for name, (body, _) in before.items()
+    }
+    manifest = json.loads((tmp_path / "second" / "foliate.manifest.json").read_text())
+    assert all(Path(p).parent in (tmp_path / "second", replayed) for p in manifest["outputs"])
+
+
 def test_replay_passes_values_that_start_with_a_dash(tmp_path):
     # "--basepoint -0.5,0,2" would read the value as an option
     argv = ["visualmass", "--synthetic", "hemisphere", "--mc", 1000, "--basepoint=-0.5,0,2"]
