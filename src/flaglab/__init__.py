@@ -11,7 +11,7 @@ from .boxdim import (
 )
 from .certify import (
     AnosovCertificate,
-    FlagSample,
+    FlagStack,
     GapSweep,
     boundary_samples,
     certify_anosov,
@@ -60,4 +60,4 @@ from .words import (
     surface_group,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"

@@ -6,8 +6,9 @@ congruent-ish cells by its gnomonic lattice.  A point's face and
 barycentrics are found once per cloud (locate); a cell at refinement n
 is then one int64 key ((face*n + i)*n + j)*2 + up, so counts are
 reproducible across runs and one 1-D sort counts the occupied cells.
-The box-counting slope is an upper-bound proxy for Hausdorff dimension;
-all verdicts in this package are phrased against it.
+The box-counting slope estimates the dimension at these scales; it is
+not a bound (the octagon's limit circle reads 0.952 +- 0.016 against a
+true 1), and all verdicts in this package are phrased against it.
 """
 
 from __future__ import annotations
@@ -117,6 +118,8 @@ class DimensionEstimate:
 
     @property
     def upper_bound(self) -> float:
+        """slope + 1.96 SE, the quantity verdict_below compares; the top of
+        a fit interval, not a proven bound on Hausdorff dimension."""
         return self.slope + self.ci_halfwidth
 
     def verdict_below(self, threshold: float = 2.0) -> bool:

@@ -17,7 +17,7 @@ from . import words as W
 from .errors import CapacityError, InputError, NotAnosovError, PrecisionError
 from .prodsvd import ProductSVD
 from .reps import Representation
-from .subspaces import frame_quotients
+from .subspaces import frame_complements, frame_quotients
 from .words import Word
 
 SWEEP_BUDGET = 1 << 29  # bytes of stacked (logs, vh) state one sweep level may hold
@@ -25,6 +25,8 @@ SLOPE_THRESHOLD = 0.01
 R2_THRESHOLD = 0.95
 TARGET_GAP = 18.0  # log gap every requested index of a boundary flag must clear
 MAX_LETTERS = 20000  # letters a boundary sample may absorb before giving up
+# Why a word yields no boundary flag, in the order the manifests count them
+FAILURE_REASONS = ("non_finite_gap", "gap_stalled", "gap_short")
 
 
 def _spread_error(where: str) -> PrecisionError:
@@ -256,50 +258,68 @@ def _certificates(
 # --- boundary flags -------------------------------------------------------
 
 
-class FlagSample:
-    """The flag of one boundary direction, held as one unitary frame.
+class FlagStack:
+    """Boundary flags as one stack: row i of the (n, d, d) complex array
+    frames, with orthonormal columns, is the flag of the word sources[i].
+    For each index j in ks, space(j) stacks the first j columns, the
+    frames of the j-spaces, so the spaces nest by construction.
+    quality[i] is the attractor residual exp(-2 gap) of row i's worst
+    requested gap.  Indexing gives the sub-stack of the chosen rows: a
+    single flag is a one-row stack.  complement(j) and fiber_frames(k)
+    are each computed once per stack and kept: a triple sweep reads them
+    in every block."""
 
-    frame is a (d, m) matrix with orthonormal columns; for each index k in
-    ks, space(k) is its first k columns, the orthonormal (d, k) frame of
-    the k-space, so the spaces nest by construction.  space(0) is the
-    (d, 0) frame and space(d) the identity.  quality is the attractor
-    residual exp(-2 gap) of the worst requested gap.
-    """
-
-    __slots__ = ("source", "frame", "ks", "quality")
-
-    def __init__(self, source: Word, frame: np.ndarray, ks, quality: float = 0.0):
-        self.source = source
-        self.frame = np.asarray(frame, dtype=complex)
+    def __init__(self, sources, frames, ks, quality):
+        self.sources = list(sources)
+        self.frames = np.asarray(frames, dtype=complex)
         self.ks = sorted(ks)
-        self.quality = quality
+        self.quality = np.asarray(quality, dtype=float)
+        self._complements: dict[int, np.ndarray] = {}
+        self._quotients: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    @staticmethod
+    def concat(*stacks: FlagStack) -> FlagStack:
+        """The rows of stacks that carry the same ks, in order."""
+        sources = [w for st in stacks for w in st.sources]
+        return FlagStack(sources, np.concatenate([st.frames for st in stacks]), stacks[0].ks,
+                         np.concatenate([st.quality for st in stacks]))
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    def __getitem__(self, rows) -> FlagStack:
+        """The sub-stack of rows: an int, a slice, an index array or a mask."""
+        idx = np.arange(len(self))[rows].reshape(-1)
+        return FlagStack([self.sources[i] for i in idx], self.frames[idx], self.ks, self.quality[idx])
 
     @property
     def ambient_dim(self) -> int:
-        return self.frame.shape[0]
+        return self.frames.shape[1]
 
-    def space(self, k: int) -> np.ndarray:
-        """The (d, k) frame of the k-space.  Only the requested gaps cleared
-        TARGET_GAP, so an index other than 0, d and those in ks raises
-        InputError."""
+    def space(self, j: int) -> np.ndarray:
+        """The (n, d, j) frames of the j-spaces; the identity at j = d.  Only
+        the requested gaps cleared TARGET_GAP, so an index other than 0, d
+        and those in ks raises InputError."""
         d = self.ambient_dim
-        if k == d:
-            return np.eye(d, dtype=complex)
-        if k != 0 and k not in self.ks:
-            raise InputError(f"flag sample carries {self.ks}, not {k}")
-        return self.frame[:, :k]
+        if j == d:
+            return np.broadcast_to(np.eye(d, dtype=complex), (len(self), d, d))
+        if j != 0 and j not in self.ks:
+            raise InputError(f"flag stack carries {self.ks}, not {j}")
+        return self.frames[..., :j]
 
-    def fiber_frame(self, k: int) -> np.ndarray:
-        """Orthonormal (d, 2) basis of the complement of space(k-1) inside
-        space(k+1), by frame_quotients: the working frame of the fiber at
-        this flag, a function of the bits of frame alone."""
-        frame, ok = frame_quotients(self.space(k + 1), self.space(k - 1))
-        if not ok:
-            raise PrecisionError(f"fiber frame at k={k} is not 2-dimensional")
-        return frame
+    def complement(self, j: int) -> np.ndarray:
+        """The (n, d, d-j) orthonormal complements of the j-spaces."""
+        if j not in self._complements:
+            self._complements[j] = frame_complements(self.space(j))
+        return self._complements[j]
 
-    def __repr__(self):
-        return f"FlagSample({W.word_to_str(self.source)}, ks={self.ks})"
+    def fiber_frames(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """frame_quotients of the (k+1)- and (k-1)-spaces: the (n, d, 2) fiber
+        frames, each a function of its row's frame bits alone, and the mask
+        of rows that have one (a zero frame collapses every projection)."""
+        if k not in self._quotients:
+            self._quotients[k] = frame_quotients(self.space(k + 1), self.space(k - 1))
+        return self._quotients[k]
 
 
 def _power_walk(rep: Representation, words, judge, left: bool) -> None:
@@ -332,16 +352,19 @@ def _power_walk(rep: Representation, words, judge, left: bool) -> None:
                 state, live = state[keep], live[keep]
 
 
-def boundary_samples(rep: Representation, words, ks) -> list:
-    """Nested attractors of rho(w^n) for many words in one power walk;
-    entry i is the FlagSample of words[i], the attracting endpoint of its
-    axis, or the NotAnosovError or PrecisionError that rejected it.
+def boundary_samples(rep: Representation, words, ks) -> tuple[FlagStack, list]:
+    """Nested attractors of rho(w^n) for many words in one power walk.
+
+    Returns the FlagStack of the words that succeeded, in word order, each
+    row the attracting endpoint of its word's axis, and one entry per word:
+    None, or the pair of the FAILURE_REASONS code and the NotAnosovError
+    or PrecisionError that rejected it.
 
     The graded product SVD keeps every singular subspace accurate up to a
     log-singular spread of about 354 nats (see _spread_error).  A word is
     judged whenever it completes a power: done once every requested gap
-    clears TARGET_GAP, rejected when its gap stalls over four powers, when
-    MAX_LETTERS run out or when a gap is not finite.
+    clears TARGET_GAP, rejected when a gap is not finite, when its gap
+    stalls over four powers or when MAX_LETTERS run out.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks:
@@ -354,7 +377,9 @@ def boundary_samples(rep: Representation, words, ks) -> list:
         raise InputError("boundary_samples needs a nontrivial word")
     cols = np.array(ks) - 1
     lens = np.array([len(w) for w in words], dtype=int)
-    out: list = [None] * len(words)
+    frames = np.empty((len(words), rep.dim, rep.dim), dtype=complex)
+    quality = np.empty(len(words))
+    errors: list = [None] * len(words)
     recent = np.zeros((len(words), 4))  # each word's last four worst gaps, oldest first
     readings = np.zeros(len(words), dtype=int)
 
@@ -370,53 +395,58 @@ def boundary_samples(rep: Representation, words, ks) -> list:
         keep = go & ~stalled & (n * lens[idx] < MAX_LETTERS)
         for j in np.nonzero(~keep)[0]:
             i, x = idx[j], float(worst[j])
-            w = words[i]
+            if finite[j] and not go[j]:  # done: its left factor is the flag
+                frames[i], quality[i] = u[j], math.exp(-2.0 * x)
+                continue
+            w = W.word_to_str(words[i])
             if not finite[j]:
-                out[i] = _spread_error(f"along {W.word_to_str(w)}")
-            elif not go[j]:
-                out[i] = FlagSample(w, u[j].copy(), ks, math.exp(-2.0 * x))
+                errors[i] = ("non_finite_gap", _spread_error(f"along {w}"))
             elif stalled[j]:
-                out[i] = NotAnosovError(
-                    f"gap stalled at {x:.4f} along {W.word_to_str(w)}; "
-                    "not Anosov along this word"
-                )
+                errors[i] = ("gap_stalled", NotAnosovError(f"gap stalled at {x:.4f} along {w}; "
+                                                           "not Anosov along this word"))
             else:
-                out[i] = NotAnosovError(
-                    f"gap reached only {x:.3f} of {TARGET_GAP} along {W.word_to_str(w)}"
-                )
+                errors[i] = ("gap_short", NotAnosovError(f"gap reached only {x:.3f} of {TARGET_GAP} "
+                                                         f"along {w}"))
         return keep
 
     _power_walk(rep, words, judge, left=True)
-    return out
+    ok = [i for i, e in enumerate(errors) if e is None]
+    return FlagStack([words[i] for i in ok], frames[ok], ks, quality[ok]), errors
 
 
 def limit_set_sample(
     rep: Representation, ks, count: int, length: int, seed: int
-) -> tuple[list[FlagSample], list[tuple[Word, str]]]:
-    """count flags from distinct random cyclically reduced words; failed
-    words are skipped and reported alongside the samples.  Each batch of
+) -> tuple[FlagStack, list[tuple[Word, str, str]]]:
+    """count flags from distinct random cyclically reduced words, as one
+    FlagStack in draw order; failed words are skipped and reported
+    alongside as (word, FAILURE_REASONS code, message).  Each batch of
     candidates runs through boundary_samples at once."""
     if count < 1:
         raise InputError("count must be >= 1")
-    failures: list[tuple[Word, str]] = []
-    samples: list[FlagSample] = []
-    batch = 0
-    while len(samples) < count and batch < 8:
-        need = count - len(samples) + 4 * batch
-        cand = W.random_cyclic_words(rep.presentation, need, length, seed + batch)
-        taken = {f.source for f in samples}
+    failures: list[tuple[Word, str, str]] = []
+    parts: list[FlagStack] = []
+    have = batch = 0
+    while have < count and batch < 8:
+        cand = W.random_cyclic_words(rep.presentation, count - have + 4 * batch, length, seed + batch)
+        taken = {w for part in parts for w in part.sources}
         fresh = [w for w in cand if w not in taken]
-        for w, flag in zip(fresh, boundary_samples(rep, fresh, ks)):
-            if len(samples) >= count:
-                break
-            if isinstance(flag, FlagSample):
-                samples.append(flag)
-            else:
-                failures.append((w, str(flag)))
+        flags, errors = boundary_samples(rep, fresh, ks)
+        # the words up to the one that completes the sample count
+        ok = [i for i, e in enumerate(errors) if e is None]
+        stop = ok[count - have - 1] + 1 if len(ok) >= count - have else len(fresh)
+        failures += [(w, e[0], str(e[1])) for w, e in zip(fresh[:stop], errors[:stop]) if e is not None]
+        parts.append(flags[: count - have])
+        have += len(parts[-1])
         batch += 1
-    if len(samples) < count:
+    if have < count:
         raise NotAnosovError(
-            f"only {len(samples)}/{count} boundary samples succeeded; "
-            f"first failure: {failures[0][1] if failures else 'none'}"
+            f"only {have}/{count} boundary samples succeeded; "
+            f"first failure: {failures[0][2] if failures else 'none'}"
         )
-    return samples, failures
+    return FlagStack.concat(*parts), failures
+
+
+def failure_counts(failures) -> dict[str, int]:
+    """The (word, reason, message) failures of limit_set_sample counted by
+    reason, in FAILURE_REASONS order."""
+    return {reason: sum(f[1] == reason for f in failures) for reason in FAILURE_REASONS}

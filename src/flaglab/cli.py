@@ -23,8 +23,8 @@ import time
 import numpy as np
 
 from . import __version__, boxdim, words as W
-from .certify import certify_anosov, limit_set_sample
-from .errors import FlaglabError, InputError, NotAnosovError, PrecisionError
+from .certify import SWEEP_BUDGET, certify_anosov, failure_counts, limit_set_sample
+from .errors import CapacityError, FlaglabError, InputError, NotAnosovError, PrecisionError
 from .fibers import (
     TripleSpec,
     check_Hk,
@@ -306,7 +306,8 @@ def cmd_hyperconvex(args) -> int:
         ]],
     )
     write_manifest(args.out, "hyperconvex", _params(args), [args.seed], {"rep": descriptor}, [out], t0,
-                   results={"skip_reasons": dict(report.skip_reasons)})
+                   results={"skip_reasons": dict(report.skip_reasons),
+                            "sample_failures": dict(report.sample_failures)})
     print(f"hyperconvex {args.rep} k={args.k} mode={args.mode}: {report.verdict} "
           f"(min={report.min_transversality:.6f} over {report.triples_tested} triples)")
     return {"passes": EXIT_OK, "fails": EXIT_FAIL}.get(report.verdict, EXIT_INCONCLUSIVE)
@@ -352,22 +353,37 @@ def cmd_foliate(args) -> int:
             svg_path = os.path.join(args.svg, f"fiber_{W.word_to_str(base_word)}.svg")
             write_svg(svg_path, values, n_inf, {"0": 0j, "1": 1 + 0j, "inf": INF})
             outputs.append(svg_path)
-    write_manifest(args.out, "foliate", _params(args), [args.seed], {"rep": descriptor}, outputs, t0)
+    write_manifest(args.out, "foliate", _params(args), [args.seed], {"rep": descriptor}, outputs, t0,
+                   results={"sample_failures": sample.sample_failures})
     print(f"foliate {args.rep} k={args.k}: {len(sample.rows)} fiber points over "
           f"{len(sample.base_status)} bases; basepoints "
           f"{[W.word_to_str(w) for w in sample.basepoint_words]}")
     return EXIT_OK
 
 
+def _budget(rows: int, row_bytes: int, what: str) -> None:
+    """CapacityError, before any work, when rows of row_bytes each would
+    pass SWEEP_BUDGET, the one budget of every user-sized array."""
+    if rows * row_bytes > SWEEP_BUDGET:
+        raise CapacityError(f"{what} needs {rows * row_bytes / 2**20:.0f} MiB; "
+                            f"the budget is {SWEEP_BUDGET / 2**20:.0f} MiB")
+
+
+def _sample(rep, ks, count, length, seed):
+    """limit_set_sample within the budget: per word, about 600 bytes plus
+    16 complex (d, d) arrays of engine state (measured 1.1-3.1 kB, d 2-4)."""
+    _budget(count, 1024 + 256 * rep.dim * rep.dim, f"a sample of {count} flags")
+    return limit_set_sample(rep, ks, count=count, length=length, seed=seed)
+
+
 def _fiber_cloud(rep, k, count, length, seed):
     """Tangent-project a limit-set sample of count >= 1 flags into the fiber
-    of one extra base."""
-    ks = fiber_ks(rep.dim, k)
-    flags, _ = limit_set_sample(rep, ks, count=count + 1, length=length, seed=seed)
+    of one extra base; returns the cloud and the sampler's failures."""
+    flags, failures = _sample(rep, fiber_ks(rep.dim, k), count + 1, length, seed)
     pts, _ = chart_points(flags[0], flags[1:], k)
     if len(pts) == 0:
         raise PrecisionError(f"none of {count} flags projected into the fiber")
-    return pts
+    return pts, failures
 
 
 def cmd_dimension(args) -> int:
@@ -376,11 +392,15 @@ def cmd_dimension(args) -> int:
     seeds = [args.seed]
     scales = _floats(args.scales, "--scales") if args.scales else None
     chart_id = "fiber"
+    results = None
     if args.synthetic:
+        levels = max(2, math.ceil(math.log2(args.points)))
+        # box counting's peak per point (cloud, face dots, inverse): 192-195 bytes
+        _budget(1 << levels if args.synthetic == "cantor" else args.points, 256, f"--points {args.points}")
         if args.synthetic == "circle":
             pts = boxdim.circle_cloud(args.points)
         elif args.synthetic == "cantor":
-            pts = boxdim.cantor_cloud(max(2, int(math.ceil(math.log2(args.points)))))
+            pts = boxdim.cantor_cloud(levels)
         else:
             pts = boxdim.uniform_cloud(args.points, seed=args.seed)
         inputs["synthetic"] = args.synthetic
@@ -392,36 +412,31 @@ def cmd_dimension(args) -> int:
         rep, descriptor = resolve_rep(args.rep)
         inputs["rep"] = descriptor
         if args.mode == "fiber":
-            pts = _fiber_cloud(rep, args.k, args.points, args.word_length, args.seed)
+            pts, failures = _fiber_cloud(rep, args.k, args.points, args.word_length, args.seed)
             est = boxdim.box_dimension_sphere(pts, scales=scales)
         else:
             ks = fiber_ks(rep.dim, args.k)
-            if args.anchors < 1:
-                raise InputError(f"--anchors must be >= 1, got {args.anchors}")
-            flags, _ = limit_set_sample(
-                rep, ks, count=args.points + args.anchors, length=args.word_length, seed=args.seed
-            )
+            flags, failures = _sample(rep, ks, args.points + args.anchors, args.word_length, args.seed)
             anchors, cloud = flags[: args.anchors], flags[args.anchors :]
             charts, uncovered = grassmann_charts(cloud, args.k, anchors)
             while uncovered and len(anchors) < 4 * args.anchors:
                 # one fresh anchor sample per pass; the cloud never changes
-                anchors, _ = limit_set_sample(
-                    rep, ks, count=2 * len(anchors), length=args.word_length,
-                    seed=args.seed + 1000,
-                )
+                anchors, more = _sample(rep, ks, 2 * len(anchors), args.word_length, args.seed + 1000)
+                failures += more
                 charts, uncovered = grassmann_charts(cloud, args.k, anchors)
             if uncovered:
-                names = ", ".join(W.word_to_str(cloud[i].source) for i in uncovered[:8])
+                names = ", ".join(W.word_to_str(cloud.sources[i]) for i in uncovered[:8])
                 raise InputError(
                     f"{len(uncovered)} flags covered by none of {len(anchors)} charts: {names}"
                 )
             est = boxdim.grassmann_dimension(charts, scales=scales)
             chart_id = "grassmann"
+        results = {"sample_failures": failure_counts(failures)}
     rows = [[fmt(s), str(c), chart_id] for s, c in zip(est.scales, est.counts)]
     verdict = "below_2" if est.verdict_below(2.0) else "not_below_2"
     rows.append(["summary", fmt(est.slope), f"{fmt(est.ci_halfwidth)};{verdict}"])
     out = emit(args, "dimension", "flaglab dimension v1", ["scale", "count", "chart_id"], rows)
-    write_manifest(args.out, "dimension", _params(args), seeds, inputs, [out], t0)
+    write_manifest(args.out, "dimension", _params(args), seeds, inputs, [out], t0, results)
     for wmsg in est.warnings:
         print(f"warning: {wmsg}")
     print(f"dimension: slope={est.slope:.4f} +- {est.ci_halfwidth:.4f} ({verdict}, "
@@ -455,6 +470,9 @@ def cmd_crossratio(args) -> int:
 def cmd_visualmass(args) -> int:
     t0 = time.time()
     inputs = {}
+    results = None
+    # the Monte Carlo sample's peak per point (images, cube keys): 88 bytes
+    _budget(args.mc, 128, f"--mc {args.mc}")
     if args.synthetic == "hemisphere":
         cloud = np.array([[0.0, 0.0, 1.0]])  # cap of radius pi/2 around the pole
         eps = math.pi / 2.0
@@ -463,7 +481,8 @@ def cmd_visualmass(args) -> int:
             raise InputError("visualmass needs a representation or --synthetic")
         rep, descriptor = resolve_rep(args.rep)
         inputs["rep"] = descriptor
-        cloud = _fiber_cloud(rep, args.k, args.points, args.word_length, args.seed)
+        cloud, failures = _fiber_cloud(rep, args.k, args.points, args.word_length, args.seed)
+        results = {"sample_failures": failure_counts(failures)}
         eps = args.eps
     base = _floats(args.basepoint, "--basepoint", 3)
     nu = VisualMeasure(complex(base[0], base[1]), base[2])
@@ -475,7 +494,7 @@ def cmd_visualmass(args) -> int:
         ["estimate", "sigma", "eps", "mc_count", "seed"],
         [[fmt(est.estimate), fmt(est.sigma), fmt(eps), str(est.mc_count), str(est.seed)]],
     )
-    write_manifest(args.out, "visualmass", _params(args), [args.seed], inputs, [out], t0)
+    write_manifest(args.out, "visualmass", _params(args), [args.seed], inputs, [out], t0, results)
     print(f"visual mass: {est.estimate:.6f} +- {est.sigma:.6f} (eps={eps:.4f}, mc={est.mc_count})")
     return EXIT_OK
 
@@ -571,7 +590,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("fiber", "grassmann"), default="fiber")
     p.add_argument("--synthetic", choices=("circle", "cantor", "uniform"), default=None)
     p.add_argument("--points", type=_at_least(1), default=2000)
-    p.add_argument("--anchors", type=int, default=3)
+    p.add_argument("--anchors", type=_at_least(1), default=3)
     p.add_argument("--word-length", type=int, default=10)
     p.add_argument("--scales", default=None, help="comma-separated cell sizes in radians")
     p.set_defaults(func=cmd_dimension)

@@ -1,9 +1,11 @@
 """Tangent projections, hyperconvexity scores and the trivialized fibers
 of the projective-line bundle over the boundary.
 
+Flags come as one format, certify.FlagStack: a set of boundary flags is
+one (n, d, d) stack of frames, and a single flag is a one-row stack.
 Every flag z with spaces k-1 and k+1 carries a projective line: the
 quotient of its (k+1)-space by its (k-1)-space, worked with through the
-orthonormal 2-frame FlagSample.fiber_frame(k).  subspaces.frame_quotients
+orthonormal 2-frame of FlagStack.fiber_frames(k).  subspaces.frame_quotients
 computes it from the bits of z's frame alone, so flags with equal frames
 share their fiber gauge.  Other boundary points x project into that line
 by intersecting their (d-k)-space with the (k+1)-space of z; a projected
@@ -19,11 +21,11 @@ from itertools import combinations
 import numpy as np
 
 from . import words as W
-from .certify import FlagSample, _certificates, boundary_samples, limit_set_sample
-from .errors import FlaglabError, InputError, NotAnosovError, PrecisionError, TransversalityError
+from .certify import FlagStack, _certificates, boundary_samples, failure_counts, limit_set_sample
+from .errors import InputError, NotAnosovError, PrecisionError, TransversalityError
 from .mobius import chart, det2, sphere_xyz, three_point_map
 from .reps import Representation
-from .subspaces import frame_complements, frame_dists, frame_quotients, frame_sines
+from .subspaces import frame_dists, frame_sines
 from .words import Word
 
 TAU_PASS = 1e-3
@@ -92,29 +94,34 @@ def fiber_coords(frame, upper, lines) -> tuple[np.ndarray, np.ndarray]:
         return coords / norm[..., None], fault
 
 
-def tangent_project(base: FlagSample, flags, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Project the boundary directions of flags into the projective line of
-    base, all in one fiber_coords call.
+def _fiber_frame(base: FlagStack, k: int) -> np.ndarray:
+    """The (d, 2) fiber frame of the one-row stack base, or PrecisionError."""
+    frames, ok = base.fiber_frames(k)
+    if not ok[0]:
+        raise PrecisionError(f"fiber frame at k={k} is not 2-dimensional")
+    return frames[0]
+
+
+def tangent_project(base: FlagStack, flags: FlagStack, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Project the boundary directions of the stack flags into the
+    projective line of the one-row stack base, all in one fiber_coords call.
 
     Returns the unit 2-vectors (homogeneous pairs) (m, 2) in base's fiber
-    frame and the indices into flags of the m flags they came from.  base's
-    own source is skipped and a flag whose projection faults is dropped; a
-    base with no fiber frame raises PrecisionError.
+    frame and the rows of flags they came from.  base's own source is
+    skipped and a flag whose projection faults is dropped; a base with no
+    fiber frame raises PrecisionError.
     """
-    d = base.ambient_dim
-    frame = base.fiber_frame(k)
-    rows = [i for i, f in enumerate(flags) if f.source != base.source]
-    if not rows:
-        return np.empty((0, 2), dtype=complex), np.empty(0, dtype=int)
-    lines = np.stack([flags[i].space(d - k) for i in rows])
-    pairs, fault = fiber_coords(frame, base.space(k + 1), lines)
+    frame = _fiber_frame(base, k)
+    rows = np.flatnonzero([w != base.sources[0] for w in flags.sources])
+    lines = flags.space(base.ambient_dim - k)[rows]
+    pairs, fault = fiber_coords(frame, base.space(k + 1)[0], lines)
     keep = fault == SCORED
-    return pairs[keep], np.array(rows)[keep]
+    return pairs[keep], rows[keep]
 
 
-def chart_points(base: FlagSample, flags, k: int) -> tuple[np.ndarray, np.ndarray]:
+def chart_points(base: FlagStack, flags: FlagStack, k: int) -> tuple[np.ndarray, np.ndarray]:
     """tangent_project as unit vectors (m, 3), by sphere_xyz, with the
-    indices of the flags they came from; if base has no fiber frame
+    rows of flags they came from; if base has no fiber frame
     (PrecisionError) every flag is dropped.  Every other exception
     propagates."""
     try:
@@ -124,68 +131,27 @@ def chart_points(base: FlagSample, flags, k: int) -> tuple[np.ndarray, np.ndarra
     return sphere_xyz(pairs), rows
 
 
-def grassmann_charts(flags, k: int, anchors) -> tuple[dict[str, np.ndarray], list[int]]:
+def grassmann_charts(
+    flags: FlagStack, k: int, anchors: FlagStack
+) -> tuple[dict[str, np.ndarray], list[int]]:
     """Tangent-projection charts of a Grassmannian flag sample.
 
     Each anchor z charts the flags whose (d-k)-space stays CHART_FLOOR
     transverse to z's k-space (smallest principal sine, one frame_sines
     call per anchor), projected into the projective line at z.  Returns
-    ({anchor word: (m, 3) cloud}, indices of the flags that no chart
-    covers).
+    ({anchor word: (m, 3) cloud}, rows of flags that no chart covers).
     """
-    if not anchors:
+    if not len(anchors):
         raise InputError("need at least one chart anchor")
-    d = anchors[0].ambient_dim
-    lines = FlagStack(flags).space(d - k) if flags else np.empty((0, d, d - k), dtype=complex)
+    lines = flags.space(anchors.ambient_dim - k)
     covered = np.zeros(len(flags), dtype=bool)
     charts: dict[str, np.ndarray] = {}
-    for anchor in anchors:
-        gaps = frame_sines(lines, frame_complements(anchor.space(k)))[:, 0]
-        near = np.flatnonzero(gaps >= CHART_FLOOR)
-        coords, kept = chart_points(anchor, [flags[i] for i in near], k)
+    for i, perp in enumerate(anchors.complement(k)):
+        near = np.flatnonzero(frame_sines(lines, perp)[:, 0] >= CHART_FLOOR)
+        coords, kept = chart_points(anchors[i], flags[near], k)
         covered[near[kept]] = True
-        charts[W.word_to_str(anchor.source)] = coords
+        charts[W.word_to_str(anchors.sources[i])] = coords
     return charts, np.flatnonzero(~covered).tolist()
-
-
-class FlagStack:
-    """A list of flags as one (n, d, max ks) array of their frames.  ks are
-    the indices that every flag carries; space(j) is the (n, d, j) stack of
-    their j-spaces, by FlagSample.space's rule.  complement(j) and
-    fiber_frames(k) are each computed once, over the whole stack, and kept:
-    a triple sweep reads them in every block."""
-
-    def __init__(self, flags):
-        self.flags = list(flags)
-        if not self.flags:
-            raise InputError("a flag stack needs at least one flag")
-        self.ks = sorted(set.intersection(*(set(f.ks) for f in self.flags)))
-        self.ambient_dim = self.flags[0].ambient_dim
-        top = self.ks[-1] if self.ks else 0
-        self.frames = np.stack([f.frame[:, :top] for f in self.flags])
-        self._complements: dict[int, np.ndarray] = {}
-        self._quotients: dict[int, np.ndarray] = {}
-
-    def space(self, j: int) -> np.ndarray:
-        d = self.ambient_dim
-        if j == d:
-            return np.broadcast_to(np.eye(d, dtype=complex), (len(self.flags), d, d))
-        if j != 0 and j not in self.ks:
-            raise InputError(f"flag stack carries {self.ks}, not {j}")
-        return self.frames[..., :j]
-
-    def complement(self, j: int) -> np.ndarray:
-        if j not in self._complements:
-            self._complements[j] = frame_complements(self.space(j))
-        return self._complements[j]
-
-    def fiber_frames(self, k: int) -> np.ndarray:
-        """The fiber frames (n, d, 2) of the flags, each with the bits of
-        its FlagSample.fiber_frame(k); a flag without one gets a zero
-        frame, which collapses every projection into it."""
-        if k not in self._quotients:
-            self._quotients[k] = frame_quotients(self.space(k + 1), self.space(k - 1))[0]
-        return self._quotients[k]
 
 
 def point_dists(flags: FlagStack, a, b) -> np.ndarray:
@@ -194,8 +160,6 @@ def point_dists(flags: FlagStack, a, b) -> np.ndarray:
     they all carry.  Separation here is what controls the conditioning of
     tangent projections (osculation makes second principal angles shrink
     like a power of this distance)."""
-    if not flags.ks:
-        raise InputError("flags share no indices")
     j = flags.ks[0]
     return frame_dists(flags.space(j)[a], flags.space(j)[b], flags.complement(j)[b])
 
@@ -246,6 +210,8 @@ class HyperconvexityReport:
     tau: float = TAU_PASS
     # (reason, count) in SKIP_REASONS order; the counts sum to skipped
     skip_reasons: tuple[tuple[str, int], ...] = ()
+    # (reason, count) of the words that gave no flag, in FAILURE_REASONS order
+    sample_failures: tuple[tuple[str, int], ...] = ()
 
 
 def required_anosov_indices(rep: Representation, k: int, mode: str = "eq1") -> list[int]:
@@ -255,62 +221,57 @@ def required_anosov_indices(rep: Representation, k: int, mode: str = "eq1") -> l
 
 
 def _flag_pool(rep: Representation, ks, spec: TripleSpec):
-    """Base pool plus adversarial near-pairs, all as FlagSamples.
+    """The sweep's flags, its adversarial near-pairs and the failed words.
 
-    Adversarial attempts are drawn in chunks, in the order a one-by-one
-    loop would draw them; each chunk's words are sampled in one batch, its
-    pair distances are taken in one point_dists call and its pairs are
-    accepted in draw order."""
-    samples, _ = limit_set_sample(
-        rep, ks, count=spec.pool_size, length=spec.word_length, seed=spec.seed
-    )
+    Returns one FlagStack (the pool's spec.pool_size flags, then the
+    adversarial flags two by two), the (x, y) rows of its adversarial
+    pairs and the (word, reason, message) failures of the pool and the
+    pair words.  Adversarial attempts are drawn in chunks, in the order a
+    one-by-one loop would draw them; each chunk's words are sampled in one
+    batch, its pair distances are taken in one point_dists call and its
+    pairs are accepted in draw order."""
+    pool, failures = limit_set_sample(rep, ks, spec.pool_size, spec.word_length, spec.seed)
+    p = rep.presentation
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 0xADF)))
     n_pairs = max(1, int(spec.count * ADVERSARIAL_FRACTION) // 8)
     max_attempts = 60 * n_pairs
-    pairs = []
-    attempts = 0
+    accepted = []
+    found = attempts = 0
     # pairs closer than ~1e-5 can no longer be resolved in floats (the
     # normalized score converges as the pair degenerates, so nothing is
     # learned below the resolvability floor anyway)
     floor, ceiling = 3e-6, 2e-2
-    while len(pairs) < n_pairs and attempts < max_attempts:
-        size = min(max_attempts - attempts, 2 * (n_pairs - len(pairs)) + 8)
+    while found < n_pairs and attempts < max_attempts:
+        size = min(max_attempts - attempts, 2 * (n_pairs - found) + 8)
         attempts += size
         chunk = []
         for _ in range(size):
-            stem_len = int(rng.integers(2, spec.word_length + 1))
-            stem = W._random_word(rep.presentation, stem_len, rng)
-            tails = [
-                W._random_word(rep.presentation, ADVERSARIAL_SUFFIX, rng)
-                for _ in range(2)
-            ]
-            wx = W.cyclic_reduce(W.reduce(stem + tails[0], rep.presentation))
-            wy = W.cyclic_reduce(W.reduce(stem + tails[1], rep.presentation))
+            stem = W._random_word(p, int(rng.integers(2, spec.word_length + 1)), rng)
+            wx, wy = (W.cyclic_reduce(W.reduce(stem + W._random_word(p, ADVERSARIAL_SUFFIX, rng), p))
+                      for _ in range(2))
             if wx and wy and wx != wy:
-                chunk.append((wx, wy))
-        flags = iter(boundary_samples(rep, [w for pair in chunk for w in pair], ks))
-        sampled = [
-            (fx, fy) for fx, fy in zip(flags, flags)
-            if not (isinstance(fx, FlaglabError) or isinstance(fy, FlaglabError))
-        ]
-        if not sampled:
+                chunk += [wx, wy]
+        flags, errors = boundary_samples(rep, chunk, ks)
+        failures += [(w, e[0], str(e[1])) for w, e in zip(chunk, errors) if e is not None]
+        sampled = np.array([e is None for e in errors], dtype=bool).reshape(-1, 2)
+        # the rows of flags whose pair partner was sampled too
+        flags = flags[np.repeat(sampled.all(axis=1), 2)[sampled.ravel()]]
+        if not len(flags):
             continue
-        stack = FlagStack([f for pair in sampled for f in pair])
-        dists = point_dists(stack, slice(0, None, 2), slice(1, None, 2))
-        for pair, dist in zip(sampled, dists.tolist()):
-            if floor <= dist <= ceiling:
-                pairs.append(pair)
-                if len(pairs) == n_pairs:
-                    break
-    return samples, pairs
+        dists = point_dists(flags, slice(0, None, 2), slice(1, None, 2))
+        near = np.flatnonzero((floor <= dists) & (dists <= ceiling))[: n_pairs - found]
+        accepted.append(flags[(2 * near[:, None] + [0, 1]).ravel()])
+        found += near.size
+    pairs = [(len(pool) + 2 * i, len(pool) + 2 * i + 1) for i in range(found)]
+    return FlagStack.concat(pool, *accepted), pairs, failures
 
 
-def _draw_triple(rng, n_pool: int, n_pairs: int) -> tuple[int, int, int]:
-    """Indices of one triple into the sweep's stack: the pool, then the
-    adversarial pairs two by two.  z always comes from the pool."""
-    if n_pairs and rng.random() < ADVERSARIAL_FRACTION:
-        pair = int(rng.integers(n_pairs))
-        return n_pool + 2 * pair, n_pool + 2 * pair + 1, int(rng.integers(n_pool))
+def _draw_triple(rng, n_pool: int, pairs) -> tuple[int, int, int]:
+    """Rows of one triple of the sweep's stack: x, y one of the adversarial
+    pairs, or three distinct pool rows.  z always comes from the pool."""
+    if pairs and rng.random() < ADVERSARIAL_FRACTION:
+        x, y = pairs[int(rng.integers(len(pairs)))]
+        return x, y, int(rng.integers(n_pool))
     ii = rng.choice(n_pool, size=3, replace=False)
     return int(ii[0]), int(ii[1]), int(ii[2])
 
@@ -322,18 +283,17 @@ def _transversality_sweep(rep, k, spec, ks, score_fn, mode) -> HyperconvexityRep
     flags[iz]) of a FlagStack and returns (scores, fault codes).  The
     triples, their skips and the first strict minimum in draw order do not
     depend on BLOCK."""
-    pool, adversarial = _flag_pool(rep, ks, spec)
-    flags = FlagStack(pool + [f for pair in adversarial for f in pair])
+    flags, pairs, failures = _flag_pool(rep, ks, spec)
     ids: dict[Word, int] = {}
-    source = np.array([ids.setdefault(f.source, len(ids)) for f in flags.flags])
+    source = np.array([ids.setdefault(w, len(ids)) for w in flags.sources])
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 0x7A1)))
     best = np.inf
-    worst = (pool[0].source,) * 3
+    worst = (flags.sources[0],) * 3
     tested = 0
     skips = np.zeros(len(SKIP_REASONS), dtype=int)
     for start in range(0, spec.count, BLOCK):
         drawn = np.array([
-            _draw_triple(rng, len(pool), len(adversarial))
+            _draw_triple(rng, spec.pool_size, pairs)
             for _ in range(min(BLOCK, spec.count - start))
         ])
         ix, iy, iz = drawn.T
@@ -358,7 +318,7 @@ def _transversality_sweep(rep, k, spec, ks, score_fn, mode) -> HyperconvexityRep
             i = int(np.argmin(np.where(scored, scores, np.inf)))
             if scores[i] < best:
                 best = scores[i]
-                worst = tuple(flags.flags[j].source for j in drawn[live[i]])
+                worst = tuple(flags.sources[j] for j in drawn[live[i]])
     skipped = int(skips.sum())
     if tested == 0:
         raise PrecisionError(f"all {skipped} drawn triples were skipped; no valid triple was tested")
@@ -378,6 +338,7 @@ def _transversality_sweep(rep, k, spec, ks, score_fn, mode) -> HyperconvexityRep
         verdict=verdict,
         tau=spec.tau,
         skip_reasons=tuple(zip(SKIP_REASONS, skips.tolist())),
+        sample_failures=tuple(failure_counts(failures).items()),
     )
 
 
@@ -414,7 +375,7 @@ def _eq1_scores(k: int, flags: FlagStack, ix, iy, iz) -> tuple[np.ndarray, np.nd
     Returns the scores and fault codes of the triples (flags[ix],
     flags[iy], flags[iz]); a faulted row's score is NaN."""
     d = flags.ambient_dim
-    frame = flags.fiber_frames(k)[iz]
+    frame = flags.fiber_frames(k)[0][iz]
     upper = flags.space(k + 1)[iz]
     lx, fault = fiber_coords(frame, upper, flags.space(d - k)[ix])
     ly, fault_y = fiber_coords(frame, upper, flags.space(d - k)[iy])
@@ -475,31 +436,30 @@ def _check_prereqs(rep, k, mode, radius):
 
 class Trivialization:
     """Fiberwise Mobius normalization sending the projections of three
-    fixed boundary directions to 0, 1, infinity in every fiber."""
+    fixed boundary directions, the 3-row stack basepoints, to 0, 1,
+    infinity in every fiber."""
 
-    def __init__(self, k: int, basepoints):
+    def __init__(self, k: int, basepoints: FlagStack):
         if len(basepoints) != 3:
             raise InputError("a trivialization needs three basepoint flags")
-        srcs = {b.source for b in basepoints}
-        if len(srcs) != 3:
+        if len(set(basepoints.sources)) != 3:
             raise InputError("trivialization basepoints must be pairwise distinct")
         self.k = k
-        self.basepoints = tuple(basepoints)
+        self.basepoints = basepoints
 
-    def fiber_map(self, t: FlagSample) -> np.ndarray:
-        """Mobius matrix of the normalization in the fiber over t, in t's
-        fiber frame (a function of the bits of t's frame)."""
-        d = t.ambient_dim
-        lines = np.stack([b.space(d - self.k) for b in self.basepoints])
-        pairs, fault = fiber_coords(t.fiber_frame(self.k), t.space(self.k + 1), lines)
+    def fiber_map(self, t: FlagStack) -> np.ndarray:
+        """Mobius matrix of the normalization in the fiber over the one-row
+        stack t, in t's fiber frame (a function of the bits of t's frame)."""
+        lines = self.basepoints.space(t.ambient_dim - self.k)
+        pairs, fault = fiber_coords(_fiber_frame(t, self.k), t.space(self.k + 1)[0], lines)
         if (fault != SCORED).any():
             raise TransversalityError(_FAULT_MESSAGES[int(fault[fault != SCORED][0])])
         return three_point_map(*pairs)
 
-    def project(self, t: FlagSample, flags) -> tuple[np.ndarray, np.ndarray]:
+    def project(self, t: FlagStack, flags: FlagStack) -> tuple[np.ndarray, np.ndarray]:
         """tangent_project flags at t and normalize: pairs (m, 2) with the
-        three basepoints at the classes of 0, 1 and infinity, and the
-        indices of the flags they came from."""
+        three basepoints at the classes of 0, 1 and infinity, and the rows
+        of flags they came from."""
         m = self.fiber_map(t)
         pairs, rows = tangent_project(t, flags, self.k)
         # m @ pair row by row: the bits of the one-pair product
@@ -521,6 +481,8 @@ class FoliatedSample:
     base_status: dict[Word, str]
     basepoint_words: tuple[Word, Word, Word]
     seed: int
+    # words the sampler gave no flag, by FAILURE_REASONS code
+    sample_failures: dict[str, int]
 
 
 def foliated_limit_sample(
@@ -537,50 +499,34 @@ def foliated_limit_sample(
     if base_count < 1 or fiber_count < 1:
         raise InputError(f"need at least one base and one fiber, got {base_count} and {fiber_count}")
     ks = fiber_ks(rep.dim, k)
-    flags, _ = limit_set_sample(
-        rep, ks, count=base_count + fiber_count + 8, length=word_length, seed=seed
-    )
+    flags, failures = limit_set_sample(rep, ks, base_count + fiber_count + 8, word_length, seed)
     # basepoints: the best-quality of the first eight flags, tie-broken
     # toward a well-spread triple so the fiber normalizations stay conditioned
-    candidates = sorted(flags[:8], key=lambda f: f.quality)
+    candidates = flags[np.argsort(flags.quality[:8], kind="stable")]
     pairs = list(combinations(range(len(candidates)), 2))
     a, b = np.array(pairs).T
-    dist = dict(zip(pairs, point_dists(FlagStack(candidates), a, b).tolist()))
-    best = [candidates[i] for i in max(
+    dist = dict(zip(pairs, point_dists(candidates, a, b).tolist()))
+    best = max(
         combinations(range(len(candidates)), 3),
         key=lambda triple: min(dist[pair] for pair in combinations(triple, 2)),
-    )]
-    trivialization = Trivialization(k, best)
-    taken = {b.source for b in best}
-    flags = [f for f in flags if f.source not in taken]
+    )
+    trivialization = Trivialization(k, candidates[list(best)])
+    flags = flags[[w not in trivialization.basepoints.sources for w in flags.sources]]
     bases = flags[:base_count]
-    fibers = [f for f in flags if f.source not in {b.source for b in bases}][:fiber_count]
+    fibers = flags[[w not in bases.sources for w in flags.sources]][:fiber_count]
     rows: list[FiberRow] = []
     status: dict[Word, str] = {}
-    for t in bases:
+    for i, t in enumerate(bases.sources):
         try:
-            pairs, kept = trivialization.project(t, fibers)
+            pairs, kept = trivialization.project(bases[i], fibers)
         except PrecisionError as exc:
-            status[t.source] = f"base failed: {exc}"
+            status[t] = f"base failed: {exc}"
             continue
-        for pair, i in zip(pairs, kept.tolist()):
+        for pair, j in zip(pairs, kept.tolist()):
             v = chart(pair)
             inf_flag = not np.isfinite(v.real)
-            rows.append(
-                FiberRow(
-                    base_word=t.source,
-                    fiber_word=fibers[i].source,
-                    value=0j if inf_flag else complex(v),
-                    at_infinity=bool(inf_flag),
-                )
-            )
+            rows.append(FiberRow(t, fibers.sources[j], 0j if inf_flag else complex(v), inf_flag))
         # no fiber shares a base's source, so every missing row faulted
-        status[t.source] = f"ok={len(kept)} failed={len(fibers) - len(kept)}"
-    return FoliatedSample(
-        k=k,
-        rows=rows,
-        base_status=status,
-        basepoint_words=tuple(b.source for b in trivialization.basepoints),
-        seed=seed,
-    )
-
+        status[t] = f"ok={len(kept)} failed={len(fibers) - len(kept)}"
+    basepoint_words = tuple(trivialization.basepoints.sources)
+    return FoliatedSample(k, rows, status, basepoint_words, seed, failure_counts(failures))

@@ -106,11 +106,12 @@ def log_sigma(state: ProductSVD) -> np.ndarray:
     return state.logs - state.logs.mean(axis=-1, keepdims=True)
 
 
-def flag_dist(a: "fl.FlagSample", b: "fl.FlagSample") -> float:
-    """Largest Hausdorff subspace distance over the indices two flags share."""
+def flag_dist(a: "fl.FlagStack", b: "fl.FlagStack") -> float:
+    """Largest Hausdorff subspace distance over the indices two one-row
+    stacks share."""
     common = sorted(set(a.ks) & set(b.ks))
     assert common, "flags share no indices"
-    return max(hausdorff_subspace_dist(a.space(k), b.space(k)) for k in common)
+    return max(hausdorff_subspace_dist(a.space(k)[0], b.space(k)[0]) for k in common)
 
 
 def brute_ball(presentation: "fl.GroupPresentation", radius: int) -> list:

@@ -18,9 +18,9 @@ from math import comb
 import numpy as np
 
 from flaglab import words as W
-from flaglab.certify import FlagSample
+from flaglab.certify import FlagStack
 from flaglab.errors import CapacityError, InputError, PrecisionError, TransversalityError
-from flaglab.fibers import SCORED, _FAULT_MESSAGES, Trivialization, line_intersections
+from flaglab.fibers import SCORED, _FAULT_MESSAGES, Trivialization, _fiber_frame, line_intersections
 from flaglab.mobius import apply_mobius
 from flaglab.reps import Representation
 from flaglab.sphere import MassEstimate, VisualMeasure, _unit_vectors, cap_hits
@@ -152,38 +152,39 @@ def wedge_rep(rep: Representation, k: int) -> Representation:
 # --- flag transport and the Mobius cocycle --------------------------------------------
 
 
-def transport_flag(rep: Representation, gamma, flag: FlagSample) -> FlagSample:
-    """Image flag under rho(gamma): one QR of the moved frame, so the image
-    spaces nest by construction; it keeps its source's quality.  Raises
-    PrecisionError when rho(gamma) collapses the top requested space (a
-    lower one is a column subset of it and never collapses first)."""
+def transport_flag(rep: Representation, gamma, flag: FlagStack) -> FlagStack:
+    """Image of the one-row stack flag under rho(gamma): one QR of the
+    moved frame, so the image spaces nest by construction; it keeps its
+    source's quality.  Raises PrecisionError when rho(gamma) collapses the
+    top requested space (a lower one is a column subset of it and never
+    collapses first)."""
     g = W.reduce(gamma, rep.presentation)
     if not g:
         return flag  # identity transport: the same frame, so the same fiber gauge
-    moved = rep.evaluate(g) @ flag.frame
+    moved = rep.evaluate(g) @ flag.frames[0]
     top = flag.ks[-1]
     if orth(moved[:, :top]).shape[1] != top:
         raise PrecisionError(f"transport collapsed the {top}-space")
     q, _ = np.linalg.qr(moved)
-    src = concat(rep.presentation, g, flag.source, invert(g))
-    return FlagSample(src, q, flag.ks, flag.quality)
+    src = concat(rep.presentation, g, flag.sources[0], invert(g))
+    return FlagStack([src], q[None], flag.ks, flag.quality)
 
 
 def mobius_cocycle(
-    rep: Representation, gamma, t: FlagSample, k: int
-) -> tuple[np.ndarray, FlagSample]:
-    """The induced projective map from the fiber at t to the fiber at
-    gamma.t, as a det-1 2x2 matrix in the fiber frames of t and gamma.t.
-    Returns (matrix, transported flag)."""
+    rep: Representation, gamma, t: FlagStack, k: int
+) -> tuple[np.ndarray, FlagStack]:
+    """The induced projective map from the fiber at the one-row stack t to
+    the fiber at gamma.t, as a det-1 2x2 matrix in the fiber frames of t
+    and gamma.t.  Returns (matrix, transported flag)."""
     gt = transport_flag(rep, gamma, t)
     m = rep.evaluate(gamma)
-    b = gt.fiber_frame(k).conj().T @ m @ t.fiber_frame(k)
+    b = _fiber_frame(gt, k).conj().T @ m @ _fiber_frame(t, k)
     return det_normalize(b), gt
 
 
 def cocycle(
-    rep: Representation, triv: Trivialization, gamma, t: FlagSample
-) -> tuple[np.ndarray, FlagSample]:
+    rep: Representation, triv: Trivialization, gamma, t: FlagStack
+) -> tuple[np.ndarray, FlagStack]:
     """Trivialized cocycle: the fiber action read through triv's 0,1,inf
     normalizations at both ends.  Satisfies the cocycle identity up to
     float error wherever the flags' frames agree bit for bit, as every
@@ -213,21 +214,21 @@ def plucker(frame: np.ndarray) -> np.ndarray:
     return _unit_column(wedge_coords(frame))
 
 
-def wedge_pencil(z: FlagSample, k: int) -> np.ndarray:
-    """Frame (N, 2) of the 2-plane of wedges (k-1 fixed directions of z, one
-    free direction of its (k+1)-space): the image of the fiber of z in the
-    exterior power."""
-    lower = z.space(k - 1)
-    cols = [wedge_coords(np.concatenate([lower, f[:, None]], axis=1)) for f in z.fiber_frame(k).T]
+def wedge_pencil(z: FlagStack, k: int) -> np.ndarray:
+    """Frame (N, 2) of the 2-plane of wedges (k-1 fixed directions of the
+    one-row stack z, one free direction of its (k+1)-space): the image of
+    the fiber of z in the exterior power."""
+    lower = z.space(k - 1)[0]
+    cols = [wedge_coords(np.concatenate([lower, f[:, None]], axis=1)) for f in _fiber_frame(z, k).T]
     return orth(np.stack(cols, axis=1))
 
 
-def wedge_hyperplane(y: FlagSample, k: int) -> np.ndarray:
+def wedge_hyperplane(y: FlagStack, k: int) -> np.ndarray:
     """Frame (N, N-1) of the kernel of pairing with the wedge of the
-    (d-k)-space of y: the hyperplane of the exterior power that absorbs the
-    limit set away from y."""
+    (d-k)-space of the one-row stack y: the hyperplane of the exterior
+    power that absorbs the limit set away from y."""
     d = y.ambient_dim
-    yframe = y.space(d - k)
+    yframe = y.space(d - k)[0]
     idx = list(combinations(range(d), k))
     coeff = np.empty(len(idx), dtype=complex)
     for row, i_set in enumerate(idx):
@@ -237,16 +238,16 @@ def wedge_hyperplane(y: FlagSample, k: int) -> np.ndarray:
     return frame_complements(_unit_column(np.conj(coeff)))
 
 
-def fiber_wedge_line(z: FlagSample, k: int, coords: np.ndarray) -> np.ndarray:
-    """Frame (N, 1) of the image of the fiber point coords over z under the
-    bundle map into the exterior power: wedge the (k-1)-frame of z with its
-    representative."""
-    v = z.fiber_frame(k) @ coords
-    cols = np.concatenate([z.space(k - 1), v[:, None]], axis=1)
+def fiber_wedge_line(z: FlagStack, k: int, coords: np.ndarray) -> np.ndarray:
+    """Frame (N, 1) of the image of the fiber point coords over the one-row
+    stack z under the bundle map into the exterior power: wedge the
+    (k-1)-frame of z with its representative."""
+    v = _fiber_frame(z, k) @ coords
+    cols = np.concatenate([z.space(k - 1)[0], v[:, None]], axis=1)
     return _unit_column(wedge_coords(cols))
 
 
-def wedge_fiber_point(z: FlagSample, y: FlagSample, k: int) -> np.ndarray:
+def wedge_fiber_point(z: FlagStack, y: FlagStack, k: int) -> np.ndarray:
     """Frame (N, 1) of the fiber point of the k-th wedge representation over
     z in the direction y, computed purely downstairs: hyperplane of y met
     with the pencil of z."""

@@ -15,7 +15,8 @@ import flaglab as fl
 import flaglab.words as W
 from flaglab.certify import _certificates
 from flaglab.cli import main as cli_main
-from flaglab.fibers import FlagStack, TripleSpec, point_dists, tangent_project
+from flaglab.certify import FlagStack
+from flaglab.fibers import TripleSpec, point_dists, tangent_project
 from flaglab.prodsvd import ProductSVD
 from flaglab.sphere import VisualMeasure, cross_ratio, visual_mass
 from flaglab.subspaces import frame_cosines
@@ -166,7 +167,7 @@ def test_criterion_4_bundle_diagram(sym4):
             z, y = flags[i], flags[j]
             if not _resolvable_pair(z, y):
                 continue
-            [pair], _ = tangent_project(z, [y], 2)
+            [pair], _ = tangent_project(z, y, 2)
             line = fiber_wedge_line(z, 2, pair)
             worst = max(worst, hausdorff_subspace_dist(line, wedge_fiber_point(z, y, 2)))
             checked += 1
@@ -176,7 +177,7 @@ def test_criterion_4_bundle_diagram(sym4):
 
 
 def _resolvable_pair(z, y, floor=1e-6):
-    cos_a = frame_cosines(y.space(2), z.space(3))
+    cos_a = frame_cosines(y.space(2)[0], z.space(3)[0])
     if len(cos_a) > 1 and 1.0 - cos_a[1] < floor:
         return False
     cos_b = frame_cosines(wedge_pencil(z, 2), wedge_hyperplane(y, 2))
@@ -190,13 +191,13 @@ def _resolvable_pair(z, y, floor=1e-6):
 def test_criterion_5_cocycle_identity(name):
     rep = fl.preset(name)
     ks = [1, 2] if rep.dim == 3 else [1]
-    basepoints = fl.boundary_samples(rep, [(1,), (2,), (-1,)], ks)
+    basepoints, _ = fl.boundary_samples(rep, [(1,), (2,), (-1,)], ks)
     triv = fl.Trivialization(1, basepoints)
     pool, _ = fl.limit_set_sample(rep, ks, count=30, length=8, seed=3)
     # which pool flags lie at least 0.1 from every basepoint: a point_dists
     # row does not depend on its stack, so one call serves every draw
     n = len(pool)
-    t_far = (point_dists(FlagStack(pool + basepoints), np.repeat(np.arange(n), 3),
+    t_far = (point_dists(FlagStack.concat(pool, basepoints), np.repeat(np.arange(n), 3),
                          np.tile(np.arange(n, n + 3), n)) >= 0.1).reshape(n, 3).all(axis=1)
     p = rep.presentation
     rng = np.random.default_rng(0)
@@ -215,7 +216,7 @@ def test_criterion_5_cocycle_identity(name):
         except fl.PrecisionError:
             continue  # contractual: too ill-conditioned a transport to certify
         # the six distances from bt, abt (rows 0-1) to the basepoints
-        near = point_dists(FlagStack([bt, abt] + basepoints), np.repeat(np.arange(2), 3),
+        near = point_dists(FlagStack.concat(bt, abt, basepoints), np.repeat(np.arange(2), 3),
                            np.tile(np.arange(2, 5), 2))
         if (near < 0.1).any():
             continue
@@ -321,7 +322,7 @@ def test_criterion_8c_uniform_sphere(tmp_path):
 def test_criterion_9_area_decay(sym3):
     from flaglab.cli import _fiber_cloud
 
-    pts = _fiber_cloud(sym3, 1, 1500, 10, 7)
+    pts, _ = _fiber_cloud(sym3, 1, 1500, 10, 7)
     epses = [0.2, 0.1, 0.05, 0.025]
     nu = VisualMeasure(0j, 1.0)
     areas = [4.0 * math.pi * visual_mass(nu, pts, e, mc_count=200_000, seed=3).estimate

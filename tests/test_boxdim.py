@@ -187,14 +187,14 @@ def veronese_circle_flags(octagon_sym3):
 
 def test_grassmann_single_chart_equals_fiber(octagon_sym3, veronese_circle_flags):
     anchor, flags = veronese_circle_flags[0], veronese_circle_flags[1:]
-    charts, uncovered = fibers.grassmann_charts(flags, 1, [anchor])
+    charts, uncovered = fibers.grassmann_charts(flags, 1, anchor)
     # a single chart can only be asked about the flags it covers
-    sines = frame_sines(fibers.FlagStack(flags).space(2), frame_complements(anchor.space(1)))
+    sines = frame_sines(flags.space(2), frame_complements(anchor.space(1)[0]))
     assert uncovered == np.flatnonzero(sines[:, 0] < 0.1).tolist()
-    cloud = [f for i, f in enumerate(flags) if i not in uncovered]
+    cloud = flags[[i not in uncovered for i in range(len(flags))]]
     coords, kept = fibers.chart_points(anchor, cloud, 1)
     assert kept.tolist() == list(range(len(cloud)))
-    assert np.array_equal(charts[word_to_str(anchor.source)], coords)
+    assert np.array_equal(charts[word_to_str(anchor.sources[0])], coords)
     est = fl.grassmann_dimension(charts)
     direct = fl.box_dimension_sphere(coords, min_points=200)
     assert est.slope == direct.slope
@@ -203,7 +203,7 @@ def test_grassmann_single_chart_equals_fiber(octagon_sym3, veronese_circle_flags
 
 def test_grassmann_veronese_circle_slope(octagon_sym3, veronese_circle_flags):
     flags = veronese_circle_flags
-    anchors = [flags[0], flags[1], flags[2]]
+    anchors = flags[:3]
     charts, uncovered = fibers.grassmann_charts(flags[3:], 1, anchors)
     assert not uncovered
     est = fl.grassmann_dimension(charts)
@@ -230,7 +230,7 @@ def test_grassmann_propagates_programming_errors(veronese_circle_flags, monkeypa
     monkeypatch.setattr(fibers, "fiber_coords", broken)
     flags = veronese_circle_flags
     with pytest.raises(TypeError, match="bug in a projection"):
-        fibers.grassmann_charts(flags[1:300], 1, [flags[0]])
+        fibers.grassmann_charts(flags[1:300], 1, flags[0])
 
 
 @pytest.mark.parametrize("error,dropped", [
@@ -269,6 +269,6 @@ def test_grassmann_uncovered_flags_error(octagon_sym3, veronese_circle_flags, mo
     flags = veronese_circle_flags
     monkeypatch.setattr(fibers, "CHART_FLOOR", 0.9)
     # a single anchor cannot cover its own transversality hole
-    charts, uncovered = fibers.grassmann_charts(flags[1:300], 1, [flags[0]])
+    charts, uncovered = fibers.grassmann_charts(flags[1:300], 1, flags[0])
     assert uncovered
-    assert len(charts[word_to_str(flags[0].source)]) == 299 - len(uncovered)
+    assert len(charts[word_to_str(flags.sources[0])]) == 299 - len(uncovered)

@@ -6,9 +6,8 @@ import pytest
 import flaglab as fl
 import flaglab.words as W
 import flaglab.certify as certify
-from flaglab.certify import _doubling_ratios, boundary_samples
+from flaglab.certify import FlagStack, _doubling_ratios, boundary_samples
 from flaglab.errors import CapacityError, InputError, NotAnosovError, PrecisionError
-from flaglab.fibers import FlagStack
 from flaglab.prodsvd import ProductSVD
 from flaglab.reps import Representation
 from flaglab.subspaces import frame_sines
@@ -306,36 +305,39 @@ def test_real_letter_matrices_change_no_bit(name, ks, monkeypatch):
         return {key: r if isinstance(r, tuple) else (type(r), str(r)) for key, r in ratios.items()}
 
     assert outcomes(real[1]) == outcomes(cplx[1])
-    assert all(isinstance(f, certify.FlagSample) for f in real[2] + cplx[2])
-    for a, b in zip(real[2], cplx[2]):
-        assert np.array_equal(a.frame, b.frame) and a.quality == b.quality
+    (flags, errors), (cflags, cerrors) = real[2], cplx[2]
+    assert errors == cerrors == [None] * len(words)
+    assert flags.sources == cflags.sources == words
+    for i, (a, b) in enumerate(zip(flags, cflags)):
+        assert np.array_equal(a.frames, b.frames) and a.quality == b.quality
+        assert np.array_equal(a.frames[0], flags.frames[i]) and a.quality[0] == flags.quality[i]
 
 
 # --- attractors ---------------------------------------------------------------
 
 
 def test_boundary_sample_eigenline_oracle(schottky):
-    [flag] = boundary_samples(schottky, [(1,)], [1])
+    flag, _ = boundary_samples(schottky, [(1,)], [1])
     vals, vecs = np.linalg.eig(schottky.evaluate((1,)))
     top = orth(vecs[:, [int(np.argmax(np.abs(vals)))]])
-    assert hausdorff_subspace_dist(flag.space(1), top) < 1e-8
+    assert hausdorff_subspace_dist(flag.space(1)[0], top) < 1e-8
 
 
 def test_boundary_sample_sym_weight_oracle(sym3):
     # for a diagonalizable word, the flag is spanned by the top weight vectors
     w = (1, 2, 1)
-    [flag] = boundary_samples(sym3, [w], [1, 2])
+    flag, _ = boundary_samples(sym3, [w], [1, 2])
     vals, vecs = np.linalg.eig(sym3.evaluate(w))
     order = np.argsort(np.abs(vals))[::-1]
-    assert hausdorff_subspace_dist(flag.space(1), orth(vecs[:, order[:1]])) < 1e-8
-    assert hausdorff_subspace_dist(flag.space(2), orth(vecs[:, order[:2]])) < 1e-8
+    assert hausdorff_subspace_dist(flag.space(1)[0], orth(vecs[:, order[:1]])) < 1e-8
+    assert hausdorff_subspace_dist(flag.space(2)[0], orth(vecs[:, order[:2]])) < 1e-8
 
 
 def test_boundary_sample_equivariance(sym4):
     w = (1, 2, -1, 2, 1)
     gamma = (2, 1, -2)
     conj = concat(sym4.presentation, gamma, w, invert(gamma))
-    flag, rhs = boundary_samples(sym4, [w, conj], [1, 2, 3])
+    flag, rhs = boundary_samples(sym4, [w, conj], [1, 2, 3])[0]
     lhs = transport_flag(sym4, gamma, flag)
     assert flag_dist(lhs, rhs) < 1e-6
 
@@ -343,37 +345,37 @@ def test_boundary_sample_equivariance(sym4):
 def test_transport_flag_matches_moved_frames(sym4):
     # rho(gamma) has condition number about 7.9e8
     gamma = (2, 1, -2)
-    [flag] = boundary_samples(sym4, [(1, 2, -1, 2, 1)], [1, 2, 3])
+    flag, _ = boundary_samples(sym4, [(1, 2, -1, 2, 1)], [1, 2, 3])
     m = sym4.evaluate(gamma)
     moved = transport_flag(sym4, gamma, flag)
     for k in flag.ks:
-        direct = orth(m @ flag.space(k))
-        assert hausdorff_subspace_dist(moved.space(k), direct) < 1e-10
+        direct = orth(m @ flag.space(k)[0])
+        assert hausdorff_subspace_dist(moved.space(k)[0], direct) < 1e-10
     assert moved.quality == flag.quality
 
 
 def test_transport_flag_round_trip(sym4):
     gamma = (1, 2)
-    [flag] = boundary_samples(sym4, [(1, 2, -1, 2, 1)], [1, 2, 3])
+    flag, _ = boundary_samples(sym4, [(1, 2, -1, 2, 1)], [1, 2, 3])
     back = transport_flag(sym4, invert(gamma), transport_flag(sym4, gamma, flag))
     assert flag_dist(back, flag) < 1e-10
 
 
 def test_transport_flag_collapse_is_precision_error():
     rep = Representation(W.free_group(1), [np.diag([1e9, 1.0, 1e-9])])
-    flag = fl.FlagSample((1,), np.eye(3)[:, [1, 2, 0]], [1, 2])
+    flag = FlagStack([(1,)], np.eye(3)[None][:, :, [1, 2, 0]], [1, 2], [0.0])
     with pytest.raises(PrecisionError, match="collapsed"):
         transport_flag(rep, (1,), flag)
 
 
 def test_flag_space_outside_ks_is_input_error(sym4):
-    [flag] = boundary_samples(sym4, [(1, 2, -1, 2, 1)], [1, 3])
-    assert flag.space(0).shape == (4, 0)
+    flag, _ = boundary_samples(sym4, [(1, 2, -1, 2, 1)], [1, 3])
+    assert flag.space(0).shape == (1, 4, 0)
     for k in flag.ks:
-        assert flag.space(k).shape == (4, k)
-        assert np.array_equal(flag.space(k), flag.frame[:, :k])
+        assert flag.space(k).shape == (1, 4, k)
+        assert np.array_equal(flag.space(k), flag.frames[..., :k])
     full = flag.space(4)
-    assert full.dtype == complex and np.array_equal(full, np.eye(4))
+    assert full.dtype == complex and np.array_equal(full, np.eye(4)[None])
     for k in (2, 5, -1):
         with pytest.raises(InputError, match="carries"):
             flag.space(k)
@@ -384,23 +386,23 @@ def test_boundary_sample_stability_under_more_power(sym4, monkeypatch):
 
     w = (1, 2, 2, -1, 2)
     monkeypatch.setattr(certify, "TARGET_GAP", 14.0)
-    [f1] = boundary_samples(sym4, [w], [1, 2, 3])
+    f1, _ = boundary_samples(sym4, [w], [1, 2, 3])
     monkeypatch.setattr(certify, "TARGET_GAP", 28.0)
-    [f2] = boundary_samples(sym4, [w], [1, 2, 3])
+    f2, _ = boundary_samples(sym4, [w], [1, 2, 3])
     assert flag_dist(f1, f2) < 1e-6
 
 
 def test_boundary_sample_nesting_postcondition(sym4_flags):
-    for flag in sym4_flags[:10]:
-        for k1, k2 in zip(flag.ks, flag.ks[1:]):
-            assert np.array_equal(flag.space(k1), flag.space(k2)[:, :k1])
+    flags = sym4_flags[:10]
+    for k1, k2 in zip(flags.ks, flags.ks[1:]):
+        assert np.array_equal(flags.space(k1), flags.space(k2)[..., :k1])
 
 
 def test_boundary_sample_rejects_trivial_word(schottky):
     with pytest.raises(InputError, match="boundary_samples needs a nontrivial word"):
         boundary_samples(schottky, [(1, -1)], [1])
-    [rejected] = boundary_samples(fl.preset("trivial"), [(1,)], [1])
-    assert isinstance(rejected, NotAnosovError)
+    flags, [(reason, rejected)] = boundary_samples(fl.preset("trivial"), [(1,)], [1])
+    assert len(flags) == 0 and isinstance(rejected, NotAnosovError)
 
 
 def _boundary_sample_oracle(rep, word, ks):
@@ -421,7 +423,7 @@ def _boundary_sample_oracle(rep, word, ks):
         if not np.all(np.isfinite(g)):
             return PrecisionError(f"non-finite gap along {name}: log-singular spread past about 372 nats")
         if worst >= certify.TARGET_GAP:
-            return certify.FlagSample(word, state.u.copy(), ks, math.exp(-2.0 * worst))
+            return FlagStack([word], state.u[None], ks, [math.exp(-2.0 * worst)])
         history.append(worst)
         if len(history) >= 4 and history[-1] - history[-4] < 1e-3:
             return NotAnosovError(f"gap stalled at {worst:.4f} along {name}; not Anosov along this word")
@@ -429,12 +431,16 @@ def _boundary_sample_oracle(rep, word, ks):
             return NotAnosovError(f"gap reached only {worst:.3f} of {certify.TARGET_GAP} along {name}")
 
 
-def test_batched_judge_matches_per_word_oracle(monkeypatch):
-    # one stack that ends every way at once: a (the spread matrix) passes
-    # 372 nats, b and the words built on it clear the target, c (two
-    # unipotent Jordan blocks) stalls at gap 0 and d grows too slowly for
-    # MAX_LETTERS; the words' lengths spread their powers over many absorbs
-    monkeypatch.setattr(certify, "MAX_LETTERS", 40)
+# words of _mixed_rep that end every way at once, with MAX_LETTERS at 40
+MIXED_WORDS = [(1,), (2,), (3,), (4,), (2, 2, 4), (4, 2, 2, 2), (2, -3, 2), (1, 2),
+               (4, 4, -3), (-2, 1, -2, -2, 4), (3, 4), (1, 4)]
+
+
+def _mixed_rep():
+    # a (the spread matrix) passes 372 nats, b and the words built on it
+    # clear the target, c (two unipotent Jordan blocks) stalls at gap 0 and
+    # d grows too slowly for MAX_LETTERS = 40; the lengths of MIXED_WORDS
+    # spread their powers over many absorbs
     q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))
     gens = [
         _spread_rep().generators[0],
@@ -442,24 +448,59 @@ def test_batched_judge_matches_per_word_oracle(monkeypatch):
         np.array([[1.0, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]),
         np.diag([1.1, 1.05, 1 / 1.05, 1 / 1.1]),
     ]
-    rep = Representation(W.free_group(4), gens, label="mixed")
-    ks = [1, 2, 3]
-    words = [(1,), (2,), (3,), (4,), (2, 2, 4), (4, 2, 2, 2), (2, -3, 2), (1, 2),
-             (4, 4, -3), (-2, 1, -2, -2, 4), (3, 4), (1, 4)]
-    got = boundary_samples(rep, words, ks)
+    return Representation(W.free_group(4), gens, label="mixed")
+
+
+def test_batched_judge_matches_per_word_oracle(monkeypatch):
+    # one stack that ends every way at once
+    monkeypatch.setattr(certify, "MAX_LETTERS", 40)
+    rep, ks, words = _mixed_rep(), [1, 2, 3], MIXED_WORDS
+    got, errors = boundary_samples(rep, words, ks)
+    rows = iter(got)  # the words that succeeded, in word order
     kinds = set()
-    for w, flag in zip(words, got):
+    for w, error in zip(words, errors):
         want = _boundary_sample_oracle(rep, w, ks)
-        assert type(flag) is type(want), w
-        if isinstance(want, certify.FlagSample):
-            assert flag.source == want.source and flag.ks == want.ks
-            assert np.array_equal(flag.frame, want.frame) and flag.quality == want.quality, w
+        if isinstance(want, FlagStack):
+            assert error is None, w
+            flag = next(rows)
+            assert flag.sources == want.sources and flag.ks == want.ks
+            assert np.array_equal(flag.frames, want.frames) and flag.quality == want.quality, w
             kinds.add("done")
         else:
-            assert str(flag) == str(want), w
-            kinds.add(" ".join(str(want).split()[:2]))
-    assert kinds == {"done", "non-finite gap", "gap stalled", "gap reached"}
-    assert boundary_samples(rep, [], ks) == []
+            reason, error = error
+            assert type(error) is type(want) and str(error) == str(want), w
+            kinds.add((reason, " ".join(str(want).split()[:2])))
+    assert next(rows, None) is None
+    assert kinds == {
+        "done", ("non_finite_gap", "non-finite gap"), ("gap_stalled", "gap stalled"),
+        ("gap_short", "gap reached"),
+    }
+    empty, errors = boundary_samples(rep, [], ks)
+    assert len(empty) == 0 and empty.frames.shape == (0, 4, 4) and errors == []
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_limit_set_sample_reports_each_failure_with_its_reason(monkeypatch, count):
+    # the sampler draws MIXED_WORDS: it keeps the first count flags and
+    # reports, with its reason code, every failed word drawn before the last
+    # of them, in draw order
+    monkeypatch.setattr(certify, "MAX_LETTERS", 40)
+    monkeypatch.setattr(W, "random_cyclic_words", lambda *args: MIXED_WORDS)
+    rep = _mixed_rep()
+    flags, errors = boundary_samples(rep, MIXED_WORDS, [1, 2, 3])
+    done = [i for i, e in enumerate(errors) if e is None]
+    assert len(done) > 3 and done[0] > 0
+    sample, failures = fl.limit_set_sample(rep, [1, 2, 3], count=count, length=1, seed=1)
+    assert sample.sources == flags.sources[:count]
+    assert np.array_equal(sample.frames, flags.frames[:count])
+    assert failures == [
+        (w, e[0], str(e[1])) for w, e in zip(MIXED_WORDS[: done[count - 1]], errors) if e is not None
+    ]
+    counts = certify.failure_counts(failures)
+    assert list(counts) == list(certify.FAILURE_REASONS)
+    assert sum(counts.values()) == len(failures)
+    if count == 3:
+        assert all(counts.values())
 
 
 def test_empty_flag_indices_are_input_errors(sym4):
@@ -473,13 +514,13 @@ def test_limit_set_sample_contract(schottky):
     flags, failures = fl.limit_set_sample(schottky, [1], count=1, length=6, seed=2)
     assert len(flags) == 1 and not failures
     again, _ = fl.limit_set_sample(schottky, [1], count=1, length=6, seed=2)
-    assert flags[0].source == again[0].source
+    assert flags.sources == again.sources
 
 
 def test_limit_set_flags_do_not_depend_on_batch(sym4):
     flags, _ = fl.limit_set_sample(sym4, [1, 2, 3], count=12, length=7, seed=4)
     for f in flags:
-        [alone] = boundary_samples(sym4, [f.source], [1, 2, 3])
+        alone, _ = boundary_samples(sym4, f.sources, [1, 2, 3])
         assert alone.quality == f.quality
         for k in f.ks:
             assert np.array_equal(alone.space(k), f.space(k))
@@ -487,7 +528,7 @@ def test_limit_set_flags_do_not_depend_on_batch(sym4):
 
 def test_limit_set_pairwise_transversality(sym4_flags, sym4):
     d = sym4.dim
-    flags = FlagStack(sym4_flags[:30])
+    flags = sym4_flags[:30]
     i, j = np.nonzero(~np.eye(30, dtype=bool))
     # smallest principal sine between x^1 and y^{d-1}, for every x != y
     sines = frame_sines(flags.space(1)[i], flags.complement(d - 1)[j])[:, 0]
@@ -499,8 +540,8 @@ def test_limit_set_invariance_under_translation(sym3):
     gamma = (1,)
     for f in flags:
         moved = transport_flag(sym3, gamma, f)
-        [fresh] = boundary_samples(
-            sym3, [concat(sym3.presentation, gamma, f.source, invert(gamma))], [1, 2]
+        fresh, _ = boundary_samples(
+            sym3, [concat(sym3.presentation, gamma, f.sources[0], invert(gamma))], [1, 2]
         )
         assert flag_dist(moved, fresh) < 1e-4
 
@@ -510,6 +551,6 @@ def test_wedge_consistency_of_flags(sym4):
     the Plucker embedding."""
     wrep = wedge_rep(sym4, 2)
     for word in [(1, 2, 1), (2, -1, 2, 1), (1, 1, 2)]:
-        [f] = boundary_samples(sym4, [word], [2])
-        [fw] = boundary_samples(wrep, [word], [1])
-        assert hausdorff_subspace_dist(plucker(f.space(2)), fw.space(1)) < 1e-6
+        f, _ = boundary_samples(sym4, [word], [2])
+        fw, _ = boundary_samples(wrep, [word], [1])
+        assert hausdorff_subspace_dist(plucker(f.space(2)[0]), fw.space(1)[0]) < 1e-6

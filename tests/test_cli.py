@@ -270,7 +270,7 @@ def test_dimension_grassmann_anchor_doubling(tmp_path, monkeypatch):
     original = cli.grassmann_charts
 
     def recording(cloud, k, anchors):
-        passes.append(([f.source for f in cloud], [a.source for a in anchors]))
+        passes.append((cloud.sources, anchors.sources))
         return original(cloud, k, anchors)
 
     monkeypatch.setattr(cli, "grassmann_charts", recording)
@@ -499,3 +499,63 @@ def test_hyperconvex_manifest_counts_skips_by_reason(tmp_path):
     assert (tmp_path / "b" / "hyperconvex.csv").read_bytes() == (
         tmp_path / "a" / "hyperconvex.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("argv,calls", [
+    (["dimension", "builtin:octagon-sym3", "--k", 1, "--points", 1000, "--word-length", 10], 1),
+    # one anchor covers too little: the anchors are sampled twice more
+    (["dimension", "builtin:octagon-sym3", "--k", 1, "--mode", "grassmann", "--points", 700,
+      "--anchors", 1, "--word-length", 12, "--seed", 3], 3),
+    (["visualmass", "builtin:sym3", "--k", 1, "--points", 300, "--mc", 1000], 1),
+    (["foliate", "builtin:sym3", "--k", 1, "--fibers", 50], 1),
+    (["hyperconvex", "builtin:sym3", "--k", 1, "--triples", 100, "--assume-anosov"], 1),
+])
+def test_manifests_count_sampler_failures_by_reason(tmp_path, monkeypatch, argv, calls):
+    # every limit-set sample reports one failure of each reason beside its
+    # real ones (none on these presets): the manifest counts them all, and
+    # the CSV still replays byte for byte
+    from flaglab import certify
+
+    real = certify.limit_set_sample
+
+    def failing(*args, **kwargs):
+        flags, failures = real(*args, **kwargs)
+        return flags, failures + [((1,), reason, "forced") for reason in certify.FAILURE_REASONS]
+
+    assert run(argv + ["--out", tmp_path / "plain"]) == 0
+    monkeypatch.setattr(cli, "limit_set_sample", failing)
+    monkeypatch.setattr(fibers, "limit_set_sample", failing)
+    assert run(argv + ["--out", tmp_path / "a"]) == 0
+    manifest = json.loads((tmp_path / "a" / f"{argv[0]}.manifest.json").read_text())
+    assert manifest["results"]["sample_failures"] == dict.fromkeys(certify.FAILURE_REASONS, calls)
+    csv = f"{argv[0]}.csv"
+    assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "plain" / csv).read_bytes()
+    plain = json.loads((tmp_path / "plain" / f"{argv[0]}.manifest.json").read_text())
+    assert plain["results"]["sample_failures"] == dict.fromkeys(certify.FAILURE_REASONS, 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dimension", "--synthetic", "cantor", "--points", 4097],  # 8192 points of 256 bytes
+    ["dimension", "--synthetic", "circle", "--points", 4097],
+    ["dimension", "--synthetic", "uniform", "--points", 4097],
+    ["dimension", "builtin:sym3", "--points", 400],  # 401 words of 1024 + 256 * 9 bytes
+    ["dimension", "builtin:sym3", "--mode", "grassmann", "--points", 400],
+    ["visualmass", "builtin:sym3", "--points", 400, "--mc", 1000],
+    ["visualmass", "--synthetic", "hemisphere", "--mc", 8193],  # 128 bytes a sample
+])
+def test_user_sized_arrays_fail_fast_past_the_budget(tmp_path, capsys, monkeypatch, argv):
+    # a 1 MiB budget: each run is refused before it allocates or samples
+    monkeypatch.setattr(cli, "SWEEP_BUDGET", 1 << 20)
+    for name in ("limit_set_sample", "boxdim", "visual_mass"):
+        monkeypatch.setattr(cli, name, None)
+    assert run(argv + ["--out", tmp_path]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith("the budget is 1 MiB")
+    assert not list(tmp_path.iterdir())
+
+
+def test_budget_admits_what_fits(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "SWEEP_BUDGET", 1 << 20)
+    assert run(["dimension", "--synthetic", "cantor", "--points", 4096, "--out", tmp_path]) == 0
+    assert run(["visualmass", "--synthetic", "hemisphere", "--mc", 8192, "--out", tmp_path]) == 0
+    assert run(["visualmass", "builtin:sym3", "--points", 300, "--mc", 1000, "--out", tmp_path]) == 0

@@ -368,7 +368,7 @@ def test_foliated_mass_invariance(sym3, sym3_flags):
     moved = apply_mobius(gmat, cloud)
     flags = sym3_flags[7:17]
     before, rb = triv.project(base, flags)
-    after, ra = triv.project(gt, [transport_flag(sym3, (1, -2), f) for f in flags])
+    after, ra = triv.project(gt, fl.FlagStack.concat(*(transport_flag(sym3, (1, -2), f) for f in flags)))
     checked = 0
     for b, a in zip(before[np.isin(rb, ra)], after[np.isin(ra, rb)]):
         assert hausdorff_subspace_dist(orth(a[:, None]), orth((gmat @ b)[:, None])) < 1e-6
