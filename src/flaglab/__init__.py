@@ -14,7 +14,7 @@ from .certify import (
     FlagStack,
     GapSweep,
     boundary_samples,
-    certify_anosov,
+    certificates,
     gap_sweep,
     limit_set_sample,
 )
@@ -31,9 +31,8 @@ from .fibers import (
     HyperconvexityReport,
     TripleSpec,
     Trivialization,
-    check_Hk,
     chart_points,
-    check_hyperconvex,
+    check_transversality,
     foliated_limit_sample,
     grassmann_charts,
     tangent_project,
@@ -60,4 +59,4 @@ from .words import (
     surface_group,
 )
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"

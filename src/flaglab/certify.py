@@ -1,9 +1,10 @@
 """Gap-growth certification and boundary flag samples.
 
-A representation is certified along index k when the per-length minima of
-the k-th singular value gap over a word ball grow affinely; boundary
-points are realized as Cartan attractors (top singular subspaces) of high
-powers of cyclically reduced words.
+A representation is certified along index k (certificates, any number of
+indices over one sweep) when the per-length minima of the k-th singular
+value gap over a word ball grow affinely; boundary points are realized as
+Cartan attractors (top singular subspaces) of high powers of cyclically
+reduced words.
 """
 
 from __future__ import annotations
@@ -118,7 +119,6 @@ def gap_sweep(rep: Representation, radius: int) -> GapSweep:
 class AnosovCertificate:
     """Affine-lower-bound fit of per-length gap minima and its verdict."""
 
-    label: str
     k: int
     radius: int
     lengths: tuple[int, ...]
@@ -126,20 +126,17 @@ class AnosovCertificate:
     c1: float
     c2: float
     r_squared: float
-    residual: float
     verdict: str  # certified | refuted | inconclusive
-    slope_threshold: float = SLOPE_THRESHOLD
-    r2_threshold: float = R2_THRESHOLD
     notes: tuple[str, ...] = ()
 
 
-def _affine_fit(lengths: np.ndarray, values: np.ndarray) -> tuple[float, float, float, float]:
+def _affine_fit(lengths: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     slope, intercept = np.polyfit(lengths, values, 1)
     pred = slope * lengths + intercept
     ss_res = float(np.sum((values - pred) ** 2))
     ss_tot = float(np.sum((values - values.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 and ss_res == 0 else (1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0)
-    return float(slope), float(intercept), r2, math.sqrt(ss_res / len(values))
+    return float(slope), r2
 
 
 def _doubling_ratios(rep: Representation, requests) -> dict:
@@ -184,33 +181,23 @@ def sweep_radius(rep: Representation, radius: int) -> int:
     return radius
 
 
-def certify_anosov(
-    rep: Representation,
-    k: int,
-    radius: int,
-    slope_threshold: float = SLOPE_THRESHOLD,
+def certificates(
+    rep: Representation, ks, radius: int, slope_threshold: float = SLOPE_THRESHOLD,
     r2_threshold: float = R2_THRESHOLD,
-) -> AnosovCertificate:
-    """Certify affine growth of the k-th gap over the radius ball.
+) -> list[AnosovCertificate]:
+    """Certify affine growth of the k-th gap over the radius ball, for each
+    index k of ks, over one sweep and one witness walk.
 
     certified: fitted slope >= slope_threshold and R^2 >= r2_threshold.
     refuted:   the gap vanishes on the ball, or a witness word (the worst
                word of the sweep, or a generator) shows sublinear growth
                under power doubling (ratio < 1.5 instead of -> 2).
     Anything else is inconclusive; sampled verdicts are evidence, not proof.
-    The ball's radius is capped by sweep_radius.
+    The ball's radius is capped by sweep_radius.  Witnesses are read index
+    by index, as one certificate after the other would: the first refuting
+    one decides, and a witness's PrecisionError is raised only when it is
+    reached.
     """
-    return _certificates(rep, [k], radius, slope_threshold, r2_threshold)[0]
-
-
-def _certificates(
-    rep: Representation, ks, radius: int, slope_threshold: float = SLOPE_THRESHOLD,
-    r2_threshold: float = R2_THRESHOLD,
-) -> list[AnosovCertificate]:
-    """certify_anosov for each index of ks over one sweep and one witness
-    walk.  Witnesses are read index by index, as one certificate after the
-    other would: the first refuting one decides, and a witness's
-    PrecisionError is raised only when it is reached."""
     for k in ks:
         if not 1 <= k <= rep.dim - 1:
             raise InputError(f"k={k} out of range 1..{rep.dim - 1}")
@@ -230,7 +217,7 @@ def _certificates(
     certs = []
     for k in ks:
         minima = sweep.minima_for(k).astype(float)
-        slope, _, r2, resid = _affine_fit(lengths, minima)
+        slope, r2 = _affine_fit(lengths, minima)
         c2 = max(0.0, float(np.max(slope * lengths - minima)))
         verdict, why = ("refuted", ["gap vanishes on the whole ball"]) if k in vanished else (None, [])
         for w in witnesses.get(k, ()):
@@ -247,10 +234,8 @@ def _certificates(
         if verdict is None:
             verdict = "certified" if slope >= slope_threshold and r2 >= r2_threshold else "inconclusive"
         certs.append(AnosovCertificate(
-            label=rep.label, k=k, radius=radius, lengths=sweep.lengths,
-            min_gaps=tuple(float(x) for x in minima), c1=slope, c2=c2, r_squared=r2, residual=resid,
-            verdict=verdict, slope_threshold=slope_threshold, r2_threshold=r2_threshold,
-            notes=tuple(notes + why),
+            k=k, radius=radius, lengths=sweep.lengths, min_gaps=tuple(float(x) for x in minima),
+            c1=slope, c2=c2, r_squared=r2, verdict=verdict, notes=tuple(notes + why),
         ))
     return certs
 
@@ -418,9 +403,9 @@ def limit_set_sample(
     rep: Representation, ks, count: int, length: int, seed: int
 ) -> tuple[FlagStack, list[tuple[Word, str, str]]]:
     """count flags from distinct random cyclically reduced words, as one
-    FlagStack in draw order; failed words are skipped and reported
-    alongside as (word, FAILURE_REASONS code, message).  Each batch of
-    candidates runs through boundary_samples at once."""
+    FlagStack in draw order; failed words are skipped, walked once and
+    reported once alongside as (word, FAILURE_REASONS code, message).  Each
+    batch of new candidates runs through boundary_samples at once."""
     if count < 1:
         raise InputError("count must be >= 1")
     failures: list[tuple[Word, str, str]] = []
@@ -428,7 +413,8 @@ def limit_set_sample(
     have = batch = 0
     while have < count and batch < 8:
         cand = W.random_cyclic_words(rep.presentation, count - have + 4 * batch, length, seed + batch)
-        taken = {w for part in parts for w in part.sources}
+        # a word's walk does not depend on its batch: a failed word fails again
+        taken = {w for part in parts for w in part.sources} | {f[0] for f in failures}
         fresh = [w for w in cand if w not in taken]
         flags, errors = boundary_samples(rep, fresh, ks)
         # the words up to the one that completes the sample count

@@ -23,13 +23,13 @@ import time
 import numpy as np
 
 from . import __version__, boxdim, words as W
-from .certify import SWEEP_BUDGET, certify_anosov, failure_counts, limit_set_sample
+from .certify import SWEEP_BUDGET, certificates, failure_counts, limit_set_sample
 from .errors import CapacityError, FlaglabError, InputError, NotAnosovError, PrecisionError
 from .fibers import (
+    ADVERSARIAL_FRACTION,
     TripleSpec,
-    check_Hk,
-    check_hyperconvex,
     chart_points,
+    check_transversality,
     fiber_ks,
     foliated_limit_sample,
     grassmann_charts,
@@ -255,13 +255,7 @@ def write_svg(path: str, values: list[complex], infinities: int, markers: dict[s
 def cmd_certify(args) -> int:
     t0 = time.time()
     rep, descriptor = resolve_rep(args.rep)
-    cert = certify_anosov(
-        rep,
-        args.k,
-        args.radius,
-        slope_threshold=args.slope_threshold,
-        r2_threshold=args.r2_threshold,
-    )
+    [cert] = certificates(rep, [args.k], args.radius, args.slope_threshold, args.r2_threshold)
     rows = [
         [str(cert.k), str(n), fmt(g), fmt(cert.c1), fmt(cert.c2), fmt(cert.r_squared), cert.verdict]
         for n, g in zip(cert.lengths, cert.min_gaps)
@@ -279,15 +273,14 @@ def cmd_certify(args) -> int:
 def cmd_hyperconvex(args) -> int:
     t0 = time.time()
     rep, descriptor = resolve_rep(args.rep)
-    checker = check_hyperconvex if args.mode == "eq1" else check_Hk
-    spec = TripleSpec(
-        count=args.triples,
-        seed=args.seed,
-        word_length=args.word_length,
-        pool_size=args.pool,
-        tau=args.tau,
-    )
-    report = checker(rep, args.k, spec, None if args.assume_anosov else args.radius)
+    spec = TripleSpec(count=args.triples, seed=args.seed, word_length=args.word_length,
+                      pool_size=args.pool, tau=args.tau)
+    # the pool, then chunks of up to 4 * pairs + 16 adversarial words of up
+    # to --word-length + 2 letters, and the 2 * pairs kept (fibers._flag_pool)
+    pairs = max(1, int(args.triples * ADVERSARIAL_FRACTION) // 8)
+    _budget_words(rep, args.pool + 6 * pairs + 16, args.word_length + 2,
+                  f"--pool {args.pool} with --triples {args.triples}")
+    report = check_transversality(rep, args.k, spec, None if args.assume_anosov else args.radius, args.mode)
     out = emit(
         args,
         "hyperconvex",
@@ -316,14 +309,11 @@ def cmd_hyperconvex(args) -> int:
 def cmd_foliate(args) -> int:
     t0 = time.time()
     rep, descriptor = resolve_rep(args.rep)
-    sample = foliated_limit_sample(
-        rep,
-        args.k,
-        base_count=args.bases,
-        fiber_count=args.fibers,
-        seed=args.seed,
-        word_length=args.word_length,
-    )
+    count = args.bases + args.fibers
+    _budget_words(rep, count, args.word_length, f"a sample of {count} flags")
+    # a fiber point's FiberRow and CSV row: 512 bytes (measured 384-450)
+    _budget(args.bases * args.fibers, 512, f"{args.bases} bases of {args.fibers} fibers")
+    sample = foliated_limit_sample(rep, args.k, args.bases, args.fibers, args.seed, args.word_length)
     rows = []
     for r in sample.rows:
         rows.append([
@@ -369,10 +359,17 @@ def _budget(rows: int, row_bytes: int, what: str) -> None:
                             f"the budget is {SWEEP_BUDGET / 2**20:.0f} MiB")
 
 
+def _budget_words(rep, count: int, length: int, what: str) -> None:
+    """_budget of count sampled words of length letters: 768 bytes and 16
+    complex (d, d) arrays of engine state per word, 40 bytes of draws, codes
+    and tuples per letter (measured with tracemalloc, d 2-4: 1.0-2.9 kB a
+    word at length 8, then 16-33 bytes a letter up to lengths 24-100)."""
+    _budget(count, 768 + 256 * rep.dim * rep.dim + 40 * length, what)
+
+
 def _sample(rep, ks, count, length, seed):
-    """limit_set_sample within the budget: per word, about 600 bytes plus
-    16 complex (d, d) arrays of engine state (measured 1.1-3.1 kB, d 2-4)."""
-    _budget(count, 1024 + 256 * rep.dim * rep.dim, f"a sample of {count} flags")
+    """limit_set_sample within the budget."""
+    _budget_words(rep, count, length, f"a sample of {count} flags")
     return limit_set_sample(rep, ks, count=count, length=length, seed=seed)
 
 
@@ -577,8 +574,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("foliate", help="trivialized fiber limit sets over sampled bases")
     common(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--bases", type=int, default=1)
-    p.add_argument("--fibers", type=int, default=500)
+    p.add_argument("--bases", type=_at_least(1), default=1)
+    p.add_argument("--fibers", type=_at_least(1), default=500)
     p.add_argument("--word-length", type=int, default=8)
     p.add_argument("--svg", default=None, help="directory for per-base SVG clouds")
     p.set_defaults(func=cmd_foliate)
@@ -607,7 +604,7 @@ def build_parser() -> _Parser:
     p.add_argument("--points", type=_at_least(1), default=500)
     p.add_argument("--word-length", type=int, default=8)
     p.add_argument("--eps", type=_finite, default=0.05)
-    p.add_argument("--mc", type=int, default=100000)
+    p.add_argument("--mc", type=_at_least(1000), default=100000)
     p.add_argument("--basepoint", default="0,0,1", help="upper-half-space x,y,t")
     p.set_defaults(func=cmd_visualmass)
 

@@ -10,6 +10,8 @@ computes it from the bits of z's frame alone, so flags with equal frames
 share their fiber gauge.  Other boundary points x project into that line
 by intersecting their (d-k)-space with the (k+1)-space of z; a projected
 point is its pair of coordinates in that frame, a vector in C^2.
+
+check_transversality is the hyperconvexity check, in either mode.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from . import words as W
-from .certify import FlagStack, _certificates, boundary_samples, failure_counts, limit_set_sample
+from .certify import FlagStack, boundary_samples, certificates, failure_counts, limit_set_sample
 from .errors import InputError, NotAnosovError, PrecisionError, TransversalityError
 from .mobius import chart, det2, sphere_xyz, three_point_map
 from .reps import Representation
@@ -207,17 +209,10 @@ class HyperconvexityReport:
     min_transversality: float
     worst_triple: tuple[Word, Word, Word]
     verdict: str  # passes | fails | inconclusive
-    tau: float = TAU_PASS
     # (reason, count) in SKIP_REASONS order; the counts sum to skipped
     skip_reasons: tuple[tuple[str, int], ...] = ()
     # (reason, count) of the words that gave no flag, in FAILURE_REASONS order
     sample_failures: tuple[tuple[str, int], ...] = ()
-
-
-def required_anosov_indices(rep: Representation, k: int, mode: str = "eq1") -> list[int]:
-    d = rep.dim
-    wanted = {k - 1, k + 1, d - k} if mode == "eq1" else {d - k + 1, d - k - 1, k}
-    return sorted(j for j in wanted if 0 < j < d)
 
 
 def _flag_pool(rep: Representation, ks, spec: TripleSpec):
@@ -246,8 +241,8 @@ def _flag_pool(rep: Representation, ks, spec: TripleSpec):
         attempts += size
         chunk = []
         for _ in range(size):
-            stem = W._random_word(p, int(rng.integers(2, spec.word_length + 1)), rng)
-            wx, wy = (W.cyclic_reduce(W.reduce(stem + W._random_word(p, ADVERSARIAL_SUFFIX, rng), p))
+            stem = W.random_word(p, int(rng.integers(2, spec.word_length + 1)), rng)
+            wx, wy = (W.cyclic_reduce(W.reduce(stem + W.random_word(p, ADVERSARIAL_SUFFIX, rng), p))
                       for _ in range(2))
             if wx and wy and wx != wy:
                 chunk += [wx, wy]
@@ -336,41 +331,44 @@ def _transversality_sweep(rep, k, spec, ks, score_fn, mode) -> HyperconvexityRep
         min_transversality=float(best),
         worst_triple=worst,
         verdict=verdict,
-        tau=spec.tau,
         skip_reasons=tuple(zip(SKIP_REASONS, skips.tolist())),
         sample_failures=tuple(failure_counts(failures).items()),
     )
 
 
-def check_hyperconvex(
-    rep: Representation, k: int, spec: TripleSpec, radius: int | None
+def check_transversality(
+    rep: Representation, k: int, spec: TripleSpec, radius: int | None, mode: str = "eq1"
 ) -> HyperconvexityReport:
-    """Score the two projected k-planes of each sampled triple.
-
-    The score of (x, y, z) is the angle between the fiber lines of x and y
-    at z, normalized by the separation of x and y upstream, so that the
-    unavoidable degeneration along the diagonal cancels out; a pass says
-    the normalized collapse stayed above tau on every tested triple.
-    The Anosov prerequisites are certified over the word ball of the given
-    radius first (see _check_prereqs); radius None assumes them.
-    """
-    _check_prereqs(rep, k, "eq1", radius)
-    return _transversality_sweep(rep, k, spec, fiber_ks(rep.dim, k), partial(_eq1_scores, k), "eq1")
-
-
-def check_Hk(
-    rep: Representation, k: int, spec: TripleSpec, radius: int | None
-) -> HyperconvexityReport:
-    """Directness of (x^k cap z^{d-k+1}) + (y^k cap z^{d-k+1}) + z^{d-k-1},
-    scored as the smallest singular value of the concatenated frames,
-    normalized and prerequisite-checked like check_hyperconvex."""
-    _check_prereqs(rep, k, "Hk", radius)
-    ks = required_anosov_indices(rep, k, "Hk")
-    return _transversality_sweep(rep, k, spec, ks, partial(_hk_scores, k), "Hk")
+    """Score spec's triples at index k in mode eq1 (the angle of the fiber
+    lines of x and y at z, _eq1_scores) or Hk (the directness of x^k and
+    y^k cut by z^{d-k+1} beside z^{d-k-1}, _hk_scores).  Scores are
+    normalized by the separation of x and y, so that the unavoidable
+    degeneration along the diagonal cancels out; a pass says the
+    normalized collapse stayed above tau on every tested triple.  The
+    mode's prerequisite Anosov indices are certified first over the radius
+    ball (see certificates), and NotAnosovError names those left
+    uncertified; a radius of None assumes them."""
+    d = rep.dim
+    if not 1 <= k <= d - 1:
+        raise InputError(f"k={k} out of range 1..{d - 1}")
+    if mode == "eq1":
+        wanted, score_fn = {k - 1, k + 1, d - k}, _eq1_scores
+    elif mode == "Hk":
+        wanted, score_fn = {d - k + 1, d - k - 1, k}, _hk_scores
+    else:
+        raise InputError(f"unknown transversality mode {mode!r}; expected eq1 or Hk")
+    prereqs = sorted(j for j in wanted if 0 < j < d)
+    if radius is not None:
+        certs = certificates(rep, prereqs, radius)
+        missing = [f"{c.k}:{c.verdict}" for c in certs if c.verdict != "certified"]
+        if missing:
+            raise NotAnosovError(f"uncertified prerequisite Anosov indices: {', '.join(missing)}")
+    ks = fiber_ks(d, k) if mode == "eq1" else prereqs
+    return _transversality_sweep(rep, k, spec, ks, partial(score_fn, k), mode)
 
 
 def _eq1_scores(k: int, flags: FlagStack, ix, iy, iz) -> tuple[np.ndarray, np.ndarray]:
-    """Block scorer of check_hyperconvex: the fiber angle between x and y
+    """Block scorer of mode eq1: the fiber angle between x and y
     projected at z, normalized by the separation of their (d-k)-spaces.
     Returns the scores and fault codes of the triples (flags[ix],
     flags[iy], flags[iz]); a faulted row's score is NaN."""
@@ -385,7 +383,7 @@ def _eq1_scores(k: int, flags: FlagStack, ix, iy, iz) -> tuple[np.ndarray, np.nd
 
 
 def _hk_scores(k: int, flags: FlagStack, ix, iy, iz) -> tuple[np.ndarray, np.ndarray]:
-    """Block scorer of check_Hk: the smallest singular value of the lines
+    """Block scorer of mode Hk: the smallest singular value of the lines
     x^k cap z^{d-k+1} and y^k cap z^{d-k+1} beside z^{d-k-1}, normalized by
     the separation of the k-spaces of x and y; returns like _eq1_scores."""
     d = flags.ambient_dim
@@ -415,20 +413,6 @@ def _normalized_rows(num, fault, flags: FlagStack, j: int, ix, iy) -> tuple[np.n
         scores[ok] = np.where(bad, np.nan, np.minimum(1.0, num / ref))
     fault[ok] = np.where(bad, DEGENERATE, SCORED)
     return scores, fault
-
-
-def _check_prereqs(rep, k, mode, radius):
-    """Certify every index of required_anosov_indices over one gap sweep and
-    one witness walk of the radius (capped by sweep_radius); raise
-    NotAnosovError naming those left uncertified.  A radius of None assumes them."""
-    if not 1 <= k <= rep.dim - 1:
-        raise InputError(f"k={k} out of range 1..{rep.dim - 1}")
-    if radius is None:
-        return
-    certs = _certificates(rep, required_anosov_indices(rep, k, mode), radius)
-    missing = [f"{c.k}:{c.verdict}" for c in certs if c.verdict != "certified"]
-    if missing:
-        raise NotAnosovError(f"uncertified prerequisite Anosov indices: {', '.join(missing)}")
 
 
 # --- trivialization -------------------------------------------------------
@@ -476,11 +460,9 @@ class FiberRow:
 
 @dataclass
 class FoliatedSample:
-    k: int
     rows: list[FiberRow]
     base_status: dict[Word, str]
     basepoint_words: tuple[Word, Word, Word]
-    seed: int
     # words the sampler gave no flag, by FAILURE_REASONS code
     sample_failures: dict[str, int]
 
@@ -529,4 +511,4 @@ def foliated_limit_sample(
         # no fiber shares a base's source, so every missing row faulted
         status[t] = f"ok={len(kept)} failed={len(fibers) - len(kept)}"
     basepoint_words = tuple(trivialization.basepoints.sources)
-    return FoliatedSample(k, rows, status, basepoint_words, seed, failure_counts(failures))
+    return FoliatedSample(rows, status, basepoint_words, failure_counts(failures))

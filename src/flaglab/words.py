@@ -143,9 +143,8 @@ def spell(walk: Sequence[tuple[np.ndarray, np.ndarray]], i: int) -> Word:
     return tuple(reversed(out))
 
 
-def _random_word(
-    presentation: GroupPresentation, length: int, rng: np.random.Generator
-) -> Word:
+def random_word(presentation: GroupPresentation, length: int, rng: np.random.Generator) -> Word:
+    """A freely reduced word of the given length, one rng.integers call per letter."""
     letters = presentation.letters()
     w: list[int] = []
     for _ in range(length):
@@ -165,7 +164,7 @@ def random_cyclic_words(
     Used as the boundary-direction sampler: each word stands for the
     attracting endpoint of its axis.
 
-    Stream contract: the words are those of drawing one _random_word after
+    Stream contract: the words are those of drawing one random_word after
     another from default_rng(SeedSequence(seed)) and keeping, in draw
     order, each cyclically reduced one not kept before, until count are
     kept.  A letter is one bounded integer below its number of choices,

@@ -13,7 +13,6 @@ import pytest
 
 import flaglab as fl
 import flaglab.words as W
-from flaglab.certify import _certificates
 from flaglab.cli import main as cli_main
 from flaglab.certify import FlagStack
 from flaglab.fibers import TripleSpec, point_dists, tangent_project
@@ -88,7 +87,7 @@ def test_criterion_2_duality(name, radius):
     rep = fl.preset(name)
     d = rep.dim
     sweep = fl.gap_sweep(rep, min(radius, 7))
-    certs = {c.k: c for c in _certificates(rep, range(1, d), sweep.radius)}
+    certs = {c.k: c for c in fl.certificates(rep, range(1, d), sweep.radius)}
     worst = 0.0
     for k in range(1, d):
         diff = float(np.max(np.abs(sweep.minima[:, k - 1] - sweep.minima[:, d - k - 1])))
@@ -145,8 +144,8 @@ def _ball_identity_error(rep, wrep, k, radius):
 def test_criterion_3_wedge_hyperconvexity_transfer(name, k):
     rep = fl.preset(name)
     spec = TripleSpec(count=10_000, seed=505)
-    base = fl.check_hyperconvex(rep, k, spec, radius=None)
-    lifted = fl.check_hyperconvex(wedge_rep(rep, k), 1, spec, radius=None)
+    base = fl.check_transversality(rep, k, spec, radius=None)
+    lifted = fl.check_transversality(wedge_rep(rep, k), 1, spec, radius=None)
     assert base.verdict == "passes"
     assert lifted.verdict == "passes"
     report("3", f"{name} k={k}: hyperconvexity passes (min={base.min_transversality:.4f}) and "
@@ -206,8 +205,8 @@ def test_criterion_5_cocycle_identity(name):
     while checked < 1000:
         i = int(rng.integers(n))
         t = pool[i]
-        alpha = W._random_word(p, int(rng.integers(1, 4)), rng)
-        beta = W._random_word(p, int(rng.integers(1, 4)), rng)
+        alpha = W.random_word(p, int(rng.integers(1, 4)), rng)
+        beta = W.random_word(p, int(rng.integers(1, 4)), rng)
         if not t_far[i]:
             continue  # t near a basepoint: rejected before transporting
         try:

@@ -20,14 +20,14 @@ from oracles import concat, hausdorff_subspace_dist, invert, orth, plucker, tran
 
 
 def test_schottky_certified(schottky):
-    cert = fl.certify_anosov(schottky, 1, 6)
+    [cert] = fl.certificates(schottky, [1], 6)
     assert cert.verdict == "certified"
     assert cert.c1 >= 0.5
     assert cert.r_squared >= 0.95
 
 
 def test_trivial_refuted():
-    cert = fl.certify_anosov(fl.preset("trivial"), 1, 6)
+    [cert] = fl.certificates(fl.preset("trivial"), [1], 6)
     assert cert.verdict == "refuted"
 
 
@@ -42,38 +42,38 @@ def test_unipotent_refuted_with_jordan_oracle():
     sweep = fl.gap_sweep(rep, 6)
     for n in range(1, 7):
         assert sweep.minima[n - 1, 0] == pytest.approx(_jordan_gap(n), abs=1e-9)
-    cert = fl.certify_anosov(rep, 1, 6)
+    [cert] = fl.certificates(rep, [1], 6)
     assert cert.verdict == "refuted"
     assert any("sublinear" in note for note in cert.notes)
 
 
 def test_directsum_verdicts(directsum):
-    assert fl.certify_anosov(directsum, 1, 4).verdict == "refuted"
-    assert fl.certify_anosov(directsum, 3, 4).verdict == "refuted"
-    assert fl.certify_anosov(directsum, 2, 4).verdict == "certified"
+    assert fl.certificates(directsum, [1], 4)[0].verdict == "refuted"
+    assert fl.certificates(directsum, [3], 4)[0].verdict == "refuted"
+    assert fl.certificates(directsum, [2], 4)[0].verdict == "certified"
 
 
 def test_octagon_not_refuted(octagon):
-    cert = fl.certify_anosov(octagon, 1, 6)
+    [cert] = fl.certificates(octagon, [1], 6)
     assert cert.verdict in ("certified", "inconclusive")
 
 
 def test_radius_capped_by_relator(octagon):
-    cert = fl.certify_anosov(octagon, 1, 9)
+    [cert] = fl.certificates(octagon, [1], 9)
     assert cert.radius == 7
     assert any("capped" in n for n in cert.notes)
 
 
 def test_certify_input_validation(schottky):
     with pytest.raises(InputError):
-        fl.certify_anosov(schottky, 2, 6)
+        fl.certificates(schottky, [2], 6)
     with pytest.raises(InputError):
-        fl.certify_anosov(schottky, 1, 2)
+        fl.certificates(schottky, [1], 2)
 
 
 def test_certify_sweeps_the_capped_radius(torus):
     # the certificate reports the radius of its sweep, after capping
-    cert = fl.certify_anosov(torus, 1, 9)
+    [cert] = fl.certificates(torus, [1], 9)
     assert cert.radius == 3 and cert.lengths == (1, 2, 3)
 
 
@@ -82,7 +82,7 @@ def test_duality_minima_and_verdicts(name, radius):
     rep = fl.preset(name)
     sweep = fl.gap_sweep(rep, radius)
     d = rep.dim
-    certs = {c.k: c for c in certify._certificates(rep, range(1, d), radius)}
+    certs = {c.k: c for c in fl.certificates(rep, range(1, d), radius)}
     for k in range(1, d):
         assert np.max(np.abs(sweep.minima[:, k - 1] - sweep.minima[:, d - k - 1])) < 1e-9
         assert certs[k].verdict == certs[d - k].verdict
@@ -223,7 +223,7 @@ def test_doubling_ratio_never_returns_nan():
     [err] = _doubling_ratios(_spread_rep(), [((1,), 2)]).values()
     assert isinstance(err, PrecisionError)
     with pytest.raises(PrecisionError, match="372 nats"):
-        fl.certify_anosov(_spread_rep(), 2, 3)
+        fl.certificates(_spread_rep(), [2], 3)
 
 
 def test_spread_limit_is_about_372_nats(sym4):
@@ -269,15 +269,15 @@ def test_refuting_witness_wins_over_a_later_raising_one(schottky, sym3, monkeypa
                             lambda rep, requests: {r: result(n, r) for n, r in enumerate(requests)})
 
     walk(lambda n, r: (0.5, 1.0) if n == 0 else err)
-    cert = fl.certify_anosov(schottky, 1, 4)
+    [cert] = fl.certificates(schottky, [1], 4)
     assert cert.verdict == "refuted"
     assert "doubling ratio 1.000" in cert.notes[-1]
     walk(lambda n, r: (60.0, 2.0) if n == 0 else err)
     with pytest.raises(PrecisionError, match="372 nats"):
-        fl.certify_anosov(schottky, 1, 4)
+        fl.certificates(schottky, [1], 4)
     walk(lambda n, r: (0.5, 1.0) if r[1] == 1 else err)
     with pytest.raises(PrecisionError, match="372 nats"):
-        certify._certificates(sym3, [1, 2], 4)
+        fl.certificates(sym3, [1, 2], 4)
 
 
 @pytest.mark.parametrize("name, ks", [("sym4", (1, 2, 3)), ("schottky", (1,))])
@@ -501,6 +501,61 @@ def test_limit_set_sample_reports_each_failure_with_its_reason(monkeypatch, coun
     assert sum(counts.values()) == len(failures)
     if count == 3:
         assert all(counts.values())
+
+
+def _rewalking_sample(rep, ks, count, length, seed):
+    """limit_set_sample as flaglab 0.15 ran it: every later batch walks the
+    words that failed before again, and reports them again."""
+    failures, parts, have, batch = [], [], 0, 0
+    while have < count and batch < 8:
+        cand = W.random_cyclic_words(rep.presentation, count - have + 4 * batch, length, seed + batch)
+        taken = {w for part in parts for w in part.sources}
+        fresh = [w for w in cand if w not in taken]
+        flags, errors = boundary_samples(rep, fresh, ks)
+        ok = [i for i, e in enumerate(errors) if e is None]
+        stop = ok[count - have - 1] + 1 if len(ok) >= count - have else len(fresh)
+        failures += [(w, e[0], str(e[1])) for w, e in zip(fresh[:stop], errors[:stop]) if e is not None]
+        parts.append(flags[: count - have])
+        have += len(parts[-1])
+        batch += 1
+    if have < count:
+        raise NotAnosovError(f"only {have}/{count} boundary samples succeeded; "
+                             f"first failure: {failures[0][2] if failures else 'none'}")
+    return FlagStack.concat(*parts), failures
+
+
+@pytest.mark.parametrize("name, ks, count, length", [
+    ("mixed", [1, 2, 3], 20, 2),  # completes after redrawing failed words
+    ("mixed", [1, 2, 3], 40, 2),  # runs out of batches
+    ("directsum", [1], 20, 4),  # every word fails
+])
+def test_limit_set_sample_walks_each_word_once(monkeypatch, name, ks, count, length):
+    monkeypatch.setattr(certify, "MAX_LETTERS", 40)
+    rep = _mixed_rep() if name == "mixed" else fl.preset(name)
+    try:
+        expected = _rewalking_sample(rep, ks, count, length, seed=1)
+    except NotAnosovError as exc:
+        expected = exc
+    walked = []
+
+    def spy(rep, words, ks):
+        walked.extend(words)
+        return boundary_samples(rep, words, ks)
+
+    monkeypatch.setattr(certify, "boundary_samples", spy)
+    if isinstance(expected, NotAnosovError):
+        with pytest.raises(NotAnosovError) as info:
+            fl.limit_set_sample(rep, ks, count=count, length=length, seed=1)
+        assert str(info.value) == str(expected)
+    else:
+        sample, failures = fl.limit_set_sample(rep, ks, count=count, length=length, seed=1)
+        assert sample.sources == expected[0].sources
+        assert np.array_equal(sample.frames, expected[0].frames)
+        assert np.array_equal(sample.quality, expected[0].quality)
+        # each failed word once, where it first failed
+        assert failures == list(dict.fromkeys(expected[1]))
+        assert len(failures) < len(expected[1])
+    assert len(walked) == len(set(walked))
 
 
 def test_empty_flag_indices_are_input_errors(sym4):

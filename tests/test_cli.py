@@ -542,11 +542,16 @@ def test_manifests_count_sampler_failures_by_reason(tmp_path, monkeypatch, argv,
     ["dimension", "builtin:sym3", "--mode", "grassmann", "--points", 400],
     ["visualmass", "builtin:sym3", "--points", 400, "--mc", 1000],
     ["visualmass", "--synthetic", "hemisphere", "--mc", 8193],  # 128 bytes a sample
+    ["dimension", "builtin:sym3", "--points", 100, "--word-length", 1000],  # 40 bytes a letter
+    ["foliate", "builtin:sym3", "--k", 1, "--fibers", 400],
+    ["foliate", "builtin:sym3", "--k", 1, "--bases", 50, "--fibers", 50],  # 512 bytes a fiber row
+    ["hyperconvex", "builtin:sym4", "--k", 2, "--pool", 300, "--triples", 1],
+    ["hyperconvex", "builtin:sym4", "--k", 2, "--pool", 3, "--triples", 2000],  # 75 pairs
 ])
 def test_user_sized_arrays_fail_fast_past_the_budget(tmp_path, capsys, monkeypatch, argv):
     # a 1 MiB budget: each run is refused before it allocates or samples
     monkeypatch.setattr(cli, "SWEEP_BUDGET", 1 << 20)
-    for name in ("limit_set_sample", "boxdim", "visual_mass"):
+    for name in ("limit_set_sample", "boxdim", "visual_mass", "foliated_limit_sample", "check_transversality"):
         monkeypatch.setattr(cli, name, None)
     assert run(argv + ["--out", tmp_path]) == 3
     err = capsys.readouterr().err.splitlines()
@@ -559,3 +564,10 @@ def test_budget_admits_what_fits(tmp_path, monkeypatch):
     assert run(["dimension", "--synthetic", "cantor", "--points", 4096, "--out", tmp_path]) == 0
     assert run(["visualmass", "--synthetic", "hemisphere", "--mc", 8192, "--out", tmp_path]) == 0
     assert run(["visualmass", "builtin:sym3", "--points", 300, "--mc", 1000, "--out", tmp_path]) == 0
+
+
+def test_visualmass_mc_below_1000_is_refused_before_sampling(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "limit_set_sample", None)
+    assert run(["visualmass", "builtin:sym3", "--mc", 500, "--out", tmp_path]) == 64
+    assert capsys.readouterr().err.startswith("input error: argument --mc: must be >= 1000, got 500")
+    assert not list(tmp_path.iterdir())

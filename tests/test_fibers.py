@@ -118,13 +118,13 @@ def test_grassmann_charts_equal_loop_bitwise(octagon_sym3):
 
 
 def test_d2_vacuous_pass(schottky):
-    rpt = fl.check_hyperconvex(schottky, 1, TripleSpec(count=300, seed=5), radius=None)
+    rpt = fl.check_transversality(schottky, 1, TripleSpec(count=300, seed=5), radius=None)
     assert rpt.verdict == "passes"
     assert rpt.min_transversality >= 1.0 - 1e-6
 
 
 def test_sym4_k2_passes(sym4):
-    rpt = fl.check_hyperconvex(sym4, 2, TripleSpec(count=2000, seed=5), radius=None)
+    rpt = fl.check_transversality(sym4, 2, TripleSpec(count=2000, seed=5), radius=None)
     assert rpt.verdict == "passes"
     assert rpt.min_transversality >= 1e-2
 
@@ -147,12 +147,12 @@ def test_prerequisite_certificates_required(sym4, directsum, monkeypatch):
     # check names those left
     monkeypatch.setattr(certify, "gap_sweep", counting)
     monkeypatch.setattr(certify, "_doubling_ratios", counting_walk)
-    rpt = fl.check_hyperconvex(sym4, 2, TripleSpec(count=50, seed=1), radius=4)
+    rpt = fl.check_transversality(sym4, 2, TripleSpec(count=50, seed=1), radius=4)
     assert rpt.verdict == "passes" and sweeps == [4]
     assert walks == [[1, 2, 3]]
-    for check in (fl.check_hyperconvex, fl.check_Hk):
+    for mode in ("eq1", "Hk"):
         with pytest.raises(NotAnosovError, match="indices: 1:refuted, 3:refuted$"):
-            check(directsum, 2, TripleSpec(count=50, seed=1), radius=4)
+            fl.check_transversality(directsum, 2, TripleSpec(count=50, seed=1), radius=4, mode=mode)
     assert sweeps == [4, 4, 4]
     assert len(walks) == 3
 
@@ -170,16 +170,21 @@ def test_prerequisite_sweep_capped_by_relator(torus, monkeypatch):
     # radius 40 uncapped would need far past SWEEP_BUDGET: one sweep runs,
     # at the relator length minus one, and every certificate reuses it
     monkeypatch.setattr(certify, "gap_sweep", counting)
-    for check, index in ((fl.check_hyperconvex, 2), (fl.check_Hk, 1)):
+    for mode, index in (("eq1", 2), ("Hk", 1)):
         with pytest.raises(NotAnosovError, match=f"indices: {index}:inconclusive$"):
-            check(torus, 1, TripleSpec(count=50, seed=1), radius=40)
+            fl.check_transversality(torus, 1, TripleSpec(count=50, seed=1), radius=40, mode=mode)
     assert sweeps == [3, 3]
 
 
 def test_directsum_fails_upstream(directsum):
     # the designed failure family cannot even produce boundary flags at k=1
     with pytest.raises(NotAnosovError):
-        fl.check_hyperconvex(directsum, 2, TripleSpec(count=20, seed=1), radius=None)
+        fl.check_transversality(directsum, 2, TripleSpec(count=20, seed=1), radius=None)
+
+
+def test_unknown_transversality_mode_is_input_error(sym4):
+    with pytest.raises(InputError, match="unknown transversality mode 'eq2'"):
+        fl.check_transversality(sym4, 2, TripleSpec(count=20, seed=1), radius=None, mode="eq2")
 
 
 @pytest.mark.parametrize("field", [
@@ -200,7 +205,7 @@ def test_flag_pool_propagates_programming_errors(schottky, monkeypatch):
     # only a rejected sample (a FlaglabError) may be skipped
     monkeypatch.setattr(fibers, "boundary_samples", broken)
     with pytest.raises(TypeError, match="bug in a sampler"):
-        fl.check_hyperconvex(schottky, 1, TripleSpec(count=80, seed=1, pool_size=8), radius=None)
+        fl.check_transversality(schottky, 1, TripleSpec(count=80, seed=1, pool_size=8), radius=None)
 
 
 def test_flag_pool_counts_failed_pair_words(sym4, monkeypatch):
@@ -224,7 +229,7 @@ def test_flag_pool_counts_failed_pair_words(sym4, monkeypatch):
     drawn = {(c[i], c[i + 1]) for c in chunks for i in range(2, len(c), 2)}
     assert all((flags.sources[x], flags.sources[y]) in drawn for x, y in pairs)
     chunks.clear()
-    report = fl.check_hyperconvex(sym4, 2, spec, radius=None)
+    report = fl.check_transversality(sym4, 2, spec, radius=None)
     assert report.sample_failures == (("non_finite_gap", 0), ("gap_stalled", len(chunks)), ("gap_short", 0))
 
 
@@ -232,7 +237,7 @@ def test_nan_triple_score_is_skipped(sym4, monkeypatch):
     import flaglab.fibers as fibers
 
     spec = TripleSpec(count=300, seed=5, pool_size=24)
-    base = fl.check_hyperconvex(sym4, 2, spec, radius=None)
+    base = fl.check_transversality(sym4, 2, spec, radius=None)
     real = fibers.fiber_angles
     calls = []
 
@@ -247,7 +252,7 @@ def test_nan_triple_score_is_skipped(sym4, monkeypatch):
     # the triples drawn do not depend on the scores, so exactly the NaN
     # scores move from tested to skipped (min(1.0, nan) would read as 1.0)
     monkeypatch.setattr(fibers, "fiber_angles", nan_every_other)
-    rpt = fl.check_hyperconvex(sym4, 2, spec, radius=None)
+    rpt = fl.check_transversality(sym4, 2, spec, radius=None)
     nans = sum(calls)
     assert nans > 0
     assert rpt.triples_tested == base.triples_tested - nans
@@ -380,34 +385,34 @@ def test_block_scores_equal_one_row_scores_bitwise(name, k):
     assert seen >= {SCORED, DEGENERATE, AMBIGUOUS} | ({COLLAPSED} if k >= 2 else set())
 
 
-@pytest.mark.parametrize("check", [fl.check_hyperconvex, fl.check_Hk])
-def test_sweep_report_does_not_depend_on_block(sym4, monkeypatch, check):
+@pytest.mark.parametrize("mode", ["eq1", "Hk"])
+def test_sweep_report_does_not_depend_on_block(sym4, monkeypatch, mode):
     import flaglab.fibers as fibers
 
     spec = TripleSpec(count=300, seed=5, pool_size=24)
-    base = check(sym4, 2, spec, radius=None)
+    base = fl.check_transversality(sym4, 2, spec, radius=None, mode=mode)
     assert [reason for reason, _ in base.skip_reasons] == list(fibers.SKIP_REASONS)
     assert sum(n for _, n in base.skip_reasons) == base.skipped
     for block in (1, 7):
         monkeypatch.setattr(fibers, "BLOCK", block)
-        assert check(sym4, 2, spec, radius=None) == base
+        assert fl.check_transversality(sym4, 2, spec, radius=None, mode=mode) == base
 
 
 def test_hk_vacuous_d2(schottky):
-    rpt = fl.check_Hk(schottky, 1, TripleSpec(count=200, seed=5), radius=None)
+    rpt = fl.check_transversality(schottky, 1, TripleSpec(count=200, seed=5), radius=None, mode="Hk")
     assert rpt.verdict == "passes"
 
 
 def test_hk_duality_with_contragredient(sym4, schottky):
     spec = TripleSpec(count=800, seed=5)
     for rep, k in ((sym4, 2), (schottky, 1)):
-        eq1 = fl.check_hyperconvex(rep, k, spec, radius=None)
-        hk = fl.check_Hk(contragredient(rep), k, spec, radius=None)
+        eq1 = fl.check_transversality(rep, k, spec, radius=None)
+        hk = fl.check_transversality(contragredient(rep), k, spec, radius=None, mode="Hk")
         assert eq1.verdict == hk.verdict == "passes"
 
 
 def test_sym_family_passes_hk(sym4):
-    rpt = fl.check_Hk(sym4, 2, TripleSpec(count=800, seed=6), radius=None)
+    rpt = fl.check_transversality(sym4, 2, TripleSpec(count=800, seed=6), radius=None, mode="Hk")
     assert rpt.verdict == "passes"
     assert rpt.min_transversality >= 1e-3
 
@@ -508,8 +513,8 @@ def test_cocycle_identity_two_presets(schottky, sym3):
         while checked < 150:
             i = int(rng.integers(n))
             t = pool[i]
-            alpha = W._random_word(p, int(rng.integers(1, 4)), rng)
-            beta = W._random_word(p, int(rng.integers(1, 4)), rng)
+            alpha = W.random_word(p, int(rng.integers(1, 4)), rng)
+            beta = W.random_word(p, int(rng.integers(1, 4)), rng)
             if not t_far[i]:
                 continue  # t near a basepoint: rejected before transporting
             try:
@@ -712,8 +717,8 @@ def _resolvable(z, y, floor: float = 1e-6) -> bool:
 
 
 def test_wedge_transfer_hyperconvexity(sym4):
-    base = fl.check_hyperconvex(sym4, 2, TripleSpec(count=800, seed=5), radius=None)
-    lifted = fl.check_hyperconvex(
+    base = fl.check_transversality(sym4, 2, TripleSpec(count=800, seed=5), radius=None)
+    lifted = fl.check_transversality(
         wedge_rep(sym4, 2), 1, TripleSpec(count=800, seed=5), radius=None
     )
     assert base.verdict == "passes"

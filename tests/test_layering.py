@@ -167,3 +167,40 @@ def test_src_imports_no_test_code(module):
     names = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
     names += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
     assert not {name.split(".")[0] for name in names} & {"tests", "oracles", "conftest"}
+
+
+# --- private names stay in their module ------------------------------------------
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _own_private_names(tree) -> set[str]:
+    """The single-underscore names a module defines: at module level, in its
+    class bodies and as attributes it assigns (self._cache = ...)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            found.add(node.attr)
+    return {name for name in found if _private(name)}
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_no_module_reaches_another_modules_private_names(module):
+    # a private name is its module's own business: a caller elsewhere gets a
+    # public name, so each module can change its private parts alone
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    own = _own_private_names(trees[module])
+    others = set().union(*(_own_private_names(t) for name, t in trees.items() if name != module))
+    reached = set()
+    for node in ast.walk(trees[module]):
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("flaglab")):
+            reached.update(alias.name for alias in node.names if _private(alias.name))
+        elif isinstance(node, ast.Attribute) and node.attr in others - own:
+            reached.add(node.attr)
+    assert reached == set()

@@ -30,8 +30,8 @@ def test_evaluate_homomorphism(schottky):
     rng = np.random.default_rng(0)
     p = schottky.presentation
     for _ in range(1000):
-        w1 = W._random_word(p, int(rng.integers(0, 6)), rng)
-        w2 = W._random_word(p, int(rng.integers(0, 6)), rng)
+        w1 = W.random_word(p, int(rng.integers(0, 6)), rng)
+        w2 = W.random_word(p, int(rng.integers(0, 6)), rng)
         lhs = schottky.evaluate(concat(p, w1, w2))
         rhs = schottky.evaluate(w1) @ schottky.evaluate(w2)
         assert proj_matrix_dist(lhs, rhs) < 1e-8
@@ -39,10 +39,10 @@ def test_evaluate_homomorphism(schottky):
 
 def test_evaluate_long_word_memory_and_halves(sym3):
     p = sym3.presentation
-    w1 = W._random_word(p, 3000, np.random.default_rng(1))
+    w1 = W.random_word(p, 3000, np.random.default_rng(1))
     w2 = next(
         w
-        for w in (W._random_word(p, 3000, np.random.default_rng(s)) for s in range(2, 20))
+        for w in (W.random_word(p, 3000, np.random.default_rng(s)) for s in range(2, 20))
         if w[0] != -w1[-1]
     )
     word = concat(p, w1, w2)
@@ -73,7 +73,7 @@ def test_evaluate_over_underflow_is_precision_error():
 
 def test_evaluate_finite_products_unchanged(sym4):
     # the over/underflow check leaves the rescaled product bit for bit
-    word = W._random_word(sym4.presentation, 200, np.random.default_rng(7))
+    word = W.random_word(sym4.presentation, 200, np.random.default_rng(7))
     m = np.eye(4, dtype=complex)
     for letter in word:
         m = m @ sym4.matrix(letter)
@@ -118,7 +118,7 @@ def test_schottky_input_validation():
 def test_schottky_all_finite_centers():
     rep = fl.schottky2((4.0, 4.0), (-2.0, 2.0, 2.0j, -2.0j))
     assert "disjoint" in rep.label
-    cert = fl.certify_anosov(rep, 1, 5)
+    cert = fl.certificates(rep, [1], 5)[0]
     assert cert.verdict == "certified"
 
 
@@ -184,7 +184,7 @@ def test_direct_sum_outer_gaps_vanish(schottky, directsum):
     # duplicated singular values kill the first and third gaps identically
     rng = np.random.default_rng(3)
     for _ in range(50):
-        w = W._random_word(schottky.presentation, int(rng.integers(1, 7)), rng)
+        w = W.random_word(schottky.presentation, int(rng.integers(1, 7)), rng)
         gaps = word_gaps(directsum, w)
         assert gaps[0] < 1e-9 and gaps[2] < 1e-9
 
@@ -212,7 +212,7 @@ def test_contragredient(sym3):
     # projective comparison: lifts are normalized by a determinant root
     assert proj_matrix_dist(contragredient(urep).generators[0], np.conj(u)) < 1e-10
     for _ in range(30):
-        w = W._random_word(sym3.presentation, int(rng.integers(1, 6)), rng)
+        w = W.random_word(sym3.presentation, int(rng.integers(1, 6)), rng)
         assert np.allclose(word_gaps(sym3, w), word_gaps(c, w)[::-1], atol=1e-9, rtol=0)
 
 
@@ -231,8 +231,8 @@ def test_perturb_determinism(sym3):
 
 
 def test_perturb_keeps_certificate(sym4):
-    base = fl.certify_anosov(sym4, 2, 4)
-    moved = fl.certify_anosov(perturb(sym4, 1e-3, 7), 2, 4)
+    base = fl.certificates(sym4, [2], 4)[0]
+    moved = fl.certificates(perturb(sym4, 1e-3, 7), [2], 4)[0]
     assert base.verdict == moved.verdict == "certified"
 
 

@@ -86,11 +86,11 @@ def test_letters_in_letter_key_order(rank):
 
 
 def test_random_geodesic_word():
-    assert W._random_word(F2, 0, np.random.default_rng(1)) == ()
-    w1 = W._random_word(F2, 5, np.random.default_rng(7))
-    w2 = W._random_word(F2, 5, np.random.default_rng(7))
+    assert W.random_word(F2, 0, np.random.default_rng(1)) == ()
+    w1 = W.random_word(F2, 5, np.random.default_rng(7))
+    w2 = W.random_word(F2, 5, np.random.default_rng(7))
     assert w1 == w2 and len(w1) == 5
-    big = W._random_word(F2, 10_000, np.random.default_rng(3))
+    big = W.random_word(F2, 10_000, np.random.default_rng(3))
     assert len(big) == 10_000
     assert all(big[i] != -big[i + 1] for i in range(len(big) - 1))
 
@@ -135,7 +135,7 @@ def test_random_cyclic_words_refuses_impossible_count_without_drawing(monkeypatc
 
 
 def _random_cyclic_words_oracle(presentation, count, length, seed):
-    # the sampler as one loop: one _random_word per attempt, one
+    # the sampler as one loop: one random_word per attempt, one
     # rng.integers call per letter
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     seen, out = set(), []
@@ -149,7 +149,7 @@ def _random_cyclic_words_oracle(presentation, count, length, seed):
             raise CapacityError(
                 f"could not find {count} distinct cyclically reduced words of length {length}"
             )
-        w = W.cyclic_reduce(W._random_word(presentation, length, rng))
+        w = W.cyclic_reduce(W.random_word(presentation, length, rng))
         if len(w) != length or w in seen:
             continue
         seen.add(w)
@@ -218,7 +218,7 @@ def test_free_presentation_rejects_relations():
 def test_length_subadditive():
     rng = np.random.default_rng(1)
     for _ in range(200):
-        u = W._random_word(F2, int(rng.integers(0, 8)), rng)
-        v = W._random_word(F2, int(rng.integers(0, 8)), rng)
+        u = W.random_word(F2, int(rng.integers(0, 8)), rng)
+        v = W.random_word(F2, int(rng.integers(0, 8)), rng)
         assert len(concat(F2, u, v)) <= len(u) + len(v)
 
