@@ -385,7 +385,8 @@ def test_block_scores_equal_one_row_scores_bitwise(name, k):
     assert seen >= {SCORED, DEGENERATE, AMBIGUOUS} | ({COLLAPSED} if k >= 2 else set())
 
 
-@pytest.mark.parametrize("mode", ["eq1", "Hk"])
+# the case ids keep the names of the per-mode checks these cases ran first
+@pytest.mark.parametrize("mode", ["eq1", "Hk"], ids=["check_hyperconvex", "check_Hk"])
 def test_sweep_report_does_not_depend_on_block(sym4, monkeypatch, mode):
     import flaglab.fibers as fibers
 
