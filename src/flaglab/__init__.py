@@ -59,4 +59,4 @@ from .words import (
     surface_group,
 )
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"

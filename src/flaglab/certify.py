@@ -11,17 +11,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from . import words as W
 from .errors import CapacityError, InputError, NotAnosovError, PrecisionError
 from .prodsvd import ProductSVD
-from .reps import Representation
+from .reps import Representation, wedge_matrix
 from .subspaces import frame_complements, frame_quotients
 from .words import Word
 
-SWEEP_BUDGET = 1 << 29  # bytes of stacked (logs, vh) state one sweep level may hold
+# bytes of stacked WedgeProducts state one sweep level may hold: per word,
+# sum_j C(d, j)^2 entries of its exterior powers and d floats of scales
+# and log|det| (past it: sym4 and directsum from radius 13, octagon-sym4
+# from 7, sym3 from 14, schottky from 15); cli budgets every user-sized
+# array by it too
+SWEEP_BUDGET = 1 << 29
 SLOPE_THRESHOLD = 0.01
 R2_THRESHOLD = 0.95
 TARGET_GAP = 18.0  # log gap every requested index of a boundary flag must clear
@@ -31,10 +37,11 @@ FAILURE_REASONS = ("non_finite_gap", "gap_stalled", "gap_short")
 
 
 def _spread_error(where: str) -> PrecisionError:
-    """The graded product SVD's limit: jacobi_svd squares column norms, so
-    past a log-singular spread of about 354 nats the smallest singular
-    values go subnormal, past about 372 they flush to zero and gaps stop
-    being finite."""
+    """The limit of the graded product SVD, which boundary flags alone run
+    on: jacobi_svd squares column norms, so past a log-singular spread of
+    about 354 nats the smallest singular values go subnormal, past about
+    372 they flush to zero and gaps stop being finite.  The gap readers
+    (gap_sweep, the doubling walk) have no such limit."""
     return PrecisionError(f"non-finite gap {where}: log-singular spread past about 372 nats")
 
 
@@ -53,25 +60,131 @@ class GapSweep:
 
 def _letter_matrices(rep: Representation) -> np.ndarray:
     """rho of every letter, stacked in presentation.letters() order, for
-    the graded engine: float64 when every imaginary part is exactly zero,
+    the engines: float64 when every imaginary part is exactly zero,
     complex128 otherwise.  Dropping a zero imaginary part is exact, and
-    below dimension 16 the engine gives real factors the bits of their
-    complex casts, so a real representation runs in real arithmetic with
-    unchanged results."""
+    below dimension 16 the graded engine gives real factors the bits of
+    their complex casts, so a real representation runs in real arithmetic
+    with unchanged flags."""
     mats = np.stack([rep.matrix(letter) for letter in rep.presentation.letters()])
     return mats if mats.imag.any() else np.ascontiguousarray(mats.real)
+
+
+def _top_square(x: np.ndarray, exact: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (low, high) on the largest eigenvalue of x x^H for a stack x
+    of (N, N) matrices, equal where exact.  At N = 2 they are equal, from
+    the closed form, whose root adds two squares, so nothing cancels for
+    real or complex input.  Above, H = x x^H is formed with one dot per
+    entry rather than a batched matmul of small matrices: exact reads
+    eigvalsh of H; otherwise low is the Rayleigh quotient of H at H e_r, r
+    its largest diagonal entry, and high its trace, which meet as x nears
+    rank one."""
+    if x.shape[-1] == 2:
+        a = np.vecdot(x[..., 0, :], x[..., 0, :]).real
+        b = np.vecdot(x[..., 1, :], x[..., 1, :]).real
+        c = np.abs(np.vecdot(x[..., 1, :], x[..., 0, :]))
+        top = (a + b + np.hypot(a - b, 2.0 * c)) / 2.0
+        return top, top
+    h = np.vecdot(x[..., :, None, :], x[..., None, :, :])  # the conjugate of H
+    if exact:
+        top = np.linalg.eigvalsh(h)[..., -1]
+        return top, top
+    diag = np.diagonal(h, axis1=-2, axis2=-1).real
+    r = np.argmax(diag, axis=-1)[..., None]
+    col = np.take_along_axis(h, r[..., None], axis=-1)[..., 0]
+    return np.vecdot(col, col).real / np.take_along_axis(diag, r, axis=-1)[..., 0], diag.sum(axis=-1)
+
+
+class WedgeProducts:
+    """Running products M = A_1 A_2 ... A_m for their gaps, one product
+    (batch ()) or a stack (batch (n,)), held through exterior powers: for
+    each index j in 1..d-1, xs[j-1] is Lambda^j M rescaled to unit
+    Frobenius norm and scales[..., j-1] the log of the scale taken out;
+    logdet is log|det M|, which is L_d.
+
+    The top singular value of Lambda^j M is sigma_1 ... sigma_j of M, so
+    L_j = scales + log of the top singular value of xs, and the k-th gap
+    is (2 L_k - L_{k-1} - L_{k+1}) / 2.  A top singular value survives
+    plain multiplication: one factor A costs it a relative error of about
+    eps * cond(A), and the scales carry every magnitude, so no spread
+    limits a gap.  Indexing a stack gathers a sub-stack and assigning to an
+    index scatters one back.  Every operation treats each product alone.
+    """
+
+    __slots__ = ("xs", "scales", "logdet")
+
+    def __init__(self, xs, scales, logdet):
+        self.xs, self.scales, self.logdet = list(xs), scales, logdet
+
+    @classmethod
+    def of(cls, mats: np.ndarray) -> "WedgeProducts":
+        """The one-factor products of a (..., d, d) stack of matrices."""
+        d = mats.shape[-1]
+        logdet = np.log(np.abs(np.linalg.det(mats)))
+        return cls([wedge_matrix(mats, j) for j in range(1, d)], np.zeros(mats.shape[:-2] + (d - 1,)), logdet)
+
+    @classmethod
+    def identity(cls, d: int, batch: tuple[int, ...], dtype) -> "WedgeProducts":
+        """Empty products: every exterior power the identity."""
+        xs = [np.broadcast_to(np.eye(comb(d, j), dtype=dtype), batch + (comb(d, j),) * 2).copy() for j in range(1, d)]
+        return cls(xs, np.zeros(batch + (d - 1,)), np.zeros(batch))
+
+    def __getitem__(self, idx) -> "WedgeProducts":
+        return WedgeProducts([x[idx] for x in self.xs], self.scales[idx], self.logdet[idx])
+
+    def __setitem__(self, idx, other: "WedgeProducts"):
+        for x, y in zip(self.xs, other.xs):
+            x[idx] = y
+        self.scales[idx], self.logdet[idx] = other.scales, other.logdet
+
+    def absorb(self, other: "WedgeProducts") -> "WedgeProducts":
+        """Right-multiply the products (in place) by those of other: one
+        product for all of them, as one (rows * N, N) @ (N, N) GEMM per
+        power, or one per product."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for j, (x, f) in enumerate(zip(self.xs, other.xs)):
+                n = f.shape[-1]
+                y = (x.reshape(-1, n) @ f).reshape(x.shape) if f.ndim == 2 else x @ f
+                flat = y.reshape(y.shape[:-2] + (-1,))
+                norm = np.sqrt(np.vecdot(flat, flat).real)
+                y *= (1.0 / norm)[..., None, None]
+                self.xs[j] = y
+                self.scales[..., j] += np.log(norm) + other.scales[..., j]
+            self.logdet = self.logdet + other.logdet
+        return self
+
+    def gap_bounds(self, exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds (low, high) on the gap vectors (..., d-1), from bounds on
+        each L_j (_top_square), with L_0 = 0 and L_d = logdet; equal where
+        exact.  Not finite only where a product overflowed or vanished;
+        callers check."""
+        d = len(self.xs) + 1
+        low = np.zeros(self.logdet.shape + (d + 1,))
+        low[..., d] = self.logdet
+        high = low.copy()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for j, x in enumerate(self.xs, 1):
+                top_low, top_high = _top_square(x, exact)
+                low[..., j] = self.scales[..., j - 1] + 0.5 * np.log(top_low)
+                high[..., j] = self.scales[..., j - 1] + 0.5 * np.log(top_high)
+            return (np.maximum(0.0, (2.0 * low[..., 1:-1] - high[..., :-2] - high[..., 2:]) / 2.0),
+                    np.maximum(0.0, (2.0 * high[..., 1:-1] - low[..., :-2] - low[..., 2:]) / 2.0))
+
+    def gaps(self) -> np.ndarray:
+        """The gap vectors (..., d-1): max(0, (2 L_k - L_{k-1} - L_{k+1}) / 2)."""
+        return self.gap_bounds(exact=True)[0]
 
 
 def gap_sweep(rep: Representation, radius: int) -> GapSweep:
     """Sweep all freely reduced words of length 1..radius and record the
     minimum gap vector per length.
 
-    One level of words.levels per length, through the graded product SVD,
-    so tiny gaps stay honest to ~1e-12: each letter is absorbed into the
-    sub-stack of the parents it may follow.  Words stay parent-index
-    arrays, spelled out for the argmins only (the first minimal words in
-    lexicographic order).  Nothing reads a left factor, so the states are
-    gap-only (logs, vh).
+    One level of words.levels per length, through WedgeProducts, so tiny
+    gaps stay honest to ~1e-12 at any spread: each letter is absorbed into
+    the sub-stack of the parents it may follow, one GEMM per exterior
+    power.  Only the words whose gap bounds reach the level's least upper
+    bound read exact gaps, which leaves the minima as reading every word
+    would.  Words stay parent-index arrays, spelled out for the argmins
+    only (the first minimal words in lexicographic order).
     Raises CapacityError before any work when the longest level would pass
     SWEEP_BUDGET bytes of state, and PrecisionError on a non-finite gap.
     """
@@ -81,28 +194,35 @@ def gap_sweep(rep: Representation, radius: int) -> GapSweep:
     rank = rep.presentation.generator_count
     mats = _letter_matrices(rep)
     widest = W.ball_size(rank, radius) - W.ball_size(rank, radius - 1)
-    need = widest * (d * d * mats.itemsize + 8 * d)
+    need = widest * (sum(comb(d, j) ** 2 for j in range(1, d)) * mats.itemsize + 8 * d)
     if need > SWEEP_BUDGET:
         raise CapacityError(
             f"radius {radius} needs {need / 2**20:.0f} MiB of sweep state for its "
             f"{widest} longest words; the budget is {SWEEP_BUDGET / 2**20:.0f} MiB"
         )
-    state = ProductSVD(d, (1,), mats.dtype, left=False)
+    letters = WedgeProducts.of(mats)
+    state = WedgeProducts.identity(d, (1,), mats.dtype)
     minima = np.empty((radius, d - 1))
     walk, argmin_words = [], []
     for n, (parent, last) in enumerate(W.levels(rep.presentation, radius), 1):
-        gaps = np.empty((parent.size, d - 1))
+        # a word whose gap bounds all lie above the least upper bound so far
+        # is no argmin: it keeps inf, and only the others read exact gaps
+        gaps = np.full((parent.size, d - 1), np.inf)
+        best = np.full(d - 1, np.inf)
         # nothing extends the longest words, so their states are not kept
-        child = ProductSVD(d, parent.shape, mats.dtype, left=False) if n < radius else None
-        for letter, mat in zip(rep.presentation.letters(), mats):
+        child = WedgeProducts.identity(d, parent.shape, mats.dtype) if n < radius else None
+        for i, letter in enumerate(rep.presentation.letters()):
             rows = np.nonzero(last == letter)[0]
-            sub = state[parent[rows]].absorb(mat)
-            gaps[rows] = sub.gaps()
+            sub = state[parent[rows]].absorb(letters[i])
+            low, high = sub.gap_bounds()
+            best = np.minimum(best, high.min(axis=0, initial=np.inf))
+            near = np.flatnonzero(~np.all(low > best + 1e-9 * (1.0 + best), axis=1))
+            gaps[rows[near]] = exact = sub[near].gaps()
+            if not np.all(np.isfinite(exact)):
+                raise PrecisionError(f"non-finite gap at length {n}: a word product overflowed")
             if child is not None:
                 child[rows] = sub
         state = child
-        if not np.all(np.isfinite(gaps)):
-            raise _spread_error(f"at length {n}")
         idx = np.argmin(gaps, axis=0)
         minima[n - 1] = gaps[idx, np.arange(d - 1)]
         walk.append((parent, last))
@@ -145,27 +265,33 @@ def _doubling_ratios(rep: Representation, requests) -> dict:
     doublings), or to the PrecisionError that ended it alone.  Affine growth
     gives ratio -> 2, logarithmic growth (e.g. unipotents) ratio -> 1.  The
     k-th gap is read at powers 1, 2, 4, ..., 256 until it passes 40 with two
-    readings; past a spread of about 372 nats it is not finite."""
+    readings, from WedgeProducts, whose top values are computed only at
+    those powers."""
     words = list(dict.fromkeys(w for w, _ in requests))
     readings: dict = {r: [] for r in requests}
     out: dict = {}
 
-    def judge(idx, powers, gaps, u):
+    def judge(idx, powers, sub):
+        due = np.flatnonzero([n & (n - 1) == 0 for n in powers])  # only powers of two are read
+        gaps = dict(zip(due.tolist(), sub[due].gaps()))
         keep = []
-        for i, n, row in zip(idx, powers, gaps):
+        for j, (i, n) in enumerate(zip(idx, powers)):
             todo = [(w, k) for w, k in readings if w == words[i] and (w, k) not in out]
-            if n & (n - 1) == 0:
+            if j in gaps:
                 for w, k in todo:
-                    g = float(row[k - 1])
+                    g = float(gaps[j][k - 1])
                     readings[w, k].append(g)
                     if not math.isfinite(g):
-                        out[w, k] = _spread_error(f"along {W.word_to_str(w)}^{n}")
+                        out[w, k] = PrecisionError(f"non-finite gap along {W.word_to_str(w)}^{n}: "
+                                                   "a word product overflowed")
                     elif g > 40.0 and len(readings[w, k]) >= 2 or n == 256:
                         out[w, k] = (g, 0.0 if g < 1e-9 else g / max(readings[w, k][-2], 1e-12))
             keep.append(any(r not in out for r in todo))
         return keep
 
-    _power_walk(rep, words, judge, left=False)
+    mats = _letter_matrices(rep)
+    _power_walk(rep, words, WedgeProducts.identity(rep.dim, (len(words),), mats.dtype),
+                WedgeProducts.of(mats), judge)
     return out
 
 
@@ -307,32 +433,29 @@ class FlagStack:
         return self._quotients[k]
 
 
-def _power_walk(rep: Representation, words, judge, left: bool) -> None:
-    """Absorb the next letter of every live word into one stacked graded
-    product SVD until no word is left.  After each letter, the words that
-    just completed a power go to one judge(idx, n, gaps, u) call: row j
-    holds words[idx[j]], its power n[j] and the gaps and left factor of
-    rho(words[idx[j]]^n[j]).  A gap walk (left False) keeps gap-only
-    states and passes u=None.  judge returns one bool per row, and a word
-    leaves the stack where that is False.  Every product of the stack is
-    treated alone, so nothing depends on the batch."""
+def _power_walk(rep: Representation, words, state, factors, judge) -> None:
+    """Absorb the next letter of every live word into the stacked products
+    state (row i starts as words[i]'s empty product) until no word is
+    left: state.absorb(factors[codes]), with factors indexed like
+    presentation.letters().  After each letter, the words that just
+    completed a power go to one judge(idx, n, sub) call: row j of the
+    sub-stack sub is rho(words[idx[j]]^n[j]).  judge returns one bool per
+    row, and a word leaves the stack where that is False.  Every product of
+    the stack is treated alone, so nothing depends on the batch."""
     index = {letter: i for i, letter in enumerate(rep.presentation.letters())}
-    mats = _letter_matrices(rep)
     lens = np.array([len(w) for w in words], dtype=int)
     codes = np.zeros((len(words), lens.max(initial=0)), dtype=int)
     for i, w in enumerate(words):
         codes[i, :len(w)] = [index[letter] for letter in w]
     live = np.arange(len(words))
-    state = ProductSVD(rep.dim, live.shape, mats.dtype, left=left)
     used = 0
     while live.size:
-        state.absorb(mats[codes[live, used % lens[live]]])
+        state.absorb(factors[codes[live, used % lens[live]]])
         used += 1
         ends = np.nonzero(used % lens[live] == 0)[0]  # mid-power words go on
         if ends.size:
             keep = np.ones(live.size, dtype=bool)
-            u = None if state.u is None else state.u[ends]
-            keep[ends] = judge(live[ends], used // lens[live[ends]], state.gaps()[ends], u)
+            keep[ends] = judge(live[ends], used // lens[live[ends]], state[ends])
             if not keep.all():
                 state, live = state[keep], live[keep]
 
@@ -368,8 +491,8 @@ def boundary_samples(rep: Representation, words, ks) -> tuple[FlagStack, list]:
     recent = np.zeros((len(words), 4))  # each word's last four worst gaps, oldest first
     readings = np.zeros(len(words), dtype=int)
 
-    def judge(idx, n, gaps, u):
-        g = gaps[:, cols]
+    def judge(idx, n, sub):
+        g = sub.gaps()[:, cols]
         worst = g.min(axis=1)
         finite = np.isfinite(g).all(axis=1)
         go = finite & (worst < TARGET_GAP)
@@ -381,7 +504,7 @@ def boundary_samples(rep: Representation, words, ks) -> tuple[FlagStack, list]:
         for j in np.nonzero(~keep)[0]:
             i, x = idx[j], float(worst[j])
             if finite[j] and not go[j]:  # done: its left factor is the flag
-                frames[i], quality[i] = u[j], math.exp(-2.0 * x)
+                frames[i], quality[i] = sub.u[j], math.exp(-2.0 * x)
                 continue
             w = W.word_to_str(words[i])
             if not finite[j]:
@@ -394,7 +517,8 @@ def boundary_samples(rep: Representation, words, ks) -> tuple[FlagStack, list]:
                                                          f"along {w}"))
         return keep
 
-    _power_walk(rep, words, judge, left=True)
+    mats = _letter_matrices(rep)
+    _power_walk(rep, words, ProductSVD(rep.dim, (len(words),), mats.dtype), mats, judge)
     ok = [i for i, e in enumerate(errors) if e is None]
     return FlagStack([words[i] for i in ok], frames[ok], ks, quality[ok]), errors
 

@@ -224,13 +224,16 @@ def _flag_pool(rep: Representation, ks, spec: TripleSpec):
     pair words.  Adversarial attempts are drawn in chunks, in the order a
     one-by-one loop would draw them; each chunk's words are sampled in one
     batch, its pair distances are taken in one point_dists call and its
-    pairs are accepted in draw order."""
+    pairs are accepted in draw order.  A word's walk does not depend on its
+    batch, so a pair word is walked once: a later draw of it reuses its
+    flag, and a failed one is reported once."""
     pool, failures = limit_set_sample(rep, ks, spec.pool_size, spec.word_length, spec.seed)
     p = rep.presentation
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 0xADF)))
     n_pairs = max(1, int(spec.count * ADVERSARIAL_FRACTION) // 8)
     max_attempts = 60 * n_pairs
     accepted = []
+    walked: dict[Word, FlagStack | None] = {}  # a pair word's one-row flag, or None if it failed
     found = attempts = 0
     # pairs closer than ~1e-5 can no longer be resolved in floats (the
     # normalized score converges as the pair degenerates, so nothing is
@@ -246,13 +249,17 @@ def _flag_pool(rep: Representation, ks, spec: TripleSpec):
                       for _ in range(2))
             if wx and wy and wx != wy:
                 chunk += [wx, wy]
-        flags, errors = boundary_samples(rep, chunk, ks)
-        failures += [(w, e[0], str(e[1])) for w, e in zip(chunk, errors) if e is not None]
-        sampled = np.array([e is None for e in errors], dtype=bool).reshape(-1, 2)
-        # the rows of flags whose pair partner was sampled too
-        flags = flags[np.repeat(sampled.all(axis=1), 2)[sampled.ravel()]]
-        if not len(flags):
+        fresh = [w for w in dict.fromkeys(chunk) if w not in walked]
+        flags, errors = boundary_samples(rep, fresh, ks)
+        done = [w for w, e in zip(fresh, errors) if e is None]  # the words of the rows of flags
+        walked.update({**dict.fromkeys(fresh), **{w: flags[i] for i, w in enumerate(done)}})
+        failures += [(w, e[0], str(e[1])) for w, e in zip(fresh, errors) if e is not None]
+        sampled = np.array([walked[w] is not None for w in chunk], dtype=bool).reshape(-1, 2)
+        # the flags of the words whose pair partner was sampled too
+        both = [walked[w] for w, ok in zip(chunk, np.repeat(sampled.all(axis=1), 2)) if ok]
+        if not both:
             continue
+        flags = FlagStack.concat(*both)
         dists = point_dists(flags, slice(0, None, 2), slice(1, None, 2))
         near = np.flatnonzero((floor <= dists) & (dists <= ceiling))[: n_pairs - found]
         accepted.append(flags[(2 * near[:, None] + [0, 1]).ravel()])

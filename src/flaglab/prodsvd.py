@@ -16,12 +16,14 @@ The engine works in the dtype of its input: float64 for real matrices,
 complex128 otherwise.  One-sided Jacobi keeps its relative accuracy in
 real arithmetic (Demmel & Veselic 1992), and below 16 rows a real input
 gives the bits of its complex cast (see jacobi_svd), so a real
-representation runs in float64 without moving a gap or a flag.
+representation runs in float64 without moving a flag.
 
-Only flags read the left factor u (certify.boundary_samples).  The gap
-readers, certify.gap_sweep and the doubling walk of the certificates,
-keep gap-only states: jacobi_svd then neither builds nor rotates the
-identity block that accumulates u, and the gaps keep every bit.
+Only boundary flags run here (certify.boundary_samples): they need the
+left factor u, the attracting frame.  The gap readers, certify.gap_sweep
+and the doubling walk of the certificates, read top singular values of
+exterior powers instead (certify.WedgeProducts) and know no spread
+limit; this engine's squared column norms still stop a flag past a
+log-singular spread of about 372 nats.
 """
 
 from __future__ import annotations
@@ -39,13 +41,11 @@ def _h(x: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(x, -1, -2))
 
 
-def jacobi_svd(x: np.ndarray, right: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def jacobi_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One-sided Jacobi SVD of a matrix or stack of matrices, accurate in
     the relative sense for column-scaled inputs.  Returns (u, s, vh) with
     x = u @ diag(s) @ vh, s descending; u and vh are float64 for real
-    input and complex128 otherwise.  With right False the right factor is
-    neither accumulated nor returned (vh is None): u and s come from the
-    rotated columns alone, with the same operations and so the same bits.
+    input and complex128 otherwise.
 
     A real input gives the bits of the same input cast to complex, which
     takes two choices.  Every division by a real array is written as a
@@ -64,14 +64,13 @@ def jacobi_svd(x: np.ndarray, right: bool = True) -> tuple[np.ndarray, np.ndarra
     a = a.astype(np.result_type(a, np.float64), copy=False)
     batch, (n, m) = a.shape[:-2], a.shape[-2:]
     a = a.reshape((-1, n, m))
-    # av[j, b] holds column j of a[b], then of v when right: one rotation
-    # of the rows av[p], av[q] turns both, over the whole stack in one flat
-    # loop.  A complex row takes every other slot (see above)
+    # av[j, b] holds column j of a[b], then of v: one rotation of the rows
+    # av[p], av[q] turns both, over the whole stack in one flat loop.  A
+    # complex row takes every other slot (see above)
     step = 2 if np.iscomplexobj(a) else 1
-    av = np.zeros((m, len(a), step * (n + m if right else n)), a.dtype)[:, :, ::step]
+    av = np.zeros((m, len(a), step * (n + m)), a.dtype)[:, :, ::step]
     av[:, :, :n] = np.moveaxis(a, -1, 0)
-    if right:
-        av[:, :, n:] = np.eye(m)[:, None, :]
+    av[:, :, n:] = np.eye(m)[:, None, :]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_SWEEPS):
             rotated = False
@@ -114,7 +113,7 @@ def jacobi_svd(x: np.ndarray, right: bool = True) -> tuple[np.ndarray, np.ndarra
     ut[zi, zj] = 0.0
     ut[zi, zj, np.minimum(zj, n - 1)] = 1.0
     u = np.swapaxes(ut, -1, -2).reshape(batch + (n, m))
-    vh = np.conj(av[:, :, n:]).reshape(batch + (m, m)) if right else None
+    vh = np.conj(av[:, :, n:]).reshape(batch + (m, m))
     return u, s.reshape(batch + (m,)), vh
 
 
@@ -125,19 +124,16 @@ class ProductSVD:
     descending, for one product (batch ()) or a stack (batch (n,)).  u and
     vh start as identities of the given dtype and take the factors' dtype:
     real factors keep a float64 state real, a complex one makes it complex.
-    A state built with left False is gap-only: u is None and never
-    computed, and logs and vh keep every bit they have with it.
     Indexing a stack gathers a sub-stack and assigning to an index
-    scatters one back (TypeError for a complex one into a real state, or
-    a gap-only one into a state with u).
+    scatters one back (TypeError for a complex one into a real state).
     """
 
     __slots__ = ("u", "logs", "vh")
 
-    def __init__(self, dim: int, batch: tuple[int, ...] = (), dtype=complex, left: bool = True):
+    def __init__(self, dim: int, batch: tuple[int, ...] = (), dtype=complex):
         self.vh = np.broadcast_to(np.eye(dim, dtype=dtype), tuple(batch) + (dim, dim)).copy()
         self.logs = np.zeros(tuple(batch) + (dim,))
-        self.u = self.vh.copy() if left else None
+        self.u = self.vh.copy()
 
     @classmethod
     def _of(cls, u, logs, vh) -> "ProductSVD":
@@ -146,16 +142,12 @@ class ProductSVD:
         return out
 
     def __getitem__(self, idx) -> "ProductSVD":
-        return self._of(None if self.u is None else self.u[idx], self.logs[idx], self.vh[idx])
+        return self._of(self.u[idx], self.logs[idx], self.vh[idx])
 
     def __setitem__(self, idx, other: "ProductSVD"):
         if not np.can_cast(other.vh.dtype, self.vh.dtype):
             raise TypeError(f"cannot scatter a {other.vh.dtype} stack into a {self.vh.dtype} one")
-        if self.u is not None and other.u is None:
-            raise TypeError("cannot scatter a gap-only stack into one that carries u")
-        if self.u is not None:
-            self.u[idx] = other.u
-        self.logs[idx], self.vh[idx] = other.logs, other.vh
+        self.u[idx], self.logs[idx], self.vh[idx] = other.u, other.logs, other.vh
 
     def absorb(self, factor: np.ndarray) -> "ProductSVD":
         """Right-multiply the represented products by `factor` (in place):
@@ -168,9 +160,8 @@ class ProductSVD:
             w = np.exp(self.logs - top)[..., :, None] * b
             # svd of the graded matrix via its column-scaled adjoint; its
             # right factor only updates u
-            uw, s, vwh = jacobi_svd(_h(w), right=self.u is not None)
-            if self.u is not None:
-                self.u = self.u @ _h(vwh)
+            uw, s, vwh = jacobi_svd(_h(w))
+            self.u = self.u @ _h(vwh)
             self.logs = np.log(s) + top
         self.vh = _h(uw)
         return self

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -91,6 +92,26 @@ class Representation:
 
     def __repr__(self):
         return f"Representation(d={self.dim}, rank={self.presentation.generator_count}, {self.label!r})"
+
+
+# --- exterior powers ------------------------------------------------------
+
+
+def wedge_coords(cols: np.ndarray) -> np.ndarray:
+    """Coordinates of the wedge of the columns of a (..., d, k) stack in the
+    sorted multi-index basis: all k x k minors by rows, (..., C(d, k))."""
+    d, k = cols.shape[-2:]
+    rows = np.array(list(combinations(range(d), k)), dtype=int).reshape(-1, k)
+    return np.linalg.det(cols[..., rows, :])
+
+
+def wedge_matrix(m: np.ndarray, k: int) -> np.ndarray:
+    """k-th exterior power of a (..., d, d) stack in the sorted multi-index
+    basis: column J holds the wedge coordinates of the columns J of m, so
+    the induced Hermitian product is the standard one and the top singular
+    value is the product of the k largest of m."""
+    cols = np.array(list(combinations(range(m.shape[-1]), k)), dtype=int)
+    return np.swapaxes(wedge_coords(np.moveaxis(m[..., cols], -2, -3)), -1, -2)
 
 
 # --- example constructors -------------------------------------------------

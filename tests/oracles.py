@@ -22,7 +22,7 @@ from flaglab.certify import FlagStack
 from flaglab.errors import CapacityError, InputError, PrecisionError, TransversalityError
 from flaglab.fibers import SCORED, _FAULT_MESSAGES, Trivialization, _fiber_frame, line_intersections
 from flaglab.mobius import apply_mobius
-from flaglab.reps import Representation
+from flaglab.reps import Representation, wedge_coords, wedge_matrix
 from flaglab.sphere import MassEstimate, VisualMeasure, _unit_vectors, cap_hits
 from flaglab.subspaces import RANK_TOL, det_normalize, frame_complements, frame_dists
 from flaglab.words import GroupPresentation, Word
@@ -116,25 +116,6 @@ def perturb(rep: Representation, eps: float, seed: int) -> Representation:
         k /= np.linalg.norm(k)
         mats.append(g @ _expm(eps * k))
     return Representation(rep.presentation, mats, label=f"perturb({rep.label}, eps={eps})")
-
-
-def wedge_coords(cols: np.ndarray) -> np.ndarray:
-    """Coordinates of the wedge of the columns in the sorted multi-index
-    basis: all k x k minors by rows."""
-    d, k = cols.shape
-    idx = list(combinations(range(d), k))
-    out = np.empty(len(idx), dtype=complex)
-    for row, i_set in enumerate(idx):
-        out[row] = np.linalg.det(cols[i_set, :])
-    return out
-
-
-def wedge_matrix(m: np.ndarray, k: int) -> np.ndarray:
-    """k-th exterior power in the sorted multi-index basis: column J holds
-    the wedge coordinates of the columns J of m, so the induced Hermitian
-    product is the standard one."""
-    cols = combinations(range(m.shape[1]), k)
-    return np.stack([wedge_coords(m[:, j_set]) for j_set in cols], axis=1)
 
 
 def wedge_rep(rep: Representation, k: int) -> Representation:

@@ -1,7 +1,9 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import flaglab as fl
 import flaglab.words as W
@@ -13,7 +15,9 @@ from flaglab.reps import Representation
 from flaglab.subspaces import frame_sines
 
 from conftest import brute_ball, flag_dist
-from oracles import concat, hausdorff_subspace_dist, invert, orth, plucker, transport_flag, wedge_rep
+from oracles import (
+    concat, contragredient, hausdorff_subspace_dist, invert, orth, plucker, transport_flag, wedge_rep,
+)
 
 
 # --- certificates -----------------------------------------------------------
@@ -88,16 +92,36 @@ def test_duality_minima_and_verdicts(name, radius):
         assert certs[k].verdict == certs[d - k].verdict
 
 
-def _mp_gaps(rep, word, digits=40):
-    """Gap vector of rho(word) from a high-precision product and SVD."""
+def _mp_gaps(rep, word, digits=40, power=1):
+    """Gap vector of rho(word)^power from a high-precision product and SVD
+    of the float generators; the digits must hold the whole spread."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(digits):
         m = mpmath.eye(rep.dim)
         for letter in word:
             g = rep.matrix(letter)
             m = m * mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in g])
-        s = sorted((mpmath.mpf(x) for x in mpmath.svd_c(m, compute_uv=False)), reverse=True)
+        s = sorted((mpmath.mpf(x) for x in mpmath.svd_c(m**power, compute_uv=False)), reverse=True)
+        assert s[-1] > 0 and mpmath.log10(s[0] / s[-1]) < digits - 20, "raise the digits"
         return [float((mpmath.log(a) - mpmath.log(b)) / 2) for a, b in zip(s, s[1:])]
+
+
+def _engine_gaps(rep, word, power=1):
+    """Gap vector of rho(word)^power from certify.WedgeProducts, absorbed
+    letter by letter, as the sweep and the doubling walk read it."""
+    mats = certify._letter_matrices(rep)
+    letters = certify.WedgeProducts.of(mats)
+    index = rep.presentation.letters()
+    state = certify.WedgeProducts.identity(rep.dim, (), mats.dtype)
+    for _ in range(power):
+        for letter in word:
+            state.absorb(letters[index.index(letter)])
+    return state.gaps()
+
+
+def _close(got, want, rtol=1e-10):
+    """got within rtol of want relative to |want|, or absolutely below 1."""
+    return abs(got - want) <= rtol * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("name,radius", [("sym4", 5), ("schottky", 6)])
@@ -122,13 +146,49 @@ def test_sweep_witnesses_and_brute_force_minima(name, radius):
             assert abs(_mp_gaps(rep, w)[k - 1] - sweep.minima[n - 1, k - 1]) < 1e-9
 
 
+def _full_sweep(rep, radius):
+    """gap_sweep's minima and argmin words with every word's exact gaps
+    read, from the same products: one per letter and level.  Checks on the
+    way that every word's gaps lie within its gap_bounds."""
+    mats = certify._letter_matrices(rep)
+    letters = certify.WedgeProducts.of(mats)
+    state = certify.WedgeProducts.identity(rep.dim, (1,), mats.dtype)
+    walk, minima, argmins = [], [], []
+    for parent, last in W.levels(rep.presentation, radius):
+        gaps = np.empty((parent.size, rep.dim - 1))
+        child = certify.WedgeProducts.identity(rep.dim, parent.shape, mats.dtype)
+        for i, letter in enumerate(rep.presentation.letters()):
+            rows = np.nonzero(last == letter)[0]
+            child[rows] = sub = state[parent[rows]].absorb(letters[i])
+            gaps[rows] = sub.gaps()
+            low, high = sub.gap_bounds()  # the bounds the sweep prunes by hold
+            assert np.all(low <= gaps[rows] + 1e-12) and np.all(gaps[rows] <= high + 1e-12)
+        state = child
+        walk.append((parent, last))
+        idx = np.argmin(gaps, axis=0)
+        minima.append(gaps[idx, np.arange(rep.dim - 1)])
+        argmins.append(tuple(W.spell(walk, i) for i in idx))
+    return np.array(minima), tuple(argmins)
+
+
+@pytest.mark.parametrize("name, radius", [("sym4", 6), ("octagon-sym3", 4), ("directsum", 5), ("schottky", 7)])
+def test_sweep_reads_exact_gaps_only_near_the_minima(name, radius):
+    # the sweep skips the exact reading of a word whose gap bounds lie above
+    # a level's least upper bound: its minima and argmin words are those of
+    # reading every word, bit for bit
+    rep = fl.preset(name)
+    sweep = fl.gap_sweep(rep, radius)
+    minima, argmins = _full_sweep(rep, radius)
+    assert np.array_equal(sweep.minima, minima) and sweep.argmin_words == argmins
+
+
 def test_sweep_budget_fails_fast(sym4):
     import tracemalloc
 
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="budget"):
-            fl.gap_sweep(sym4, 14)  # 6.4M words of length 14, about 1.0 GB of float64 state
+            fl.gap_sweep(sym4, 14)  # 6.4M words of length 14, about 3.5 GB of float64 state
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -144,11 +204,12 @@ def _complex_twin(rep):
 
 def test_sweep_budget_counts_the_bytes_of_the_state_dtype(sym4, monkeypatch):
     # a real representation sweeps in float64, half the bytes of complex128
-    # state: a budget between the two needs of the (logs, vh) state admits
-    # it and refuses its twin
+    # state: a budget between the two needs of the state (every exterior
+    # power, 16 + 36 + 16 entries at d = 4, and d floats) admits it and
+    # refuses its twin
     d, radius = sym4.dim, 6
     widest = W.ball_size(2, radius) - W.ball_size(2, radius - 1)
-    real_need, complex_need = (widest * (d * d * size + 8 * d) for size in (8, 16))
+    real_need, complex_need = (widest * (68 * size + 8 * d) for size in (8, 16))
     monkeypatch.setattr(certify, "SWEEP_BUDGET", (real_need + complex_need) // 2)
     twin = _complex_twin(sym4)
     assert certify._letter_matrices(twin).dtype == np.complex128
@@ -165,28 +226,31 @@ def _spread_rep():
     return Representation(W.free_group(1), [m], label="spread")
 
 
-def _doubling_ratio_oracle(rep, word, k):
-    # reference for the power walk: one product per (word, k), read at
-    # powers 1, 2, 4, ..., 256
-    state = ProductSVD(rep.dim)
-    factors = [rep.matrix(letter) for letter in word]
+def _conjugated_spread_rep():
+    # _spread_rep's generator conjugated by a fixed g (condition 2.3), so
+    # that no basis shows its singular values
+    g = np.eye(4) + 0.3 * np.random.default_rng(0).normal(size=(4, 4))
+    m = g @ np.diag([1000.0, 1.01, 1 / 1.01, 1 / 1000.0]) @ np.linalg.inv(g)
+    return Representation(W.free_group(1), [m], label="conjugated spread")
+
+
+def _doubling_ratio_oracle(rep, word, k, digits=400):
+    # reference for the power walk: rho(word)^n at high precision, one
+    # product per (word, k), read at powers 1, 2, 4, ..., 256
     gaps = []
-    absorbed = 0
     for n in (1, 2, 4, 8, 16, 32, 64, 128, 256):
-        while absorbed < n:
-            for f in factors:
-                state.absorb(f)
-            absorbed += 1
-        g = float(state.gaps()[k - 1])
-        if not math.isfinite(g):
-            raise PrecisionError(f"non-finite gap along {W.word_to_str(word)}^{n}")
-        gaps.append(g)
-        if g > 40.0 and len(gaps) >= 2:
+        gaps.append(_mp_gaps(rep, word, digits, n)[k - 1])
+        if gaps[-1] > 40.0 and len(gaps) >= 2:
             break
     g_prev, g_last = gaps[-2], gaps[-1]
     if g_last < 1e-9:
         return g_last, 0.0
     return g_last, g_last / max(g_prev, 1e-12)
+
+
+def _matches_oracle(got, want):
+    # a (gap, ratio) of the walk against the oracle's
+    return _close(got[0], want[0]) and _close(got[1], want[1])
 
 
 def _witness_requests(rep, ks, radius):
@@ -212,7 +276,7 @@ def test_power_walk_matches_per_word_oracle(name, ks, radius, words):
     got = _doubling_ratios(rep, requests)
     assert set(got) == set(requests)
     for w, k in requests:
-        assert got[w, k] == _doubling_ratio_oracle(rep, w, k), (w, k)
+        assert _matches_oracle(got[w, k], _doubling_ratio_oracle(rep, w, k)), (w, k)
     if name == "unipotent":
         assert all(ratio < 1.5 for _, ratio in got.values())
     if name == "trivial":  # the vanished-gap branch
@@ -220,16 +284,45 @@ def test_power_walk_matches_per_word_oracle(name, ks, radius, words):
 
 
 def test_doubling_ratio_never_returns_nan():
-    [err] = _doubling_ratios(_spread_rep(), [((1,), 2)]).values()
-    assert isinstance(err, PrecisionError)
-    with pytest.raises(PrecisionError, match="372 nats"):
-        fl.certificates(_spread_rep(), [2], 3)
+    # the middle gap grows by 0.01 nats a power while the outer values run
+    # apart by 13.8 nats: read at power 256 over a spread of 3,537 nats, it
+    # is finite and right, and a slope below 0.01 leaves the certificate
+    # inconclusive
+    rep = _conjugated_spread_rep()
+    [got] = _doubling_ratios(rep, [((1,), 2)]).values()
+    assert _matches_oracle(got, _doubling_ratio_oracle(rep, (1,), 2, digits=1600))
+    assert got[1] > 1.5
+    [cert] = fl.certificates(rep, [2], 3)
+    assert cert.verdict == "inconclusive" and 0.0 < cert.c1 < certify.SLOPE_THRESHOLD
 
 
-def test_spread_limit_is_about_372_nats(sym4):
+@pytest.mark.parametrize("name, word, power, digits", [
+    ("schottky", (1,), 400, 600),  # true gap 554.5, spread 1,109 nats
+    ("sym4", (-1, 2, 2, -1, -1, -2, -1), 8, 400),  # AbbAABA^8, spread 402 nats
+    ("spread", (1,), 54, 400),  # spread 746 nats
+    ("spread", (1,), 120, 1000),  # spread 1,658 nats
+])
+def test_gap_readings_past_the_flag_spread_limit(name, word, power, digits):
+    # the gap readers' engine reads every gap past the graded product SVD's
+    # 372-nat limit, where that engine, which the flags keep, loses the
+    # smallest singular value
+    rep = _conjugated_spread_rep() if name == "spread" else fl.preset(name)
+    want = _mp_gaps(rep, word, digits, power)
+    got = _engine_gaps(rep, word, power)
+    assert all(_close(g, x) for g, x in zip(got, want)), (got, want)
+    state = ProductSVD(rep.dim)
+    for _ in range(power):
+        for letter in word:
+            state.absorb(rep.matrix(letter))
+    assert not np.all(np.isfinite(state.gaps()))
+
+
+def test_spread_limit_is_about_372_nats(sym4, monkeypatch):
     # AbbAABA^7 spreads its log-singular values over 352 nats and AbbAABA^8
-    # over 402 (+-201.03, +-67.01): past about 372 nats the smallest value
-    # flushes to zero, while the top two gaps pass 40 with finite readings
+    # over 402 (+-201.03, +-67.01): past about 372 nats the graded product
+    # SVD flushes the smallest value to zero, so a boundary flag that needs
+    # the third gap fails there, while the doubling walk reads all three
+    # gaps at power 8, each passing 40
     w = (-1, 2, 2, -1, -1, -2, -1)
     state = ProductSVD(sym4.dim)
     for power in range(1, 9):
@@ -239,23 +332,27 @@ def test_spread_limit_is_about_372_nats(sym4):
             assert np.all(np.isfinite(state.logs)) and state.logs[0] - state.logs[-1] > 350.0
     assert np.allclose(state.logs[:3], [201.03, 67.01, -67.01], atol=0.01)
     assert state.logs[3] == -np.inf
+    monkeypatch.setattr(certify, "TARGET_GAP", 100.0)  # the flag walks on to power 8
+    flags, [(reason, err)] = boundary_samples(sym4, [w], [3])
+    assert len(flags) == 0 and reason == "non_finite_gap"
+    assert "AbbAABA" in str(err) and "about 372 nats" in str(err)
     got = _doubling_ratios(sym4, [(w, 1), (w, 2), (w, 3)])
-    for k in (1, 2):
+    want = _mp_gaps(sym4, w, 400, 8)
+    for k in (1, 2, 3):
         gap, ratio = got[w, k]
-        assert gap == pytest.approx(67.01, abs=0.01) and ratio == pytest.approx(2.0, abs=1e-3)
-    assert isinstance(got[w, 3], PrecisionError)
-    assert "AbbAABA^8" in str(got[w, 3]) and "about 372 nats" in str(got[w, 3])
+        assert _close(gap, want[k - 1]) and ratio == pytest.approx(2.0, abs=1e-3)
 
 
 def test_power_walk_stops_each_request_alone():
-    # one word, two indices: index 1 passes 40 at power 8 and ends with the
-    # per-word reading, while index 2 walks on until the middle values fall
-    # more than 372 nats below the top one (power 55, read at 64)
-    got = _doubling_ratios(_spread_rep(), [((1,), 1), ((1,), 2)])
-    assert got[(1,), 1] == _doubling_ratio_oracle(_spread_rep(), (1,), 1)
+    # one word, two indices: index 1 passes 40 at power 16 and ends there,
+    # while index 2 walks on to power 256; each reads like the oracle
+    rep = _conjugated_spread_rep()
+    got = _doubling_ratios(rep, [((1,), 1), ((1,), 2)])
+    assert _matches_oracle(got[(1,), 1], _doubling_ratio_oracle(rep, (1,), 1))
     assert got[(1,), 1][0] > 40.0
-    assert isinstance(got[(1,), 2], PrecisionError)
-    assert "along a^64" in str(got[(1,), 2])
+    assert _close(got[(1,), 1][0], _mp_gaps(rep, (1,), 400, 16)[0])
+    assert _matches_oracle(got[(1,), 2], _doubling_ratio_oracle(rep, (1,), 2, digits=1600))
+    assert _close(got[(1,), 2][0], _mp_gaps(rep, (1,), 1600, 256)[1])
 
 
 def test_refuting_witness_wins_over_a_later_raising_one(schottky, sym3, monkeypatch):
@@ -282,9 +379,10 @@ def test_refuting_witness_wins_over_a_later_raising_one(schottky, sym3, monkeypa
 
 @pytest.mark.parametrize("name, ks", [("sym4", (1, 2, 3)), ("schottky", (1,))])
 def test_real_letter_matrices_change_no_bit(name, ks, monkeypatch):
-    # real generators run the engine in float64; driven with complex128
-    # letter matrices instead, the sweep, the doubling witnesses and the
-    # boundary flags come out the same, bit for bit
+    # real generators run the engines in float64; driven with complex128
+    # letter matrices instead, the boundary flags come out the same, bit
+    # for bit, and the sweep minima and the doubling witnesses each read
+    # the 40-digit oracle to 1e-12
     rep = fl.preset(name)
     assert certify._letter_matrices(rep).dtype == np.float64
     words = W.random_cyclic_words(rep.presentation, 30, 7, seed=5)
@@ -298,13 +396,14 @@ def test_real_letter_matrices_change_no_bit(name, ks, monkeypatch):
     monkeypatch.setattr(certify, "_letter_matrices",
                         lambda rep: np.stack([rep.matrix(x) for x in rep.presentation.letters()]))
     cplx = run()
-    assert np.array_equal(real[0].minima, cplx[0].minima)
-    assert real[0].argmin_words == cplx[0].argmin_words
-
-    def outcomes(ratios):  # an error compares by its class and message
-        return {key: r if isinstance(r, tuple) else (type(r), str(r)) for key, r in ratios.items()}
-
-    assert outcomes(real[1]) == outcomes(cplx[1])
+    for sweep in (real[0], cplx[0]):  # argmin words may differ at tied minima
+        for n, words_n in enumerate(sweep.argmin_words, 1):
+            for k, w in enumerate(words_n, 1):
+                assert _close(_mp_gaps(rep, w)[k - 1], sweep.minima[n - 1, k - 1], 1e-12)
+    assert np.allclose(real[0].minima, cplx[0].minima, rtol=1e-12, atol=1e-12)
+    assert set(real[1]) == set(cplx[1]) == set(requests)
+    for key in requests:
+        assert _close(real[1][key][0], cplx[1][key][0], 1e-12) and _close(real[1][key][1], cplx[1][key][1], 1e-12)
     (flags, errors), (cflags, cerrors) = real[2], cplx[2]
     assert errors == cerrors == [None] * len(words)
     assert flags.sources == cflags.sources == words
@@ -609,3 +708,47 @@ def test_wedge_consistency_of_flags(sym4):
         f, _ = boundary_samples(sym4, [word], [2])
         fw, _ = boundary_samples(wrep, [word], [1])
         assert hausdorff_subspace_dist(plucker(f.space(2)[0]), fw.space(1)[0]) < 1e-6
+
+
+# --- properties of the gap readers -------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _rep_and_dual(name):
+    rep = fl.preset(name)
+    return rep, contragredient(rep)
+
+
+GAP_PRESETS = ["schottky", "sym3", "sym4", "octagon-sym3", "directsum"]
+
+
+def _words(rep, max_size):
+    """Freely reduced nonempty words of at most max_size letters, as the
+    sweep and the doubling walk read them."""
+    letters = st.lists(st.sampled_from(rep.presentation.letters()), min_size=1, max_size=max_size)
+    return letters.map(lambda w: W.reduce(w, rep.presentation)).filter(bool)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(GAP_PRESETS), data=st.data())
+def test_gap_duality_with_the_contragredient(name, data):
+    # rho*(w) = rho(w)^-T has the reciprocal singular values, so its gaps
+    # are rho(w)'s in reverse order
+    rep, dual = _rep_and_dual(name)
+    word = data.draw(_words(rep, 12), label="word")
+    k = data.draw(st.integers(1, rep.dim - 1), label="k")
+    gap = _engine_gaps(rep, word)[k - 1]
+    assert abs(gap - _engine_gaps(dual, word)[rep.dim - k - 1]) <= 1e-12 * (1.0 + gap)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(GAP_PRESETS), data=st.data())
+def test_gap_walk_reads_a_word_alone_as_in_a_stack(name, data):
+    # the doubling walk treats each product of its stack alone: a word's
+    # readings keep every bit whatever else walks beside it
+    rep, _ = _rep_and_dual(name)
+    words = data.draw(st.lists(_words(rep, 5), min_size=2, max_size=5, unique=True), label="words")
+    ks = data.draw(st.lists(st.integers(1, rep.dim - 1), min_size=len(words), max_size=len(words)), label="ks")
+    together = _doubling_ratios(rep, list(zip(words, ks)))
+    for w, k in zip(words, ks):
+        assert _doubling_ratios(rep, [(w, k)]) == {(w, k): together[w, k]}

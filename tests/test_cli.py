@@ -48,14 +48,44 @@ def _one_generator_rep_file(tmp_path, m, presentation):
     return path
 
 
+def _mp_middle_gap(m, n, digits=400):
+    """The middle gap of the 4x4 matrix m to the power n, from a 400-digit
+    product and SVD."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        s = mpmath.svd_c(mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in m]) ** n,
+                         compute_uv=False)
+        s = sorted((mpmath.mpf(x) for x in s), reverse=True)
+        return float((mpmath.log(s[1]) - mpmath.log(s[2])) / 2)
+
+
 def test_numerical_failures_exit_3(tmp_path, capsys):
-    # the middle gap of k=2 needs more powers than the 372-nat spread allows
-    m = np.diag([1000.0, 1.01, 1 / 1.01, 1 / 1000.0])
-    path = _one_generator_rep_file(tmp_path, m, {"kind": "free", "rank": 1})
-    assert run(["certify", str(path), "--k", 2, "--radius", 6, "--out", tmp_path]) == 3
-    assert "372 nats" in capsys.readouterr().err
+    # a generator whose entries square past the float range: the gap of a
+    # word product is not finite
+    path = _one_generator_rep_file(tmp_path, np.diag([1e160, 1e-160]), {"kind": "free", "rank": 1})
+    assert run(["certify", str(path), "--k", 1, "--radius", 3, "--out", tmp_path]) == 3
+    assert "non-finite gap at length 1: a word product overflowed" in capsys.readouterr().err
+    assert not (tmp_path / "certify.csv").exists()
     assert run(["certify", "builtin:sym4", "--k", 2, "--radius", 14, "--out", tmp_path]) == 3
     assert "budget" in capsys.readouterr().err
+
+
+def test_gap_past_the_flag_spread_limit_is_read(tmp_path, capsys):
+    # the middle gap of k=2 grows by 0.01 nats a power while the spread grows
+    # by 13.8: its doubling witness is read at power 256, over 3,537 nats,
+    # and the certificate is inconclusive (exit 3) on a slope below 0.01
+    g = np.eye(4) + 0.3 * np.random.default_rng(0).normal(size=(4, 4))
+    m = g @ np.diag([1000.0, 1.01, 1 / 1.01, 1 / 1000.0]) @ np.linalg.inv(g)
+    path = _one_generator_rep_file(tmp_path, m, {"kind": "free", "rank": 1})
+    assert run(["certify", str(path), "--k", 2, "--radius", 6, "--out", tmp_path]) == 3
+    out, err = capsys.readouterr()
+    assert not err and ": inconclusive (c1=0.0" in out
+    rows = [r.split(",") for r in (tmp_path / "certify.csv").read_text().splitlines()[2:]]
+    rep = cli.load_rep_file(str(path))
+    assert len(rows) == 6
+    for n, row in enumerate(rows, 1):  # the words of length n are a^n and A^n
+        want = min(_mp_middle_gap(rep.matrix(1), n), _mp_middle_gap(rep.matrix(-1), n))
+        assert abs(float(row[2]) - want) <= 1e-10 * max(1.0, want)
 
 
 def test_relator_overflow_exits_3(tmp_path, capsys):

@@ -233,6 +233,83 @@ def test_flag_pool_counts_failed_pair_words(sym4, monkeypatch):
     assert report.sample_failures == (("non_finite_gap", 0), ("gap_stalled", len(chunks)), ("gap_short", 0))
 
 
+def _rewalking_pool(rep, ks, spec, sampler):
+    """fibers._flag_pool as flaglab 0.16 ran it, walking pair words with
+    sampler: every chunk walks all its words, again whenever a later chunk
+    draws them, and reports every failed walk."""
+    import flaglab.fibers as fibers
+
+    pool, failures = fl.limit_set_sample(rep, ks, spec.pool_size, spec.word_length, spec.seed)
+    rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 0xADF)))
+    n_pairs = max(1, int(spec.count * fibers.ADVERSARIAL_FRACTION) // 8)
+    max_attempts = 60 * n_pairs
+    accepted, found, attempts, walks = [], 0, 0, 0
+    while found < n_pairs and attempts < max_attempts:
+        size = min(max_attempts - attempts, 2 * (n_pairs - found) + 8)
+        attempts += size
+        chunk = []
+        for _ in range(size):
+            stem = W.random_word(rep.presentation, int(rng.integers(2, spec.word_length + 1)), rng)
+            wx, wy = (W.cyclic_reduce(W.reduce(stem + W.random_word(rep.presentation, 2, rng), rep.presentation))
+                      for _ in range(2))
+            if wx and wy and wx != wy:
+                chunk += [wx, wy]
+        flags, errors = sampler(rep, chunk, ks)
+        walks += len(chunk)
+        failures += [(w, e[0], str(e[1])) for w, e in zip(chunk, errors) if e is not None]
+        sampled = np.array([e is None for e in errors], dtype=bool).reshape(-1, 2)
+        flags = flags[np.repeat(sampled.all(axis=1), 2)[sampled.ravel()]]
+        if not len(flags):
+            continue
+        dists = point_dists(flags, slice(0, None, 2), slice(1, None, 2))
+        near = np.flatnonzero((3e-6 <= dists) & (dists <= 2e-2))[: n_pairs - found]
+        accepted.append(flags[(2 * near[:, None] + [0, 1]).ravel()])
+        found += near.size
+    pairs = [(len(pool) + 2 * i, len(pool) + 2 * i + 1) for i in range(found)]
+    return FlagStack.concat(pool, *accepted), pairs, failures, walks
+
+
+@pytest.mark.parametrize("name, k, fail", [("sym4", 2, False), ("sym3", 1, False), ("sym4", 2, True)])
+def test_flag_pool_walks_each_pair_word_once(name, k, fail, monkeypatch):
+    # hyperconvex-sym4's pair words, drawn 808 times and 631 of them
+    # distinct: each is walked once, and the pool, its pairs and the
+    # failures (each failed word once) are those of walking every draw
+    import flaglab.fibers as fibers
+
+    real = fibers.boundary_samples
+
+    def sampler(rep, words, ks):
+        # with fail, every word of odd length that starts with a generator fails
+        flags, errors = real(rep, words, ks)
+        if not fail:
+            return flags, errors
+        bad = [len(w) % 2 == 1 and w[0] > 0 for w in words]
+        ok = [i for i, e in enumerate(errors) if e is None]
+        keep = [j for j, i in enumerate(ok) if not bad[i]]
+        return flags[keep], [("gap_short", NotAnosovError(f"forced {w}")) if b else e
+                             for w, b, e in zip(words, bad, errors)]
+
+    rep, spec = fl.preset(name), TripleSpec(count=4000, seed=5)
+    ks = fiber_ks(rep.dim, k)
+    want, want_pairs, want_failures, walks = _rewalking_pool(rep, ks, spec, sampler)
+    walked = []
+
+    def spy(rep, words, ks):
+        walked.extend(words)
+        return sampler(rep, words, ks)
+
+    monkeypatch.setattr(fibers, "boundary_samples", spy)
+    flags, pairs, failures = _flag_pool(rep, ks, spec)
+    assert flags.sources == want.sources and pairs == want_pairs
+    assert np.array_equal(flags.frames, want.frames) and np.array_equal(flags.quality, want.quality)
+    assert failures == list(dict.fromkeys(want_failures))
+    assert len(walked) == len(set(walked)) < walks
+    if (name, fail) == ("sym4", False):
+        assert (walks, len(walked)) == (808, 631)
+    if fail:
+        assert len(failures) < len(want_failures)
+
+
 def test_nan_triple_score_is_skipped(sym4, monkeypatch):
     import flaglab.fibers as fibers
 

@@ -222,8 +222,7 @@ def _hard_stack(rng, d, real):
 
 def test_jacobi_svd_reproduces_one_matrix_jacobi_bitwise():
     # the stacked engine performs each matrix's operations exactly as the
-    # one-matrix loop does, so flags and gaps keep every bit, ties included;
-    # without the right factor it gives the same u and s
+    # one-matrix loop does, so flags keep every bit, ties included
     rng = np.random.default_rng(13)
     for d in (2, 3, 4, 6, 8):
         for real in (False, True):
@@ -233,9 +232,6 @@ def test_jacobi_svd_reproduces_one_matrix_jacobi_bitwise():
                 uo, so, vho = _one_matrix_jacobi(a)
                 assert uo.dtype == u.dtype == vh.dtype == stack.dtype
                 assert np.array_equal(uo, u[i]) and np.array_equal(so, s[i]) and np.array_equal(vho, vh[i])
-            ul, sl, none = jacobi_svd(stack, right=False)
-            assert none is None and ul.dtype == stack.dtype
-            assert np.array_equal(ul, u) and np.array_equal(sl, s)
 
 
 def test_jacobi_svd_real_stack_equals_its_complex_cast():
@@ -248,12 +244,6 @@ def test_jacobi_svd_real_stack_equals_its_complex_cast():
         uc, sc, vhc = jacobi_svd(stack.astype(complex))
         assert u.dtype == vh.dtype == np.float64 and uc.dtype == vhc.dtype == np.complex128
         assert np.array_equal(u, uc) and np.array_equal(s, sc) and np.array_equal(vh, vhc)
-        # the same holds without the right factor, on both sides
-        ul, sl, _ = jacobi_svd(stack, right=False)
-        ulc, slc, _ = jacobi_svd(stack.astype(complex), right=False)
-        assert ul.dtype == np.float64 and ulc.dtype == np.complex128
-        assert np.array_equal(ul, u) and np.array_equal(sl, s)
-        assert np.array_equal(ulc, uc) and np.array_equal(slc, sc)
 
 
 def test_jacobi_svd_stack_equals_one_by_one():
@@ -330,37 +320,6 @@ def test_product_svd_refuses_complex_scatter_into_real_state():
     cplx = ProductSVD(3, (4,))
     cplx[[1, 3]] = real[[0, 2]]  # real into complex is exact
     assert cplx.u.dtype == np.complex128
-
-
-def test_gap_only_state_keeps_the_bits_of_logs_and_vh():
-    # a state without u absorbs the same 30 factors to the same logs and vh,
-    # non-finite values included: between a first and a last factor per
-    # product, 28 powers of test_certify._spread_rep's generator run the
-    # spread past the 372-nat limit
-    spread = np.diag([1000.0, 1.01, 1 / 1.01, 1 / 1000.0])
-    rng = np.random.default_rng(19)
-    for dtype in (float, complex):
-        full, gap = ProductSVD(4, (3,), dtype), ProductSVD(4, (3,), dtype, left=False)
-        for step in range(30):
-            f = rng.standard_normal((3, 4, 4)) * np.exp(rng.uniform(-1.0, 1.0, (3, 1, 4)))
-            if dtype is complex:
-                f = f + 1j * rng.standard_normal((3, 4, 4))
-            f = spread if step % 29 else f  # one factor for the stack, or one per product
-            full.absorb(f)
-            gap.absorb(f)
-            assert gap.u is None
-            assert np.array_equal(full.logs, gap.logs, equal_nan=True)
-            assert np.array_equal(full.vh, gap.vh, equal_nan=True)
-        assert not np.isfinite(gap.logs).all()
-        assert np.array_equal(full[1:].vh, gap[1:].vh, equal_nan=True) and gap[1:].u is None
-    real_gap = ProductSVD(3, (4,), float, left=False)
-    with pytest.raises(TypeError, match="complex128"):
-        real_gap[[0, 2]] = ProductSVD(3, (2,), left=False).absorb(random_sl(rng, 3))
-    assert np.array_equal(real_gap.logs, np.zeros((4, 3)))
-    real_gap[[1, 3]] = ProductSVD(3, (2,), float, left=False).absorb(np.diag([2.0, 1.0, 0.5]))
-    assert np.array_equal(real_gap.logs[1], np.log([2.0, 1.0, 0.5])) and real_gap.u is None
-    with pytest.raises(TypeError, match="gap-only"):  # u would read NaN
-        ProductSVD(3, (4,), float)[[1, 3]] = real_gap[[1, 3]]
 
 
 def test_engine_past_underflow_is_silent_in_both_dtypes():
