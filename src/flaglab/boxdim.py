@@ -3,9 +3,11 @@
 Clouds are (n, 3) arrays of unit vectors.  The grid is a fixed
 icosahedral refinement: 20 spherical triangles, each split into n^2
 congruent-ish cells by its gnomonic lattice.  A point's face and
-barycentrics are found once per cloud (locate); a cell at refinement n
-is then one int64 key ((face*n + i)*n + j)*2 + up, so counts are
-reproducible across runs and one 1-D sort counts the occupied cells.
+barycentrics are found once per cloud (locate), in blocks of
+LOCATE_BLOCK points; a cell at refinement n is then one key
+((face*n + i)*n + j)*2 + up, built exactly in float64 and cast to int64,
+so counts are reproducible across runs and one 1-D sort counts the
+occupied cells.
 The box-counting slope estimates the dimension at these scales; it is
 not a bound (the octagon's limit circle reads 0.952 +- 0.016 against a
 true 1), and all verdicts in this package are phrased against it.
@@ -20,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .mobius import uniform_sphere
+from .mobius import row_norms, uniform_sphere
 
 EDGE_ARC = 1.1071487177940904  # icosahedron edge, radians
 BEND_THRESHOLD = 0.15
@@ -29,6 +31,10 @@ MIN_SCALES = 5
 SPAN_DECADES = 1.5
 MIN_CHART_POINTS = 100
 DEFAULT_SCALES = tuple(EDGE_ARC / 2.0 / math.sqrt(2.0) ** i for i in range(7))
+# rows per locate() block: a block's (b, 3) @ (3, 20) product stays below the
+# size where OpenBLAS splits a GEMM over threads; on 2 vCPUs 262,144 rows took
+# 0.099 s as one product and 0.002 s in blocks.  No row's bits depend on it.
+LOCATE_BLOCK = 4096
 
 
 def _icosahedron():
@@ -40,7 +46,7 @@ def _icosahedron():
             verts.append((a, b, 0.0))
             verts.append((b, 0.0, a))
     v = np.array(verts)
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v /= row_norms(v)
     # faces = triples of mutually adjacent vertices
     dots = v @ v.T
     adj = (dots > 0.4) & (dots < 0.99)
@@ -61,7 +67,7 @@ _VERTS, _FACES = _icosahedron()
 _FACE_MATS = np.stack([_VERTS[list(f)].T for f in _FACES])  # (20, 3, 3)
 _FACE_INV = np.linalg.inv(_FACE_MATS)
 _FACE_CENTERS = np.stack([_VERTS[list(f)].mean(axis=0) for f in _FACES])
-_FACE_CENTERS /= np.linalg.norm(_FACE_CENTERS, axis=1, keepdims=True)
+_FACE_CENTERS /= row_norms(_FACE_CENTERS)
 
 
 class Located(NamedTuple):
@@ -73,10 +79,14 @@ class Located(NamedTuple):
 
 def locate(xyz: np.ndarray) -> Located:
     """Face and barycentrics of unit vectors (m, 3), which every
-    refinement's cell keys are read from."""
-    face = np.argmax(xyz @ _FACE_CENTERS.T, axis=1)
-    bary = np.einsum("mij,mj->mi", _FACE_INV[face], xyz)
-    bary = np.maximum(bary, 0.0)
+    refinement's cell keys are read from; LOCATE_BLOCK rows at a time."""
+    face = np.empty(len(xyz), dtype=np.intp)
+    bary = np.empty((len(xyz), 3))
+    for start in range(0, len(xyz), LOCATE_BLOCK):
+        rows = slice(start, start + LOCATE_BLOCK)
+        face[rows] = np.argmax(xyz[rows] @ _FACE_CENTERS.T, axis=1)
+        bary[rows] = np.einsum("mij,mj->mi", _FACE_INV[face[rows]], xyz[rows])
+    np.maximum(bary, 0.0, out=bary)
     bary /= bary.sum(axis=1, keepdims=True)
     return Located(face, bary)
 
@@ -86,17 +96,18 @@ def cell_ids(xyz: np.ndarray | Located, n: int) -> np.ndarray:
     unit vectors (m, 3) or their locate() result.  The key of cell
     (face, i, j, up) is ((face*n + i)*n + j)*2 + up; i, j < n, so distinct
     cells get distinct keys, and at n = 11072 (scale 1e-4) they stay
-    below 4.9e9."""
+    below 4.9e9, where float64 holds every integer exactly."""
     face, bary = xyz if isinstance(xyz, Located) else locate(xyz)
-    ijk = np.floor(bary * (n * (1.0 - 1e-12))).astype(np.int64)
-    up = ijk.sum(axis=1) == n - 1
-    return ((face * n + ijk[:, 0]) * n + ijk[:, 1]) * 2 + up
+    i, j, k = (np.floor(bary[:, c] * (n * (1.0 - 1e-12))) for c in range(3))
+    up = (i + j + k) == n - 1
+    return (((face * n + i) * n + j) * 2 + up).astype(np.int64)
 
 
 def occupied_cells(xyz: np.ndarray | Located, n: int) -> int:
     """Number of distinct cells at refinement n, for unit vectors (m, 3)
-    or their locate() result."""
-    return len(np.unique(cell_ids(xyz, n)))
+    or their locate() result: one sort, then a count of key changes."""
+    keys = np.sort(cell_ids(xyz, n))
+    return int(len(keys) > 0) + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
 def refinement_for_scale(eps: float) -> int:
@@ -232,14 +243,13 @@ def circle_cloud(count: int) -> np.ndarray:
 
 def cantor_cloud(levels: int, arc: float = 1.0) -> np.ndarray:
     """Endpoints of the middle-thirds construction at the given depth,
-    embedded in a great-circle arc of the given length: 2^levels points."""
-    n = 1 << levels
-    t = np.zeros(n)
+    embedded in a great-circle arc of the given length: 2^levels points.
+    Point i sums 2/3^(j+1) over the set bits j of i, lowest bit first."""
+    t = np.zeros(1)
     for j in range(levels):
-        bit = (np.arange(n) >> j) & 1
-        t += 2.0 * bit / 3.0 ** (j + 1)
+        t = np.concatenate([t, t + 2.0 / 3.0 ** (j + 1)])
     theta = t * arc
-    return np.stack([np.cos(theta), np.sin(theta), np.zeros(n)], axis=1)
+    return np.stack([np.cos(theta), np.sin(theta), np.zeros(len(t))], axis=1)
 
 
 def uniform_cloud(count: int, seed: int = 0) -> np.ndarray:

@@ -77,7 +77,7 @@ def _top_square(x: np.ndarray, exact: bool) -> tuple[np.ndarray, np.ndarray]:
     entry rather than a batched matmul of small matrices: exact reads
     eigvalsh of H; otherwise low is the Rayleigh quotient of H at H e_r, r
     its largest diagonal entry, and high its trace, which meet as x nears
-    rank one."""
+    rank one.  Not finite where x is not."""
     if x.shape[-1] == 2:
         a = np.vecdot(x[..., 0, :], x[..., 0, :]).real
         b = np.vecdot(x[..., 1, :], x[..., 1, :]).real
@@ -86,12 +86,32 @@ def _top_square(x: np.ndarray, exact: bool) -> tuple[np.ndarray, np.ndarray]:
         return top, top
     h = np.vecdot(x[..., :, None, :], x[..., None, :, :])  # the conjugate of H
     if exact:
+        # eigvalsh raises on a NaN; a product that overflowed reads NaN instead
+        bad = ~np.isfinite(h).all(axis=(-2, -1))
+        if bad.any():
+            h = np.where(bad[..., None, None], 0.0, h)
         top = np.linalg.eigvalsh(h)[..., -1]
+        top[bad] = np.nan
         return top, top
     diag = np.diagonal(h, axis1=-2, axis2=-1).real
     r = np.argmax(diag, axis=-1)[..., None]
     col = np.take_along_axis(h, r[..., None], axis=-1)[..., 0]
     return np.vecdot(col, col).real / np.take_along_axis(diag, r, axis=-1)[..., 0], diag.sum(axis=-1)
+
+
+def _frobenius(flat: np.ndarray) -> np.ndarray:
+    """Norms of the rows of flat (..., N): the root of the sum of squares,
+    or, only where that is not finite, m * sqrt(sum |y / m|^2) with m the
+    largest magnitude in the row, which reads entries past about 1e154.
+    Not finite only where an entry is."""
+    norm = np.asarray(np.sqrt(np.vecdot(flat, flat).real))
+    big = ~np.isfinite(norm)
+    if big.any():
+        rows = flat[big]
+        m = np.abs(rows).max(axis=-1, keepdims=True)
+        scaled = rows / m
+        norm[big] = m[..., 0] * np.sqrt(np.vecdot(scaled, scaled).real)
+    return norm
 
 
 class WedgeProducts:
@@ -117,10 +137,13 @@ class WedgeProducts:
 
     @classmethod
     def of(cls, mats: np.ndarray) -> "WedgeProducts":
-        """The one-factor products of a (..., d, d) stack of matrices."""
+        """The one-factor products of a (..., d, d) stack of matrices; a
+        power whose entries overflow holds inf, which its gaps carry."""
         d = mats.shape[-1]
         logdet = np.log(np.abs(np.linalg.det(mats)))
-        return cls([wedge_matrix(mats, j) for j in range(1, d)], np.zeros(mats.shape[:-2] + (d - 1,)), logdet)
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs = [wedge_matrix(mats, j) for j in range(1, d)]
+        return cls(xs, np.zeros(mats.shape[:-2] + (d - 1,)), logdet)
 
     @classmethod
     def identity(cls, d: int, batch: tuple[int, ...], dtype) -> "WedgeProducts":
@@ -144,8 +167,7 @@ class WedgeProducts:
             for j, (x, f) in enumerate(zip(self.xs, other.xs)):
                 n = f.shape[-1]
                 y = (x.reshape(-1, n) @ f).reshape(x.shape) if f.ndim == 2 else x @ f
-                flat = y.reshape(y.shape[:-2] + (-1,))
-                norm = np.sqrt(np.vecdot(flat, flat).real)
+                norm = _frobenius(y.reshape(y.shape[:-2] + (-1,)))
                 y *= (1.0 / norm)[..., None, None]
                 self.xs[j] = y
                 self.scales[..., j] += np.log(norm) + other.scales[..., j]

@@ -392,7 +392,8 @@ def cmd_dimension(args) -> int:
     results = None
     if args.synthetic:
         levels = max(2, math.ceil(math.log2(args.points)))
-        # box counting's peak per point (cloud, face dots, inverse): 192-195 bytes
+        # box counting's traced peak per point (cloud, barycentrics, cell keys):
+        # 98-107 bytes at 1e5-2.6e5 points
         _budget(1 << levels if args.synthetic == "cantor" else args.points, 256, f"--points {args.points}")
         if args.synthetic == "circle":
             pts = boxdim.circle_cloud(args.points)
@@ -468,7 +469,7 @@ def cmd_visualmass(args) -> int:
     t0 = time.time()
     inputs = {}
     results = None
-    # the Monte Carlo sample's peak per point (images, cube keys): 88 bytes
+    # the Monte Carlo sample's traced peak per point (images, cube keys): 65 bytes at 1e6
     _budget(args.mc, 128, f"--mc {args.mc}")
     if args.synthetic == "hemisphere":
         cloud = np.array([[0.0, 0.0, 1.0]])  # cap of radius pi/2 around the pole

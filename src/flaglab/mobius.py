@@ -29,8 +29,24 @@ def hom(z: complex | float) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis of a real or complex array
+    (..., c), kept as an axis of length 1: the squares of the c columns
+    summed in order, which are the bits of np.linalg.norm(v, axis=-1,
+    keepdims=True) without its temporary of the shape of v."""
+    first, *rest = np.split(np.asarray(v), np.shape(v)[-1], axis=-1)
+    total = _square(first)
+    for col in rest:
+        total += _square(col)
+    return np.sqrt(total, out=total)
+
+
+def _square(col: np.ndarray) -> np.ndarray:
+    return (col.conj() * col).real if np.iscomplexobj(col) else col * col
+
+
 def normalize(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    n = row_norms(v)
     if np.any(n == 0):
         raise InputError("zero vector is not a sphere point")
     return v / n
@@ -82,7 +98,8 @@ def apply_mobius(m: np.ndarray, xyz: np.ndarray) -> np.ndarray:
     # einsum, not a BLAS product: at n = 1e6 on 2 vCPUs, (n, 3) @ (3, 3) took 0.42 s, einsum 0.05 s
     moved = np.einsum("...j,ij->...i", np.asarray(xyz, dtype=float), lam[1:, 1:])
     moved += lam[1:, 0]
-    return normalize(moved)
+    moved /= row_norms(moved)  # the image of (1, x) is null: its space part is never 0
+    return moved
 
 
 def det2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -105,7 +122,7 @@ def uniform_sphere(rng: np.random.Generator, count: int) -> np.ndarray:
     """count points distributed by the rotation-invariant solid angle
     measure, as unit vectors (count, 3)."""
     g = rng.standard_normal((count, 3))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    g /= row_norms(g)
     return g
 
 

@@ -97,6 +97,27 @@ MIN_CUBE_SIDE = 2.0**-19
 DOTS_PER_CHUNK = 2_000_000
 
 
+def _cube_keys(sample_xyz: np.ndarray, cloud_xyz: np.ndarray, side: float):
+    """Keys of the cubes of the given side that hold each sample and each
+    cloud vector, and the base of the keys: cube (x, y, z) = floor(v / side)
+    has key ((x - low)*base + y - low)*base + z - low.  The keys leave a free
+    index on each side of every occupied cube, so the neighbours of a cube
+    are its key + (dx*base + dy)*base + dz.  floor(v / side) is monotone in
+    v, so low and base come from the extreme coordinates, and each key is
+    built one column at a time."""
+    low = math.floor(min(sample_xyz.min(), cloud_xyz.min()) / side) - 1
+    base = math.floor(max(sample_xyz.max(), cloud_xyz.max()) / side) - low + 2
+
+    def keys(xyz):
+        key = np.zeros(len(xyz), dtype=np.int64)
+        for i in range(3):
+            key *= base
+            key += np.floor(xyz[:, i] / side).astype(np.int64) - low
+        return key
+
+    return keys(sample_xyz), keys(cloud_xyz), base
+
+
 def cap_hits(sample_xyz: np.ndarray, cloud_xyz: np.ndarray, eps: float) -> int:
     """Number of sample unit vectors within geodesic distance eps of some
     cloud vector, by the test dot >= cos(eps).
@@ -111,17 +132,9 @@ def cap_hits(sample_xyz: np.ndarray, cloud_xyz: np.ndarray, eps: float) -> int:
         return 0
     cos_eps = math.cos(eps)
     side = max(math.sqrt(2.0 - 2.0 * cos_eps + CHORD_SLACK) * (1.0 + CUBE_MARGIN), MIN_CUBE_SIDE)
-    sample_cube = np.floor(sample_xyz / side).astype(np.int64)
-    cloud_cube = np.floor(cloud_xyz / side).astype(np.int64)
-    # keys leave a free index on each side of every occupied cube, so the
-    # neighbours of a cube are its key + (dx*base + dy)*base + dz
-    low = min(sample_cube.min(), cloud_cube.min()) - 1
-    base = max(sample_cube.max(), cloud_cube.max()) - low + 2
-    weights = np.array([base * base, base, 1])
-    cloud_key = (cloud_cube - low) @ weights
+    sample_key, cloud_key, base = _cube_keys(sample_xyz, cloud_xyz, side)
     order = np.argsort(cloud_key)
     cloud_key, cloud_xyz = cloud_key[order], cloud_xyz[order]
-    sample_key = (sample_cube - low) @ weights
     by_cube = np.argsort(sample_key)
     sample_key = sample_key[by_cube]
     bounds = np.flatnonzero(np.diff(sample_key, prepend=-1, append=-1))

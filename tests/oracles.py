@@ -6,7 +6,9 @@ transfer maps and the fiberwise Mobius cocycle behind the
 virtually-Kleinian result, the quasi-Mobius and Ahlfors quasicircle
 constants, the H^3 action behind visual-measure equivariance, flag
 transport, and the representation functors (contragredient, perturbation,
-wedge powers) the tests build their inputs with.
+wedge powers) the tests build their inputs with.  It also keeps the
+one-shot forms of the sphere-cloud kernels that flaglab runs in blocks,
+by columns or by one sort, so the tests can check they keep every bit.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from flaglab import words as W
 from flaglab.certify import FlagStack
 from flaglab.errors import CapacityError, InputError, PrecisionError, TransversalityError
 from flaglab.fibers import SCORED, _FAULT_MESSAGES, Trivialization, _fiber_frame, line_intersections
+from flaglab.boxdim import _FACE_CENTERS, _FACE_INV, Located
 from flaglab.mobius import apply_mobius
 from flaglab.reps import Representation, wedge_coords, wedge_matrix
 from flaglab.sphere import MassEstimate, VisualMeasure, _unit_vectors, cap_hits
@@ -381,3 +384,64 @@ def pulled_back_mass(nu: VisualMeasure, cloud, eps: float, mc_count: int, seed: 
     p = cap_hits(pts, cloud, eps) / mc_count
     sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / mc_count)
     return MassEstimate(estimate=p, sigma=sigma, seed=seed, mc_count=mc_count)
+
+
+# --- one-shot sphere-cloud kernels -----------------------------------------------
+#
+# Each is the form flaglab ran before its kernel went blocked, column-wise
+# or sort-counted; the blocked forms must give the same bits.
+
+
+def locate_unblocked(xyz: np.ndarray) -> Located:
+    """boxdim.locate as one (m, 3) @ (3, 20) product over the whole cloud."""
+    face = np.argmax(xyz @ _FACE_CENTERS.T, axis=1)
+    bary = np.einsum("mij,mj->mi", _FACE_INV[face], xyz)
+    bary = np.maximum(bary, 0.0)
+    bary /= bary.sum(axis=1, keepdims=True)
+    return Located(face, bary)
+
+
+def int_cell_ids(located: Located, n: int) -> np.ndarray:
+    """boxdim.cell_ids in int64 arithmetic."""
+    face, bary = located
+    ijk = np.floor(bary * (n * (1.0 - 1e-12))).astype(np.int64)
+    up = ijk.sum(axis=1) == n - 1
+    return ((face * n + ijk[:, 0]) * n + ijk[:, 1]) * 2 + up
+
+
+def unique_cell_count(located: Located, n: int) -> int:
+    """boxdim.occupied_cells by np.unique."""
+    return len(np.unique(int_cell_ids(located, n)))
+
+
+def cantor_cloud_loop(levels: int, arc: float = 1.0) -> np.ndarray:
+    """boxdim.cantor_cloud by one pass over the bits of every index."""
+    n = 1 << levels
+    t = np.zeros(n)
+    for j in range(levels):
+        bit = (np.arange(n) >> j) & 1
+        t += 2.0 * bit / 3.0 ** (j + 1)
+    theta = t * arc
+    return np.stack([np.cos(theta), np.sin(theta), np.zeros(n)], axis=1)
+
+
+def normalize_linalg(v: np.ndarray) -> np.ndarray:
+    """mobius.normalize by np.linalg.norm."""
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def uniform_sphere_linalg(rng: np.random.Generator, count: int) -> np.ndarray:
+    """mobius.uniform_sphere by np.linalg.norm."""
+    g = rng.standard_normal((count, 3))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return g
+
+
+def matmul_cube_keys(sample_xyz: np.ndarray, cloud_xyz: np.ndarray, side: float):
+    """sphere._cube_keys from whole cube-index arrays and an int64 matmul."""
+    sample_cube = np.floor(sample_xyz / side).astype(np.int64)
+    cloud_cube = np.floor(cloud_xyz / side).astype(np.int64)
+    low = min(sample_cube.min(), cloud_cube.min()) - 1
+    base = max(sample_cube.max(), cloud_cube.max()) - low + 2
+    weights = np.array([base * base, base, 1])
+    return (sample_cube - low) @ weights, (cloud_cube - low) @ weights, int(base)

@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import flaglab as fl
 import flaglab.fibers as fibers
 from flaglab.boxdim import (
     _FACE_CENTERS,
-    _FACE_INV,
+    _FACES,
+    _VERTS,
     EDGE_ARC,
+    LOCATE_BLOCK,
     cell_ids,
     circle_cloud,
+    locate,
     occupied_cells,
     refinement_for_scale,
 )
@@ -20,6 +24,7 @@ from flaglab.subspaces import frame_complements, frame_sines
 from flaglab.words import word_to_str
 
 from conftest import random_sl
+from oracles import cantor_cloud_loop, int_cell_ids, locate_unblocked, normalize_linalg, unique_cell_count
 
 
 # --- grid -------------------------------------------------------------------
@@ -37,10 +42,7 @@ def test_cell_ids_deterministic_and_order_free():
 
 def tuple_cell_ids(xyz, n):
     """Reference cell labels: one (face, i, j, up) row per point."""
-    face = np.argmax(xyz @ _FACE_CENTERS.T, axis=1)
-    bary = np.einsum("mij,mj->mi", _FACE_INV[face], xyz)
-    bary = np.maximum(bary, 0.0)
-    bary /= bary.sum(axis=1, keepdims=True)
+    face, bary = locate_unblocked(xyz)
     ijk = np.floor(bary * (n * (1.0 - 1e-12))).astype(int)
     up = (ijk.sum(axis=1) == n - 1).astype(int)
     return np.column_stack([face, ijk[:, 0], ijk[:, 1], up])
@@ -57,6 +59,60 @@ def test_scalar_keys_match_tuple_cells(name, cloud):
         face, i, j, up = rows.T
         assert np.array_equal(cell_ids(cloud, n), ((face * n + i) * n + j) * 2 + up)
         assert occupied_cells(cloud, n) == len(np.unique(rows, axis=0))
+
+
+# the sizes around the block edges of locate
+BLOCK_SIZES = (1, LOCATE_BLOCK - 1, LOCATE_BLOCK, LOCATE_BLOCK + 1, 3 * LOCATE_BLOCK + 7)
+REFINEMENTS = (1, 2, 3, 17, 208, 4096, 11072)
+
+
+def assert_kernels_keep_the_bits(xyz):
+    """locate, cell_ids and occupied_cells give the bits of their one-shot
+    forms on the cloud xyz."""
+    got, want = locate(xyz), locate_unblocked(xyz)
+    assert got.face.dtype == want.face.dtype and np.array_equal(got.face, want.face)
+    assert np.array_equal(got.bary.view(np.uint64), want.bary.view(np.uint64))
+    for n in REFINEMENTS:
+        keys = cell_ids(got, n)
+        assert keys.dtype == np.int64 and np.array_equal(keys, int_cell_ids(want, n))
+        assert occupied_cells(got, n) == unique_cell_count(want, n)
+
+
+def test_cantor_doubling_keeps_the_bits_of_the_loop():
+    for levels in (0, 1, 2, 5, 14, 18):
+        assert np.array_equal(fl.cantor_cloud(levels).view(np.uint64), cantor_cloud_loop(levels).view(np.uint64))
+    assert np.array_equal(fl.cantor_cloud(9, arc=2.5), cantor_cloud_loop(9, arc=2.5))
+
+
+@pytest.mark.parametrize("name,cloud", [
+    ("cantor", fl.cantor_cloud(14)),
+    ("circle", circle_cloud(20_000)),
+    ("uniform", fl.uniform_cloud(20_000, seed=4)),
+])
+@pytest.mark.parametrize("m", BLOCK_SIZES)
+def test_blocked_kernels_keep_the_bits(name, cloud, m):
+    assert_kernels_keep_the_bits(cloud[:m])
+
+
+def test_blocked_kernels_keep_the_bits_on_the_whole_cantor_cloud():
+    assert_kernels_keep_the_bits(fl.cantor_cloud(18))
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.sampled_from(BLOCK_SIZES), seed=st.integers(0, 2**32 - 1),
+       spread=st.sampled_from((0.0, 1e-12, 1e-6, 1e-2, 1.0)))
+def test_blocked_kernels_keep_the_bits_on_drawn_clouds(m, seed, spread):
+    # clouds around icosahedron vertices, edge midpoints and face centers,
+    # where faces tie and barycentrics reach 0 or 1
+    rng = np.random.default_rng(seed)
+    edges = np.array([(f[a], f[b]) for f in _FACES for a, b in ((0, 1), (1, 2), (0, 2))])
+    poles = np.concatenate([_VERTS, _VERTS[edges].sum(axis=1), _FACE_CENTERS])
+    xyz = poles[rng.integers(len(poles), size=m)] + spread * rng.standard_normal((m, 3))
+    assert_kernels_keep_the_bits(normalize_linalg(xyz))
+
+
+def test_no_points_occupy_no_cells():
+    assert occupied_cells(np.empty((0, 3)), 5) == 0
 
 
 def test_counts_monotone_under_refinement():

@@ -1,5 +1,7 @@
 import json
+import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -60,14 +62,27 @@ def _mp_middle_gap(m, n, digits=400):
 
 
 def test_numerical_failures_exit_3(tmp_path, capsys):
-    # a generator whose entries square past the float range: the gap of a
-    # word product is not finite
-    path = _one_generator_rep_file(tmp_path, np.diag([1e160, 1e-160]), {"kind": "free", "rank": 1})
+    # a generator whose second exterior power has an entry past the float
+    # range, 1e310: the gap of a word product is not finite
+    m = np.diag([1e155, 1e155, 1e-155, 1e-155])
+    path = _one_generator_rep_file(tmp_path, m, {"kind": "free", "rank": 1})
     assert run(["certify", str(path), "--k", 1, "--radius", 3, "--out", tmp_path]) == 3
     assert "non-finite gap at length 1: a word product overflowed" in capsys.readouterr().err
     assert not (tmp_path / "certify.csv").exists()
     assert run(["certify", "builtin:sym4", "--k", 2, "--radius", 14, "--out", tmp_path]) == 3
     assert "budget" in capsys.readouterr().err
+
+
+def test_entries_past_1e154_read_their_gaps(tmp_path, capsys):
+    # the entries of diag(1e160, 1e-160) square past the float range, but
+    # its words a^n and A^n have the finite gap 160 ln 10 a letter
+    path = _one_generator_rep_file(tmp_path, np.diag([1e160, 1e-160]), {"kind": "free", "rank": 1})
+    assert run(["certify", str(path), "--k", 1, "--radius", 3, "--out", tmp_path]) == 0
+    assert "certified (c1=368.4136" in capsys.readouterr().out
+    rows = [r.split(",") for r in (tmp_path / "certify.csv").read_text().splitlines()[2:]]
+    assert [int(row[1]) for row in rows] == [1, 2, 3]
+    for n, row in enumerate(rows, 1):
+        assert abs(float(row[2]) - 160 * n * math.log(10)) <= 1e-12 * 160 * n * math.log(10)
 
 
 def test_gap_past_the_flag_spread_limit_is_read(tmp_path, capsys):
@@ -594,6 +609,27 @@ def test_budget_admits_what_fits(tmp_path, monkeypatch):
     assert run(["dimension", "--synthetic", "cantor", "--points", 4096, "--out", tmp_path]) == 0
     assert run(["visualmass", "--synthetic", "hemisphere", "--mc", 8192, "--out", tmp_path]) == 0
     assert run(["visualmass", "builtin:sym3", "--points", 300, "--mc", 1000, "--out", tmp_path]) == 0
+
+
+@pytest.mark.parametrize("argv,count,row_bytes", [
+    (["dimension", "--synthetic", "cantor", "--points", 65536], 65536, 256),
+    (["dimension", "--synthetic", "circle", "--points", 65536], 65536, 256),
+    (["dimension", "--synthetic", "uniform", "--points", 65536], 65536, 256),
+    (["visualmass", "--synthetic", "hemisphere", "--mc", 131072], 131072, 128),
+    (["visualmass", "--synthetic", "hemisphere", "--mc", 131072, "--basepoint", "0.5,0,2"], 131072, 128),
+])
+def test_synthetic_runs_peak_under_the_budget_they_just_fit(tmp_path, monkeypatch, argv, count, row_bytes):
+    # the per-point charge of a synthetic cloud covers its traced peak, the
+    # run's fixed costs included
+    monkeypatch.setattr(cli, "SWEEP_BUDGET", count * row_bytes)
+    tracemalloc.start()
+    try:
+        code = run(argv + ["--out", tmp_path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code in (0, 3) and (tmp_path / f"{argv[0]}.csv").exists()
+    assert peak < count * row_bytes
 
 
 def test_visualmass_mc_below_1000_is_refused_before_sampling(tmp_path, capsys, monkeypatch):

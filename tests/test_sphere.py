@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import flaglab as fl
 from flaglab.errors import InputError
 from flaglab.mobius import apply_mobius, h3_normalizer
 from flaglab import sphere
 from flaglab.boxdim import circle_cloud
-from flaglab.mobius import lorentz, sphere_xyz, uniform_sphere
-from flaglab.sphere import VisualMeasure, as_point, cap_hits, cross_ratio
+from flaglab.mobius import lorentz, normalize, row_norms, sphere_xyz, uniform_sphere
+from flaglab.sphere import VisualMeasure, _cube_keys, as_point, cap_hits, cross_ratio
 
 from conftest import random_sl
 from oracles import (
@@ -17,11 +19,14 @@ from oracles import (
     cocycle,
     h3_apply,
     hausdorff_subspace_dist,
+    matmul_cube_keys,
+    normalize_linalg,
     orth,
     pulled_back_mass,
     quasimobius_constant,
     transport_flag,
     transported,
+    uniform_sphere_linalg,
 )
 
 
@@ -335,6 +340,68 @@ def test_cap_hits_large_caps_in_chunks(eps):
     cloud = uniform_xyz(5_000, seed=26)
     samples = uniform_xyz(20_000, seed=27)
     assert cap_hits(samples, cloud, eps) == brute_cap_hits(samples, cloud, eps)
+
+
+def cube_side(eps):
+    return max(math.sqrt(2.0 - 2.0 * math.cos(eps) + sphere.CHORD_SLACK) * (1.0 + sphere.CUBE_MARGIN),
+               sphere.MIN_CUBE_SIDE)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 0.003, 0.3, math.pi / 2, math.pi])
+def test_column_cube_keys_keep_the_bits_of_the_matmul(eps):
+    side = cube_side(eps)
+    samples = np.concatenate([uniform_xyz(12_295, seed=28), on_cube_faces(0.125), circle_cloud(1000)])
+    for cloud in (samples[:1], np.array([[0.0, 0.0, 1.0]]), uniform_xyz(3000, seed=29), on_cube_faces(0.25)):
+        got, want = _cube_keys(samples, cloud, side), matmul_cube_keys(samples, cloud, side)
+        assert got[2] == want[2]
+        for a, b in zip(got[:2], want[:2]):
+            assert a.dtype == np.int64 and np.array_equal(a, b)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+# magnitudes from subnormal to past the overflow of a square
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(re=arrays(np.float64, st.tuples(st.integers(1, 9), st.sampled_from((2, 3))), elements=finite),
+       im=st.one_of(st.none(), st.floats(-1e300, 1e300, allow_nan=False)))
+def test_row_norms_keep_the_bits_of_linalg_norm(re, im):
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = re if im is None else re + 1j * im * np.roll(re, 1, axis=-1)
+        want = np.linalg.norm(v, axis=-1, keepdims=True)
+        assert bits(row_norms(v)).tolist() == bits(want).tolist()
+        assert bits(row_norms(v[0])).tolist() == bits(want[0]).tolist()
+
+
+@pytest.mark.parametrize("c", [2, 3])
+@pytest.mark.parametrize("complex_", [False, True])
+@np.errstate(over="ignore")
+def test_row_norms_keep_the_bits_near_overflow_and_underflow(c, complex_):
+    # a magnitude per row from 1e-320 to 1e305, each entry within 1e3 of it
+    rng = np.random.default_rng(30)
+    scale = 10.0 ** rng.uniform(-320, 305, size=(4, 500, 1))
+    v = scale * rng.standard_normal((4, 500, c)) * 10.0 ** rng.uniform(-3, 3, size=(4, 500, c))
+    if complex_:
+        v = v + 1j * scale * rng.standard_normal(v.shape) * 10.0 ** rng.uniform(-3, 3, size=v.shape)
+    want = np.linalg.norm(v, axis=-1, keepdims=True)
+    assert np.isinf(want).any() and (want < 1e-300).any()
+    assert bits(row_norms(v)).tolist() == bits(want).tolist()
+    # strided rows, as in a column slice of a larger array
+    rows = v[:, ::3, ::-1]
+    assert bits(row_norms(rows)).tolist() == bits(np.linalg.norm(rows, axis=-1, keepdims=True)).tolist()
+
+
+def test_normalize_and_uniform_sphere_keep_the_bits_of_linalg_norm():
+    for count in (1, 4095, 4096, 12_295):
+        got = uniform_sphere(np.random.default_rng(31), count)
+        assert bits(got).tolist() == bits(uniform_sphere_linalg(np.random.default_rng(31), count)).tolist()
+        pairs = got[:, :2] + 1j * got[:, 1:]
+        for v in (got * 3.0, pairs, pairs[0]):
+            assert bits(normalize(v)).tolist() == bits(normalize_linalg(v)).tolist()
 
 
 def test_h3_action_consistency():
