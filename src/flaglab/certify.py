@@ -25,8 +25,8 @@ from .words import Word
 # bytes of stacked WedgeProducts state one sweep level may hold: per word,
 # sum_j C(d, j)^2 entries of its exterior powers and d floats of scales
 # and log|det| (past it: sym4 and directsum from radius 13, octagon-sym4
-# from 7, sym3 from 14, schottky from 15); cli budgets every user-sized
-# array by it too
+# from 7, sym3 from 14, schottky from 15); budget reads it at call time
+# for every user-sized array, each where it is allocated
 SWEEP_BUDGET = 1 << 29
 SLOPE_THRESHOLD = 0.01
 R2_THRESHOLD = 0.95
@@ -43,6 +43,22 @@ def _spread_error(where: str) -> PrecisionError:
     372 they flush to zero and gaps stop being finite.  The gap readers
     (gap_sweep, the doubling walk) have no such limit."""
     return PrecisionError(f"non-finite gap {where}: log-singular spread past about 372 nats")
+
+
+def budget(rows: int, row_bytes: int, what: str) -> None:
+    """CapacityError, before any work, when rows of row_bytes each would
+    pass SWEEP_BUDGET, the one budget of every user-sized array."""
+    if rows * row_bytes > SWEEP_BUDGET:
+        raise CapacityError(f"{what} needs {rows * row_bytes / 2**20:.0f} MiB; "
+                            f"the budget is {SWEEP_BUDGET / 2**20:.0f} MiB")
+
+
+def budget_words(rep: Representation, count: int, length: int, what: str) -> None:
+    """budget of count sampled words of length letters: 768 bytes and 16
+    complex (d, d) arrays of engine state per word, 40 bytes of draws, codes
+    and tuples per letter (measured with tracemalloc, d 2-4: 1.0-2.9 kB a
+    word at length 8, then 16-33 bytes a letter up to lengths 24-100)."""
+    budget(count, 768 + 256 * rep.dim * rep.dim + 40 * length, what)
 
 
 @dataclass(frozen=True)
@@ -216,12 +232,8 @@ def gap_sweep(rep: Representation, radius: int) -> GapSweep:
     rank = rep.presentation.generator_count
     mats = _letter_matrices(rep)
     widest = W.ball_size(rank, radius) - W.ball_size(rank, radius - 1)
-    need = widest * (sum(comb(d, j) ** 2 for j in range(1, d)) * mats.itemsize + 8 * d)
-    if need > SWEEP_BUDGET:
-        raise CapacityError(
-            f"radius {radius} needs {need / 2**20:.0f} MiB of sweep state for its "
-            f"{widest} longest words; the budget is {SWEEP_BUDGET / 2**20:.0f} MiB"
-        )
+    budget(widest, sum(comb(d, j) ** 2 for j in range(1, d)) * mats.itemsize + 8 * d,
+           f"the sweep state of the {widest} longest words of radius {radius}")
     letters = WedgeProducts.of(mats)
     state = WedgeProducts.identity(d, (1,), mats.dtype)
     minima = np.empty((radius, d - 1))
@@ -551,9 +563,11 @@ def limit_set_sample(
     """count flags from distinct random cyclically reduced words, as one
     FlagStack in draw order; failed words are skipped, walked once and
     reported once alongside as (word, FAILURE_REASONS code, message).  Each
-    batch of new candidates runs through boundary_samples at once."""
+    batch of new candidates runs through boundary_samples at once.  Raises
+    CapacityError before any draw when budget_words refuses the sample."""
     if count < 1:
         raise InputError("count must be >= 1")
+    budget_words(rep, count, length, f"a sample of {count} flags")
     failures: list[tuple[Word, str, str]] = []
     parts: list[FlagStack] = []
     have = batch = 0

@@ -23,10 +23,9 @@ import time
 import numpy as np
 
 from . import __version__, boxdim, words as W
-from .certify import SWEEP_BUDGET, certificates, failure_counts, limit_set_sample
-from .errors import CapacityError, FlaglabError, InputError, NotAnosovError, PrecisionError
+from .certify import budget, certificates, failure_counts, limit_set_sample
+from .errors import FlaglabError, InputError, NotAnosovError, PrecisionError
 from .fibers import (
-    ADVERSARIAL_FRACTION,
     TripleSpec,
     chart_points,
     check_transversality,
@@ -275,11 +274,6 @@ def cmd_hyperconvex(args) -> int:
     rep, descriptor = resolve_rep(args.rep)
     spec = TripleSpec(count=args.triples, seed=args.seed, word_length=args.word_length,
                       pool_size=args.pool, tau=args.tau)
-    # the pool, then chunks of up to 4 * pairs + 16 adversarial words of up
-    # to --word-length + 2 letters, and the 2 * pairs kept (fibers._flag_pool)
-    pairs = max(1, int(args.triples * ADVERSARIAL_FRACTION) // 8)
-    _budget_words(rep, args.pool + 6 * pairs + 16, args.word_length + 2,
-                  f"--pool {args.pool} with --triples {args.triples}")
     report = check_transversality(rep, args.k, spec, None if args.assume_anosov else args.radius, args.mode)
     out = emit(
         args,
@@ -309,10 +303,6 @@ def cmd_hyperconvex(args) -> int:
 def cmd_foliate(args) -> int:
     t0 = time.time()
     rep, descriptor = resolve_rep(args.rep)
-    count = args.bases + args.fibers
-    _budget_words(rep, count, args.word_length, f"a sample of {count} flags")
-    # a fiber point's FiberRow and CSV row: 512 bytes (measured 384-450)
-    _budget(args.bases * args.fibers, 512, f"{args.bases} bases of {args.fibers} fibers")
     sample = foliated_limit_sample(rep, args.k, args.bases, args.fibers, args.seed, args.word_length)
     rows = []
     for r in sample.rows:
@@ -351,32 +341,10 @@ def cmd_foliate(args) -> int:
     return EXIT_OK
 
 
-def _budget(rows: int, row_bytes: int, what: str) -> None:
-    """CapacityError, before any work, when rows of row_bytes each would
-    pass SWEEP_BUDGET, the one budget of every user-sized array."""
-    if rows * row_bytes > SWEEP_BUDGET:
-        raise CapacityError(f"{what} needs {rows * row_bytes / 2**20:.0f} MiB; "
-                            f"the budget is {SWEEP_BUDGET / 2**20:.0f} MiB")
-
-
-def _budget_words(rep, count: int, length: int, what: str) -> None:
-    """_budget of count sampled words of length letters: 768 bytes and 16
-    complex (d, d) arrays of engine state per word, 40 bytes of draws, codes
-    and tuples per letter (measured with tracemalloc, d 2-4: 1.0-2.9 kB a
-    word at length 8, then 16-33 bytes a letter up to lengths 24-100)."""
-    _budget(count, 768 + 256 * rep.dim * rep.dim + 40 * length, what)
-
-
-def _sample(rep, ks, count, length, seed):
-    """limit_set_sample within the budget."""
-    _budget_words(rep, count, length, f"a sample of {count} flags")
-    return limit_set_sample(rep, ks, count=count, length=length, seed=seed)
-
-
 def _fiber_cloud(rep, k, count, length, seed):
     """Tangent-project a limit-set sample of count >= 1 flags into the fiber
     of one extra base; returns the cloud and the sampler's failures."""
-    flags, failures = _sample(rep, fiber_ks(rep.dim, k), count + 1, length, seed)
+    flags, failures = limit_set_sample(rep, fiber_ks(rep.dim, k), count + 1, length, seed)
     pts, _ = chart_points(flags[0], flags[1:], k)
     if len(pts) == 0:
         raise PrecisionError(f"none of {count} flags projected into the fiber")
@@ -394,7 +362,7 @@ def cmd_dimension(args) -> int:
         levels = max(2, math.ceil(math.log2(args.points)))
         # box counting's traced peak per point (cloud, barycentrics, cell keys):
         # 98-107 bytes at 1e5-2.6e5 points
-        _budget(1 << levels if args.synthetic == "cantor" else args.points, 256, f"--points {args.points}")
+        budget(1 << levels if args.synthetic == "cantor" else args.points, 256, f"--points {args.points}")
         if args.synthetic == "circle":
             pts = boxdim.circle_cloud(args.points)
         elif args.synthetic == "cantor":
@@ -414,12 +382,12 @@ def cmd_dimension(args) -> int:
             est = boxdim.box_dimension_sphere(pts, scales=scales)
         else:
             ks = fiber_ks(rep.dim, args.k)
-            flags, failures = _sample(rep, ks, args.points + args.anchors, args.word_length, args.seed)
+            flags, failures = limit_set_sample(rep, ks, args.points + args.anchors, args.word_length, args.seed)
             anchors, cloud = flags[: args.anchors], flags[args.anchors :]
             charts, uncovered = grassmann_charts(cloud, args.k, anchors)
             while uncovered and len(anchors) < 4 * args.anchors:
                 # one fresh anchor sample per pass; the cloud never changes
-                anchors, more = _sample(rep, ks, 2 * len(anchors), args.word_length, args.seed + 1000)
+                anchors, more = limit_set_sample(rep, ks, 2 * len(anchors), args.word_length, args.seed + 1000)
                 failures += more
                 charts, uncovered = grassmann_charts(cloud, args.k, anchors)
             if uncovered:
@@ -470,7 +438,7 @@ def cmd_visualmass(args) -> int:
     inputs = {}
     results = None
     # the Monte Carlo sample's traced peak per point (images, cube keys): 65 bytes at 1e6
-    _budget(args.mc, 128, f"--mc {args.mc}")
+    budget(args.mc, 128, f"--mc {args.mc}")
     if args.synthetic == "hemisphere":
         cloud = np.array([[0.0, 0.0, 1.0]])  # cap of radius pi/2 around the pole
         eps = math.pi / 2.0

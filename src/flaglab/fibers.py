@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from . import words as W
-from .certify import FlagStack, boundary_samples, certificates, failure_counts, limit_set_sample
+from .certify import FlagStack, boundary_samples, budget, budget_words, certificates, failure_counts, limit_set_sample
 from .errors import InputError, NotAnosovError, PrecisionError, TransversalityError
 from .mobius import chart, det2, sphere_xyz, three_point_map
 from .reps import Representation
@@ -215,6 +215,11 @@ class HyperconvexityReport:
     sample_failures: tuple[tuple[str, int], ...] = ()
 
 
+def _pair_count(spec: TripleSpec) -> int:
+    """The adversarial near-pairs _flag_pool draws for spec."""
+    return max(1, int(spec.count * ADVERSARIAL_FRACTION) // 8)
+
+
 def _flag_pool(rep: Representation, ks, spec: TripleSpec):
     """The sweep's flags, its adversarial near-pairs and the failed words.
 
@@ -230,7 +235,7 @@ def _flag_pool(rep: Representation, ks, spec: TripleSpec):
     pool, failures = limit_set_sample(rep, ks, spec.pool_size, spec.word_length, spec.seed)
     p = rep.presentation
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 0xADF)))
-    n_pairs = max(1, int(spec.count * ADVERSARIAL_FRACTION) // 8)
+    n_pairs = _pair_count(spec)
     max_attempts = 60 * n_pairs
     accepted = []
     walked: dict[Word, FlagStack | None] = {}  # a pair word's one-row flag, or None if it failed
@@ -354,7 +359,8 @@ def check_transversality(
     normalized collapse stayed above tau on every tested triple.  The
     mode's prerequisite Anosov indices are certified first over the radius
     ball (see certificates), and NotAnosovError names those left
-    uncertified; a radius of None assumes them."""
+    uncertified; a radius of None assumes them.  Before that, the budget
+    is charged for the words _flag_pool may hold."""
     d = rep.dim
     if not 1 <= k <= d - 1:
         raise InputError(f"k={k} out of range 1..{d - 1}")
@@ -364,6 +370,10 @@ def check_transversality(
         wanted, score_fn = {d - k + 1, d - k - 1, k}, _hk_scores
     else:
         raise InputError(f"unknown transversality mode {mode!r}; expected eq1 or Hk")
+    # the pool, then chunks of up to 4 * pairs + 16 adversarial words of up
+    # to word_length + 2 letters, and the 2 * pairs kept
+    budget_words(rep, spec.pool_size + 6 * _pair_count(spec) + 16, spec.word_length + 2,
+                 f"pool_size {spec.pool_size} with count {spec.count}")
     prereqs = sorted(j for j in wanted if 0 < j < d)
     if radius is not None:
         certs = certificates(rep, prereqs, radius)
@@ -484,9 +494,13 @@ def foliated_limit_sample(
 ) -> FoliatedSample:
     """Trivialized fiber limit sets over sampled bases: for each base t the
     projections of fiber_count boundary directions, in Riemann-sphere
-    coordinates with the three trivialization sections pinned at 0, 1, inf."""
+    coordinates with the three trivialization sections pinned at 0, 1, inf.
+    Raises CapacityError before any draw when the rows, 512 bytes a fiber
+    point (measured 384-450), or the base_count + fiber_count + 8 sampled
+    words would pass the budget."""
     if base_count < 1 or fiber_count < 1:
         raise InputError(f"need at least one base and one fiber, got {base_count} and {fiber_count}")
+    budget(base_count * fiber_count, 512, f"{base_count} bases of {fiber_count} fibers")
     ks = fiber_ks(rep.dim, k)
     flags, failures = limit_set_sample(rep, ks, base_count + fiber_count + 8, word_length, seed)
     # basepoints: the best-quality of the first eight flags, tie-broken

@@ -124,8 +124,7 @@ class ProductSVD:
     descending, for one product (batch ()) or a stack (batch (n,)).  u and
     vh start as identities of the given dtype and take the factors' dtype:
     real factors keep a float64 state real, a complex one makes it complex.
-    Indexing a stack gathers a sub-stack and assigning to an index
-    scatters one back (TypeError for a complex one into a real state).
+    Indexing a stack gathers a sub-stack.
     """
 
     __slots__ = ("u", "logs", "vh")
@@ -143,11 +142,6 @@ class ProductSVD:
 
     def __getitem__(self, idx) -> "ProductSVD":
         return self._of(self.u[idx], self.logs[idx], self.vh[idx])
-
-    def __setitem__(self, idx, other: "ProductSVD"):
-        if not np.can_cast(other.vh.dtype, self.vh.dtype):
-            raise TypeError(f"cannot scatter a {other.vh.dtype} stack into a {self.vh.dtype} one")
-        self.u[idx], self.logs[idx], self.vh[idx] = other.u, other.logs, other.vh
 
     def absorb(self, factor: np.ndarray) -> "ProductSVD":
         """Right-multiply the represented products by `factor` (in place):

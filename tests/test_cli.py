@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import flaglab as fl
-from flaglab import cli, fibers
+from flaglab import certify, cli, fibers
 from flaglab.cli import main
 
 from oracles import contragredient
@@ -559,8 +559,6 @@ def test_manifests_count_sampler_failures_by_reason(tmp_path, monkeypatch, argv,
     # every limit-set sample reports one failure of each reason beside its
     # real ones (none on these presets): the manifest counts them all, and
     # the CSV still replays byte for byte
-    from flaglab import certify
-
     real = certify.limit_set_sample
 
     def failing(*args, **kwargs):
@@ -594,10 +592,12 @@ def test_manifests_count_sampler_failures_by_reason(tmp_path, monkeypatch, argv,
     ["hyperconvex", "builtin:sym4", "--k", 2, "--pool", 3, "--triples", 2000],  # 75 pairs
 ])
 def test_user_sized_arrays_fail_fast_past_the_budget(tmp_path, capsys, monkeypatch, argv):
-    # a 1 MiB budget: each run is refused before it allocates or samples
-    monkeypatch.setattr(cli, "SWEEP_BUDGET", 1 << 20)
-    for name in ("limit_set_sample", "boxdim", "visual_mass", "foliated_limit_sample", "check_transversality"):
-        monkeypatch.setattr(cli, name, None)
+    # a 1 MiB budget: each run is refused before it allocates, samples or
+    # sweeps, by the cli for its own arrays and by the library for the rest
+    monkeypatch.setattr(certify, "SWEEP_BUDGET", 1 << 20)
+    for module, name in ((cli, "boxdim"), (cli, "visual_mass"), (certify, "boundary_samples"),
+                         (fibers, "boundary_samples"), (fibers, "certificates")):
+        monkeypatch.setattr(module, name, None)
     assert run(argv + ["--out", tmp_path]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith("the budget is 1 MiB")
@@ -605,10 +605,35 @@ def test_user_sized_arrays_fail_fast_past_the_budget(tmp_path, capsys, monkeypat
 
 
 def test_budget_admits_what_fits(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "SWEEP_BUDGET", 1 << 20)
+    monkeypatch.setattr(certify, "SWEEP_BUDGET", 1 << 20)
     assert run(["dimension", "--synthetic", "cantor", "--points", 4096, "--out", tmp_path]) == 0
     assert run(["visualmass", "--synthetic", "hemisphere", "--mc", 8192, "--out", tmp_path]) == 0
     assert run(["visualmass", "builtin:sym3", "--points", 300, "--mc", 1000, "--out", tmp_path]) == 0
+
+
+def test_one_budget_binding_bounds_every_array(tmp_path, capsys, monkeypatch):
+    # certify.SWEEP_BUDGET alone, read at call time, refuses a sweep, a
+    # sampler, a synthetic cloud and the Monte Carlo sample
+    monkeypatch.setattr(certify, "SWEEP_BUDGET", 1 << 20)
+    for i, argv in enumerate([
+        ["certify", "builtin:sym4", "--k", 2, "--radius", 8],  # 8748 words of 576 bytes
+        ["dimension", "builtin:sym3", "--points", 400],
+        ["dimension", "--synthetic", "uniform", "--points", 5000],
+        ["visualmass", "--synthetic", "hemisphere", "--mc", 8193],
+    ]):
+        assert run(argv + ["--out", tmp_path / str(i)]) == 3
+        assert capsys.readouterr().err.endswith("the budget is 1 MiB\n")
+        assert not list((tmp_path / str(i)).iterdir())
+    # foliate draws bases + fibers + 8 flags: refused at the charge of
+    # bases + fibers words, admitted at its own
+    word = 768 + 256 * 9 + 40 * 8
+    argv = ["foliate", "builtin:sym3", "--k", 1, "--fibers", 400]
+    monkeypatch.setattr(certify, "SWEEP_BUDGET", 401 * word)
+    assert run(argv + ["--out", tmp_path / "refused"]) == 3
+    assert "a sample of 409 flags needs" in capsys.readouterr().err
+    assert not list((tmp_path / "refused").iterdir())
+    monkeypatch.setattr(certify, "SWEEP_BUDGET", 409 * word)
+    assert run(argv + ["--out", tmp_path / "admitted"]) == 0
 
 
 @pytest.mark.parametrize("argv,count,row_bytes", [
@@ -621,7 +646,7 @@ def test_budget_admits_what_fits(tmp_path, monkeypatch):
 def test_synthetic_runs_peak_under_the_budget_they_just_fit(tmp_path, monkeypatch, argv, count, row_bytes):
     # the per-point charge of a synthetic cloud covers its traced peak, the
     # run's fixed costs included
-    monkeypatch.setattr(cli, "SWEEP_BUDGET", count * row_bytes)
+    monkeypatch.setattr(certify, "SWEEP_BUDGET", count * row_bytes)
     tracemalloc.start()
     try:
         code = run(argv + ["--out", tmp_path])

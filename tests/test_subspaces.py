@@ -306,22 +306,6 @@ def test_product_svd_real_factors_equal_complex_casts():
             assert np.array_equal(real.u, cplx.u) and np.array_equal(real.vh, cplx.vh)
 
 
-def test_product_svd_refuses_complex_scatter_into_real_state():
-    # assigning would drop the imaginary parts with only a ComplexWarning
-    real = ProductSVD(3, (4,), float)
-    sub = ProductSVD(3, (2,)).absorb(random_sl(np.random.default_rng(18), 3))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(TypeError, match="complex128"):
-            real[[0, 2]] = sub
-    assert np.array_equal(real.u, np.broadcast_to(np.eye(3), (4, 3, 3)))
-    assert np.array_equal(real.logs, np.zeros((4, 3)))
-    real[[0, 2]] = ProductSVD(3, (2,), float)  # real into real
-    cplx = ProductSVD(3, (4,))
-    cplx[[1, 3]] = real[[0, 2]]  # real into complex is exact
-    assert cplx.u.dtype == np.complex128
-
-
 def test_engine_past_underflow_is_silent_in_both_dtypes():
     # a column pair whose dot is below the normal range: the reciprocal of
     # its magnitude overflows, so the rotation fills two columns with inf
