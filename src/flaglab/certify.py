@@ -22,12 +22,13 @@ from .reps import Representation, wedge_matrix
 from .subspaces import frame_complements, frame_quotients
 from .words import Word
 
-# bytes of stacked WedgeProducts state one sweep level may hold: per word,
-# sum_j C(d, j)^2 entries of its exterior powers and d floats of scales
-# and log|det| (past it: sym4 and directsum from radius 13, octagon-sym4
-# from 7, sym3 from 14, schottky from 15); budget reads it at call time
-# for every user-sized array, each where it is allocated
+# bytes of the one memory budget of every user-sized array, read at call
+# time by budget where each is allocated.  A gap sweep charges what it
+# holds at once (_sweep_bytes): past it are sym4 and directsum from radius
+# 13, sym3 from 14, schottky and trivial from 15, and the relator cap of 7
+# keeps every octagon preset inside it
 SWEEP_BUDGET = 1 << 29
+SWEEP_BLOCK = 8192  # parents whose children gap_sweep absorbs at once
 SLOPE_THRESHOLD = 0.01
 R2_THRESHOLD = 0.95
 TARGET_GAP = 18.0  # log gap every requested index of a boundary flag must clear
@@ -153,13 +154,23 @@ class WedgeProducts:
 
     @classmethod
     def of(cls, mats: np.ndarray) -> "WedgeProducts":
-        """The one-factor products of a (..., d, d) stack of matrices; a
-        power whose entries overflow holds inf, which its gaps carry."""
+        """The one-factor products of a (..., d, d) stack of matrices.  A
+        power whose plain Frobenius norm is not finite is rescaled to unit
+        norm (_frobenius), so it reads entries past about 1e154; every
+        other power is kept as it is, with scale 0.  A power whose entries
+        overflow is not finite, and so are its gaps."""
         d = mats.shape[-1]
         logdet = np.log(np.abs(np.linalg.det(mats)))
+        xs, scales = [], np.zeros(mats.shape[:-2] + (d - 1,))
         with np.errstate(over="ignore", invalid="ignore"):
-            xs = [wedge_matrix(mats, j) for j in range(1, d)]
-        return cls(xs, np.zeros(mats.shape[:-2] + (d - 1,)), logdet)
+            for j in range(1, d):
+                x = wedge_matrix(mats, j)
+                flat = x.reshape(x.shape[:-2] + (-1,))
+                # dividing by 1 and its log 0 are exact: ordinary powers keep their bits
+                norm = np.where(np.isfinite(np.vecdot(flat, flat).real), 1.0, _frobenius(flat))
+                xs.append(x / norm[..., None, None])
+                scales[..., j - 1] = np.log(norm)
+        return cls(xs, scales, logdet)
 
     @classmethod
     def identity(cls, d: int, batch: tuple[int, ...], dtype) -> "WedgeProducts":
@@ -183,7 +194,7 @@ class WedgeProducts:
             for j, (x, f) in enumerate(zip(self.xs, other.xs)):
                 n = f.shape[-1]
                 y = (x.reshape(-1, n) @ f).reshape(x.shape) if f.ndim == 2 else x @ f
-                norm = _frobenius(y.reshape(y.shape[:-2] + (-1,)))
+                norm = _frobenius(y.reshape(y.shape[:-2] + (n * n,)))  # (-1,) fails on an empty stack
                 y *= (1.0 / norm)[..., None, None]
                 self.xs[j] = y
                 self.scales[..., j] += np.log(norm) + other.scales[..., j]
@@ -212,55 +223,90 @@ class WedgeProducts:
         return self.gap_bounds(exact=True)[0]
 
 
+def _sweep_bytes(d: int, itemsize: int, rank: int, radius: int) -> int:
+    """The most gap_sweep holds at once, in bytes:
+    - the states of the two longest kept levels, radius-1 and radius-2,
+      each word every exterior power of its product and d floats of
+      scales and log|det|;
+    - 5 bytes of word indices a word of the ball, and 2 rank + 4 a parent
+      while words.levels spells the longest level;
+    - one block of at most SWEEP_BLOCK words, each two states (the
+      gathered rows and their exact reads) and 128 bytes of indices and
+      bounds, and 64 KiB of fixed costs.
+    An upper bound on the tracemalloc peak, measured at d 2-4, real and
+    complex."""
+    def ball(n):  # the words of length at most n
+        return W.ball_size(rank, n) if n >= 0 else 0
+
+    state = sum(comb(d, j) ** 2 for j in range(1, d)) * itemsize + 8 * d
+    parents = ball(radius - 1) - ball(radius - 2)
+    return (state * (ball(radius - 1) - ball(radius - 3)) + 5 * (ball(radius) - 1)
+            + (2 * rank + 4) * parents + min(SWEEP_BLOCK, parents) * (2 * state + 128) + (1 << 16))
+
+
 def gap_sweep(rep: Representation, radius: int) -> GapSweep:
     """Sweep all freely reduced words of length 1..radius and record the
     minimum gap vector per length.
 
     One level of words.levels per length, through WedgeProducts, so tiny
-    gaps stay honest to ~1e-12 at any spread: each letter is absorbed into
-    the sub-stack of the parents it may follow, one GEMM per exterior
-    power.  Only the words whose gap bounds reach the level's least upper
-    bound read exact gaps, which leaves the minima as reading every word
-    would.  Words stay parent-index arrays, spelled out for the argmins
-    only (the first minimal words in lexicographic order).
-    Raises CapacityError before any work when the longest level would pass
-    SWEEP_BUDGET bytes of state, and PrecisionError on a non-finite gap.
+    gaps stay honest to ~1e-12 at any spread.  The children of up to
+    SWEEP_BLOCK parents at a time absorb their last letter, one GEMM per
+    letter and exterior power; only the states of the parents' level and,
+    below the radius, of the level itself are kept.  A word reads exact
+    gaps only where its gap bounds reach the least upper bound so far, or,
+    once a word of its level has read a gap of 0 (a gap that vanishes
+    identically leaves nothing to prune), always: either way the minima
+    and their first words are those of reading every word.  They are kept
+    as running minima per gap index with the index of the first word that
+    reaches each; words stay parent-index arrays, spelled out for the
+    argmins only (the first minimal words in lexicographic order).
+    Raises CapacityError before any work when what it holds at once
+    (_sweep_bytes) would pass SWEEP_BUDGET, and PrecisionError on a
+    non-finite gap.
     """
     if radius < 1:
         raise InputError("radius must be >= 1")
     d = rep.dim
     rank = rep.presentation.generator_count
     mats = _letter_matrices(rep)
-    widest = W.ball_size(rank, radius) - W.ball_size(rank, radius - 1)
-    budget(widest, sum(comb(d, j) ** 2 for j in range(1, d)) * mats.itemsize + 8 * d,
-           f"the sweep state of the {widest} longest words of radius {radius}")
+    budget(1, _sweep_bytes(d, mats.itemsize, rank, radius), f"the gap sweep of radius {radius}")
     letters = WedgeProducts.of(mats)
     state = WedgeProducts.identity(d, (1,), mats.dtype)
     minima = np.empty((radius, d - 1))
     walk, argmin_words = [], []
     for n, (parent, last) in enumerate(W.levels(rep.presentation, radius), 1):
-        # a word whose gap bounds all lie above the least upper bound so far
-        # is no argmin: it keeps inf, and only the others read exact gaps
-        gaps = np.full((parent.size, d - 1), np.inf)
-        best = np.full(d - 1, np.inf)
+        walk.append((parent, last))
+        best = np.full(d - 1, np.inf)  # least upper bound so far
+        minimum, first = np.full(d - 1, np.inf), np.full(d - 1, parent.size)
         # nothing extends the longest words, so their states are not kept
         child = WedgeProducts.identity(d, parent.shape, mats.dtype) if n < radius else None
-        for i, letter in enumerate(rep.presentation.letters()):
-            rows = np.nonzero(last == letter)[0]
-            sub = state[parent[rows]].absorb(letters[i])
-            low, high = sub.gap_bounds()
-            best = np.minimum(best, high.min(axis=0, initial=np.inf))
-            near = np.flatnonzero(~np.all(low > best + 1e-9 * (1.0 + best), axis=1))
-            gaps[rows[near]] = exact = sub[near].gaps()
-            if not np.all(np.isfinite(exact)):
-                raise PrecisionError(f"non-finite gap at length {n}: a word product overflowed")
-            if child is not None:
-                child[rows] = sub
+        # int32 needles: others would cast parent to an int64 copy
+        blocks = np.arange(0, parent[-1] + SWEEP_BLOCK + 1, SWEEP_BLOCK, dtype=parent.dtype)
+        edges = np.searchsorted(parent, blocks)
+        for start, stop in zip(edges[:-1], edges[1:]):
+            for i, letter in enumerate(rep.presentation.letters()):
+                rows = start + np.flatnonzero(last[start:stop] == letter)
+                sub = state[parent[rows]].absorb(letters[i])
+                if child is not None:
+                    child[rows] = sub
+                if np.all(minimum > 0):
+                    # a word whose gap bounds all lie above the least upper
+                    # bound is no argmin, and only the others read exact gaps
+                    low, high = sub.gap_bounds()
+                    best = np.minimum(best, high.min(axis=0, initial=np.inf))
+                    near = np.flatnonzero(~np.all(low > best + 1e-9 * (1.0 + best), axis=1))
+                    sub, rows = sub[near], rows[near]
+                if rows.size:
+                    exact = sub.gaps()
+                    if not np.all(np.isfinite(exact)):
+                        raise PrecisionError(f"non-finite gap at length {n}: a word product overflowed")
+                    value, at = exact.min(axis=0), rows[exact.argmin(axis=0)]
+                    take = (value < minimum) | (value == minimum) & (at < first)
+                    minimum[take], first[take] = value[take], at[take]
+                del sub  # not held while the next block is gathered
         state = child
-        idx = np.argmin(gaps, axis=0)
-        minima[n - 1] = gaps[idx, np.arange(d - 1)]
-        walk.append((parent, last))
-        argmin_words.append(tuple(W.spell(walk, i) for i in idx))
+        minima[n - 1] = minimum
+        argmin_words.append(tuple(W.spell(walk, i) for i in first))
     return GapSweep(
         radius=radius,
         lengths=tuple(range(1, radius + 1)),

@@ -118,19 +118,24 @@ def cyclic_word_count(rank: int, length: int) -> int:
 def levels(presentation: GroupPresentation, radius: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Walk the freely reduced words of length 1..radius one length at a time.
 
-    Yields per length the int arrays (parent, letter): word i of this
-    length is word parent[i] of the previous length followed by letter[i].
-    Children come in (parent, letter) order, so each length is
-    lexicographic in the order of letters().  For free groups every group
+    Yields per length the arrays (parent, letter), int32 and the smallest
+    signed int type that holds the letters (int8 up to rank 127): word i
+    of this length is word parent[i] of the previous length followed by
+    letter[i], 5 bytes a word.  int32 parents hold lengths of up to 2**31
+    words, far past what the sweep's memory budget admits.  Children come
+    in (parent, letter) order, so each length is lexicographic in the
+    order of letters() and parent is sorted.  For free groups every group
     element of the ball appears exactly once."""
-    letters = np.array(presentation.letters())
-    last = np.zeros(1, dtype=int)
+    # -rank - 1: the smallest signed type of -rank - 1 also holds +rank
+    letters = np.array(presentation.letters(), dtype=np.min_scalar_type(-presentation.generator_count - 1))
+    last = np.zeros(1, dtype=letters.dtype)
     for _ in range(radius):
         child = last[:, None] != -letters  # no letter cancels its parent's last one
-        # not np.nonzero: its two index arrays share one buffer, twice the
-        # size of the parent array a caller keeps per length
-        parent = np.repeat(np.arange(last.size), child.sum(axis=1))
+        # masked broadcast rows, not np.nonzero, whose two index arrays share
+        # one int64 buffer four times the size of the parent array
+        parent = np.broadcast_to(np.arange(last.size, dtype=np.int32)[:, None], child.shape)[child]
         last = np.broadcast_to(letters, child.shape)[child]
+        del child  # not held through the yield
         yield parent, last
 
 

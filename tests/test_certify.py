@@ -182,17 +182,69 @@ def test_sweep_reads_exact_gaps_only_near_the_minima(name, radius):
     assert np.array_equal(sweep.minima, minima) and sweep.argmin_words == argmins
 
 
+@pytest.mark.parametrize("block", [1, 5])
+@pytest.mark.parametrize("name, radius", [("sym4", 5), ("directsum", 4), ("schottky", 6), ("trivial", 4)])
+def test_sweep_blocks_keep_every_bit(monkeypatch, name, radius, block):
+    # absorbed a few parents at a time, the running minima and their first
+    # words are those of whole letter groups, ties (trivial: every gap is 0)
+    # included
+    monkeypatch.setattr(certify, "SWEEP_BLOCK", block)
+    rep = fl.preset(name)
+    sweep = fl.gap_sweep(rep, radius)
+    minima, argmins = _full_sweep(rep, radius)
+    assert np.array_equal(sweep.minima, minima) and sweep.argmin_words == argmins
+
+
 def test_sweep_budget_fails_fast(sym4):
     import tracemalloc
 
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="budget"):
-            fl.gap_sweep(sym4, 14)  # 6.4M words of length 14, about 3.5 GB of float64 state
+            fl.gap_sweep(sym4, 14)  # 9.6M words of length <= 14, about 1.6 GiB held at once
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("name", ["schottky", "sym3", "sym4", "directsum", "octagon-sym3", "octagon-sym4"])
+def test_sweep_peaks_under_the_budget_it_just_fits(name, monkeypatch):
+    # at a 4 MiB budget, the largest radius the check admits holds less than
+    # the budget at its traced peak: the charge counts what the sweep holds
+    import tracemalloc
+
+    monkeypatch.setattr(certify, "SWEEP_BUDGET", 4 << 20)
+    rep = fl.preset(name)
+    radius = 1
+    while True:
+        try:
+            fl.gap_sweep(rep, radius + 1)
+        except CapacityError:
+            break
+        radius += 1
+    tracemalloc.start()
+    try:
+        fl.gap_sweep(rep, radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert radius >= 4 and peak < 4 << 20
+
+
+def test_wedge_products_of_reads_big_entries_as_absorbed():
+    # a letter with an entry past 1e154 reads the gap of the same letter
+    # absorbed into the empty product, without an overflow warning
+    import warnings
+
+    mats = np.diag([1e160, 1e-160])[None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        letter = certify.WedgeProducts.of(mats)
+        alone = letter.gaps()
+        absorbed = certify.WedgeProducts.identity(2, (1,), mats.dtype).absorb(letter).gaps()
+    assert np.isfinite(alone).all() and _close(float(alone[0, 0]), 160 * math.log(10), 1e-12)
+    assert np.array_equal(alone, absorbed)
 
 
 def _complex_twin(rep):
@@ -204,12 +256,26 @@ def _complex_twin(rep):
 
 def test_sweep_budget_counts_the_bytes_of_the_state_dtype(sym4, monkeypatch):
     # a real representation sweeps in float64, half the bytes of complex128
-    # state: a budget between the two needs of the state (every exterior
-    # power, 16 + 36 + 16 entries at d = 4, and d floats) admits it and
+    # state.  The charge of radius 6 is what the sweep holds at once: the
+    # states of the words of lengths 4 and 5 (every exterior power, 16 + 36
+    # + 16 entries at d = 4, and d floats), 5 bytes of indices a word of the
+    # ball and 8 a parent of the longest words, one block of the 324 words
+    # of length 5 (two states and 128 bytes each) and 64 KiB.  It binds to
+    # the byte, and a budget between the two dtypes' charges admits sym4 and
     # refuses its twin
     d, radius = sym4.dim, 6
-    widest = W.ball_size(2, radius) - W.ball_size(2, radius - 1)
-    real_need, complex_need = (widest * (68 * size + 8 * d) for size in (8, 16))
+    kept = W.ball_size(2, 5) - W.ball_size(2, 3)
+    parents = W.ball_size(2, 5) - W.ball_size(2, 4)
+
+    def need(itemsize):
+        state = 68 * itemsize + 8 * d
+        return (state * kept + 5 * (W.ball_size(2, radius) - 1) + 8 * parents
+                + parents * (2 * state + 128) + (1 << 16))
+
+    real_need, complex_need = need(8), need(16)
+    monkeypatch.setattr(certify, "SWEEP_BUDGET", real_need - 1)
+    with pytest.raises(CapacityError, match="budget"):
+        fl.gap_sweep(sym4, radius)
     monkeypatch.setattr(certify, "SWEEP_BUDGET", (real_need + complex_need) // 2)
     twin = _complex_twin(sym4)
     assert certify._letter_matrices(twin).dtype == np.complex128

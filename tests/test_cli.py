@@ -616,7 +616,7 @@ def test_one_budget_binding_bounds_every_array(tmp_path, capsys, monkeypatch):
     # sampler, a synthetic cloud and the Monte Carlo sample
     monkeypatch.setattr(certify, "SWEEP_BUDGET", 1 << 20)
     for i, argv in enumerate([
-        ["certify", "builtin:sym4", "--k", 2, "--radius", 8],  # 8748 words of 576 bytes
+        ["certify", "builtin:sym4", "--k", 2, "--radius", 8],  # its sweep holds 5.8 MiB at once
         ["dimension", "builtin:sym3", "--points", 400],
         ["dimension", "--synthetic", "uniform", "--points", 5000],
         ["visualmass", "--synthetic", "hemisphere", "--mc", 8193],

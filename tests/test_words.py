@@ -50,6 +50,16 @@ def test_levels_spell_brute_force_ball(rank, radius):
     assert walk_ball(pres, radius) == brute_ball(pres, radius)
     for n, (parent, letter) in enumerate(W.levels(pres, radius), 1):
         assert parent.size == letter.size == W.ball_size(rank, n) - W.ball_size(rank, n - 1)
+        assert parent.dtype == np.int32 and letter.dtype == np.int8  # 5 bytes a word
+
+
+@pytest.mark.parametrize("rank, dtype", [(127, np.int8), (128, np.int16)])
+def test_levels_letters_take_a_wider_type_past_rank_127(rank, dtype):
+    pres = W.free_group(rank)
+    first, (parent, letter) = W.levels(pres, 2)
+    assert parent.dtype == np.int32 and letter.dtype == dtype
+    assert letter.min() == -rank and letter.max() == rank
+    assert W.spell([first, (parent, letter)], parent.size - 1) == (-rank, -rank)
 
 
 def test_ball_counts():
