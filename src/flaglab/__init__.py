@@ -24,14 +24,12 @@ from .errors import (
     InputError,
     NotAnosovError,
     PrecisionError,
-    TransversalityError,
 )
 from .fibers import (
     FoliatedSample,
     HyperconvexityReport,
     TripleSpec,
     Trivialization,
-    chart_points,
     check_transversality,
     foliated_limit_sample,
     grassmann_charts,
@@ -59,4 +57,4 @@ from .words import (
     surface_group,
 )
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"

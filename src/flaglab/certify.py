@@ -37,13 +37,21 @@ MAX_LETTERS = 20000  # letters a boundary sample may absorb before giving up
 FAILURE_REASONS = ("non_finite_gap", "gap_stalled", "gap_short")
 
 
-def _spread_error(where: str) -> PrecisionError:
-    """The limit of the graded product SVD, which boundary flags alone run
-    on: jacobi_svd squares column norms, so past a log-singular spread of
-    about 354 nats the smallest singular values go subnormal, past about
-    372 they flush to zero and gaps stop being finite.  The gap readers
-    (gap_sweep, the doubling walk) have no such limit."""
-    return PrecisionError(f"non-finite gap {where}: log-singular spread past about 372 nats")
+def _failure_message(word: Word, reason: str, gap: float) -> str:
+    """What a boundary sample that failed for the FAILURE_REASONS code
+    reason, with gap its worst requested gap, says about word.  A
+    non-finite gap is the limit of the graded product SVD, which boundary
+    flags alone run on: jacobi_svd squares column norms, so past a
+    log-singular spread of about 354 nats the smallest singular values go
+    subnormal, past about 372 they flush to zero and gaps stop being
+    finite.  The gap readers (gap_sweep, the doubling walk) have no such
+    limit."""
+    w = W.word_to_str(word)
+    if reason == "non_finite_gap":
+        return f"non-finite gap along {w}: log-singular spread past about 372 nats"
+    if reason == "gap_stalled":
+        return f"gap stalled at {gap:.4f} along {w}; not Anosov along this word"
+    return f"gap reached only {gap:.3f} of {TARGET_GAP} along {w}"
 
 
 def budget(rows: int, row_bytes: int, what: str) -> None:
@@ -524,7 +532,7 @@ def _power_walk(rep: Representation, words, state, factors, judge) -> None:
     the stack is treated alone, so nothing depends on the batch."""
     index = {letter: i for i, letter in enumerate(rep.presentation.letters())}
     lens = np.array([len(w) for w in words], dtype=int)
-    codes = np.zeros((len(words), lens.max(initial=0)), dtype=int)
+    codes = np.zeros((len(words), lens.max(initial=0)), dtype=np.min_scalar_type(len(index)))
     for i, w in enumerate(words):
         codes[i, :len(w)] = [index[letter] for letter in w]
     live = np.arange(len(words))
@@ -545,12 +553,12 @@ def boundary_samples(rep: Representation, words, ks) -> tuple[FlagStack, list]:
 
     Returns the FlagStack of the words that succeeded, in word order, each
     row the attracting endpoint of its word's axis, and one entry per word:
-    None, or the pair of the FAILURE_REASONS code and the NotAnosovError
-    or PrecisionError that rejected it.
+    None, or the FAILURE_REASONS code that rejected it with its worst
+    requested gap then, which _failure_message spells out.
 
     The graded product SVD keeps every singular subspace accurate up to a
-    log-singular spread of about 354 nats (see _spread_error).  A word is
-    judged whenever it completes a power: done once every requested gap
+    log-singular spread of about 354 nats (see _failure_message).  A word
+    is judged whenever it completes a power: done once every requested gap
     clears TARGET_GAP, rejected when a gap is not finite, when its gap
     stalls over four powers or when MAX_LETTERS run out.
     """
@@ -567,7 +575,7 @@ def boundary_samples(rep: Representation, words, ks) -> tuple[FlagStack, list]:
     lens = np.array([len(w) for w in words], dtype=int)
     frames = np.empty((len(words), rep.dim, rep.dim), dtype=complex)
     quality = np.empty(len(words))
-    errors: list = [None] * len(words)
+    rejected: list = [None] * len(words)
     recent = np.zeros((len(words), 4))  # each word's last four worst gaps, oldest first
     readings = np.zeros(len(words), dtype=int)
 
@@ -585,60 +593,65 @@ def boundary_samples(rep: Representation, words, ks) -> tuple[FlagStack, list]:
             i, x = idx[j], float(worst[j])
             if finite[j] and not go[j]:  # done: its left factor is the flag
                 frames[i], quality[i] = sub.u[j], math.exp(-2.0 * x)
-                continue
-            w = W.word_to_str(words[i])
-            if not finite[j]:
-                errors[i] = ("non_finite_gap", _spread_error(f"along {w}"))
-            elif stalled[j]:
-                errors[i] = ("gap_stalled", NotAnosovError(f"gap stalled at {x:.4f} along {w}; "
-                                                           "not Anosov along this word"))
+            elif not finite[j]:
+                rejected[i] = ("non_finite_gap", x)
             else:
-                errors[i] = ("gap_short", NotAnosovError(f"gap reached only {x:.3f} of {TARGET_GAP} "
-                                                         f"along {w}"))
+                rejected[i] = ("gap_stalled" if stalled[j] else "gap_short", x)
         return keep
 
     mats = _letter_matrices(rep)
     _power_walk(rep, words, ProductSVD(rep.dim, (len(words),), mats.dtype), mats, judge)
-    ok = [i for i, e in enumerate(errors) if e is None]
-    return FlagStack([words[i] for i in ok], frames[ok], ks, quality[ok]), errors
+    ok = [i for i, e in enumerate(rejected) if e is None]
+    return FlagStack([words[i] for i in ok], frames[ok], ks, quality[ok]), rejected
 
 
-def limit_set_sample(
-    rep: Representation, ks, count: int, length: int, seed: int
-) -> tuple[FlagStack, list[tuple[Word, str, str]]]:
+def limit_set_sample(rep: Representation, ks, count: int, length: int, seed: int) -> tuple[FlagStack, list[str]]:
     """count flags from distinct random cyclically reduced words, as one
-    FlagStack in draw order; failed words are skipped, walked once and
-    reported once alongside as (word, FAILURE_REASONS code, message).  Each
-    batch of new candidates runs through boundary_samples at once.  Raises
-    CapacityError before any draw when budget_words refuses the sample."""
+    FlagStack in draw order, and the FAILURE_REASONS code of each distinct
+    word that failed before the last kept one, in draw order.  Each batch
+    of new candidates runs through boundary_samples at once.  A word's walk
+    does not depend on its batch, so a failed word is walked once: of it
+    only its code and its letters as bytes, an exact key, are kept.  Raises
+    CapacityError before any draw when budget_words refuses the sample, and
+    NotAnosovError with the first failure's message when eight batches
+    give fewer than count flags."""
     if count < 1:
         raise InputError("count must be >= 1")
     budget_words(rep, count, length, f"a sample of {count} flags")
-    failures: list[tuple[Word, str, str]] = []
+    letter = np.min_scalar_type(-rep.presentation.generator_count - 1)
+
+    def key(w):  # a failed word's letters as bytes: exact, one byte a letter up to rank 127
+        return np.array(w, letter).tobytes()
+
+    failures: list[str] = []
+    failed: set[bytes] = set()
+    first = None  # the (word, reason, gap) of the first failure
     parts: list[FlagStack] = []
     have = batch = 0
     while have < count and batch < 8:
-        cand = W.random_cyclic_words(rep.presentation, count - have + 4 * batch, length, seed + batch)
-        # a word's walk does not depend on its batch: a failed word fails again
-        taken = {w for part in parts for w in part.sources} | {f[0] for f in failures}
-        fresh = [w for w in cand if w not in taken]
-        flags, errors = boundary_samples(rep, fresh, ks)
+        taken = {w for part in parts for w in part.sources}
+        fresh = [w for w in W.random_cyclic_words(rep.presentation, count - have + 4 * batch, length, seed + batch)
+                 if w not in taken and not (failed and key(w) in failed)]
+        flags, rejected = boundary_samples(rep, fresh, ks)
         # the words up to the one that completes the sample count
-        ok = [i for i, e in enumerate(errors) if e is None]
+        ok = [i for i, e in enumerate(rejected) if e is None]
         stop = ok[count - have - 1] + 1 if len(ok) >= count - have else len(fresh)
-        failures += [(w, e[0], str(e[1])) for w, e in zip(fresh[:stop], errors[:stop]) if e is not None]
+        for w, e in zip(fresh[:stop], rejected[:stop]):
+            if e is not None:
+                first = first or (w, *e)
+                failures.append(e[0])
+                failed.add(key(w))
         parts.append(flags[: count - have])
         have += len(parts[-1])
         batch += 1
+        del fresh  # a batch's words are not held while the next is drawn
     if have < count:
-        raise NotAnosovError(
-            f"only {have}/{count} boundary samples succeeded; "
-            f"first failure: {failures[0][2] if failures else 'none'}"
-        )
+        raise NotAnosovError(f"only {have}/{count} boundary samples succeeded; "
+                             f"first failure: {_failure_message(*first) if first else 'none'}")
     return FlagStack.concat(*parts), failures
 
 
 def failure_counts(failures) -> dict[str, int]:
-    """The (word, reason, message) failures of limit_set_sample counted by
-    reason, in FAILURE_REASONS order."""
-    return {reason: sum(f[1] == reason for f in failures) for reason in FAILURE_REASONS}
+    """The failure codes of limit_set_sample counted by reason, in
+    FAILURE_REASONS order."""
+    return {reason: failures.count(reason) for reason in FAILURE_REASONS}

@@ -27,13 +27,13 @@ from .certify import budget, certificates, failure_counts, limit_set_sample
 from .errors import FlaglabError, InputError, NotAnosovError, PrecisionError
 from .fibers import (
     TripleSpec,
-    chart_points,
     check_transversality,
     fiber_ks,
     foliated_limit_sample,
     grassmann_charts,
+    tangent_project,
 )
-from .mobius import INF
+from .mobius import INF, sphere_xyz
 from .reps import Representation, preset, preset_names
 from .sphere import VisualMeasure, cross_ratio, visual_mass
 from .words import GroupPresentation, free_group, surface_group
@@ -293,8 +293,7 @@ def cmd_hyperconvex(args) -> int:
         ]],
     )
     write_manifest(args.out, "hyperconvex", _params(args), [args.seed], {"rep": descriptor}, [out], t0,
-                   results={"skip_reasons": dict(report.skip_reasons),
-                            "sample_failures": dict(report.sample_failures)})
+                   results={"skip_reasons": report.skip_reasons, "sample_failures": report.sample_failures})
     print(f"hyperconvex {args.rep} k={args.k} mode={args.mode}: {report.verdict} "
           f"(min={report.min_transversality:.6f} over {report.triples_tested} triples)")
     return {"passes": EXIT_OK, "fails": EXIT_FAIL}.get(report.verdict, EXIT_INCONCLUSIVE)
@@ -343,12 +342,14 @@ def cmd_foliate(args) -> int:
 
 def _fiber_cloud(rep, k, count, length, seed):
     """Tangent-project a limit-set sample of count >= 1 flags into the fiber
-    of one extra base; returns the cloud and the sampler's failures."""
+    of one extra base, as unit vectors (sphere_xyz); returns the cloud and
+    the sampler's failure codes.  A base with no fiber frame raises
+    tangent_project's PrecisionError."""
     flags, failures = limit_set_sample(rep, fiber_ks(rep.dim, k), count + 1, length, seed)
-    pts, _ = chart_points(flags[0], flags[1:], k)
-    if len(pts) == 0:
+    pairs, _ = tangent_project(flags[0], flags[1:], k)
+    if len(pairs) == 0:
         raise PrecisionError(f"none of {count} flags projected into the fiber")
-    return pts, failures
+    return sphere_xyz(pairs), failures
 
 
 def cmd_dimension(args) -> int:

@@ -24,12 +24,6 @@ class PrecisionError(FlaglabError):
     computed data, or a word product over/underflowed.  Exit 3."""
 
 
-class TransversalityError(PrecisionError):
-    """An intersection did not have the dimension the Anosov hypotheses
-    predict.  A PrecisionError, kept apart so failures can be counted by
-    reason.  Exit 3."""
-
-
 class NotAnosovError(FlaglabError):
     """Gap growth along a word failed, or a prerequisite Anosov index could
     not be certified: unmet Anosov prerequisites.  Exit 5."""

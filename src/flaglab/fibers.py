@@ -24,7 +24,7 @@ import numpy as np
 
 from . import words as W
 from .certify import FlagStack, boundary_samples, budget, budget_words, certificates, failure_counts, limit_set_sample
-from .errors import InputError, NotAnosovError, PrecisionError, TransversalityError
+from .errors import InputError, NotAnosovError, PrecisionError
 from .mobius import chart, det2, sphere_xyz, three_point_map
 from .reps import Representation
 from .subspaces import frame_dists, frame_sines
@@ -121,18 +121,6 @@ def tangent_project(base: FlagStack, flags: FlagStack, k: int) -> tuple[np.ndarr
     return pairs[keep], rows[keep]
 
 
-def chart_points(base: FlagStack, flags: FlagStack, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """tangent_project as unit vectors (m, 3), by sphere_xyz, with the
-    rows of flags they came from; if base has no fiber frame
-    (PrecisionError) every flag is dropped.  Every other exception
-    propagates."""
-    try:
-        pairs, rows = tangent_project(base, flags, k)
-    except PrecisionError:
-        return np.empty((0, 3)), np.empty(0, dtype=int)
-    return sphere_xyz(pairs), rows
-
-
 def grassmann_charts(
     flags: FlagStack, k: int, anchors: FlagStack
 ) -> tuple[dict[str, np.ndarray], list[int]]:
@@ -140,19 +128,24 @@ def grassmann_charts(
 
     Each anchor z charts the flags whose (d-k)-space stays CHART_FLOOR
     transverse to z's k-space (smallest principal sine, one frame_sines
-    call per anchor), projected into the projective line at z.  Returns
-    ({anchor word: (m, 3) cloud}, rows of flags that no chart covers).
+    call per anchor), projected into the projective line at z (one
+    tangent_project call) as unit vectors by sphere_xyz.  An anchor with
+    no fiber frame charts nothing: its cloud is empty.  Returns ({anchor
+    word: (m, 3) cloud}, rows of flags that no chart covers).
     """
     if not len(anchors):
         raise InputError("need at least one chart anchor")
     lines = flags.space(anchors.ambient_dim - k)
+    framed = anchors.fiber_frames(k)[1]
     covered = np.zeros(len(flags), dtype=bool)
     charts: dict[str, np.ndarray] = {}
     for i, perp in enumerate(anchors.complement(k)):
-        near = np.flatnonzero(frame_sines(lines, perp)[:, 0] >= CHART_FLOOR)
-        coords, kept = chart_points(anchors[i], flags[near], k)
-        covered[near[kept]] = True
-        charts[W.word_to_str(anchors.sources[i])] = coords
+        pairs = np.empty((0, 2))
+        if framed[i]:
+            near = np.flatnonzero(frame_sines(lines, perp)[:, 0] >= CHART_FLOOR)
+            pairs, kept = tangent_project(anchors[i], flags[near], k)
+            covered[near[kept]] = True
+        charts[W.word_to_str(anchors.sources[i])] = sphere_xyz(pairs)
     return charts, np.flatnonzero(~covered).tolist()
 
 
@@ -209,10 +202,8 @@ class HyperconvexityReport:
     min_transversality: float
     worst_triple: tuple[Word, Word, Word]
     verdict: str  # passes | fails | inconclusive
-    # (reason, count) in SKIP_REASONS order; the counts sum to skipped
-    skip_reasons: tuple[tuple[str, int], ...] = ()
-    # (reason, count) of the words that gave no flag, in FAILURE_REASONS order
-    sample_failures: tuple[tuple[str, int], ...] = ()
+    skip_reasons: dict[str, int]  # in SKIP_REASONS order; the counts sum to skipped
+    sample_failures: dict[str, int]  # words that gave no flag, by FAILURE_REASONS code
 
 
 def _pair_count(spec: TripleSpec) -> int:
@@ -225,8 +216,7 @@ def _flag_pool(rep: Representation, ks, spec: TripleSpec):
 
     Returns one FlagStack (the pool's spec.pool_size flags, then the
     adversarial flags two by two), the (x, y) rows of its adversarial
-    pairs and the (word, reason, message) failures of the pool and the
-    pair words.  Adversarial attempts are drawn in chunks, in the order a
+    pairs and the FAILURE_REASONS codes of the failed pool and pair words.  Adversarial attempts are drawn in chunks, in the order a
     one-by-one loop would draw them; each chunk's words are sampled in one
     batch, its pair distances are taken in one point_dists call and its
     pairs are accepted in draw order.  A word's walk does not depend on its
@@ -255,10 +245,10 @@ def _flag_pool(rep: Representation, ks, spec: TripleSpec):
             if wx and wy and wx != wy:
                 chunk += [wx, wy]
         fresh = [w for w in dict.fromkeys(chunk) if w not in walked]
-        flags, errors = boundary_samples(rep, fresh, ks)
-        done = [w for w, e in zip(fresh, errors) if e is None]  # the words of the rows of flags
+        flags, rejected = boundary_samples(rep, fresh, ks)
+        done = [w for w, e in zip(fresh, rejected) if e is None]  # the words of the rows of flags
         walked.update({**dict.fromkeys(fresh), **{w: flags[i] for i, w in enumerate(done)}})
-        failures += [(w, e[0], str(e[1])) for w, e in zip(fresh, errors) if e is not None]
+        failures += [e[0] for e in rejected if e is not None]
         sampled = np.array([walked[w] is not None for w in chunk], dtype=bool).reshape(-1, 2)
         # the flags of the words whose pair partner was sampled too
         both = [walked[w] for w, ok in zip(chunk, np.repeat(sampled.all(axis=1), 2)) if ok]
@@ -343,8 +333,8 @@ def _transversality_sweep(rep, k, spec, ks, score_fn, mode) -> HyperconvexityRep
         min_transversality=float(best),
         worst_triple=worst,
         verdict=verdict,
-        skip_reasons=tuple(zip(SKIP_REASONS, skips.tolist())),
-        sample_failures=tuple(failure_counts(failures).items()),
+        skip_reasons=dict(zip(SKIP_REASONS, skips.tolist())),
+        sample_failures=failure_counts(failures),
     )
 
 
@@ -454,7 +444,7 @@ class Trivialization:
         lines = self.basepoints.space(t.ambient_dim - self.k)
         pairs, fault = fiber_coords(_fiber_frame(t, self.k), t.space(self.k + 1)[0], lines)
         if (fault != SCORED).any():
-            raise TransversalityError(_FAULT_MESSAGES[int(fault[fault != SCORED][0])])
+            raise PrecisionError(_FAULT_MESSAGES[int(fault[fault != SCORED][0])])
         return three_point_map(*pairs)
 
     def project(self, t: FlagStack, flags: FlagStack) -> tuple[np.ndarray, np.ndarray]:

@@ -79,7 +79,8 @@ def surface_group(genus: int, relation: Word) -> GroupPresentation:
 
 def reduce(w: Sequence[int], presentation: GroupPresentation) -> Word:
     """Freely reduce w.  Unique normal form for free groups; for the
-    other kinds only free cancellations are applied."""
+    other kinds only free cancellations are applied.  A reduced tuple is
+    returned as it is, not copied."""
     presentation.check_word(w)
     stack: list[int] = []
     for letter in w:
@@ -87,7 +88,7 @@ def reduce(w: Sequence[int], presentation: GroupPresentation) -> Word:
             stack.pop()
         else:
             stack.append(letter)
-    return tuple(stack)
+    return w if isinstance(w, tuple) and len(stack) == len(w) else tuple(stack)
 
 
 def cyclic_reduce(w: Word) -> Word:
@@ -185,7 +186,7 @@ def random_cyclic_words(
     if length < 1:
         raise InputError(f"word length must be >= 1, got {length}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    letters = np.array(presentation.letters())
+    letters = np.array(presentation.letters(), dtype=np.min_scalar_type(-presentation.generator_count - 1))
     high = np.full(length, letters.size - 1)  # no letter may cancel its predecessor
     high[0] = letters.size
     seen: set[Word] = set()
@@ -208,7 +209,7 @@ def random_cyclic_words(
             idx[:, j] += idx[:, j] >= (idx[:, j - 1] ^ 1)
         w = letters[idx]
         # a freely reduced word is cyclically reduced unless its ends cancel
-        for word in map(tuple, w[w[:, 0] != -w[:, -1]].tolist()):
+        for word in (tuple(row.tolist()) for row in w[w[:, 0] != -w[:, -1]]):
             if word not in seen:
                 seen.add(word)
                 out.append(word)

@@ -21,7 +21,7 @@ import numpy as np
 
 from flaglab import words as W
 from flaglab.certify import FlagStack
-from flaglab.errors import CapacityError, InputError, PrecisionError, TransversalityError
+from flaglab.errors import CapacityError, InputError, PrecisionError
 from flaglab.fibers import SCORED, _FAULT_MESSAGES, Trivialization, _fiber_frame, line_intersections
 from flaglab.boxdim import _FACE_CENTERS, _FACE_INV, Located
 from flaglab.mobius import apply_mobius
@@ -238,7 +238,7 @@ def wedge_fiber_point(z: FlagStack, y: FlagStack, k: int) -> np.ndarray:
     # 1-dim intersection of a 2-plane with a hyperplane in C^N
     v, fault = line_intersections(wedge_pencil(z, k), wedge_hyperplane(y, k))
     if fault != SCORED:
-        raise TransversalityError(_FAULT_MESSAGES[int(fault)])
+        raise PrecisionError(_FAULT_MESSAGES[int(fault)])
     return _unit_column(v)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import flaglab as fl
 import flaglab.fibers as fibers
+from flaglab import cli
 from flaglab.boxdim import (
     _FACE_CENTERS,
     _FACES,
@@ -19,7 +20,7 @@ from flaglab.boxdim import (
     refinement_for_scale,
 )
 from flaglab.errors import InputError
-from flaglab.mobius import apply_mobius
+from flaglab.mobius import apply_mobius, sphere_xyz
 from flaglab.subspaces import frame_complements, frame_sines
 from flaglab.words import word_to_str
 
@@ -248,7 +249,8 @@ def test_grassmann_single_chart_equals_fiber(octagon_sym3, veronese_circle_flags
     sines = frame_sines(flags.space(2), frame_complements(anchor.space(1)[0]))
     assert uncovered == np.flatnonzero(sines[:, 0] < 0.1).tolist()
     cloud = flags[[i not in uncovered for i in range(len(flags))]]
-    coords, kept = fibers.chart_points(anchor, cloud, 1)
+    pairs, kept = fibers.tangent_project(anchor, cloud, 1)
+    coords = sphere_xyz(pairs)
     assert kept.tolist() == list(range(len(cloud)))
     assert np.array_equal(charts[word_to_str(anchor.sources[0])], coords)
     est = fl.grassmann_dimension(charts)
@@ -289,36 +291,40 @@ def test_grassmann_propagates_programming_errors(veronese_circle_flags, monkeypa
         fibers.grassmann_charts(flags[1:300], 1, flags[0])
 
 
-@pytest.mark.parametrize("error,dropped", [
-    (fl.TransversalityError, True),
-    (fl.PrecisionError, True),
-    (fl.CapacityError, False),
-    (fl.InputError, False),
-])
-def test_chart_points_drops_only_projection_failures(veronese_circle_flags, monkeypatch, error, dropped):
+@pytest.mark.parametrize("fault", [fibers.SOFT, fibers.COLLAPSED, fl.CapacityError, fl.InputError],
+                         ids=["soft-dropped", "collapsed-dropped", "CapacityError-raised", "InputError-raised"])
+def test_fiber_charts_drop_only_projection_failures(octagon_sym3, veronese_circle_flags, monkeypatch, fault):
+    # both callers of tangent_project, the fiber cloud and the Grassmannian
+    # charts, drop a flag whose projection faults and raise any other error
     flags = veronese_circle_flags[:40]
-    coords, kept = fibers.chart_points(flags[0], flags, 1)
-    assert kept.tolist() == list(range(1, 40))  # the base's own source is skipped
-    assert coords.shape == (39, 3)
+    monkeypatch.setattr(cli, "limit_set_sample", lambda *args: (flags, []))
+    cloud, _ = cli._fiber_cloud(octagon_sym3, 1, 39, 10, 1)
+    assert cloud.shape == (39, 3)  # the base's own source is skipped
+    charts, uncovered = fibers.grassmann_charts(flags, 1, flags[0])
+    chart = charts[word_to_str(flags.sources[0])]
+    assert 7 not in uncovered
 
-    real = fibers.fiber_coords
+    real, line = fibers.fiber_coords, flags.space(2)[7]
 
     def broken(frame, upper, lines):
-        # a projection failure is a fault code in the row of flags[7] (row 6:
-        # the base is not projected); any other error is raised
-        if not issubclass(error, fl.PrecisionError):
-            raise error("projection failed")
-        coords, fault = real(frame, upper, lines)
-        fault[6] = fibers.SOFT if error is fl.TransversalityError else fibers.COLLAPSED
-        return coords, fault
+        # a projection failure is a fault code in the row of flags[7]
+        if not isinstance(fault, int):
+            raise fault("projection failed")
+        coords, codes = real(frame, upper, lines)
+        codes[(lines == line).all(axis=(-2, -1))] = fault
+        return coords, codes
 
     monkeypatch.setattr(fibers, "fiber_coords", broken)
-    if dropped:
-        coords, kept = fibers.chart_points(flags[0], flags, 1)
-        assert 7 not in kept and len(kept) == len(coords) == 38
+    if isinstance(fault, int):
+        assert np.array_equal(cli._fiber_cloud(octagon_sym3, 1, 39, 10, 1)[0], np.delete(cloud, 6, axis=0))
+        dropped, more = fibers.grassmann_charts(flags, 1, flags[0])
+        assert more == sorted(uncovered + [7])
+        assert len(dropped[word_to_str(flags.sources[0])]) == len(chart) - 1
     else:
-        with pytest.raises(error, match="projection failed"):
-            fibers.chart_points(flags[0], flags, 1)
+        with pytest.raises(fault, match="projection failed"):
+            cli._fiber_cloud(octagon_sym3, 1, 39, 10, 1)
+        with pytest.raises(fault, match="projection failed"):
+            fibers.grassmann_charts(flags, 1, flags[0])
 
 
 def test_grassmann_uncovered_flags_error(octagon_sym3, veronese_circle_flags, monkeypatch):

@@ -563,7 +563,7 @@ def test_manifests_count_sampler_failures_by_reason(tmp_path, monkeypatch, argv,
 
     def failing(*args, **kwargs):
         flags, failures = real(*args, **kwargs)
-        return flags, failures + [((1,), reason, "forced") for reason in certify.FAILURE_REASONS]
+        return flags, failures + list(certify.FAILURE_REASONS)
 
     assert run(argv + ["--out", tmp_path / "plain"]) == 0
     monkeypatch.setattr(cli, "limit_set_sample", failing)
@@ -655,6 +655,17 @@ def test_synthetic_runs_peak_under_the_budget_they_just_fit(tmp_path, monkeypatc
         tracemalloc.stop()
     assert code in (0, 3) and (tmp_path / f"{argv[0]}.csv").exists()
     assert peak < count * row_bytes
+
+
+@pytest.mark.parametrize("argv", [["dimension"], ["visualmass", "--mc", 1000]])
+def test_fiber_base_without_a_frame_reports_its_cause(tmp_path, capsys, monkeypatch, sym3_flags, argv):
+    # a base whose first two columns coincide has no fiber frame: the run
+    # exits 3 with tangent_project's own message, and writes nothing
+    bad = certify.FlagStack([(9, 9, 9)], np.eye(3)[None][..., [0, 0, 2]], [1, 2], [0.0])
+    monkeypatch.setattr(cli, "limit_set_sample", lambda *args: (certify.FlagStack.concat(bad, sym3_flags), []))
+    assert run(argv + ["builtin:sym3", "--k", 1, "--points", len(sym3_flags), "--out", tmp_path]) == 3
+    assert capsys.readouterr().err == "error: fiber frame at k=1 is not 2-dimensional\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_visualmass_mc_below_1000_is_refused_before_sampling(tmp_path, capsys, monkeypatch):
