@@ -1,10 +1,12 @@
 """Command-line surface: certify, hyperconvex, foliate, dimension,
 crossratio, visualmass, replay.
 
-Every run writes a CSV next to a RunManifest JSON; re-running a manifest
-(replay) reproduces the CSV byte for byte, stochastic steps included,
-because every sampler is seeded and every float is formatted with a fixed
-rule.  Exit codes: 0 pass/certified, 2 refuted/fails, 3 inconclusive.
+Each command fills one Run (the representation it resolves, the files it
+writes, the counts it reports), and main writes it as the manifest JSON
+beside the CSV.  Re-running a manifest (replay) reproduces the CSV byte
+for byte, stochastic steps included, because every sampler is seeded and
+every float is formatted with a fixed rule.  Exit codes (VERDICT_EXIT):
+0 pass/certified, 2 refuted/fails, 3 inconclusive.
 An error's class alone picks its code (main): 64 InputError (usage or
 malformed input), 5 NotAnosovError (unmet Anosov prerequisites), 3 every
 other FlaglabError (a numerical or size limit).  Only a verdict exits 2.
@@ -43,6 +45,9 @@ EXIT_FAIL = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_PREREQ = 5
 EXIT_USAGE = 64
+# only a verdict exits 2; one not named here (inconclusive, not_below_2) exits 3
+VERDICT_EXIT = {"certified": EXIT_OK, "passes": EXIT_OK, "below_2": EXIT_OK,
+                "refuted": EXIT_FAIL, "fails": EXIT_FAIL}
 
 
 def fmt(x: float) -> str:
@@ -158,48 +163,66 @@ def resolve_rep(spec: str) -> tuple[Representation, str]:
 # --- manifests ---------------------------------------------------------------
 
 
-def write_manifest(out_dir: str, command: str, params: dict, seeds, inputs, outputs, t0: float,
-                   results: dict | None = None):
-    """Write {command}.manifest.json; results, when given, holds counts the
-    run reports beside its CSV (replay reads only command and params)."""
+class Run:
+    """The record of one command run that main writes as its manifest."""
+
+    def __init__(self, args):
+        self.args = args
+        self.started = time.perf_counter()  # monotonic: a clock reset moves no wall time
+        self.inputs: dict = {}
+        self.outputs: list[str] = []
+        self.results: dict = {}  # counts reported beside the CSV
+
+    def rep(self, spec: str | None) -> Representation:
+        if not spec:  # dimension and visualmass take --synthetic instead
+            raise InputError(f"{self.args.command} needs a representation or --synthetic")
+        rep, self.inputs["rep"] = resolve_rep(spec)
+        return rep
+
+    def table(self, header: str, columns: list[str], rows: list[list[str]]) -> None:
+        self.outputs.append(emit(self.args, header, columns, rows))
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def write_manifest(run: Run) -> None:
+    """Write {command}.manifest.json for a finished run (replay reads only
+    command and params)."""
+    args = run.args
     manifest = {
-        "command": command,
-        "params": params,
-        "seeds": list(seeds),
+        "command": args.command,
+        "params": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
+        "seeds": [args.seed] if hasattr(args, "seed") else [],
         "version": __version__,
-        "inputs": inputs,
-        "outputs": outputs,
-        "wall_time_s": round(time.time() - t0, 3),
+        "numpy": np.__version__,
+        "inputs": run.inputs,
+        "outputs": run.outputs,
+        "digests": {path: _sha256(path) for path in run.outputs},
+        "results": run.results,
+        "wall_time_s": round(time.perf_counter() - run.started, 3),
     }
-    if results is not None:
-        manifest["results"] = results
-    path = os.path.join(out_dir, f"{command}.manifest.json")
+    path = os.path.join(args.out, f"{args.command}.manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
-def _write_csv(path: str, header: str, columns: list[str], rows: list[list[str]]):
+def emit(args, header: str, columns: list[str], rows: list[list[str]]) -> str:
+    """Write the subcommand's result table as CSV (default) or JSON per --format."""
+    path = os.path.join(args.out, f"{args.command}.{args.format}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {header}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
-def emit(args, name: str, header: str, columns: list[str], rows: list[list[str]]) -> str:
-    """Write the result table as CSV (default) or JSON per --format."""
-    fmt_kind = getattr(args, "format", "csv")
-    if fmt_kind == "json":
-        path = os.path.join(args.out, f"{name}.json")
-        doc = {"schema": header, "rows": [dict(zip(columns, row)) for row in rows]}
-        with open(path, "w", encoding="utf-8") as fh:
+        if args.format == "json":
+            doc = {"schema": header, "rows": [dict(zip(columns, row)) for row in rows]}
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    else:
-        path = os.path.join(args.out, f"{name}.csv")
-        _write_csv(path, header, columns, rows)
+        else:
+            fh.write(f"# {header}\n")
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(row) + "\n")
     return path
 
 
@@ -251,33 +274,26 @@ def write_svg(path: str, values: list[complex], infinities: int, markers: dict[s
 # --- commands ----------------------------------------------------------------
 
 
-def cmd_certify(args) -> int:
-    t0 = time.time()
-    rep, descriptor = resolve_rep(args.rep)
-    [cert] = certificates(rep, [args.k], args.radius, args.slope_threshold, args.r2_threshold)
+def cmd_certify(args, run: Run) -> int:
+    [cert] = certificates(run.rep(args.rep), [args.k], args.radius, args.slope_threshold, args.r2_threshold)
     rows = [
         [str(cert.k), str(n), fmt(g), fmt(cert.c1), fmt(cert.c2), fmt(cert.r_squared), cert.verdict]
         for n, g in zip(cert.lengths, cert.min_gaps)
     ]
-    out = emit(args, "certify", "flaglab certificate v1",
-               ["k", "length", "min_gap", "c1", "c2", "r2", "verdict"], rows)
-    write_manifest(args.out, "certify", _params(args), [], {"rep": descriptor}, [out], t0)
+    run.table("flaglab certificate v1", ["k", "length", "min_gap", "c1", "c2", "r2", "verdict"], rows)
     for note in cert.notes:
         print(f"note: {note}")
     print(f"certify {args.rep} k={args.k} radius={cert.radius}: {cert.verdict} "
           f"(c1={cert.c1:.4f}, c2={cert.c2:.4f}, R2={cert.r_squared:.4f})")
-    return {"certified": EXIT_OK, "refuted": EXIT_FAIL}.get(cert.verdict, EXIT_INCONCLUSIVE)
+    return VERDICT_EXIT.get(cert.verdict, EXIT_INCONCLUSIVE)
 
 
-def cmd_hyperconvex(args) -> int:
-    t0 = time.time()
-    rep, descriptor = resolve_rep(args.rep)
+def cmd_hyperconvex(args, run: Run) -> int:
     spec = TripleSpec(count=args.triples, seed=args.seed, word_length=args.word_length,
                       pool_size=args.pool, tau=args.tau)
-    report = check_transversality(rep, args.k, spec, None if args.assume_anosov else args.radius, args.mode)
-    out = emit(
-        args,
-        "hyperconvex",
+    report = check_transversality(run.rep(args.rep), args.k, spec,
+                                  None if args.assume_anosov else args.radius, args.mode)
+    run.table(
         "flaglab hyperconvex v1",
         ["mode", "k", "triples_tested", "skipped", "min_transversality", "worst_x", "worst_y", "worst_z", "verdict"],
         [[
@@ -292,17 +308,15 @@ def cmd_hyperconvex(args) -> int:
             report.verdict,
         ]],
     )
-    write_manifest(args.out, "hyperconvex", _params(args), [args.seed], {"rep": descriptor}, [out], t0,
-                   results={"skip_reasons": report.skip_reasons, "sample_failures": report.sample_failures})
+    run.results = {"skip_reasons": report.skip_reasons, "sample_failures": report.sample_failures}
     print(f"hyperconvex {args.rep} k={args.k} mode={args.mode}: {report.verdict} "
           f"(min={report.min_transversality:.6f} over {report.triples_tested} triples)")
-    return {"passes": EXIT_OK, "fails": EXIT_FAIL}.get(report.verdict, EXIT_INCONCLUSIVE)
+    return VERDICT_EXIT.get(report.verdict, EXIT_INCONCLUSIVE)
 
 
-def cmd_foliate(args) -> int:
-    t0 = time.time()
-    rep, descriptor = resolve_rep(args.rep)
-    sample = foliated_limit_sample(rep, args.k, args.bases, args.fibers, args.seed, args.word_length)
+def cmd_foliate(args, run: Run) -> int:
+    sample = foliated_limit_sample(run.rep(args.rep), args.k, args.bases, args.fibers, args.seed,
+                                   args.word_length)
     rows = []
     for r in sample.rows:
         rows.append([
@@ -313,14 +327,11 @@ def cmd_foliate(args) -> int:
             "1" if r.at_infinity else "0",
             sample.base_status.get(r.base_word, ""),
         ])
-    out = emit(
-        args,
-        "foliate",
+    run.table(
         "flaglab foliate v1",
         ["base_word", "fiber_source_word", "re", "im", "is_infinity", "base_status"],
         rows,
     )
-    outputs = [out]
     if args.svg:
         os.makedirs(args.svg, exist_ok=True)
         by_base: dict = {}
@@ -331,9 +342,8 @@ def cmd_foliate(args) -> int:
             n_inf = sum(1 for r in rws if r.at_infinity)
             svg_path = os.path.join(args.svg, f"fiber_{W.word_to_str(base_word)}.svg")
             write_svg(svg_path, values, n_inf, {"0": 0j, "1": 1 + 0j, "inf": INF})
-            outputs.append(svg_path)
-    write_manifest(args.out, "foliate", _params(args), [args.seed], {"rep": descriptor}, outputs, t0,
-                   results={"sample_failures": sample.sample_failures})
+            run.outputs.append(svg_path)
+    run.results = {"sample_failures": sample.sample_failures}
     print(f"foliate {args.rep} k={args.k}: {len(sample.rows)} fiber points over "
           f"{len(sample.base_status)} bases; basepoints "
           f"{[W.word_to_str(w) for w in sample.basepoint_words]}")
@@ -352,13 +362,8 @@ def _fiber_cloud(rep, k, count, length, seed):
     return sphere_xyz(pairs), failures
 
 
-def cmd_dimension(args) -> int:
-    t0 = time.time()
-    inputs = {}
-    seeds = [args.seed]
+def cmd_dimension(args, run: Run) -> int:
     scales = _floats(args.scales, "--scales") if args.scales else None
-    chart_id = "fiber"
-    results = None
     if args.synthetic:
         levels = max(2, math.ceil(math.log2(args.points)))
         # box counting's traced peak per point (cloud, barycentrics, cell keys):
@@ -370,14 +375,10 @@ def cmd_dimension(args) -> int:
             pts = boxdim.cantor_cloud(levels)
         else:
             pts = boxdim.uniform_cloud(args.points, seed=args.seed)
-        inputs["synthetic"] = args.synthetic
+        run.inputs["synthetic"] = args.synthetic
         est = boxdim.box_dimension_sphere(pts, scales=scales)
-        chart_id = args.synthetic
     else:
-        if not args.rep:
-            raise InputError("dimension needs a representation or --synthetic")
-        rep, descriptor = resolve_rep(args.rep)
-        inputs["rep"] = descriptor
+        rep = run.rep(args.rep)
         if args.mode == "fiber":
             pts, failures = _fiber_cloud(rep, args.k, args.points, args.word_length, args.seed)
             est = boxdim.box_dimension_sphere(pts, scales=scales)
@@ -397,13 +398,11 @@ def cmd_dimension(args) -> int:
                     f"{len(uncovered)} flags covered by none of {len(anchors)} charts: {names}"
                 )
             est = boxdim.grassmann_dimension(charts, scales=scales)
-            chart_id = "grassmann"
-        results = {"sample_failures": failure_counts(failures)}
-    rows = [[fmt(s), str(c), chart_id] for s, c in zip(est.scales, est.counts)]
+        run.results = {"sample_failures": failure_counts(failures)}
+    rows = [[fmt(s), str(c), args.synthetic or args.mode] for s, c in zip(est.scales, est.counts)]
     verdict = "below_2" if est.verdict_below(2.0) else "not_below_2"
     rows.append(["summary", fmt(est.slope), f"{fmt(est.ci_halfwidth)};{verdict}"])
-    out = emit(args, "dimension", "flaglab dimension v1", ["scale", "count", "chart_id"], rows)
-    write_manifest(args.out, "dimension", _params(args), seeds, inputs, [out], t0, results)
+    run.table("flaglab dimension v1", ["scale", "count", "chart_id"], rows)
     for wmsg in est.warnings:
         print(f"warning: {wmsg}")
     print(f"dimension: slope={est.slope:.4f} +- {est.ci_halfwidth:.4f} ({verdict}, "
@@ -411,7 +410,7 @@ def cmd_dimension(args) -> int:
     if est.chart_breakdown:
         for name, s in sorted(est.chart_breakdown.items()):
             print(f"  chart {name}: slope {s:.4f}")
-    return EXIT_OK if est.verdict_below(2.0) else EXIT_INCONCLUSIVE
+    return VERDICT_EXIT.get(verdict, EXIT_INCONCLUSIVE)
 
 
 def _parse_point(text: str) -> complex:
@@ -423,7 +422,7 @@ def _parse_point(text: str) -> complex:
         raise InputError(f"not a complex number or inf: {text!r}")
 
 
-def cmd_crossratio(args) -> int:
+def cmd_crossratio(args, run: Run) -> int:
     value = cross_ratio(
         _parse_point(args.z1), _parse_point(args.z2), _parse_point(args.z3), _parse_point(args.z4)
     )
@@ -434,45 +433,35 @@ def cmd_crossratio(args) -> int:
     return EXIT_OK
 
 
-def cmd_visualmass(args) -> int:
-    t0 = time.time()
-    inputs = {}
-    results = None
+def cmd_visualmass(args, run: Run) -> int:
     # the Monte Carlo sample's traced peak per point (images, cube keys): 65 bytes at 1e6
     budget(args.mc, 128, f"--mc {args.mc}")
     if args.synthetic == "hemisphere":
         cloud = np.array([[0.0, 0.0, 1.0]])  # cap of radius pi/2 around the pole
         eps = math.pi / 2.0
     else:
-        if not args.rep:
-            raise InputError("visualmass needs a representation or --synthetic")
-        rep, descriptor = resolve_rep(args.rep)
-        inputs["rep"] = descriptor
-        cloud, failures = _fiber_cloud(rep, args.k, args.points, args.word_length, args.seed)
-        results = {"sample_failures": failure_counts(failures)}
+        cloud, failures = _fiber_cloud(run.rep(args.rep), args.k, args.points, args.word_length, args.seed)
+        run.results = {"sample_failures": failure_counts(failures)}
         eps = args.eps
     base = _floats(args.basepoint, "--basepoint", 3)
     nu = VisualMeasure(complex(base[0], base[1]), base[2])
     est = visual_mass(nu, cloud, eps, mc_count=args.mc, seed=args.seed)
-    out = emit(
-        args,
-        "visualmass",
+    run.table(
         "flaglab visualmass v1",
         ["estimate", "sigma", "eps", "mc_count", "seed"],
         [[fmt(est.estimate), fmt(est.sigma), fmt(eps), str(est.mc_count), str(est.seed)]],
     )
-    write_manifest(args.out, "visualmass", _params(args), [args.seed], inputs, [out], t0, results)
     print(f"visual mass: {est.estimate:.6f} +- {est.sigma:.6f} (eps={eps:.4f}, mc={est.mc_count})")
     return EXIT_OK
 
 
-def cmd_presets(args) -> int:
+def cmd_presets(args, run: Run) -> int:
     for name in preset_names():
         print(name)
     return EXIT_OK
 
 
-def cmd_replay(args) -> int:
+def cmd_replay(args, run: Run) -> int:
     """Re-run a manifest's command into --out.  Every output goes there: a
     recorded --svg directory is taken by its last name under --out, so a
     replay never writes over the run it replays."""
@@ -480,15 +469,16 @@ def cmd_replay(args) -> int:
     if not (isinstance(manifest, dict) and isinstance(manifest.get("params"), dict)
             and isinstance(manifest.get("command"), str)):
         raise InputError(f"{args.manifest}: not a flaglab run manifest")
-    params = dict(manifest["params"])
+    if manifest.get("version") != __version__:
+        print(f"note: manifest written by flaglab {manifest.get('version')}, replayed by {__version__}: "
+              "outputs may differ as the README's replay notes (0.12.0, 0.17.0) say")
+    params = {k: v for k, v in manifest["params"].items() if k != "out"}
     argv = [manifest["command"]]
     if "rep" in params and params["rep"]:
         argv.append(params.pop("rep"))
     if params.get("svg"):
         params["svg"] = os.path.join(args.out, os.path.basename(os.path.abspath(params["svg"])))
     for key, value in sorted(params.items()):
-        if key in ("out",):
-            continue
         flag = "--" + key.replace("_", "-")
         if isinstance(value, bool):
             if value:
@@ -497,11 +487,6 @@ def cmd_replay(args) -> int:
             argv.append(f"{flag}={value}")  # a value may start with "-"
     argv.extend(["--out", args.out])
     return main(argv)
-
-
-def _params(args) -> dict:
-    skip = {"func", "manifest", "command"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
 
 
 # --- parser ------------------------------------------------------------------
@@ -593,9 +578,13 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # a rejected argument (64) or --help (0)
         return exc.code
+    run = Run(args)
     try:
         os.makedirs(getattr(args, "out", "."), exist_ok=True)
-        return args.func(args)
+        code = args.func(args, run)
+        if run.outputs:
+            write_manifest(run)
+        return code
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE

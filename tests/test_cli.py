@@ -1,6 +1,9 @@
+import hashlib
+import itertools
 import json
 import math
 import re
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -528,6 +531,77 @@ def test_manifest_contents(tmp_path):
     assert manifest["inputs"]["rep"] == "builtin:schottky"
     assert "wall_time_s" in manifest
     assert manifest["version"] == fl.__version__
+
+
+MANIFEST_KEYS = {"command", "digests", "inputs", "numpy", "outputs", "params", "results", "seeds",
+                 "version", "wall_time_s"}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("argv,seeds", [
+    (["certify", "builtin:schottky", "--k", 1, "--radius", 4], []),  # certify takes no --seed
+    (["hyperconvex", "builtin:sym3", "--k", 1, "--triples", 100, "--assume-anosov"], [1]),
+    (["foliate", "builtin:sym3", "--k", 1, "--bases", 2, "--fibers", 30, "--svg", "{dir}/svg"], [1]),
+    (["dimension", "--synthetic", "circle", "--points", 2000, "--seed", 4], [4]),
+    (["dimension", "builtin:sym3", "--k", 1, "--points", 1000], [1]),
+    (["visualmass", "--synthetic", "hemisphere", "--mc", 1000, "--seed", 3], [3]),
+    (["visualmass", "builtin:sym3", "--k", 1, "--points", 300, "--mc", 1000], [1]),
+    # no output, so no manifest
+    (["crossratio", "0", "1", "2", "inf"], None),
+    (["presets"], None),
+], ids=["certify", "hyperconvex", "foliate-svg", "dimension-synthetic", "dimension-rep",
+        "visualmass-synthetic", "visualmass-rep", "crossratio", "presets"])
+def test_every_manifest_is_one_run_record(tmp_path, monkeypatch, argv, seeds):
+    monkeypatch.chdir(tmp_path)  # the default --out
+    argv = [str(a).format(dir=tmp_path) for a in argv]
+    if seeds is None:
+        assert run(argv) == 0
+        assert not list(tmp_path.iterdir())
+        return
+    assert run(argv + ["--out", tmp_path / "a"]) == 0
+    manifest = json.loads((tmp_path / "a" / f"{argv[0]}.manifest.json").read_text())
+    assert set(manifest) == MANIFEST_KEYS
+    assert manifest["seeds"] == seeds
+    assert (manifest["version"], manifest["numpy"]) == (fl.__version__, np.__version__)
+    assert list(manifest["digests"]) == sorted(manifest["outputs"])
+    assert all(_sha256(path) == digest for path, digest in manifest["digests"].items())
+    # a replay writes the recorded bytes, and only the replayed run's manifest
+    assert run(["replay", tmp_path / "a" / f"{argv[0]}.manifest.json", "--out", tmp_path / "b"]) == 0
+    table = f"{argv[0]}.csv"
+    assert _sha256(tmp_path / "b" / table) == manifest["digests"][str(tmp_path / "a" / table)]
+    replayed = json.loads((tmp_path / "b" / f"{argv[0]}.manifest.json").read_text())
+    assert sorted(replayed["digests"].values()) == sorted(manifest["digests"].values())
+    assert [p.name for p in tmp_path.rglob("*.manifest.json")] == [f"{argv[0]}.manifest.json"] * 2
+
+
+def test_replay_names_a_version_mismatch(tmp_path, capsys):
+    assert run(["certify", "builtin:schottky", "--k", 1, "--radius", 4, "--out", tmp_path / "a"]) == 0
+    path = tmp_path / "a" / "certify.manifest.json"
+    capsys.readouterr()
+    assert run(["replay", path, "--out", tmp_path / "b"]) == 0
+    same = capsys.readouterr().out
+    assert not same.startswith("note: ")
+    manifest = json.loads(path.read_text())
+    manifest["version"] = "0.11.0"
+    path.write_text(json.dumps(manifest))
+    assert run(["replay", path, "--out", tmp_path / "c"]) == 0
+    note, rest = capsys.readouterr().out.split("\n", 1)
+    assert note.startswith("note: ") and "0.11.0" in note and fl.__version__ in note
+    assert "README" in note
+    assert rest == same
+    assert (tmp_path / "c" / "certify.csv").read_bytes() == (tmp_path / "a" / "certify.csv").read_bytes()
+
+
+def test_wall_time_ignores_a_clock_reset(tmp_path, monkeypatch):
+    # the system clock is set back an hour each time it is read
+    clock = itertools.count(0.0, -3600.0)
+    monkeypatch.setattr(time, "time", lambda: next(clock))
+    assert run(["certify", "builtin:schottky", "--k", 1, "--radius", 4, "--out", tmp_path]) == 0
+    manifest = json.loads((tmp_path / "certify.manifest.json").read_text())
+    assert 0 <= manifest["wall_time_s"] < 60
 
 
 def test_hyperconvex_manifest_counts_skips_by_reason(tmp_path):
