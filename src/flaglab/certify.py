@@ -605,7 +605,9 @@ def boundary_samples(rep: Representation, words, ks) -> tuple[FlagStack, list]:
     return FlagStack([words[i] for i in ok], frames[ok], ks, quality[ok]), rejected
 
 
-def limit_set_sample(rep: Representation, ks, count: int, length: int, seed: int) -> tuple[FlagStack, list[str]]:
+def limit_set_sample(
+    rep: Representation, ks, count: int, length: int, seed: int, walked: dict | None = None
+) -> tuple[FlagStack, list[str]]:
     """count flags from distinct random cyclically reduced words, as one
     FlagStack in draw order, and the FAILURE_REASONS code of each distinct
     word that failed before the last kept one, in draw order.  Each batch
@@ -614,7 +616,12 @@ def limit_set_sample(rep: Representation, ks, count: int, length: int, seed: int
     only its code and its letters as bytes, an exact key, are kept.  Raises
     CapacityError before any draw when budget_words refuses the sample, and
     NotAnosovError with the first failure's message when eight batches
-    give fewer than count flags."""
+    give fewer than count flags.
+
+    walked, when given, is a memo of words already walked, each mapped to
+    its one-row FlagStack or its boundary_samples rejection: a batch walks
+    only the words the memo does not hold and adds them to it.  The flags
+    and failures are those of walking every batch."""
     if count < 1:
         raise InputError("count must be >= 1")
     budget_words(rep, count, length, f"a sample of {count} flags")
@@ -632,7 +639,17 @@ def limit_set_sample(rep: Representation, ks, count: int, length: int, seed: int
         taken = {w for part in parts for w in part.sources}
         fresh = [w for w in W.random_cyclic_words(rep.presentation, count - have + 4 * batch, length, seed + batch)
                  if w not in taken and not (failed and key(w) in failed)]
-        flags, rejected = boundary_samples(rep, fresh, ks)
+        if walked is None:
+            flags, rejected = boundary_samples(rep, fresh, ks)
+            kept = [flags[: count - have]]
+        else:
+            new = [w for w in fresh if w not in walked]
+            if new:
+                flags, rejected = boundary_samples(rep, new, ks)
+                done = (flags[i] for i in range(len(flags)))
+                walked.update((w, next(done) if e is None else e) for w, e in zip(new, rejected))
+            rejected = [None if isinstance(walked[w], FlagStack) else walked[w] for w in fresh]
+            kept = [walked[w] for w, e in zip(fresh, rejected) if e is None][: count - have]
         # the words up to the one that completes the sample count
         ok = [i for i, e in enumerate(rejected) if e is None]
         stop = ok[count - have - 1] + 1 if len(ok) >= count - have else len(fresh)
@@ -641,8 +658,8 @@ def limit_set_sample(rep: Representation, ks, count: int, length: int, seed: int
                 first = first or (w, *e)
                 failures.append(e[0])
                 failed.add(key(w))
-        parts.append(flags[: count - have])
-        have += len(parts[-1])
+        parts += kept
+        have += sum(len(part) for part in kept)
         batch += 1
         del fresh  # a batch's words are not held while the next is drawn
     if have < count:

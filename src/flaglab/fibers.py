@@ -216,26 +216,38 @@ def _flag_pool(rep: Representation, ks, spec: TripleSpec):
 
     Returns one FlagStack (the pool's spec.pool_size flags, then the
     adversarial flags two by two), the (x, y) rows of its adversarial
-    pairs and the FAILURE_REASONS codes of the failed pool and pair words.  Adversarial attempts are drawn in chunks, in the order a
-    one-by-one loop would draw them; each chunk's words are sampled in one
-    batch, its pair distances are taken in one point_dists call and its
-    pairs are accepted in draw order.  A word's walk does not depend on its
-    batch, so a pair word is walked once: a later draw of it reuses its
-    flag, and a failed one is reported once."""
-    pool, failures = limit_set_sample(rep, ks, spec.pool_size, spec.word_length, spec.seed)
+    pairs and the FAILURE_REASONS codes of the failed pool words (see
+    limit_set_sample), then of the distinct failed pair words among the
+    attempts up to the one that completed the last pair (all attempts if
+    the pairs ran out).
+
+    Adversarial attempts are drawn in chunks, in the order a one-by-one
+    loop would draw them, and the pairs accepted are the first near ones
+    in draw order, so neither they nor the failures depend on the chunk
+    sizes.  A word's walk does not depend on its batch, so every word is
+    walked once, into the memo walked: the first chunk's words are walked
+    in one boundary_samples call with the pool's first batch, which
+    limit_set_sample then reads from the memo, and each later chunk walks
+    only its words the memo does not hold.  A later chunk holds 5/4 of the
+    attempts the missing pairs take at the acceptance rate so far, plus 8,
+    and never more than the first chunk."""
     p = rep.presentation
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 0xADF)))
     n_pairs = _pair_count(spec)
     max_attempts = 60 * n_pairs
-    accepted = []
-    walked: dict[Word, FlagStack | None] = {}  # a pair word's one-row flag, or None if it failed
+    walked: dict[Word, FlagStack | tuple] = {}  # a word's one-row flag, or its rejection
+    # limit_set_sample's first batch for the pool, walked with the first chunk
+    first = W.random_cyclic_words(p, spec.pool_size, spec.word_length, spec.seed)
+    accepted, drawn = [], []  # drawn: the pair words of the attempts that count
     found = attempts = 0
     # pairs closer than ~1e-5 can no longer be resolved in floats (the
     # normalized score converges as the pair degenerates, so nothing is
     # learned below the resolvability floor anyway)
     floor, ceiling = 3e-6, 2e-2
     while found < n_pairs and attempts < max_attempts:
-        size = min(max_attempts - attempts, 2 * (n_pairs - found) + 8)
+        # ceil(5/4 (n_pairs - found) attempts / found) + 8, in integers
+        rated = -(-5 * (n_pairs - found) * attempts // (4 * found)) + 8 if found else max_attempts
+        size = min(max_attempts - attempts, 2 * n_pairs + 8, rated)
         attempts += size
         chunk = []
         for _ in range(size):
@@ -244,21 +256,26 @@ def _flag_pool(rep: Representation, ks, spec: TripleSpec):
                       for _ in range(2))
             if wx and wy and wx != wy:
                 chunk += [wx, wy]
-        fresh = [w for w in dict.fromkeys(chunk) if w not in walked]
+        fresh = [w for w in dict.fromkeys(first + chunk) if w not in walked]
         flags, rejected = boundary_samples(rep, fresh, ks)
-        done = [w for w, e in zip(fresh, rejected) if e is None]  # the words of the rows of flags
-        walked.update({**dict.fromkeys(fresh), **{w: flags[i] for i, w in enumerate(done)}})
-        failures += [e[0] for e in rejected if e is not None]
-        sampled = np.array([walked[w] is not None for w in chunk], dtype=bool).reshape(-1, 2)
-        # the flags of the words whose pair partner was sampled too
-        both = [walked[w] for w, ok in zip(chunk, np.repeat(sampled.all(axis=1), 2)) if ok]
-        if not both:
-            continue
-        flags = FlagStack.concat(*both)
-        dists = point_dists(flags, slice(0, None, 2), slice(1, None, 2))
-        near = np.flatnonzero((floor <= dists) & (dists <= ceiling))[: n_pairs - found]
-        accepted.append(flags[(2 * near[:, None] + [0, 1]).ravel()])
-        found += near.size
+        done = (flags[i] for i in range(len(flags)))
+        walked.update((w, next(done) if e is None else e) for w, e in zip(fresh, rejected))
+        if first:
+            pool, failures = limit_set_sample(rep, ks, spec.pool_size, spec.word_length, spec.seed, walked)
+            first = []
+        # the chunk's attempts whose two words were both sampled
+        sampled = np.array([isinstance(walked[w], FlagStack) for w in chunk], dtype=bool)
+        both = np.flatnonzero(sampled.reshape(-1, 2).all(axis=1))
+        if both.size:
+            flags = FlagStack.concat(*(walked[w] for i in both for w in chunk[2 * i: 2 * i + 2]))
+            dists = point_dists(flags, slice(0, None, 2), slice(1, None, 2))
+            near = np.flatnonzero((floor <= dists) & (dists <= ceiling))[: n_pairs - found]
+            accepted.append(flags[(2 * near[:, None] + [0, 1]).ravel()])
+            found += near.size
+            if found == n_pairs:  # the attempts after the last pair's do not count
+                chunk = chunk[: 2 * both[near[-1]] + 2]
+        drawn += chunk
+    failures += [walked[w][0] for w in dict.fromkeys(drawn) if not isinstance(walked[w], FlagStack)]
     pairs = [(len(pool) + 2 * i, len(pool) + 2 * i + 1) for i in range(found)]
     return FlagStack.concat(pool, *accepted), pairs, failures
 
@@ -360,8 +377,9 @@ def check_transversality(
         wanted, score_fn = {d - k + 1, d - k - 1, k}, _hk_scores
     else:
         raise InputError(f"unknown transversality mode {mode!r}; expected eq1 or Hk")
-    # the pool, then chunks of up to 4 * pairs + 16 adversarial words of up
-    # to word_length + 2 letters, and the 2 * pairs kept
+    # the pool's first batch walked with the first chunk's up to 4 * pairs +
+    # 16 adversarial words of up to word_length + 2 letters (no later chunk
+    # is larger), and the 2 * pairs kept
     budget_words(rep, spec.pool_size + 6 * _pair_count(spec) + 16, spec.word_length + 2,
                  f"pool_size {spec.pool_size} with count {spec.count}")
     prereqs = sorted(j for j in wanted if 0 < j < d)

@@ -209,106 +209,114 @@ def test_flag_pool_propagates_programming_errors(schottky, monkeypatch):
         fl.check_transversality(schottky, 1, TripleSpec(count=80, seed=1, pool_size=8), radius=None)
 
 
+def _failing(sampler, bad, reason):
+    """sampler with every word w where bad(w) rejected for reason."""
+
+    def failing(rep, words, ks):
+        flags, errors = sampler(rep, words, ks)
+        fails = [bad(w) for w in words]
+        ok = [i for i, e in enumerate(errors) if e is None]
+        keep = [j for j, i in enumerate(ok) if not fails[i]]
+        return flags[keep], [(reason, 0.0) if f else e for f, e in zip(fails, errors)]
+
+    return failing
+
+
 def test_flag_pool_counts_failed_pair_words(sym4, monkeypatch):
-    # the first word of every adversarial chunk fails: it is reported by
-    # its reason code, and its partner never enters a pair
-    import flaglab.fibers as fibers
-
-    real, chunks = fibers.boundary_samples, []
-
-    def first_fails(rep, words, ks):
-        flags, errors = real(rep, words, ks)
-        chunks.append(words)
-        assert errors[0] is None
-        return flags[1:], [("gap_stalled", 0.0), *errors[1:]]
-
+    # every word longer than the pool's fails, so only pair words do: they
+    # are counted as one attempt at a time counts them, by their reason
+    # code, and a failed word's partner never enters a pair
     spec = TripleSpec(count=300, seed=5, pool_size=24)
-    monkeypatch.setattr(fibers, "boundary_samples", first_fails)
+    long_fails = _failing(certify.boundary_samples, lambda w: len(w) > spec.word_length, "gap_stalled")
+    _, _, want, pool_failures = _one_attempt_pool(sym4, fiber_ks(4, 2), spec, long_fails)
+    monkeypatch.setattr(fibers, "boundary_samples", long_fails)
     flags, pairs, failures = _flag_pool(sym4, fiber_ks(4, 2), spec)
-    assert failures == ["gap_stalled"] * len(chunks)
+    assert not pool_failures and want and failures == want == ["gap_stalled"] * len(want)
     assert len(pairs) == max(1, int(spec.count * fibers.ADVERSARIAL_FRACTION) // 8)
-    drawn = {(c[i], c[i + 1]) for c in chunks for i in range(2, len(c), 2)}
-    assert all((flags.sources[x], flags.sources[y]) in drawn for x, y in pairs)
-    chunks.clear()
+    assert all(len(flags.sources[i]) <= spec.word_length for pair in pairs for i in pair)
     report = fl.check_transversality(sym4, 2, spec, radius=None)
-    assert report.sample_failures == {"non_finite_gap": 0, "gap_stalled": len(chunks), "gap_short": 0}
+    assert report.sample_failures == {"non_finite_gap": 0, "gap_stalled": len(failures), "gap_short": 0}
 
 
-def _rewalking_pool(rep, ks, spec, sampler):
-    """fibers._flag_pool as flaglab 0.16 ran it, walking pair words with
-    sampler: every chunk walks all its words, again whenever a later chunk
-    draws them, and reports the pool's failure codes and every failed walk
-    of a pair word as (word, reason)."""
-    import flaglab.fibers as fibers
-
-    pool, failures = fl.limit_set_sample(rep, ks, spec.pool_size, spec.word_length, spec.seed)
+def _one_attempt_pool(rep, ks, spec, sampler):
+    """fibers._flag_pool drawn and walked one adversarial attempt at a
+    time, with sampler: the pool of limit_set_sample, the first near pairs
+    in draw order, and the pool's failure codes, then those of the
+    distinct failed pair words up to the attempt that completed the last
+    pair.  Returns the flags, the pairs, the failures and the pool's
+    failures."""
+    p = rep.presentation
+    pool, pool_failures = certify.limit_set_sample(rep, ks, spec.pool_size, spec.word_length, spec.seed)
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 0xADF)))
     n_pairs = max(1, int(spec.count * fibers.ADVERSARIAL_FRACTION) // 8)
-    max_attempts = 60 * n_pairs
-    accepted, found, attempts, walks, walk_failures = [], 0, 0, 0, []
-    while found < n_pairs and attempts < max_attempts:
-        size = min(max_attempts - attempts, 2 * (n_pairs - found) + 8)
-        attempts += size
-        chunk = []
-        for _ in range(size):
-            stem = W.random_word(rep.presentation, int(rng.integers(2, spec.word_length + 1)), rng)
-            wx, wy = (W.cyclic_reduce(W.reduce(stem + W.random_word(rep.presentation, 2, rng), rep.presentation))
-                      for _ in range(2))
-            if wx and wy and wx != wy:
-                chunk += [wx, wy]
-        flags, errors = sampler(rep, chunk, ks)
-        walks += len(chunk)
-        walk_failures += [(w, e[0]) for w, e in zip(chunk, errors) if e is not None]
-        sampled = np.array([e is None for e in errors], dtype=bool).reshape(-1, 2)
-        flags = flags[np.repeat(sampled.all(axis=1), 2)[sampled.ravel()]]
-        if not len(flags):
+    walked, failed, accepted = {}, {}, []
+    for _ in range(60 * n_pairs):
+        if len(accepted) == n_pairs:
+            break
+        stem = W.random_word(p, int(rng.integers(2, spec.word_length + 1)), rng)
+        words = [W.cyclic_reduce(W.reduce(stem + W.random_word(p, 2, rng), p)) for _ in range(2)]
+        if not all(words) or words[0] == words[1]:
             continue
-        dists = point_dists(flags, slice(0, None, 2), slice(1, None, 2))
-        near = np.flatnonzero((3e-6 <= dists) & (dists <= 2e-2))[: n_pairs - found]
-        accepted.append(flags[(2 * near[:, None] + [0, 1]).ravel()])
-        found += near.size
-    pairs = [(len(pool) + 2 * i, len(pool) + 2 * i + 1) for i in range(found)]
-    return FlagStack.concat(pool, *accepted), pairs, failures, walk_failures, walks
+        new = [w for w in words if w not in walked]
+        flags, errors = sampler(rep, new, ks)
+        done = iter(range(len(flags)))
+        walked.update((w, flags[next(done)] if e is None else e[0]) for w, e in zip(new, errors))
+        failed.update((w, walked[w]) for w in words if isinstance(walked[w], str) and w not in failed)
+        if all(isinstance(walked[w], FlagStack) for w in words):
+            pair = FlagStack.concat(*(walked[w] for w in words))
+            if 3e-6 <= point_dists(pair, [0], [1])[0] <= 2e-2:
+                accepted.append(pair)
+    pairs = [(len(pool) + 2 * i, len(pool) + 2 * i + 1) for i in range(len(accepted))]
+    return FlagStack.concat(pool, *accepted), pairs, pool_failures + list(failed.values()), pool_failures
 
 
 @pytest.mark.parametrize("name, k, fail", [("sym4", 2, False), ("sym3", 1, False), ("sym4", 2, True)])
 def test_flag_pool_walks_each_pair_word_once(name, k, fail, monkeypatch):
-    # hyperconvex-sym4's pair words, drawn 808 times and 631 of them
-    # distinct: each is walked once, and the pool, its pairs and the
-    # failures (each failed word once) are those of walking every draw
-    import flaglab.fibers as fibers
-
-    real = fibers.boundary_samples
-
-    def sampler(rep, words, ks):
-        # with fail, every word of odd length that starts with a generator fails
-        flags, errors = real(rep, words, ks)
-        if not fail:
-            return flags, errors
-        bad = [len(w) % 2 == 1 and w[0] > 0 for w in words]
-        ok = [i for i, e in enumerate(errors) if e is None]
-        keep = [j for j, i in enumerate(ok) if not bad[i]]
-        return flags[keep], [("gap_short", 0.0) if b else e for b, e in zip(bad, errors)]
-
+    # hyperconvex-sym4's flag pool (with fail, every word of odd length that
+    # starts with a generator fails) is that of drawing and walking one
+    # adversarial attempt at a time: the same flags, pairs and failures,
+    # with every word walked once and a failed word counted at most once
+    sampler = certify.boundary_samples
+    if fail:
+        sampler = _failing(sampler, lambda w: len(w) % 2 == 1 and w[0] > 0, "gap_short")
     rep, spec = fl.preset(name), TripleSpec(count=4000, seed=5)
     ks = fiber_ks(rep.dim, k)
-    want, want_pairs, pool_failures, walk_failures, walks = _rewalking_pool(rep, ks, spec, sampler)
-    walked = []
+    monkeypatch.setattr(certify, "boundary_samples", sampler)
+    want, want_pairs, want_failures, pool_failures = _one_attempt_pool(rep, ks, spec, sampler)
+    walked, rejected = [], []
 
     def spy(rep, words, ks):
+        flags, errors = sampler(rep, words, ks)
         walked.extend(words)
-        return sampler(rep, words, ks)
+        rejected.extend(w for w, e in zip(words, errors) if e is not None)
+        return flags, errors
 
+    monkeypatch.setattr(certify, "boundary_samples", spy)
     monkeypatch.setattr(fibers, "boundary_samples", spy)
     flags, pairs, failures = _flag_pool(rep, ks, spec)
     assert flags.sources == want.sources and pairs == want_pairs
     assert np.array_equal(flags.frames, want.frames) and np.array_equal(flags.quality, want.quality)
-    assert failures == pool_failures + [reason for _, reason in dict.fromkeys(walk_failures)]
-    assert len(walked) == len(set(walked)) < walks
-    if (name, fail) == ("sym4", False):
-        assert (walks, len(walked)) == (808, 631)
+    assert failures == want_failures
+    assert len(walked) == len(set(walked))
     if fail:
-        assert len(failures) < len(pool_failures) + len(walk_failures)
+        # failed pair words walked after the last pair's attempt do not count
+        assert len(pool_failures) < len(failures) < len(pool_failures) + len(rejected)
+
+
+def test_benchmark_flag_pool_walks_twice(sym4, monkeypatch):
+    # hyperconvex-sym4's pool shares the first pair chunk's walk, and the
+    # second chunk, sized from the acceptance rate, completes the pairs
+    real, calls = certify.boundary_samples, []
+
+    def spy(rep, words, ks):
+        calls.append(len(words))
+        return real(rep, words, ks)
+
+    monkeypatch.setattr(certify, "boundary_samples", spy)
+    monkeypatch.setattr(fibers, "boundary_samples", spy)
+    spec = TripleSpec(count=4000, seed=5)
+    _, pairs, _ = _flag_pool(sym4, fiber_ks(4, 2), spec)
+    assert len(pairs) == 150 and len(calls) == 2
 
 
 def _word_bytes(name, length):
