@@ -606,50 +606,36 @@ def boundary_samples(rep: Representation, words, ks) -> tuple[FlagStack, list]:
 
 
 def limit_set_sample(
-    rep: Representation, ks, count: int, length: int, seed: int, walked: dict | None = None
+    rep: Representation, ks, count: int, length: int, seed: int, walk=None
 ) -> tuple[FlagStack, list[str]]:
     """count flags from distinct random cyclically reduced words, as one
     FlagStack in draw order, and the FAILURE_REASONS code of each distinct
     word that failed before the last kept one, in draw order.  Each batch
-    of new candidates runs through boundary_samples at once.  A word's walk
-    does not depend on its batch, so a failed word is walked once: of it
-    only its code and its letters as bytes, an exact key, are kept.  Raises
-    CapacityError before any draw when budget_words refuses the sample, and
-    NotAnosovError with the first failure's message when eight batches
-    give fewer than count flags.
-
-    walked, when given, is a memo of words already walked, each mapped to
-    its one-row FlagStack or its boundary_samples rejection: a batch walks
-    only the words the memo does not hold and adds them to it.  The flags
-    and failures are those of walking every batch."""
+    of new candidates runs through one call of walk, which takes words and
+    returns like boundary_samples, its default.  A later batch leaves out
+    the words an earlier one walked, each known by its letters as bytes,
+    an exact key: a failed word is walked once, and of it only its code
+    and its key are kept.  Raises CapacityError before any draw when
+    budget_words refuses the sample, and NotAnosovError with the first
+    failure's message when eight batches give fewer than count flags."""
     if count < 1:
         raise InputError("count must be >= 1")
     budget_words(rep, count, length, f"a sample of {count} flags")
+    walk = walk or boundary_samples
     letter = np.min_scalar_type(-rep.presentation.generator_count - 1)
 
-    def key(w):  # a failed word's letters as bytes: exact, one byte a letter up to rank 127
+    def key(w):  # a word's letters as bytes: exact, one byte a letter up to rank 127
         return np.array(w, letter).tobytes()
 
     failures: list[str] = []
-    failed: set[bytes] = set()
+    seen: set[bytes] = set()  # the words of the earlier batches, up to their stops
     first = None  # the (word, reason, gap) of the first failure
     parts: list[FlagStack] = []
     have = batch = 0
     while have < count and batch < 8:
-        taken = {w for part in parts for w in part.sources}
         fresh = [w for w in W.random_cyclic_words(rep.presentation, count - have + 4 * batch, length, seed + batch)
-                 if w not in taken and not (failed and key(w) in failed)]
-        if walked is None:
-            flags, rejected = boundary_samples(rep, fresh, ks)
-            kept = [flags[: count - have]]
-        else:
-            new = [w for w in fresh if w not in walked]
-            if new:
-                flags, rejected = boundary_samples(rep, new, ks)
-                done = (flags[i] for i in range(len(flags)))
-                walked.update((w, next(done) if e is None else e) for w, e in zip(new, rejected))
-            rejected = [None if isinstance(walked[w], FlagStack) else walked[w] for w in fresh]
-            kept = [walked[w] for w, e in zip(fresh, rejected) if e is None][: count - have]
+                 if not (seen and key(w) in seen)]
+        flags, rejected = walk(rep, fresh, ks)
         # the words up to the one that completes the sample count
         ok = [i for i, e in enumerate(rejected) if e is None]
         stop = ok[count - have - 1] + 1 if len(ok) >= count - have else len(fresh)
@@ -657,10 +643,11 @@ def limit_set_sample(
             if e is not None:
                 first = first or (w, *e)
                 failures.append(e[0])
-                failed.add(key(w))
-        parts += kept
-        have += sum(len(part) for part in kept)
+        parts.append(flags[: count - have])
+        have += len(parts[-1])
         batch += 1
+        if have < count and batch < 8:  # then stop is len(fresh): every word kept or failed
+            seen.update(key(w) for w in fresh)
         del fresh  # a batch's words are not held while the next is drawn
     if have < count:
         raise NotAnosovError(f"only {have}/{count} boundary samples succeeded; "

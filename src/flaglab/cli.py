@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import __version__, boxdim, words as W
-from .certify import budget, certificates, failure_counts, limit_set_sample
+from .certify import R2_THRESHOLD, SLOPE_THRESHOLD, budget, certificates, failure_counts, limit_set_sample
 from .errors import FlaglabError, InputError, NotAnosovError, PrecisionError
 from .fibers import (
     TripleSpec,
@@ -510,19 +510,19 @@ def build_parser() -> _Parser:
     common(p, seeded=False)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--radius", type=int, default=6)
-    p.add_argument("--slope-threshold", type=_finite, default=0.01)
-    p.add_argument("--r2-threshold", type=_finite, default=0.95)
+    p.add_argument("--slope-threshold", type=_finite, default=SLOPE_THRESHOLD)
+    p.add_argument("--r2-threshold", type=_finite, default=R2_THRESHOLD)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("hyperconvex", help="triple transversality sweep")
     common(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=("eq1", "Hk"), default="eq1")
-    p.add_argument("--triples", type=int, default=1000)
+    p.add_argument("--triples", type=int, default=TripleSpec.count)
     p.add_argument("--radius", type=int, default=5, help="radius for prerequisite certificates")
-    p.add_argument("--word-length", type=int, default=8)
-    p.add_argument("--pool", type=int, default=64)
-    p.add_argument("--tau", type=_finite, default=1e-3)
+    p.add_argument("--word-length", type=int, default=TripleSpec.word_length)
+    p.add_argument("--pool", type=int, default=TripleSpec.pool_size)
+    p.add_argument("--tau", type=_finite, default=TripleSpec.tau)
     p.add_argument("--assume-anosov", action="store_true")
     p.set_defaults(func=cmd_hyperconvex)
 

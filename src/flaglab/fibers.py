@@ -211,6 +211,11 @@ def _pair_count(spec: TripleSpec) -> int:
     return max(1, int(spec.count * ADVERSARIAL_FRACTION) // 8)
 
 
+def _chunk_cap(spec: TripleSpec) -> int:
+    """The most adversarial attempts, two words each, in one _flag_pool chunk."""
+    return 2 * _pair_count(spec) + 8
+
+
 def _flag_pool(rep: Representation, ks, spec: TripleSpec):
     """The sweep's flags, its adversarial near-pairs and the failed words.
 
@@ -224,18 +229,29 @@ def _flag_pool(rep: Representation, ks, spec: TripleSpec):
     Adversarial attempts are drawn in chunks, in the order a one-by-one
     loop would draw them, and the pairs accepted are the first near ones
     in draw order, so neither they nor the failures depend on the chunk
-    sizes.  A word's walk does not depend on its batch, so every word is
-    walked once, into the memo walked: the first chunk's words are walked
-    in one boundary_samples call with the pool's first batch, which
-    limit_set_sample then reads from the memo, and each later chunk walks
-    only its words the memo does not hold.  A later chunk holds 5/4 of the
-    attempts the missing pairs take at the acceptance rate so far, plus 8,
-    and never more than the first chunk."""
+    sizes.  A word's walk does not depend on its batch, so walk walks each
+    word once, into the memo walked: its first call walks the pool's first
+    batch with the first chunk, and limit_set_sample, sampling the pool
+    through walk, reads that batch from the memo.  A later chunk holds 5/4
+    of the attempts the missing pairs take at the acceptance rate so far,
+    plus 8, and never more than _chunk_cap, the first chunk's size."""
     p = rep.presentation
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 0xADF)))
     n_pairs = _pair_count(spec)
     max_attempts = 60 * n_pairs
     walked: dict[Word, FlagStack | tuple] = {}  # a word's one-row flag, or its rejection
+
+    def walk(rep, words, ks):
+        """boundary_samples(rep, words, ks), walking only the words not yet in walked."""
+        new = [w for w in dict.fromkeys(words) if w not in walked]
+        if new:
+            flags, rejected = boundary_samples(rep, new, ks)
+            done = (flags[i] for i in range(len(flags)))
+            walked.update((w, next(done) if e is None else e) for w, e in zip(new, rejected))
+        rejected = [None if isinstance(walked[w], FlagStack) else walked[w] for w in words]
+        empty = FlagStack([], np.empty((0, rep.dim, rep.dim)), ks, [])
+        return FlagStack.concat(*(walked[w] for w, e in zip(words, rejected) if e is None), empty), rejected
+
     # limit_set_sample's first batch for the pool, walked with the first chunk
     first = W.random_cyclic_words(p, spec.pool_size, spec.word_length, spec.seed)
     accepted, drawn = [], []  # drawn: the pair words of the attempts that count
@@ -247,7 +263,7 @@ def _flag_pool(rep: Representation, ks, spec: TripleSpec):
     while found < n_pairs and attempts < max_attempts:
         # ceil(5/4 (n_pairs - found) attempts / found) + 8, in integers
         rated = -(-5 * (n_pairs - found) * attempts // (4 * found)) + 8 if found else max_attempts
-        size = min(max_attempts - attempts, 2 * n_pairs + 8, rated)
+        size = min(max_attempts - attempts, _chunk_cap(spec), rated)
         attempts += size
         chunk = []
         for _ in range(size):
@@ -256,12 +272,9 @@ def _flag_pool(rep: Representation, ks, spec: TripleSpec):
                       for _ in range(2))
             if wx and wy and wx != wy:
                 chunk += [wx, wy]
-        fresh = [w for w in dict.fromkeys(first + chunk) if w not in walked]
-        flags, rejected = boundary_samples(rep, fresh, ks)
-        done = (flags[i] for i in range(len(flags)))
-        walked.update((w, next(done) if e is None else e) for w, e in zip(fresh, rejected))
+        walk(rep, first + chunk, ks)
         if first:
-            pool, failures = limit_set_sample(rep, ks, spec.pool_size, spec.word_length, spec.seed, walked)
+            pool, failures = limit_set_sample(rep, ks, spec.pool_size, spec.word_length, spec.seed, walk)
             first = []
         # the chunk's attempts whose two words were both sampled
         sampled = np.array([isinstance(walked[w], FlagStack) for w in chunk], dtype=bool)
@@ -377,10 +390,9 @@ def check_transversality(
         wanted, score_fn = {d - k + 1, d - k - 1, k}, _hk_scores
     else:
         raise InputError(f"unknown transversality mode {mode!r}; expected eq1 or Hk")
-    # the pool's first batch walked with the first chunk's up to 4 * pairs +
-    # 16 adversarial words of up to word_length + 2 letters (no later chunk
-    # is larger), and the 2 * pairs kept
-    budget_words(rep, spec.pool_size + 6 * _pair_count(spec) + 16, spec.word_length + 2,
+    # the pool's first batch walked with the first chunk's words (no later
+    # chunk is larger) of up to word_length + 2 letters, and the pairs kept
+    budget_words(rep, spec.pool_size + 2 * _chunk_cap(spec) + 2 * _pair_count(spec), spec.word_length + 2,
                  f"pool_size {spec.pool_size} with count {spec.count}")
     prereqs = sorted(j for j in wanted if 0 < j < d)
     if radius is not None:

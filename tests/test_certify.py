@@ -694,10 +694,11 @@ def _rewalking_sample(rep, ks, count, length, seed):
     ("mixed", [1, 2, 3], 20, 2),  # completes after redrawing failed words
     ("mixed", [1, 2, 3], 40, 2),  # runs out of batches
     ("directsum", [1], 20, 4),  # every word fails
+    ("mixed-walk", [1, 2, 3], 20, 2),  # the first case, with its walks only through the walk seam
 ])
 def test_limit_set_sample_walks_each_word_once(monkeypatch, name, ks, count, length):
     monkeypatch.setattr(certify, "MAX_LETTERS", 40)
-    rep = _mixed_rep() if name == "mixed" else fl.preset(name)
+    rep = fl.preset(name) if name == "directsum" else _mixed_rep()
     try:
         expected = _rewalking_sample(rep, ks, count, length, seed=1)
     except NotAnosovError as exc:
@@ -708,13 +709,14 @@ def test_limit_set_sample_walks_each_word_once(monkeypatch, name, ks, count, len
         walked.extend(words)
         return boundary_samples(rep, words, ks)
 
-    monkeypatch.setattr(certify, "boundary_samples", spy)
+    seam = {"walk": spy} if name == "mixed-walk" else {}
+    monkeypatch.setattr(certify, "boundary_samples", None if seam else spy)
     if isinstance(expected, NotAnosovError):
         with pytest.raises(NotAnosovError) as info:
-            fl.limit_set_sample(rep, ks, count=count, length=length, seed=1)
+            fl.limit_set_sample(rep, ks, count=count, length=length, seed=1, **seam)
         assert str(info.value) == str(expected)
     else:
-        sample, failures = fl.limit_set_sample(rep, ks, count=count, length=length, seed=1)
+        sample, failures = fl.limit_set_sample(rep, ks, count=count, length=length, seed=1, **seam)
         assert sample.sources == expected[0].sources
         assert np.array_equal(sample.frames, expected[0].frames)
         assert np.array_equal(sample.quality, expected[0].quality)
