@@ -57,4 +57,4 @@ from .words import (
     surface_group,
 )
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"

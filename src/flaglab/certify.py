@@ -72,7 +72,11 @@ def budget_words(rep: Representation, count: int, length: int, what: str) -> Non
 
 @dataclass(frozen=True)
 class GapSweep:
-    """Per-length minima of every gap index over a word ball."""
+    """Per-length minima of every gap index over a word ball.
+    argmin_words[n-1][k-1] is the first word of length n, in lexicographic
+    order, whose read reaches the k-th minimum, where gap_sweep reads a
+    word and its inverse once: that word, or its inverse where the
+    inverse's value won."""
 
     radius: int
     lengths: tuple[int, ...]
@@ -98,19 +102,21 @@ def _top_square(x: np.ndarray, exact: bool) -> tuple[np.ndarray, np.ndarray]:
     """Bounds (low, high) on the largest eigenvalue of x x^H for a stack x
     of (N, N) matrices, equal where exact.  At N = 2 they are equal, from
     the closed form, whose root adds two squares, so nothing cancels for
-    real or complex input.  Above, H = x x^H is formed with one dot per
-    entry rather than a batched matmul of small matrices: exact reads
-    eigvalsh of H; otherwise low is the Rayleigh quotient of H at H e_r, r
-    its largest diagonal entry, and high its trace, which meet as x nears
-    rank one.  Not finite where x is not."""
+    real or complex input.  Above, exact reads eigvalsh of H = x x^H,
+    formed with one dot per entry rather than a batched matmul of small
+    matrices.  Otherwise only the diagonal of H and its column r, r the
+    largest diagonal entry, are formed, from 2N dots with the bits of
+    those entries of H: low is the Rayleigh quotient of H at H e_r and
+    high the trace, which meet as x nears rank one.  Not finite where x
+    is not."""
     if x.shape[-1] == 2:
         a = np.vecdot(x[..., 0, :], x[..., 0, :]).real
         b = np.vecdot(x[..., 1, :], x[..., 1, :]).real
         c = np.abs(np.vecdot(x[..., 1, :], x[..., 0, :]))
         top = (a + b + np.hypot(a - b, 2.0 * c)) / 2.0
         return top, top
-    h = np.vecdot(x[..., :, None, :], x[..., None, :, :])  # the conjugate of H
     if exact:
+        h = np.vecdot(x[..., :, None, :], x[..., None, :, :])  # the conjugate of H
         # eigvalsh raises on a NaN; a product that overflowed reads NaN instead
         bad = ~np.isfinite(h).all(axis=(-2, -1))
         if bad.any():
@@ -118,9 +124,9 @@ def _top_square(x: np.ndarray, exact: bool) -> tuple[np.ndarray, np.ndarray]:
         top = np.linalg.eigvalsh(h)[..., -1]
         top[bad] = np.nan
         return top, top
-    diag = np.diagonal(h, axis1=-2, axis2=-1).real
+    diag = np.vecdot(x, x).real
     r = np.argmax(diag, axis=-1)[..., None]
-    col = np.take_along_axis(h, r[..., None], axis=-1)[..., 0]
+    col = np.vecdot(x, np.take_along_axis(x, r[..., None], axis=-2))  # the conjugate of H e_r
     return np.vecdot(col, col).real / np.take_along_axis(diag, r, axis=-1)[..., 0], diag.sum(axis=-1)
 
 
@@ -252,6 +258,18 @@ def _sweep_bytes(d: int, itemsize: int, rank: int, radius: int) -> int:
             + (2 * rank + 4) * parents + min(SWEEP_BLOCK, parents) * (2 * state + 128) + (1 << 16))
 
 
+def _fold(values: np.ndarray, pairs: int) -> np.ndarray:
+    """Let the first pairs rows of values (n, d-1), each a word that stands
+    for its inverse too, read at index k the least of their values at k and
+    d-k, in place: the gaps of w^-1 are those of w in reverse order.
+    Returns the mask of the entries where the value at d-k was strictly
+    less, so the inverse is the word read."""
+    flip = np.zeros(values.shape, dtype=bool)
+    flip[:pairs] = values[:pairs, ::-1] < values[:pairs]
+    values[:pairs] = np.minimum(values[:pairs], values[:pairs, ::-1])
+    return flip
+
+
 def gap_sweep(rep: Representation, radius: int) -> GapSweep:
     """Sweep all freely reduced words of length 1..radius and record the
     minimum gap vector per length.
@@ -260,17 +278,27 @@ def gap_sweep(rep: Representation, radius: int) -> GapSweep:
     gaps stay honest to ~1e-12 at any spread.  The children of up to
     SWEEP_BLOCK parents at a time absorb their last letter, one GEMM per
     letter and exterior power; only the states of the parents' level and,
-    below the radius, of the level itself are kept.  A word reads exact
-    gaps only where its gap bounds reach the least upper bound so far, or,
-    once a word of its level has read a gap of 0 (a gap that vanishes
-    identically leaves nothing to prune), always: either way the minima
-    and their first words are those of reading every word.  They are kept
-    as running minima per gap index with the index of the first word that
-    reaches each; words stay parent-index arrays, spelled out for the
-    argmins only (the first minimal words in lexicographic order).
-    Raises CapacityError before any work when what it holds at once
-    (_sweep_bytes) would pass SWEEP_BUDGET, and PrecisionError on a
-    non-finite gap.
+    below the radius, of the level itself are kept.
+
+    A word and its inverse are read once: a word whose first letter comes
+    before the inverse of its last in letters() order stands for its
+    inverse too (_fold), one whose first letter comes after it is read as
+    that inverse, and one that starts with the inverse of its last letter
+    is read as it is.  A level is lexicographic, and each first letter owns
+    an equal share of it, so the read words of a last letter are a prefix
+    of its rows, cut by the position of its inverse; at the radius, where
+    nothing extends a word, the others are not absorbed either.
+
+    A word reads exact gaps only where its gap bounds reach the least upper
+    bound so far, or, once a word of its level has read a gap of 0 (a gap
+    that vanishes identically leaves nothing to prune), always: either way
+    the minima and argmins are those of reading every read word exactly.
+    They are kept as running minima per gap index with the index of the
+    first read word, in lexicographic order, that reaches each; words stay
+    parent-index arrays, spelled out for the argmins only, as w^-1 where
+    the inverse's value won.  Raises CapacityError before any work when
+    what it holds at once (_sweep_bytes) would pass SWEEP_BUDGET, and
+    PrecisionError on a non-finite gap.
     """
     if radius < 1:
         raise InputError("radius must be >= 1")
@@ -284,8 +312,10 @@ def gap_sweep(rep: Representation, radius: int) -> GapSweep:
     walk, argmin_words = [], []
     for n, (parent, last) in enumerate(W.levels(rep.presentation, radius), 1):
         walk.append((parent, last))
+        share = parent.size // (2 * rank)  # the words of each first letter
         best = np.full(d - 1, np.inf)  # least upper bound so far
         minimum, first = np.full(d - 1, np.inf), np.full(d - 1, parent.size)
+        inverse = np.zeros(d - 1, dtype=bool)  # the argmin is the inverse of word first
         # nothing extends the longest words, so their states are not kept
         child = WedgeProducts.identity(d, parent.shape, mats.dtype) if n < radius else None
         # int32 needles: others would cast parent to an int64 copy
@@ -294,27 +324,40 @@ def gap_sweep(rep: Representation, radius: int) -> GapSweep:
         for start, stop in zip(edges[:-1], edges[1:]):
             for i, letter in enumerate(rep.presentation.letters()):
                 rows = start + np.flatnonzero(last[start:stop] == letter)
+                # i ^ 1 is the position of the letter's inverse: the words
+                # that start before it stand for their inverses too
+                pairs = np.searchsorted(rows, (i ^ 1) * share)
+                read = np.searchsorted(rows, ((i ^ 1) + 1) * share)
+                if child is None:  # the unread words of the radius are not absorbed
+                    rows = rows[:read]
                 sub = state[parent[rows]].absorb(letters[i])
                 if child is not None:
                     child[rows] = sub
+                sub, rows = sub[:read], rows[:read]
                 if np.all(minimum > 0):
                     # a word whose gap bounds all lie above the least upper
                     # bound is no argmin, and only the others read exact gaps
                     low, high = sub.gap_bounds()
+                    _fold(low, pairs)
+                    _fold(high, pairs)
                     best = np.minimum(best, high.min(axis=0, initial=np.inf))
                     near = np.flatnonzero(~np.all(low > best + 1e-9 * (1.0 + best), axis=1))
-                    sub, rows = sub[near], rows[near]
+                    sub, rows, pairs = sub[near], rows[near], np.searchsorted(near, pairs)
                 if rows.size:
                     exact = sub.gaps()
                     if not np.all(np.isfinite(exact)):
                         raise PrecisionError(f"non-finite gap at length {n}: a word product overflowed")
-                    value, at = exact.min(axis=0), rows[exact.argmin(axis=0)]
+                    flip = _fold(exact, pairs)
+                    j = exact.argmin(axis=0)
+                    value, at, inv = exact.min(axis=0), rows[j], flip[j, np.arange(d - 1)]
                     take = (value < minimum) | (value == minimum) & (at < first)
-                    minimum[take], first[take] = value[take], at[take]
+                    minimum[take], first[take], inverse[take] = value[take], at[take], inv[take]
                 del sub  # not held while the next block is gathered
         state = child
         minima[n - 1] = minimum
-        argmin_words.append(tuple(W.spell(walk, i) for i in first))
+        spelled = [W.spell(walk, i) for i in first]
+        argmin_words.append(tuple(tuple(-x for x in reversed(w)) if inv else w
+                                  for w, inv in zip(spelled, inverse)))
     return GapSweep(
         radius=radius,
         lengths=tuple(range(1, radius + 1)),

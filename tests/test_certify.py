@@ -146,14 +146,18 @@ def test_sweep_witnesses_and_brute_force_minima(name, radius):
             assert abs(_mp_gaps(rep, w)[k - 1] - sweep.minima[n - 1, k - 1]) < 1e-9
 
 
-def _full_sweep(rep, radius):
-    """gap_sweep's minima and argmin words with every word's exact gaps
-    read, from the same products: one per letter and level.  Checks on the
-    way that every word's gaps lie within its gap_bounds."""
+def _level_gaps(rep, radius):
+    """Every word's exact gaps, level by level from the same products as
+    gap_sweep (one per letter and level): yields the walk so far, the
+    exact gaps (L, d-1) of the level's L words and the letters() positions
+    of their first and last letters, each first letter followed back
+    through the parents.  Checks on the way that every word's gaps lie
+    within its gap_bounds."""
     mats = certify._letter_matrices(rep)
     letters = certify.WedgeProducts.of(mats)
+    index = {letter: i for i, letter in enumerate(rep.presentation.letters())}
     state = certify.WedgeProducts.identity(rep.dim, (1,), mats.dtype)
-    walk, minima, argmins = [], [], []
+    walk, head = [], None
     for parent, last in W.levels(rep.presentation, radius):
         gaps = np.empty((parent.size, rep.dim - 1))
         child = certify.WedgeProducts.identity(rep.dim, parent.shape, mats.dtype)
@@ -165,9 +169,36 @@ def _full_sweep(rep, radius):
             assert np.all(low <= gaps[rows] + 1e-12) and np.all(gaps[rows] <= high + 1e-12)
         state = child
         walk.append((parent, last))
-        idx = np.argmin(gaps, axis=0)
-        minima.append(gaps[idx, np.arange(rep.dim - 1)])
-        argmins.append(tuple(W.spell(walk, i) for i in idx))
+        tail = np.array([index[int(x)] for x in last])
+        head = tail if head is None else head[parent]
+        yield walk, gaps, head, tail
+
+
+def _every_word_minima(rep, radius):
+    """The per-length minima of every word's exact gaps, each word read
+    on its own: no word stands for its inverse."""
+    return np.array([gaps.min(axis=0) for _, gaps, _, _ in _level_gaps(rep, radius)])
+
+
+def _full_sweep(rep, radius):
+    """gap_sweep's minima and argmin words with every read word's exact
+    gaps read, from the same products, under the pair rule: a word whose
+    first letter comes before the inverse of its last (position tail ^ 1
+    in letters()) reads at index k the least of its gaps at k and d-k and
+    names its inverse where the latter is strictly less; one whose first
+    letter is that inverse reads its own gaps, and the others are not
+    read.  The argmin is the first read word, in lexicographic order."""
+    minima, argmins = [], []
+    for walk, gaps, head, tail in _level_gaps(rep, radius):
+        paired, read = head < tail ^ 1, head <= tail ^ 1
+        mirrored = gaps[:, ::-1]
+        flip = paired[:, None] & (mirrored < gaps)
+        values = np.where(paired[:, None], np.minimum(gaps, mirrored), gaps)
+        rows = np.flatnonzero(read)
+        idx = rows[np.argmin(values[rows], axis=0)]
+        cols = np.arange(rep.dim - 1)
+        minima.append(values[idx, cols])
+        argmins.append(tuple(invert(W.spell(walk, i)) if f else W.spell(walk, i) for i, f in zip(idx, flip[idx, cols])))
     return np.array(minima), tuple(argmins)
 
 
@@ -175,7 +206,7 @@ def _full_sweep(rep, radius):
 def test_sweep_reads_exact_gaps_only_near_the_minima(name, radius):
     # the sweep skips the exact reading of a word whose gap bounds lie above
     # a level's least upper bound: its minima and argmin words are those of
-    # reading every word, bit for bit
+    # reading every read word of the pair rule, bit for bit
     rep = fl.preset(name)
     sweep = fl.gap_sweep(rep, radius)
     minima, argmins = _full_sweep(rep, radius)
@@ -193,6 +224,19 @@ def test_sweep_blocks_keep_every_bit(monkeypatch, name, radius, block):
     sweep = fl.gap_sweep(rep, radius)
     minima, argmins = _full_sweep(rep, radius)
     assert np.array_equal(sweep.minima, minima) and sweep.argmin_words == argmins
+
+
+@pytest.mark.parametrize("name, radius", [("schottky", 7), ("sym3", 6), ("sym4", 6), ("octagon-sym3", 4),
+                                           ("directsum", 5), ("sym5", 5)])
+def test_pair_sweep_minima_match_every_word_read(name, radius):
+    # a word that stands for its inverse reads the inverse's gaps as its own
+    # in reverse order, so the minima are those of reading every word on its
+    # own up to rounding; at d = 5 the mirror pairs indices 1-4 and 2-3, and
+    # d = 5 is the largest symmetric power of schottky that can be built
+    rep = fl.sym_power(fl.preset("schottky"), 5) if name == "sym5" else fl.preset(name)
+    sweep = fl.gap_sweep(rep, radius).minima
+    every = _every_word_minima(rep, radius)
+    assert np.all(np.abs(sweep - every) <= 1e-12 * (1.0 + every))
 
 
 def test_sweep_budget_fails_fast(sym4):
@@ -808,6 +852,19 @@ def test_gap_duality_with_the_contragredient(name, data):
     k = data.draw(st.integers(1, rep.dim - 1), label="k")
     gap = _engine_gaps(rep, word)[k - 1]
     assert abs(gap - _engine_gaps(dual, word)[rep.dim - k - 1]) <= 1e-12 * (1.0 + gap)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(GAP_PRESETS), data=st.data())
+def test_gap_duality_with_the_inverse(name, data):
+    # rho(w^-1) = rho(w)^-1 has the reciprocal singular values, so the gaps
+    # of w^-1 are those of w in reverse order: gap_sweep reads one word of
+    # each inverse pair
+    rep, _ = _rep_and_dual(name)
+    word = data.draw(_words(rep, 12), label="word")
+    k = data.draw(st.integers(1, rep.dim - 1), label="k")
+    gap = _engine_gaps(rep, invert(word))[k - 1]
+    assert abs(gap - _engine_gaps(rep, word)[rep.dim - k - 1]) <= 1e-12 * (1.0 + gap)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
