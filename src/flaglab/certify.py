@@ -44,8 +44,8 @@ def _failure_message(word: Word, reason: str, gap: float) -> str:
     flags alone run on: jacobi_svd squares column norms, so past a
     log-singular spread of about 354 nats the smallest singular values go
     subnormal, past about 372 they flush to zero and gaps stop being
-    finite.  The gap readers (gap_sweep, the doubling walk) have no such
-    limit."""
+    finite.  The gap readers (gap_sweep, the doubling witnesses of
+    _doubling_ratios) have no such limit."""
     w = W.word_to_str(word)
     if reason == "non_finite_gap":
         return f"non-finite gap along {w}: log-singular spread past about 372 nats"
@@ -274,8 +274,10 @@ def gap_sweep(rep: Representation, radius: int) -> GapSweep:
     """Sweep all freely reduced words of length 1..radius and record the
     minimum gap vector per length.
 
-    One level of words.levels per length, through WedgeProducts, so tiny
-    gaps stay honest to ~1e-12 at any spread.  The children of up to
+    One level of words.levels per length, through WedgeProducts, so the
+    spread sets no limit on a gap; a word whose letters cancel (a surface
+    word that holds most of a relator) still loses about
+    eps * prod |rho(a_i)| / |rho(w)| to rounding.  The children of up to
     SWEEP_BLOCK parents at a time absorb their last letter, one GEMM per
     letter and exterior power; only the states of the parents' level and,
     below the radius, of the level itself are kept.
@@ -391,38 +393,33 @@ def _affine_fit(lengths: np.ndarray, values: np.ndarray) -> tuple[float, float]:
 
 
 def _doubling_ratios(rep: Representation, requests) -> dict:
-    """Gap growth along powers of words over one power walk: maps each
-    (word, k) request to (last gap, ratio of the gaps at the last two power
-    doublings), or to the PrecisionError that ended it alone.  Affine growth
-    gives ratio -> 2, logarithmic growth (e.g. unipotents) ratio -> 1.  The
-    k-th gap is read at powers 1, 2, 4, ..., 256 until it passes 40 with two
-    readings, from WedgeProducts, whose top values are computed only at
-    those powers."""
+    """Gap growth along powers of words: maps each (word, k) request to
+    (last gap, ratio of the gaps at the last two power doublings), or to
+    the PrecisionError that ended it alone.  Affine growth gives ratio ->
+    2, logarithmic growth (e.g. unipotents) ratio -> 1.  Each distinct
+    word's product is built once, letter by letter, then squared eight
+    times in place, so its WedgeProducts read powers 1, 2, 4, ..., 256;
+    the k-th gap is read along them until it passes 40 with two readings
+    or power 256 is reached."""
     words = list(dict.fromkeys(w for w, _ in requests))
-    readings: dict = {r: [] for r in requests}
+    mats, index = _letter_matrices(rep), rep.presentation.letters().index
+    letters = WedgeProducts.of(mats)
+    state = WedgeProducts.identity(rep.dim, (len(words),), mats.dtype)
+    for p in range(max(map(len, words), default=0)):  # the words that have a letter p absorb it
+        rows = [i for i, w in enumerate(words) if len(w) > p]
+        state[rows] = state[rows].absorb(letters[[index(words[i][p]) for i in rows]])
+    readings = [state.gaps()]
+    for _ in range(8):  # each row its own factor: a gathered copy of the stack
+        readings.append(state.absorb(state[np.arange(len(words))]).gaps())
     out: dict = {}
-
-    def judge(idx, powers, sub):
-        due = np.flatnonzero([n & (n - 1) == 0 for n in powers])  # only powers of two are read
-        gaps = dict(zip(due.tolist(), sub[due].gaps()))
-        keep = []
-        for j, (i, n) in enumerate(zip(idx, powers)):
-            todo = [(w, k) for w, k in readings if w == words[i] and (w, k) not in out]
-            if j in gaps:
-                for w, k in todo:
-                    g = float(gaps[j][k - 1])
-                    readings[w, k].append(g)
-                    if not math.isfinite(g):
-                        out[w, k] = PrecisionError(f"non-finite gap along {W.word_to_str(w)}^{n}: "
-                                                   "a word product overflowed")
-                    elif g > 40.0 and len(readings[w, k]) >= 2 or n == 256:
-                        out[w, k] = (g, 0.0 if g < 1e-9 else g / max(readings[w, k][-2], 1e-12))
-            keep.append(any(r not in out for r in todo))
-        return keep
-
-    mats = _letter_matrices(rep)
-    _power_walk(rep, words, WedgeProducts.identity(rep.dim, (len(words),), mats.dtype),
-                WedgeProducts.of(mats), judge)
+    for w, k in requests:
+        gaps = [float(g[words.index(w), k - 1]) for g in readings]
+        # the first reading that is not finite, or past 40 after another, or at power 256
+        t = next(t for t, g in enumerate(gaps) if not math.isfinite(g) or g > 40.0 and t >= 1 or t == 8)
+        if math.isfinite(gaps[t]):
+            out[w, k] = (gaps[t], 0.0 if gaps[t] < 1e-9 else gaps[t] / max(gaps[t - 1], 1e-12))
+        else:
+            out[w, k] = PrecisionError(f"non-finite gap along {W.word_to_str(w)}^{2 ** t}: a word product overflowed")
     return out
 
 
@@ -443,7 +440,8 @@ def certificates(
     r2_threshold: float = R2_THRESHOLD,
 ) -> list[AnosovCertificate]:
     """Certify affine growth of the k-th gap over the radius ball, for each
-    index k of ks, over one sweep and one witness walk.
+    index k of ks, over one sweep and one reading of its doubling
+    witnesses (_doubling_ratios).
 
     certified: fitted slope >= slope_threshold and R^2 >= r2_threshold.
     refuted:   the gap vanishes on the ball, or a witness word (the worst
@@ -564,33 +562,6 @@ class FlagStack:
         return self._quotients[k]
 
 
-def _power_walk(rep: Representation, words, state, factors, judge) -> None:
-    """Absorb the next letter of every live word into the stacked products
-    state (row i starts as words[i]'s empty product) until no word is
-    left: state.absorb(factors[codes]), with factors indexed like
-    presentation.letters().  After each letter, the words that just
-    completed a power go to one judge(idx, n, sub) call: row j of the
-    sub-stack sub is rho(words[idx[j]]^n[j]).  judge returns one bool per
-    row, and a word leaves the stack where that is False.  Every product of
-    the stack is treated alone, so nothing depends on the batch."""
-    index = {letter: i for i, letter in enumerate(rep.presentation.letters())}
-    lens = np.array([len(w) for w in words], dtype=int)
-    codes = np.zeros((len(words), lens.max(initial=0)), dtype=np.min_scalar_type(len(index)))
-    for i, w in enumerate(words):
-        codes[i, :len(w)] = [index[letter] for letter in w]
-    live = np.arange(len(words))
-    used = 0
-    while live.size:
-        state.absorb(factors[codes[live, used % lens[live]]])
-        used += 1
-        ends = np.nonzero(used % lens[live] == 0)[0]  # mid-power words go on
-        if ends.size:
-            keep = np.ones(live.size, dtype=bool)
-            keep[ends] = judge(live[ends], used // lens[live[ends]], state[ends])
-            if not keep.all():
-                state, live = state[keep], live[keep]
-
-
 def boundary_samples(rep: Representation, words, ks) -> tuple[FlagStack, list]:
     """Nested attractors of rho(w^n) for many words in one power walk.
 
@@ -603,7 +574,8 @@ def boundary_samples(rep: Representation, words, ks) -> tuple[FlagStack, list]:
     log-singular spread of about 354 nats (see _failure_message).  A word
     is judged whenever it completes a power: done once every requested gap
     clears TARGET_GAP, rejected when a gap is not finite, when its gap
-    stalls over four powers or when MAX_LETTERS run out.
+    stalls over four powers or when MAX_LETTERS run out.  Every product of
+    the stack is treated alone, so no word's flag depends on its batch.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks:
@@ -621,8 +593,21 @@ def boundary_samples(rep: Representation, words, ks) -> tuple[FlagStack, list]:
     rejected: list = [None] * len(words)
     recent = np.zeros((len(words), 4))  # each word's last four worst gaps, oldest first
     readings = np.zeros(len(words), dtype=int)
-
-    def judge(idx, n, sub):
+    mats = _letter_matrices(rep)
+    index = {letter: i for i, letter in enumerate(rep.presentation.letters())}
+    codes = np.zeros((len(words), lens.max(initial=0)), dtype=np.min_scalar_type(len(index)))
+    for i, w in enumerate(words):
+        codes[i, :len(w)] = [index[letter] for letter in w]
+    state = ProductSVD(rep.dim, (len(words),), mats.dtype)  # row i starts as words[i]'s empty product
+    live = np.arange(len(words))
+    used = 0  # letters absorbed by every live word
+    while live.size:
+        state.absorb(mats[codes[live, used % lens[live]]])
+        used += 1
+        ends = np.nonzero(used % lens[live] == 0)[0]  # mid-power words go on
+        if not ends.size:
+            continue
+        idx, sub = live[ends], state[ends]
         g = sub.gaps()[:, cols]
         worst = g.min(axis=1)
         finite = np.isfinite(g).all(axis=1)
@@ -631,7 +616,7 @@ def boundary_samples(rep: Representation, words, ks) -> tuple[FlagStack, list]:
         recent[at] = np.column_stack([recent[at, 1:], worst[go]])
         readings[at] += 1
         stalled = (readings[idx] >= 4) & (recent[idx, 3] - recent[idx, 0] < 1e-3)
-        keep = go & ~stalled & (n * lens[idx] < MAX_LETTERS)
+        keep = go & ~stalled & (used < MAX_LETTERS)
         for j in np.nonzero(~keep)[0]:
             i, x = idx[j], float(worst[j])
             if finite[j] and not go[j]:  # done: its left factor is the flag
@@ -640,10 +625,10 @@ def boundary_samples(rep: Representation, words, ks) -> tuple[FlagStack, list]:
                 rejected[i] = ("non_finite_gap", x)
             else:
                 rejected[i] = ("gap_stalled" if stalled[j] else "gap_short", x)
-        return keep
-
-    mats = _letter_matrices(rep)
-    _power_walk(rep, words, ProductSVD(rep.dim, (len(words),), mats.dtype), mats, judge)
+        if not keep.all():  # a word leaves the stack once it is done or rejected
+            stay = np.ones(live.size, dtype=bool)
+            stay[ends] = keep
+            state, live = state[stay], live[stay]
     ok = [i for i, e in enumerate(rejected) if e is None]
     return FlagStack([words[i] for i in ok], frames[ok], ks, quality[ok]), rejected
 

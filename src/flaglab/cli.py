@@ -189,8 +189,8 @@ def _sha256(path: str) -> str:
 
 
 def write_manifest(run: Run) -> None:
-    """Write {command}.manifest.json for a finished run (replay reads only
-    command and params)."""
+    """Write {command}.manifest.json for a finished run (replay reads
+    command, params and the representation file's digest in inputs)."""
     args = run.args
     manifest = {
         "command": args.command,
@@ -464,7 +464,8 @@ def cmd_presets(args, run: Run) -> int:
 def cmd_replay(args, run: Run) -> int:
     """Re-run a manifest's command into --out.  Every output goes there: a
     recorded --svg directory is taken by its last name under --out, so a
-    replay never writes over the run it replays."""
+    replay never writes over the run it replays.  A representation file
+    whose digest is not the recorded one is refused before anything runs."""
     manifest = _read_json(args.manifest)
     if not (isinstance(manifest, dict) and isinstance(manifest.get("params"), dict)
             and isinstance(manifest.get("command"), str)):
@@ -473,6 +474,13 @@ def cmd_replay(args, run: Run) -> int:
         print(f"note: manifest written by flaglab {manifest.get('version')}, replayed by {__version__}: "
               "outputs may differ as the README's replay notes (0.12.0, 0.17.0) say")
     params = {k: v for k, v in manifest["params"].items() if k != "out"}
+    inputs = manifest.get("inputs")
+    was = str(inputs.get("rep", "")) if isinstance(inputs, dict) else ""
+    if was.startswith("file:"):  # file:PATH:sha256:DIGEST, as resolve_rep records it
+        now = resolve_rep(str(params.get("rep")))[1]
+        if now != was:
+            raise InputError(f"{params.get('rep')}: representation digest {now.rsplit(':', 1)[1]} is not "
+                             f"the recorded {was.rsplit(':', 1)[1]}; the file changed since the run")
     argv = [manifest["command"]]
     if "rep" in params and params["rep"]:
         argv.append(params.pop("rep"))

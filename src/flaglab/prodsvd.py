@@ -20,10 +20,11 @@ representation runs in float64 without moving a flag.
 
 Only boundary flags run here (certify.boundary_samples): they need the
 left factor u, the attracting frame.  The gap readers, certify.gap_sweep
-and the doubling walk of the certificates, read top singular values of
-exterior powers instead (certify.WedgeProducts) and know no spread
-limit; this engine's squared column norms still stop a flag past a
-log-singular spread of about 372 nats.
+and the certificates' doubling witnesses (certify._doubling_ratios),
+read top singular values of exterior powers instead
+(certify.WedgeProducts) and know no spread limit; this engine's squared
+column norms still stop a flag past a log-singular spread of about 372
+nats.
 """
 
 from __future__ import annotations

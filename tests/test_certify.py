@@ -108,7 +108,7 @@ def _mp_gaps(rep, word, digits=40, power=1):
 
 def _engine_gaps(rep, word, power=1):
     """Gap vector of rho(word)^power from certify.WedgeProducts, absorbed
-    letter by letter, as the sweep and the doubling walk read it."""
+    letter by letter, as the sweep reads a word."""
     mats = certify._letter_matrices(rep)
     letters = certify.WedgeProducts.of(mats)
     index = rep.presentation.letters()
@@ -345,8 +345,8 @@ def _conjugated_spread_rep():
 
 
 def _doubling_ratio_oracle(rep, word, k, digits=400):
-    # reference for the power walk: rho(word)^n at high precision, one
-    # product per (word, k), read at powers 1, 2, 4, ..., 256
+    # reference for the doubling witnesses: rho(word)^n at high precision,
+    # one product per (word, k), read at powers 1, 2, 4, ..., 256
     gaps = []
     for n in (1, 2, 4, 8, 16, 32, 64, 128, 256):
         gaps.append(_mp_gaps(rep, word, digits, n)[k - 1])
@@ -359,13 +359,13 @@ def _doubling_ratio_oracle(rep, word, k, digits=400):
 
 
 def _matches_oracle(got, want):
-    # a (gap, ratio) of the walk against the oracle's
+    # a (gap, ratio) of _doubling_ratios against the oracle's
     return _close(got[0], want[0]) and _close(got[1], want[1])
 
 
 def _witness_requests(rep, ks, radius):
-    # what a certificate of each index walks: the sweep's worst word of the
-    # last length, then every generator
+    # the doubling witnesses of a certificate of each index: the sweep's
+    # worst word of the last length, then every generator
     sweep = fl.gap_sweep(rep, radius)
     gens = [(g,) for g in range(1, rep.presentation.generator_count + 1)]
     return [(w, k) for k in ks for w in [sweep.argmin_words[-1][k - 1], *gens]]
@@ -377,6 +377,8 @@ def _witness_requests(rep, ks, radius):
     ("schottky", (1,), 6, None),
     ("unipotent", (1,), 6, None),
     ("trivial", (1,), 4, None),
+    ("octagon-sym3", (1, 2), 6, None),  # the complex engine on cancelling surface words
+    ("directsum", (1, 2, 3), 5, None),  # vanished indices beside a growing one
 ])
 def test_power_walk_matches_per_word_oracle(name, ks, radius, words):
     rep = fl.preset(name)
@@ -385,12 +387,17 @@ def test_power_walk_matches_per_word_oracle(name, ks, radius, words):
         assert len({w for w, _ in requests}) == words
     got = _doubling_ratios(rep, requests)
     assert set(got) == set(requests)
+    # directsum's vanished indices read on to power 256, where a^5 spreads
+    # its singular values over 1,541 decimal digits
+    digits = 1600 if name == "directsum" else 400
     for w, k in requests:
-        assert _matches_oracle(got[w, k], _doubling_ratio_oracle(rep, w, k)), (w, k)
+        assert _matches_oracle(got[w, k], _doubling_ratio_oracle(rep, w, k, digits)), (w, k)
     if name == "unipotent":
         assert all(ratio < 1.5 for _, ratio in got.values())
     if name == "trivial":  # the vanished-gap branch
         assert all(g < 1e-9 and ratio == 0.0 for g, ratio in got.values())
+    if name == "directsum":
+        assert all((g < 1e-9 and ratio == 0.0) == (k != 2) for (_, k), (g, ratio) in got.items())
 
 
 def test_doubling_ratio_never_returns_nan():
@@ -431,8 +438,8 @@ def test_spread_limit_is_about_372_nats(sym4, monkeypatch):
     # AbbAABA^7 spreads its log-singular values over 352 nats and AbbAABA^8
     # over 402 (+-201.03, +-67.01): past about 372 nats the graded product
     # SVD flushes the smallest value to zero, so a boundary flag that needs
-    # the third gap fails there, while the doubling walk reads all three
-    # gaps at power 8, each passing 40
+    # the third gap fails there, while the doubling witnesses read all
+    # three gaps at power 8, each passing 40
     w = (-1, 2, 2, -1, -1, -2, -1)
     state = ProductSVD(sym4.dim)
     for power in range(1, 9):
@@ -464,6 +471,39 @@ def test_power_walk_stops_each_request_alone():
     assert _close(got[(1,), 1][0], _mp_gaps(rep, (1,), 400, 16)[0])
     assert _matches_oracle(got[(1,), 2], _doubling_ratio_oracle(rep, (1,), 2, digits=1600))
     assert _close(got[(1,), 2][0], _mp_gaps(rep, (1,), 1600, 256)[1])
+
+
+# the certify verdict of every preset at every index, each certified alone at
+# radius 6, with its notes: a verdict or note that moves is a visible diff
+VERDICTS_RADIUS_6 = {
+    ("directsum", 1): ("refuted", "gap vanishes on the whole ball"),
+    ("directsum", 2): ("certified",),
+    ("directsum", 3): ("refuted", "gap vanishes on the whole ball"),
+    ("octagon", 1): ("inconclusive",),
+    ("octagon-sym3", 1): ("inconclusive",),
+    ("octagon-sym3", 2): ("inconclusive",),
+    ("octagon-sym4", 1): ("inconclusive",),
+    ("octagon-sym4", 2): ("inconclusive",),
+    ("octagon-sym4", 3): ("inconclusive",),
+    ("schottky", 1): ("certified",),
+    ("sym3", 1): ("certified",),
+    ("sym3", 2): ("certified",),
+    ("sym4", 1): ("certified",),
+    ("sym4", 2): ("certified",),
+    ("sym4", 3): ("certified",),
+    ("trivial", 1): ("refuted", "gap vanishes on the whole ball"),
+    ("unipotent", 1): ("refuted", "sublinear gap growth along aaaaaa (doubling ratio 1.104, gap 7.337)"),
+}
+
+
+def test_verdict_table_at_radius_6():
+    assert set(VERDICTS_RADIUS_6) == {(name, k) for name in fl.preset_names() for k in range(1, fl.preset(name).dim)}
+    for (name, k), (verdict, *notes) in VERDICTS_RADIUS_6.items():
+        [cert] = fl.certificates(fl.preset(name), [k], 6)
+        assert (cert.verdict, list(cert.notes)) == (verdict, notes), (name, k)
+    # a vanished index reads no witness: directsum's k = 1 and 3 and trivial's
+    # certificates ask for none
+    assert _doubling_ratios(fl.preset("directsum"), []) == {}
 
 
 def test_refuting_witness_wins_over_a_later_raising_one(schottky, sym3, monkeypatch):
@@ -837,7 +877,7 @@ GAP_PRESETS = ["schottky", "sym3", "sym4", "octagon-sym3", "directsum"]
 
 def _words(rep, max_size):
     """Freely reduced nonempty words of at most max_size letters, as the
-    sweep and the doubling walk read them."""
+    sweep and the doubling witnesses read them."""
     letters = st.lists(st.sampled_from(rep.presentation.letters()), min_size=1, max_size=max_size)
     return letters.map(lambda w: W.reduce(w, rep.presentation)).filter(bool)
 
@@ -882,8 +922,8 @@ def test_sweep_duality_with_the_contragredient(name, eps, seed, radius):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(name=st.sampled_from(GAP_PRESETS), data=st.data())
 def test_gap_walk_reads_a_word_alone_as_in_a_stack(name, data):
-    # the doubling walk treats each product of its stack alone: a word's
-    # readings keep every bit whatever else walks beside it
+    # _doubling_ratios treats each product of its stack alone: a word's
+    # readings keep every bit whatever else is read beside it
     rep, _ = _rep_and_dual(name)
     words = data.draw(st.lists(_words(rep, 5), min_size=2, max_size=5, unique=True), label="words")
     ks = data.draw(st.lists(st.integers(1, rep.dim - 1), min_size=len(words), max_size=len(words)), label="ks")

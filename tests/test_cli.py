@@ -595,6 +595,24 @@ def test_replay_names_a_version_mismatch(tmp_path, capsys):
     assert (tmp_path / "c" / "certify.csv").read_bytes() == (tmp_path / "a" / "certify.csv").read_bytes()
 
 
+def test_replay_refuses_an_edited_representation_file(tmp_path, capsys):
+    # the manifest records the file's digest: the file as it was replays its
+    # bytes, an edited one is refused (64) before anything is written
+    path = _one_generator_rep_file(tmp_path, np.diag([2.0, 0.5]), {"kind": "free", "rank": 1})
+    assert run(["certify", path, "--k", 1, "--radius", 4, "--out", tmp_path / "a"]) == 0
+    manifest = tmp_path / "a" / "certify.manifest.json"
+    was = json.loads(manifest.read_text())["inputs"]["rep"].rsplit(":", 1)[1]
+    assert run(["replay", manifest, "--out", tmp_path / "b"]) == 0
+    assert (tmp_path / "b" / "certify.csv").read_bytes() == (tmp_path / "a" / "certify.csv").read_bytes()
+    _one_generator_rep_file(tmp_path, np.diag([3.0, 1 / 3]), {"kind": "free", "rank": 1})
+    capsys.readouterr()
+    assert run(["replay", manifest, "--out", tmp_path / "c"]) == 64
+    err = capsys.readouterr().err
+    now = cli.resolve_rep(str(path))[1].rsplit(":", 1)[1]
+    assert now != was and was in err and now in err
+    assert list((tmp_path / "c").iterdir()) == []
+
+
 def test_wall_time_ignores_a_clock_reset(tmp_path, monkeypatch):
     # the system clock is set back an hour each time it is read
     clock = itertools.count(0.0, -3600.0)
