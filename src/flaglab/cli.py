@@ -5,17 +5,20 @@ Each command fills one Run (the representation it resolves, the files it
 writes, the counts it reports), and main writes it as the manifest JSON
 beside the CSV.  Re-running a manifest (replay) reproduces the CSV byte
 for byte, stochastic steps included, because every sampler is seeded and
-every float is formatted with a fixed rule.  Exit codes (VERDICT_EXIT):
-0 pass/certified, 2 refuted/fails, 3 inconclusive.
+every float is formatted with a fixed rule; replay compares each output
+with the digest its manifest records.  Exit codes (VERDICT_EXIT):
+0 pass/certified/below_2, 2 refuted/fails, 3 inconclusive/not_below_2.
 An error's class alone picks its code (main): 64 InputError (usage or
 malformed input), 5 NotAnosovError (unmet Anosov prerequisites), 3 every
-other FlaglabError (a numerical or size limit).  Only a verdict exits 2.
+other FlaglabError (a numerical or size limit).  A replay whose outputs
+differ from the recorded digests exits 4.  Only a verdict exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -43,6 +46,7 @@ from .words import GroupPresentation, free_group, surface_group
 EXIT_OK = 0
 EXIT_FAIL = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_DIFFERS = 4
 EXIT_PREREQ = 5
 EXIT_USAGE = 64
 # only a verdict exits 2; one not named here (inconclusive, not_below_2) exits 3
@@ -465,14 +469,17 @@ def cmd_replay(args, run: Run) -> int:
     """Re-run a manifest's command into --out.  Every output goes there: a
     recorded --svg directory is taken by its last name under --out, so a
     replay never writes over the run it replays.  A representation file
-    whose digest is not the recorded one is refused before anything runs."""
+    whose digest is not the recorded one is refused before anything runs.
+    Once the command returns, each output it wrote is compared with the
+    digest recorded for the output at the same position: any difference
+    exits EXIT_DIFFERS, and otherwise the exit code is the run's."""
     manifest = _read_json(args.manifest)
     if not (isinstance(manifest, dict) and isinstance(manifest.get("params"), dict)
             and isinstance(manifest.get("command"), str)):
         raise InputError(f"{args.manifest}: not a flaglab run manifest")
     if manifest.get("version") != __version__:
         print(f"note: manifest written by flaglab {manifest.get('version')}, replayed by {__version__}: "
-              "outputs may differ as the README's replay notes (0.12.0, 0.17.0) say")
+              "outputs may differ as the README's replay notes say")
     params = {k: v for k, v in manifest["params"].items() if k != "out"}
     inputs = manifest.get("inputs")
     was = str(inputs.get("rep", "")) if isinstance(inputs, dict) else ""
@@ -494,7 +501,16 @@ def cmd_replay(args, run: Run) -> int:
         elif value is not None:
             argv.append(f"{flag}={value}")  # a value may start with "-"
     argv.extend(["--out", args.out])
-    return main(argv)
+    code, replayed = _execute(argv)  # a command that fails raises: nothing is compared
+    recorded = manifest.get("digests")
+    if not isinstance(recorded, dict):
+        print("note: the manifest records no digests (flaglab before 0.19.0): no output was compared")
+        return code
+    differs = [(new, old) for new, old in itertools.zip_longest(replayed.outputs, manifest.get("outputs") or [])
+               if new is None or old is None or _sha256(new) != recorded.get(old)]
+    for new, old in differs:
+        print(f"replay: {new or 'no output'} differs from the recorded {old or 'no output'}", file=sys.stderr)
+    return EXIT_DIFFERS if differs else code
 
 
 # --- parser ------------------------------------------------------------------
@@ -581,18 +597,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _execute(argv) -> tuple[int, Run]:
+    """Run argv's command: its exit code, and the Run it filled.  A
+    rejected argv raises the parser's SystemExit, and a failed command
+    its error, for main to turn into an exit code."""
+    args = build_parser().parse_args(argv)
+    run = Run(args)
+    os.makedirs(getattr(args, "out", "."), exist_ok=True)
+    code = args.func(args, run)
+    if run.outputs:
+        write_manifest(run)
+    return code, run
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        return _execute(argv)[0]
     except SystemExit as exc:  # a rejected argument (64) or --help (0)
         return exc.code
-    run = Run(args)
-    try:
-        os.makedirs(getattr(args, "out", "."), exist_ok=True)
-        code = args.func(args, run)
-        if run.outputs:
-            write_manifest(run)
-        return code
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -149,17 +149,29 @@ def spell(walk: Sequence[tuple[np.ndarray, np.ndarray]], i: int) -> Word:
     return tuple(reversed(out))
 
 
+def _draw(presentation: GroupPresentation, rows: int, length: int, rng: np.random.Generator) -> np.ndarray:
+    """rows freely reduced words of the given length, as rows of letters.
+
+    A letter is one bounded integer below its number of choices (2r for
+    the first, 2r - 1 after it), shifted past the inverse of the letter
+    before.  NumPy draws every bounded integer below 2**32 with the same
+    generator calls whether it is drawn alone or broadcast over an array
+    of bounds, so the rows are one rng.integers call, and draw the stream
+    that one call per letter, row after row, would."""
+    letters = np.array(presentation.letters(), dtype=np.min_scalar_type(-presentation.generator_count - 1))
+    high = np.full(length, letters.size - 1)  # no letter may cancel its predecessor
+    high[:1] = letters.size
+    idx = rng.integers(0, high, size=(rows, length))
+    for j in range(1, length):
+        # letters() puts g and its inverse at 2i and 2i+1: skip the
+        # inverse of the previous letter
+        idx[:, j] += idx[:, j] >= (idx[:, j - 1] ^ 1)
+    return letters[idx]
+
+
 def random_word(presentation: GroupPresentation, length: int, rng: np.random.Generator) -> Word:
-    """A freely reduced word of the given length, one rng.integers call per letter."""
-    letters = presentation.letters()
-    w: list[int] = []
-    for _ in range(length):
-        if w:
-            choices = [letter for letter in letters if letter != -w[-1]]
-        else:
-            choices = letters
-        w.append(choices[int(rng.integers(len(choices)))])
-    return tuple(w)
+    """A freely reduced word of the given length, the one-row _draw."""
+    return tuple(_draw(presentation, 1, length, rng)[0].tolist())
 
 
 def random_cyclic_words(
@@ -173,11 +185,8 @@ def random_cyclic_words(
     Stream contract: the words are those of drawing one random_word after
     another from default_rng(SeedSequence(seed)) and keeping, in draw
     order, each cyclically reduced one not kept before, until count are
-    kept.  A letter is one bounded integer below its number of choices,
-    and NumPy draws every bounded integer below 2**32 with the same
-    generator calls whether it is drawn alone or broadcast over an array
-    of bounds, so here a block of words is one rng.integers call.  Draws
-    past the last kept word are thrown away.  Raises CapacityError once
+    kept.  A block of words is one _draw, and draws past the last kept
+    word are thrown away.  Raises CapacityError once
     200 * count + 1000 words are drawn, or before the first draw when
     fewer than count such words exist.
     """
@@ -186,9 +195,6 @@ def random_cyclic_words(
     if length < 1:
         raise InputError(f"word length must be >= 1, got {length}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    letters = np.array(presentation.letters(), dtype=np.min_scalar_type(-presentation.generator_count - 1))
-    high = np.full(length, letters.size - 1)  # no letter may cancel its predecessor
-    high[0] = letters.size
     seen: set[Word] = set()
     out: list[Word] = []
     budget = 200 * count + 1000
@@ -201,13 +207,8 @@ def random_cyclic_words(
             raise CapacityError(
                 f"could not find {count} distinct cyclically reduced words of length {length}"
             )
-        idx = rng.integers(0, np.broadcast_to(high, (block, length)))
+        w = _draw(presentation, block, length, rng)
         drawn += block
-        for j in range(1, length):
-            # letters() puts g and its inverse at 2i and 2i+1: skip the
-            # inverse of the previous letter
-            idx[:, j] += idx[:, j] >= (idx[:, j - 1] ^ 1)
-        w = letters[idx]
         # a freely reduced word is cyclically reduced unless its ends cancel
         for word in (tuple(row.tolist()) for row in w[w[:, 0] != -w[:, -1]]):
             if word not in seen:

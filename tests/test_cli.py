@@ -613,6 +613,62 @@ def test_replay_refuses_an_edited_representation_file(tmp_path, capsys):
     assert list((tmp_path / "c").iterdir()) == []
 
 
+def test_replay_exits_4_when_a_recorded_digest_differs(tmp_path, capsys):
+    # outputs are compared by position: the replayed paths are not the recorded ones
+    argv = ["foliate", "builtin:sym3", "--k", 1, "--bases", 2, "--fibers", 30, "--svg", tmp_path / "svg"]
+    assert run(argv + ["--out", tmp_path / "a"]) == 0
+    path = tmp_path / "a" / "foliate.manifest.json"
+    manifest = json.loads(path.read_text())
+    edited = manifest["outputs"][1]
+    manifest["digests"][edited] = "0" * 64
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run(["replay", path, "--out", tmp_path / "b"]) == cli.EXIT_DIFFERS == 4
+    captured = capsys.readouterr()
+    replayed = tmp_path / "b" / "svg" / Path(edited).name
+    assert captured.err == f"replay: {replayed} differs from the recorded {edited}\n"
+    assert captured.out.startswith("foliate builtin:sym3 k=1: ")
+    assert replayed.read_bytes() == Path(edited).read_bytes()
+    assert (tmp_path / "b" / "foliate.csv").read_bytes() == (tmp_path / "a" / "foliate.csv").read_bytes()
+    # one output fewer recorded: the replay's extra output differs
+    manifest["digests"][edited] = _sha256(edited)
+    extra = tmp_path / "c" / "svg" / Path(manifest["outputs"].pop()).name
+    path.write_text(json.dumps(manifest))
+    assert run(["replay", path, "--out", tmp_path / "c"]) == 4
+    assert capsys.readouterr().err == f"replay: {extra} differs from the recorded no output\n"
+
+
+def test_replay_of_a_manifest_without_digests_notes_it(tmp_path, capsys):
+    # manifests before 0.19.0 record no digests: the run's own code, refuted here
+    assert run(["certify", "builtin:unipotent", "--k", 1, "--radius", 5, "--out", tmp_path / "a"]) == 2
+    path = tmp_path / "a" / "certify.manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["digests"]
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run(["replay", path, "--out", tmp_path / "b"]) == 2
+    captured = capsys.readouterr()
+    notes = [line for line in captured.out.splitlines() if "digests" in line]
+    assert len(notes) == 1 and notes[0].startswith("note: ") and "compared" in notes[0]
+    assert captured.err == ""
+    assert (tmp_path / "b" / "certify.csv").read_bytes() == (tmp_path / "a" / "certify.csv").read_bytes()
+
+
+def test_replay_of_a_failing_command_keeps_its_error_code(tmp_path, capsys):
+    # an earlier replay's CSV and manifest in --out are not this replay's
+    # outputs: a command that fails compares nothing and exits with its error
+    assert run(["certify", "builtin:schottky", "--k", 1, "--radius", 4, "--out", tmp_path / "a"]) == 0
+    path = tmp_path / "a" / "certify.manifest.json"
+    assert run(["replay", path, "--out", tmp_path / "b"]) == 0
+    manifest = json.loads(path.read_text())
+    manifest["params"]["radius"] = 2
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run(["replay", path, "--out", tmp_path / "b"]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "differs" not in err
+
+
 def test_wall_time_ignores_a_clock_reset(tmp_path, monkeypatch):
     # the system clock is set back an hour each time it is read
     clock = itertools.count(0.0, -3600.0)

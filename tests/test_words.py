@@ -144,9 +144,33 @@ def test_random_cyclic_words_refuses_impossible_count_without_drawing(monkeypatc
     assert "integers" in uses
 
 
+def _random_word_oracle(presentation, length, rng):
+    # a freely reduced word, one rng.integers call per letter, drawn from
+    # the letters that do not cancel the one before
+    letters = presentation.letters()
+    w = []
+    for _ in range(length):
+        choices = [letter for letter in letters if letter != -w[-1]] if w else letters
+        w.append(choices[int(rng.integers(len(choices)))])
+    return tuple(w)
+
+
+@pytest.mark.parametrize("rank", range(1, 5))
+def test_random_word_matches_the_one_letter_loop(rank):
+    # the one-row draw consumes the generator stream as the per-letter loop
+    # does, between other draws from the same generator
+    p = W.free_group(rank)
+    for seed in range(40):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        for length in (*range(12), 40):
+            assert W.random_word(p, length, rng) == _random_word_oracle(p, length, oracle), (seed, length)
+            assert rng.integers(2, 9) == oracle.integers(2, 9)
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+
 def _random_cyclic_words_oracle(presentation, count, length, seed):
-    # the sampler as one loop: one random_word per attempt, one
-    # rng.integers call per letter
+    # the sampler as one loop: one word per attempt, one rng.integers call
+    # per letter
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     seen, out = set(), []
     budget = 200 * count + 1000
@@ -159,7 +183,7 @@ def _random_cyclic_words_oracle(presentation, count, length, seed):
             raise CapacityError(
                 f"could not find {count} distinct cyclically reduced words of length {length}"
             )
-        w = W.cyclic_reduce(W.random_word(presentation, length, rng))
+        w = W.cyclic_reduce(_random_word_oracle(presentation, length, rng))
         if len(w) != length or w in seen:
             continue
         seen.add(w)
