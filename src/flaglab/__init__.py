@@ -57,4 +57,4 @@ from .words import (
     surface_group,
 )
 
-__version__ = "0.22.0"
+__version__ = "0.23.0"

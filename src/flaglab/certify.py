@@ -448,10 +448,10 @@ def certificates(
                word of the sweep, or a generator) shows sublinear growth
                under power doubling (ratio < 1.5 instead of -> 2).
     Anything else is inconclusive; sampled verdicts are evidence, not proof.
-    The ball's radius is capped by sweep_radius.  Witnesses are read index
-    by index, as one certificate after the other would: the first refuting
-    one decides, and a witness's PrecisionError is raised only when it is
-    reached.
+    The ball's radius is capped by sweep_radius, and a radius or cap below
+    3 is an InputError.  Witnesses are read index by index, as one
+    certificate after the other would: the first refuting one decides, and
+    a witness's PrecisionError is raised only when it is reached.
     """
     for k in ks:
         if not 1 <= k <= rep.dim - 1:
@@ -460,6 +460,9 @@ def certificates(
         raise InputError("radius must be >= 3 to fit a slope")
     notes: list[str] = []
     capped = sweep_radius(rep, radius)
+    if capped < 3:
+        raise InputError(f"radius capped at {capped} (shortest relator has length {capped + 1}); "
+                         "it must be >= 3 to fit a slope")
     if capped < radius:
         radius = capped
         notes.append(f"radius capped at {radius} (shortest relator has length {radius + 1})")
@@ -636,54 +639,26 @@ def boundary_samples(rep: Representation, words, ks) -> tuple[FlagStack, list]:
 def limit_set_sample(
     rep: Representation, ks, count: int, length: int, seed: int, walk=None
 ) -> tuple[FlagStack, list[str]]:
-    """count flags from distinct random cyclically reduced words, as one
-    FlagStack in draw order, and the FAILURE_REASONS code of each distinct
-    word that failed before the last kept one, in draw order.  Each batch
-    of new candidates runs through one call of walk, which takes words and
-    returns like boundary_samples, its default.  A later batch leaves out
-    the words an earlier one walked, each known by its letters as bytes,
-    an exact key: a failed word is walked once, and of it only its code
-    and its key are kept.  Raises CapacityError before any draw when
-    budget_words refuses the sample, and NotAnosovError with the first
-    failure's message when eight batches give fewer than count flags."""
-    if count < 1:
-        raise InputError("count must be >= 1")
+    """count flags from the count distinct random cyclically reduced words
+    drawn under seed, in one FlagStack in draw order, and an empty failure
+    list; the words run through one call of walk, which returns like
+    boundary_samples, its default.  Raises CapacityError before any draw
+    when budget_words refuses the sample, and, with the message of the
+    first failed word in draw order, NotAnosovError where its gap stalled
+    (evidence that rho is not Anosov along it) or PrecisionError where it
+    was not finite or still short after MAX_LETTERS letters."""
     budget_words(rep, count, length, f"a sample of {count} flags")
-    walk = walk or boundary_samples
-    letter = np.min_scalar_type(-rep.presentation.generator_count - 1)
-
-    def key(w):  # a word's letters as bytes: exact, one byte a letter up to rank 127
-        return np.array(w, letter).tobytes()
-
-    failures: list[str] = []
-    seen: set[bytes] = set()  # the words of the earlier batches, up to their stops
-    first = None  # the (word, reason, gap) of the first failure
-    parts: list[FlagStack] = []
-    have = batch = 0
-    while have < count and batch < 8:
-        fresh = [w for w in W.random_cyclic_words(rep.presentation, count - have + 4 * batch, length, seed + batch)
-                 if not (seen and key(w) in seen)]
-        flags, rejected = walk(rep, fresh, ks)
-        # the words up to the one that completes the sample count
-        ok = [i for i, e in enumerate(rejected) if e is None]
-        stop = ok[count - have - 1] + 1 if len(ok) >= count - have else len(fresh)
-        for w, e in zip(fresh[:stop], rejected[:stop]):
-            if e is not None:
-                first = first or (w, *e)
-                failures.append(e[0])
-        parts.append(flags[: count - have])
-        have += len(parts[-1])
-        batch += 1
-        if have < count and batch < 8:  # then stop is len(fresh): every word kept or failed
-            seen.update(key(w) for w in fresh)
-        del fresh  # a batch's words are not held while the next is drawn
-    if have < count:
-        raise NotAnosovError(f"only {have}/{count} boundary samples succeeded; "
-                             f"first failure: {_failure_message(*first) if first else 'none'}")
-    return FlagStack.concat(*parts), failures
+    words = W.random_cyclic_words(rep.presentation, count, length, seed)
+    flags, rejected = (walk or boundary_samples)(rep, words, ks)
+    first = next(((w, *e) for w, e in zip(words, rejected) if e is not None), None)
+    if first:
+        error = NotAnosovError if first[1] == "gap_stalled" else PrecisionError
+        raise error(f"only {len(flags)}/{count} boundary samples succeeded; "
+                    f"first failure: {_failure_message(*first)}")
+    return flags, []
 
 
 def failure_counts(failures) -> dict[str, int]:
-    """The failure codes of limit_set_sample counted by reason, in
-    FAILURE_REASONS order."""
+    """Failure codes (those of hyperconvex's adversarial pair words)
+    counted by reason, in FAILURE_REASONS order."""
     return {reason: failures.count(reason) for reason in FAILURE_REASONS}

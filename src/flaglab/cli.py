@@ -28,7 +28,7 @@ import time
 import numpy as np
 
 from . import __version__, boxdim, words as W
-from .certify import R2_THRESHOLD, SLOPE_THRESHOLD, budget, certificates, failure_counts, limit_set_sample
+from .certify import R2_THRESHOLD, SLOPE_THRESHOLD, budget, certificates, limit_set_sample
 from .errors import FlaglabError, InputError, NotAnosovError, PrecisionError
 from .fibers import (
     TripleSpec,
@@ -347,7 +347,6 @@ def cmd_foliate(args, run: Run) -> int:
             svg_path = os.path.join(args.svg, f"fiber_{W.word_to_str(base_word)}.svg")
             write_svg(svg_path, values, n_inf, {"0": 0j, "1": 1 + 0j, "inf": INF})
             run.outputs.append(svg_path)
-    run.results = {"sample_failures": sample.sample_failures}
     print(f"foliate {args.rep} k={args.k}: {len(sample.rows)} fiber points over "
           f"{len(sample.base_status)} bases; basepoints "
           f"{[W.word_to_str(w) for w in sample.basepoint_words]}")
@@ -356,14 +355,13 @@ def cmd_foliate(args, run: Run) -> int:
 
 def _fiber_cloud(rep, k, count, length, seed):
     """Tangent-project a limit-set sample of count >= 1 flags into the fiber
-    of one extra base, as unit vectors (sphere_xyz); returns the cloud and
-    the sampler's failure codes.  A base with no fiber frame raises
-    tangent_project's PrecisionError."""
-    flags, failures = limit_set_sample(rep, fiber_ks(rep.dim, k), count + 1, length, seed)
+    of one extra base, as unit vectors (sphere_xyz).  A base with no fiber
+    frame raises tangent_project's PrecisionError."""
+    flags, _ = limit_set_sample(rep, fiber_ks(rep.dim, k), count + 1, length, seed)
     pairs, _ = tangent_project(flags[0], flags[1:], k)
     if len(pairs) == 0:
         raise PrecisionError(f"none of {count} flags projected into the fiber")
-    return sphere_xyz(pairs), failures
+    return sphere_xyz(pairs)
 
 
 def cmd_dimension(args, run: Run) -> int:
@@ -384,17 +382,16 @@ def cmd_dimension(args, run: Run) -> int:
     else:
         rep = run.rep(args.rep)
         if args.mode == "fiber":
-            pts, failures = _fiber_cloud(rep, args.k, args.points, args.word_length, args.seed)
+            pts = _fiber_cloud(rep, args.k, args.points, args.word_length, args.seed)
             est = boxdim.box_dimension_sphere(pts, scales=scales)
         else:
             ks = fiber_ks(rep.dim, args.k)
-            flags, failures = limit_set_sample(rep, ks, args.points + args.anchors, args.word_length, args.seed)
+            flags, _ = limit_set_sample(rep, ks, args.points + args.anchors, args.word_length, args.seed)
             anchors, cloud = flags[: args.anchors], flags[args.anchors :]
             charts, uncovered = grassmann_charts(cloud, args.k, anchors)
             while uncovered and len(anchors) < 4 * args.anchors:
                 # one fresh anchor sample per pass; the cloud never changes
-                anchors, more = limit_set_sample(rep, ks, 2 * len(anchors), args.word_length, args.seed + 1000)
-                failures += more
+                anchors, _ = limit_set_sample(rep, ks, 2 * len(anchors), args.word_length, args.seed + 1000)
                 charts, uncovered = grassmann_charts(cloud, args.k, anchors)
             if uncovered:
                 names = ", ".join(W.word_to_str(cloud.sources[i]) for i in uncovered[:8])
@@ -402,7 +399,6 @@ def cmd_dimension(args, run: Run) -> int:
                     f"{len(uncovered)} flags covered by none of {len(anchors)} charts: {names}"
                 )
             est = boxdim.grassmann_dimension(charts, scales=scales)
-        run.results = {"sample_failures": failure_counts(failures)}
     rows = [[fmt(s), str(c), args.synthetic or args.mode] for s, c in zip(est.scales, est.counts)]
     verdict = "below_2" if est.verdict_below(2.0) else "not_below_2"
     rows.append(["summary", fmt(est.slope), f"{fmt(est.ci_halfwidth)};{verdict}"])
@@ -444,8 +440,7 @@ def cmd_visualmass(args, run: Run) -> int:
         cloud = np.array([[0.0, 0.0, 1.0]])  # cap of radius pi/2 around the pole
         eps = math.pi / 2.0
     else:
-        cloud, failures = _fiber_cloud(run.rep(args.rep), args.k, args.points, args.word_length, args.seed)
-        run.results = {"sample_failures": failure_counts(failures)}
+        cloud = _fiber_cloud(run.rep(args.rep), args.k, args.points, args.word_length, args.seed)
         eps = args.eps
     base = _floats(args.basepoint, "--basepoint", 3)
     nu = VisualMeasure(complex(base[0], base[1]), base[2])

@@ -203,7 +203,7 @@ class HyperconvexityReport:
     worst_triple: tuple[Word, Word, Word]
     verdict: str  # passes | fails | inconclusive
     skip_reasons: dict[str, int]  # in SKIP_REASONS order; the counts sum to skipped
-    sample_failures: dict[str, int]  # words that gave no flag, by FAILURE_REASONS code
+    sample_failures: dict[str, int]  # failed adversarial pair words, by FAILURE_REASONS code
 
 
 def _pair_count(spec: TripleSpec) -> int:
@@ -221,18 +221,18 @@ def _flag_pool(rep: Representation, ks, spec: TripleSpec):
 
     Returns one FlagStack (the pool's spec.pool_size flags, then the
     adversarial flags two by two), the (x, y) rows of its adversarial
-    pairs and the FAILURE_REASONS codes of the failed pool words (see
-    limit_set_sample), then of the distinct failed pair words among the
-    attempts up to the one that completed the last pair (all attempts if
-    the pairs ran out).
+    pairs and the FAILURE_REASONS codes of the distinct failed pair words
+    among the attempts up to the one that completed the last pair (all
+    attempts if the pairs ran out).  A failed pool word raises
+    limit_set_sample's error.
 
     Adversarial attempts are drawn in chunks, in the order a one-by-one
     loop would draw them, and the pairs accepted are the first near ones
     in draw order, so neither they nor the failures depend on the chunk
     sizes.  A word's walk does not depend on its batch, so walk walks each
-    word once, into the memo walked: its first call walks the pool's first
-    batch with the first chunk, and limit_set_sample, sampling the pool
-    through walk, reads that batch from the memo.  A later chunk holds 5/4
+    word once, into the memo walked: its first call walks the pool's words
+    with the first chunk, and limit_set_sample, sampling the pool through
+    walk, reads them from the memo.  A later chunk holds 5/4
     of the attempts the missing pairs take at the acceptance rate so far,
     plus 8, and never more than _chunk_cap, the first chunk's size."""
     p = rep.presentation
@@ -252,7 +252,7 @@ def _flag_pool(rep: Representation, ks, spec: TripleSpec):
         empty = FlagStack([], np.empty((0, rep.dim, rep.dim)), ks, [])
         return FlagStack.concat(*(walked[w] for w, e in zip(words, rejected) if e is None), empty), rejected
 
-    # limit_set_sample's first batch for the pool, walked with the first chunk
+    # the words limit_set_sample draws for the pool, walked with the first chunk
     first = W.random_cyclic_words(p, spec.pool_size, spec.word_length, spec.seed)
     accepted, drawn = [], []  # drawn: the pair words of the attempts that count
     found = attempts = 0
@@ -274,7 +274,7 @@ def _flag_pool(rep: Representation, ks, spec: TripleSpec):
                 chunk += [wx, wy]
         walk(rep, first + chunk, ks)
         if first:
-            pool, failures = limit_set_sample(rep, ks, spec.pool_size, spec.word_length, spec.seed, walk)
+            pool, _ = limit_set_sample(rep, ks, spec.pool_size, spec.word_length, spec.seed, walk)
             first = []
         # the chunk's attempts whose two words were both sampled
         sampled = np.array([isinstance(walked[w], FlagStack) for w in chunk], dtype=bool)
@@ -288,7 +288,7 @@ def _flag_pool(rep: Representation, ks, spec: TripleSpec):
             if found == n_pairs:  # the attempts after the last pair's do not count
                 chunk = chunk[: 2 * both[near[-1]] + 2]
         drawn += chunk
-    failures += [walked[w][0] for w in dict.fromkeys(drawn) if not isinstance(walked[w], FlagStack)]
+    failures = [walked[w][0] for w in dict.fromkeys(drawn) if not isinstance(walked[w], FlagStack)]
     pairs = [(len(pool) + 2 * i, len(pool) + 2 * i + 1) for i in range(found)]
     return FlagStack.concat(pool, *accepted), pairs, failures
 
@@ -500,8 +500,6 @@ class FoliatedSample:
     rows: list[FiberRow]
     base_status: dict[Word, str]
     basepoint_words: tuple[Word, Word, Word]
-    # words the sampler gave no flag, by FAILURE_REASONS code
-    sample_failures: dict[str, int]
 
 
 def foliated_limit_sample(
@@ -522,9 +520,10 @@ def foliated_limit_sample(
         raise InputError(f"need at least one base and one fiber, got {base_count} and {fiber_count}")
     budget(base_count * fiber_count, 512, f"{base_count} bases of {fiber_count} fibers")
     ks = fiber_ks(rep.dim, k)
-    flags, failures = limit_set_sample(rep, ks, base_count + fiber_count + 8, word_length, seed)
-    # basepoints: the best-quality of the first eight flags, tie-broken
-    # toward a well-spread triple so the fiber normalizations stay conditioned
+    flags, _ = limit_set_sample(rep, ks, base_count + fiber_count + 8, word_length, seed)
+    # basepoints: the most spread triple of the first eight flags, so the
+    # fiber normalizations stay conditioned; quality only orders the triple
+    # (which basepoint goes to 0, 1 and inf)
     candidates = flags[np.argsort(flags.quality[:8], kind="stable")]
     pairs = list(combinations(range(len(candidates)), 2))
     a, b = np.array(pairs).T
@@ -552,4 +551,4 @@ def foliated_limit_sample(
         # no fiber shares a base's source, so every missing row faulted
         status[t] = f"ok={len(kept)} failed={len(fibers) - len(kept)}"
     basepoint_words = tuple(trivialization.basepoints.sources)
-    return FoliatedSample(rows, status, basepoint_words, failure_counts(failures))
+    return FoliatedSample(rows, status, basepoint_words)

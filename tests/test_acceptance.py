@@ -321,7 +321,7 @@ def test_criterion_8c_uniform_sphere(tmp_path):
 def test_criterion_9_area_decay(sym3):
     from flaglab.cli import _fiber_cloud
 
-    pts, _ = _fiber_cloud(sym3, 1, 1500, 10, 7)
+    pts = _fiber_cloud(sym3, 1, 1500, 10, 7)
     epses = [0.2, 0.1, 0.05, 0.025]
     nu = VisualMeasure(0j, 1.0)
     areas = [4.0 * math.pi * visual_mass(nu, pts, e, mc_count=200_000, seed=3).estimate

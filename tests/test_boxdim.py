@@ -298,7 +298,7 @@ def test_fiber_charts_drop_only_projection_failures(octagon_sym3, veronese_circl
     # charts, drop a flag whose projection faults and raise any other error
     flags = veronese_circle_flags[:40]
     monkeypatch.setattr(cli, "limit_set_sample", lambda *args: (flags, []))
-    cloud, _ = cli._fiber_cloud(octagon_sym3, 1, 39, 10, 1)
+    cloud = cli._fiber_cloud(octagon_sym3, 1, 39, 10, 1)
     assert cloud.shape == (39, 3)  # the base's own source is skipped
     charts, uncovered = fibers.grassmann_charts(flags, 1, flags[0])
     chart = charts[word_to_str(flags.sources[0])]
@@ -316,7 +316,7 @@ def test_fiber_charts_drop_only_projection_failures(octagon_sym3, veronese_circl
 
     monkeypatch.setattr(fibers, "fiber_coords", broken)
     if isinstance(fault, int):
-        assert np.array_equal(cli._fiber_cloud(octagon_sym3, 1, 39, 10, 1)[0], np.delete(cloud, 6, axis=0))
+        assert np.array_equal(cli._fiber_cloud(octagon_sym3, 1, 39, 10, 1), np.delete(cloud, 6, axis=0))
         dropped, more = fibers.grassmann_charts(flags, 1, flags[0])
         assert more == sorted(uncovered + [7])
         assert len(dropped[word_to_str(flags.sources[0])]) == len(chart) - 1

@@ -731,83 +731,67 @@ def test_batched_judge_matches_per_word_oracle(monkeypatch):
 
 @pytest.mark.parametrize("count", [1, 3])
 def test_limit_set_sample_reports_each_failure_with_its_reason(monkeypatch, count):
-    # the sampler draws MIXED_WORDS: it keeps the first count flags and
-    # reports the reason code of every failed word drawn before the last of
-    # them, in draw order
+    # the sampler draws count flags of MIXED_WORDS, then a failed word of
+    # each reason in turn, then every other failed word and the other
+    # flags: the sample fails with the first failed word's message, as
+    # NotAnosovError where it stalled and PrecisionError otherwise
     monkeypatch.setattr(certify, "MAX_LETTERS", 40)
-    monkeypatch.setattr(W, "random_cyclic_words", lambda *args: MIXED_WORDS)
     rep = _mixed_rep()
-    flags, errors = boundary_samples(rep, MIXED_WORDS, [1, 2, 3])
-    done = [i for i, e in enumerate(errors) if e is None]
-    assert len(done) > 3 and done[0] > 0
-    sample, failures = fl.limit_set_sample(rep, [1, 2, 3], count=count, length=1, seed=1)
-    assert sample.sources == flags.sources[:count]
-    assert np.array_equal(sample.frames, flags.frames[:count])
-    assert failures == [e[0] for e in errors[: done[count - 1]] if e is not None]
-    counts = certify.failure_counts(failures)
-    assert list(counts) == list(certify.FAILURE_REASONS)
-    assert sum(counts.values()) == len(failures)
-    if count == 3:
-        assert all(counts.values())
-
-
-def _rewalking_sample(rep, ks, count, length, seed):
-    """limit_set_sample as flaglab 0.15 ran it: every later batch walks the
-    words that failed before again, and reports them again, each as (word,
-    reason, message)."""
-    failures, parts, have, batch = [], [], 0, 0
-    while have < count and batch < 8:
-        cand = W.random_cyclic_words(rep.presentation, count - have + 4 * batch, length, seed + batch)
-        taken = {w for part in parts for w in part.sources}
-        fresh = [w for w in cand if w not in taken]
-        flags, errors = boundary_samples(rep, fresh, ks)
-        ok = [i for i, e in enumerate(errors) if e is None]
-        stop = ok[count - have - 1] + 1 if len(ok) >= count - have else len(fresh)
-        failures += [(w, e[0], certify._failure_message(w, *e))
-                     for w, e in zip(fresh[:stop], errors[:stop]) if e is not None]
-        parts.append(flags[: count - have])
-        have += len(parts[-1])
-        batch += 1
-    if have < count:
-        raise NotAnosovError(f"only {have}/{count} boundary samples succeeded; "
-                             f"first failure: {failures[0][2] if failures else 'none'}")
-    return FlagStack.concat(*parts), failures
+    _, errors = boundary_samples(rep, MIXED_WORDS, [1, 2, 3])
+    done = [w for w, e in zip(MIXED_WORDS, errors) if e is None]
+    failed: dict = {}  # the first failed word of each reason
+    for w, e in zip(MIXED_WORDS, errors):
+        if e is not None:
+            failed.setdefault(e[0], (w, *e))
+    assert list(failed) == list(certify.FAILURE_REASONS) and len(done) > count
+    for reason, first in failed.items():
+        rest = [w for w, e in zip(MIXED_WORDS, errors) if e is not None and w != first[0]]
+        drawn = done[:count] + [first[0]] + rest + done[count:]
+        monkeypatch.setattr(W, "random_cyclic_words", lambda *args: drawn)
+        with pytest.raises(NotAnosovError if reason == "gap_stalled" else PrecisionError) as info:
+            fl.limit_set_sample(rep, [1, 2, 3], count=len(drawn), length=1, seed=1)
+        assert str(info.value) == (f"only {len(done)}/{len(drawn)} boundary samples succeeded; "
+                                   f"first failure: {certify._failure_message(*first)}")
 
 
 @pytest.mark.parametrize("name, ks, count, length", [
-    ("mixed", [1, 2, 3], 20, 2),  # completes after redrawing failed words
-    ("mixed", [1, 2, 3], 40, 2),  # runs out of batches
-    ("directsum", [1], 20, 4),  # every word fails
-    ("mixed-walk", [1, 2, 3], 20, 2),  # the first case, with its walks only through the walk seam
+    ("mixed", [1, 2, 3], 20, 2),  # its first failed word is short of the target
+    ("mixed", [1, 2, 3], 40, 2),  # the same first failure among more words
+    ("directsum", [1], 20, 4),  # every word stalls
+    ("mixed-walk", [1, 2, 3], 20, 2),  # the first case, with its walk only through the walk seam
 ])
 def test_limit_set_sample_walks_each_word_once(monkeypatch, name, ks, count, length):
+    # one walk call of the count words drawn under seed, and no redraw:
+    # the sample fails with the error of its first failed word
     monkeypatch.setattr(certify, "MAX_LETTERS", 40)
     rep = fl.preset(name) if name == "directsum" else _mixed_rep()
-    try:
-        expected = _rewalking_sample(rep, ks, count, length, seed=1)
-    except NotAnosovError as exc:
-        expected = exc
-    walked = []
+    drawn = W.random_cyclic_words(rep.presentation, count, length, 1)
+    flags, errors = boundary_samples(rep, drawn, ks)
+    first = next((w, *e) for w, e in zip(drawn, errors) if e is not None)
+    calls = []
 
     def spy(rep, words, ks):
-        walked.extend(words)
+        calls.append(list(words))
         return boundary_samples(rep, words, ks)
 
     seam = {"walk": spy} if name == "mixed-walk" else {}
     monkeypatch.setattr(certify, "boundary_samples", None if seam else spy)
-    if isinstance(expected, NotAnosovError):
-        with pytest.raises(NotAnosovError) as info:
-            fl.limit_set_sample(rep, ks, count=count, length=length, seed=1, **seam)
-        assert str(info.value) == str(expected)
-    else:
-        sample, failures = fl.limit_set_sample(rep, ks, count=count, length=length, seed=1, **seam)
-        assert sample.sources == expected[0].sources
-        assert np.array_equal(sample.frames, expected[0].frames)
-        assert np.array_equal(sample.quality, expected[0].quality)
-        # each failed word once, where it first failed
-        assert failures == [reason for _, reason, _ in dict.fromkeys(expected[1])]
-        assert len(failures) < len(expected[1])
-    assert len(walked) == len(set(walked))
+    with pytest.raises(NotAnosovError if first[1] == "gap_stalled" else PrecisionError) as info:
+        fl.limit_set_sample(rep, ks, count=count, length=length, seed=1, **seam)
+    assert str(info.value) == (f"only {len(flags)}/{count} boundary samples succeeded; "
+                               f"first failure: {certify._failure_message(*first)}")
+    assert calls == [drawn] and len(drawn) == count
+
+
+def test_limit_set_sample_short_of_the_target_is_a_precision_error(sym4, monkeypatch):
+    # with too few letters to clear the target every word falls short, a
+    # limit of the run and no fact about rho: PrecisionError, not NotAnosovError
+    monkeypatch.setattr(certify, "MAX_LETTERS", 12)
+    drawn = W.random_cyclic_words(sym4.presentation, 10, 6, 1)
+    _, errors = boundary_samples(sym4, drawn, [1, 2, 3])
+    assert {e[0] for e in errors} == {"gap_short"}
+    with pytest.raises(PrecisionError, match="only 0/10 boundary samples succeeded; first failure: gap reached only"):
+        fl.limit_set_sample(sym4, [1, 2, 3], count=10, length=6, seed=1)
 
 
 def test_empty_flag_indices_are_input_errors(sym4):

@@ -116,6 +116,30 @@ def test_relator_overflow_exits_3(tmp_path, capsys):
     assert "over/underflow" in capsys.readouterr().err
 
 
+def test_relator_capped_radius_below_3_exits_64(tmp_path, capsys):
+    # a relator of length 2 caps the sweep at radius 1, one length: too few
+    # to fit a slope, the same usage error as --radius below 3
+    doc = {"format": 1, "dim": 2, "presentation": {"kind": "custom", "rank": 2, "relations": [[1, 1]]},
+           "generators": [[[[0, 0], [1, 0]], [[-1, 0], [0, 0]]], [[[2.125, 0], [1.875, 0]], [[1.875, 0], [2.125, 0]]]]}
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(doc))
+    assert run(["certify", path, "--k", 1, "--radius", 6, "--out", tmp_path / "out"]) == 64
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["input error: radius capped at 1 (shortest relator has length 2); "
+                   "it must be >= 3 to fit a slope"]
+    assert not list((tmp_path / "out").iterdir())
+
+
+def test_sampled_word_past_the_spread_limit_exits_3(tmp_path, capsys):
+    # every schottky word of length 200 passes the 372-nat spread that
+    # limits boundary flags: a limit of the engine (exit 3), not evidence
+    # against the Anosov property (exit 5)
+    argv = ["dimension", "builtin:schottky", "--k", 1, "--points", 50, "--word-length", 200]
+    assert run(argv + ["--out", tmp_path]) == 3
+    assert "first failure: non-finite gap along" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv,matrix,code", [
     (["certify", "{rep}", "--k", 1], [[1, 1], [1, 1]], 64),  # singular generator
     (["certify", "{rep}", "--k", 1], [[1, 1], [1, 1 + 1e-13]], 64),  # inverse residual 3e-4
@@ -694,35 +718,24 @@ def test_hyperconvex_manifest_counts_skips_by_reason(tmp_path):
     ).read_bytes()
 
 
-@pytest.mark.parametrize("argv,calls", [
-    (["dimension", "builtin:octagon-sym3", "--k", 1, "--points", 1000, "--word-length", 10], 1),
-    # one anchor covers too little: the anchors are sampled twice more
-    (["dimension", "builtin:octagon-sym3", "--k", 1, "--mode", "grassmann", "--points", 700,
-      "--anchors", 1, "--word-length", 12, "--seed", 3], 3),
-    (["visualmass", "builtin:sym3", "--k", 1, "--points", 300, "--mc", 1000], 1),
-    (["foliate", "builtin:sym3", "--k", 1, "--fibers", 50], 1),
-    (["hyperconvex", "builtin:sym3", "--k", 1, "--triples", 100, "--assume-anosov"], 1),
-])
-def test_manifests_count_sampler_failures_by_reason(tmp_path, monkeypatch, argv, calls):
-    # every limit-set sample reports one failure of each reason beside its
-    # real ones (none on these presets): the manifest counts them all, and
-    # the CSV still replays byte for byte
-    real = certify.limit_set_sample
+def test_hyperconvex_manifest_counts_failed_pair_words(tmp_path, monkeypatch):
+    # every word longer than the pool's stalls, so only adversarial pair
+    # words fail: the manifest counts them by reason, as the report does
+    real = fibers.boundary_samples
 
-    def failing(*args, **kwargs):
-        flags, failures = real(*args, **kwargs)
-        return flags, failures + list(certify.FAILURE_REASONS)
+    def failing(rep, words, ks):
+        flags, errors = real(rep, words, ks)
+        long = [len(w) > 8 for w in words]
+        keep = [j for j, i in enumerate(i for i, e in enumerate(errors) if e is None) if not long[i]]
+        return flags[keep], [("gap_stalled", 0.0) if bad else e for bad, e in zip(long, errors)]
 
-    assert run(argv + ["--out", tmp_path / "plain"]) == 0
-    monkeypatch.setattr(cli, "limit_set_sample", failing)
-    monkeypatch.setattr(fibers, "limit_set_sample", failing)
-    assert run(argv + ["--out", tmp_path / "a"]) == 0
-    manifest = json.loads((tmp_path / "a" / f"{argv[0]}.manifest.json").read_text())
-    assert manifest["results"]["sample_failures"] == dict.fromkeys(certify.FAILURE_REASONS, calls)
-    csv = f"{argv[0]}.csv"
-    assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "plain" / csv).read_bytes()
-    plain = json.loads((tmp_path / "plain" / f"{argv[0]}.manifest.json").read_text())
-    assert plain["results"]["sample_failures"] == dict.fromkeys(certify.FAILURE_REASONS, 0)
+    monkeypatch.setattr(fibers, "boundary_samples", failing)
+    argv = ["hyperconvex", "builtin:sym3", "--k", 1, "--triples", 1000, "--assume-anosov"]
+    assert run(argv + ["--out", tmp_path]) == 0
+    manifest = json.loads((tmp_path / "hyperconvex.manifest.json").read_text())
+    report = fibers.check_transversality(fl.preset("sym3"), 1, fibers.TripleSpec(count=1000), None)
+    assert manifest["results"]["sample_failures"] == report.sample_failures
+    assert report.sample_failures == {"non_finite_gap": 0, "gap_stalled": 18, "gap_short": 0}
 
 
 @pytest.mark.parametrize("argv", [

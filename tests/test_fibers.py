@@ -238,6 +238,17 @@ def test_flag_pool_counts_failed_pair_words(sym4, monkeypatch):
     assert report.sample_failures == {"non_finite_gap": 0, "gap_stalled": len(failures), "gap_short": 0}
 
 
+def test_flag_pool_fails_on_a_failed_pool_word(sym4, monkeypatch):
+    # a pool word that gives no flag is no count beside a verdict: the
+    # check stops with the pool sample's error, which names that word
+    spec = TripleSpec(count=300, seed=5, pool_size=24)
+    bad = W.random_cyclic_words(sym4.presentation, spec.pool_size, spec.word_length, spec.seed)[3]
+    monkeypatch.setattr(fibers, "boundary_samples", _failing(certify.boundary_samples, lambda w: w == bad, "gap_stalled"))
+    with pytest.raises(NotAnosovError, match=f"^only 23/24 boundary samples succeeded; first failure: "
+                                             f"gap stalled at 0.0000 along {W.word_to_str(bad)};"):
+        fl.check_transversality(sym4, 2, spec, radius=None)
+
+
 def _one_attempt_pool(rep, ks, spec, sampler):
     """fibers._flag_pool drawn and walked one adversarial attempt at a
     time, with sampler: the pool of limit_set_sample, the first near pairs
@@ -329,9 +340,9 @@ def _sample(name, ks, count, length):
 
 
 def _all_failing_sample():
-    # every schottky word of length 200 fails: of the failed words of 8
-    # batches only their reason codes and letters as bytes are kept
-    with pytest.raises(NotAnosovError, match="only 0/450"):
+    # every schottky word of length 200 passes the 372-nat spread: the
+    # sample walks its 450 words once, then fails with the first one's message
+    with pytest.raises(PrecisionError, match="only 0/450 .* first failure: non-finite gap along"):
         _sample("schottky", [1], 450, 200)()
 
 
